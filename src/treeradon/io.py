@@ -103,10 +103,14 @@ def point_to_dict(tree: Tree, point: TreePoint) -> dict:
 def point_from_dict(tree: Tree, payload, context: str = "point") -> TreePoint:
     if not isinstance(payload, Mapping) or "edge" not in payload or "offset" not in payload:
         raise FileFormatError(f"{context}: expected {{'edge', 'offset'}}")
-    edge = payload["edge"]
-    if not isinstance(edge, int):
+    return tree.point(_edge_id(payload["edge"], context), _rational(payload["offset"], context))
+
+
+def _edge_id(raw, context: str) -> int:
+    # bool is an int subclass, but `true` in a file is not edge 1
+    if not isinstance(raw, int) or isinstance(raw, bool):
         raise FileFormatError(f"{context}: edge id must be an integer")
-    return tree.point(edge, _rational(payload["offset"], context))
+    return raw
 
 
 def measure_to_dict(tree: Tree, measure: Measure) -> dict:
@@ -119,7 +123,7 @@ def measure_to_dict(tree: Tree, measure: Measure) -> dict:
 
 
 def measure_from_dict(tree: Tree, payload) -> Measure:
-    if not isinstance(payload, Mapping) or "atoms" not in payload:
+    if not isinstance(payload, Mapping) or not isinstance(payload.get("atoms"), list):
         raise FileFormatError("a measure file needs an 'atoms' list")
     atoms = []
     for i, entry in enumerate(payload["atoms"]):
@@ -183,12 +187,16 @@ def flag_table_to_dict(table: FlagTable) -> dict:
 
 
 def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
-    if not isinstance(payload, Mapping) or "flags" not in payload:
+    if not isinstance(payload, Mapping) or not isinstance(payload.get("flags"), list):
         raise FileFormatError("a flag table file needs a 'flags' list")
     values = {}
     for i, row in enumerate(payload["flags"]):
+        if not isinstance(row, Mapping):
+            raise FileFormatError(f"flag row {i} is not an object")
         try:
-            flag = tree.flag(_resolve_vertex(tree, row["x"]), row["e"], row["f"])
+            flag = tree.flag(_resolve_vertex(tree, row["x"]),
+                             _edge_id(row["e"], f"flag row {i}"),
+                             _edge_id(row["f"], f"flag row {i}"))
             values[flag] = _rational(row["value"], f"flag row {i}")
         except KeyError as exc:
             raise FileFormatError(f"flag row {i} missing key {exc}") from None
@@ -196,7 +204,7 @@ def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
 
 
 def _resolve_vertex(tree: Tree, raw):
-    if tree.has_vertex(raw):
+    if not isinstance(raw, (list, dict)) and tree.has_vertex(raw):
         return raw
     for v in tree.vertices:
         if str(v) == str(raw):

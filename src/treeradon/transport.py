@@ -1,8 +1,12 @@
 """Exact quadratic optimal transport between finitely supported measures.
 
-The solver is a transportation simplex over rationals with Bland's rule
-for anti-cycling; distances enter only through their squares, so every
-quantity stays an exact Fraction. ``w2_squared_enumerated`` is an
+The solver is a transportation simplex with a north-west corner start and
+Bland's rule for anti-cycling. Distances enter only through their squares,
+so every cost and mass is rational; the solver scales masses and costs to
+integers over their common denominators and pivots in exact Python ints,
+which leaves every sign, comparison and tie, and so the pivot sequence,
+as it would be over the rationals. Plans, costs and every other value at
+the API stay exact Fractions. ``w2_squared_enumerated`` is an
 independent oracle that minimizes over all extreme points of the
 transportation polytope and is intended for cross-checks at small support.
 
@@ -15,6 +19,7 @@ identifier, which makes every output deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,18 +46,22 @@ class TransportPlan:
 # Exact transportation simplex                                              #
 # ---------------------------------------------------------------------- #
 
+def _scaled(values, scale: int) -> list[int]:
+    """Each Fraction times ``scale``, as an int (``scale`` clears every
+    denominator)."""
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _northwest_corner(supply, demand):
     """Initial basic feasible solution with exactly n+m-1 basis cells."""
     n, m = len(supply), len(demand)
     s = list(supply)
     d = list(demand)
-    alloc: dict[tuple[int, int], Fraction] = {}
-    basis = []
+    alloc = {}
     i = j = 0
     while True:
         q = min(s[i], d[j])
         alloc[(i, j)] = q
-        basis.append((i, j))
         s[i] -= q
         d[j] -= q
         if i == n - 1 and j == m - 1:
@@ -63,112 +72,104 @@ def _northwest_corner(supply, demand):
             j += 1
         else:
             i += 1
-    return alloc, set(basis)
+    return alloc
 
 
-def _potentials(n, m, cost, basis):
-    """Dual potentials u, v with u_i + v_j = c_ij on the basis tree."""
-    cols_of_row = [[] for _ in range(n)]
-    rows_of_col = [[] for _ in range(m)]
-    for (i, j) in basis:
-        cols_of_row[i].append(j)
-        rows_of_col[j].append(i)
-    u = [None] * n
-    v = [None] * m
-    u[0] = _ZERO
-    frontier = [("r", 0)]
-    while frontier:
-        kind, idx = frontier.pop()
-        if kind == "r":
-            for j in cols_of_row[idx]:
-                if v[j] is None:
-                    v[j] = cost[idx][j] - u[idx]
-                    frontier.append(("c", j))
-        else:
-            for i in rows_of_col[idx]:
-                if u[i] is None:
-                    u[i] = cost[i][idx] - v[idx]
-                    frontier.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
+def _potentials(cost, adj, n):
+    """Dual potentials u, v with u_i + v_j = c_ij on the basis tree.
+
+    ``adj`` is the basis tree over nodes 0..n-1 (rows) and n..n+m-1
+    (columns); u_0 is pinned to 0, so every potential is an int.
+    """
+    pot = [None] * len(adj)
+    pot[0] = 0
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if pot[b] is None:
+                pot[b] = (cost[a][b - n] if a < n else cost[b][a - n]) - pot[a]
+                stack.append(b)
+    if None in pot:
         raise SolverError("basis does not span the bipartite graph")
-    return u, v
+    return pot[:n], pot[n:]
 
 
-def _pivot_cycle(entering, basis, n, m):
+def _pivot_cycle(entering, adj, n):
     """The unique alternating cycle closed by the entering cell.
 
     Returns the cycle cells starting at the entering cell; signs alternate
     +, -, +, ... along the returned order.
     """
     i0, j0 = entering
-    cols_of_row = {}
-    rows_of_col = {}
-    for (i, j) in basis:
-        cols_of_row.setdefault(i, []).append(j)
-        rows_of_col.setdefault(j, []).append(i)
-    start = ("r", i0)
-    goal = ("c", j0)
-    parent = {start: None}
-    frontier = [start]
-    while frontier and goal not in parent:
-        nxt = []
-        for node in frontier:
-            kind, idx = node
-            neighbors = (
-                (("c", j) for j in cols_of_row.get(idx, ()))
-                if kind == "r"
-                else (("r", i) for i in rows_of_col.get(idx, ()))
-            )
-            for nb in neighbors:
-                if nb not in parent:
-                    parent[nb] = node
-                    nxt.append(nb)
-        frontier = nxt
-    if goal not in parent:
-        raise SolverError("entering cell closes no cycle; basis is broken")
-    nodes = [goal]
-    while nodes[-1] != start:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()
-    cells_on_path = []
-    for a, b in zip(nodes, nodes[1:]):
-        (ka, ia), (kb, ib) = a, b
-        cells_on_path.append((ia, ib) if ka == "r" else (ib, ia))
-    return [entering] + list(reversed(cells_on_path))
+    start, goal = i0, n + j0
+    parent = {start: start}
+    stack = [start]
+    while goal not in parent:
+        if not stack:
+            raise SolverError("entering cell closes no cycle; basis is broken")
+        a = stack.pop()
+        for b in adj[a]:
+            if b not in parent:
+                parent[b] = a
+                stack.append(b)
+    cycle = [entering]
+    b = goal
+    while b != start:
+        a = parent[b]
+        cycle.append((a, b - n) if a < n else (b, a - n))
+        b = a
+    return cycle
 
 
 def _transportation_simplex(supply, demand, cost):
     """Exact min-cost allocation for equal total supply and demand.
 
-    Bland's rule: the entering cell is the first (row-major) with negative
-    reduced cost; the leaving cell is the lexicographically smallest among
-    the minimum-allocation cells on the minus side of the pivot cycle.
+    The pivots run on Python ints: masses are scaled by the lcm M of their
+    denominators and costs by the lcm L of theirs. Positive scaling keeps
+    every sign, comparison and tie, so the pivot sequence is the one the
+    rational problem would take, and the result is returned as Fractions
+    over M.
+
+    North-west corner start, then Bland's rule: the entering cell is the
+    first (row-major) with negative reduced cost; the leaving cell is the
+    lexicographically smallest among the minimum-allocation cells on the
+    minus side of the pivot cycle. The basis tree is kept as one adjacency
+    over rows and columns and updated on each swap.
     """
     n, m = len(supply), len(demand)
-    alloc, basis = _northwest_corner(supply, demand)
+    mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
+    cost_scale = math.lcm(*(c.denominator for row in cost for c in row))
+    cost = [_scaled(row, cost_scale) for row in cost]
+    alloc = _northwest_corner(_scaled(supply, mass_scale), _scaled(demand, mass_scale))
+    adj = [set() for _ in range(n + m)]
+    for i, j in alloc:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
     max_pivots = 1000 + 100 * n * m
     for _ in range(max_pivots):
-        u, v = _potentials(n, m, cost, basis)
-        entering = None
-        for i in range(n):
-            for j in range(m):
-                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
+        u, v = _potentials(cost, adj, n)
+        # basis cells have reduced cost exactly 0, so only nonbasic cells
+        # can pass the test c_ij - u_i - v_j < 0
+        entering = next(
+            ((i, j) for i, row in enumerate(cost) for j, c in enumerate(row)
+             if c - v[j] < u[i]),
+            None,
+        )
         if entering is None:
-            return {cell: q for cell, q in alloc.items() if q > 0}
-        cycle = _pivot_cycle(entering, basis, n, m)
+            return {cell: Fraction(q, mass_scale) for cell, q in alloc.items() if q > 0}
+        cycle = _pivot_cycle(entering, adj, n)
         minus = cycle[1::2]
         theta = min(alloc[c] for c in minus)
         leaving = min(c for c in minus if alloc[c] == theta)
         for idx, cell in enumerate(cycle):
-            delta = theta if idx % 2 == 0 else -theta
-            alloc[cell] = alloc.get(cell, _ZERO) + delta
-        basis.remove(leaving)
-        basis.add(entering)
+            alloc[cell] = alloc.get(cell, 0) + (theta if idx % 2 == 0 else -theta)
         del alloc[leaving]
+        (ie, je), (il, jl) = entering, leaving
+        adj[ie].add(n + je)
+        adj[n + je].add(ie)
+        adj[il].discard(n + jl)
+        adj[n + jl].discard(il)
     raise SolverError("pivot limit exceeded")
 
 

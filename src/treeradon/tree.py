@@ -122,6 +122,14 @@ class Subtree:
         return point.edge in self.edges
 
 
+def _is_hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 def point_sort_key(point: TreePoint):
     """A total order on canonical points; used for deterministic output."""
     if point.is_vertex:
@@ -145,6 +153,8 @@ class Tree:
             raise TreeStructureError("a tree needs at least one vertex")
         vertex_set = set()
         for v in self.vertices:
+            if not _is_hashable(v):
+                raise TreeStructureError(f"vertex id {v!r} is not hashable")
             if v in vertex_set:
                 raise TreeStructureError(f"duplicate vertex id {v!r}")
             vertex_set.add(v)
@@ -153,13 +163,13 @@ class Tree:
         incident: dict[VertexId, list[int]] = {v: [] for v in self.vertices}
         finite_count = 0
         for eid, (u, v, length) in enumerate(edges):
-            if u not in vertex_set:
+            if not _is_hashable(u) or u not in vertex_set:
                 raise TreeStructureError(f"edge {eid} endpoint {u!r} is not a vertex")
             if v is None:
                 if length is not None:
                     raise TreeStructureError(f"edge {eid} is a ray but has finite length")
             else:
-                if v not in vertex_set:
+                if not _is_hashable(v) or v not in vertex_set:
                     raise TreeStructureError(f"edge {eid} endpoint {v!r} is not a vertex")
                 if u == v:
                     raise TreeStructureError(f"cycle detected: edge {eid} is a self-loop at {u!r}")
@@ -396,10 +406,13 @@ def build_tree(description) -> Tree:
     if not isinstance(description, Mapping):
         raise TreeStructureError("tree description must be a mapping")
     try:
-        vertices = list(description["vertices"])
-        raw_edges = list(description["edges"])
+        vertices = description["vertices"]
+        raw_edges = description["edges"]
     except KeyError as exc:
         raise TreeStructureError(f"tree description missing key {exc}") from None
+    for key, value in (("vertices", vertices), ("edges", raw_edges)):
+        if not isinstance(value, (list, tuple)):
+            raise TreeStructureError(f"tree description {key!r} must be a list")
     edges = []
     for entry in raw_edges:
         if isinstance(entry, Mapping):

@@ -1,7 +1,13 @@
 """Command-line behaviour: exit codes, determinism, file formats."""
 
+import hashlib
 import json
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+
+import pytest
 
 from treeradon import io, make_measure, vertex_function
 from treeradon.cli import main
@@ -30,6 +36,27 @@ def write_tripod(tmp_path):
     })
     io.save_tree(tripod, path)
     return path, tripod
+
+
+def write_seeded_16x16(tmp_path):
+    """star3 and two 16-atom measures with random masses, from a fixed seed."""
+    tree_file, star3 = write_star3(tmp_path)
+    rng = random.Random(16)
+    files = []
+    for name in ("mu", "nu"):
+        points = []
+        while len(points) < 16:
+            eid = rng.randrange(len(star3.edges))
+            stretch = rng.randint(1, 4) if star3.edge(eid).is_ray else 1
+            point = star3.point(eid, F(rng.randint(0, 12), 12) * stretch)
+            if point not in points:
+                points.append(point)
+        weights = [rng.randint(1, 9) for _ in points]
+        masses = [F(w, sum(weights)) for w in weights]
+        path = tmp_path / f"{name}.json"
+        io.save_measure(star3, make_measure(star3, zip(points, masses)), path)
+        files.append(path)
+    return tree_file, *files
 
 
 class TestGenTree:
@@ -152,6 +179,69 @@ class TestW2AndPlan:
         assert mid == make_measure(tripod, [(tripod.vertex_point("o"), 1)])
 
 
+# Digests of the files written at the commit before the solver moved from
+# Fractions to scaled integers; the pivot sequence, and so the plan, must
+# not change.
+SEEDED_16X16_INPUT_SHA256 = (
+    "0217482167cd21268ed762ec661d45173822fd8265d0b8ae13e748c6651d29ac",
+    "76ed9659e518c38c8819c619a5dc34824f382c64a589f46eac6b1fb8930b7243",
+)
+SEEDED_16X16_PLAN_SHA256 = "d946611cfdc24075de2fbf518821c54aaacc8e8deff04937e11542da6068ca28"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_seeded_16x16_plan_files_are_byte_identical(tmp_path, capsys):
+    tree_file, mu_file, nu_file = write_seeded_16x16(tmp_path)
+    assert (_sha256(mu_file), _sha256(nu_file)) == SEEDED_16X16_INPUT_SHA256
+    inputs = [str(tree_file), str(mu_file), str(nu_file)]
+    plan_file, w2_file = tmp_path / "plan.json", tmp_path / "w2.json"
+    assert main(["plan", *inputs, "--out", str(plan_file)]) == 0
+    assert main(["w2", *inputs, "--out", str(w2_file)]) == 0
+    assert _sha256(plan_file) == SEEDED_16X16_PLAN_SHA256
+    assert _sha256(w2_file) == SEEDED_16X16_PLAN_SHA256
+
+
+TRIPOD_EDGES = [{"u": "o", "v": t, "len": "1"} for t in ("x", "y", "z")]
+MEASURE = {"atoms": [{"edge": 0, "offset": "0", "mass": "1"}]}
+
+
+@pytest.mark.parametrize("command, tree, payload", [
+    ("w2", {"vertices": 5, "edges": TRIPOD_EDGES}, MEASURE),
+    ("w2", {"vertices": ["o", "x", "y", "z"], "edges": 3}, MEASURE),
+    ("w2", {"vertices": [["o"], "x", "y", "z"], "edges": TRIPOD_EDGES}, MEASURE),
+    ("w2", {"vertices": ["o", "x", "y", "z"],
+            "edges": [{"u": ["o"], "v": "x", "len": "1"}] + TRIPOD_EDGES[1:]}, MEASURE),
+    ("w2", {"vertices": ["o", "x", "y", "z"],
+            "edges": [{"u": "o", "v": ["x"], "len": "1"}] + TRIPOD_EDGES[1:]}, MEASURE),
+    ("w2", None, {"atoms": 5}),
+    ("w2", None, {"atoms": [{"edge": True, "offset": "0", "mass": "1"}]}),
+    ("invert", None, {"flags": 5}),
+    ("invert", None, {"flags": [5]}),
+    ("invert", None, {"flags": [{"x": ["o"], "e": 0, "f": 1, "value": "1"}]}),
+], ids=["vertices-int", "edges-int", "vertex-list", "endpoint-u-list", "endpoint-v-list",
+        "atoms-int", "edge-bool", "flags-int", "flag-row-int", "flag-vertex-list"])
+def test_malformed_input_is_one_line_error(tmp_path, command, tree, payload):
+    tree_file = tmp_path / "tree.json"
+    data_file = tmp_path / "data.json"
+    tree_file.write_text(json.dumps(tree or {"vertices": ["o", "x", "y", "z"],
+                                             "edges": TRIPOD_EDGES}))
+    data_file.write_text(json.dumps(payload))
+    if command == "w2":
+        argv = ["w2", str(tree_file), str(data_file), str(data_file)]
+    else:
+        argv = ["invert", str(tree_file), str(data_file), "--total", "1",
+                "--out", str(tmp_path / "h.json")]
+    proc = subprocess.run([sys.executable, "-m", "treeradon.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestReconstruct:
     def test_round_trip(self, tmp_path, capsys):
         tree_file, star3 = write_star3(tmp_path)
@@ -221,9 +311,6 @@ class TestUsage:
 
 
 def test_console_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     out = tmp_path / "t.json"
     proc = subprocess.run(
         [sys.executable, "-m", "treeradon.cli", "gen-tree", "--seed", "3",

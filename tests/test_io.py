@@ -93,6 +93,12 @@ class TestFunctionAndTableFiles:
         again = io.load_flag_table(star3, target)
         assert again.values == table.values
 
+    def test_boolean_edge_id_rejected(self, star3):
+        # bool is an int subclass; `true` must not be read as edge 1
+        with pytest.raises(FileFormatError):
+            io.flag_table_from_dict(star3, {"flags": [
+                {"x": "c", "e": True, "f": 2, "value": "1"}]})
+
 
 class TestPlanFiles:
     def test_plan_payload(self, tmp_path, tripod):

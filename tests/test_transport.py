@@ -1,5 +1,6 @@
 """Exact transport: solver, interpolation, dilation, extension, certificates."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 from treeradon import (
     CompletenessError,
     MeasureError,
+    SolverError,
     SuiteConfig,
     TransportPlan,
     WassersteinGeodesic,
+    build_tree,
     check_nonextendable,
     dilate,
     dirac,
     extend_from_dirac,
     gen_measure,
+    gen_point,
     gen_tree,
     interpolate,
     is_cyclically_monotone,
@@ -25,6 +29,7 @@ from treeradon import (
     w2_squared,
     w2_squared_enumerated,
 )
+from treeradon import transport
 
 
 class TestW2:
@@ -369,3 +374,265 @@ def test_equal_mass_case_matches_assignment_oracle(seed):
         for perm in itertools.permutations(dst)
     )
     assert w2_squared(tree, mu, nu) == best
+
+
+# ---------------------------------------------------------------------- #
+# Reference solver: the transportation simplex over Fractions              #
+# ---------------------------------------------------------------------- #
+#
+# The library solver pivots on integers scaled over common denominators.
+# This is the rational solver it replaced, kept as the reference for the
+# pivot sequence: north-west corner start, Bland's first negative reduced
+# cost in row-major order, lexicographically smallest leaving cell among
+# the minimum-theta cells. Equal allocations, not just equal costs, pin
+# the plan files byte for byte.
+
+def _reference_northwest_corner(supply, demand):
+    """Initial basic feasible solution with exactly n+m-1 basis cells."""
+    n, m = len(supply), len(demand)
+    s = list(supply)
+    d = list(demand)
+    alloc: dict = {}
+    basis = []
+    i = j = 0
+    while True:
+        q = min(s[i], d[j])
+        alloc[(i, j)] = q
+        basis.append((i, j))
+        s[i] -= q
+        d[j] -= q
+        if i == n - 1 and j == m - 1:
+            break
+        if s[i] == 0 and i < n - 1:
+            i += 1
+        elif j < m - 1:
+            j += 1
+        else:
+            i += 1
+    return alloc, set(basis)
+
+
+def _reference_potentials(n, m, cost, basis):
+    """Dual potentials u, v with u_i + v_j = c_ij on the basis tree."""
+    cols_of_row = [[] for _ in range(n)]
+    rows_of_col = [[] for _ in range(m)]
+    for (i, j) in basis:
+        cols_of_row[i].append(j)
+        rows_of_col[j].append(i)
+    u = [None] * n
+    v = [None] * m
+    u[0] = F(0)
+    frontier = [("r", 0)]
+    while frontier:
+        kind, idx = frontier.pop()
+        if kind == "r":
+            for j in cols_of_row[idx]:
+                if v[j] is None:
+                    v[j] = cost[idx][j] - u[idx]
+                    frontier.append(("c", j))
+        else:
+            for i in rows_of_col[idx]:
+                if u[i] is None:
+                    u[i] = cost[i][idx] - v[idx]
+                    frontier.append(("r", i))
+    if any(x is None for x in u) or any(x is None for x in v):
+        raise SolverError("basis does not span the bipartite graph")
+    return u, v
+
+
+def _reference_pivot_cycle(entering, basis, n, m):
+    """The unique alternating cycle closed by the entering cell.
+
+    Returns the cycle cells starting at the entering cell; signs alternate
+    +, -, +, ... along the returned order.
+    """
+    i0, j0 = entering
+    cols_of_row = {}
+    rows_of_col = {}
+    for (i, j) in basis:
+        cols_of_row.setdefault(i, []).append(j)
+        rows_of_col.setdefault(j, []).append(i)
+    start = ("r", i0)
+    goal = ("c", j0)
+    parent = {start: None}
+    frontier = [start]
+    while frontier and goal not in parent:
+        nxt = []
+        for node in frontier:
+            kind, idx = node
+            neighbors = (
+                (("c", j) for j in cols_of_row.get(idx, ()))
+                if kind == "r"
+                else (("r", i) for i in rows_of_col.get(idx, ()))
+            )
+            for nb in neighbors:
+                if nb not in parent:
+                    parent[nb] = node
+                    nxt.append(nb)
+        frontier = nxt
+    if goal not in parent:
+        raise SolverError("entering cell closes no cycle; basis is broken")
+    nodes = [goal]
+    while nodes[-1] != start:
+        nodes.append(parent[nodes[-1]])
+    nodes.reverse()
+    cells_on_path = []
+    for a, b in zip(nodes, nodes[1:]):
+        (ka, ia), (kb, ib) = a, b
+        cells_on_path.append((ia, ib) if ka == "r" else (ib, ia))
+    return [entering] + list(reversed(cells_on_path))
+
+
+def reference_simplex(supply, demand, cost):
+    """Exact min-cost allocation for equal total supply and demand.
+
+    Bland's rule: the entering cell is the first (row-major) with negative
+    reduced cost; the leaving cell is the lexicographically smallest among
+    the minimum-allocation cells on the minus side of the pivot cycle.
+    """
+    n, m = len(supply), len(demand)
+    alloc, basis = _reference_northwest_corner(supply, demand)
+    max_pivots = 1000 + 100 * n * m
+    for _ in range(max_pivots):
+        u, v = _reference_potentials(n, m, cost, basis)
+        entering = None
+        for i in range(n):
+            for j in range(m):
+                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < 0:
+                    entering = (i, j)
+                    break
+            if entering is not None:
+                break
+        if entering is None:
+            return {cell: q for cell, q in alloc.items() if q > 0}
+        cycle = _reference_pivot_cycle(entering, basis, n, m)
+        minus = cycle[1::2]
+        theta = min(alloc[c] for c in minus)
+        leaving = min(c for c in minus if alloc[c] == theta)
+        for idx, cell in enumerate(cycle):
+            delta = theta if idx % 2 == 0 else -theta
+            alloc[cell] = alloc.get(cell, F(0)) + delta
+        basis.remove(leaving)
+        basis.add(entering)
+        del alloc[leaving]
+    raise SolverError("pivot limit exceeded")
+
+
+def _distinct_points(count, pick):
+    points, seen = [], set()
+    while len(points) < count:
+        p = pick()
+        if p not in seen:
+            seen.add(p)
+            points.append(p)
+    return points
+
+
+def _random_masses(rng, count):
+    weights = [rng.randint(1, 9) for _ in range(count)]
+    return [F(w, sum(weights)) for w in weights]
+
+
+def _solver_instance(tree, src, dst, src_mass, dst_mass):
+    mu = make_measure(tree, zip(src, src_mass))
+    nu = make_measure(tree, zip(dst, dst_mass))
+    cost = transport._cost_matrix(tree, mu.atoms, nu.atoms)
+    return [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
+
+
+@st.composite
+def random_instance(draw):
+    """Distinct random atoms with random masses on a seeded leafless tree."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, m = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    rng = random.Random(seed)
+    tree = gen_tree(SuiteConfig(seed=seed, max_vertices=10, max_denominator=8),
+                    "complete", rng)
+    src = _distinct_points(n, lambda: gen_point(tree, rng, 8))
+    dst = _distinct_points(m, lambda: gen_point(tree, rng, 8))
+    return _solver_instance(tree, src, dst, _random_masses(rng, n), _random_masses(rng, m))
+
+
+@st.composite
+def symmetric_tie_instance(draw):
+    """Equal masses on a grid of half-unit spots of the symmetric star3
+    tree: many equal costs, many equal allocations, many degenerate
+    pivots."""
+    star3 = build_tree({
+        "vertices": ["c", "a", "b", "d"],
+        "edges": [
+            ("c", "a", 1), ("c", "b", 1), ("c", "d", 1),
+            ("a", None, "inf"), ("a", None, "inf"),
+            ("b", None, "inf"), ("b", None, "inf"),
+            ("d", None, "inf"), ("d", None, "inf"),
+        ],
+    })
+    spots = sorted({star3.point(eid, F(k, 2)) for eid in range(9) for k in range(4)
+                    if eid >= 3 or k <= 2}, key=repr)
+    n, m = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    src = draw(st.permutations(spots))[:n]
+    dst = draw(st.permutations(spots))[:m]
+    return _solver_instance(star3, src, dst, [F(1, n)] * n, [F(1, m)] * m)
+
+
+@given(random_instance())
+@settings(max_examples=40, deadline=None)
+def test_integer_solver_matches_reference_allocation(instance):
+    assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
+
+
+@given(symmetric_tie_instance())
+@settings(max_examples=40, deadline=None)
+def test_integer_solver_matches_reference_on_ties(instance):
+    assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
+
+
+def test_integer_solver_matches_reference_16x16():
+    rng = random.Random(1616)
+    tree = gen_tree(SuiteConfig(seed=1616, max_vertices=12, max_denominator=8),
+                    "complete", rng)
+    src = _distinct_points(16, lambda: gen_point(tree, rng, 8))
+    dst = _distinct_points(16, lambda: gen_point(tree, rng, 8))
+    instance = _solver_instance(tree, src, dst, _random_masses(rng, 16), _random_masses(rng, 16))
+    alloc = transport._transportation_simplex(*instance)
+    assert alloc == reference_simplex(*instance)
+    assert all(type(q) is F for q in alloc.values())
+
+
+def test_broken_basis_raises_solver_error():
+    # rows 0, 1 and columns 0, 1 (nodes 2, 3) with only the basis cell (0, 0)
+    adj = [{2}, set(), {0}, set()]
+    cost = [[0, 1], [1, 0]]
+    with pytest.raises(SolverError, match="span"):
+        transport._potentials(cost, adj, 2)
+    with pytest.raises(SolverError, match="cycle"):
+        transport._pivot_cycle((1, 1), adj, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_w2_matches_networkx_beyond_enumeration(seed):
+    # The integer-scaled instance (masses times M, costs times L) is fed
+    # to an independent min-cost-flow solver, so the comparison is exact:
+    # its integer optimum must equal W2^2 * M * L.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    tree = gen_tree(SuiteConfig(seed=seed, max_vertices=12, max_denominator=8),
+                    "complete", rng)
+    n, m = rng.randint(12, 20), rng.randint(12, 20)
+    src = _distinct_points(n, lambda: gen_point(tree, rng, 8))
+    dst = _distinct_points(m, lambda: gen_point(tree, rng, 8))
+    mu = make_measure(tree, zip(src, _random_masses(rng, n)))
+    nu = make_measure(tree, zip(dst, _random_masses(rng, m)))
+    cost = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
+    mass_scale = math.lcm(*(x.denominator for _, x in mu.atoms + nu.atoms))
+    cost_scale = math.lcm(*(c.denominator for row in cost for c in row))
+    graph = nx.DiGraph()
+    for i, (_, mass) in enumerate(mu.atoms):
+        graph.add_node(("s", i), demand=-int(mass * mass_scale))
+    for j, (_, mass) in enumerate(nu.atoms):
+        graph.add_node(("t", j), demand=int(mass * mass_scale))
+    for i, row in enumerate(cost):
+        for j, c in enumerate(row):
+            graph.add_edge(("s", i), ("t", j), weight=int(c * cost_scale))
+    flow_cost, _ = nx.network_simplex(graph)
+    assert w2_squared(tree, mu, nu) * mass_scale * cost_scale == flow_cost
