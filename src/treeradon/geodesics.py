@@ -207,34 +207,24 @@ class Geodesic:
         offset = dist if oj == 0 else oj - dist
         return self.tree.point(rec.id, offset)
 
-    def _projection_candidates(self) -> list[TreePoint]:
-        cands = [TreePoint(vertex=j) for j in self.joints]
-        if self.start is not None:
-            cands.append(self.start)
-        if self.end is not None:
-            cands.append(self.end)
-        return cands
-
     def project(self, point: TreePoint) -> TreePoint:
         """Nearest point of the geodesic (unique since trees are CAT(0)).
 
-        For a point off the geodesic the nearest point is the branch point
-        where the connecting path meets it, which is always a junction
-        vertex or a finite endpoint; the minimum over those candidates is
-        therefore exact and unique.
+        For a point x off the geodesic the nearest point is the tree median
+        of x and the two ends a, b of the geodesic's finite span (an
+        infinite end is replaced by the last junction before its ray). Its
+        coordinate is ``c_a + (d(a,x) + (c_b − c_a) − d(x,b))/2``, exact
+        from two distances.
         """
         point = self.tree.canonical_point(point)
         if self.contains(point):
             return point
-        best = None
-        best_d = None
-        for cand in self._projection_candidates():
-            d = self.tree.distance(point, cand)
-            if best_d is None or d < best_d:
-                best_d, best = d, cand
-        if best is None:
-            raise GeodesicError("geodesic has no projection candidates")
-        return best
+        a = self.start if self.start is not None else TreePoint(vertex=self.joints[0])
+        b = self.end if self.end is not None else TreePoint(vertex=self.joints[-1])
+        raw_a, raw_b = self._raw_of(a), self._raw_of(b)
+        d_a, d_b = self.tree.distance(a, point), self.tree.distance(point, b)
+        raw = raw_a + (d_a + (raw_b - raw_a) - d_b) / 2
+        return self.point_at(raw - self._origin_raw)
 
     def exit_cursor(self):
         """Continuation state past the finite end, for constant-speed walks.
@@ -285,7 +275,10 @@ class Geodesic:
 def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     """The unique injective path from ``p`` to ``q`` as a geodesic segment.
 
-    The origin sits at ``p``, so coordinates run from 0 to the distance.
+    The vertex path between the two points' feet comes from climbing the
+    tree's parent links; a point inside a finite edge that it leaves
+    through the far end drops that edge and end off the path. The origin
+    sits at ``p``, so coordinates run from 0 to the distance.
     """
     p = tree.canonical_point(p)
     q = tree.canonical_point(q)
@@ -295,56 +288,29 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
         return Geodesic(tree, [p.edge], [], p, q)
 
-    q_anchors = tree._anchors(q)
-    best = None
-    for a, da in tree._anchors(p).items():
-        dist, _ = tree._maps_from(a)
-        for b, db in q_anchors.items():
-            total = da + dist[b] + db
-            if best is None or total < best[0]:
-                best = (total, a, b)
-    _, a, b = best
+    vertices, edges = tree._vertex_path(tree._foot(p)[0], tree._foot(q)[0])
+    if edges and edges[0] == p.edge:
+        del vertices[0], edges[0]
+    if edges and edges[-1] == q.edge:
+        del vertices[-1], edges[-1]
 
-    _, parents = tree._maps_from(a)
-    chain_vertices = [b]
-    chain_edges = []
-    w = b
-    while w != a:
-        pv, pe = parents[w]
-        chain_edges.append(pe)
-        chain_vertices.append(pv)
-        w = pv
-    chain_vertices.reverse()
-    chain_edges.reverse()
-
-    # Junctions are every chain vertex that is not itself the start or end.
-    edges = list(chain_edges)
-    lo, hi = 0, len(chain_vertices)
+    # Junctions are every path vertex that is not itself the start or end.
+    lo, hi = 0, len(vertices)
     if p.is_vertex:
-        start = tree.vertex_point(a)
         lo = 1
     else:
         edges.insert(0, p.edge)
-        start = p
     if q.is_vertex:
-        end = tree.vertex_point(b)
         hi -= 1
     else:
         edges.append(q.edge)
-        end = q
-    return Geodesic(tree, edges, chain_vertices[lo:hi], start, end)
+    return Geodesic(tree, edges, vertices[lo:hi], p, q)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
     """The point halfway along the path from ``p`` to ``q``."""
     segment = path(tree, p, q)
     return segment.point_at(segment.length / 2)
-
-
-def project(tree: Tree, geodesic: Geodesic, point: TreePoint) -> TreePoint:
-    if geodesic.tree is not tree:
-        raise GeodesicError("geodesic belongs to a different tree")
-    return geodesic.project(point)
 
 
 # ---------------------------------------------------------------------- #

@@ -95,33 +95,18 @@ def _branch_sums(tree: Tree, h: VertexFunction) -> dict[tuple[VertexId, int], Fr
     """For every (vertex, incident edge): the sum of h over the component of
     the tree minus that vertex reached through the edge.
 
-    One rooted subtree-sum pass gives all of them in O(V + E).
+    One subtree-sum pass over the tree's own parent links, which list every
+    parent before its children, gives all of them in O(V + E).
     """
-    root = tree.vertices[0]
-    order: list[tuple[VertexId, int | None]] = []
-    seen = {root}
-    stack: list[tuple[VertexId, int | None]] = [(root, None)]
-    while stack:
-        vertex, via = stack.pop()
-        order.append((vertex, via))
-        for eid in tree.incident_edges(vertex):
-            rec = tree.edge(eid)
-            if rec.is_ray or eid == via:
-                continue
-            other = rec.other_end(vertex)
-            if other not in seen:
-                seen.add(other)
-                stack.append((other, eid))
-
+    links = tree._link
     subtree = {v: h.value(v) for v in tree.vertices}
-    for vertex, via in reversed(order):
-        if via is not None:
-            parent = tree.edge(via).other_end(vertex)
+    for vertex, (parent, _) in reversed(links.items()):
+        if parent is not None:
             subtree[parent] += subtree[vertex]
 
     total = h.total
     sums: dict[tuple[VertexId, int], Fraction] = {}
-    for vertex, via in order:
+    for vertex, (_, via) in links.items():
         for eid in tree.incident_edges(vertex):
             rec = tree.edge(eid)
             if rec.is_ray:
@@ -214,11 +199,6 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
 # ---------------------------------------------------------------------- #
 # Measure-level transform                                                   #
 # ---------------------------------------------------------------------- #
-
-def radon_measure(tree: Tree, mu: Measure, geodesic: Geodesic) -> RadonSample:
-    """One slice of the measure transform: the projection onto a geodesic."""
-    return pushforward_projection(tree, geodesic, mu)
-
 
 def radon_oracle(tree: Tree, mu: Measure) -> Callable[[Geodesic], RadonSample]:
     """Hide a known measure behind its transform, for reconstruction runs."""

@@ -365,10 +365,16 @@ class _Trajectory:
         return True
 
 
-def _move_atoms(tree, couplings, t, bounce=False) -> Measure:
+def _trajectories(tree: Tree, plan: TransportPlan) -> tuple:
+    """One (trajectory, mass) pair per coupling of the plan."""
+    return tuple((_Trajectory(tree, src, dst), mass) for src, dst, mass in plan.couplings)
+
+
+def _move_atoms(trajectories, t) -> Measure:
+    """The measure with each pair's mass at its trajectory's time-t spot."""
     merged: dict[TreePoint, Fraction] = {}
-    for src, dst, mass in couplings:
-        spot = _Trajectory(tree, src, dst, bounce=bounce).position(t)
+    for trajectory, mass in trajectories:
+        spot = trajectory.position(t)
         merged[spot] = merged.get(spot, _ZERO) + mass
     ordered = tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0])))
     return Measure(ordered)
@@ -380,7 +386,7 @@ def interpolate(tree: Tree, plan: TransportPlan, t) -> Measure:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"interpolation parameter {t} outside [0, 1]")
-    return _move_atoms(tree, plan.couplings, t)
+    return _move_atoms(_trajectories(tree, plan), t)
 
 
 def dilate(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
@@ -390,7 +396,7 @@ def dilate(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     if not 0 <= t <= 1:
         raise ValueError(f"dilation parameter {t} outside [0, 1]")
     plan = optimal_plan(tree, dirac(tree, x), mu)
-    return _move_atoms(tree, plan.couplings, t)
+    return _move_atoms(_trajectories(tree, plan), t)
 
 
 def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
@@ -403,7 +409,7 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     if t > 1 and not tree.geodesically_complete:
         raise CompletenessError("extension beyond the target needs a leafless tree")
     plan = optimal_plan(tree, dirac(tree, x), mu)
-    return _move_atoms(tree, plan.couplings, t)
+    return _move_atoms(_trajectories(tree, plan), t)
 
 
 class WassersteinGeodesic:
@@ -422,9 +428,7 @@ class WassersteinGeodesic:
         self.tree = tree
         self.plan = plan
         self.interval = (_ZERO, horizon)
-        self._trajectories = tuple(
-            (_Trajectory(tree, src, dst), mass) for src, dst, mass in plan.couplings
-        )
+        self._trajectories = _trajectories(tree, plan)
 
     @classmethod
     def from_plan(cls, tree: Tree, plan: TransportPlan) -> "WassersteinGeodesic":
@@ -440,12 +444,7 @@ class WassersteinGeodesic:
         lo, hi = self.interval
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
-        merged: dict[TreePoint, Fraction] = {}
-        for trajectory, mass in self._trajectories:
-            spot = trajectory.position(t)
-            merged[spot] = merged.get(spot, _ZERO) + mass
-        ordered = tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0])))
-        return Measure(ordered)
+        return _move_atoms(self._trajectories, t)
 
 
 # ---------------------------------------------------------------------- #

@@ -5,10 +5,14 @@ lengths; single-endpoint edges are infinite rays. No vertex may have
 valency 2 (such a vertex would describe the same metric space with a
 simpler graph), and every vertex has at least one incident edge.
 
-Trees are immutable after construction: every query is a pure function,
-internal caches are append-only, and instances are safe to share between
-threads. Lengths, offsets and distances are ``fractions.Fraction``
-throughout; nothing in this package touches floating point.
+Construction roots the tree once at its first vertex: every vertex records
+its parent link, its hop count and its depth (exact distance from the
+root). Distances, paths and projections all derive from those three maps,
+which are built once and never grow, so a tree is literally immutable
+after construction, costs O(V) memory for its lifetime, and is safe to
+share between threads. Lengths, offsets and distances are
+``fractions.Fraction`` throughout; nothing in this package touches
+floating point.
 """
 
 from __future__ import annotations
@@ -145,7 +149,7 @@ class Tree:
     triples and performs full validation.
     """
 
-    __slots__ = ("vertices", "edges", "_incident", "_dist_cache", "_parent_cache")
+    __slots__ = ("vertices", "edges", "_incident", "_link", "_hops", "_depth")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple]) -> None:
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
@@ -187,9 +191,14 @@ class Tree:
             v: tuple(sorted(ids)) for v, ids in incident.items()
         }
 
-        # Connectivity over finite edges, then acyclicity by edge count.
-        reached = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        # Connectivity over finite edges, then acyclicity by edge count. The
+        # walk roots the tree at vertices[0]: each vertex gets its (parent,
+        # edge) link, hop count and depth, and is linked after its parent.
+        root = self.vertices[0]
+        link: dict[VertexId, tuple[VertexId | None, int | None]] = {root: (None, None)}
+        hops: dict[VertexId, int] = {root: 0}
+        depth: dict[VertexId, Fraction] = {root: _ZERO}
+        stack = [root]
         while stack:
             w = stack.pop()
             for eid in self._incident[w]:
@@ -197,10 +206,13 @@ class Tree:
                 if rec.is_ray:
                     continue
                 o = rec.other_end(w)
-                if o not in reached:
-                    reached.add(o)
+                if o not in link:
+                    link[o] = (w, eid)
+                    hops[o] = hops[w] + 1
+                    depth[o] = depth[w] + rec.length
                     stack.append(o)
-        if len(reached) != len(self.vertices):
+        self._link, self._hops, self._depth = link, hops, depth
+        if len(link) != len(self.vertices):
             raise TreeStructureError("disconnected: not all vertices are reachable")
         if finite_count != len(self.vertices) - 1:
             raise TreeStructureError("cycle detected: too many finite edges for a tree")
@@ -211,9 +223,6 @@ class Tree:
                 raise TreeStructureError(f"valency-2 vertex {v!r} is not allowed")
             if k == 0:
                 raise TreeStructureError(f"isolated vertex {v!r} (valency 0)")
-
-        self._dist_cache: dict = {}
-        self._parent_cache: dict = {}
 
     # ------------------------------------------------------------------ #
     # Structure queries                                                    #
@@ -246,7 +255,9 @@ class Tree:
         return not self.leaves
 
     def edge(self, edge_id: int) -> EdgeRecord:
-        if not isinstance(edge_id, int) or not 0 <= edge_id < len(self.edges):
+        # bool is an int subclass, but True is not edge 1
+        if (not isinstance(edge_id, int) or isinstance(edge_id, bool)
+                or not 0 <= edge_id < len(self.edges)):
             raise PointLocationError(f"unknown edge id {edge_id!r}")
         return self.edges[edge_id]
 
@@ -314,84 +325,78 @@ class Tree:
             raise PointLocationError(f"underspecified point {point!r}")
         return self.point(point.edge, point.offset)
 
-    def _anchors(self, point: TreePoint) -> dict[VertexId, Fraction]:
-        """Vertex anchors of a point with their arm lengths.
-
-        A vertex anchors to itself at arm 0; an interior point anchors to
-        the endpoint(s) of its carrier edge. Every path leaving the point
-        passes through exactly one anchor.
-        """
-        if point.is_vertex:
-            return {point.vertex: _ZERO}
-        rec = self.edges[point.edge]
-        anchors = {rec.u: point.offset}
-        if rec.v is not None:
-            anchors[rec.v] = rec.length - point.offset
-        return anchors
-
     # ------------------------------------------------------------------ #
     # Metric                                                               #
     # ------------------------------------------------------------------ #
 
-    def _maps_from(self, source: VertexId):
-        """Cached single-source vertex distances and parent pointers."""
-        dist = self._dist_cache.get(source)
-        if dist is not None:
-            return dist, self._parent_cache[source]
-        dist = {source: _ZERO}
-        parent: dict[VertexId, tuple[VertexId | None, int | None]] = {source: (None, None)}
-        stack = [source]
-        while stack:
-            w = stack.pop()
-            for eid in self._incident[w]:
-                rec = self.edges[eid]
-                if rec.is_ray:
-                    continue
-                o = rec.other_end(w)
-                if o not in dist:
-                    dist[o] = dist[w] + rec.length
-                    parent[o] = (w, eid)
-                    stack.append(o)
-        self._dist_cache[source] = dist
-        self._parent_cache[source] = parent
-        return dist, parent
+    def _foot(self, point: TreePoint) -> tuple[VertexId, Fraction, bool]:
+        """The vertex a canonical point hangs from, the point's depth, and
+        whether the point sits inside that vertex's parent edge.
 
-    def vertex_distance(self, a: VertexId, b: VertexId) -> Fraction:
-        if a == b:
-            if a not in self._incident:
-                raise PointLocationError(f"unknown vertex {a!r}")
-            return _ZERO
-        cached = self._dist_cache.get(b)
-        if cached is not None and a in cached:
-            return cached[a]
-        dist, _ = self._maps_from(a)
-        try:
-            return dist[b]
-        except KeyError:
-            raise PointLocationError(f"unknown vertex {b!r}") from None
+        The foot of a vertex is itself, of a ray point the ray's vertex, and
+        of a point inside a finite edge the edge's child end.
+        """
+        if point.is_vertex:
+            return point.vertex, self._depth[point.vertex], False
+        rec = self.edges[point.edge]
+        if rec.v is None:
+            return rec.u, self._depth[rec.u] + point.offset, False
+        if self._link[rec.v][1] == rec.id:
+            return rec.v, self._depth[rec.u] + point.offset, True
+        return rec.u, self._depth[rec.u] - point.offset, True
+
+    def _lca(self, a: VertexId, b: VertexId) -> VertexId:
+        """Lowest common ancestor of two vertices, by climbing parent links."""
+        link, hops = self._link, self._hops
+        while hops[a] > hops[b]:
+            a = link[a][0]
+        while hops[b] > hops[a]:
+            b = link[b][0]
+        while a != b:
+            a = link[a][0]
+            b = link[b][0]
+        return a
+
+    def _vertex_path(self, a: VertexId, b: VertexId) -> tuple[list, list]:
+        """Vertices and edges of the path from vertex ``a`` to vertex ``b``,
+        climbing parent links from the deeper end until the two meet."""
+        link, hops = self._link, self._hops
+        head, head_edges, tail, tail_edges = [a], [], [b], []
+        while a != b:
+            if hops[a] >= hops[b]:
+                a, eid = link[a]
+                head.append(a)
+                head_edges.append(eid)
+            else:
+                b, eid = link[b]
+                tail.append(b)
+                tail_edges.append(eid)
+        tail.pop()
+        return head + tail[::-1], head_edges + tail_edges[::-1]
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
-        """Length of the unique injective path between two points."""
+        """Length of the unique injective path between two points.
+
+        ``depth(p) + depth(q) − 2·m``, where ``m`` is the depth at which the
+        paths from p and q to the root meet: the depth of the lowest common
+        ancestor of their feet, or of p (q) itself when it sits inside the
+        edge just above that ancestor.
+        """
         p = self.canonical_point(p)
         q = self.canonical_point(q)
         if p == q:
             return _ZERO
         if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
             return abs(p.offset - q.offset)
-        best = None
-        q_anchors = self._anchors(q)
-        for a, da in self._anchors(p).items():
-            dist, _ = self._maps_from(a)
-            for b, db in q_anchors.items():
-                total = da + dist[b] + db
-                if best is None or total < best:
-                    best = total
-        return best
-
-
-def is_geodesically_complete(tree: Tree) -> bool:
-    """A tree extends every geodesic to a full line iff it has no leaf."""
-    return tree.geodesically_complete
+        p_foot, p_depth, p_inside = self._foot(p)
+        q_foot, q_depth, q_inside = self._foot(q)
+        top = self._lca(p_foot, q_foot)
+        meet = self._depth[top]
+        if p_inside and p_foot == top:
+            meet = p_depth
+        elif q_inside and q_foot == top:
+            meet = q_depth
+        return p_depth + q_depth - 2 * meet
 
 
 def build_tree(description) -> Tree:

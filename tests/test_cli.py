@@ -218,22 +218,26 @@ MEASURE = {"atoms": [{"edge": 0, "offset": "0", "mass": "1"}]}
             "edges": [{"u": "o", "v": ["x"], "len": "1"}] + TRIPOD_EDGES[1:]}, MEASURE),
     ("w2", None, {"atoms": 5}),
     ("w2", None, {"atoms": [{"edge": True, "offset": "0", "mass": "1"}]}),
-    ("invert", None, {"flags": 5}),
-    ("invert", None, {"flags": [5]}),
-    ("invert", None, {"flags": [{"x": ["o"], "e": 0, "f": 1, "value": "1"}]}),
+    ("invert --total 1", None, {"flags": 5}),
+    ("invert --total 1", None, {"flags": [5]}),
+    ("invert --total 1", None, {"flags": [{"x": ["o"], "e": 0, "f": 1, "value": "1"}]}),
+    ("interpolate --t abc", None, MEASURE),
+    ("invert --total 1.5", None, {"flags": []}),
+    ("invert --total x", None, {"flags": []}),
 ], ids=["vertices-int", "edges-int", "vertex-list", "endpoint-u-list", "endpoint-v-list",
-        "atoms-int", "edge-bool", "flags-int", "flag-row-int", "flag-vertex-list"])
+        "atoms-int", "edge-bool", "flags-int", "flag-row-int", "flag-vertex-list",
+        "t-word", "total-decimal", "total-word"])
 def test_malformed_input_is_one_line_error(tmp_path, command, tree, payload):
     tree_file = tmp_path / "tree.json"
     data_file = tmp_path / "data.json"
     tree_file.write_text(json.dumps(tree or {"vertices": ["o", "x", "y", "z"],
                                              "edges": TRIPOD_EDGES}))
     data_file.write_text(json.dumps(payload))
-    if command == "w2":
-        argv = ["w2", str(tree_file), str(data_file), str(data_file)]
-    else:
-        argv = ["invert", str(tree_file), str(data_file), "--total", "1",
-                "--out", str(tmp_path / "h.json")]
+    name, *flags = command.split()
+    data_files = [str(data_file)] * (1 if name == "invert" else 2)
+    argv = [name, str(tree_file), *data_files, *flags]
+    if name != "w2":
+        argv += ["--out", str(tmp_path / "out.json")]
     proc = subprocess.run([sys.executable, "-m", "treeradon.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode in (1, 2)

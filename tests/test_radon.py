@@ -21,9 +21,9 @@ from treeradon import (
     geodesic_through_flag,
     make_measure,
     perpendicular,
+    pushforward_projection,
     radon_forward,
     radon_invert,
-    radon_measure,
     radon_oracle,
     reconstruct_measure,
     vertex_function,
@@ -202,7 +202,7 @@ class TestReconstruction:
         def liar(geodesic):
             flip["n"] += 1
             src = mu1 if flip["n"] % 2 else mu2
-            return radon_measure(star3, src, geodesic)
+            return pushforward_projection(star3, geodesic, src)
 
         with pytest.raises(OracleInconsistencyError):
             reconstruct_measure(star3, liar)

@@ -14,7 +14,6 @@ from treeradon import (
     build_tree,
     gen_point,
     gen_tree,
-    is_geodesically_complete,
 )
 
 
@@ -80,17 +79,17 @@ class TestBuildTree:
 
 class TestCompleteness:
     def test_tripod_incomplete(self, tripod):
-        assert not is_geodesically_complete(tripod)
+        assert not tripod.geodesically_complete
 
     def test_star3_complete(self, star3):
-        assert is_geodesically_complete(star3)
+        assert star3.geodesically_complete
 
     def test_single_vertex_three_rays(self):
         tree = build_tree({
             "vertices": ["o"],
             "edges": [("o", None, "inf")] * 3,
         })
-        assert is_geodesically_complete(tree)
+        assert tree.geodesically_complete
 
 
 class TestPoints:
@@ -117,6 +116,12 @@ class TestPoints:
     def test_unknown_vertex(self, tripod):
         with pytest.raises(PointLocationError):
             tripod.vertex_point("nope")
+
+    def test_boolean_edge_id_rejected(self, tripod):
+        with pytest.raises(PointLocationError):
+            tripod.edge(True)
+        with pytest.raises(PointLocationError):
+            tripod.point(True, F(1, 2))
 
     def test_canonical_point_revalidates(self, tripod):
         raw = TreePoint(edge=1, offset=F(1, 1))
