@@ -1,6 +1,8 @@
 """Recovering a hidden measure from its projections onto geodesics.
 
 The measure is hidden behind an oracle answering one projection per query.
+Only geodesics through flags are asked, and each answer gives the flag mass
+at every joint of its geodesic, so a flag read once is not asked again.
 Interior atoms are read directly (their level sets are single points);
 vertex masses come out of the flag-table inversion after the interior
 contribution is subtracted from each perpendicular.
@@ -33,7 +35,7 @@ for point, mass in hidden.atoms:
 oracle = radon_oracle(star, hidden)  # only projections leave this closure
 result = reconstruct_measure(star, oracle)
 
-print("\ninterior atoms read verbatim from single-edge queries:")
+print("\ninterior atoms read verbatim from the flag-geodesic queries:")
 for point, mass in result.interior_atoms:
     print(f"  {mass} at {point}")
 print("interior total:", result.interior_total)

@@ -214,17 +214,22 @@ class Geodesic:
         of x and the two ends a, b of the geodesic's finite span (an
         infinite end is replaced by the last junction before its ray). Its
         coordinate is ``c_a + (d(a,x) + (c_b − c_a) − d(x,b))/2``, exact
-        from two distances.
+        from two distances. That median is always a or b or a junction, so
+        it is looked up among them rather than located again by `point_at`.
         """
         point = self.tree.canonical_point(point)
-        if self.contains(point):
+        if self._raw_of(point) is not None:
             return point
         a = self.start if self.start is not None else TreePoint(vertex=self.joints[0])
         b = self.end if self.end is not None else TreePoint(vertex=self.joints[-1])
         raw_a, raw_b = self._raw_of(a), self._raw_of(b)
         d_a, d_b = self.tree.distance(a, point), self.tree.distance(point, b)
         raw = raw_a + (d_a + (raw_b - raw_a) - d_b) / 2
-        return self.point_at(raw - self._origin_raw)
+        if raw == raw_a:
+            return a
+        if raw == raw_b:
+            return b
+        return TreePoint(vertex=self.joints[bisect_left(self._joint_raw, raw)])
 
     def exit_cursor(self):
         """Continuation state past the finite end, for constant-speed walks.

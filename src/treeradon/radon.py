@@ -8,13 +8,17 @@ of each flag; with k(x) the valency, the closed form
 recovers the function exactly whenever every valency is at least 3. The
 measure-level transform is the family of projections onto complete
 geodesics; ``reconstruct_measure`` recovers a finitely supported measure
-from those projections by reading interior atoms directly (interior level
-sets are singletons) and inverting the vertex part.
+from the projections onto flag geodesics alone. Each answer gives the flag
+mass at every joint of its geodesic, so a flag already read is not queried
+again and a second reading of it is cross-checked; interior atoms are read
+directly (interior level sets are singletons), and the vertex part is
+inverted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -27,7 +31,7 @@ from .errors import (
     PointLocationError,
     RadonError,
 )
-from .geodesics import Geodesic, geodesic_through_edge, geodesic_through_flag, perpendicular
+from .geodesics import Geodesic, geodesic_through_flag
 from .measures import Measure, RadonSample, make_measure, pushforward_projection
 from .rationals import parse_rational
 from .tree import Flag, Tree, TreePoint, VertexId
@@ -46,7 +50,7 @@ class VertexFunction:
 
     values: Mapping[VertexId, Fraction]
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
         return sum(self.values.values(), _ZERO)
 
@@ -256,16 +260,19 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                         candidate_skeleton: Iterable[int] | None = None) -> ReconstructionResult:
     """Recover a finitely supported measure from its projection oracle.
 
-    Step 1 queries one deterministic geodesic through every skeleton edge
-    and reads interior atoms verbatim (interior level sets are single
-    points). Step 2 queries the geodesic through every flag, subtracts the
-    known interior mass inside each perpendicular, and inverts the
-    remaining vertex table with total 1 minus the interior mass.
+    Only flag geodesics are queried. The perpendicular of a flag is a level
+    set of the projection, so one answer on a geodesic gives the flag mass
+    at every joint of it: flags are walked in order, and a flag no earlier
+    answer has read queries its own geodesic. Every edge lies on such a
+    geodesic, so every interior atom is read verbatim (interior level sets
+    are single points). The interior mass inside each perpendicular is then
+    subtracted in one branch-sum pass, and the remaining vertex table is
+    inverted with total 1 minus the interior mass.
 
-    Interior sightings are cross-checked across every queried geodesic;
-    disagreement, mass outside the skeleton, or a vertex table that is not
-    a genuine transform of a nonnegative function all raise
-    :class:`OracleInconsistencyError`.
+    Interior sightings and flag readings are cross-checked across every
+    queried geodesic; disagreement, mass outside the skeleton, or a vertex
+    table that is not a genuine transform of a nonnegative function all
+    raise :class:`OracleInconsistencyError`.
     """
     if not tree.geodesically_complete:
         raise CompletenessError("reconstruction needs a tree without leaves")
@@ -294,43 +301,61 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                 f"{known} vs {mass} at offset {point.offset}"
             )
 
-    def scan_interior(geodesic: Geodesic, sample: RadonSample) -> None:
+    def scan_interior(geodesic: Geodesic, sample: RadonSample) -> dict[VertexId, Fraction]:
+        """Record the sample's interior atoms; return its masses at joints
+        (on a complete geodesic every vertex atom sits on a joint)."""
+        at_joint = {}
         for coord, mass in sample.atoms:
             spot = geodesic.point_at(coord)
-            if not spot.is_vertex:
+            if spot.is_vertex:
+                at_joint[spot.vertex] = mass
+            else:
                 record_interior(spot, mass)
+        return at_joint
 
-    edge_reads = []
-    for eid in skeleton:
-        geodesic = geodesic_through_edge(tree, eid)
-        sample = oracle(geodesic)
-        scan_interior(geodesic, sample)
-        own = tuple(
-            (offset, mass)
-            for (edge, offset), mass in sorted(interior.items())
-            if edge == eid
-        )
-        edge_reads.append(EdgeRead(edge=eid, atoms=own))
+    flags = enumerate_flags(tree)
+    raw: dict[Flag, Fraction] = {}
+    for flag in flags:
+        if flag in raw:
+            continue
+        geodesic = geodesic_through_flag(tree, flag)
+        at_joint = scan_interior(geodesic, oracle(geodesic))
+        edges = geodesic.edges
+        for i, joint in enumerate(geodesic.joints):
+            read = Flag(joint, frozenset((edges[i], edges[i + 1])))
+            mass = at_joint.get(joint, _ZERO)
+            known = raw.setdefault(read, mass)
+            if known != mass:
+                raise OracleInconsistencyError(
+                    f"flag {read!r} reads {known} on one geodesic and {mass} on another"
+                )
+
+    # Interior mass inside the perpendicular of (x, {e, f}) is the total
+    # minus the two branches through e and f. An atom sits on its foot
+    # vertex for the branch sums, except in the branch leaving the foot
+    # through the atom's own edge, where it is added back.
+    interior_total = sum(interior.values(), _ZERO)
+    on_foot: dict[VertexId, Fraction] = {}
+    own_edge: dict[tuple[VertexId, int], Fraction] = {}
+    for (edge, offset), mass in interior.items():
+        foot = tree._foot(TreePoint(edge=edge, offset=offset))[0]
+        on_foot[foot] = on_foot.get(foot, _ZERO) + mass
+        own_edge[(foot, edge)] = own_edge.get((foot, edge), _ZERO) + mass
+    branch = _branch_sums(tree, VertexFunction(on_foot))
 
     flag_rows = []
     table: dict[Flag, Fraction] = {}
-    for flag in enumerate_flags(tree):
-        geodesic = geodesic_through_flag(tree, flag)
-        sample = oracle(geodesic)
-        scan_interior(geodesic, sample)
-        raw = sample.mass_at(_ZERO)
-        perp = perpendicular(tree, flag)
-        inside = sum(
-            (mass for (edge, offset), mass in interior.items()
-             if perp.contains(TreePoint(edge=edge, offset=offset))),
-            _ZERO,
-        )
-        value = raw - inside
+    for flag in flags:
+        x = flag.vertex
+        e, f = flag.edges
+        inside = (interior_total
+                  - branch[(x, e)] - own_edge.get((x, e), _ZERO)
+                  - branch[(x, f)] - own_edge.get((x, f), _ZERO))
+        value = raw[flag] - inside
         table[flag] = value
-        flag_rows.append(FlagRow(flag=flag, raw_mass=raw,
+        flag_rows.append(FlagRow(flag=flag, raw_mass=raw[flag],
                                  interior_subtracted=inside, vertex_value=value))
 
-    interior_total = sum(interior.values(), _ZERO)
     vertex_part = radon_invert(tree, FlagTable(table), _ONE - interior_total)
 
     for vertex, value in vertex_part.values.items():
@@ -354,18 +379,17 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     except MeasureError as exc:
         raise OracleInconsistencyError(f"reconstructed masses are not a probability: {exc}") from exc
 
-    interior_atoms = tuple(
-        sorted(
-            ((TreePoint(edge=edge, offset=offset), mass)
-             for (edge, offset), mass in interior.items()),
-            key=lambda item: (item[0].edge, item[0].offset),
-        )
-    )
+    ordered = sorted(interior.items())
+    reads: dict[int, list[tuple[Fraction, Fraction]]] = {eid: [] for eid in skeleton}
+    for (edge, offset), mass in ordered:
+        reads[edge].append((offset, mass))
     return ReconstructionResult(
         measure=measure,
-        interior_atoms=interior_atoms,
+        interior_atoms=tuple(
+            (TreePoint(edge=edge, offset=offset), mass) for (edge, offset), mass in ordered
+        ),
         interior_total=interior_total,
         vertex_part=vertex_part,
-        edge_reads=tuple(edge_reads),
+        edge_reads=tuple(EdgeRead(edge=eid, atoms=tuple(seen)) for eid, seen in reads.items()),
         flag_rows=tuple(flag_rows),
     )

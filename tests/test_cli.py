@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from treeradon import io, make_measure, vertex_function
+from treeradon import SuiteConfig, gen_measure, gen_tree, io, make_measure, vertex_function
 from treeradon.cli import main
 
 
@@ -202,6 +202,47 @@ def test_seeded_16x16_plan_files_are_byte_identical(tmp_path, capsys):
     assert main(["w2", *inputs, "--out", str(w2_file)]) == 0
     assert _sha256(plan_file) == SEEDED_16X16_PLAN_SHA256
     assert _sha256(w2_file) == SEEDED_16X16_PLAN_SHA256
+
+
+def write_seeded_reconstruct_inputs(tmp_path, seed):
+    """A generated leafless tree and a hidden measure on it, from a fixed seed."""
+    config = SuiteConfig(seed=seed, max_vertices=12, max_valency=5, max_atoms=6,
+                         max_denominator=11)
+    rng = random.Random(seed)
+    tree = gen_tree(config, "complete", rng)
+    tree_file, hidden_file = tmp_path / f"tree-{seed}.json", tmp_path / f"hidden-{seed}.json"
+    io.save_tree(tree, tree_file)
+    io.save_measure(tree, gen_measure(config, tree, rng), hidden_file)
+    return tree_file, hidden_file
+
+
+# Digests of the inputs and of the reconstruct output files written at the
+# commit before reconstruction dropped its per-edge queries; the provenance
+# must not change.
+SEEDED_RECONSTRUCT_SHA256 = {
+    (7, None): (
+        "d5fc44df250942eec88654080b528c25fec46258689afde51971170d4c67b951",
+        "732668901431dbaa3f118706e10d68700130e042ea5d6f8e71db5fbc5653412b",
+        "eedb4966ff3a6f657d26ea7b7ab42c736179b114eca48a928acab79eab1d1821",
+    ),
+    (10, "0,1,2,3,4,6,8,9,10,12,14"): (
+        "ade863f69e54f8e7b4016fa169dad2c9d7312efbf42e73bafe6e4b959e88b3b8",
+        "53bad6bca6740bf21fbce9ea160ebb932cce46e55d71c9e78de072e89160b65f",
+        "1d5f285a3fdc7dff1749864f6e8ea247507ed0444c353d1378a6d92a2c1e4f8e",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, skeleton", list(SEEDED_RECONSTRUCT_SHA256))
+def test_seeded_reconstruct_files_are_byte_identical(tmp_path, capsys, seed, skeleton):
+    tree_file, hidden_file = write_seeded_reconstruct_inputs(tmp_path, seed)
+    out = tmp_path / "rec.json"
+    argv = ["reconstruct", str(tree_file), str(hidden_file), "--out", str(out)]
+    if skeleton is not None:
+        argv += ["--skeleton", skeleton]
+    assert main(argv) == 0
+    digests = (_sha256(tree_file), _sha256(hidden_file), _sha256(out))
+    assert digests == SEEDED_RECONSTRUCT_SHA256[(seed, skeleton)]
 
 
 TRIPOD_EDGES = [{"u": "o", "v": t, "len": "1"} for t in ("x", "y", "z")]

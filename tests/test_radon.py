@@ -1,5 +1,6 @@
 """Combinatorial Radon transform, inversion, flag masses, reconstruction."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -64,6 +65,13 @@ class TestForward:
         table = radon_forward(star3, h)
         for flag in enumerate_flags(star3):
             assert table.value(flag) == brute_flag_value(star3, h, flag)
+
+
+def test_cached_total_keeps_equality_and_pickling(star3):
+    h = vertex_function(star3, {"c": 1, "a": F(2, 3)})
+    assert h.total == F(5, 3)
+    assert h == vertex_function(star3, {"a": F(2, 3), "c": 1})
+    assert pickle.loads(pickle.dumps(h)) == h
 
 
 class TestDoubleCount:

@@ -1,0 +1,307 @@
+"""Reconstruction against the two-step reference it replaced.
+
+``reference_reconstruct`` is the earlier ``reconstruct_measure``, kept
+verbatim: one geodesic through every skeleton edge, then one through every
+flag, with the interior mass of each perpendicular summed atom by atom. The
+library now queries flag geodesics only and reads every joint of each
+answer; on an honest oracle both give the same result field for field.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treeradon import (
+    CompletenessError,
+    Flag,
+    FlagTable,
+    MeasureError,
+    OracleInconsistencyError,
+    ReconstructionResult,
+    SuiteConfig,
+    TreePoint,
+    build_tree,
+    enumerate_flags,
+    gen_measure,
+    gen_tree,
+    geodesic_through_edge,
+    geodesic_through_flag,
+    make_measure,
+    perpendicular,
+    pushforward_projection,
+    radon_forward,
+    radon_invert,
+    radon_oracle,
+    reconstruct_measure,
+)
+from treeradon.radon import EdgeRead, FlagRow
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def reference_reconstruct(tree, oracle, candidate_skeleton=None):
+    """Recover a finitely supported measure from its projection oracle.
+
+    Step 1 queries one deterministic geodesic through every skeleton edge
+    and reads interior atoms verbatim (interior level sets are single
+    points). Step 2 queries the geodesic through every flag, subtracts the
+    known interior mass inside each perpendicular, and inverts the
+    remaining vertex table with total 1 minus the interior mass.
+
+    Interior sightings are cross-checked across every queried geodesic;
+    disagreement, mass outside the skeleton, or a vertex table that is not
+    a genuine transform of a nonnegative function all raise
+    :class:`OracleInconsistencyError`.
+    """
+    if not tree.geodesically_complete:
+        raise CompletenessError("reconstruction needs a tree without leaves")
+    if candidate_skeleton is None:
+        skeleton = list(range(len(tree.edges)))
+    else:
+        skeleton = sorted(set(candidate_skeleton))
+        for eid in skeleton:
+            tree.edge(eid)
+
+    skeleton_set = set(skeleton)
+    interior: dict[tuple[int, Fraction], Fraction] = {}
+
+    def record_interior(point: TreePoint, mass: Fraction) -> None:
+        if point.edge not in skeleton_set:
+            raise OracleInconsistencyError(
+                f"interior mass on edge {point.edge} outside the candidate skeleton"
+            )
+        key = (point.edge, point.offset)
+        known = interior.get(key)
+        if known is None:
+            interior[key] = mass
+        elif known != mass:
+            raise OracleInconsistencyError(
+                f"masses disagree across geodesics through edge {point.edge}: "
+                f"{known} vs {mass} at offset {point.offset}"
+            )
+
+    def scan_interior(geodesic: Geodesic, sample: RadonSample) -> None:
+        for coord, mass in sample.atoms:
+            spot = geodesic.point_at(coord)
+            if not spot.is_vertex:
+                record_interior(spot, mass)
+
+    edge_reads = []
+    for eid in skeleton:
+        geodesic = geodesic_through_edge(tree, eid)
+        sample = oracle(geodesic)
+        scan_interior(geodesic, sample)
+        own = tuple(
+            (offset, mass)
+            for (edge, offset), mass in sorted(interior.items())
+            if edge == eid
+        )
+        edge_reads.append(EdgeRead(edge=eid, atoms=own))
+
+    flag_rows = []
+    table: dict[Flag, Fraction] = {}
+    for flag in enumerate_flags(tree):
+        geodesic = geodesic_through_flag(tree, flag)
+        sample = oracle(geodesic)
+        scan_interior(geodesic, sample)
+        raw = sample.mass_at(_ZERO)
+        perp = perpendicular(tree, flag)
+        inside = sum(
+            (mass for (edge, offset), mass in interior.items()
+             if perp.contains(TreePoint(edge=edge, offset=offset))),
+            _ZERO,
+        )
+        value = raw - inside
+        table[flag] = value
+        flag_rows.append(FlagRow(flag=flag, raw_mass=raw,
+                                 interior_subtracted=inside, vertex_value=value))
+
+    interior_total = sum(interior.values(), _ZERO)
+    vertex_part = radon_invert(tree, FlagTable(table), _ONE - interior_total)
+
+    for vertex, value in vertex_part.values.items():
+        if value < 0:
+            raise OracleInconsistencyError(
+                f"inverted vertex mass at {vertex!r} is negative ({value})"
+            )
+    if radon_forward(tree, vertex_part).values != table:
+        raise OracleInconsistencyError(
+            "flag table is not a transform of any vertex function with the "
+            "implied total; oracle data is inconsistent"
+        )
+
+    atoms = [(tree.vertex_point(v), m) for v, m in vertex_part.values.items()]
+    atoms.extend(
+        (TreePoint(edge=edge, offset=offset), mass)
+        for (edge, offset), mass in interior.items()
+    )
+    try:
+        measure = make_measure(tree, atoms)
+    except MeasureError as exc:
+        raise OracleInconsistencyError(f"reconstructed masses are not a probability: {exc}") from exc
+
+    interior_atoms = tuple(
+        sorted(
+            ((TreePoint(edge=edge, offset=offset), mass)
+             for (edge, offset), mass in interior.items()),
+            key=lambda item: (item[0].edge, item[0].offset),
+        )
+    )
+    return ReconstructionResult(
+        measure=measure,
+        interior_atoms=interior_atoms,
+        interior_total=interior_total,
+        vertex_part=vertex_part,
+        edge_reads=tuple(edge_reads),
+        flag_rows=tuple(flag_rows),
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Inputs                                                                    #
+# ---------------------------------------------------------------------- #
+
+def leafless_tree(rng, vertices):
+    """A leafless tree with exactly ``vertices`` vertices: each new vertex
+    hangs off an earlier one of valency below 5, then rays lift every
+    valency to at least 3."""
+    degree = [0] * vertices
+    open_ids = [0]
+    edges = []
+    for i in range(1, vertices):
+        parent = open_ids[rng.randrange(len(open_ids))]
+        edges.append((f"v{parent}", f"v{i}", Fraction(rng.randint(1, 12), rng.randint(1, 12))))
+        degree[parent] += 1
+        degree[i] += 1
+        if degree[parent] == 5:
+            open_ids.remove(parent)
+        open_ids.append(i)
+    for i in range(vertices):
+        edges.extend((f"v{i}", None, "inf") for _ in range(3 - degree[i]))
+    return build_tree({"vertices": [f"v{i}" for i in range(vertices)], "edges": edges})
+
+
+def hidden_measure(tree, rng, count):
+    """``count`` distinct atoms, vertices and edge interiors mixed, with
+    positive masses summing to one."""
+    points = set()
+    while len(points) < count:
+        if rng.random() < 0.4:
+            points.add(TreePoint(vertex=rng.choice(tree.vertices)))
+        else:
+            rec = rng.choice(tree.edges)
+            scale = Fraction(rng.randint(1, 12)) if rec.is_ray else rec.length
+            points.add(TreePoint(edge=rec.id, offset=scale * Fraction(rng.randint(1, 3), 4)))
+    weights = [rng.randint(1, 9) for _ in points]
+    return make_measure(tree, [(p, Fraction(w, sum(weights)))
+                               for p, w in zip(sorted(points, key=repr), weights)])
+
+
+@st.composite
+def tree_and_measure(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if draw(st.booleans()):
+        cfg = SuiteConfig(seed=seed, max_vertices=12, max_valency=6, max_denominator=11)
+        tree = gen_tree(cfg, "complete", rng)
+        return tree, gen_measure(cfg, tree, rng), rng
+    tree = leafless_tree(rng, draw(st.integers(1, 40)))
+    return tree, hidden_measure(tree, rng, draw(st.integers(1, 6))), rng
+
+
+def result_fields(result):
+    return (result.measure, result.interior_atoms, result.interior_total,
+            result.vertex_part, result.edge_reads, result.flag_rows)
+
+
+def outcome(reconstruct, tree, hidden, skeleton):
+    try:
+        return result_fields(reconstruct(tree, radon_oracle(tree, hidden), skeleton))
+    except OracleInconsistencyError:
+        return OracleInconsistencyError
+
+
+@given(tree_and_measure())
+@settings(max_examples=60, deadline=None)
+def test_full_skeleton_matches_reference(data):
+    tree, hidden, _ = data
+    result = reconstruct_measure(tree, radon_oracle(tree, hidden))
+    assert result.measure == hidden
+    assert result_fields(result) == outcome(reference_reconstruct, tree, hidden, None)
+
+
+@given(tree_and_measure())
+@settings(max_examples=60, deadline=None)
+def test_sub_skeleton_agrees_or_both_reject(data):
+    tree, hidden, rng = data
+    skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8]
+    assert (outcome(reconstruct_measure, tree, hidden, skeleton)
+            == outcome(reference_reconstruct, tree, hidden, skeleton))
+
+
+# ---------------------------------------------------------------------- #
+# Oracle traffic                                                            #
+# ---------------------------------------------------------------------- #
+
+def fixed_40_vertex_case():
+    rng = random.Random(40)
+    tree = leafless_tree(rng, 40)
+    return tree, hidden_measure(tree, rng, 6)
+
+
+# Queries made on the fixed case above, against E + F = 89 + 147 = 236 for
+# the earlier edge-then-flag schedule.
+FIXED_CASE_QUERIES = 108
+
+
+def test_spy_sees_only_distinct_flag_geodesics():
+    tree, hidden = fixed_40_vertex_case()
+    flag_geodesics = {geodesic_through_flag(tree, flag) for flag in enumerate_flags(tree)}
+    asked = []
+
+    def spy(geodesic):
+        asked.append(geodesic)
+        return pushforward_projection(tree, geodesic, hidden)
+
+    assert reconstruct_measure(tree, spy).measure == hidden
+    assert all(geodesic in flag_geodesics for geodesic in asked)
+    assert len(set(asked)) == len(asked)
+    assert len(asked) < len(tree.edges) + len(enumerate_flags(tree))
+    assert len(asked) == FIXED_CASE_QUERIES
+
+
+def test_liar_at_one_joint_is_caught_by_the_rereading():
+    tree, hidden = fixed_40_vertex_case()
+    # Find a joint of a later query whose flag an earlier query already read.
+    read, asked = set(), []
+
+    def spy(geodesic):
+        asked.append(geodesic)
+        return pushforward_projection(tree, geodesic, hidden)
+
+    reconstruct_measure(tree, spy)
+    target = None
+    for geodesic in asked:
+        for i, joint in enumerate(geodesic.joints):
+            flag = Flag(joint, frozenset(geodesic.edges[i:i + 2]))
+            if flag in read and target is None and joint != geodesic.origin.vertex:
+                target = geodesic, geodesic.coordinate_of(TreePoint(vertex=joint))
+            read.add(flag)
+    assert target is not None
+    bent, coord = target
+
+    def liar(geodesic):
+        sample = pushforward_projection(tree, geodesic, hidden)
+        if geodesic != bent:
+            return sample
+        masses = dict(sample.atoms)
+        masses[coord] = masses.get(coord, _ZERO) + Fraction(1, 7)
+        return type(sample)(geodesic, tuple(sorted(masses.items())))
+
+    with pytest.raises(OracleInconsistencyError, match="on one geodesic and"):
+        reconstruct_measure(tree, liar)
