@@ -9,6 +9,12 @@ complete geodesics in leafless trees. Each geodesic carries an arc-length
 coordinate system (an origin point and an orientation given by edge
 order); for geodesics built through a flag the origin is the flag vertex
 and the positive direction heads into the smaller edge identifier.
+
+Projection onto a geodesic is combinatorial: in a tree a point's nearest
+point is where its path first meets the geodesic, so the point climbs the
+tree's parent links from its foot until it reaches a vertex of the
+geodesic's closed vertex path, which maps to its nearest point and raw
+coordinate. No distance is computed.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class Geodesic:
     __slots__ = (
         "tree", "edges", "joints", "start", "end", "origin",
         "_edge_index", "_joint_raw", "_joint_raw_map",
-        "_start_raw", "_end_raw", "_origin_raw", "_single_dir",
+        "_start_raw", "_end_raw", "_origin_raw", "_single_dir", "_anchors",
     )
 
     def __init__(self, tree: Tree, edges, joints, start, end, origin=None) -> None:
@@ -48,54 +54,58 @@ class Geodesic:
             raise GeodesicError("a geodesic cannot traverse an edge twice")
         if len(set(self.joints)) != len(self.joints):
             raise GeodesicError("a geodesic cannot revisit a vertex")
+        # Each edge record is looked up once, in edge order, and serves both
+        # the junction check and the raw coordinates below.
+        records = [tree.edge(self.edges[0])] if self.joints else []
         for i, j in enumerate(self.joints):
-            left = tree.edge(self.edges[i])
+            left = records[i]
             right = tree.edge(self.edges[i + 1])
             if j not in left.endpoints() or j not in right.endpoints():
                 raise GeodesicError(
                     f"junction {j!r} does not join edges {left.id} and {right.id}"
                 )
+            records.append(right)
 
         self.start = tree.canonical_point(start) if start is not None else None
         self.end = tree.canonical_point(end) if end is not None else None
-        if self.start is None and not tree.edge(self.edges[0]).is_ray:
+        first = records[0] if records else tree.edge(self.edges[0])
+        last = records[-1] if records else first
+        if self.start is None and not first.is_ray:
             raise GeodesicError("an infinite end requires a ray edge")
-        if self.end is None and not tree.edge(self.edges[-1]).is_ray:
+        if self.end is None and not last.is_ray:
             raise GeodesicError("an infinite end requires a ray edge")
 
         # Raw arc-length coordinates, anchored at the first junction (or at
         # the start point for single-edge segments). Interior edges of a
         # multi-edge geodesic are traversed in full, hence finite.
         self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
+        self._anchors = None
         if self.joints:
             raw = [_ZERO]
-            for i in range(1, len(self.joints)):
-                length = tree.edge(self.edges[i]).length
-                if length is None:
+            for rec in records[1:-1]:
+                if rec.length is None:
                     raise GeodesicError("an interior edge of a geodesic cannot be a ray")
-                raw.append(raw[-1] + length)
+                raw.append(raw[-1] + rec.length)
             self._joint_raw = raw
             self._joint_raw_map = dict(zip(self.joints, raw))
             self._single_dir = 0
             if self.start is None:
                 self._start_raw = None
             else:
-                o = self._offset_on(self.start, self.edges[0])
-                oj = tree.edge(self.edges[0]).endpoint_offset(self.joints[0])
-                self._start_raw = -abs(o - oj)
+                o = self._offset_on(self.start, first)
+                self._start_raw = -abs(o - first.endpoint_offset(self.joints[0]))
             if self.end is None:
                 self._end_raw = None
             else:
-                o = self._offset_on(self.end, self.edges[-1])
-                oj = tree.edge(self.edges[-1]).endpoint_offset(self.joints[-1])
-                self._end_raw = raw[-1] + abs(o - oj)
+                o = self._offset_on(self.end, last)
+                self._end_raw = raw[-1] + abs(o - last.endpoint_offset(self.joints[-1]))
         else:
             if self.start is None or self.end is None:
                 raise GeodesicError("a single-edge geodesic needs both endpoints")
             self._joint_raw = []
             self._joint_raw_map = {}
-            o_start = self._offset_on(self.start, self.edges[0])
-            o_end = self._offset_on(self.end, self.edges[0])
+            o_start = self._offset_on(self.start, first)
+            o_end = self._offset_on(self.end, first)
             self._single_dir = -1 if o_end < o_start else 1
             self._start_raw = _ZERO
             self._end_raw = abs(o_end - o_start)
@@ -110,13 +120,12 @@ class Geodesic:
 
     # ------------------------------------------------------------------ #
 
-    def _offset_on(self, point: TreePoint, edge_id: int) -> Fraction:
-        """Offset of a point in the coordinate of a specific edge it lies on."""
-        rec = self.tree.edge(edge_id)
+    def _offset_on(self, point: TreePoint, rec) -> Fraction:
+        """Offset of a point in the coordinate of an edge record it lies on."""
         if point.is_vertex:
             return rec.endpoint_offset(point.vertex)
-        if point.edge != edge_id:
-            raise GeodesicError(f"point {point!r} is not on edge {edge_id}")
+        if point.edge != rec.id:
+            raise GeodesicError(f"point {point!r} is not on edge {rec.id}")
         return point.offset
 
     def _raw_of(self, point: TreePoint):
@@ -134,19 +143,56 @@ class Geodesic:
         i = self._edge_index.get(point.edge)
         if i is None:
             return None
-        if not self.joints:
-            raw = self._single_dir * (point.offset - self._offset_on(self.start, self.edges[0]))
-        elif i == 0:
-            oj = self.tree.edge(self.edges[0]).endpoint_offset(self.joints[0])
-            raw = -abs(point.offset - oj)
-        else:
-            oj = self.tree.edge(self.edges[i]).endpoint_offset(self.joints[i - 1])
-            raw = self._joint_raw[i - 1] + abs(point.offset - oj)
+        raw = self._edge_raw(point.offset, i)
         if self._start_raw is not None and raw < self._start_raw:
             return None
         if self._end_raw is not None and raw > self._end_raw:
             return None
         return raw
+
+    def _edge_raw(self, offset: Fraction, i: int) -> Fraction:
+        """Raw coordinate of the point at ``offset`` on the geodesic's i-th
+        edge, extended past the finite ends along that edge."""
+        rec = self.tree.edges[self.edges[i]]
+        if not self.joints:
+            return self._single_dir * (offset - self._offset_on(self.start, rec))
+        if i == 0:
+            return -abs(offset - rec.endpoint_offset(self.joints[0]))
+        return self._joint_raw[i - 1] + abs(offset - rec.endpoint_offset(self.joints[i - 1]))
+
+    def _anchor_table(self):
+        """``(anchors, apex)``: every vertex of the geodesic's closed vertex
+        path mapped to ``(nearest point, raw coordinate)``, and the one of
+        those vertices with the fewest hops from the tree's root.
+
+        Joints map to themselves. The outer vertex of a finite end edge
+        that is not a ray maps to that end; for a single edge, each
+        endpoint maps to the nearer end. Built on the first projection of
+        an off-geodesic point, in O(J), and kept; threads that race here
+        build equal tables, so sharing a geodesic stays safe.
+        """
+        table = self._anchors
+        if table is not None:
+            return table
+        tree = self.tree
+        anchors = {j: (TreePoint(vertex=j), raw) for j, raw in zip(self.joints, self._joint_raw)}
+        ends = ((self.start, self._start_raw), (self.end, self._end_raw))
+        if self.joints:
+            for (end, raw), eid, joint in zip(ends, (self.edges[0], self.edges[-1]),
+                                              (self.joints[0], self.joints[-1])):
+                rec = tree.edges[eid]
+                if end is not None and not rec.is_ray:
+                    anchors[rec.other_end(joint)] = (end, raw)
+        else:
+            rec = tree.edges[self.edges[0]]
+            near_u, near_v = ends if self._single_dir > 0 else ends[::-1]
+            anchors[rec.u] = near_u
+            if not rec.is_ray:
+                anchors[rec.v] = near_v
+        hops = tree._hops
+        apex = min(anchors, key=hops.__getitem__)
+        self._anchors = table = (anchors, apex)
+        return table
 
     # ------------------------------------------------------------------ #
     # Public geometry                                                      #
@@ -191,9 +237,11 @@ class Geodesic:
         if self._end_raw is not None and raw > self._end_raw:
             raise GeodesicError(f"coordinate {coordinate} is past the end")
         if not self.joints:
-            o_start = self._offset_on(self.start, self.edges[0])
+            o_start = self._offset_on(self.start, self.tree.edges[self.edges[0]])
             return self.tree.point(self.edges[0], o_start + self._single_dir * raw)
         t = bisect_left(self._joint_raw, raw)
+        if t < len(self.joints) and self._joint_raw[t] == raw:
+            return TreePoint(vertex=self.joints[t])
         if t == 0:
             edge_idx = 0
             junction = self.joints[0]
@@ -210,26 +258,51 @@ class Geodesic:
     def project(self, point: TreePoint) -> TreePoint:
         """Nearest point of the geodesic (unique since trees are CAT(0)).
 
-        For a point x off the geodesic the nearest point is the tree median
-        of x and the two ends a, b of the geodesic's finite span (an
-        infinite end is replaced by the last junction before its ray). Its
-        coordinate is ``c_a + (d(a,x) + (c_b − c_a) − d(x,b))/2``, exact
-        from two distances. That median is always a or b or a junction, so
-        it is looked up among them rather than located again by `point_at`.
+        In a tree the nearest point is where the path from the point first
+        meets the geodesic, which is combinatorial: no distance is taken.
+        A point on the geodesic is its own answer. A point inside one of
+        the geodesic's edges but off the geodesic lies past a finite end
+        of that edge, and the answer is that end. Any other point climbs
+        the tree's parent links from its foot while its hop count is at
+        least the apex's (see ``_anchor_table``); the first anchor met gives
+        the answer, or the apex's anchor when none is met.
+
+        Why the climb is right: the anchors form a connected vertex path P
+        whose highest vertex is the apex, and P with its edges lies in the
+        apex's subtree. A vertex strictly below the apex and not on P has
+        no vertex of P in its own subtree (P would then pass through it on
+        the way up to the apex), so its path to P leaves through its parent
+        link. A vertex that is not below the apex enters the apex's
+        subtree, and so P, through the apex. A point inside an edge off the
+        geodesic starts at its foot, the edge's lower end or a ray's vertex.
+        Its path to P passes the foot unless P lies beyond the edge's upper
+        end, and then the foot's own path to P runs back through that edge,
+        so the point and its foot share their nearest point.
         """
-        point = self.tree.canonical_point(point)
-        if self._raw_of(point) is not None:
-            return point
-        a = self.start if self.start is not None else TreePoint(vertex=self.joints[0])
-        b = self.end if self.end is not None else TreePoint(vertex=self.joints[-1])
-        raw_a, raw_b = self._raw_of(a), self._raw_of(b)
-        d_a, d_b = self.tree.distance(a, point), self.tree.distance(point, b)
-        raw = raw_a + (d_a + (raw_b - raw_a) - d_b) / 2
-        if raw == raw_a:
-            return a
-        if raw == raw_b:
-            return b
-        return TreePoint(vertex=self.joints[bisect_left(self._joint_raw, raw)])
+        return self._project(self.tree.canonical_point(point))[0]
+
+    def _project(self, point: TreePoint):
+        """``(nearest point, raw coordinate)`` for a canonical point, found
+        as :meth:`project` describes."""
+        raw = self._raw_of(point)
+        if raw is not None:
+            return point, raw
+        i = self._edge_index.get(point.edge)
+        if i is not None:
+            if self._start_raw is not None and self._edge_raw(point.offset, i) < self._start_raw:
+                return self.start, self._start_raw
+            return self.end, self._end_raw
+        anchors, apex = self._anchor_table()
+        tree = self.tree
+        link, hops = tree._link, tree._hops
+        top = hops[apex]
+        v = tree._foot(point)[0]
+        while hops[v] >= top:
+            hit = anchors.get(v)
+            if hit is not None:
+                return hit
+            v = link[v][0]
+        return anchors[apex]
 
     def exit_cursor(self):
         """Continuation state past the finite end, for constant-speed walks.

@@ -106,6 +106,10 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     """Project a measure onto a geodesic: each atom moves to its nearest
     point, masses at equal coordinates merge.
 
+    Each atom's coordinate comes from the same parent-link lookup that
+    finds its nearest point (``Geodesic._project``), so no distance is
+    taken and no coordinate is searched for twice.
+
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
     transform.
@@ -114,9 +118,10 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
         raise GeodesicError("geodesic belongs to a different tree")
     if not geodesic.is_maximal:
         raise GeodesicError("projection target must be a maximal geodesic")
+    origin = geodesic._origin_raw
     merged: dict[Fraction, Fraction] = {}
     for point, mass in measure.atoms:
-        coord = geodesic.coordinate_of(geodesic.project(point))
+        coord = geodesic._project(tree.canonical_point(point))[1] - origin
         merged[coord] = merged.get(coord, _ZERO) + mass
     return RadonSample(geodesic, tuple(sorted(merged.items())))
 

@@ -157,6 +157,9 @@ class Tree:
             raise TreeStructureError("a tree needs at least one vertex")
         vertex_set = set()
         for v in self.vertices:
+            if v is None:
+                # TreePoint(vertex=None) is not a vertex, and v=None marks a ray
+                raise TreeStructureError("vertex id null is not allowed")
             if not _is_hashable(v):
                 raise TreeStructureError(f"vertex id {v!r} is not hashable")
             if v in vertex_set:
@@ -316,14 +319,27 @@ class Tree:
         return TreePoint(edge=edge_id, offset=offset)
 
     def canonical_point(self, point: TreePoint) -> TreePoint:
-        """Validate a point against this tree and return its canonical form."""
+        """Validate a point against this tree and return its canonical form.
+
+        A point that is already canonical here (a known vertex, or a
+        ``Fraction`` offset strictly inside a known edge) comes back as the
+        same object; any other input is rebuilt through :meth:`point`.
+        """
         if not isinstance(point, TreePoint):
             raise PointLocationError(f"not a tree point: {point!r}")
+        edge, offset = point.edge, point.offset
         if point.is_vertex:
+            if edge is None and offset is None and point.vertex in self._incident:
+                return point
             return self.vertex_point(point.vertex)
-        if point.edge is None or point.offset is None:
+        # bool is an int subclass, but True is not edge 1
+        if type(edge) is int and 0 <= edge < len(self.edges) and type(offset) is Fraction:
+            length = self.edges[edge].length
+            if offset > 0 and (length is None or offset < length):
+                return point
+        if edge is None or offset is None:
             raise PointLocationError(f"underspecified point {point!r}")
-        return self.point(point.edge, point.offset)
+        return self.point(edge, offset)
 
     # ------------------------------------------------------------------ #
     # Metric                                                               #

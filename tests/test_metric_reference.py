@@ -4,26 +4,33 @@
 from the parent links a tree records once, at construction. The reference
 helpers below are the earlier implementations, kept verbatim apart from
 caching: a single-source search from each anchor vertex, the minimum over
-anchor pairs for distances and paths, and the minimum over junctions and
-finite ends for projections.
+anchor pairs for distances and paths, and for projections both the minimum
+over junctions and finite ends and the tree median of the point and the
+geodesic's finite span.
 """
 
+import functools
 import pickle
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
 from treeradon import (
     Geodesic,
+    Measure,
+    TreePoint,
     build_tree,
     geodesic_through_edge,
     geodesic_through_flag,
     midpoint,
     path,
+    pushforward_projection,
 )
 
 
+@functools.lru_cache(maxsize=1024)
 def reference_maps_from(tree, source):
     """Single-source vertex distances and parent pointers."""
     dist = {source: F(0)}
@@ -126,6 +133,26 @@ def reference_project(geodesic, point):
     return min(candidates, key=lambda cand: reference_distance(tree, point, cand))
 
 
+def reference_project_median(geodesic, point):
+    """The tree median of the point and the ends a, b of the geodesic's
+    finite span (an infinite end is replaced by the last junction before
+    its ray), at coordinate ``c_a + (d(a,x) + (c_b − c_a) − d(x,b))/2``."""
+    tree = geodesic.tree
+    point = tree.canonical_point(point)
+    if geodesic._raw_of(point) is not None:
+        return point
+    a = geodesic.start if geodesic.start is not None else TreePoint(vertex=geodesic.joints[0])
+    b = geodesic.end if geodesic.end is not None else TreePoint(vertex=geodesic.joints[-1])
+    raw_a, raw_b = geodesic._raw_of(a), geodesic._raw_of(b)
+    d_a, d_b = tree.distance(a, point), tree.distance(point, b)
+    raw = raw_a + (d_a + (raw_b - raw_a) - d_b) / 2
+    if raw == raw_a:
+        return a
+    if raw == raw_b:
+        return b
+    return TreePoint(vertex=geodesic.joints[bisect_left(geodesic._joint_raw, raw)])
+
+
 def random_tree(rng, n, leaves):
     """A random tree on n vertices, edges oriented and numbered at random.
 
@@ -203,3 +230,115 @@ def test_queries_leave_the_tree_unchanged():
         tree.distance(p, target)
         path(tree, p, target)
     assert len(pickle.dumps(tree)) == size
+
+
+def random_caterpillar(rng, n, leaves):
+    """A spine of vertices, each with legs up to valency 3: leaf vertices
+    when ``leaves`` (about n vertices in all), rays otherwise. The root is
+    a spine end half of the time, so parent chains run the spine's length."""
+    spine = max(1, n // 2 if leaves else n)
+    edges = [(i, i + 1, F(rng.randint(1, 9), rng.randint(1, 3))) for i in range(spine - 1)]
+    vertices = list(range(spine))
+    for i in range(spine):
+        legs = 1 if 0 < i < spine - 1 else (3 if spine == 1 else 2)
+        for _ in range(legs):
+            if leaves:
+                vertices.append(len(vertices))
+                edges.append((i, vertices[-1], F(rng.randint(1, 9), rng.randint(1, 3))))
+            else:
+                edges.append((i, None, "inf"))
+    edges = [e if rng.random() < 0.5 or e[1] is None else (e[1], e[0], e[2]) for e in edges]
+    rng.shuffle(edges)
+    rng.shuffle(vertices)
+    if rng.random() < 0.5:
+        vertices.remove(0)
+        vertices.insert(0, 0)
+    return build_tree({"vertices": vertices, "edges": edges})
+
+
+def segment_cases(tree, rng):
+    """Random segments, plus single-edge ones: two points of one edge, the
+    two endpoints of one finite edge, and a point to itself."""
+    segments = [path(tree, random_point(tree, rng), random_point(tree, rng)) for _ in range(3)]
+    rec = tree.edge(rng.randrange(len(tree.edges)))
+    top = rec.length if rec.length is not None else F(20)
+    a, b = sorted(top * F(rng.randint(1, 15), 16) for _ in range(2))
+    segments.append(path(tree, tree.point(rec.id, b), tree.point(rec.id, a)))
+    finite = [r for r in tree.edges if not r.is_ray]
+    if finite:
+        rec = rng.choice(finite)
+        segments.append(path(tree, tree.vertex_point(rec.u), tree.vertex_point(rec.v)))
+    p = random_point(tree, rng)
+    segments.append(path(tree, p, p))
+    return segments
+
+
+def probe_points(tree, geodesic, rng):
+    """Points chosen to reach every branch of the projection: joints, points
+    of the end edges past a finite end, ray points, and vertices and edge
+    points both below the apex (the highest vertex of the geodesic's
+    closed vertex path) and outside its subtree."""
+    points = [tree.vertex_point(j) for j in geodesic.joints[:4]]
+    for end, eid in ((geodesic.start, geodesic.edges[0]), (geodesic.end, geodesic.edges[-1])):
+        if end is None:
+            continue
+        rec = tree.edge(eid)
+        off = rec.endpoint_offset(end.vertex) if end.is_vertex else end.offset
+        far = [F(0)] if rec.length is None else [F(0), rec.length]
+        for bound in far + ([off + 5] if rec.length is None else []):
+            if bound != off:
+                points.append(tree.point(eid, off + (bound - off) * F(rng.randint(1, 15), 16)))
+    rays = [r.id for r in tree.edges if r.is_ray]
+    for eid in rng.sample(rays, min(2, len(rays))):
+        points.append(tree.point(eid, F(rng.randint(1, 20), rng.randint(1, 3))))
+
+    path_vertices = set(geodesic.joints)
+    for i, end in ((0, geodesic.start), (-1, geodesic.end)):
+        if end is not None:
+            path_vertices.update(tree.edge(geodesic.edges[i]).endpoints())
+    apex = min(path_vertices, key=lambda v: tree._hops[v])
+
+    def below_apex(v):
+        while tree._hops[v] > tree._hops[apex]:
+            v = tree._link[v][0]
+        return v == apex
+
+    below, outside = [], []
+    for v in tree.vertices:
+        if v not in path_vertices:
+            (below if below_apex(v) else outside).append(v)
+    for group in (below, outside):
+        for v in rng.sample(group, min(4, len(group))):
+            points.append(tree.vertex_point(v))
+            rec = tree.edge(rng.choice(tree.incident_edges(v)))
+            top = rec.length if rec.length is not None else F(9)
+            points.append(tree.point(rec.id, top * F(rng.randint(1, 7), 8)))
+    return points
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.booleans(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_projection_matches_both_references(seed, n, leaves, caterpillar):
+    rng = random.Random(seed)
+    tree = random_caterpillar(rng, n, leaves) if caterpillar else random_tree(rng, max(n, 2), leaves)
+    geodesics = segment_cases(tree, rng)
+    maximal = [geodesic_through_edge(tree, rng.randrange(len(tree.edges))) for _ in range(2)]
+    if tree.geodesically_complete:
+        for _ in range(2):
+            x = rng.choice(tree.vertices)
+            e, f = rng.sample(tree.incident_edges(x), 2)
+            maximal.append(geodesic_through_flag(tree, tree.flag(x, e, f)))
+    for geodesic in geodesics + maximal:
+        points = probe_points(tree, geodesic, rng)
+        for x in points:
+            got = geodesic.project(x)
+            assert got == reference_project(geodesic, x) == reference_project_median(geodesic, x)
+        if geodesic in maximal:
+            mass = F(1, len(points))
+            measure = Measure(tuple((p, mass) for p in points))
+            sample = pushforward_projection(tree, geodesic, measure)
+            want = {}
+            for p in points:
+                c = geodesic.coordinate_of(reference_project_median(geodesic, p))
+                want[c] = want.get(c, F(0)) + mass
+            assert sample.atoms == tuple(sorted(want.items()))

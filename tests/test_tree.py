@@ -127,6 +127,36 @@ class TestPoints:
         raw = TreePoint(edge=1, offset=F(1, 1))
         assert tripod.canonical_point(raw) == tripod.vertex_point("y")
 
+    def test_canonical_point_returns_canonical_input_itself(self, star3):
+        for point in (star3.vertex_point("a"), star3.point(0, F(1, 3)), star3.point(3, 7)):
+            assert star3.canonical_point(point) is point
+
+    def test_canonical_point_rebuilds_everything_else(self, star3):
+        ray_int = TreePoint(edge=3, offset=2)
+        got = star3.canonical_point(ray_int)
+        assert got == star3.point(3, 2) and got is not ray_int
+        assert type(got.offset) is F
+        assert star3.canonical_point(TreePoint(edge=0, offset=F(1, 2))) == star3.point(0, F(1, 2))
+        assert star3.canonical_point(TreePoint(edge=0, offset=F(0))) == star3.vertex_point("c")
+        assert star3.canonical_point(TreePoint(edge=0, offset=1)) == star3.vertex_point("a")
+        assert star3.canonical_point(TreePoint(vertex="a", edge=0, offset=F(1, 2))) \
+            == star3.vertex_point("a")
+
+    @pytest.mark.parametrize("raw", [
+        TreePoint(edge=0, offset=F(3, 2)),
+        TreePoint(edge=0, offset=F(-1, 2)),
+        TreePoint(edge=3, offset=F(-1)),
+        TreePoint(edge=True, offset=F(1, 2)),
+        TreePoint(edge=99, offset=F(1, 2)),
+        TreePoint(edge=-1, offset=F(1, 2)),
+        TreePoint(vertex="nope"),
+        TreePoint(edge=0),
+        TreePoint(),
+    ])
+    def test_canonical_point_rejects_bad_points(self, star3, raw):
+        with pytest.raises(PointLocationError):
+            star3.canonical_point(raw)
+
 
 class TestDistance:
     def test_tip_to_tip(self, tripod):
