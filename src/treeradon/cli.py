@@ -120,7 +120,7 @@ def _cmd_radon(args) -> int:
 def _cmd_invert(args) -> int:
     tree = io.load_tree(args.tree)
     table = io.load_flag_table(tree, args.table)
-    total = io._rational(args.total, "--total")
+    total = io.read_rational(args.total, "--total")
     io.save_vertex_function(radon_invert(tree, table, total), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -150,7 +150,7 @@ def _cmd_interpolate(args) -> int:
     tree = io.load_tree(args.tree)
     mu = io.load_measure(tree, args.mu)
     nu = io.load_measure(tree, args.nu)
-    t = io._rational(args.t, "--t")
+    t = io.read_rational(args.t, "--t")
     if not 0 <= t <= 1:
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
     plan = optimal_plan(tree, mu, nu)

@@ -8,7 +8,10 @@ covers finite segments, maximal geodesics in trees with leaves, and
 complete geodesics in leafless trees. Each geodesic carries an arc-length
 coordinate system (an origin point and an orientation given by edge
 order); for geodesics built through a flag the origin is the flag vertex
-and the positive direction heads into the smaller edge identifier.
+and the positive direction heads into the smaller edge identifier. The
+coordinate is a raw one less the origin's, and each edge carries one
+affine chart ``(base, sign)`` for it: the point at offset ``o`` in the
+edge's own coordinate has raw coordinate ``base + sign·o``.
 
 Projection onto a geodesic is combinatorial: in a tree a point's nearest
 point is where its path first meets the geodesic, so the point climbs the
@@ -38,8 +41,8 @@ class Geodesic:
 
     __slots__ = (
         "tree", "edges", "joints", "start", "end", "origin",
-        "_edge_index", "_joint_raw", "_joint_raw_map",
-        "_start_raw", "_end_raw", "_origin_raw", "_single_dir", "_anchors",
+        "_edge_index", "_joint_raw", "_joint_raw_map", "_chart",
+        "_start_raw", "_end_raw", "_origin_raw", "_anchors",
     )
 
     def __init__(self, tree: Tree, edges, joints, start, end, origin=None) -> None:
@@ -54,9 +57,13 @@ class Geodesic:
             raise GeodesicError("a geodesic cannot traverse an edge twice")
         if len(set(self.joints)) != len(self.joints):
             raise GeodesicError("a geodesic cannot revisit a vertex")
-        # Each edge record is looked up once, in edge order, and serves both
-        # the junction check and the raw coordinates below.
-        records = [tree.edge(self.edges[0])] if self.joints else []
+        # One pass in edge order checks each junction and builds the joints'
+        # raw coordinates (0 at the first) and each edge's chart but the last;
+        # a chart's base is the raw coordinate of the edge's u end. An edge
+        # between two joints is finite, as a ray has one vertex. A single
+        # edge's raw coordinate runs from 0 at its start toward its end.
+        records = [tree.edge(self.edges[0])]
+        raw, chart = [], []
         for i, j in enumerate(self.joints):
             left = records[i]
             right = tree.edge(self.edges[i + 1])
@@ -65,50 +72,36 @@ class Geodesic:
                     f"junction {j!r} does not join edges {left.id} and {right.id}"
                 )
             records.append(right)
+            r = raw[-1] + left.length if raw else _ZERO
+            raw.append(r)
+            if left.u == j:
+                chart.append((r, -1))
+            else:
+                chart.append((raw[i - 1], 1) if i else (-left.length, 1))
 
         self.start = tree.canonical_point(start) if start is not None else None
         self.end = tree.canonical_point(end) if end is not None else None
-        first = records[0] if records else tree.edge(self.edges[0])
-        last = records[-1] if records else first
+        first, last = records[0], records[-1]
         if self.start is None and not first.is_ray:
             raise GeodesicError("an infinite end requires a ray edge")
         if self.end is None and not last.is_ray:
             raise GeodesicError("an infinite end requires a ray edge")
-
-        # Raw arc-length coordinates, anchored at the first junction (or at
-        # the start point for single-edge segments). Interior edges of a
-        # multi-edge geodesic are traversed in full, hence finite.
+        o_start = None if self.start is None else self._offset_on(self.start, first)
+        o_end = None if self.end is None else self._offset_on(self.end, last)
+        if raw:
+            r = raw[-1]
+            chart.append((r, 1) if last.u == self.joints[-1] else (r + last.length, -1))
+        else:
+            if o_start is None or o_end is None:
+                raise GeodesicError("a single-edge geodesic needs both endpoints")
+            chart.append((o_start, -1) if o_end < o_start else (-o_start, 1))
+        self._chart = chart
+        self._joint_raw = raw
+        self._joint_raw_map = dict(zip(self.joints, raw))
         self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
         self._anchors = None
-        if self.joints:
-            raw = [_ZERO]
-            for rec in records[1:-1]:
-                if rec.length is None:
-                    raise GeodesicError("an interior edge of a geodesic cannot be a ray")
-                raw.append(raw[-1] + rec.length)
-            self._joint_raw = raw
-            self._joint_raw_map = dict(zip(self.joints, raw))
-            self._single_dir = 0
-            if self.start is None:
-                self._start_raw = None
-            else:
-                o = self._offset_on(self.start, first)
-                self._start_raw = -abs(o - first.endpoint_offset(self.joints[0]))
-            if self.end is None:
-                self._end_raw = None
-            else:
-                o = self._offset_on(self.end, last)
-                self._end_raw = raw[-1] + abs(o - last.endpoint_offset(self.joints[-1]))
-        else:
-            if self.start is None or self.end is None:
-                raise GeodesicError("a single-edge geodesic needs both endpoints")
-            self._joint_raw = []
-            self._joint_raw_map = {}
-            o_start = self._offset_on(self.start, first)
-            o_end = self._offset_on(self.end, first)
-            self._single_dir = -1 if o_end < o_start else 1
-            self._start_raw = _ZERO
-            self._end_raw = abs(o_end - o_start)
+        self._start_raw = None if o_start is None else self._edge_raw(o_start, 0)
+        self._end_raw = None if o_end is None else self._edge_raw(o_end, -1)
 
         if origin is None:
             origin = self.start if self.start is not None else TreePoint(vertex=self.joints[0])
@@ -152,43 +145,36 @@ class Geodesic:
 
     def _edge_raw(self, offset: Fraction, i: int) -> Fraction:
         """Raw coordinate of the point at ``offset`` on the geodesic's i-th
-        edge, extended past the finite ends along that edge."""
-        rec = self.tree.edges[self.edges[i]]
-        if not self.joints:
-            return self._single_dir * (offset - self._offset_on(self.start, rec))
-        if i == 0:
-            return -abs(offset - rec.endpoint_offset(self.joints[0]))
-        return self._joint_raw[i - 1] + abs(offset - rec.endpoint_offset(self.joints[i - 1]))
+        edge, from its chart ``(base, sign)``: ``base + offset`` for sign 1,
+        ``base - offset`` for -1. It extends past the finite ends."""
+        base, sign = self._chart[i]
+        return base + offset if sign > 0 else base - offset
 
     def _anchor_table(self):
         """``(anchors, apex)``: every vertex of the geodesic's closed vertex
         path mapped to ``(nearest point, raw coordinate)``, and the one of
         those vertices with the fewest hops from the tree's root.
 
-        Joints map to themselves. The outer vertex of a finite end edge
-        that is not a ray maps to that end; for a single edge, each
-        endpoint maps to the nearer end. Built on the first projection of
-        an off-geodesic point, in O(J), and kept; threads that race here
-        build equal tables, so sharing a geodesic stays safe.
+        Joints map to themselves. Any other endpoint of the first or last
+        edge lies at or past a finite end, and maps to the start when its
+        raw coordinate is at most the start's, else to the end. Built on
+        the first projection of an off-geodesic point, in O(J), and kept;
+        threads that race here build equal tables, so sharing a geodesic
+        stays safe.
         """
         table = self._anchors
         if table is not None:
             return table
         tree = self.tree
         anchors = {j: (TreePoint(vertex=j), raw) for j, raw in zip(self.joints, self._joint_raw)}
-        ends = ((self.start, self._start_raw), (self.end, self._end_raw))
-        if self.joints:
-            for (end, raw), eid, joint in zip(ends, (self.edges[0], self.edges[-1]),
-                                              (self.joints[0], self.joints[-1])):
-                rec = tree.edges[eid]
-                if end is not None and not rec.is_ray:
-                    anchors[rec.other_end(joint)] = (end, raw)
-        else:
-            rec = tree.edges[self.edges[0]]
-            near_u, near_v = ends if self._single_dir > 0 else ends[::-1]
-            anchors[rec.u] = near_u
-            if not rec.is_ray:
-                anchors[rec.v] = near_v
+        start, end = (self.start, self._start_raw), (self.end, self._end_raw)
+        for i in (0, -1):
+            rec = tree.edges[self.edges[i]]
+            for w in rec.endpoints():
+                if w not in self._joint_raw_map:
+                    raw = self._edge_raw(rec.endpoint_offset(w), i)
+                    near_start = self.start is not None and raw <= self._start_raw
+                    anchors[w] = start if near_start else end
         hops = tree._hops
         apex = min(anchors, key=hops.__getitem__)
         self._anchors = table = (anchors, apex)
@@ -230,30 +216,19 @@ class Geodesic:
         return raw - self._origin_raw
 
     def point_at(self, coordinate) -> TreePoint:
-        """The point with the given arc-length coordinate."""
+        """The point with the given arc-length coordinate. Off the joints,
+        the insertion index ``t`` of its raw coordinate among the joints'
+        is its edge, whose chart gives the offset."""
         raw = Fraction(coordinate) + self._origin_raw
         if self._start_raw is not None and raw < self._start_raw:
             raise GeodesicError(f"coordinate {coordinate} is before the start")
         if self._end_raw is not None and raw > self._end_raw:
             raise GeodesicError(f"coordinate {coordinate} is past the end")
-        if not self.joints:
-            o_start = self._offset_on(self.start, self.tree.edges[self.edges[0]])
-            return self.tree.point(self.edges[0], o_start + self._single_dir * raw)
         t = bisect_left(self._joint_raw, raw)
         if t < len(self.joints) and self._joint_raw[t] == raw:
             return TreePoint(vertex=self.joints[t])
-        if t == 0:
-            edge_idx = 0
-            junction = self.joints[0]
-            dist = self._joint_raw[0] - raw
-        else:
-            edge_idx = t
-            junction = self.joints[t - 1]
-            dist = raw - self._joint_raw[t - 1]
-        rec = self.tree.edge(self.edges[edge_idx])
-        oj = rec.endpoint_offset(junction)
-        offset = dist if oj == 0 else oj - dist
-        return self.tree.point(rec.id, offset)
+        base, sign = self._chart[t]
+        return self.tree.point(self.edges[t], raw - base if sign > 0 else base - raw)
 
     def project(self, point: TreePoint) -> TreePoint:
         """Nearest point of the geodesic (unique since trees are CAT(0)).
@@ -316,12 +291,7 @@ class Geodesic:
         last = self.edges[-1]
         if self.end.is_vertex:
             return ("vertex", self.end.vertex, last)
-        if self.joints:
-            oj = self.tree.edge(last).endpoint_offset(self.joints[-1])
-            sign = 1 if self.end.offset > oj else -1
-        else:
-            sign = self._single_dir
-        return ("edge", last, self.end.offset, sign)
+        return ("edge", last, self.end.offset, self._chart[-1][1])
 
     # ------------------------------------------------------------------ #
 
@@ -460,28 +430,6 @@ def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:
     edges = list(reversed(neg_edges)) + pos_edges
     joints = list(reversed(neg_joints)) + [flag.vertex] + pos_joints
     return Geodesic(tree, edges, joints, None, None, origin=tree.vertex_point(flag.vertex))
-
-
-def geodesic_through_edge(tree: Tree, edge_id: int) -> Geodesic:
-    """A deterministic maximal geodesic traversing the whole given edge.
-
-    The origin is the edge's designated endpoint ``u`` and the positive
-    direction runs into the edge; continuations take smallest edge ids.
-    """
-    rec = tree.edge(edge_id)
-    pos_edges, pos_joints, pos_term = _walk_to_infinity(tree, rec.u, edge_id)
-    others = [eid for eid in tree.incident_edges(rec.u) if eid != edge_id]
-    if others:
-        neg_edges, neg_joints, neg_term = _walk_to_infinity(tree, rec.u, others[0])
-        edges = list(reversed(neg_edges)) + pos_edges
-        joints = list(reversed(neg_joints)) + [rec.u] + pos_joints
-        start = None if neg_term is None else tree.vertex_point(neg_term)
-    else:
-        edges = pos_edges
-        joints = pos_joints
-        start = tree.vertex_point(rec.u)
-    end = None if pos_term is None else tree.vertex_point(pos_term)
-    return Geodesic(tree, edges, joints, start, end, origin=tree.vertex_point(rec.u))
 
 
 # ---------------------------------------------------------------------- #

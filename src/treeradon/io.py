@@ -61,7 +61,9 @@ def load_json(path):
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _rational(raw, context: str) -> Fraction:
+def read_rational(raw, context: str) -> Fraction:
+    """Parse a file field or command-line value as an exact rational; a
+    bad one raises :class:`FileFormatError` naming ``context``."""
     try:
         return parse_rational(raw)
     except (ValueError, TypeError) as exc:
@@ -103,7 +105,8 @@ def point_to_dict(tree: Tree, point: TreePoint) -> dict:
 def point_from_dict(tree: Tree, payload, context: str = "point") -> TreePoint:
     if not isinstance(payload, Mapping) or "edge" not in payload or "offset" not in payload:
         raise FileFormatError(f"{context}: expected {{'edge', 'offset'}}")
-    return tree.point(_edge_id(payload["edge"], context), _rational(payload["offset"], context))
+    return tree.point(_edge_id(payload["edge"], context),
+                      read_rational(payload["offset"], context))
 
 
 def _edge_id(raw, context: str) -> int:
@@ -130,7 +133,7 @@ def measure_from_dict(tree: Tree, payload) -> Measure:
         point = point_from_dict(tree, entry, context=f"atom {i}")
         if "mass" not in entry:
             raise FileFormatError(f"atom {i} has no mass")
-        atoms.append((point, _rational(entry["mass"], f"atom {i}")))
+        atoms.append((point, read_rational(entry["mass"], f"atom {i}")))
     return make_measure(tree, atoms)
 
 
@@ -164,7 +167,7 @@ def vertex_function_from_dict(tree: Tree, payload) -> VertexFunction:
         vertex = by_name.get(str(key))
         if vertex is None:
             raise FileFormatError(f"unknown vertex {key!r} in h file")
-        values[vertex] = _rational(value, f"h[{key}]")
+        values[vertex] = read_rational(value, f"h[{key}]")
     return vertex_function(tree, values)
 
 
@@ -189,27 +192,22 @@ def flag_table_to_dict(table: FlagTable) -> dict:
 def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
     if not isinstance(payload, Mapping) or not isinstance(payload.get("flags"), list):
         raise FileFormatError("a flag table file needs a 'flags' list")
+    by_name = {str(v): v for v in tree.vertices}
     values = {}
     for i, row in enumerate(payload["flags"]):
         if not isinstance(row, Mapping):
             raise FileFormatError(f"flag row {i} is not an object")
         try:
-            flag = tree.flag(_resolve_vertex(tree, row["x"]),
+            vertex = by_name.get(str(row["x"]))
+            if vertex is None:
+                raise FileFormatError(f"unknown vertex {row['x']!r}")
+            flag = tree.flag(vertex,
                              _edge_id(row["e"], f"flag row {i}"),
                              _edge_id(row["f"], f"flag row {i}"))
-            values[flag] = _rational(row["value"], f"flag row {i}")
+            values[flag] = read_rational(row["value"], f"flag row {i}")
         except KeyError as exc:
             raise FileFormatError(f"flag row {i} missing key {exc}") from None
     return FlagTable(values)
-
-
-def _resolve_vertex(tree: Tree, raw):
-    if not isinstance(raw, (list, dict)) and tree.has_vertex(raw):
-        return raw
-    for v in tree.vertices:
-        if str(v) == str(raw):
-            return v
-    raise FileFormatError(f"unknown vertex {raw!r}")
 
 
 def load_flag_table(tree: Tree, path) -> FlagTable:

@@ -149,13 +149,17 @@ class Tree:
     triples and performs full validation.
     """
 
-    __slots__ = ("vertices", "edges", "_incident", "_link", "_hops", "_depth")
+    __slots__ = ("vertices", "edges", "geodesically_complete",
+                 "_incident", "_link", "_hops", "_depth")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple]) -> None:
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
         if not self.vertices:
             raise TreeStructureError("a tree needs at least one vertex")
+        # Files key vertices by str(v), and points order by it, so two ids
+        # with one name would be one vertex there and two here.
         vertex_set = set()
+        names = {}
         for v in self.vertices:
             if v is None:
                 # TreePoint(vertex=None) is not a vertex, and v=None marks a ray
@@ -165,6 +169,12 @@ class Tree:
             if v in vertex_set:
                 raise TreeStructureError(f"duplicate vertex id {v!r}")
             vertex_set.add(v)
+            name = str(v)
+            if name in names:
+                raise TreeStructureError(
+                    f"vertex ids {names[name]!r} and {v!r} share the name {name!r}"
+                )
+            names[name] = v
 
         records = []
         incident: dict[VertexId, list[int]] = {v: [] for v in self.vertices}
@@ -220,12 +230,16 @@ class Tree:
         if finite_count != len(self.vertices) - 1:
             raise TreeStructureError("cycle detected: too many finite edges for a tree")
 
+        # True iff the tree has no leaf, i.e. every geodesic extends to a line.
+        self.geodesically_complete = True
         for v in self.vertices:
             k = len(self._incident[v])
             if k == 2:
                 raise TreeStructureError(f"valency-2 vertex {v!r} is not allowed")
             if k == 0:
                 raise TreeStructureError(f"isolated vertex {v!r} (valency 0)")
+            if k == 1:
+                self.geodesically_complete = False
 
     # ------------------------------------------------------------------ #
     # Structure queries                                                    #
@@ -251,11 +265,6 @@ class Tree:
     @property
     def leaves(self) -> tuple[VertexId, ...]:
         return tuple(v for v in self.vertices if len(self._incident[v]) == 1)
-
-    @property
-    def geodesically_complete(self) -> bool:
-        """True iff the tree has no leaf, i.e. every geodesic extends to a line."""
-        return not self.leaves
 
     def edge(self, edge_id: int) -> EdgeRecord:
         # bool is an int subclass, but True is not edge 1

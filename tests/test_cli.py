@@ -260,6 +260,8 @@ MEASURE = {"atoms": [{"edge": 0, "offset": "0", "mass": "1"}]}
     ("w2", {"vertices": [None, "x", "y", "z"],
             "edges": [{"u": None, "v": t, "len": "1"} for t in "xyz"]},
      {"atoms": [{"edge": 0, "offset": "1/2", "mass": "1"}]}),
+    ("w2", {"vertices": [1, "1", "a", "b"],
+            "edges": [{"u": 1, "v": t, "len": "1"} for t in ("1", "a", "b")]}, MEASURE),
     ("w2", None, {"atoms": 5}),
     ("w2", None, {"atoms": [{"edge": True, "offset": "0", "mass": "1"}]}),
     ("invert --total 1", None, {"flags": 5}),
@@ -269,7 +271,7 @@ MEASURE = {"atoms": [{"edge": 0, "offset": "0", "mass": "1"}]}
     ("invert --total 1.5", None, {"flags": []}),
     ("invert --total x", None, {"flags": []}),
 ], ids=["vertices-int", "edges-int", "vertex-list", "endpoint-u-list", "endpoint-v-list",
-        "vertex-null", "atoms-int", "edge-bool", "flags-int", "flag-row-int", "flag-vertex-list",
+        "vertex-null", "ids-one-name", "atoms-int", "edge-bool", "flags-int", "flag-row-int", "flag-vertex-list",
         "t-word", "total-decimal", "total-word"])
 def test_malformed_input_is_one_line_error(tmp_path, command, tree, payload):
     tree_file = tmp_path / "tree.json"

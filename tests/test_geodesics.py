@@ -6,15 +6,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
+    Geodesic,
     GeodesicError,
     SuiteConfig,
     check_cat0_triangle,
     enumerate_flags,
     gen_point,
     gen_tree,
-    geodesic_through_edge,
     geodesic_through_flag,
     midpoint,
     path,
@@ -44,6 +45,11 @@ class TestPath:
         assert seg.point_at(F(3, 2)) == tripod.point(1, F(1, 2))
         with pytest.raises(GeodesicError):
             seg.point_at(3)
+
+    def test_ray_between_two_joints_rejected(self, star3):
+        # a ray has one vertex, so both joints around it would be that vertex
+        with pytest.raises(GeodesicError, match="revisit"):
+            Geodesic(star3, [0, 3, 4], ["a", "a"], star3.vertex_point("c"), None)
 
     def test_contains(self, tripod):
         seg = path(tripod, tripod.vertex_point("x"), tripod.vertex_point("y"))

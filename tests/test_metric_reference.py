@@ -17,12 +17,12 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+from geodesic_reference import geodesic_through_edge
 from treeradon import (
     Geodesic,
     Measure,
     TreePoint,
     build_tree,
-    geodesic_through_edge,
     geodesic_through_flag,
     midpoint,
     path,

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
     Flag,
@@ -28,7 +29,6 @@ from treeradon import (
     enumerate_flags,
     gen_measure,
     gen_tree,
-    geodesic_through_edge,
     geodesic_through_flag,
     make_measure,
     perpendicular,

@@ -8,12 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from treeradon import (
     SuiteConfig,
+    Tree,
     TreePoint,
     TreeStructureError,
     PointLocationError,
     build_tree,
     gen_point,
     gen_tree,
+    geodesic_through_flag,
+    make_measure,
+    radon_oracle,
+    reconstruct_measure,
 )
 
 
@@ -65,6 +70,14 @@ class TestBuildTree:
         with pytest.raises(TreeStructureError, match="infinite"):
             build_tree({"vertices": ["a", "b"], "edges": [("a", "b", "inf")]})
 
+    @pytest.mark.parametrize("vertices", [[1, "1", "a", "b"], ["a", True, "True", "b"]])
+    def test_ids_with_one_name_rejected(self, vertices):
+        # files key vertices by str(v), so 1 and "1" would be one vertex there
+        a, b, c, d = vertices
+        with pytest.raises(TreeStructureError, match="share the name"):
+            build_tree({"vertices": vertices,
+                        "edges": [(a, b, 1), (a, c, 1), (a, d, 1)]})
+
     def test_isolated_vertex_rejected(self):
         with pytest.raises(TreeStructureError):
             build_tree({"vertices": ["a"], "edges": []})
@@ -90,6 +103,20 @@ class TestCompleteness:
             "edges": [("o", None, "inf")] * 3,
         })
         assert tree.geodesically_complete
+
+    def test_queries_do_not_recount_leaves(self, star3, monkeypatch):
+        # completeness is recorded at construction, so a query that needs it
+        # does not rescan every vertex
+        hidden = make_measure(star3, [(star3.vertex_point("a"), F(1, 2)),
+                                      (star3.point(1, F(1, 3)), F(1, 2))])
+        oracle = radon_oracle(star3, hidden)
+
+        def no_scan(tree):
+            raise AssertionError("leaves scanned")
+
+        monkeypatch.setattr(Tree, "leaves", property(no_scan))
+        assert geodesic_through_flag(star3, star3.flag("c", 0, 1)).is_complete
+        assert reconstruct_measure(star3, oracle).measure == hidden
 
 
 class TestPoints:
