@@ -279,20 +279,6 @@ class Geodesic:
             v = link[v][0]
         return anchors[apex]
 
-    def exit_cursor(self):
-        """Continuation state past the finite end, for constant-speed walks.
-
-        Returns ``("vertex", v, via_edge)`` when the end sits on a vertex,
-        else ``("edge", edge_id, offset, sign)`` with the travel direction
-        in the edge's own coordinate.
-        """
-        if self.end is None:
-            raise GeodesicError("the geodesic already runs to infinity")
-        last = self.edges[-1]
-        if self.end.is_vertex:
-            return ("vertex", self.end.vertex, last)
-        return ("edge", last, self.end.offset, self._chart[-1][1])
-
     # ------------------------------------------------------------------ #
 
     def __eq__(self, other) -> bool:
@@ -392,9 +378,19 @@ def perpendicular(tree: Tree, flag: Flag) -> Subtree:
     return Subtree(root=flag.vertex, vertices=frozenset(vertices), edges=frozenset(edges))
 
 
+def _onward(tree: Tree, vertex: VertexId, via: int, bounce: bool = False) -> int | None:
+    """The one walk rule: the smallest-id edge at ``vertex`` other than
+    ``via``, the edge the walk arrived by. At a leaf the walk turns back
+    along ``via`` when ``bounce`` is set, and stops (None) otherwise."""
+    nxt = next((eid for eid in tree.incident_edges(vertex) if eid != via), None)
+    if nxt is None and bounce:
+        return via
+    return nxt
+
+
 def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int):
-    """Follow ``first_edge`` out of ``origin``, then repeatedly the
-    smallest-id incident edge, until entering a ray or hitting a leaf.
+    """Follow ``first_edge`` out of ``origin``, then the walk rule
+    (``_onward``) at each vertex, until entering a ray or hitting a leaf.
 
     Returns ``(edges, joints, terminal)`` where ``terminal`` is the leaf
     vertex reached, or None when the walk escapes along a ray.
@@ -404,7 +400,7 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int):
     via = first_edge
     current = tree.edge(first_edge).other_end(origin)
     while current is not None:
-        nxt = next((eid for eid in tree.incident_edges(current) if eid != via), None)
+        nxt = _onward(tree, current, via)
         if nxt is None:
             return edges, joints, current
         joints.append(current)

@@ -6,14 +6,15 @@ so every cost and mass is rational; the solver scales masses and costs to
 integers over their common denominators and pivots in exact Python ints,
 which leaves every sign, comparison and tie, and so the pivot sequence,
 as it would be over the rationals. Plans, costs and every other value at
-the API stay exact Fractions. ``w2_squared_enumerated`` is an
-independent oracle that minimizes over all extreme points of the
-transportation polytope and is intended for cross-checks at small support.
+the API stay exact Fractions.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
-past time 1 all move atoms along explicit constant-speed trajectories;
-branching choices during extension always take the smallest incident edge
-identifier, which makes every output deterministic.
+past time 1 all move atoms along explicit constant-speed trajectories.
+Past its target a trajectory follows the geodesics' one walk rule
+(``geodesics._onward``): the smallest other incident edge identifier at
+every vertex, which makes every output deterministic. Trajectories keep
+no state between calls, so plans and Wasserstein geodesics are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompletenessError, MeasureError, SolverError
-from .geodesics import Geodesic, path
+from .geodesics import _onward, path
 from .measures import Measure, dirac, make_measure
 from .tree import Tree, TreePoint, point_sort_key
 
@@ -236,44 +237,6 @@ def w2_squared(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
     return optimal_plan(tree, mu, nu).squared_cost
 
 
-def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
-    """Brute-force oracle: minimum cost over all extreme points of the
-    transportation polytope, found by enumerating saturating allocation
-    orders with memoization. Exponential; supports of size > 6 are refused.
-    """
-    if len(mu) > 6 or len(nu) > 6:
-        raise ValueError("enumeration oracle is limited to small supports")
-    cost = _cost_matrix(tree, mu.atoms, nu.atoms)
-    supplies = tuple(m for _, m in mu.atoms)
-    demands = tuple(m for _, m in nu.atoms)
-    memo: dict = {}
-
-    def best(s, d):
-        if all(x == 0 for x in s):
-            return _ZERO
-        key = (s, d)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = None
-        for i, si in enumerate(s):
-            if si == 0:
-                continue
-            for j, dj in enumerate(d):
-                if dj == 0:
-                    continue
-                q = min(si, dj)
-                ns = s[:i] + (si - q,) + s[i + 1:]
-                nd = d[:j] + (dj - q,) + d[j + 1:]
-                candidate = q * cost[i][j] + best(ns, nd)
-                if result is None or candidate < result:
-                    result = candidate
-        memo[key] = result
-        return result
-
-    return best(supplies, demands)
-
-
 # ---------------------------------------------------------------------- #
 # Constant-speed trajectories                                               #
 # ---------------------------------------------------------------------- #
@@ -282,10 +245,13 @@ class _Trajectory:
     """Constant-speed motion from ``src`` through ``dst``, continued past
     ``dst`` on demand.
 
-    Speed is d(src, dst) per unit time, so ``position(1) == dst``.
-    Continuation follows the smallest-edge-id rule at branch vertices;
-    with ``bounce=True`` a leaf reverses the direction instead of failing,
-    which keeps the walk constant-speed in trees with leaves.
+    Speed is d(src, dst) per unit time, so ``position(1) == dst``. Past
+    ``dst`` each call walks afresh: it finishes ``dst``'s edge in the
+    travel direction, then takes the geodesics' one walk rule
+    (``geodesics._onward``, the smallest other edge id) at every vertex.
+    With ``bounce=True`` a leaf reverses the direction instead of failing,
+    which keeps the walk constant-speed in trees with leaves. Nothing is
+    cached, so a trajectory is immutable and safe to share.
     """
 
     def __init__(self, tree: Tree, src: TreePoint, dst: TreePoint, bounce: bool = False):
@@ -299,9 +265,6 @@ class _Trajectory:
         else:
             self.segment = path(tree, self.src, self.dst)
             self.unit = self.segment.length
-        self._extension: list[tuple[Fraction, Fraction | None, int, Fraction, int]] = []
-        self._covered = _ZERO
-        self._cursor = None
 
     def position(self, t) -> TreePoint:
         t = Fraction(t)
@@ -313,56 +276,30 @@ class _Trajectory:
         if s <= self.unit:
             return self.segment.point_at(s)
         extra = s - self.unit
-        while not self._covers(extra):
-            if not self._grow():
+        tree = self.tree
+        eid = self.segment.edges[-1]
+        rec = tree.edge(eid)
+        offset = rec.endpoint_offset(self.dst.vertex) if self.dst.is_vertex else self.dst.offset
+        sign = self.segment._chart[-1][1]
+        # a dst on a vertex has no room left on its edge, so the first pass
+        # turns straight onto the walk rule there
+        while True:
+            if sign < 0:
+                room = offset
+            else:
+                room = None if rec.length is None else rec.length - offset
+            if room is None or extra <= room:
+                return tree.point(eid, offset + sign * extra)
+            extra -= room
+            vertex = rec.u if sign < 0 else rec.v
+            eid = _onward(tree, vertex, eid, self.bounce)
+            if eid is None:
                 raise CompletenessError(
                     "trajectory hits a leaf; the tree is not geodesically complete"
                 )
-        for arc_from, arc_to, eid, offset0, sign in self._extension:
-            if arc_to is None or extra <= arc_to:
-                return self.tree.point(eid, offset0 + sign * (extra - arc_from))
-        raise SolverError("trajectory bookkeeping failure")  # pragma: no cover
-
-    def _covers(self, extra: Fraction) -> bool:
-        if not self._extension:
-            return False
-        return self._extension[-1][1] is None or self._covered >= extra
-
-    def _grow(self) -> bool:
-        """Materialize one more extension segment; False when blocked."""
-        if self._cursor is None:
-            self._cursor = self.segment.exit_cursor()
-        state = self._cursor
-        if state[0] == "vertex":
-            _, vertex, via = state
-            nxt = next(
-                (eid for eid in self.tree.incident_edges(vertex) if eid != via), None
-            )
-            if nxt is None:
-                if not self.bounce:
-                    return False
-                nxt = via
-            rec = self.tree.edge(nxt)
-            offset0 = rec.endpoint_offset(vertex)
-            sign = 1 if offset0 == 0 else -1
-        else:
-            _, eid, offset0, sign = state
-            rec = self.tree.edge(eid)
-        if sign == 1:
-            capacity = None if rec.length is None else rec.length - offset0
-        else:
-            capacity = offset0
-        arc_from = self._covered
-        if capacity is None:
-            self._extension.append((arc_from, None, rec.id, offset0, sign))
-            self._cursor = ("blocked",)
-            return True
-        arc_to = arc_from + capacity
-        self._extension.append((arc_from, arc_to, rec.id, offset0, sign))
-        self._covered = arc_to
-        landing = rec.u if sign == -1 else rec.v
-        self._cursor = ("vertex", landing, rec.id)
-        return True
+            rec = tree.edge(eid)
+            offset = rec.endpoint_offset(vertex)
+            sign = 1 if offset == 0 else -1
 
 
 def _trajectories(tree: Tree, plan: TransportPlan) -> tuple:
@@ -370,14 +307,9 @@ def _trajectories(tree: Tree, plan: TransportPlan) -> tuple:
     return tuple((_Trajectory(tree, src, dst), mass) for src, dst, mass in plan.couplings)
 
 
-def _move_atoms(trajectories, t) -> Measure:
+def _move_atoms(tree: Tree, trajectories, t) -> Measure:
     """The measure with each pair's mass at its trajectory's time-t spot."""
-    merged: dict[TreePoint, Fraction] = {}
-    for trajectory, mass in trajectories:
-        spot = trajectory.position(t)
-        merged[spot] = merged.get(spot, _ZERO) + mass
-    ordered = tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0])))
-    return Measure(ordered)
+    return make_measure(tree, ((trajectory.position(t), mass) for trajectory, mass in trajectories))
 
 
 def interpolate(tree: Tree, plan: TransportPlan, t) -> Measure:
@@ -386,7 +318,7 @@ def interpolate(tree: Tree, plan: TransportPlan, t) -> Measure:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"interpolation parameter {t} outside [0, 1]")
-    return _move_atoms(_trajectories(tree, plan), t)
+    return _move_atoms(tree, _trajectories(tree, plan), t)
 
 
 def dilate(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
@@ -396,7 +328,7 @@ def dilate(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     if not 0 <= t <= 1:
         raise ValueError(f"dilation parameter {t} outside [0, 1]")
     plan = optimal_plan(tree, dirac(tree, x), mu)
-    return _move_atoms(_trajectories(tree, plan), t)
+    return _move_atoms(tree, _trajectories(tree, plan), t)
 
 
 def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
@@ -409,7 +341,7 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     if t > 1 and not tree.geodesically_complete:
         raise CompletenessError("extension beyond the target needs a leafless tree")
     plan = optimal_plan(tree, dirac(tree, x), mu)
-    return _move_atoms(_trajectories(tree, plan), t)
+    return _move_atoms(tree, _trajectories(tree, plan), t)
 
 
 class WassersteinGeodesic:
@@ -431,10 +363,6 @@ class WassersteinGeodesic:
         self._trajectories = _trajectories(tree, plan)
 
     @classmethod
-    def from_plan(cls, tree: Tree, plan: TransportPlan) -> "WassersteinGeodesic":
-        return cls(tree, plan, _ONE)
-
-    @classmethod
     def from_dirac(cls, tree: Tree, x: TreePoint, mu: Measure, horizon=_ONE):
         plan = optimal_plan(tree, dirac(tree, x), mu)
         return cls(tree, plan, horizon)
@@ -444,7 +372,7 @@ class WassersteinGeodesic:
         lo, hi = self.interval
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
-        return _move_atoms(self._trajectories, t)
+        return _move_atoms(self.tree, self._trajectories, t)
 
 
 # ---------------------------------------------------------------------- #

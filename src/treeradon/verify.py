@@ -54,14 +54,13 @@ from .radon import (
 from .tree import Flag, Tree, TreePoint, point_sort_key
 from .transport import (
     NonextendabilityWitness,
+    WassersteinGeodesic,
     check_nonextendable,
     dilate,
-    extend_from_dirac,
     interpolate,
     is_cyclically_monotone,
     optimal_plan,
     w2_squared,
-    w2_squared_enumerated,
 )
 
 _ZERO = Fraction(0)
@@ -95,6 +94,45 @@ def comparison_point_distance_sq(d_xy_sq: Fraction, d_yz_sq: Fraction,
     if d_xz_sq == 0:
         return d_xy_sq
     return d_xy_sq - t * (d_xy_sq + d_xz_sq - d_yz_sq) + t * t * d_xz_sq
+
+
+def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
+    """Brute-force oracle for ``w2_squared``: minimum cost over all extreme
+    points of the transportation polytope, found by enumerating saturating
+    allocation orders with memoization. It shares no code with the simplex,
+    its cost matrix included. Exponential; supports of size > 6 are refused.
+    """
+    if len(mu) > 6 or len(nu) > 6:
+        raise ValueError("enumeration oracle is limited to small supports")
+    cost = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
+    supplies = tuple(m for _, m in mu.atoms)
+    demands = tuple(m for _, m in nu.atoms)
+    memo: dict = {}
+
+    def best(s, d):
+        if all(x == 0 for x in s):
+            return _ZERO
+        key = (s, d)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        result = None
+        for i, si in enumerate(s):
+            if si == 0:
+                continue
+            for j, dj in enumerate(d):
+                if dj == 0:
+                    continue
+                q = min(si, dj)
+                ns = s[:i] + (si - q,) + s[i + 1:]
+                nd = d[:j] + (dj - q,) + d[j + 1:]
+                candidate = q * cost[i][j] + best(ns, nd)
+                if result is None or candidate < result:
+                    result = candidate
+        memo[key] = result
+        return result
+
+    return best(supplies, demands)
 
 
 # ---------------------------------------------------------------------- #
@@ -163,9 +201,10 @@ def check_dirac_preserved_extension(tree: Tree, x: TreePoint, mu: Measure,
     if horizon <= 1:
         raise ValueError("horizon must exceed 1")
     x = tree.canonical_point(x)
-    base = w2_squared(tree, dirac(tree, x), mu)
+    family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon)
+    base = family.plan.squared_cost
     times = sorted({_ZERO, _HALF, Fraction(1), (1 + horizon) / 2, horizon})
-    snapshots = {t: extend_from_dirac(tree, x, mu, t) for t in times}
+    snapshots = {t: family.at(t) for t in times}
     ok = True
     for i, s in enumerate(times):
         for t in times[i + 1:]:
@@ -373,9 +412,10 @@ def _prop_geodesic_property(cfg, rng):
     if rng.random() < 0.5:
         x = gen_point(tree, rng, cfg.max_denominator)
         mu = gen_measure(cfg, tree, rng, max_atoms=3)
-        base = w2_squared(tree, dirac(tree, x), mu)
+        family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon=2)
+        base = family.plan.squared_cost
         times = (_ZERO, _HALF, Fraction(1), Fraction(3, 2), Fraction(2))
-        snaps = {t: extend_from_dirac(tree, x, mu, t) for t in times}
+        snaps = {t: family.at(t) for t in times}
         label = "dirac extension"
     else:
         mu = gen_measure(cfg, tree, rng, max_atoms=3)

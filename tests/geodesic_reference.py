@@ -10,6 +10,11 @@ direction ``_single_dir`` and measure from their start, multi-edge
 geodesics take ``abs()`` about the joint next to the point's edge. It
 reads a geodesic's edges, joints, ends and origin and answers with the
 earlier methods, so the chart can be checked against it.
+
+``ParentTrajectory`` is the constant-speed trajectory code that a
+stateless walk replaced, kept verbatim: it grows a list of extension
+segments on demand, driven by a three-state cursor that starts from
+``ParentCoordinates.exit_cursor``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from treeradon import Geodesic, GeodesicError, Tree, TreePoint
+from treeradon import (
+    CompletenessError,
+    Geodesic,
+    GeodesicError,
+    SolverError,
+    Tree,
+    TreePoint,
+    path,
+)
 from treeradon.geodesics import _walk_to_infinity
 
 _ZERO = Fraction(0)
@@ -241,3 +254,90 @@ class ParentCoordinates:
         else:
             sign = self._single_dir
         return ("edge", last, self.end.offset, sign)
+
+
+class ParentTrajectory:
+    """Constant-speed motion from ``src`` through ``dst``, continued past
+    ``dst`` on demand.
+
+    Speed is d(src, dst) per unit time, so ``position(1) == dst``.
+    Continuation follows the smallest-edge-id rule at branch vertices;
+    with ``bounce=True`` a leaf reverses the direction instead of failing,
+    which keeps the walk constant-speed in trees with leaves.
+    """
+
+    def __init__(self, tree: Tree, src: TreePoint, dst: TreePoint, bounce: bool = False):
+        self.tree = tree
+        self.src = tree.canonical_point(src)
+        self.dst = tree.canonical_point(dst)
+        self.bounce = bounce
+        if self.src == self.dst:
+            self.segment = None
+            self.unit = _ZERO
+        else:
+            self.segment = path(tree, self.src, self.dst)
+            self.unit = self.segment.length
+        self._extension: list[tuple[Fraction, Fraction | None, int, Fraction, int]] = []
+        self._covered = _ZERO
+        self._cursor = None
+
+    def position(self, t) -> TreePoint:
+        t = Fraction(t)
+        if t < 0:
+            raise ValueError(f"negative time {t}")
+        if self.unit == 0:
+            return self.src
+        s = t * self.unit
+        if s <= self.unit:
+            return self.segment.point_at(s)
+        extra = s - self.unit
+        while not self._covers(extra):
+            if not self._grow():
+                raise CompletenessError(
+                    "trajectory hits a leaf; the tree is not geodesically complete"
+                )
+        for arc_from, arc_to, eid, offset0, sign in self._extension:
+            if arc_to is None or extra <= arc_to:
+                return self.tree.point(eid, offset0 + sign * (extra - arc_from))
+        raise SolverError("trajectory bookkeeping failure")  # pragma: no cover
+
+    def _covers(self, extra: Fraction) -> bool:
+        if not self._extension:
+            return False
+        return self._extension[-1][1] is None or self._covered >= extra
+
+    def _grow(self) -> bool:
+        """Materialize one more extension segment; False when blocked."""
+        if self._cursor is None:
+            self._cursor = ParentCoordinates(self.segment).exit_cursor()
+        state = self._cursor
+        if state[0] == "vertex":
+            _, vertex, via = state
+            nxt = next(
+                (eid for eid in self.tree.incident_edges(vertex) if eid != via), None
+            )
+            if nxt is None:
+                if not self.bounce:
+                    return False
+                nxt = via
+            rec = self.tree.edge(nxt)
+            offset0 = rec.endpoint_offset(vertex)
+            sign = 1 if offset0 == 0 else -1
+        else:
+            _, eid, offset0, sign = state
+            rec = self.tree.edge(eid)
+        if sign == 1:
+            capacity = None if rec.length is None else rec.length - offset0
+        else:
+            capacity = offset0
+        arc_from = self._covered
+        if capacity is None:
+            self._extension.append((arc_from, None, rec.id, offset0, sign))
+            self._cursor = ("blocked",)
+            return True
+        arc_to = arc_from + capacity
+        self._extension.append((arc_from, arc_to, rec.id, offset0, sign))
+        self._covered = arc_to
+        landing = rec.u if sign == -1 else rec.v
+        self._cursor = ("vertex", landing, rec.id)
+        return True
