@@ -388,9 +388,10 @@ def _onward(tree: Tree, vertex: VertexId, via: int, bounce: bool = False) -> int
     return nxt
 
 
-def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int):
-    """Follow ``first_edge`` out of ``origin``, then the walk rule
-    (``_onward``) at each vertex, until entering a ray or hitting a leaf.
+def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onward):
+    """Follow ``first_edge`` out of ``origin``, then the next-edge rule
+    ``onward(tree, vertex, via)`` at each vertex (by default the walk rule
+    ``_onward``), until entering a ray or hitting a leaf.
 
     Returns ``(edges, joints, terminal)`` where ``terminal`` is the leaf
     vertex reached, or None when the walk escapes along a ray.
@@ -400,7 +401,7 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int):
     via = first_edge
     current = tree.edge(first_edge).other_end(origin)
     while current is not None:
-        nxt = _onward(tree, current, via)
+        nxt = onward(tree, current, via)
         if nxt is None:
             return edges, joints, current
         joints.append(current)
@@ -408,6 +409,21 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int):
         via = nxt
         current = tree.edge(nxt).other_end(current)
     return edges, joints, None
+
+
+def _flag_geodesic(tree: Tree, flag: Flag, onward) -> Geodesic:
+    """The complete geodesic through a validated flag of a leafless tree,
+    continued on both sides by the next-edge rule ``onward``.
+
+    The origin is the flag vertex; the positive direction heads into the
+    smaller of the two flag edges.
+    """
+    pos_edge, neg_edge = flag.edges
+    pos_edges, pos_joints, _ = _walk_to_infinity(tree, flag.vertex, pos_edge, onward)
+    neg_edges, neg_joints, _ = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
+    edges = list(reversed(neg_edges)) + pos_edges
+    joints = list(reversed(neg_joints)) + [flag.vertex] + pos_joints
+    return Geodesic(tree, edges, joints, None, None, origin=tree.vertex_point(flag.vertex))
 
 
 def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:
@@ -420,12 +436,7 @@ def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:
     flag = tree.validate_flag(flag)
     if not tree.geodesically_complete:
         raise CompletenessError("complete geodesics need a tree without leaves")
-    pos_edge, neg_edge = flag.edges
-    pos_edges, pos_joints, _ = _walk_to_infinity(tree, flag.vertex, pos_edge)
-    neg_edges, neg_joints, _ = _walk_to_infinity(tree, flag.vertex, neg_edge)
-    edges = list(reversed(neg_edges)) + pos_edges
-    joints = list(reversed(neg_joints)) + [flag.vertex] + pos_joints
-    return Geodesic(tree, edges, joints, None, None, origin=tree.vertex_point(flag.vertex))
+    return _flag_geodesic(tree, flag, _onward)
 
 
 # ---------------------------------------------------------------------- #

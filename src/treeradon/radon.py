@@ -10,9 +10,10 @@ measure-level transform is the family of projections onto complete
 geodesics; ``reconstruct_measure`` recovers a finitely supported measure
 from the projections onto flag geodesics alone. Each answer gives the flag
 mass at every joint of its geodesic, so a flag already read is not queried
-again and a second reading of it is cross-checked; interior atoms are read
-directly (interior level sets are singletons), and the vertex part is
-inverted.
+again and a second reading of it is cross-checked. Past its flag, each
+queried geodesic continues through flags no answer has read yet, so fewer
+of its joints re-read known flags. Interior atoms are read directly
+(interior level sets are singletons), and the vertex part is inverted.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     PointLocationError,
     RadonError,
 )
-from .geodesics import Geodesic, geodesic_through_flag
+from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
 from .measures import Measure, RadonSample, make_measure, pushforward_projection
 from .rationals import parse_rational
 from .tree import Flag, Tree, TreePoint, VertexId
@@ -261,9 +262,12 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     """Recover a finitely supported measure from its projection oracle.
 
     Only flag geodesics are queried. The perpendicular of a flag is a level
-    set of the projection, so one answer on a geodesic gives the flag mass
-    at every joint of it: flags are walked in order, and a flag no earlier
-    answer has read queries its own geodesic. Every edge lies on such a
+    set of the projection, so one answer on any complete geodesic gives the
+    flag mass at every joint of it: flags are walked in order, and a flag no
+    earlier answer has read queries a geodesic through its two edges. Past
+    the flag, that geodesic is routed: at each vertex it takes the
+    smallest-id edge forming an unread flag with the edge it came in by,
+    and otherwise the smallest-id other edge. Every edge lies on a queried
     geodesic, so every interior atom is read verbatim (interior level sets
     are single points). The interior mass inside each perpendicular is then
     subtracted in one branch-sum pass, and the remaining vertex table is
@@ -315,10 +319,19 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
 
     flags = enumerate_flags(tree)
     raw: dict[Flag, Fraction] = {}
+
+    def routed(tree: Tree, vertex: VertexId, via: int) -> int:
+        """Past the queried flag: the smallest-id edge that forms an unread
+        flag with ``via``, else the smallest-id other edge."""
+        for eid in tree.incident_edges(vertex):
+            if eid != via and Flag(vertex, frozenset((via, eid))) not in raw:
+                return eid
+        return _onward(tree, vertex, via)
+
     for flag in flags:
         if flag in raw:
             continue
-        geodesic = geodesic_through_flag(tree, flag)
+        geodesic = _flag_geodesic(tree, flag, routed)
         at_joint = scan_interior(geodesic, oracle(geodesic))
         edges = geodesic.edges
         for i, joint in enumerate(geodesic.joints):

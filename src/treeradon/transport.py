@@ -324,11 +324,7 @@ def interpolate(tree: Tree, plan: TransportPlan, t) -> Measure:
 def dilate(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     """The point on the Wasserstein geodesic from the Dirac at ``x`` to
     ``mu`` at parameter ``t`` in [0, 1]."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"dilation parameter {t} outside [0, 1]")
-    plan = optimal_plan(tree, dirac(tree, x), mu)
-    return _move_atoms(tree, _trajectories(tree, plan), t)
+    return WassersteinGeodesic.from_dirac(tree, x, mu).at(t)
 
 
 def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
@@ -336,12 +332,7 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     ``t ≥ 0``: for t ≤ 1 this is the dilation; beyond 1 each atom keeps
     moving past its target along the deterministic extension."""
     t = Fraction(t)
-    if t < 0:
-        raise ValueError(f"negative time {t}")
-    if t > 1 and not tree.geodesically_complete:
-        raise CompletenessError("extension beyond the target needs a leafless tree")
-    plan = optimal_plan(tree, dirac(tree, x), mu)
-    return _move_atoms(tree, _trajectories(tree, plan), t)
+    return WassersteinGeodesic.from_dirac(tree, x, mu, horizon=max(t, _ONE)).at(t)
 
 
 class WassersteinGeodesic:
