@@ -271,7 +271,7 @@ class Geodesic:
         tree = self.tree
         link, hops = tree._link, tree._hops
         top = hops[apex]
-        v = tree._foot(point)[0]
+        v = tree._foot_vertex(point)
         while hops[v] >= top:
             hit = anchors.get(v)
             if hit is not None:
@@ -322,7 +322,7 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
         return Geodesic(tree, [p.edge], [], p, q)
 
-    vertices, edges = tree._vertex_path(tree._foot(p)[0], tree._foot(q)[0])
+    vertices, edges = tree._vertex_path(tree._foot_vertex(p), tree._foot_vertex(q))
     if edges and edges[0] == p.edge:
         del vertices[0], edges[0]
     if edges and edges[-1] == q.edge:

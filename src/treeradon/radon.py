@@ -351,7 +351,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     on_foot: dict[VertexId, Fraction] = {}
     own_edge: dict[tuple[VertexId, int], Fraction] = {}
     for (edge, offset), mass in interior.items():
-        foot = tree._foot(TreePoint(edge=edge, offset=offset))[0]
+        foot = tree._foot_vertex(TreePoint(edge=edge, offset=offset))
         on_foot[foot] = on_foot.get(foot, _ZERO) + mass
         own_edge[(foot, edge)] = own_edge.get((foot, edge), _ZERO) + mass
     branch = _branch_sums(tree, VertexFunction(on_foot))

@@ -5,8 +5,12 @@ Bland's rule for anti-cycling. Distances enter only through their squares,
 so every cost and mass is rational; the solver scales masses and costs to
 integers over their common denominators and pivots in exact Python ints,
 which leaves every sign, comparison and tie, and so the pivot sequence,
-as it would be over the rationals. Plans, costs and every other value at
-the API stay exact Fractions.
+as it would be over the rationals. The basis is one spanning tree rooted
+at row 0 (parent, depth and dual potential per node); each pivot re-hangs
+only the subtree its leaving cell cuts off, and the entering scan tests
+whole rows at C speed before it looks at single cells. Plans, costs and
+every other value at the API stay exact Fractions; a plan's squared cost
+is summed from the solver's own cost matrix.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all move atoms along explicit constant-speed trajectories.
@@ -23,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import CompletenessError, MeasureError, SolverError
 from .geodesics import _onward, path
@@ -76,51 +81,42 @@ def _northwest_corner(supply, demand):
     return alloc
 
 
-def _potentials(cost, adj, n):
-    """Dual potentials u, v with u_i + v_j = c_ij on the basis tree.
-
-    ``adj`` is the basis tree over nodes 0..n-1 (rows) and n..n+m-1
-    (columns); u_0 is pinned to 0, so every potential is an int.
-    """
-    pot = [None] * len(adj)
-    pot[0] = 0
-    stack = [0]
+def _hang(cost, adj, n, parent, depth, pot, top):
+    """Hang every node that ``top`` reaches without passing its parent:
+    set each one's parent, depth and potential (``pot[b] = c − pot[a]``
+    across the basis cell joining it to its parent a) from ``top``'s own,
+    which the caller sets. Returns the set of nodes reached, ``top`` and its
+    parent included."""
+    seen = {top, parent[top]}
+    stack = [top]
     while stack:
         a = stack.pop()
         for b in adj[a]:
-            if pot[b] is None:
+            if b not in seen:
+                seen.add(b)
+                parent[b] = a
+                depth[b] = depth[a] + 1
                 pot[b] = (cost[a][b - n] if a < n else cost[b][a - n]) - pot[a]
                 stack.append(b)
-    if None in pot:
-        raise SolverError("basis does not span the bipartite graph")
-    return pot[:n], pot[n:]
+    return seen
 
 
-def _pivot_cycle(entering, adj, n):
-    """The unique alternating cycle closed by the entering cell.
+def _rooted_basis(cost, cells, n, m):
+    """The basis tree over rows 0..n-1 and columns n..n+m-1 (nodes), rooted
+    at row 0, as ``(adj, parent, depth, pot)``.
 
-    Returns the cycle cells starting at the entering cell; signs alternate
-    +, -, +, ... along the returned order.
+    ``pot`` holds the dual potentials, u_i at node i and v_j at node n+j,
+    with u_0 pinned to 0, so every potential is an int and
+    u_i + v_j = c_ij on every basis cell. The root is its own parent.
     """
-    i0, j0 = entering
-    start, goal = i0, n + j0
-    parent = {start: start}
-    stack = [start]
-    while goal not in parent:
-        if not stack:
-            raise SolverError("entering cell closes no cycle; basis is broken")
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in parent:
-                parent[b] = a
-                stack.append(b)
-    cycle = [entering]
-    b = goal
-    while b != start:
-        a = parent[b]
-        cycle.append((a, b - n) if a < n else (b, a - n))
-        b = a
-    return cycle
+    adj = [set() for _ in range(n + m)]
+    for i, j in cells:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+    parent, depth, pot = [0] * (n + m), [0] * (n + m), [0] * (n + m)
+    if len(_hang(cost, adj, n, parent, depth, pot, 0)) < n + m:
+        raise SolverError("basis does not span the bipartite graph")
+    return adj, parent, depth, pot
 
 
 def _transportation_simplex(supply, demand, cost):
@@ -135,51 +131,96 @@ def _transportation_simplex(supply, demand, cost):
     North-west corner start, then Bland's rule: the entering cell is the
     first (row-major) with negative reduced cost; the leaving cell is the
     lexicographically smallest among the minimum-allocation cells on the
-    minus side of the pivot cycle. The basis tree is kept as one adjacency
-    over rows and columns and updated on each swap.
+    minus side of the pivot cycle.
+
+    The basis is one spanning tree rooted at row 0, kept as parent, depth
+    and potential per node (network simplex in its spanning-tree form). A
+    row is tested for a negative reduced cost at C speed,
+    ``min(map(sub, row, v)) < u_i``, and only the first row that passes is
+    scanned cell by cell. The pivot cycle is the entering cell plus the
+    tree paths from its row and column up to their lowest common ancestor.
+    Removing the leaving cell cuts one subtree off the root; only that
+    subtree is re-hung, below the entering cell, with fresh parents, depths
+    and potentials. Those are the values a full recompute from u_0 = 0
+    would give, since the basis tree fixes them.
     """
     n, m = len(supply), len(demand)
     mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
     cost_scale = math.lcm(*(c.denominator for row in cost for c in row))
     cost = [_scaled(row, cost_scale) for row in cost]
     alloc = _northwest_corner(_scaled(supply, mass_scale), _scaled(demand, mass_scale))
-    adj = [set() for _ in range(n + m)]
-    for i, j in alloc:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
+    adj, parent, depth, pot = _rooted_basis(cost, alloc, n, m)
+
+    def cell(c):
+        """The basis cell joining node c to its parent."""
+        return (c, parent[c] - n) if c < n else (parent[c], c - n)
+
     max_pivots = 1000 + 100 * n * m
     for _ in range(max_pivots):
-        u, v = _potentials(cost, adj, n)
         # basis cells have reduced cost exactly 0, so only nonbasic cells
-        # can pass the test c_ij - u_i - v_j < 0
-        entering = next(
-            ((i, j) for i, row in enumerate(cost) for j, c in enumerate(row)
-             if c - v[j] < u[i]),
-            None,
-        )
-        if entering is None:
-            return {cell: Fraction(q, mass_scale) for cell, q in alloc.items() if q > 0}
-        cycle = _pivot_cycle(entering, adj, n)
-        minus = cycle[1::2]
+        # can pass the test c_ij - v_j < u_i
+        v = pot[n:]
+        for i, row in enumerate(cost):
+            u = pot[i]
+            if min(map(sub, row, v)) < u:
+                j = next(j for j, r in enumerate(map(sub, row, v)) if r < u)
+                break
+        else:
+            return {c: Fraction(q, mass_scale) for c, q in alloc.items() if q > 0}
+        # Climb to the lowest common ancestor. The cycle's signs alternate
+        # from + on the entering cell, so a path cell is on the minus side
+        # when it is an even number of cells from the entering row or
+        # column, that is when its child node is a row on the row's path or
+        # a column on the column's path.
+        plus, minus = [], []
+        a, b = i, n + j
+        while a != b:
+            if depth[a] >= depth[b]:
+                (minus if a < n else plus).append(a)
+                a = parent[a]
+            else:
+                (minus if b >= n else plus).append(b)
+                b = parent[b]
+        plus = list(map(cell, plus))
+        minus = list(map(cell, minus))
         theta = min(alloc[c] for c in minus)
         leaving = min(c for c in minus if alloc[c] == theta)
-        for idx, cell in enumerate(cycle):
-            alloc[cell] = alloc.get(cell, 0) + (theta if idx % 2 == 0 else -theta)
+        alloc[(i, j)] = theta
+        for c in plus:
+            alloc[c] += theta
+        for c in minus:
+            alloc[c] -= theta
         del alloc[leaving]
-        (ie, je), (il, jl) = entering, leaving
-        adj[ie].add(n + je)
-        adj[n + je].add(ie)
+        # the leaving cell's child node heads the subtree it cuts off; as a
+        # minus cell, it lies on the row's path, and its subtree holds the
+        # entering row, exactly when that child is a row
+        il, jl = leaving
+        cut = il if parent[il] == n + jl else n + jl
         adj[il].discard(n + jl)
         adj[n + jl].discard(il)
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+        top, below = (i, n + j) if cut < n else (n + j, i)
+        parent[top] = below
+        depth[top] = depth[below] + 1
+        pot[top] = cost[i][j] - pot[below]
+        _hang(cost, adj, n, parent, depth, pot, top)
     raise SolverError("pivot limit exceeded")
 
 
 def _cost_matrix(tree, sources, targets):
+    """Squared distances between the atoms of two measures, one row per
+    source atom; each atom is canonicalised and has its foot found once."""
+    def feet(atoms):
+        points = [tree.canonical_point(p) for p, _ in atoms]
+        return [(p, tree._foot(p)) for p in points]
+
+    columns = feet(targets)
     matrix = []
-    for p, _ in sources:
+    for p, p_foot in feet(sources):
         row = []
-        for q, _ in targets:
-            d = tree.distance(p, q)
+        for q, q_foot in columns:
+            d = tree._feet_distance(p, p_foot, q, q_foot)
             row.append(d * d)
         matrix.append(row)
     return matrix
@@ -188,32 +229,20 @@ def _cost_matrix(tree, sources, targets):
 def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
     """An optimal coupling for the squared-distance cost.
 
-    From (or to) a Dirac mass the plan is the unique coupling; identical
-    measures pair each atom with itself. Everything else goes through the
-    exact transportation simplex.
+    Identical measures pair each atom with itself. Everything else goes
+    through the exact transportation simplex, whose only feasible plan
+    from (or to) a Dirac mass is the unique coupling. The squared cost sums
+    the solver's own cost matrix over the couplings.
     """
     if mu.atoms == nu.atoms:
         couplings = tuple((p, p, m) for p, m in mu.atoms)
         return TransportPlan(mu, nu, couplings, _ZERO)
-    if len(mu) == 1:
-        x, _ = mu.atoms[0]
-        couplings = tuple((x, q, m) for q, m in nu.atoms)
-    elif len(nu) == 1:
-        y, _ = nu.atoms[0]
-        couplings = tuple((p, y, m) for p, m in mu.atoms)
-    else:
-        cost = _cost_matrix(tree, mu.atoms, nu.atoms)
-        alloc = _transportation_simplex(
-            [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
-        )
-        couplings = tuple(
-            (mu.atoms[i][0], nu.atoms[j][0], q)
-            for (i, j), q in sorted(alloc.items())
-        )
-    total = _ZERO
-    for p, q, mass in couplings:
-        d = tree.distance(p, q)
-        total += mass * d * d
+    cost = _cost_matrix(tree, mu.atoms, nu.atoms)
+    alloc = sorted(_transportation_simplex(
+        [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
+    ).items())
+    couplings = tuple((mu.atoms[i][0], nu.atoms[j][0], q) for (i, j), q in alloc)
+    total = sum((q * cost[i][j] for (i, j), q in alloc), _ZERO)
     _check_marginals(mu, nu, couplings)
     return TransportPlan(mu, nu, couplings, total)
 

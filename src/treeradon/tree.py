@@ -354,21 +354,31 @@ class Tree:
     # Metric                                                               #
     # ------------------------------------------------------------------ #
 
-    def _foot(self, point: TreePoint) -> tuple[VertexId, Fraction, bool]:
-        """The vertex a canonical point hangs from, the point's depth, and
-        whether the point sits inside that vertex's parent edge.
+    def _foot_vertex(self, point: TreePoint) -> VertexId:
+        """The vertex a canonical point hangs from.
 
         The foot of a vertex is itself, of a ray point the ray's vertex, and
         of a point inside a finite edge the edge's child end.
         """
         if point.is_vertex:
-            return point.vertex, self._depth[point.vertex], False
+            return point.vertex
         rec = self.edges[point.edge]
-        if rec.v is None:
-            return rec.u, self._depth[rec.u] + point.offset, False
-        if self._link[rec.v][1] == rec.id:
-            return rec.v, self._depth[rec.u] + point.offset, True
-        return rec.u, self._depth[rec.u] - point.offset, True
+        if rec.v is not None and self._link[rec.v][1] == rec.id:
+            return rec.v
+        return rec.u
+
+    def _foot(self, point: TreePoint) -> tuple[VertexId, Fraction, bool]:
+        """The point's foot (see :meth:`_foot_vertex`), the point's depth, and
+        whether the point sits inside that vertex's parent edge."""
+        foot = self._foot_vertex(point)
+        if point.is_vertex:
+            return foot, self._depth[foot], False
+        rec = self.edges[point.edge]
+        inside = rec.v is not None
+        if inside and foot == rec.u:
+            # the edge hangs below u, so the point is shallower than u
+            return foot, self._depth[foot] - point.offset, True
+        return foot, self._depth[rec.u] + point.offset, inside
 
     def _lca(self, a: VertexId, b: VertexId) -> VertexId:
         """Lowest common ancestor of two vertices, by climbing parent links."""
@@ -400,26 +410,31 @@ class Tree:
         return head + tail[::-1], head_edges + tail_edges[::-1]
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
-        """Length of the unique injective path between two points.
+        """Length of the unique injective path between two points."""
+        p = self.canonical_point(p)
+        q = self.canonical_point(q)
+        return self._feet_distance(p, self._foot(p), q, self._foot(q))
+
+    def _feet_distance(self, p: TreePoint, p_foot: tuple, q: TreePoint, q_foot: tuple) -> Fraction:
+        """The distance between two canonical points, given their
+        :meth:`_foot` triples.
 
         ``depth(p) + depth(q) − 2·m``, where ``m`` is the depth at which the
         paths from p and q to the root meet: the depth of the lowest common
         ancestor of their feet, or of p (q) itself when it sits inside the
         edge just above that ancestor.
         """
-        p = self.canonical_point(p)
-        q = self.canonical_point(q)
         if p == q:
             return _ZERO
         if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
             return abs(p.offset - q.offset)
-        p_foot, p_depth, p_inside = self._foot(p)
-        q_foot, q_depth, q_inside = self._foot(q)
-        top = self._lca(p_foot, q_foot)
+        p_vertex, p_depth, p_inside = p_foot
+        q_vertex, q_depth, q_inside = q_foot
+        top = self._lca(p_vertex, q_vertex)
         meet = self._depth[top]
-        if p_inside and p_foot == top:
+        if p_inside and p_vertex == top:
             meet = p_depth
-        elif q_inside and q_foot == top:
+        elif q_inside and q_vertex == top:
             meet = q_depth
         return p_depth + q_depth - 2 * meet
 

@@ -9,7 +9,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from treeradon import SuiteConfig, gen_measure, gen_tree, io, make_measure, vertex_function
+from treeradon import (
+    SuiteConfig,
+    gen_measure,
+    gen_point,
+    gen_tree,
+    io,
+    make_measure,
+    vertex_function,
+)
 from treeradon.cli import main
 
 
@@ -202,6 +210,51 @@ def test_seeded_16x16_plan_files_are_byte_identical(tmp_path, capsys):
     assert main(["w2", *inputs, "--out", str(w2_file)]) == 0
     assert _sha256(plan_file) == SEEDED_16X16_PLAN_SHA256
     assert _sha256(w2_file) == SEEDED_16X16_PLAN_SHA256
+
+
+def write_seeded_equal_mass_inputs(tmp_path):
+    """A generated leafless tree and two 32-atom measures with every mass
+    1/32, from a fixed seed. Spots with denominators up to 4 on a
+    ten-vertex tree give 189 distinct costs among 1,024 cells: the solver
+    takes 781 pivots, 663 of them degenerate, and several plans are
+    optimal, so a different entering or leaving choice changes the plan
+    file."""
+    size, seed = 32, 11
+    config = SuiteConfig(seed=seed, max_vertices=24, max_denominator=4)
+    rng = random.Random(seed)
+    tree = gen_tree(config, "complete", rng)
+    tree_file = tmp_path / "tree.json"
+    io.save_tree(tree, tree_file)
+    files = [tree_file]
+    for name in ("mu", "nu"):
+        points = []
+        while len(points) < size:
+            point = gen_point(tree, rng, config.max_denominator)
+            if point not in points:
+                points.append(point)
+        path = tmp_path / f"{name}.json"
+        io.save_measure(tree, make_measure(tree, ((p, F(1, size)) for p in points)), path)
+        files.append(path)
+    return files
+
+
+# Digests of the inputs and of the plan file written at the commit before
+# the solver kept its basis as one rooted tree; ties make the plan depend
+# on the exact pivot sequence.
+SEEDED_EQUAL_MASS_INPUT_SHA256 = (
+    "49c940abb71c55aac19d3a9010a8cd0fdeb2793347a710c0fb6d02db1ef25ee1",
+    "2cd9621fe863c1c781e6e08844c472e0f29661e8cfc8640de40c3bf3587ae71f",
+    "2c66b381b82bae5385aedbffe6de924ba9bbdc96b43c93d2e7478cdffa676fd4",
+)
+SEEDED_EQUAL_MASS_PLAN_SHA256 = "48b74dacbfd1c9271b24805f66d3e0a87174ba2318841d31d39f2861dddb73ba"
+
+
+def test_seeded_equal_mass_32x32_plan_file_is_byte_identical(tmp_path, capsys):
+    files = write_seeded_equal_mass_inputs(tmp_path)
+    assert tuple(_sha256(f) for f in files) == SEEDED_EQUAL_MASS_INPUT_SHA256
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", *map(str, files), "--out", str(plan_file)]) == 0
+    assert _sha256(plan_file) == SEEDED_EQUAL_MASS_PLAN_SHA256
 
 
 def write_seeded_reconstruct_inputs(tmp_path, seed):

@@ -1,6 +1,7 @@
 """Exact transport: solver, interpolation, dilation, extension, certificates."""
 
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -575,14 +576,22 @@ def symmetric_tie_instance(draw):
     return _solver_instance(star3, src, dst, [F(1, n)] * n, [F(1, m)] * m)
 
 
+# The two properties below run 40 examples each in tier-1; setting
+# TREERADON_SOLVER_PROFILE=solver-deep runs 300 each (CI does, in its own
+# step).
+settings.register_profile("solver", max_examples=40, deadline=None)
+settings.register_profile("solver-deep", max_examples=300, deadline=None)
+SOLVER_SETTINGS = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
+
+
 @given(random_instance())
-@settings(max_examples=40, deadline=None)
+@SOLVER_SETTINGS
 def test_integer_solver_matches_reference_allocation(instance):
     assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
 
 
 @given(symmetric_tie_instance())
-@settings(max_examples=40, deadline=None)
+@SOLVER_SETTINGS
 def test_integer_solver_matches_reference_on_ties(instance):
     assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
 
@@ -601,12 +610,61 @@ def test_integer_solver_matches_reference_16x16():
 
 def test_broken_basis_raises_solver_error():
     # rows 0, 1 and columns 0, 1 (nodes 2, 3) with only the basis cell (0, 0)
-    adj = [{2}, set(), {0}, set()]
     cost = [[0, 1], [1, 0]]
     with pytest.raises(SolverError, match="span"):
-        transport._potentials(cost, adj, 2)
-    with pytest.raises(SolverError, match="cycle"):
-        transport._pivot_cycle((1, 1), adj, 2)
+        transport._rooted_basis(cost, [(0, 0)], 2, 2)
+    # n + m - 1 cells that close a cycle over rows 0, 1 and leave row 2 out
+    cost = [[0, 1], [1, 0], [2, 2]]
+    with pytest.raises(SolverError, match="span"):
+        transport._rooted_basis(cost, [(0, 0), (0, 1), (1, 0), (1, 1)], 3, 2)
+
+
+@st.composite
+def tree_and_measures(draw):
+    """Two measures on a seeded ``gen_tree`` tree whose atoms include the
+    same vertex, two spots on one finite edge (one in each measure), and on
+    complete trees two spots on one ray, plus random points."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    mode = draw(st.sampled_from(("complete", "finite")))
+    rng = random.Random(seed)
+    tree = gen_tree(SuiteConfig(seed=seed, max_vertices=12, max_denominator=6), mode, rng)
+    finite = [rec for rec in tree.edges if not rec.is_ray]
+    rays = [rec for rec in tree.edges if rec.is_ray]
+    shared = [tree.vertex_point(rng.choice(tree.vertices))]
+    mine, theirs = [], []
+    if finite:
+        rec = rng.choice(finite)
+        mine.append(tree.point(rec.id, rec.length / 3))
+        theirs.append(tree.point(rec.id, rec.length / 2))
+    if rays:
+        rec = rng.choice(rays)
+        shared.append(tree.point(rec.id, F(rng.randint(1, 6), rng.randint(1, 6))))
+        mine.append(tree.point(rec.id, F(7)))
+    mine += [gen_point(tree, rng, 6) for _ in range(draw(st.integers(0, 5)))]
+    theirs += [gen_point(tree, rng, 6) for _ in range(draw(st.integers(0, 5)))]
+    mu = make_measure(tree, ((p, F(1, len(shared + mine))) for p in shared + mine))
+    nu = make_measure(tree, ((q, F(1, len(shared + theirs))) for q in shared + theirs))
+    return tree, mu, nu
+
+
+def _assert_squared_cost_matches_distances(tree, plan):
+    expected = sum((m * tree.distance(p, q) ** 2 for p, q, m in plan.couplings), F(0))
+    assert plan.squared_cost == expected
+
+
+@given(tree_and_measures())
+@settings(max_examples=60, deadline=None)
+def test_cost_matrix_and_squared_cost_match_tree_distance(case):
+    tree, mu, nu = case
+    cost = transport._cost_matrix(tree, mu.atoms, nu.atoms)
+    assert cost == [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
+    _assert_squared_cost_matches_distances(tree, optimal_plan(tree, mu, nu))
+    x = mu.atoms[-1][0]
+    _assert_squared_cost_matches_distances(tree, optimal_plan(tree, dirac(tree, x), nu))
+    _assert_squared_cost_matches_distances(tree, optimal_plan(tree, mu, dirac(tree, x)))
+    same = optimal_plan(tree, mu, mu)
+    assert same.squared_cost == 0
+    _assert_squared_cost_matches_distances(tree, same)
 
 
 @pytest.mark.parametrize("seed", range(6))
