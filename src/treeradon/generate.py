@@ -92,14 +92,11 @@ def gen_tree(config: SuiteConfig, mode: str = "complete",
         created += 1
 
     # Contract valency-2 vertices: replace their two edges by one of summed
-    # length. Degrees of the neighbours do not change, so bounds survive.
+    # length. Degrees of the neighbours do not change, so bounds survive and
+    # ``degree`` stays exact for every live vertex.
     alive = set(range(created))
     while True:
-        counts = {v: 0 for v in alive}
-        for a, b, _ in finite_edges:
-            counts[a] += 1
-            counts[b] += 1
-        doomed = next((v for v in alive if counts[v] == 2), None)
+        doomed = next((v for v in alive if degree[v] == 2), None)
         if doomed is None:
             break
         pair = [e for e in finite_edges if doomed in (e[0], e[1])]
@@ -117,12 +114,8 @@ def gen_tree(config: SuiteConfig, mode: str = "complete",
     ]
     if mode == "complete":
         target = max(3, config.min_valency)
-        counts = {v: 0 for v in alive}
-        for a, b, _ in finite_edges:
-            counts[a] += 1
-            counts[b] += 1
         for v in sorted(alive):
-            for _ in range(target - counts[v]):
+            for _ in range(target - degree[v]):
                 edges.append((labels[v], None, None))
     return Tree(vertices, edges)
 
@@ -141,19 +134,14 @@ def gen_point(tree: Tree, rng: random.Random, max_denominator: int) -> TreePoint
 
 
 def gen_measure(config: SuiteConfig, tree: Tree, rng: random.Random,
-                max_atoms: int | None = None, vertices_only: bool = False) -> Measure:
+                max_atoms: int | None = None) -> Measure:
     """A random probability measure with exact rational masses.
 
     Masses come from normalizing random positive rationals, so they sum to
     one exactly; duplicate locations merge.
     """
     count = rng.randint(1, max_atoms if max_atoms is not None else config.max_atoms)
-    points = []
-    for _ in range(count):
-        if vertices_only:
-            points.append(tree.vertex_point(rng.choice(tree.vertices)))
-        else:
-            points.append(gen_point(tree, rng, config.max_denominator))
+    points = [gen_point(tree, rng, config.max_denominator) for _ in range(count)]
     weights = [random_rational(rng, config.max_denominator) for _ in points]
     total = sum(weights)
     return make_measure(tree, ((p, w / total) for p, w in zip(points, weights)))

@@ -12,8 +12,9 @@ from the projections onto flag geodesics alone. Each answer gives the flag
 mass at every joint of its geodesic, so a flag already read is not queried
 again and a second reading of it is cross-checked. Past its flag, each
 queried geodesic continues through flags no answer has read yet, so fewer
-of its joints re-read known flags. Interior atoms are read directly
-(interior level sets are singletons), and the vertex part is inverted.
+of its joints re-read known flags. One loop over the flags reads every
+answer; interior atoms are read directly (interior level sets are
+singletons), and the vertex part is inverted.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
 from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
 from .measures import Measure, RadonSample, make_measure, pushforward_projection
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint, VertexId
+from .tree import Flag, Tree, TreePoint, VertexId, point_sort_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -135,12 +136,15 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     total = h.total
     table: dict[Flag, Fraction] = {}
     for x in tree.vertices:
-        incident = tree.incident_edges(x)
-        if len(incident) < 2:
-            continue
-        for e, f in combinations(incident, 2):
+        for e, f in combinations(tree.incident_edges(x), 2):
             table[Flag(x, frozenset((e, f)))] = total - sums[(x, e)] - sums[(x, f)]
     return FlagTable(table)
+
+
+def _flag_sum(tree: Tree, table: FlagTable, x: VertexId) -> Fraction:
+    """Σ Rh(x, ef) over the C(k,2) flags at ``x``."""
+    pairs = combinations(tree.incident_edges(x), 2)
+    return sum((table.value(Flag(x, frozenset(pair))) for pair in pairs), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -170,11 +174,8 @@ def double_count_check(tree: Tree, h: VertexFunction, x: VertexId,
         raise RadonError(f"vertex {x!r} has valency {k}; no flags exist there")
     if table is None:
         table = radon_forward(tree, h)
-    lhs = _ZERO
-    for e, f in combinations(tree.incident_edges(x), 2):
-        lhs += table.value(Flag(x, frozenset((e, f))))
     rhs = comb(k - 1, 2) * h.total + (k - 1) * h.value(x)
-    return DoubleCountIdentity(vertex=x, lhs=lhs, rhs=rhs)
+    return DoubleCountIdentity(vertex=x, lhs=_flag_sum(tree, table, x), rhs=rhs)
 
 
 def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
@@ -192,10 +193,7 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     values: dict[VertexId, Fraction] = {}
     for x in tree.vertices:
         k = tree.valency(x)
-        flag_sum = _ZERO
-        for e, f in combinations(tree.incident_edges(x), 2):
-            flag_sum += table.value(Flag(x, frozenset((e, f))))
-        hx = flag_sum / (k - 1) - Fraction(k - 2, 2) * total
+        hx = _flag_sum(tree, table, x) / (k - 1) - Fraction(k - 2, 2) * total
         if hx != 0:
             values[x] = hx
     return VertexFunction(values)
@@ -269,9 +267,10 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     smallest-id edge forming an unread flag with the edge it came in by,
     and otherwise the smallest-id other edge. Every edge lies on a queried
     geodesic, so every interior atom is read verbatim (interior level sets
-    are single points). The interior mass inside each perpendicular is then
-    subtracted in one branch-sum pass, and the remaining vertex table is
-    inverted with total 1 minus the interior mass.
+    are single points) and kept under its canonical point. The interior
+    mass inside each perpendicular is then subtracted in one branch-sum
+    pass, and the remaining vertex table is inverted with total 1 minus
+    the interior mass.
 
     Interior sightings and flag readings are cross-checked across every
     queried geodesic; disagreement, mass outside the skeleton, or a vertex
@@ -288,35 +287,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
             tree.edge(eid)
 
     skeleton_set = set(skeleton)
-    interior: dict[tuple[int, Fraction], Fraction] = {}
-
-    def record_interior(point: TreePoint, mass: Fraction) -> None:
-        if point.edge not in skeleton_set:
-            raise OracleInconsistencyError(
-                f"interior mass on edge {point.edge} outside the candidate skeleton"
-            )
-        key = (point.edge, point.offset)
-        known = interior.get(key)
-        if known is None:
-            interior[key] = mass
-        elif known != mass:
-            raise OracleInconsistencyError(
-                f"masses disagree across geodesics through edge {point.edge}: "
-                f"{known} vs {mass} at offset {point.offset}"
-            )
-
-    def scan_interior(geodesic: Geodesic, sample: RadonSample) -> dict[VertexId, Fraction]:
-        """Record the sample's interior atoms; return its masses at joints
-        (on a complete geodesic every vertex atom sits on a joint)."""
-        at_joint = {}
-        for coord, mass in sample.atoms:
-            spot = geodesic.point_at(coord)
-            if spot.is_vertex:
-                at_joint[spot.vertex] = mass
-            else:
-                record_interior(spot, mass)
-        return at_joint
-
+    interior: dict[TreePoint, Fraction] = {}
     flags = enumerate_flags(tree)
     raw: dict[Flag, Fraction] = {}
 
@@ -332,7 +303,23 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         if flag in raw:
             continue
         geodesic = _flag_geodesic(tree, flag, routed)
-        at_joint = scan_interior(geodesic, oracle(geodesic))
+        # on a complete geodesic every vertex atom sits on a joint
+        at_joint: dict[VertexId, Fraction] = {}
+        for coord, mass in oracle(geodesic).atoms:
+            spot = geodesic.point_at(coord)
+            if spot.is_vertex:
+                at_joint[spot.vertex] = mass
+                continue
+            if spot.edge not in skeleton_set:
+                raise OracleInconsistencyError(
+                    f"interior mass on edge {spot.edge} outside the candidate skeleton"
+                )
+            known = interior.setdefault(spot, mass)
+            if known != mass:
+                raise OracleInconsistencyError(
+                    f"masses disagree across geodesics through edge {spot.edge}: "
+                    f"{known} vs {mass} at offset {spot.offset}"
+                )
         edges = geodesic.edges
         for i, joint in enumerate(geodesic.joints):
             read = Flag(joint, frozenset((edges[i], edges[i + 1])))
@@ -350,10 +337,10 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     interior_total = sum(interior.values(), _ZERO)
     on_foot: dict[VertexId, Fraction] = {}
     own_edge: dict[tuple[VertexId, int], Fraction] = {}
-    for (edge, offset), mass in interior.items():
-        foot = tree._foot_vertex(TreePoint(edge=edge, offset=offset))
+    for point, mass in interior.items():
+        foot = tree._foot_vertex(point)
         on_foot[foot] = on_foot.get(foot, _ZERO) + mass
-        own_edge[(foot, edge)] = own_edge.get((foot, edge), _ZERO) + mass
+        own_edge[(foot, point.edge)] = own_edge.get((foot, point.edge), _ZERO) + mass
     branch = _branch_sums(tree, VertexFunction(on_foot))
 
     flag_rows = []
@@ -383,24 +370,19 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         )
 
     atoms = [(tree.vertex_point(v), m) for v, m in vertex_part.values.items()]
-    atoms.extend(
-        (TreePoint(edge=edge, offset=offset), mass)
-        for (edge, offset), mass in interior.items()
-    )
+    atoms.extend(interior.items())
     try:
         measure = make_measure(tree, atoms)
     except MeasureError as exc:
         raise OracleInconsistencyError(f"reconstructed masses are not a probability: {exc}") from exc
 
-    ordered = sorted(interior.items())
+    ordered = tuple(sorted(interior.items(), key=lambda atom: point_sort_key(atom[0])))
     reads: dict[int, list[tuple[Fraction, Fraction]]] = {eid: [] for eid in skeleton}
-    for (edge, offset), mass in ordered:
-        reads[edge].append((offset, mass))
+    for point, mass in ordered:
+        reads[point.edge].append((point.offset, mass))
     return ReconstructionResult(
         measure=measure,
-        interior_atoms=tuple(
-            (TreePoint(edge=edge, offset=offset), mass) for (edge, offset), mass in ordered
-        ),
+        interior_atoms=ordered,
         interior_total=interior_total,
         vertex_part=vertex_part,
         edge_reads=tuple(EdgeRead(edge=eid, atoms=tuple(seen)) for eid, seen in reads.items()),

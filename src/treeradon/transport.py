@@ -13,10 +13,11 @@ every other value at the API stay exact Fractions; a plan's squared cost
 is summed from the solver's own cost matrix.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
-past time 1 all move atoms along explicit constant-speed trajectories.
-Past its target a trajectory follows the geodesics' one walk rule
-(``geodesics._onward``): the smallest other incident edge identifier at
-every vertex, which makes every output deterministic. Trajectories keep
+past time 1 all evaluate one ``WassersteinGeodesic``, which moves atoms
+along explicit constant-speed trajectories. Past its target a trajectory
+follows the geodesics' one walk rule (``geodesics._onward``): the
+smallest other incident edge identifier at every vertex, which makes
+every output deterministic. Trajectories keep
 no state between calls, so plans and Wasserstein geodesics are safe to
 share across threads.
 """
@@ -229,14 +230,11 @@ def _cost_matrix(tree, sources, targets):
 def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
     """An optimal coupling for the squared-distance cost.
 
-    Identical measures pair each atom with itself. Everything else goes
-    through the exact transportation simplex, whose only feasible plan
-    from (or to) a Dirac mass is the unique coupling. The squared cost sums
+    Every pair goes through the exact transportation simplex. From (or to)
+    a Dirac its only feasible plan is the unique coupling; between identical
+    measures the identity is the only plan of cost 0. The squared cost sums
     the solver's own cost matrix over the couplings.
     """
-    if mu.atoms == nu.atoms:
-        couplings = tuple((p, p, m) for p, m in mu.atoms)
-        return TransportPlan(mu, nu, couplings, _ZERO)
     cost = _cost_matrix(tree, mu.atoms, nu.atoms)
     alloc = sorted(_transportation_simplex(
         [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
@@ -331,23 +329,10 @@ class _Trajectory:
             sign = 1 if offset == 0 else -1
 
 
-def _trajectories(tree: Tree, plan: TransportPlan) -> tuple:
-    """One (trajectory, mass) pair per coupling of the plan."""
-    return tuple((_Trajectory(tree, src, dst), mass) for src, dst, mass in plan.couplings)
-
-
-def _move_atoms(tree: Tree, trajectories, t) -> Measure:
-    """The measure with each pair's mass at its trajectory's time-t spot."""
-    return make_measure(tree, ((trajectory.position(t), mass) for trajectory, mass in trajectories))
-
-
 def interpolate(tree: Tree, plan: TransportPlan, t) -> Measure:
     """Displacement interpolation: each coupled mass slides a fraction ``t``
     along its path. ``t`` must lie in [0, 1]."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"interpolation parameter {t} outside [0, 1]")
-    return _move_atoms(tree, _trajectories(tree, plan), t)
+    return WassersteinGeodesic(tree, plan).at(t)
 
 
 def dilate(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
@@ -380,7 +365,9 @@ class WassersteinGeodesic:
         self.tree = tree
         self.plan = plan
         self.interval = (_ZERO, horizon)
-        self._trajectories = _trajectories(tree, plan)
+        self._trajectories = tuple(
+            (_Trajectory(tree, src, dst), mass) for src, dst, mass in plan.couplings
+        )
 
     @classmethod
     def from_dirac(cls, tree: Tree, x: TreePoint, mu: Measure, horizon=_ONE):
@@ -392,7 +379,9 @@ class WassersteinGeodesic:
         lo, hi = self.interval
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
-        return _move_atoms(self.tree, self._trajectories, t)
+        return make_measure(
+            self.tree, ((trajectory.position(t), mass) for trajectory, mass in self._trajectories)
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -431,21 +420,15 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
     else:
         top = min(max_cycle_len, n)
 
-    def d2(a, b):
-        d = tree.distance(a, b)
-        return d * d
-
-    own = [d2(p, q) for p, q in pairs]
+    # cost[a][b] = d²(source of pair a, target of pair b), each taken once
+    cost = [[tree.distance(p, q) ** 2 for _, q in pairs] for p, _ in pairs]
     for length in range(2, top + 1):
         for combo in itertools.combinations(range(n), length):
-            base = sum(own[k] for k in combo)
+            base = sum(cost[k][k] for k in combo)
             first = combo[0]
             for rest in itertools.permutations(combo[1:]):
                 order = (first,) + rest
-                shifted = sum(
-                    d2(pairs[order[k]][0], pairs[order[(k + 1) % length]][1])
-                    for k in range(length)
-                )
+                shifted = sum(cost[order[k]][order[(k + 1) % length]] for k in range(length))
                 if shifted < base:
                     return CycleViolation(
                         tuple(pairs[k] for k in order), base, shifted

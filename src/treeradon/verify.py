@@ -188,6 +188,19 @@ class DiracExtensionCheck:
         return self.geodesic_property_ok and all(w.violated for w in self.witnesses)
 
 
+def _scaling_failure(tree: Tree, snapshots, base: Fraction):
+    """The first (s, t, W²(μ_s, μ_t), (t−s)²·base) with s < t whose two
+    values differ, or None."""
+    times = sorted(snapshots)
+    for i, s in enumerate(times):
+        for t in times[i + 1:]:
+            got = w2_squared(tree, snapshots[s], snapshots[t])
+            want = (t - s) * (t - s) * base
+            if got != want:
+                return s, t, got, want
+    return None
+
+
 def check_dirac_preserved_extension(tree: Tree, x: TreePoint, mu: Measure,
                                     horizon) -> DiracExtensionCheck:
     """Assert that geodesics from a Dirac extend exactly and geodesics onto
@@ -202,15 +215,9 @@ def check_dirac_preserved_extension(tree: Tree, x: TreePoint, mu: Measure,
         raise ValueError("horizon must exceed 1")
     x = tree.canonical_point(x)
     family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon)
-    base = family.plan.squared_cost
-    times = sorted({_ZERO, _HALF, Fraction(1), (1 + horizon) / 2, horizon})
+    times = {_ZERO, _HALF, Fraction(1), (1 + horizon) / 2, horizon}
     snapshots = {t: family.at(t) for t in times}
-    ok = True
-    for i, s in enumerate(times):
-        for t in times[i + 1:]:
-            expected = (t - s) * (t - s) * base
-            if w2_squared(tree, snapshots[s], snapshots[t]) != expected:
-                ok = False
+    ok = _scaling_failure(tree, snapshots, family.plan.squared_cost) is None
     witnesses = ()
     if not mu.is_dirac:
         targets = sorted(mu.support, key=point_sort_key)[:2]
@@ -425,14 +432,11 @@ def _prop_geodesic_property(cfg, rng):
         times = (_ZERO, Fraction(1, 4), Fraction(3, 4), Fraction(1))
         snaps = {t: interpolate(tree, plan, t) for t in times}
         label = "interpolation"
-    ts = sorted(snaps)
-    for i, s in enumerate(ts):
-        for t in ts[i + 1:]:
-            got = w2_squared(tree, snaps[s], snaps[t])
-            want = (t - s) * (t - s) * base
-            if got != want:
-                return {"tree": tree.describe(),
-                        "detail": f"{label}: W2^2({s},{t}) = {got}, expected {want}"}
+    failure = _scaling_failure(tree, snaps, base)
+    if failure is not None:
+        s, t, got, want = failure
+        return {"tree": tree.describe(),
+                "detail": f"{label}: W2^2({s},{t}) = {got}, expected {want}"}
     return None
 
 
@@ -637,10 +641,10 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(r.failures == 0 for r in self.properties)
 
-    def to_dict(self, include_duration: bool = False) -> dict:
-        # Duration is excluded by default so report files stay a pure
-        # function of (inputs, flags, seed).
-        out = {
+    def to_dict(self) -> dict:
+        # Duration is left out so report files stay a pure function of
+        # (inputs, flags, seed).
+        return {
             "seed": self.seed,
             "trials": self.trials,
             "ok": self.ok,
@@ -655,9 +659,6 @@ class SuiteReport:
                 for r in self.properties
             ],
         }
-        if include_duration:
-            out["duration_seconds"] = self.duration_seconds
-        return out
 
 
 def _shrink(check, cfg: SuiteConfig, name: str, payload: dict) -> dict:

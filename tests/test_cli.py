@@ -298,6 +298,49 @@ def test_seeded_reconstruct_files_are_byte_identical(tmp_path, capsys, seed, ske
     assert digests == SEEDED_RECONSTRUCT_SHA256[(seed, skeleton)]
 
 
+# Digests of ``treeradon gen-tree`` files, keyed by (mode, min valency, max
+# valency, max vertices, seed), written at the commit before the generator
+# stopped recounting degrees; they pin both the contraction of valency-2
+# vertices and the rays attached in complete mode.
+SEEDED_GEN_TREE_SHA256 = {
+    ("finite", 3, 5, 8, 0): "ae5e0401f8ead4017d855e6dc9586eae5da9aec175f1b47205cd172cf23e0edb",
+    ("finite", 3, 5, 8, 1): "ba56f6d12efafeaa27c51c780e179a4e94ca8a06bdaad8ad24919ffec29571d8",
+    ("finite", 3, 5, 8, 2): "fa7570f7be6bf8a7f52f9826bad7540709926a1bef049552fe50abf57194a751",
+    ("finite", 1, 3, 8, 0): "d38b6764c60fcf573e94649775147d1df0c1720b57b31faa45af9988f62eff38",
+    ("finite", 1, 3, 8, 1): "ba56f6d12efafeaa27c51c780e179a4e94ca8a06bdaad8ad24919ffec29571d8",
+    ("finite", 1, 3, 8, 2): "458db34722eee83f8c56fcbd37ccb911d4cf00a56b8056e709ef02bd7a3b1962",
+    ("finite", 1, 5, 60, 0): "8b1f5c56faa0c36483545d9df5ee0590351675606c72e2c2a05f8dfb2cfdbee3",
+    ("finite", 1, 5, 60, 1): "5def3925c3c1e59ee33ca891f4e816f3fae037957c2fac7ec533417d2d58c2ba",
+    ("finite", 1, 5, 60, 2): "597be9f8add0b60a42c63cc9f93565647146c301034c7c0dda5432b58b9497e7",
+    ("finite", 4, 6, 60, 0): "6e37637a951f7a1320b7e6fe5acff404978cc77d01a148f2c6f525ae40aeef1f",
+    ("finite", 4, 6, 60, 1): "5def3925c3c1e59ee33ca891f4e816f3fae037957c2fac7ec533417d2d58c2ba",
+    ("finite", 4, 6, 60, 2): "d45e25992a79c24e1f4fb59986f40ee2bffaa94b979c59ab18db55673bb93221",
+    ("complete", 3, 5, 8, 0): "181e7512cf1e77c1e32b3f7bc0a40714d48b9cb198b15301f28156df27fbec2e",
+    ("complete", 3, 5, 8, 1): "5a9bc562f16024904757a71b3121fc71fb109b65d4e9b9565bae5e75b828afbb",
+    ("complete", 3, 5, 8, 2): "003dd64e75b7f6988692e70e96e3a64e3e36e17ed2e6e78f5dc74f96ec1e9b6e",
+    ("complete", 1, 3, 8, 0): "428a5eb775b1169083c1a1aba2a026bc863c03d7d69c9ffada99ac83dde42f38",
+    ("complete", 1, 3, 8, 1): "5a9bc562f16024904757a71b3121fc71fb109b65d4e9b9565bae5e75b828afbb",
+    ("complete", 1, 3, 8, 2): "003dd64e75b7f6988692e70e96e3a64e3e36e17ed2e6e78f5dc74f96ec1e9b6e",
+    ("complete", 1, 5, 60, 0): "a4a436be34f82a1612b02d438e88a19901f7b3f4a5079a4100d17e3230cbd001",
+    ("complete", 1, 5, 60, 1): "3a9a4c347d272d832bc0412b9fe33e08a9b817e15cd0bf7df92659882c370cb4",
+    ("complete", 1, 5, 60, 2): "1a7ba1826c6fd7d4074ee1de1061a7d34df4988e8d226dc8dded4daa2c86973c",
+    ("complete", 4, 6, 60, 0): "d2d807b3c1ef874afe5a56782bb2b067f566927426725539ba9ac01bd330c815",
+    ("complete", 4, 6, 60, 1): "bb52815de1d10cf540ffb7022e186837f8c461ad732b1f326fc3ea232f0ffcb9",
+    ("complete", 4, 6, 60, 2): "17d390a5082e89a2e6fee95cceaebaafcbee5d6e999fa7d35d8078ad9e4ddfa8",
+}
+
+
+def test_seeded_gen_tree_files_are_byte_identical(tmp_path, capsys):
+    got = {}
+    for mode, lo, hi, max_vertices, seed in SEEDED_GEN_TREE_SHA256:
+        out = tmp_path / f"{mode}-{lo}-{hi}-{max_vertices}-{seed}.json"
+        assert main(["gen-tree", "--seed", str(seed), "--mode", mode,
+                     "--min-valency", str(lo), "--max-valency", str(hi),
+                     "--max-vertices", str(max_vertices), "--out", str(out)]) == 0
+        got[(mode, lo, hi, max_vertices, seed)] = _sha256(out)
+    assert got == SEEDED_GEN_TREE_SHA256
+
+
 TRIPOD_EDGES = [{"u": "o", "v": t, "len": "1"} for t in ("x", "y", "z")]
 MEASURE = {"atoms": [{"edge": 0, "offset": "0", "mass": "1"}]}
 
