@@ -378,14 +378,48 @@ def perpendicular(tree: Tree, flag: Flag) -> Subtree:
     return Subtree(root=flag.vertex, vertices=frozenset(vertices), edges=frozenset(edges))
 
 
-def _onward(tree: Tree, vertex: VertexId, via: int, bounce: bool = False) -> int | None:
+def _onward(tree: Tree, vertex: VertexId, via: int) -> int | None:
     """The one walk rule: the smallest-id edge at ``vertex`` other than
-    ``via``, the edge the walk arrived by. At a leaf the walk turns back
-    along ``via`` when ``bounce`` is set, and stops (None) otherwise."""
-    nxt = next((eid for eid in tree.incident_edges(vertex) if eid != via), None)
-    if nxt is None and bounce:
-        return via
-    return nxt
+    ``via``, the edge the walk arrived by, or None at a leaf."""
+    return next((eid for eid in tree.incident_edges(vertex) if eid != via), None)
+
+
+def _travel(segment: Geodesic, t) -> TreePoint:
+    """Where constant-speed travel along a finite segment is at time
+    ``t ≥ 0``, reaching the segment's end at time 1.
+
+    Up to the end this is the segment's own point. Past it, each call walks
+    afresh: it finishes the last edge in the direction its chart gives,
+    then takes the walk rule ``_onward`` at every vertex and turns back
+    along the edge it came by at a leaf, so the speed stays constant on
+    trees with leaves. A zero-length segment stays at its point.
+    """
+    s = t * segment.length
+    extra = s - segment.length
+    if extra <= 0:
+        return segment.point_at(s)
+    tree = segment.tree
+    eid = segment.edges[-1]
+    rec = tree.edge(eid)
+    offset = segment._offset_on(segment.end, rec)
+    sign = segment._chart[-1][1]
+    # an end on a vertex has no room left on its edge, so the first pass
+    # turns straight onto the walk rule there
+    while True:
+        if sign < 0:
+            room = offset
+        else:
+            room = None if rec.length is None else rec.length - offset
+        if room is None or extra <= room:
+            return tree.point(eid, offset + sign * extra)
+        extra -= room
+        vertex = rec.u if sign < 0 else rec.v
+        nxt = _onward(tree, vertex, eid)
+        if nxt is not None:
+            eid = nxt
+            rec = tree.edge(eid)
+        offset = rec.endpoint_offset(vertex)
+        sign = 1 if offset == 0 else -1
 
 
 def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onward):

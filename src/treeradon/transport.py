@@ -13,13 +13,14 @@ every other value at the API stay exact Fractions; a plan's squared cost
 is summed from the solver's own cost matrix.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
-past time 1 all evaluate one ``WassersteinGeodesic``, which moves atoms
-along explicit constant-speed trajectories. Past its target a trajectory
-follows the geodesics' one walk rule (``geodesics._onward``): the
-smallest other incident edge identifier at every vertex, which makes
-every output deterministic. Trajectories keep
-no state between calls, so plans and Wasserstein geodesics are safe to
-share across threads.
+past time 1 all evaluate one ``WassersteinGeodesic``, which keeps the
+path of each coupling and moves its mass along it at constant speed
+(``geodesics._travel``). Past its target the mass follows the geodesics'
+one walk rule (``geodesics._onward``): the smallest other incident edge
+identifier at every vertex, which makes every output deterministic, and
+it turns back at a leaf. Each evaluation walks afresh and nothing is
+cached, so plans and Wasserstein geodesics are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import CompletenessError, MeasureError, SolverError
-from .geodesics import _onward, path
+from .geodesics import _travel, path
 from .measures import Measure, dirac, make_measure
 from .tree import Tree, TreePoint, point_sort_key
 
@@ -264,71 +265,6 @@ def w2_squared(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
     return optimal_plan(tree, mu, nu).squared_cost
 
 
-# ---------------------------------------------------------------------- #
-# Constant-speed trajectories                                               #
-# ---------------------------------------------------------------------- #
-
-class _Trajectory:
-    """Constant-speed motion from ``src`` through ``dst``, continued past
-    ``dst`` on demand.
-
-    Speed is d(src, dst) per unit time, so ``position(1) == dst``. Past
-    ``dst`` each call walks afresh: it finishes ``dst``'s edge in the
-    travel direction, then takes the geodesics' one walk rule
-    (``geodesics._onward``, the smallest other edge id) at every vertex.
-    With ``bounce=True`` a leaf reverses the direction instead of failing,
-    which keeps the walk constant-speed in trees with leaves. Nothing is
-    cached, so a trajectory is immutable and safe to share.
-    """
-
-    def __init__(self, tree: Tree, src: TreePoint, dst: TreePoint, bounce: bool = False):
-        self.tree = tree
-        self.src = tree.canonical_point(src)
-        self.dst = tree.canonical_point(dst)
-        self.bounce = bounce
-        if self.src == self.dst:
-            self.segment = None
-            self.unit = _ZERO
-        else:
-            self.segment = path(tree, self.src, self.dst)
-            self.unit = self.segment.length
-
-    def position(self, t) -> TreePoint:
-        t = Fraction(t)
-        if t < 0:
-            raise ValueError(f"negative time {t}")
-        if self.unit == 0:
-            return self.src
-        s = t * self.unit
-        if s <= self.unit:
-            return self.segment.point_at(s)
-        extra = s - self.unit
-        tree = self.tree
-        eid = self.segment.edges[-1]
-        rec = tree.edge(eid)
-        offset = rec.endpoint_offset(self.dst.vertex) if self.dst.is_vertex else self.dst.offset
-        sign = self.segment._chart[-1][1]
-        # a dst on a vertex has no room left on its edge, so the first pass
-        # turns straight onto the walk rule there
-        while True:
-            if sign < 0:
-                room = offset
-            else:
-                room = None if rec.length is None else rec.length - offset
-            if room is None or extra <= room:
-                return tree.point(eid, offset + sign * extra)
-            extra -= room
-            vertex = rec.u if sign < 0 else rec.v
-            eid = _onward(tree, vertex, eid, self.bounce)
-            if eid is None:
-                raise CompletenessError(
-                    "trajectory hits a leaf; the tree is not geodesically complete"
-                )
-            rec = tree.edge(eid)
-            offset = rec.endpoint_offset(vertex)
-            sign = 1 if offset == 0 else -1
-
-
 def interpolate(tree: Tree, plan: TransportPlan, t) -> Measure:
     """Displacement interpolation: each coupled mass slides a fraction ``t``
     along its path. ``t`` must lie in [0, 1]."""
@@ -350,10 +286,14 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
 
 
 class WassersteinGeodesic:
-    """A measure-valued geodesic: a plan plus per-coupling trajectories.
+    """A measure-valued geodesic: a plan plus the path of each coupling,
+    along which its mass travels at constant speed (``geodesics._travel``).
 
     Evaluation at times s, t inside the interval satisfies
-    W²(μ_s, μ_t) = (t−s)²·W²(μ_0, μ_1) exactly.
+    W²(μ_s, μ_t) = (t−s)²·W²(μ_0, μ_1) exactly. A horizon past 1 needs a
+    leafless tree and a plan from a Dirac mass: a geodesic from a measure
+    that is not a Dirac does not extend, and its continued atoms would
+    break the scaling.
     """
 
     def __init__(self, tree: Tree, plan: TransportPlan, horizon=_ONE):
@@ -362,11 +302,13 @@ class WassersteinGeodesic:
             raise ValueError("horizon must be positive")
         if horizon > 1 and not tree.geodesically_complete:
             raise CompletenessError("extension beyond time 1 needs a leafless tree")
+        if horizon > 1 and not plan.source.is_dirac:
+            raise MeasureError("extension beyond time 1 needs a plan from a Dirac mass")
         self.tree = tree
         self.plan = plan
         self.interval = (_ZERO, horizon)
-        self._trajectories = tuple(
-            (_Trajectory(tree, src, dst), mass) for src, dst, mass in plan.couplings
+        self._segments = tuple(
+            (path(tree, src, dst), mass) for src, dst, mass in plan.couplings
         )
 
     @classmethod
@@ -380,7 +322,7 @@ class WassersteinGeodesic:
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
         return make_measure(
-            self.tree, ((trajectory.position(t), mass) for trajectory, mass in self._trajectories)
+            self.tree, ((_travel(segment, t), mass) for segment, mass in self._segments)
         )
 
 
@@ -489,7 +431,7 @@ def check_nonextendable(tree: Tree, mu0: Measure, y: TreePoint, epsilon=_ONE,
     )
     d = tree.distance(y_prime, y)
     if proposed_continuation is None:
-        y2 = _Trajectory(tree, y_prime, y, bounce=True).position(1 + epsilon)
+        y2 = _travel(path(tree, y_prime, y), 1 + epsilon)
     else:
         y2 = tree.canonical_point(proposed_continuation)
         if tree.distance(y, y2) > epsilon * d:

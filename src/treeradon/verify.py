@@ -57,7 +57,6 @@ from .transport import (
     WassersteinGeodesic,
     check_nonextendable,
     dilate,
-    interpolate,
     is_cyclically_monotone,
     optimal_plan,
     w2_squared,
@@ -420,19 +419,16 @@ def _prop_geodesic_property(cfg, rng):
         x = gen_point(tree, rng, cfg.max_denominator)
         mu = gen_measure(cfg, tree, rng, max_atoms=3)
         family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon=2)
-        base = family.plan.squared_cost
         times = (_ZERO, _HALF, Fraction(1), Fraction(3, 2), Fraction(2))
-        snaps = {t: family.at(t) for t in times}
         label = "dirac extension"
     else:
         mu = gen_measure(cfg, tree, rng, max_atoms=3)
         nu = gen_measure(cfg, tree, rng, max_atoms=3)
-        plan = optimal_plan(tree, mu, nu)
-        base = plan.squared_cost
+        family = WassersteinGeodesic(tree, optimal_plan(tree, mu, nu))
         times = (_ZERO, Fraction(1, 4), Fraction(3, 4), Fraction(1))
-        snaps = {t: interpolate(tree, plan, t) for t in times}
         label = "interpolation"
-    failure = _scaling_failure(tree, snaps, base)
+    snaps = {t: family.at(t) for t in times}
+    failure = _scaling_failure(tree, snaps, family.plan.squared_cost)
     if failure is not None:
         s, t, got, want = failure
         return {"tree": tree.describe(),

@@ -35,7 +35,7 @@ from treeradon import (
     w2_squared,
     w2_squared_enumerated,
 )
-from treeradon.transport import _Trajectory
+from treeradon.geodesics import _travel
 
 
 def _report(number, label, failures, total, elapsed=None, budget=None):
@@ -214,7 +214,7 @@ def test_acceptance_7_nonextendability_witness():
         witnesses.append(check_nonextendable(tree, mu, y, epsilon,
                                              proposed_continuation=y))
         y_prime = witnesses[0].y_prime
-        partway = _Trajectory(tree, y_prime, y, bounce=True).position(1 + epsilon / 2)
+        partway = _travel(path(tree, y_prime, y), 1 + epsilon / 2)
         witnesses.append(check_nonextendable(tree, mu, y, epsilon,
                                              proposed_continuation=partway))
         if not all(w.violated for w in witnesses):

@@ -257,6 +257,31 @@ def test_seeded_equal_mass_32x32_plan_file_is_byte_identical(tmp_path, capsys):
     assert _sha256(plan_file) == SEEDED_EQUAL_MASS_PLAN_SHA256
 
 
+# Digests of the interpolate files written at the commit before Wasserstein
+# geodesics walked their plan's path segments directly; the bench transport
+# digest leaves interpolated measures out.
+SEEDED_INTERPOLATE_SHA256 = {
+    ("16x16", "1/3"): "568ba8a6247fdf23127ce8a2914dcef7435d96d130a9d58c253610537538a798",
+    ("16x16", "1/2"): "4cb5e844b0345e6bb67cbe03a5e2a73e11558788a5c16286a39444aca76ff2f2",
+    ("32x32", "1/3"): "8f3bff8911b90da49d68c2bfc20dc734335854faeef4b055a19b273a5e3b8139",
+    ("32x32", "1/2"): "4d4648f1728a691778901abbbd1e97db53eb35b6f049981b3a49866a443530d0",
+}
+
+
+def test_seeded_interpolate_files_are_byte_identical(tmp_path, capsys):
+    for name, write in (("16x16", write_seeded_16x16),
+                        ("32x32", write_seeded_equal_mass_inputs)):
+        tree_file, mu_file, nu_file = write(tmp_path)
+        inputs = [str(tree_file), str(mu_file), str(nu_file)]
+        out = tmp_path / "out.json"
+        for t, ends in (("0", mu_file), ("1", nu_file)):
+            assert main(["interpolate", *inputs, "--t", t, "--out", str(out)]) == 0
+            assert out.read_bytes() == ends.read_bytes()
+        for t in ("1/3", "1/2"):
+            assert main(["interpolate", *inputs, "--t", t, "--out", str(out)]) == 0
+            assert _sha256(out) == SEEDED_INTERPOLATE_SHA256[(name, t)]
+
+
 def write_seeded_reconstruct_inputs(tmp_path, seed):
     """A generated leafless tree and a hidden measure on it, from a fixed seed."""
     config = SuiteConfig(seed=seed, max_vertices=12, max_valency=5, max_atoms=6,

@@ -1,11 +1,12 @@
-"""Constant-speed trajectories against the cached walk they replaced.
+"""Constant-speed travel against the cached walk it replaced.
 
-``_Trajectory.position`` walks past its target afresh on every call, with
-the geodesics' one walk rule. ``ParentTrajectory`` is the earlier code,
-which grew and kept a list of extension segments. On finite and complete
-trees, with and without bouncing at leaves, and at times asked in any
-order, the two must give equal points or raise the same error. A
-Wasserstein geodesic must also come out of any evaluation unchanged.
+``geodesics._travel`` walks past a segment's end afresh on every call,
+with the geodesics' one walk rule, and turns back at a leaf.
+``ParentTrajectory`` is the earlier code, which grew and kept a list of
+extension segments; with ``bounce=True`` it turns back at a leaf too. On
+finite and complete trees, and at times asked in any order, the two must
+give equal points. A Wasserstein geodesic must also come out of any
+evaluation unchanged.
 """
 
 import pickle
@@ -16,43 +17,32 @@ from hypothesis import given, settings, strategies as st
 
 from geodesic_reference import ParentTrajectory
 from treeradon import SuiteConfig, WassersteinGeodesic, gen_measure, gen_point, gen_tree
-from treeradon.transport import _Trajectory
-
-
-def outcome(call, *args):
-    """A call's value, or the class and message of the ValueError it raised
-    (the library's domain errors, CompletenessError among them, are
-    ValueErrors)."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
+from treeradon.geodesics import _travel, path
 
 
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(["finite", "complete"]),
-    st.booleans(),
     st.lists(st.fractions(min_value=0, max_value=6, max_denominator=12), min_size=1, max_size=12),
 )
 @settings(max_examples=60, deadline=None)
-def test_position_matches_parent_trajectory(seed, mode, bounce, times):
+def test_position_matches_parent_trajectory(seed, mode, times):
     rng = random.Random(seed)
     cfg = SuiteConfig(max_vertices=14, max_denominator=8)
     tree = gen_tree(cfg, mode, rng)
     for _ in range(6):
         src = gen_point(tree, rng, cfg.max_denominator)
         dst = src if rng.random() < 0.1 else gen_point(tree, rng, cfg.max_denominator)
-        trajectory = _Trajectory(tree, src, dst, bounce=bounce)
-        reference = ParentTrajectory(tree, src, dst, bounce=bounce)
+        segment = path(tree, src, dst)
+        reference = ParentTrajectory(tree, src, dst, bounce=True)
         # the times at which the walk past dst would land exactly on each
-        # vertex, so that stopping at a leaf is reached as well as passed
+        # vertex, so that turning back at a leaf is reached as well as passed
         if reference.unit:
             times = times + [1 + tree.distance(dst, tree.vertex_point(v)) / reference.unit
                              for v in tree.vertices]
             rng.shuffle(times)
         for t in times:
-            assert outcome(trajectory.position, t) == outcome(reference.position, t)
+            assert _travel(segment, t) == reference.position(t)
 
 
 def test_wasserstein_geodesic_is_unchanged_by_evaluation():

@@ -248,6 +248,17 @@ class TestExtendFromDirac:
         with pytest.raises(ValueError):
             family.at(4)
 
+    def test_extension_needs_a_dirac_source(self, star3):
+        # a geodesic from a non-Dirac measure does not extend past time 1
+        mu = make_measure(star3, [
+            (star3.vertex_point("a"), F(1, 2)),
+            (star3.vertex_point("b"), F(1, 2)),
+        ])
+        plan = optimal_plan(star3, mu, dirac(star3, star3.vertex_point("d")))
+        assert WassersteinGeodesic(star3, plan).at(1) == plan.target
+        with pytest.raises(MeasureError, match="plan from a Dirac mass"):
+            WassersteinGeodesic(star3, plan, horizon=2)
+
 
 class TestNonextendability:
     def test_tripod_witness(self, tripod):
