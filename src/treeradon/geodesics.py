@@ -13,11 +13,13 @@ coordinate is a raw one less the origin's, and each edge carries one
 affine chart ``(base, sign)`` for it: the point at offset ``o`` in the
 edge's own coordinate has raw coordinate ``base + sign·o``.
 
-Projection onto a geodesic is combinatorial: in a tree a point's nearest
-point is where its path first meets the geodesic, so the point climbs the
-tree's parent links from its foot until it reaches a vertex of the
-geodesic's closed vertex path, which maps to its nearest point and raw
-coordinate. No distance is computed.
+Projection onto a geodesic is combinatorial: a point inside one of the
+geodesic's edges reads its raw coordinate from the edge's chart, clipped to
+the finite ends; any other point climbs the tree's parent links from its
+foot until it reaches a vertex of the geodesic's closed vertex path, which
+maps to its nearest point and raw coordinate. No distance is computed. It
+is also the one way a point is located: a geodesic is closed and convex,
+so a point lies on it exactly when it is its own nearest point.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompletenessError, GeodesicError, PointLocationError
+from .rationals import parse_rational
 from .tree import Flag, Subtree, Tree, TreePoint, VertexId
 
 _ZERO = Fraction(0)
@@ -36,13 +39,14 @@ class Geodesic:
     """An injective path with an exact arc-length coordinate system.
 
     Coordinates increase from ``start`` toward ``end``; the ``origin``
-    point has coordinate 0. Instances are immutable and safe to share.
+    point has coordinate 0. Everything, the projection anchors included, is
+    built at construction, so instances are immutable and safe to share.
     """
 
     __slots__ = (
         "tree", "edges", "joints", "start", "end", "origin",
-        "_edge_index", "_joint_raw", "_joint_raw_map", "_chart",
-        "_start_raw", "_end_raw", "_origin_raw", "_anchors",
+        "_edge_index", "_joint_raw", "_chart",
+        "_start_raw", "_end_raw", "_origin_raw", "_anchors", "_apex",
     )
 
     def __init__(self, tree: Tree, edges, joints, start, end, origin=None) -> None:
@@ -97,19 +101,37 @@ class Geodesic:
             chart.append((o_start, -1) if o_end < o_start else (-o_start, 1))
         self._chart = chart
         self._joint_raw = raw
-        self._joint_raw_map = dict(zip(self.joints, raw))
         self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
-        self._anchors = None
         self._start_raw = None if o_start is None else self._edge_raw(o_start, 0)
         self._end_raw = None if o_end is None else self._edge_raw(o_end, -1)
 
+        # Projection anchors: each vertex of the closed vertex path maps to
+        # (nearest point, raw coordinate). Joints map to themselves; the far
+        # vertex of an end edge that is not a ray maps to that (finite) end,
+        # and a single edge's u end is on its start side iff its sign is 1.
+        # The apex is the anchor with the fewest hops from the tree's root.
+        start, end = (self.start, self._start_raw), (self.end, self._end_raw)
+        anchors = {j: (TreePoint(vertex=j), r) for j, r in zip(self.joints, raw)}
+        if raw:
+            if not first.is_ray:
+                anchors[first.other_end(self.joints[0])] = start
+            if not last.is_ray:
+                anchors[last.other_end(self.joints[-1])] = end
+        else:
+            near_u, near_v = (start, end) if chart[0][1] > 0 else (end, start)
+            anchors[first.u] = near_u
+            if not first.is_ray:
+                anchors[first.v] = near_v
+        self._anchors = anchors
+        self._apex = min(anchors, key=tree._hops.__getitem__)
+
         if origin is None:
-            origin = self.start if self.start is not None else TreePoint(vertex=self.joints[0])
-        self.origin = tree.canonical_point(origin)
-        origin_raw = self._raw_of(self.origin)
-        if origin_raw is None:
-            raise GeodesicError("origin must lie on the geodesic")
-        self._origin_raw = origin_raw
+            self.origin, self._origin_raw = anchors[self.joints[0]] if self.start is None else start
+        else:
+            self.origin = tree.canonical_point(origin)
+            self._origin_raw = self._raw_of(self.origin)
+            if self._origin_raw is None:
+                raise GeodesicError("origin must lie on the geodesic")
 
     # ------------------------------------------------------------------ #
 
@@ -122,26 +144,10 @@ class Geodesic:
         return point.offset
 
     def _raw_of(self, point: TreePoint):
-        """Raw coordinate of a canonical point, or None when off the geodesic."""
-        if point.is_vertex:
-            v = point.vertex
-            raw = self._joint_raw_map.get(v)
-            if raw is not None:
-                return raw
-            if self.start is not None and self.start.is_vertex and self.start.vertex == v:
-                return self._start_raw
-            if self.end is not None and self.end.is_vertex and self.end.vertex == v:
-                return self._end_raw
-            return None
-        i = self._edge_index.get(point.edge)
-        if i is None:
-            return None
-        raw = self._edge_raw(point.offset, i)
-        if self._start_raw is not None and raw < self._start_raw:
-            return None
-        if self._end_raw is not None and raw > self._end_raw:
-            return None
-        return raw
+        """Raw coordinate of a canonical point, or None when off the
+        geodesic, that is, when it is not its own nearest point."""
+        near, raw = self._project(point)
+        return raw if near == point else None
 
     def _edge_raw(self, offset: Fraction, i: int) -> Fraction:
         """Raw coordinate of the point at ``offset`` on the geodesic's i-th
@@ -149,36 +155,6 @@ class Geodesic:
         ``base - offset`` for -1. It extends past the finite ends."""
         base, sign = self._chart[i]
         return base + offset if sign > 0 else base - offset
-
-    def _anchor_table(self):
-        """``(anchors, apex)``: every vertex of the geodesic's closed vertex
-        path mapped to ``(nearest point, raw coordinate)``, and the one of
-        those vertices with the fewest hops from the tree's root.
-
-        Joints map to themselves. Any other endpoint of the first or last
-        edge lies at or past a finite end, and maps to the start when its
-        raw coordinate is at most the start's, else to the end. Built on
-        the first projection of an off-geodesic point, in O(J), and kept;
-        threads that race here build equal tables, so sharing a geodesic
-        stays safe.
-        """
-        table = self._anchors
-        if table is not None:
-            return table
-        tree = self.tree
-        anchors = {j: (TreePoint(vertex=j), raw) for j, raw in zip(self.joints, self._joint_raw)}
-        start, end = (self.start, self._start_raw), (self.end, self._end_raw)
-        for i in (0, -1):
-            rec = tree.edges[self.edges[i]]
-            for w in rec.endpoints():
-                if w not in self._joint_raw_map:
-                    raw = self._edge_raw(rec.endpoint_offset(w), i)
-                    near_start = self.start is not None and raw <= self._start_raw
-                    anchors[w] = start if near_start else end
-        hops = tree._hops
-        apex = min(anchors, key=hops.__getitem__)
-        self._anchors = table = (anchors, apex)
-        return table
 
     # ------------------------------------------------------------------ #
     # Public geometry                                                      #
@@ -219,7 +195,7 @@ class Geodesic:
         """The point with the given arc-length coordinate. Off the joints,
         the insertion index ``t`` of its raw coordinate among the joints'
         is its edge, whose chart gives the offset."""
-        raw = Fraction(coordinate) + self._origin_raw
+        raw = parse_rational(coordinate) + self._origin_raw
         if self._start_raw is not None and raw < self._start_raw:
             raise GeodesicError(f"coordinate {coordinate} is before the start")
         if self._end_raw is not None and raw > self._end_raw:
@@ -235,12 +211,13 @@ class Geodesic:
 
         In a tree the nearest point is where the path from the point first
         meets the geodesic, which is combinatorial: no distance is taken.
-        A point on the geodesic is its own answer. A point inside one of
-        the geodesic's edges but off the geodesic lies past a finite end
-        of that edge, and the answer is that end. Any other point climbs
-        the tree's parent links from its foot while its hop count is at
-        least the apex's (see ``_anchor_table``); the first anchor met gives
-        the answer, or the apex's anchor when none is met.
+        A point inside one of the geodesic's edges reads its raw coordinate
+        from that edge's chart, and is its own answer unless it lies past a
+        finite end, whose answer is that end. Any other point, a vertex
+        included, climbs the tree's parent links from its foot while its
+        hop count is at least the apex's (the anchors and apex are built in
+        ``__init__``); the first anchor met gives the answer, or the apex's
+        anchor when none is met.
 
         Why the climb is right: the anchors form a connected vertex path P
         whose highest vertex is the apex, and P with its edges lies in the
@@ -259,16 +236,15 @@ class Geodesic:
     def _project(self, point: TreePoint):
         """``(nearest point, raw coordinate)`` for a canonical point, found
         as :meth:`project` describes."""
-        raw = self._raw_of(point)
-        if raw is not None:
-            return point, raw
         i = self._edge_index.get(point.edge)
         if i is not None:
-            if self._start_raw is not None and self._edge_raw(point.offset, i) < self._start_raw:
+            raw = self._edge_raw(point.offset, i)
+            if self._start_raw is not None and raw < self._start_raw:
                 return self.start, self._start_raw
-            return self.end, self._end_raw
-        anchors, apex = self._anchor_table()
-        tree = self.tree
+            if self._end_raw is not None and raw > self._end_raw:
+                return self.end, self._end_raw
+            return point, raw
+        tree, anchors, apex = self.tree, self._anchors, self._apex
         link, hops = tree._link, tree._hops
         top = hops[apex]
         v = tree._foot_vertex(point)
@@ -516,7 +492,7 @@ def check_cat0_triangle(tree: Tree, x: TreePoint, y: TreePoint, z: TreePoint, t)
     inequality lhs ≤ rhs always holds, with equality exactly when the three
     points are aligned or t is an endpoint of [0, 1].
     """
-    t = Fraction(t)
+    t = parse_rational(t)
     if not 0 <= t <= 1:
         raise PointLocationError(f"interpolation parameter {t} outside [0, 1]")
     segment = path(tree, x, z)

@@ -34,6 +34,7 @@ from operator import sub
 from .errors import CompletenessError, MeasureError, SolverError
 from .geodesics import _travel, path
 from .measures import Measure, dirac, make_measure
+from .rationals import parse_rational
 from .tree import Tree, TreePoint, point_sort_key
 
 _ZERO = Fraction(0)
@@ -281,7 +282,7 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
     """Continue the geodesic issued from the Dirac at ``x`` to any time
     ``t ≥ 0``: for t ≤ 1 this is the dilation; beyond 1 each atom keeps
     moving past its target along the deterministic extension."""
-    t = Fraction(t)
+    t = parse_rational(t)
     return WassersteinGeodesic.from_dirac(tree, x, mu, horizon=max(t, _ONE)).at(t)
 
 
@@ -297,7 +298,7 @@ class WassersteinGeodesic:
     """
 
     def __init__(self, tree: Tree, plan: TransportPlan, horizon=_ONE):
-        horizon = Fraction(horizon)
+        horizon = parse_rational(horizon)
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         if horizon > 1 and not tree.geodesically_complete:
@@ -317,7 +318,7 @@ class WassersteinGeodesic:
         return cls(tree, plan, horizon)
 
     def at(self, t) -> Measure:
-        t = Fraction(t)
+        t = parse_rational(t)
         lo, hi = self.interval
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
@@ -422,7 +423,7 @@ def check_nonextendable(tree: Tree, mu0: Measure, y: TreePoint, epsilon=_ONE,
         raise MeasureError("the measure is a Dirac mass; its geodesics do extend")
     if mu0.mass_at(y) == 0:
         raise MeasureError(f"{y!r} is not in the support of the measure")
-    epsilon = Fraction(epsilon)
+    epsilon = parse_rational(epsilon)
     if epsilon < 0:
         raise ValueError(f"negative extension {epsilon}")
 

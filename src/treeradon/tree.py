@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import PointLocationError, TreeStructureError
-from .rationals import format_length, parse_length
+from .rationals import format_length, parse_length, parse_rational
 
 VertexId = Union[str, int]
 
@@ -314,7 +314,7 @@ class Tree:
         location.
         """
         rec = self.edge(edge_id)
-        offset = Fraction(offset)
+        offset = parse_rational(offset)
         if offset < 0:
             raise PointLocationError(f"negative offset {offset} on edge {edge_id}")
         if rec.length is not None and offset > rec.length:

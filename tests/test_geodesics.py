@@ -57,6 +57,60 @@ class TestPath:
         assert not seg.contains(tripod.point(2, F(1, 4)))
 
 
+# (edges, joints, start, end, origin) for star3, with the message each raises
+# (a revisited vertex is TestPath.test_ray_between_two_joints_rejected):
+# spokes 0: c-a, 1: c-b, 2: c-d; rays 3, 4 at a, 5, 6 at b, 7, 8 at d
+BAD_GEODESICS = [
+    (([], [], "c", "c", None), "at least one edge"),
+    (([0, 1], [], "a", "b", None), "junction count must be edge count minus one"),
+    (([0, 0], ["c"], "a", "a", None), "cannot traverse an edge twice"),
+    (([0, 1], ["a"], "a", "b", None), "junction 'a' does not join edges 0 and 1"),
+    (([0, 1], ["c"], None, "b", None), "an infinite end requires a ray edge"),
+    (([0, 1], ["c"], "a", None, None), "an infinite end requires a ray edge"),
+    (([3], [], None, None, None), "a single-edge geodesic needs both endpoints"),
+    (([3], [], "a", None, None), "a single-edge geodesic needs both endpoints"),
+    (([0, 1], ["c"], (2, F(1, 2)), "b", None), "is not on edge 0"),
+    (([0, 1], ["c"], "a", "b", "d"), "origin must lie on the geodesic"),
+    # the start sits halfway along spoke 0, so a and the points past the
+    # start on that spoke are off the geodesic, though their edge is on it
+    (([0, 1], ["c"], (0, F(1, 2)), "b", "a"), "origin must lie on the geodesic"),
+    (([0, 1], ["c"], (0, F(1, 2)), "b", (0, F(3, 4))), "origin must lie on the geodesic"),
+    (([0], [], (0, F(1, 4)), (0, F(1, 2)), "c"), "origin must lie on the geodesic"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_GEODESICS)
+def test_geodesic_constructor_rejects(star3, args, message):
+    def point(spec):
+        if spec is None:
+            return None
+        return star3.vertex_point(spec) if isinstance(spec, str) else star3.point(*spec)
+
+    edges, joints, start, end, origin = args
+    with pytest.raises(GeodesicError, match=message):
+        Geodesic(star3, edges, joints, point(start), point(end), origin=point(origin))
+
+
+def test_flag_geodesic_length_and_equality(star3):
+    geo = geodesic_through_flag(star3, star3.flag("c", 0, 1))
+    assert geo.length is None
+    assert geo.__eq__("c") is NotImplemented
+    assert geo != "c" and geo == geodesic_through_flag(star3, star3.flag("c", 0, 1))
+
+
+def test_geodesic_state_is_fixed_at_construction(star3):
+    geo = geodesic_through_flag(star3, star3.flag("c", 0, 2))
+    before = {name: getattr(geo, name) for name in Geodesic.__slots__}
+    points = [star3.vertex_point(v) for v in "cabd"]
+    points += [star3.point(eid, F(1, 3)) for eid in range(len(star3.edges))]
+    for point in points:
+        near = geo.project(point)
+        assert geo.contains(near)
+        assert geo.contains(point) == (near == point)
+        geo.coordinate_of(near)
+    assert all(getattr(geo, name) is value for name, value in before.items())
+
+
 class TestMidpoint:
     def test_symmetric_tips(self, tripod):
         assert midpoint(tripod, tripod.vertex_point("x"), tripod.vertex_point("y")) \

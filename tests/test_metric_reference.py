@@ -6,7 +6,9 @@ helpers below are the earlier implementations, kept verbatim apart from
 caching: a single-source search from each anchor vertex, the minimum over
 anchor pairs for distances and paths, and for projections both the minimum
 over junctions and finite ends and the tree median of the point and the
-geodesic's finite span.
+geodesic's finite span. Both projection references tell whether a point
+lies on the geodesic with ``ParentCoordinates``, not with the projection
+under test.
 """
 
 import functools
@@ -17,7 +19,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from geodesic_reference import geodesic_through_edge
+from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from treeradon import (
     Geodesic,
     Measure,
@@ -126,7 +128,7 @@ def reference_project(geodesic, point):
     """The nearest of the geodesic's junctions and finite ends."""
     tree = geodesic.tree
     point = tree.canonical_point(point)
-    if geodesic.contains(point):
+    if ParentCoordinates(geodesic)._raw_of(point) is not None:
         return point
     candidates = [tree.vertex_point(j) for j in geodesic.joints]
     candidates += [end for end in (geodesic.start, geodesic.end) if end is not None]
@@ -139,18 +141,19 @@ def reference_project_median(geodesic, point):
     its ray), at coordinate ``c_a + (d(a,x) + (c_b − c_a) − d(x,b))/2``."""
     tree = geodesic.tree
     point = tree.canonical_point(point)
-    if geodesic._raw_of(point) is not None:
+    ref = ParentCoordinates(geodesic)
+    if ref._raw_of(point) is not None:
         return point
     a = geodesic.start if geodesic.start is not None else TreePoint(vertex=geodesic.joints[0])
     b = geodesic.end if geodesic.end is not None else TreePoint(vertex=geodesic.joints[-1])
-    raw_a, raw_b = geodesic._raw_of(a), geodesic._raw_of(b)
+    raw_a, raw_b = ref._raw_of(a), ref._raw_of(b)
     d_a, d_b = tree.distance(a, point), tree.distance(point, b)
     raw = raw_a + (d_a + (raw_b - raw_a) - d_b) / 2
     if raw == raw_a:
         return a
     if raw == raw_b:
         return b
-    return TreePoint(vertex=geodesic.joints[bisect_left(geodesic._joint_raw, raw)])
+    return TreePoint(vertex=geodesic.joints[bisect_left(ref._joint_raw, raw)])
 
 
 def random_tree(rng, n, leaves):
