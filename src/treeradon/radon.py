@@ -5,8 +5,17 @@ of each flag; with k(x) the valency, the closed form
 
     h(x) = 1/(k(x)-1) · Σ_{ef∋x} Rh(x, ef)  -  (k(x)-2)/2 · Σ_y h(y)
 
-recovers the function exactly whenever every valency is at least 3. The
-measure-level transform is the family of projections onto complete
+recovers the function exactly whenever every valency is at least 3.
+Both directions are plain sums, kept to few ``Fraction`` operations:
+``radon_forward`` takes at most one subtraction per flag, and
+``radon_invert`` and the double-counting check sum the flags at each
+vertex as integers at that vertex's own scale, the lcm of their
+denominators, then build one ``Fraction``. No scale is global: one scale
+for the whole tree is the lcm of all its denominators, and when those are
+distinct primes every operation works on numbers as large as the whole
+tree's.
+
+The measure-level transform is the family of projections onto complete
 geodesics; ``reconstruct_measure`` recovers a finitely supported measure
 from the projections onto flag geodesics alone. Each answer gives the flag
 mass at every joint of its geodesic, so a flag already read is not queried
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -97,31 +106,33 @@ def enumerate_flags(tree: Tree) -> list[Flag]:
     return flags
 
 
-def _branch_sums(tree: Tree, h: VertexFunction) -> dict[tuple[VertexId, int], Fraction]:
-    """For every (vertex, incident edge): the sum of h over the component of
-    the tree minus that vertex reached through the edge.
-
-    One subtree-sum pass over the tree's own parent links, which list every
-    parent before its children, gives all of them in O(V + E).
-    """
-    links = tree._link
-    subtree = {v: h.value(v) for v in tree.vertices}
-    for vertex, (parent, _) in reversed(links.items()):
+def _subtree_sums(tree: Tree, h: VertexFunction) -> dict[VertexId, Fraction]:
+    """Σh over each vertex and everything below it, in one pass over the
+    tree's own parent links, which list every parent before its children."""
+    values = h.values
+    subtree = {v: values.get(v, _ZERO) for v in tree.vertices}
+    for vertex, (parent, _) in reversed(tree._link.items()):
         if parent is not None:
             subtree[parent] += subtree[vertex]
+    return subtree
 
+
+def _branch_sums(tree: Tree, h: VertexFunction) -> dict[tuple[VertexId, int], Fraction]:
+    """For every (vertex, incident edge): the sum of h over the component of
+    the tree minus that vertex reached through the edge, in O(V + E)."""
+    edges, incident = tree.edges, tree._incident
+    subtree = _subtree_sums(tree, h)
     total = h.total
     sums: dict[tuple[VertexId, int], Fraction] = {}
-    for vertex, (_, via) in links.items():
-        for eid in tree.incident_edges(vertex):
-            rec = tree.edge(eid)
-            if rec.is_ray:
+    for vertex, (_, via) in tree._link.items():
+        for eid in incident[vertex]:
+            rec = edges[eid]
+            if rec.v is None:
                 sums[(vertex, eid)] = _ZERO
             elif eid == via:
                 sums[(vertex, eid)] = total - subtree[vertex]
             else:
-                child = rec.other_end(vertex)
-                sums[(vertex, eid)] = subtree[child]
+                sums[(vertex, eid)] = subtree[rec.v if rec.u == vertex else rec.u]
     return sums
 
 
@@ -131,20 +142,68 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
 
     The perpendicular of (x, {e, f}) is everything except the two branches
     through e and f, so its vertex sum is Σh minus the two branch sums.
+    Σh minus one branch is taken once per edge to a child of x (for the
+    edge to x's parent it is x's own subtree sum), so each flag costs at
+    most one subtraction, and a flag with a ray costs none: a ray's branch
+    is empty. The sums stay in ``Fraction``s: a flag's denominator is that
+    of its own perpendicular, and an integer pass at one global scale
+    would multiply every flag up to the scale of all the denominators in
+    the tree.
     """
-    sums = _branch_sums(tree, h)
+    subtree = _subtree_sums(tree, h)
     total = h.total
+    links, edges, incident = tree._link, tree.edges, tree._incident
     table: dict[Flag, Fraction] = {}
     for x in tree.vertices:
-        for e, f in combinations(tree.incident_edges(x), 2):
-            table[Flag(x, frozenset((e, f)))] = total - sums[(x, e)] - sums[(x, f)]
+        inc = incident[x]
+        via = links[x][1]
+        # Per incident edge: Σh over its branch and Σh over the rest. A
+        # ray's branch is empty, so a flag with a ray is the other edge's
+        # rest. The parent edge's rest is x's subtree, so a flag with it
+        # subtracts the other edge's branch from that, and the parent
+        # edge's own branch is never needed.
+        branch, rest = [], []
+        for eid in inc:
+            rec = edges[eid]
+            if rec.v is None:
+                branch.append(None)
+                rest.append(total)
+            elif eid == via:
+                branch.append(None)
+                rest.append(subtree[x])
+            else:
+                inside = subtree[rec.v if rec.u == x else rec.u]
+                branch.append(inside)
+                rest.append(total - inside)
+        for i, e in enumerate(inc):
+            for j in range(i + 1, len(inc)):
+                f = inc[j]
+                if edges[f].v is None:
+                    value = rest[i]
+                elif edges[e].v is None:
+                    value = rest[j]
+                elif f == via:
+                    value = rest[j] - branch[i]
+                else:
+                    value = rest[i] - branch[j]
+                table[Flag(x, frozenset((e, f)))] = value
     return FlagTable(table)
 
 
-def _flag_sum(tree: Tree, table: FlagTable, x: VertexId) -> Fraction:
-    """Σ Rh(x, ef) over the C(k,2) flags at ``x``."""
-    pairs = combinations(tree.incident_edges(x), 2)
-    return sum((table.value(Flag(x, frozenset(pair))) for pair in pairs), _ZERO)
+def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
+              total: Fraction = _ZERO) -> tuple[int, int]:
+    """Σ Rh(x, ef) over the C(k,2) flags at ``x``, as an integer numerator
+    over a scale D_x: the lcm of the flag values' denominators and of
+    ``total``'s.
+
+    The scale is per vertex. One scale for the whole table would be the
+    lcm of every denominator in it, and each vertex would pay for the
+    denominators of all the others.
+    """
+    values = [table.value(Flag(x, frozenset(pair)))
+              for pair in combinations(tree.incident_edges(x), 2)]
+    scale = lcm(total.denominator, *(value.denominator for value in values))
+    return sum(value.numerator * (scale // value.denominator) for value in values), scale
 
 
 @dataclass(frozen=True)
@@ -175,14 +234,17 @@ def double_count_check(tree: Tree, h: VertexFunction, x: VertexId,
     if table is None:
         table = radon_forward(tree, h)
     rhs = comb(k - 1, 2) * h.total + (k - 1) * h.value(x)
-    return DoubleCountIdentity(vertex=x, lhs=_flag_sum(tree, table, x), rhs=rhs)
+    return DoubleCountIdentity(vertex=x, lhs=Fraction(*_flag_sum(tree, table, x)), rhs=rhs)
 
 
 def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     """Recover the vertex function from its flag table and its total sum.
 
     Requires every valency ≥ 3 (equivalently: no leaves, given that
-    valency 2 is banned); the table must cover every flag.
+    valency 2 is banned); the table must cover every flag. Each h(x) is
+    one ``Fraction`` built from integers at x's own scale D_x (see
+    :func:`_flag_sum`): with S/D_x the flag sum and T/D_x the total,
+    h(x) = (2S − (k−1)(k−2)·T) / (2·D_x·(k−1)).
     """
     total = parse_rational(total)
     for v in tree.vertices:
@@ -193,9 +255,11 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     values: dict[VertexId, Fraction] = {}
     for x in tree.vertices:
         k = tree.valency(x)
-        hx = _flag_sum(tree, table, x) / (k - 1) - Fraction(k - 2, 2) * total
-        if hx != 0:
-            values[x] = hx
+        flag_sum, scale = _flag_sum(tree, table, x, total)
+        scaled_total = total.numerator * (scale // total.denominator)
+        numerator = 2 * flag_sum - (k - 1) * (k - 2) * scaled_total
+        if numerator:
+            values[x] = Fraction(numerator, 2 * scale * (k - 1))
     return VertexFunction(values)
 
 

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from treeradon import build_tree
+
+# Properties that check a kernel against its reference implementation run
+# 40 examples each in tier-1; TREERADON_SOLVER_PROFILE=solver-deep runs 300
+# each (CI does, in its own steps).
+settings.register_profile("solver", max_examples=40, deadline=None)
+settings.register_profile("solver-deep", max_examples=300, deadline=None)
 
 # Fixture trees used throughout. Edge ids are list positions.
 #

@@ -157,6 +157,10 @@ def test_acceptance_6_thales_criterion():
     strict_seen = equality_seen = 0
     case = 0
     while strict_seen + equality_seen < 200:
+        # 255 cases reach 200 configurations; a geodesic that claims every
+        # point would skip every strict case and never get there
+        assert case < 2_000, (f"{case} cases gave only {strict_seen} strict and "
+                              f"{equality_seen} equality configurations of 200")
         rng = random.Random(f"acc6:{case}")
         case += 1
         tree = gen_tree(cfg, "complete", rng)

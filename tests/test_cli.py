@@ -14,6 +14,7 @@ from treeradon import (
     gen_measure,
     gen_point,
     gen_tree,
+    gen_vertex_function,
     io,
     make_measure,
     vertex_function,
@@ -321,6 +322,57 @@ def test_seeded_reconstruct_files_are_byte_identical(tmp_path, capsys, seed, ske
     assert main(argv) == 0
     digests = (_sha256(tree_file), _sha256(hidden_file), _sha256(out))
     assert digests == SEEDED_RECONSTRUCT_SHA256[(seed, skeleton)]
+
+
+def write_seeded_radon_inputs(tmp_path):
+    """A generated leafless tree of 208 vertices and two vertex functions
+    on it, from a fixed seed: one with denominators up to 12, and one with
+    a distinct prime denominator per vertex, whose flag values carry
+    denominators of hundreds of digits."""
+    seed = 6
+    config = SuiteConfig(seed=seed, max_vertices=400)
+    rng = random.Random(seed)
+    tree = gen_tree(config, "complete", rng)
+    primes = [p for p in range(1009, 4096) if all(p % d for d in range(2, 64))]
+    functions = {
+        "small": gen_vertex_function(config, tree, rng),
+        "prime": vertex_function(tree, {v: F(rng.randint(-50, 50), p)
+                                        for v, p in zip(tree.vertices, primes)}),
+    }
+    tree_file = tmp_path / "tree.json"
+    io.save_tree(tree, tree_file)
+    h_files = {}
+    for kind, h in functions.items():
+        h_files[kind] = tmp_path / f"h-{kind}.json"
+        io.save_vertex_function(h, h_files[kind])
+    return tree_file, h_files, {kind: h.total for kind, h in functions.items()}
+
+
+# Digests of the files written at the commit before the Radon kernels summed
+# each vertex's flags as integers and took at most one subtraction per flag,
+# keyed by h kind: (h file, radon table file). Inverting the table must give
+# the h file back byte for byte.
+SEEDED_RADON_TREE_SHA256 = "3a28fcb2a15724db3821aeb11680bdfc91189b605efc8292676b0b82ef73bcea"
+SEEDED_RADON_SHA256 = {
+    "small": ("07d0e2e715ba7e48be313b6576461d686d38dc479c9bcaccf6ed0944eea15e9a",
+              "a0f73d94d71e71e3d1aa1aad1052e6d1ea24348e0abb3d0ba36d41fe6106d919"),
+    "prime": ("2ccbb4d643f81f26cc35f112f412c72b30498f464627a0007c902c217bcd0a0e",
+              "86e24e12447ec1bbf28c0d549e166d8264b8bc62e6231895175b9b960721e8cd"),
+}
+
+
+def test_seeded_radon_and_invert_files_are_byte_identical(tmp_path, capsys):
+    tree_file, h_files, totals = write_seeded_radon_inputs(tmp_path)
+    got = {}
+    for kind, h_file in h_files.items():
+        table_file, inverse_file = tmp_path / f"table-{kind}.json", tmp_path / f"inv-{kind}.json"
+        assert main(["radon", str(tree_file), str(h_file), "--out", str(table_file)]) == 0
+        assert main(["invert", str(tree_file), str(table_file), f"--total={totals[kind]}",
+                     "--out", str(inverse_file)]) == 0
+        assert inverse_file.read_bytes() == h_file.read_bytes()
+        got[kind] = (_sha256(h_file), _sha256(table_file))
+    assert _sha256(tree_file) == SEEDED_RADON_TREE_SHA256
+    assert got == SEEDED_RADON_SHA256
 
 
 # Digests of ``treeradon gen-tree`` files, keyed by (mode, min valency, max

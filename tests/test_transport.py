@@ -587,11 +587,7 @@ def symmetric_tie_instance(draw):
     return _solver_instance(star3, src, dst, [F(1, n)] * n, [F(1, m)] * m)
 
 
-# The two properties below run 40 examples each in tier-1; setting
-# TREERADON_SOLVER_PROFILE=solver-deep runs 300 each (CI does, in its own
-# step).
-settings.register_profile("solver", max_examples=40, deadline=None)
-settings.register_profile("solver-deep", max_examples=300, deadline=None)
+# The two properties below run under the "solver" profile (see conftest.py).
 SOLVER_SETTINGS = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
 
 
