@@ -8,18 +8,22 @@ covers finite segments, maximal geodesics in trees with leaves, and
 complete geodesics in leafless trees. Each geodesic carries an arc-length
 coordinate system (an origin point and an orientation given by edge
 order); for geodesics built through a flag the origin is the flag vertex
-and the positive direction heads into the smaller edge identifier. The
-coordinate is a raw one less the origin's, and each edge carries one
+and the positive direction heads into the smaller edge identifier. Raw
+coordinates are measured from the origin, whose raw coordinate is 0, so a
+raw coordinate is the arc-length coordinate itself. Each edge carries one
 affine chart ``(base, sign)`` for it: the point at offset ``o`` in the
-edge's own coordinate has raw coordinate ``base + sign·o``.
+edge's own coordinate has coordinate ``base + sign·o``.
 
 Projection onto a geodesic is combinatorial: a point inside one of the
 geodesic's edges reads its raw coordinate from the edge's chart, clipped to
 the finite ends; any other point climbs the tree's parent links from its
 foot until it reaches a vertex of the geodesic's closed vertex path, which
 maps to its nearest point and raw coordinate. No distance is computed. It
-is also the one way a point is located: a geodesic is closed and convex,
-so a point lies on it exactly when it is its own nearest point.
+is also the one way a built geodesic locates a point: a geodesic is closed
+and convex, so a point lies on it exactly when it is its own nearest point.
+Only the origin is placed before the charts exist, since they are built
+from it: it is a joint, or a point of one of the edges that lies between
+the ends once they have their coordinates.
 """
 
 from __future__ import annotations
@@ -39,14 +43,19 @@ class Geodesic:
     """An injective path with an exact arc-length coordinate system.
 
     Coordinates increase from ``start`` toward ``end``; the ``origin``
-    point has coordinate 0. Everything, the projection anchors included, is
-    built at construction, so instances are immutable and safe to share.
+    point has coordinate 0, and the charts are built outward from it, so
+    the stored raw coordinates (joints, ends, chart bases, projection
+    anchors) are arc-length coordinates with no origin to add or subtract.
+    The origin defaults to the start, or to the first joint when the start
+    is infinite; one off the geodesic raises :class:`GeodesicError`.
+    Everything is built at construction, so instances are immutable and
+    safe to share.
     """
 
     __slots__ = (
         "tree", "edges", "joints", "start", "end", "origin",
         "_edge_index", "_joint_raw", "_chart",
-        "_start_raw", "_end_raw", "_origin_raw", "_anchors", "_apex",
+        "_start_raw", "_end_raw", "_anchors", "_apex",
     )
 
     def __init__(self, tree: Tree, edges, joints, start, end, origin=None) -> None:
@@ -61,13 +70,7 @@ class Geodesic:
             raise GeodesicError("a geodesic cannot traverse an edge twice")
         if len(set(self.joints)) != len(self.joints):
             raise GeodesicError("a geodesic cannot revisit a vertex")
-        # One pass in edge order checks each junction and builds the joints'
-        # raw coordinates (0 at the first) and each edge's chart but the last;
-        # a chart's base is the raw coordinate of the edge's u end. An edge
-        # between two joints is finite, as a ray has one vertex. A single
-        # edge's raw coordinate runs from 0 at its start toward its end.
         records = [tree.edge(self.edges[0])]
-        raw, chart = [], []
         for i, j in enumerate(self.joints):
             left = records[i]
             right = tree.edge(self.edges[i + 1])
@@ -76,12 +79,6 @@ class Geodesic:
                     f"junction {j!r} does not join edges {left.id} and {right.id}"
                 )
             records.append(right)
-            r = raw[-1] + left.length if raw else _ZERO
-            raw.append(r)
-            if left.u == j:
-                chart.append((r, -1))
-            else:
-                chart.append((raw[i - 1], 1) if i else (-left.length, 1))
 
         self.start = tree.canonical_point(start) if start is not None else None
         self.end = tree.canonical_point(end) if end is not None else None
@@ -92,18 +89,63 @@ class Geodesic:
             raise GeodesicError("an infinite end requires a ray edge")
         o_start = None if self.start is None else self._offset_on(self.start, first)
         o_end = None if self.end is None else self._offset_on(self.end, last)
-        if raw:
-            r = raw[-1]
-            chart.append((r, 1) if last.u == self.joints[-1] else (r + last.length, -1))
+        joints, n = self.joints, len(self.joints)
+        if not n and (o_start is None or o_end is None):
+            raise GeodesicError("a single-edge geodesic needs both endpoints")
+        self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
+
+        # Locate the origin: a joint k, or an offset o on edge i, where it
+        # must lie between the ends (checked once they have coordinates).
+        if origin is None:
+            self.origin = TreePoint(vertex=joints[0]) if self.start is None else self.start
         else:
-            if o_start is None or o_end is None:
-                raise GeodesicError("a single-edge geodesic needs both endpoints")
-            chart.append((o_start, -1) if o_end < o_start else (-o_start, 1))
+            self.origin = tree.canonical_point(origin)
+        v = self.origin.vertex
+        k = joints.index(v) if v is not None and v in joints else None
+        if k is None:
+            if v is None:
+                i = self._edge_index.get(self.origin.edge)
+            else:
+                i = 0 if v in first.endpoints() else n if v in last.endpoints() else None
+            if i is None:
+                raise GeodesicError("origin must lie on the geodesic")
+            o = self._offset_on(self.origin, records[i])
+
+        # The chart pass starts at the origin and accumulates edge lengths
+        # outward both ways, one Fraction operation per joint. It starts at
+        # joint k with raw coordinate r: 0 at the origin's own joint; else
+        # the distance along the origin's edge i to the joint ahead, or, on
+        # the last edge, minus the distance back to the last joint. A
+        # chart's base is the raw coordinate of the edge's u end; an edge
+        # between two joints is finite, as a ray has one vertex. A single
+        # edge's chart runs from its start toward its end.
+        if n:
+            r = _ZERO
+            if k is None:
+                k = min(i, n - 1)
+                rec = records[i]
+                r = o if rec.u == joints[k] else rec.length - o
+                if i == n:
+                    r = -r
+            raw = [r] * n
+            for t in range(k + 1, n):
+                raw[t] = raw[t - 1] + records[t].length
+            for t in range(k - 1, -1, -1):
+                raw[t] = raw[t + 1] - records[t + 1].length
+            chart = [(raw[0], -1) if first.u == joints[0] else (raw[0] - first.length, 1)]
+            chart += [(raw[t - 1], 1) if records[t].u == joints[t - 1] else (raw[t], -1)
+                      for t in range(1, n)]
+            chart.append((raw[-1], 1) if last.u == joints[-1] else (raw[-1] + last.length, -1))
+        else:
+            raw = []
+            chart = [(o, -1) if o_end < o_start else (-o, 1)]
         self._chart = chart
         self._joint_raw = raw
-        self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
         self._start_raw = None if o_start is None else self._edge_raw(o_start, 0)
         self._end_raw = None if o_end is None else self._edge_raw(o_end, -1)
+        if origin is not None and ((self._start_raw is not None and self._start_raw > 0)
+                                   or (self._end_raw is not None and self._end_raw < 0)):
+            raise GeodesicError("origin must lie on the geodesic")
 
         # Projection anchors: each vertex of the closed vertex path maps to
         # (nearest point, raw coordinate). Joints map to themselves; the far
@@ -111,12 +153,12 @@ class Geodesic:
         # and a single edge's u end is on its start side iff its sign is 1.
         # The apex is the anchor with the fewest hops from the tree's root.
         start, end = (self.start, self._start_raw), (self.end, self._end_raw)
-        anchors = {j: (TreePoint(vertex=j), r) for j, r in zip(self.joints, raw)}
+        anchors = {j: (TreePoint(vertex=j), r) for j, r in zip(joints, raw)}
         if raw:
             if not first.is_ray:
-                anchors[first.other_end(self.joints[0])] = start
+                anchors[first.other_end(joints[0])] = start
             if not last.is_ray:
-                anchors[last.other_end(self.joints[-1])] = end
+                anchors[last.other_end(joints[-1])] = end
         else:
             near_u, near_v = (start, end) if chart[0][1] > 0 else (end, start)
             anchors[first.u] = near_u
@@ -124,14 +166,6 @@ class Geodesic:
                 anchors[first.v] = near_v
         self._anchors = anchors
         self._apex = min(anchors, key=tree._hops.__getitem__)
-
-        if origin is None:
-            self.origin, self._origin_raw = anchors[self.joints[0]] if self.start is None else start
-        else:
-            self.origin = tree.canonical_point(origin)
-            self._origin_raw = self._raw_of(self.origin)
-            if self._origin_raw is None:
-                raise GeodesicError("origin must lie on the geodesic")
 
     # ------------------------------------------------------------------ #
 
@@ -189,13 +223,13 @@ class Geodesic:
         raw = self._raw_of(self.tree.canonical_point(point))
         if raw is None:
             raise GeodesicError(f"point {point!r} is not on the geodesic")
-        return raw - self._origin_raw
+        return raw
 
     def point_at(self, coordinate) -> TreePoint:
         """The point with the given arc-length coordinate. Off the joints,
         the insertion index ``t`` of its raw coordinate among the joints'
         is its edge, whose chart gives the offset."""
-        raw = parse_rational(coordinate) + self._origin_raw
+        raw = parse_rational(coordinate)
         if self._start_raw is not None and raw < self._start_raw:
             raise GeodesicError(f"coordinate {coordinate} is before the start")
         if self._end_raw is not None and raw > self._end_raw:

@@ -106,9 +106,12 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     """Project a measure onto a geodesic: each atom moves to its nearest
     point, masses at equal coordinates merge.
 
-    Each atom's coordinate comes from the same parent-link lookup that
-    finds its nearest point (``Geodesic._project``), so no distance is
-    taken and no coordinate is searched for twice.
+    Each atom's coordinate is the raw coordinate from the same parent-link
+    lookup that finds its nearest point (``Geodesic._project``); raw
+    coordinates are measured from the origin, so nothing is shifted, no
+    distance is taken and no coordinate is searched for twice. The first
+    atom at a coordinate stores its mass as it is; only a repeated
+    coordinate adds.
 
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
@@ -118,11 +121,11 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
         raise GeodesicError("geodesic belongs to a different tree")
     if not geodesic.is_maximal:
         raise GeodesicError("projection target must be a maximal geodesic")
-    origin = geodesic._origin_raw
     merged: dict[Fraction, Fraction] = {}
     for point, mass in measure.atoms:
-        coord = geodesic._project(tree.canonical_point(point))[1] - origin
-        merged[coord] = merged.get(coord, _ZERO) + mass
+        coord = geodesic._project(tree.canonical_point(point))[1]
+        known = merged.get(coord)
+        merged[coord] = mass if known is None else known + mass
     return RadonSample(geodesic, tuple(sorted(merged.items())))
 
 

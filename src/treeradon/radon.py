@@ -397,25 +397,34 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     # Interior mass inside the perpendicular of (x, {e, f}) is the total
     # minus the two branches through e and f. An atom sits on its foot
     # vertex for the branch sums, except in the branch leaving the foot
-    # through the atom's own edge, where it is added back.
+    # through the atom's own edge, where it is added back: once per atom,
+    # into that (foot, edge) branch sum. A zero branch sum or a zero inside
+    # costs no subtraction.
     interior_total = sum(interior.values(), _ZERO)
     on_foot: dict[VertexId, Fraction] = {}
-    own_edge: dict[tuple[VertexId, int], Fraction] = {}
+    own_edge = []
     for point, mass in interior.items():
         foot = tree._foot_vertex(point)
-        on_foot[foot] = on_foot.get(foot, _ZERO) + mass
-        own_edge[(foot, point.edge)] = own_edge.get((foot, point.edge), _ZERO) + mass
+        known = on_foot.get(foot)
+        on_foot[foot] = mass if known is None else known + mass
+        own_edge.append(((foot, point.edge), mass))
     branch = _branch_sums(tree, VertexFunction(on_foot))
+    for key, mass in own_edge:
+        branch[key] += mass
 
     flag_rows = []
     table: dict[Flag, Fraction] = {}
     for flag in flags:
         x = flag.vertex
         e, f = flag.edges
-        inside = (interior_total
-                  - branch[(x, e)] - own_edge.get((x, e), _ZERO)
-                  - branch[(x, f)] - own_edge.get((x, f), _ZERO))
-        value = raw[flag] - inside
+        inside = interior_total
+        out = branch[(x, e)]
+        if out:
+            inside -= out
+        out = branch[(x, f)]
+        if out:
+            inside -= out
+        value = raw[flag] - inside if inside else raw[flag]
         table[flag] = value
         flag_rows.append(FlagRow(flag=flag, raw_mass=raw[flag],
                                  interior_subtracted=inside, vertex_value=value))

@@ -375,6 +375,34 @@ def test_seeded_radon_and_invert_files_are_byte_identical(tmp_path, capsys):
     assert got == SEEDED_RADON_SHA256
 
 
+# Digests of the hidden measure on the seeded 208-vertex radon tree and of
+# the reconstruct output written from it, at the commit before geodesic
+# coordinates were measured from the origin.
+SEEDED_RECONSTRUCT_AT_SCALE_SHA256 = (
+    "2637f16d6b77506fdf33bc5b72f73db51486d75d47e73854a816e0e4bc439a04",
+    "65342b5c61acda4dbaf676009432d10baa6b03fa9692d0a1e9321a704875b36b",
+)
+
+
+def test_seeded_reconstruct_at_scale_is_byte_identical(tmp_path, capsys):
+    tree_file, _, _ = write_seeded_radon_inputs(tmp_path)
+    tree = io.load_tree(tree_file)
+    rng = random.Random(208)
+    points = [tree.vertex_point(v) for v in rng.sample(tree.vertices, 4)]
+    for rec in rng.sample(tree.edges, 6):
+        scale = F(rng.randint(1, 9)) if rec.is_ray else rec.length
+        points.append(tree.point(rec.id, scale * F(rng.randint(1, 5), 6)))
+    weights = [rng.randint(1, 12) for _ in points]
+    hidden_file, out = tmp_path / "hidden.json", tmp_path / "rec.json"
+    io.save_measure(tree, make_measure(tree, [(p, F(w, sum(weights)))
+                                              for p, w in zip(points, weights)]), hidden_file)
+    assert main(["reconstruct", str(tree_file), str(hidden_file), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert io.measure_from_dict(tree, payload["measure"]) == io.load_measure(tree, hidden_file)
+    assert any(row["interior"] != "0" for row in payload["provenance"]["flag_subtractions"])
+    assert (_sha256(hidden_file), _sha256(out)) == SEEDED_RECONSTRUCT_AT_SCALE_SHA256
+
+
 # Digests of ``treeradon gen-tree`` files, keyed by (mode, min valency, max
 # valency, max vertices, seed), written at the commit before the generator
 # stopped recounting degrees; they pin both the contraction of valency-2

@@ -1,17 +1,19 @@
 """The per-edge coordinate chart against the code it replaced.
 
 Each ``Geodesic`` reads raw coordinates through one chart ``(base, sign)``
-per edge. ``ParentCoordinates`` is the earlier code, with its single-edge
-direction and its ``abs()`` about a joint; on every geodesic the two must
-agree on the raw coordinates, ``point_at``, ``coordinate_of``, the
-projection anchors and ``project``.
+per edge, measured from its origin. ``ParentCoordinates`` is the earlier
+code, with its single-edge direction and its ``abs()`` about a joint, and
+measures raws from the first joint (or the start); on every geodesic the
+library's raws must be the reference's less the reference's origin raw,
+and the two must agree on ``point_at``, ``coordinate_of``, the projection
+anchors and ``project``.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from test_metric_reference import (
@@ -21,7 +23,14 @@ from test_metric_reference import (
     random_tree,
     segment_cases,
 )
-from treeradon import Geodesic, GeodesicError, geodesic_through_flag, path
+from treeradon import (
+    Geodesic,
+    GeodesicError,
+    geodesic_through_flag,
+    make_measure,
+    path,
+    pushforward_projection,
+)
 
 
 def outcome(call, *args):
@@ -45,12 +54,17 @@ def probe_coordinates(ref):
 def assert_matches_parent(geodesic, points):
     tree = geodesic.tree
     ref = ParentCoordinates(geodesic)
-    assert (geodesic._joint_raw, geodesic._start_raw, geodesic._end_raw, geodesic._origin_raw) \
-        == (ref._joint_raw, ref._start_raw, ref._end_raw, ref._origin_raw)
+    origin = ref._origin_raw
+
+    def shifted(raw):
+        return None if raw is None else raw - origin
+
+    assert (geodesic._joint_raw, geodesic._start_raw, geodesic._end_raw) \
+        == ([shifted(r) for r in ref._joint_raw], shifted(ref._start_raw), shifted(ref._end_raw))
     for i, eid in enumerate(geodesic.edges):
         length = tree.edge(eid).length
         for offset in ((F(0), F(1), F(5, 2)) if length is None else (F(0), length / 3, length)):
-            assert geodesic._edge_raw(offset, i) == ref._edge_raw(offset, i)
+            assert geodesic._edge_raw(offset, i) == shifted(ref._edge_raw(offset, i))
     coordinates = probe_coordinates(ref)
     for c in coordinates:
         assert outcome(geodesic.point_at, c) == outcome(ref.point_at, c)
@@ -58,8 +72,11 @@ def assert_matches_parent(geodesic, points):
     for x in points + on_line:
         assert outcome(geodesic.coordinate_of, x) == outcome(ref.coordinate_of, x)
         assert geodesic.project(x) == ref.project(x)
-        assert geodesic._project(tree.canonical_point(x)) == ref._project(tree.canonical_point(x))
-    assert (geodesic._anchors, geodesic._apex) == ref._anchor_table()
+        near, raw = ref._project(tree.canonical_point(x))
+        assert geodesic._project(tree.canonical_point(x)) == (near, shifted(raw))
+    anchors, apex = ref._anchor_table()
+    assert (geodesic._anchors, geodesic._apex) \
+        == ({v: (near, shifted(raw)) for v, (near, raw) in anchors.items()}, apex)
 
 
 def inside(tree, rng, eid):
@@ -138,3 +155,78 @@ def test_one_flipped_chart_sign_is_caught():
                 flipped._chart[k] = (base, -sign)
                 with pytest.raises(AssertionError):
                     assert_matches_parent(flipped, points)
+
+
+# Where a public ``origin=`` can sit on a maximal geodesic; None is the
+# default origin (the start, or the first joint when the start is infinite).
+PLACEMENTS = ("joint", "start", "end", "finite edge", "ray", None)
+
+
+def placed_origins(tree, rng, geodesic, placement):
+    """The origins of one placement on a maximal geodesic."""
+    records = [tree.edge(eid) for eid in geodesic.edges]
+    if placement == "joint":
+        return [tree.vertex_point(j) for j in geodesic.joints]
+    if placement in ("start", "end"):
+        end = getattr(geodesic, placement)
+        return [] if end is None else [end]
+    if placement == "finite edge":
+        return [inside(tree, rng, rec.id) for rec in records if not rec.is_ray]
+    if placement == "ray":
+        return [inside(tree, rng, rec.id) for rec in records if rec.is_ray]
+    return [None]
+
+
+def reference_pushforward(tree, ref, measure):
+    """The projection's sample as the earlier code took it: each atom's raw
+    coordinate less the origin's, masses merged from zero."""
+    merged = {}
+    for point, mass in measure.atoms:
+        coord = ref._project(tree.canonical_point(point))[1] - ref._origin_raw
+        merged[coord] = merged.get(coord, F(0)) + mass
+    return tuple(sorted(merged.items()))
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+@settings(max_examples=25, deadline=None)
+def test_every_origin_placement_matches_parent(placement, seed, n):
+    rng = random.Random(seed)
+    tree = random_tree(rng, n, leaves=True)
+    bases = [geodesic_through_edge(tree, eid)
+             for eid in rng.sample(range(len(tree.edges)), min(8, len(tree.edges)))]
+    cases = [(base, origin) for base in bases
+             for origin in placed_origins(tree, rng, base, placement)]
+    assume(cases)
+    base, origin = rng.choice(cases)
+    geodesic = Geodesic(tree, base.edges, base.joints, base.start, base.end, origin=origin)
+    ref = ParentCoordinates(geodesic)
+    for c in probe_coordinates(ref):
+        assert outcome(geodesic.point_at, c) == outcome(ref.point_at, c)
+    for x in probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(4)]:
+        assert outcome(geodesic.coordinate_of, x) == outcome(ref.coordinate_of, x)
+        assert geodesic.project(x) == ref.project(x)
+    weights = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+    mu = make_measure(tree, [(random_point(tree, rng), F(w, sum(weights))) for w in weights])
+    sample = pushforward_projection(tree, geodesic, mu)
+    expected = reference_pushforward(tree, ref, mu)
+    assert sample.atoms == expected
+    assert sample.to_measure(tree) == make_measure(tree, ((ref.point_at(c), m) for c, m in expected))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_origin_off_the_geodesic_is_rejected(seed, n, leaves):
+    rng = random.Random(seed)
+    tree = random_tree(rng, max(n, 2), leaves)
+    for geodesic in chart_cases(tree, rng):
+        ref = ParentCoordinates(geodesic)
+        for x in probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(3)]:
+            args = (tree, geodesic.edges, geodesic.joints, geodesic.start, geodesic.end)
+            if ref._raw_of(tree.canonical_point(x)) is None:
+                with pytest.raises(GeodesicError, match="origin must lie on the geodesic"):
+                    Geodesic(*args, origin=x)
+            else:
+                moved = Geodesic(*args, origin=x)
+                assert moved.coordinate_of(x) == 0
+                assert moved.point_at(0) == tree.canonical_point(x)
