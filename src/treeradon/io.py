@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import FileFormatError
 from .measures import Measure, make_measure
@@ -57,8 +57,10 @@ def load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, ints past the digit limit
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path} is nested too deeply to read") from exc
 
 
 def read_rational(raw, context: str) -> Fraction:

@@ -13,13 +13,21 @@ after construction, costs O(V) memory for its lifetime, and is safe to
 share between threads. Lengths, offsets and distances are
 ``fractions.Fraction`` throughout; nothing in this package touches
 floating point.
+
+The value types :class:`EdgeRecord`, :class:`TreePoint` and :class:`Flag`
+are ``typing.NamedTuple`` subclasses, so building, hashing and comparing
+them runs in C. Each is immutable, and each hashes and compares as the
+plain tuple of its fields: ``TreePoint("a") == ("a", None, None)`` holds,
+and a value unpacks like a tuple. Two different value types never compare
+equal, since their field counts differ.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import NamedTuple, Union
 
 from .errors import PointLocationError, TreeStructureError
 from .rationals import format_length, parse_length, parse_rational
@@ -29,8 +37,7 @@ VertexId = Union[str, int]
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """One edge: a finite segment with two endpoints, or an infinite ray.
 
     ``u`` is the designated endpoint from which offsets are measured.
@@ -66,8 +73,7 @@ class EdgeRecord:
         raise PointLocationError(f"vertex {vertex!r} is not an endpoint of edge {self.id}")
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(NamedTuple):
     """A location on a tree: a vertex, or a point strictly inside an edge.
 
     Vertex locations are canonical (``edge`` and ``offset`` are None), so
@@ -90,8 +96,7 @@ class TreePoint:
         return f"TreePoint(edge={self.edge}, offset={self.offset})"
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """A vertex together with an unordered pair of distinct incident edges."""
 
     vertex: VertexId
@@ -126,14 +131,6 @@ class Subtree:
         return point.edge in self.edges
 
 
-def _is_hashable(value) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
 def point_sort_key(point: TreePoint):
     """A total order on canonical points; used for deterministic output."""
     if point.is_vertex:
@@ -158,17 +155,18 @@ class Tree:
             raise TreeStructureError("a tree needs at least one vertex")
         # Files key vertices by str(v), and points order by it, so two ids
         # with one name would be one vertex there and two here.
-        vertex_set = set()
+        incident: dict[VertexId, list[int]] = {}
         names = {}
         for v in self.vertices:
             if v is None:
                 # TreePoint(vertex=None) is not a vertex, and v=None marks a ray
                 raise TreeStructureError("vertex id null is not allowed")
-            if not _is_hashable(v):
-                raise TreeStructureError(f"vertex id {v!r} is not hashable")
-            if v in vertex_set:
-                raise TreeStructureError(f"duplicate vertex id {v!r}")
-            vertex_set.add(v)
+            try:
+                if v in incident:
+                    raise TreeStructureError(f"duplicate vertex id {v!r}")
+            except TypeError:
+                raise TreeStructureError(f"vertex id {v!r} is not hashable") from None
+            incident[v] = []
             name = str(v)
             if name in names:
                 raise TreeStructureError(
@@ -176,18 +174,23 @@ class Tree:
                 )
             names[name] = v
 
+        # One lookup in ``incident`` checks an endpoint's hashability (a
+        # TypeError) and membership (a KeyError) together.
         records = []
-        incident: dict[VertexId, list[int]] = {v: [] for v in self.vertices}
         finite_count = 0
         for eid, (u, v, length) in enumerate(edges):
-            if not _is_hashable(u) or u not in vertex_set:
-                raise TreeStructureError(f"edge {eid} endpoint {u!r} is not a vertex")
+            try:
+                u_edges = incident[u]
+            except (KeyError, TypeError):
+                raise TreeStructureError(f"edge {eid} endpoint {u!r} is not a vertex") from None
             if v is None:
                 if length is not None:
                     raise TreeStructureError(f"edge {eid} is a ray but has finite length")
             else:
-                if not _is_hashable(v) or v not in vertex_set:
-                    raise TreeStructureError(f"edge {eid} endpoint {v!r} is not a vertex")
+                try:
+                    v_edges = incident[v]
+                except (KeyError, TypeError):
+                    raise TreeStructureError(f"edge {eid} endpoint {v!r} is not a vertex") from None
                 if u == v:
                     raise TreeStructureError(f"cycle detected: edge {eid} is a self-loop at {u!r}")
                 if length is None:
@@ -195,13 +198,13 @@ class Tree:
                 if length <= 0:
                     raise TreeStructureError(f"edge {eid} has nonpositive length {length}")
                 finite_count += 1
+                v_edges.append(eid)
             records.append(EdgeRecord(eid, u, v, length))
-            incident[u].append(eid)
-            if v is not None:
-                incident[v].append(eid)
+            u_edges.append(eid)
         self.edges: tuple[EdgeRecord, ...] = tuple(records)
+        # edges are appended in id order, so each tuple is sorted
         self._incident: dict[VertexId, tuple[int, ...]] = {
-            v: tuple(sorted(ids)) for v, ids in incident.items()
+            v: tuple(ids) for v, ids in incident.items()
         }
 
         # Connectivity over finite edges, then acyclicity by edge count. The
@@ -215,10 +218,12 @@ class Tree:
         while stack:
             w = stack.pop()
             for eid in self._incident[w]:
-                rec = self.edges[eid]
-                if rec.is_ray:
+                rec = records[eid]
+                o = rec.v
+                if o is None:  # a ray
                     continue
-                o = rec.other_end(w)
+                if o == w:
+                    o = rec.u
                 if o not in link:
                     link[o] = (w, eid)
                     hops[o] = hops[w] + 1

@@ -176,3 +176,39 @@ def command(draw, name):
 def test_every_subcommand_survives_malformed_input(name, data):
     argv, files = data.draw(command(name))
     check(*run(argv, files))
+
+
+# Every file argument of every subcommand, each replaced by a file that
+# json cannot turn into a value: nesting past the recursion limit, an
+# integer literal past the int-from-string digit limit, and bytes that are
+# not UTF-8.
+PATHOLOGICAL = {"deep": b"[" * 100000, "huge-int": b"1" * 5000, "not-utf8": b'{"\xff": 1}'}
+FILE_ARGUMENTS = [(argv, slot) for argv in (
+    ["radon", "tree", "h", "--out", "OUT"],
+    ["invert", "tree", "table", "--total", "1", "--out", "OUT"],
+    ["w2", "tree", "mu", "nu"],
+    ["plan", "tree", "mu", "nu", "--out", "OUT"],
+    ["interpolate", "tree", "mu", "nu", "--t", "1/2", "--out", "OUT"],
+    ["reconstruct", "tree", "mu", "--out", "OUT"],
+) for slot in argv[1:] if slot in ("tree", "h", "table", "mu", "nu")]
+
+
+@pytest.mark.parametrize("kind", sorted(PATHOLOGICAL))
+@pytest.mark.parametrize("argv, slot", FILE_ARGUMENTS,
+                         ids=[f"{argv[0]}-{slot}" for argv, slot in FILE_ARGUMENTS])
+def test_pathological_json_is_one_line_error(tmp_path, argv, slot, kind):
+    valid = {"tree": STAR3, "h": H, "table": TABLE, "mu": MEASURES[0], "nu": MEASURES[1]}
+    paths = {}
+    for name in argv[1:]:
+        if name in valid:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_bytes(PATHOLOGICAL[kind] if name == slot
+                                    else json.dumps(valid[name]).encode())
+    argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
+    argv = [str(tmp_path / "out.json") if arg == "OUT" else arg for arg in argv]
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")

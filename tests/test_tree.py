@@ -89,6 +89,54 @@ class TestBuildTree:
         })
         assert tree.edges[0].length == F(3, 2)
 
+    @pytest.mark.parametrize("description, message", [
+        ([("o", "x", 1)], "tree description must be a mapping"),
+        ({"vertices": ["o"]}, "tree description missing key 'edges'"),
+        ({"edges": []}, "tree description missing key 'vertices'"),
+        ({"vertices": "oxyz", "edges": []}, "tree description 'vertices' must be a list"),
+        ({"vertices": ["o"], "edges": {}}, "tree description 'edges' must be a list"),
+        ({"vertices": ["o"], "edges": [("o", None)]}, "unintelligible edge entry ('o', None)"),
+        ({"vertices": ["o"], "edges": [5]}, "unintelligible edge entry 5"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", "1.5")]},
+         "bad edge length '1.5': decimal notation is not allowed: '1.5'"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", "x")]},
+         "bad edge length 'x': not a rational: 'x'"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", True)]},
+         "bad edge length True: booleans are not rationals"),
+        ({"vertices": [], "edges": []}, "a tree needs at least one vertex"),
+        ({"vertices": ["o", None], "edges": []}, "vertex id null is not allowed"),
+        ({"vertices": ["o", ["x"]], "edges": []}, "vertex id ['x'] is not hashable"),
+        ({"vertices": ["o", "x", "o"], "edges": []}, "duplicate vertex id 'o'"),
+        ({"vertices": ["o", 1, True], "edges": []}, "duplicate vertex id True"),
+        ({"vertices": [1, "1"], "edges": []}, "vertex ids 1 and '1' share the name '1'"),
+        ({"vertices": ["o", "x"], "edges": [("q", "x", 1)]}, "edge 0 endpoint 'q' is not a vertex"),
+        ({"vertices": ["o", "x"], "edges": [(["o"], "x", 1)]},
+         "edge 0 endpoint ['o'] is not a vertex"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", 1), ("x", "q", 1)]},
+         "edge 1 endpoint 'q' is not a vertex"),
+        ({"vertices": ["o", "x"], "edges": [("o", {"x": 1}, 1)]},
+         "edge 0 endpoint {'x': 1} is not a vertex"),
+        ({"vertices": ["o"], "edges": [("o", None, 1)]}, "edge 0 is a ray but has finite length"),
+        ({"vertices": ["o", "x"], "edges": [("o", None, "inf"), ("x", "x", 1)]},
+         "cycle detected: edge 1 is a self-loop at 'x'"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", "inf")]},
+         "edge 0 has two endpoints but infinite length"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", "-1/2")]},
+         "edge 0 has nonpositive length -1/2"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", 0)]}, "edge 0 has nonpositive length 0"),
+        ({"vertices": ["o", "x", "y", "z"], "edges": [("o", "x", 1), ("y", "z", 1)]},
+         "disconnected: not all vertices are reachable"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", 1), ("x", "o", 2)]},
+         "cycle detected: too many finite edges for a tree"),
+        ({"vertices": ["o", "x"], "edges": [("o", "x", 1), ("o", None, "inf")]},
+         "valency-2 vertex 'o' is not allowed"),
+        ({"vertices": ["o"], "edges": []}, "isolated vertex 'o' (valency 0)"),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_every_construction_error_has_its_message(self, description, message):
+        with pytest.raises(TreeStructureError) as caught:
+            build_tree(description)
+        assert str(caught.value) == message
+
 
 class TestCompleteness:
     def test_tripod_incomplete(self, tripod):

@@ -1,0 +1,81 @@
+"""The contract of the tree value types ``TreePoint``, ``Flag`` and
+``EdgeRecord``: hashing as the tuple of their fields (so sets and dicts
+keyed by them iterate in a fixed order), exact reprs, immutability,
+pickling, keyword construction, and no equality across types."""
+
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from treeradon import EdgeRecord, Flag, TreePoint
+
+VERTEX = TreePoint("a")
+INTERIOR = TreePoint(edge=2, offset=F(1, 3))
+FLAG = Flag("x", frozenset({3, 1}))
+SEGMENT = EdgeRecord(0, "a", "b", F(3, 2))
+RAY = EdgeRecord(4, 7, None, None)
+VALUES = [VERTEX, INTERIOR, FLAG, SEGMENT, RAY]
+
+
+@pytest.mark.parametrize("value, fields", [
+    (VERTEX, ("a", None, None)),
+    (INTERIOR, (None, 2, F(1, 3))),
+    (FLAG, ("x", frozenset({1, 3}))),
+    (SEGMENT, (0, "a", "b", F(3, 2))),
+    (RAY, (4, 7, None, None)),
+])
+def test_hash_is_the_hash_of_the_fields(value, fields):
+    assert tuple(getattr(value, name) for name in value._fields) == fields
+    assert hash(value) == hash(fields)
+
+
+@pytest.mark.parametrize("value, text", [
+    (VERTEX, "TreePoint('a')"),
+    (TreePoint(5), "TreePoint(5)"),
+    (INTERIOR, "TreePoint(edge=2, offset=1/3)"),
+    (FLAG, "Flag('x', {1, 3})"),
+    (Flag(0, frozenset({10, 9})), "Flag(0, {9, 10})"),
+    (SEGMENT, "EdgeRecord(id=0, u='a', v='b', length=Fraction(3, 2))"),
+    (RAY, "EdgeRecord(id=4, u=7, v=None, length=None)"),
+])
+def test_repr(value, text):
+    assert repr(value) == text
+
+
+def test_flag_edge_pair_is_unordered():
+    assert Flag("x", frozenset({1, 3})) == Flag("x", frozenset({3, 1}))
+    assert hash(Flag("x", frozenset({1, 3}))) == hash(Flag("x", frozenset({3, 1})))
+    assert FLAG.edges == (1, 3)
+
+
+@pytest.mark.parametrize("value", VALUES)
+def test_attributes_cannot_be_assigned(value):
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], "b")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value", VALUES)
+def test_pickle_round_trip(value):
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and type(back) is type(value) and hash(back) == hash(value)
+
+
+def test_keyword_construction():
+    assert TreePoint(vertex="a") == VERTEX
+    assert TreePoint() == TreePoint(None, None, None)
+    assert TreePoint(offset=F(1, 3), edge=2) == INTERIOR
+    assert Flag(edge_pair=frozenset({1, 3}), vertex="x") == FLAG
+    assert EdgeRecord(length=F(3, 2), v="b", u="a", id=0) == SEGMENT
+    assert RAY.is_ray and not SEGMENT.is_ray
+    assert VERTEX.is_vertex and not INTERIOR.is_vertex
+
+
+def test_types_never_equal_each_other():
+    # fields that coincide as far as they go still differ in count
+    assert Flag("a", None) != TreePoint("a")
+    assert TreePoint("a", None) != Flag("a", None)
+    assert EdgeRecord(None, None, None, None) != TreePoint()
+    assert len({Flag("a", None), TreePoint("a"), EdgeRecord("a", None, None, None)}) == 3
