@@ -410,7 +410,7 @@ def _travel(segment: Geodesic, t) -> TreePoint:
         return segment.point_at(s)
     tree = segment.tree
     eid = segment.edges[-1]
-    rec = tree.edge(eid)
+    rec = tree.edges[eid]
     offset = segment._offset_on(segment.end, rec)
     sign = segment._chart[-1][1]
     # an end on a vertex has no room left on its edge, so the first pass
@@ -427,7 +427,7 @@ def _travel(segment: Geodesic, t) -> TreePoint:
         nxt = _onward(tree, vertex, eid)
         if nxt is not None:
             eid = nxt
-            rec = tree.edge(eid)
+            rec = tree.edges[eid]
         offset = rec.endpoint_offset(vertex)
         sign = 1 if offset == 0 else -1
 
@@ -443,7 +443,7 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onw
     edges = [first_edge]
     joints = []
     via = first_edge
-    current = tree.edge(first_edge).other_end(origin)
+    current = tree.edges[first_edge].other_end(origin)
     while current is not None:
         nxt = onward(tree, current, via)
         if nxt is None:
@@ -451,7 +451,7 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onw
         joints.append(current)
         edges.append(nxt)
         via = nxt
-        current = tree.edge(nxt).other_end(current)
+        current = tree.edges[nxt].other_end(current)
     return edges, joints, None
 
 

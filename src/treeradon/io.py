@@ -196,6 +196,7 @@ def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
         raise FileFormatError("a flag table file needs a 'flags' list")
     by_name = {str(v): v for v in tree.vertices}
     values = {}
+    row_of = {}
     for i, row in enumerate(payload["flags"]):
         if not isinstance(row, Mapping):
             raise FileFormatError(f"flag row {i} is not an object")
@@ -206,6 +207,9 @@ def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
             flag = tree.flag(vertex,
                              _edge_id(row["e"], f"flag row {i}"),
                              _edge_id(row["f"], f"flag row {i}"))
+            first = row_of.setdefault(flag, i)
+            if first != i:
+                raise FileFormatError(f"flag rows {first} and {i} give the same flag")
             values[flag] = read_rational(row["value"], f"flag row {i}")
         except KeyError as exc:
             raise FileFormatError(f"flag row {i} missing key {exc}") from None

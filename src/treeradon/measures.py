@@ -22,7 +22,13 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Measure:
-    """A finitely supported probability measure: ``((location, mass), ...)``."""
+    """A finitely supported probability measure: ``((location, mass), ...)``.
+
+    Build it with :func:`make_measure` or :func:`dirac`: every atom is then
+    a canonical point of the tree given there. Functions that take a
+    ``Measure`` trust that and do not check its atoms again, so a measure
+    goes only with the tree it was made on.
+    """
 
     atoms: tuple[tuple[TreePoint, Fraction], ...]
 
@@ -115,7 +121,8 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
 
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
-    transform.
+    transform. The measure must be made on ``tree``: its atoms are taken as
+    the canonical points ``make_measure`` made them, and are not checked.
     """
     if geodesic.tree is not tree:
         raise GeodesicError("geodesic belongs to a different tree")
@@ -123,7 +130,7 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
         raise GeodesicError("projection target must be a maximal geodesic")
     merged: dict[Fraction, Fraction] = {}
     for point, mass in measure.atoms:
-        coord = geodesic._project(tree.canonical_point(point))[1]
+        coord = geodesic._project(point)[1]
         known = merged.get(coord)
         merged[coord] = mass if known is None else known + mass
     return RadonSample(geodesic, tuple(sorted(merged.items())))

@@ -23,7 +23,9 @@ again and a second reading of it is cross-checked. Past its flag, each
 queried geodesic continues through flags no answer has read yet, so fewer
 of its joints re-read known flags. One loop over the flags reads every
 answer; interior atoms are read directly (interior level sets are
-singletons), and the vertex part is inverted.
+singletons), the interior mass inside each perpendicular comes from the
+forward transform of the atoms' foot vertices, and the vertex part is
+inverted.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
 from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
 from .measures import Measure, RadonSample, make_measure, pushforward_projection
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint, VertexId, point_sort_key
+from .tree import Flag, Tree, TreePoint, VertexId
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,25 +117,6 @@ def _subtree_sums(tree: Tree, h: VertexFunction) -> dict[VertexId, Fraction]:
         if parent is not None:
             subtree[parent] += subtree[vertex]
     return subtree
-
-
-def _branch_sums(tree: Tree, h: VertexFunction) -> dict[tuple[VertexId, int], Fraction]:
-    """For every (vertex, incident edge): the sum of h over the component of
-    the tree minus that vertex reached through the edge, in O(V + E)."""
-    edges, incident = tree.edges, tree._incident
-    subtree = _subtree_sums(tree, h)
-    total = h.total
-    sums: dict[tuple[VertexId, int], Fraction] = {}
-    for vertex, (_, via) in tree._link.items():
-        for eid in incident[vertex]:
-            rec = edges[eid]
-            if rec.v is None:
-                sums[(vertex, eid)] = _ZERO
-            elif eid == via:
-                sums[(vertex, eid)] = total - subtree[vertex]
-            else:
-                sums[(vertex, eid)] = subtree[rec.v if rec.u == vertex else rec.u]
-    return sums
 
 
 def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
@@ -332,9 +315,10 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     and otherwise the smallest-id other edge. Every edge lies on a queried
     geodesic, so every interior atom is read verbatim (interior level sets
     are single points) and kept under its canonical point. The interior
-    mass inside each perpendicular is then subtracted in one branch-sum
-    pass, and the remaining vertex table is inverted with total 1 minus
-    the interior mass.
+    mass inside each perpendicular is the forward transform of the interior
+    atoms placed on their foot vertices, less each atom at the flags of its
+    foot that contain its own edge. It is subtracted, and the remaining
+    vertex table is inverted with total 1 minus the interior mass.
 
     Interior sightings and flag readings are cross-checked across every
     queried geodesic; disagreement, mass outside the skeleton, or a vertex
@@ -394,40 +378,31 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                     f"flag {read!r} reads {known} on one geodesic and {mass} on another"
                 )
 
-    # Interior mass inside the perpendicular of (x, {e, f}) is the total
-    # minus the two branches through e and f. An atom sits on its foot
-    # vertex for the branch sums, except in the branch leaving the foot
-    # through the atom's own edge, where it is added back: once per atom,
-    # into that (foot, edge) branch sum. A zero branch sum or a zero inside
-    # costs no subtraction.
+    # Interior mass inside each perpendicular is the forward transform of
+    # the atoms put on their foot vertices, less each atom's mass at every
+    # flag of its foot that contains the atom's own edge: that branch holds
+    # the atom. A zero inside costs no subtraction.
     interior_total = sum(interior.values(), _ZERO)
     on_foot: dict[VertexId, Fraction] = {}
-    own_edge = []
     for point, mass in interior.items():
         foot = tree._foot_vertex(point)
         known = on_foot.get(foot)
         on_foot[foot] = mass if known is None else known + mass
-        own_edge.append(((foot, point.edge), mass))
-    branch = _branch_sums(tree, VertexFunction(on_foot))
-    for key, mass in own_edge:
-        branch[key] += mass
+    inside = radon_forward(tree, VertexFunction(on_foot)).values
+    for point, mass in interior.items():
+        foot = tree._foot_vertex(point)
+        for eid in tree.incident_edges(foot):
+            if eid != point.edge:
+                inside[Flag(foot, frozenset((point.edge, eid)))] -= mass
 
     flag_rows = []
     table: dict[Flag, Fraction] = {}
     for flag in flags:
-        x = flag.vertex
-        e, f = flag.edges
-        inside = interior_total
-        out = branch[(x, e)]
-        if out:
-            inside -= out
-        out = branch[(x, f)]
-        if out:
-            inside -= out
-        value = raw[flag] - inside if inside else raw[flag]
+        held = inside[flag]
+        value = raw[flag] - held if held else raw[flag]
         table[flag] = value
         flag_rows.append(FlagRow(flag=flag, raw_mass=raw[flag],
-                                 interior_subtracted=inside, vertex_value=value))
+                                 interior_subtracted=held, vertex_value=value))
 
     vertex_part = radon_invert(tree, FlagTable(table), _ONE - interior_total)
 
@@ -449,7 +424,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     except MeasureError as exc:
         raise OracleInconsistencyError(f"reconstructed masses are not a probability: {exc}") from exc
 
-    ordered = tuple(sorted(interior.items(), key=lambda atom: point_sort_key(atom[0])))
+    ordered = tuple(atom for atom in measure.atoms if not atom[0].is_vertex)
     reads: dict[int, list[tuple[Fraction, Fraction]]] = {eid: [] for eid in skeleton}
     for point, mass in ordered:
         reads[point.edge].append((point.offset, mass))

@@ -213,10 +213,10 @@ def _transportation_simplex(supply, demand, cost):
 
 def _cost_matrix(tree, sources, targets):
     """Squared distances between the atoms of two measures, one row per
-    source atom; each atom is canonicalised and has its foot found once."""
+    source atom; each atom, canonical as its measure holds it, has its foot
+    found once."""
     def feet(atoms):
-        points = [tree.canonical_point(p) for p, _ in atoms]
-        return [(p, tree._foot(p)) for p in points]
+        return [(p, tree._foot(p)) for p, _ in atoms]
 
     columns = feet(targets)
     matrix = []

@@ -112,6 +112,19 @@ class TestRadonInvert:
         code = main(["invert", str(tree_file), str(tree_file), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_duplicate_flag_rows_are_usage_error(self, tmp_path, capsys):
+        tree_file, _ = write_star3(tmp_path)
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps({"flags": [
+            {"x": "c", "e": 0, "f": 1, "value": "1"},
+            {"x": "c", "e": 1, "f": 0, "value": "5"}]}))
+        code = main(["invert", str(tree_file), str(table_file),
+                     "--total", "1", "--out", str(tmp_path / "h.json")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: flag rows 0 and 1 give the same flag"]
+        assert not (tmp_path / "h.json").exists()
+
     def test_malformed_h_file(self, tmp_path, capsys):
         tree_file, _ = write_star3(tmp_path)
         h_file = tmp_path / "h.json"

@@ -99,6 +99,15 @@ class TestFunctionAndTableFiles:
             io.flag_table_from_dict(star3, {"flags": [
                 {"x": "c", "e": True, "f": 2, "value": "1"}]})
 
+    def test_duplicate_flag_rows_rejected(self, star3):
+        # (c, 0, 1) and (c, 1, 0) are one flag; the second row must not
+        # silently replace the first
+        with pytest.raises(FileFormatError, match="flag rows 0 and 2 give the same flag"):
+            io.flag_table_from_dict(star3, {"flags": [
+                {"x": "c", "e": 0, "f": 1, "value": "1"},
+                {"x": "c", "e": 0, "f": 2, "value": "3"},
+                {"x": "c", "e": 1, "f": 0, "value": "5"}]})
+
 
 class TestPlanFiles:
     def test_plan_payload(self, tmp_path, tripod):

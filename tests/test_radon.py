@@ -11,6 +11,7 @@ from treeradon import (
     FlagTable,
     OracleInconsistencyError,
     RadonError,
+    RadonSample,
     SuiteConfig,
     double_count_check,
     dirac,
@@ -29,6 +30,19 @@ from treeradon import (
     reconstruct_measure,
     vertex_function,
 )
+
+
+def signed_oracle(tree, parts):
+    """Answers for the signed combination Σ weight·δ_point, which no
+    ``Measure`` can hold: each part's projection, scaled and merged."""
+    def oracle(geodesic):
+        merged = {}
+        for weight, point in parts:
+            for c, m in pushforward_projection(tree, geodesic, dirac(tree, point)).atoms:
+                merged[c] = merged.get(c, F(0)) + weight * m
+        return RadonSample(geodesic, tuple(sorted((c, m) for c, m in merged.items() if m)))
+
+    return oracle
 
 
 def brute_flag_value(tree, h, flag):
@@ -213,6 +227,60 @@ class TestReconstruction:
             return pushforward_projection(star3, geodesic, src)
 
         with pytest.raises(OracleInconsistencyError):
+            reconstruct_measure(star3, liar)
+
+    def test_negative_vertex_mass_detected(self, star3):
+        # the signed answers of 2·δ_a − δ_b invert to -1 at b
+        liar = signed_oracle(star3, [(2, star3.vertex_point("a")),
+                                     (-1, star3.vertex_point("b"))])
+        with pytest.raises(OracleInconsistencyError, match="at 'b' is negative"):
+            reconstruct_measure(star3, liar)
+
+    def test_negative_interior_mass_detected(self, star3):
+        # 2·δ_a − δ_p with p inside edge 0: every vertex mass is
+        # nonnegative, but p carries -1
+        liar = signed_oracle(star3, [(2, star3.vertex_point("a")),
+                                     (-1, star3.point(0, F(1, 2)))])
+        with pytest.raises(OracleInconsistencyError, match="not a probability"):
+            reconstruct_measure(star3, liar)
+
+    def test_interior_disagreement_detected(self, star3):
+        # every other answer doubles the interior mass; vertex coordinates,
+        # hence every flag reading, stay honest
+        hidden = make_measure(star3, [
+            (star3.point(0, F(1, 2)), F(1, 2)),
+            (star3.vertex_point("c"), F(1, 2)),
+        ])
+        count = {"n": 0}
+
+        def liar(geodesic):
+            count["n"] += 1
+            sample = pushforward_projection(star3, geodesic, hidden)
+            if count["n"] % 2:
+                return sample
+            return RadonSample(geodesic, tuple(
+                (c, m if geodesic.point_at(c).is_vertex else 2 * m) for c, m in sample.atoms))
+
+        with pytest.raises(OracleInconsistencyError,
+                           match="masses disagree across geodesics through edge 0"):
+            reconstruct_measure(star3, liar)
+
+    def test_table_outside_the_transform_image_detected(self, star3):
+        # 1/1000 moved from flag (c, {0, 2}) to flag (c, {0, 1}) on every
+        # answer: the readings agree, the flag sum at c is unchanged, so the
+        # inverse is the honest one and only the forward re-check sees it
+        hidden = make_measure(star3, [(star3.vertex_point(v), F(1, 4)) for v in "cabd"])
+        shift = {frozenset((0, 1)): F(1, 1000), frozenset((0, 2)): F(-1, 1000)}
+
+        def liar(geodesic):
+            atoms = dict(pushforward_projection(star3, geodesic, hidden).atoms)
+            for i, joint in enumerate(geodesic.joints):
+                if joint == "c":
+                    c = geodesic.coordinate_of(star3.vertex_point("c"))
+                    atoms[c] += shift.get(frozenset(geodesic.edges[i:i + 2]), 0)
+            return RadonSample(geodesic, tuple(sorted(atoms.items())))
+
+        with pytest.raises(OracleInconsistencyError, match="flag table is not a transform"):
             reconstruct_measure(star3, liar)
 
     def test_incomplete_tree_rejected(self, tripod):

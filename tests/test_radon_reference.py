@@ -34,7 +34,6 @@ from treeradon import (
     radon_invert,
     vertex_function,
 )
-from treeradon.radon import _branch_sums
 
 RADON_SETTINGS = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
 
@@ -136,14 +135,6 @@ def test_forward_matches_reference(drawn, values):
     tree, rng = drawn
     h = values(tree, rng)
     assert_identical(radon_forward(tree, h).values, reference.radon_forward(tree, h).values)
-
-
-@given(trees(), VALUE_KINDS)
-@RADON_SETTINGS
-def test_branch_sums_match_reference(drawn, values):
-    tree, rng = drawn
-    h = values(tree, rng)
-    assert_identical(_branch_sums(tree, h), reference._branch_sums(tree, h))
 
 
 TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, flag_prime_table))

@@ -43,7 +43,8 @@ from treeradon import (
     radon_oracle,
     reconstruct_measure,
 )
-from treeradon.radon import EdgeRead, FlagRow, VertexFunction, _branch_sums
+from radon_reference import _branch_sums
+from treeradon.radon import EdgeRead, FlagRow, VertexFunction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

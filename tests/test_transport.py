@@ -626,6 +626,28 @@ def test_broken_basis_raises_solver_error():
         transport._rooted_basis(cost, [(0, 0), (0, 1), (1, 0), (1, 1)], 3, 2)
 
 
+def test_plan_with_wrong_marginals_raises_solver_error(tripod, monkeypatch):
+    mu = make_measure(tripod, [(tripod.vertex_point("x"), F(1, 2)),
+                               (tripod.vertex_point("y"), F(1, 2))])
+    nu = make_measure(tripod, [(tripod.vertex_point("x"), F(1, 2)),
+                               (tripod.vertex_point("z"), F(1, 2))])
+    solve = transport._transportation_simplex
+
+    def skewed(supply, demand, cost):
+        # half of the first cell's mass moves to another column of its row:
+        # the row sums stay right, two column sums do not
+        alloc = solve(supply, demand, cost)
+        (i, j), q = min(alloc.items())
+        alloc[(i, j)] = q / 2
+        other = (i, 1 - j)
+        alloc[other] = alloc.get(other, F(0)) + q / 2
+        return alloc
+
+    monkeypatch.setattr(transport, "_transportation_simplex", skewed)
+    with pytest.raises(SolverError, match="^plan marginals do not match the measures$"):
+        optimal_plan(tripod, mu, nu)
+
+
 @st.composite
 def tree_and_measures(draw):
     """Two measures on a seeded ``gen_tree`` tree whose atoms include the
