@@ -194,11 +194,7 @@ def _cmd_reconstruct(args) -> int:
                 }
                 for row in result.flag_rows
             ],
-            "vertex_values": {
-                str(v): format_rational(x)
-                for v, x in sorted(result.vertex_part.values.items(),
-                                   key=lambda item: str(item[0]))
-            },
+            "vertex_values": io.vertex_function_to_dict(result.vertex_part)["values"],
         },
     }
     io.save_json(payload, args.out)

@@ -1,9 +1,10 @@
 """Exception hierarchy.
 
 ``DomainError`` covers semantic/validation failures (CLI exit code 1);
-``FileFormatError`` covers malformed input files (CLI exit code 2, like a
-usage error); ``SolverError`` signals an internal failure of the exact
-transportation solver, which should be unreachable for valid inputs.
+``FileFormatError`` covers malformed input files and output paths that
+cannot be written (CLI exit code 2, like a usage error); ``SolverError``
+signals an internal failure of the exact transportation solver, which
+should be unreachable for valid inputs.
 """
 
 

@@ -212,7 +212,7 @@ class Geodesic:
         for endpoint in (self.start, self.end):
             if endpoint is None:
                 continue
-            if not endpoint.is_vertex or self.tree.valency(endpoint.vertex) != 1:
+            if not endpoint.is_vertex or len(self.tree._incident[endpoint.vertex]) != 1:
                 return False
         return True
 
@@ -226,19 +226,23 @@ class Geodesic:
         return raw
 
     def point_at(self, coordinate) -> TreePoint:
-        """The point with the given arc-length coordinate. Off the joints,
-        the insertion index ``t`` of its raw coordinate among the joints'
-        is its edge, whose chart gives the offset."""
+        """The point with the given arc-length coordinate: a finite end, a
+        joint, or else inside edge ``t``, the coordinate's insertion index
+        among the joints', at the offset that edge's chart gives."""
         raw = parse_rational(coordinate)
-        if self._start_raw is not None and raw < self._start_raw:
-            raise GeodesicError(f"coordinate {coordinate} is before the start")
-        if self._end_raw is not None and raw > self._end_raw:
-            raise GeodesicError(f"coordinate {coordinate} is past the end")
+        if self._start_raw is not None and raw <= self._start_raw:
+            if raw < self._start_raw:
+                raise GeodesicError(f"coordinate {coordinate} is before the start")
+            return self.start
+        if self._end_raw is not None and raw >= self._end_raw:
+            if raw > self._end_raw:
+                raise GeodesicError(f"coordinate {coordinate} is past the end")
+            return self.end
         t = bisect_left(self._joint_raw, raw)
         if t < len(self.joints) and self._joint_raw[t] == raw:
             return TreePoint(vertex=self.joints[t])
         base, sign = self._chart[t]
-        return self.tree.point(self.edges[t], raw - base if sign > 0 else base - raw)
+        return TreePoint(edge=self.edges[t], offset=raw - base if sign > 0 else base - raw)
 
     def project(self, point: TreePoint) -> TreePoint:
         """Nearest point of the geodesic (unique since trees are CAT(0)).
@@ -327,7 +331,7 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     p = tree.canonical_point(p)
     q = tree.canonical_point(q)
     if p == q:
-        eid = p.edge if not p.is_vertex else tree.incident_edges(p.vertex)[0]
+        eid = p.edge if not p.is_vertex else tree._incident[p.vertex][0]
         return Geodesic(tree, [eid], [], p, p)
     if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
         return Geodesic(tree, [p.edge], [], p, q)
@@ -375,13 +379,13 @@ def perpendicular(tree: Tree, flag: Flag) -> Subtree:
     stack = [flag.vertex]
     while stack:
         w = stack.pop()
-        for eid in tree.incident_edges(w):
+        for eid in tree._incident[w]:
             if w == flag.vertex and eid in banned:
                 continue
             if eid in edges:
                 continue
             edges.add(eid)
-            other = tree.edge(eid).other_end(w)
+            other = tree.edges[eid].other_end(w)
             if other is not None and other not in vertices:
                 vertices.add(other)
                 stack.append(other)
@@ -391,7 +395,7 @@ def perpendicular(tree: Tree, flag: Flag) -> Subtree:
 def _onward(tree: Tree, vertex: VertexId, via: int) -> int | None:
     """The one walk rule: the smallest-id edge at ``vertex`` other than
     ``via``, the edge the walk arrived by, or None at a leaf."""
-    return next((eid for eid in tree.incident_edges(vertex) if eid != via), None)
+    return next((eid for eid in tree._incident[vertex] if eid != via), None)
 
 
 def _travel(segment: Geodesic, t) -> TreePoint:
@@ -467,7 +471,7 @@ def _flag_geodesic(tree: Tree, flag: Flag, onward) -> Geodesic:
     neg_edges, neg_joints, _ = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
     edges = list(reversed(neg_edges)) + pos_edges
     joints = list(reversed(neg_joints)) + [flag.vertex] + pos_joints
-    return Geodesic(tree, edges, joints, None, None, origin=tree.vertex_point(flag.vertex))
+    return Geodesic(tree, edges, joints, None, None, origin=TreePoint(flag.vertex))
 
 
 def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:

@@ -40,15 +40,18 @@ def save_json(payload, path) -> None:
     """Canonical, atomic JSON write."""
     text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # strerror: the exception's own text names the random temp file
+        raise FileFormatError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_json(path):
@@ -97,9 +100,8 @@ def point_to_dict(tree: Tree, point: TreePoint) -> dict:
     """Encode a point as edge + offset; vertices ride their smallest
     incident edge at offset 0 (or the full length at the far end)."""
     if point.is_vertex:
-        eid = tree.incident_edges(point.vertex)[0]
-        rec = tree.edge(eid)
-        offset = rec.endpoint_offset(point.vertex)
+        eid = tree._incident[point.vertex][0]
+        offset = tree.edges[eid].endpoint_offset(point.vertex)
         return {"edge": eid, "offset": format_rational(offset)}
     return {"edge": point.edge, "offset": format_rational(point.offset)}
 

@@ -138,7 +138,6 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
 
 def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:
     """The exact integral of squared distance to ``base``."""
-    base = tree.canonical_point(base)
     total = _ZERO
     for point, mass in measure.atoms:
         d = tree.distance(base, point)

@@ -103,7 +103,7 @@ def enumerate_flags(tree: Tree) -> list[Flag]:
     """All flags, vertex by vertex; a valency-k vertex contributes C(k,2)."""
     flags = []
     for v in tree.vertices:
-        for e, f in combinations(tree.incident_edges(v), 2):
+        for e, f in combinations(tree._incident[v], 2):
             flags.append(Flag(v, frozenset((e, f))))
     return flags
 
@@ -184,7 +184,7 @@ def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
     denominators of all the others.
     """
     values = [table.value(Flag(x, frozenset(pair)))
-              for pair in combinations(tree.incident_edges(x), 2)]
+              for pair in combinations(tree._incident[x], 2)]
     scale = lcm(total.denominator, *(value.denominator for value in values))
     return sum(value.numerator * (scale // value.denominator) for value in values), scale
 
@@ -230,14 +230,14 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     h(x) = (2S − (k−1)(k−2)·T) / (2·D_x·(k−1)).
     """
     total = parse_rational(total)
-    for v in tree.vertices:
-        if tree.valency(v) < 3:
-            raise RadonError(
-                f"inversion needs valency >= 3 everywhere; vertex {v!r} has {tree.valency(v)}"
-            )
+    # construction bans valency 0 and 2, so without leaves every k >= 3
+    if not tree.geodesically_complete:
+        raise RadonError(
+            f"inversion needs valency >= 3 everywhere; vertex {tree.leaves[0]!r} has 1"
+        )
     values: dict[VertexId, Fraction] = {}
     for x in tree.vertices:
-        k = tree.valency(x)
+        k = len(tree._incident[x])
         flag_sum, scale = _flag_sum(tree, table, x, total)
         scaled_total = total.numerator * (scale // total.denominator)
         numerator = 2 * flag_sum - (k - 1) * (k - 2) * scaled_total
@@ -342,7 +342,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     def routed(tree: Tree, vertex: VertexId, via: int) -> int:
         """Past the queried flag: the smallest-id edge that forms an unread
         flag with ``via``, else the smallest-id other edge."""
-        for eid in tree.incident_edges(vertex):
+        for eid in tree._incident[vertex]:
             if eid != via and Flag(vertex, frozenset((via, eid))) not in raw:
                 return eid
         return _onward(tree, vertex, via)
@@ -355,6 +355,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         at_joint: dict[VertexId, Fraction] = {}
         for coord, mass in oracle(geodesic).atoms:
             spot = geodesic.point_at(coord)
+            mass = parse_rational(mass)
             if spot.is_vertex:
                 at_joint[spot.vertex] = mass
                 continue
@@ -384,16 +385,15 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     # the atom. A zero inside costs no subtraction.
     interior_total = sum(interior.values(), _ZERO)
     on_foot: dict[VertexId, Fraction] = {}
-    for point, mass in interior.items():
-        foot = tree._foot_vertex(point)
+    footed = [(tree._foot_vertex(point), point.edge, mass) for point, mass in interior.items()]
+    for foot, _, mass in footed:
         known = on_foot.get(foot)
         on_foot[foot] = mass if known is None else known + mass
     inside = radon_forward(tree, VertexFunction(on_foot)).values
-    for point, mass in interior.items():
-        foot = tree._foot_vertex(point)
-        for eid in tree.incident_edges(foot):
-            if eid != point.edge:
-                inside[Flag(foot, frozenset((point.edge, eid)))] -= mass
+    for foot, edge, mass in footed:
+        for eid in tree._incident[foot]:
+            if eid != edge:
+                inside[Flag(foot, frozenset((edge, eid)))] -= mass
 
     flag_rows = []
     table: dict[Flag, Fraction] = {}
@@ -417,7 +417,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
             "implied total; oracle data is inconsistent"
         )
 
-    atoms = [(tree.vertex_point(v), m) for v, m in vertex_part.values.items()]
+    atoms = [(TreePoint(v), m) for v, m in vertex_part.values.items()]
     atoms.extend(interior.items())
     try:
         measure = make_measure(tree, atoms)

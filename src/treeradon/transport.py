@@ -77,10 +77,8 @@ def _northwest_corner(supply, demand):
             break
         if s[i] == 0 and i < n - 1:
             i += 1
-        elif j < m - 1:
-            j += 1
         else:
-            i += 1
+            j += 1
     return alloc
 
 

@@ -14,6 +14,11 @@ share between threads. Lengths, offsets and distances are
 ``fractions.Fraction`` throughout; nothing in this package touches
 floating point.
 
+Arguments are validated once, at the public boundary: public methods
+check the ids and points they are given, while the ``_incident`` and
+``_link`` maps and the underscore helpers take only vertices, edge ids and
+canonical points that the tree produced or a public method already checked.
+
 The value types :class:`EdgeRecord`, :class:`TreePoint` and :class:`Flag`
 are ``typing.NamedTuple`` subclasses, so building, hashing and comparing
 them runs in C. Each is immutable, and each hashes and compares as the

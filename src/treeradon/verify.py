@@ -21,6 +21,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 from .errors import GeodesicError
 from .generate import (
@@ -107,15 +108,11 @@ def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
     cost = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
     supplies = tuple(m for _, m in mu.atoms)
     demands = tuple(m for _, m in nu.atoms)
-    memo: dict = {}
 
+    @cache
     def best(s, d):
         if all(x == 0 for x in s):
             return _ZERO
-        key = (s, d)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         result = None
         for i, si in enumerate(s):
             if si == 0:
@@ -129,7 +126,6 @@ def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
                 candidate = q * cost[i][j] + best(ns, nd)
                 if result is None or candidate < result:
                     result = candidate
-        memo[key] = result
         return result
 
     return best(supplies, demands)
@@ -213,7 +209,6 @@ def check_dirac_preserved_extension(tree: Tree, x: TreePoint, mu: Measure,
     horizon = parse_rational(horizon)
     if horizon <= 1:
         raise ValueError("horizon must exceed 1")
-    x = tree.canonical_point(x)
     family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon)
     times = {_ZERO, _HALF, Fraction(1), (1 + horizon) / 2, horizon}
     snapshots = {t: family.at(t) for t in times}

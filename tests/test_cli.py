@@ -506,6 +506,49 @@ def test_malformed_input_is_one_line_error(tmp_path, command, tree, payload):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# Error paths with the exit code and message each gives; "data" is the
+# payload's file, on the tripod tree (x has edge 0 only).
+@pytest.mark.parametrize("command, payload, code, message", [
+    ("interpolate tree data data --t 3/2 --out OUT", MEASURE, 1,
+     "interpolation parameter 3/2 outside [0, 1]"),
+    ("w2 tree missing data", MEASURE, 2, "cannot read "),
+    ("w2 tree data data", {"atoms": [{"edge": 0, "offset": "0"}]}, 2, "atom 0 has no mass"),
+    ("radon tree data --out OUT", {"values": ["1"]}, 2,
+     "'values' must map vertex ids to rationals"),
+    ("invert tree data --total 1 --out OUT", {"flags": [{"x": "o", "e": 0, "f": 1}]}, 2,
+     "flag row 0 missing key 'value'"),
+    ("invert tree data --total 1 --out OUT",
+     {"flags": [{"x": "o", "e": 0, "f": 0, "value": "1"}]}, 1, "a flag needs two distinct edges"),
+    ("invert tree data --total 1 --out OUT",
+     {"flags": [{"x": "x", "e": 0, "f": 1, "value": "1"}]}, 1,
+     "edge 1 is not incident to vertex 'x'"),
+], ids=["t-outside", "missing-file", "atom-no-mass", "values-list", "row-no-value",
+        "row-same-edge", "row-edge-not-incident"])
+def test_error_path_exit_and_message(tmp_path, capsys, command, payload, code, message):
+    tree_file, _ = write_tripod(tmp_path)
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps(payload))
+    names = {"tree": str(tree_file), "data": str(data_file),
+             "missing": str(tmp_path / "missing.json"), "OUT": str(tmp_path / "out.json")}
+    assert main([names.get(arg, arg) for arg in command.split()]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: " + message)
+
+
+@pytest.mark.parametrize("where", ["existing-directory", "missing-parent"])
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, where):
+    if where == "existing-directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "t.json"
+    assert main(["gen-tree", "--seed", "1", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestReconstruct:
     def test_round_trip(self, tmp_path, capsys):
         tree_file, star3 = write_star3(tmp_path)

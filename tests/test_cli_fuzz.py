@@ -4,8 +4,10 @@ Each example starts from valid tree, measure, vertex-function and
 flag-table documents, then replaces, drops or appends random JSON values
 (wrong types, missing keys, huge or zero lengths, unhashable and bool ids)
 at random places, renames vertex ids, or swaps a whole document for junk.
-Whatever the input, ``cli.main`` must return 0, 1 or 2, let no exception
-escape, and write at most one ``error:`` line and no traceback to stderr.
+The output path is sometimes an existing directory or a path in a missing
+directory, so every subcommand's write is fuzzed too. Whatever the input,
+``cli.main`` must return 0, 1 or 2, let no exception escape, and write at
+most one ``error:`` line and no traceback to stderr.
 """
 
 import contextlib
@@ -103,18 +105,21 @@ def renamed(draw, tree):
 
 TREES = st.sampled_from([STAR3, TRIPOD]).flatmap(lambda base: document(base) | renamed(base))
 RATIONAL_FLAGS = st.sampled_from(["1", "0", "1/2", "2", "-1", "x", "1.5", "1/0", "10" * 20])
+# Output placeholders, each resolved inside the run's temporary directory.
+OUTPUTS = {"OUT": "out.json", "DIR": "taken", "MISSING": os.path.join("missing", "out.json")}
+OUT = st.sampled_from(["OUT"] * 4 + ["DIR", "MISSING"])
 
 
 def run(argv, files):
     """Write the documents, run ``main`` in process; return (code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
+        os.mkdir(os.path.join(tmp, "taken"))
+        paths = {name: os.path.join(tmp, out) for name, out in OUTPUTS.items()}
         for name, doc in files.items():
             paths[name] = os.path.join(tmp, f"{name}.json")
             with open(paths[name], "w") as handle:
                 json.dump(doc, handle)
         argv = [paths.get(arg, arg) for arg in argv]
-        argv = [os.path.join(tmp, "out.json") if arg == "OUT" else arg for arg in argv]
         err = StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
             try:
@@ -139,7 +144,7 @@ def command(draw, name):
                 "--mode", draw(st.sampled_from(["finite", "complete"])),
                 "--min-valency", str(draw(st.integers(-1, 4))),
                 "--max-valency", str(draw(st.integers(-1, 5))),
-                "--max-denominator", str(draw(st.integers(-1, 9))), "--out", "OUT"]
+                "--max-denominator", str(draw(st.integers(-1, 9))), "--out", draw(OUT)]
         return argv, {}
     if name == "verify":
         argv = ["verify", "--seed", str(draw(st.integers(0, 9))),
@@ -148,25 +153,26 @@ def command(draw, name):
                 "--min-valency", str(draw(st.integers(0, 4))),
                 "--max-valency", str(draw(st.integers(0, 4))),
                 "--max-atoms", str(draw(st.integers(-1, 3))),
-                "--max-denominator", str(draw(st.integers(0, 5))), "--out", "OUT"]
+                "--max-denominator", str(draw(st.integers(0, 5))), "--out", draw(OUT)]
         return argv, {}
     files = {"tree": draw(TREES)}
     if name == "radon":
         files["h"] = draw(document(H))
-        return ["radon", "tree", "h", "--out", "OUT"], files
+        return ["radon", "tree", "h", "--out", draw(OUT)], files
     if name == "invert":
         files["table"] = draw(document(TABLE))
-        return ["invert", "tree", "table", "--total", draw(RATIONAL_FLAGS), "--out", "OUT"], files
+        return ["invert", "tree", "table", "--total", draw(RATIONAL_FLAGS),
+                "--out", draw(OUT)], files
     files["mu"] = draw(st.sampled_from(MEASURES).flatmap(document))
     if name == "reconstruct":
-        argv = ["reconstruct", "tree", "mu", "--out", "OUT"]
+        argv = ["reconstruct", "tree", "mu", "--out", draw(OUT)]
         skeleton = draw(st.sampled_from([None, "0,1,2", "0,x", "99", "-1", ",,", "True"]))
         return argv + ([] if skeleton is None else ["--skeleton", skeleton]), files
     files["nu"] = draw(st.sampled_from(MEASURES).flatmap(document))
     argv = [name, "tree", "mu", "nu"]
     if name == "interpolate":
         argv += ["--t", draw(RATIONAL_FLAGS)]
-    return argv + ["--out", "OUT"], files
+    return argv + ["--out", draw(OUT)], files
 
 
 @pytest.mark.parametrize("name", ["gen-tree", "radon", "invert", "w2", "plan",

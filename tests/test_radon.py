@@ -265,6 +265,23 @@ class TestReconstruction:
                            match="masses disagree across geodesics through edge 0"):
             reconstruct_measure(star3, liar)
 
+    @pytest.mark.parametrize("as_float", [
+        lambda c, m: (c, float(m)),
+        lambda c, m: (float(c), m),
+    ], ids=["float-mass", "float-coordinate"])
+    def test_non_rational_answer_rejected(self, star3, as_float):
+        # an answer is outside input: a float in it is refused where it
+        # enters, not deep inside the flag sums (vertex atoms only, so no
+        # float interior total is refused first by radon_invert)
+        hidden = make_measure(star3, [(star3.vertex_point(v), F(1, 2)) for v in "ca"])
+
+        def liar(geodesic):
+            sample = pushforward_projection(star3, geodesic, hidden)
+            return RadonSample(geodesic, tuple(as_float(c, m) for c, m in sample.atoms))
+
+        with pytest.raises(TypeError, match="^cannot interpret float as an exact rational$"):
+            reconstruct_measure(star3, liar)
+
     def test_table_outside_the_transform_image_detected(self, star3):
         # 1/1000 moved from flag (c, {0, 2}) to flag (c, {0, 1}) on every
         # answer: the readings agree, the flag sum at c is unchanged, so the
