@@ -2,17 +2,19 @@
 CAT(0) comparison.
 
 A :class:`Geodesic` is an injective path described by the edges it
-traverses with the junction vertices between them. A ``start``/``end`` of
-None means the path escapes to infinity along a ray, so the same class
-covers finite segments, maximal geodesics in trees with leaves, and
-complete geodesics in leafless trees. Each geodesic carries an arc-length
-coordinate system (an origin point and an orientation given by edge
-order); for geodesics built through a flag the origin is the flag vertex
-and the positive direction heads into the smaller edge identifier. Raw
-coordinates are measured from the origin, whose raw coordinate is 0, so a
-raw coordinate is the arc-length coordinate itself. Each edge carries one
-affine chart ``(base, sign)`` for it: the point at offset ``o`` in the
-edge's own coordinate has coordinate ``base + sign·o``.
+traverses; its joints, the vertices between consecutive edges, are derived
+from them, since two distinct edges of a tree meet in at most one vertex.
+A ``start``/``end`` of None means the path escapes to infinity along a
+ray, so the same class covers finite segments, maximal geodesics in trees
+with leaves, and complete geodesics in leafless trees. Each geodesic
+carries an arc-length coordinate system (an origin point and an
+orientation given by edge order); for geodesics built through a flag the
+origin is the flag vertex and the positive direction heads into the
+smaller edge identifier. Raw coordinates are measured from the origin,
+whose raw coordinate is 0, so a raw coordinate is the arc-length
+coordinate itself. Each edge carries one affine chart ``(base, sign)``
+for it: the point at offset ``o`` in the edge's own coordinate has
+coordinate ``base + sign·o``.
 
 Projection onto a geodesic is combinatorial: a point inside one of the
 geodesic's edges reads its raw coordinate from the edge's chart, clipped to
@@ -42,14 +44,17 @@ _ZERO = Fraction(0)
 class Geodesic:
     """An injective path with an exact arc-length coordinate system.
 
-    Coordinates increase from ``start`` toward ``end``; the ``origin``
-    point has coordinate 0, and the charts are built outward from it, so
-    the stored raw coordinates (joints, ends, chart bases, projection
-    anchors) are arc-length coordinates with no origin to add or subtract.
-    The origin defaults to the start, or to the first joint when the start
-    is infinite; one off the geodesic raises :class:`GeodesicError`.
-    Everything is built at construction, so instances are immutable and
-    safe to share.
+    A geodesic is given by its edges and its two ends. Its ``joints`` are
+    derived: each is the one vertex two consecutive edges share, and two
+    consecutive edges that share none raise :class:`GeodesicError` ("edges
+    A and B do not meet"). Coordinates increase from ``start`` toward
+    ``end``; the ``origin`` point has coordinate 0, and the charts are
+    built outward from it, so the stored raw coordinates (joints, ends,
+    chart bases, projection anchors) are arc-length coordinates with no
+    origin to add or subtract. The origin defaults to the start, or to the
+    first joint when the start is infinite; one off the geodesic raises
+    :class:`GeodesicError`. Everything is built at construction, so
+    instances are immutable and safe to share.
     """
 
     __slots__ = (
@@ -58,27 +63,25 @@ class Geodesic:
         "_start_raw", "_end_raw", "_anchors", "_apex",
     )
 
-    def __init__(self, tree: Tree, edges, joints, start, end, origin=None) -> None:
+    def __init__(self, tree: Tree, edges, start, end, origin=None) -> None:
         self.tree = tree
         self.edges = tuple(edges)
-        self.joints = tuple(joints)
         if not self.edges:
             raise GeodesicError("a geodesic traverses at least one edge")
-        if len(self.joints) != len(self.edges) - 1:
-            raise GeodesicError("junction count must be edge count minus one")
         if len(set(self.edges)) != len(self.edges):
             raise GeodesicError("a geodesic cannot traverse an edge twice")
-        if len(set(self.joints)) != len(self.joints):
+        records = [tree.edge(eid) for eid in self.edges]
+        joints = []
+        for left, right in zip(records, records[1:]):
+            if left.u == right.u or left.u == right.v:
+                joints.append(left.u)
+            elif left.v is not None and (left.v == right.u or left.v == right.v):
+                joints.append(left.v)
+            else:
+                raise GeodesicError(f"edges {left.id} and {right.id} do not meet")
+        self.joints = joints = tuple(joints)
+        if len(set(joints)) != len(joints):
             raise GeodesicError("a geodesic cannot revisit a vertex")
-        records = [tree.edge(self.edges[0])]
-        for i, j in enumerate(self.joints):
-            left = records[i]
-            right = tree.edge(self.edges[i + 1])
-            if j not in left.endpoints() or j not in right.endpoints():
-                raise GeodesicError(
-                    f"junction {j!r} does not join edges {left.id} and {right.id}"
-                )
-            records.append(right)
 
         self.start = tree.canonical_point(start) if start is not None else None
         self.end = tree.canonical_point(end) if end is not None else None
@@ -89,7 +92,7 @@ class Geodesic:
             raise GeodesicError("an infinite end requires a ray edge")
         o_start = None if self.start is None else self._offset_on(self.start, first)
         o_end = None if self.end is None else self._offset_on(self.end, last)
-        joints, n = self.joints, len(self.joints)
+        n = len(joints)
         if not n and (o_start is None or o_end is None):
             raise GeodesicError("a single-edge geodesic needs both endpoints")
         self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
@@ -323,36 +326,26 @@ class Geodesic:
 def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     """The unique injective path from ``p`` to ``q`` as a geodesic segment.
 
-    The vertex path between the two points' feet comes from climbing the
-    tree's parent links; a point inside a finite edge that it leaves
-    through the far end drops that edge and end off the path. The origin
-    sits at ``p``, so coordinates run from 0 to the distance.
+    The edges between the two points' feet come from climbing the tree's
+    parent links. A point inside an edge puts that edge at its end of the
+    path: the climb already starts (or stops) with it when the path leaves
+    the point through the edge's far end, and otherwise it is added. The
+    origin sits at ``p``, so coordinates run from 0 to the distance.
     """
     p = tree.canonical_point(p)
     q = tree.canonical_point(q)
     if p == q:
         eid = p.edge if not p.is_vertex else tree._incident[p.vertex][0]
-        return Geodesic(tree, [eid], [], p, p)
+        return Geodesic(tree, [eid], p, p)
     if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-        return Geodesic(tree, [p.edge], [], p, q)
+        return Geodesic(tree, [p.edge], p, q)
 
-    vertices, edges = tree._vertex_path(tree._foot_vertex(p), tree._foot_vertex(q))
-    if edges and edges[0] == p.edge:
-        del vertices[0], edges[0]
-    if edges and edges[-1] == q.edge:
-        del vertices[-1], edges[-1]
-
-    # Junctions are every path vertex that is not itself the start or end.
-    lo, hi = 0, len(vertices)
-    if p.is_vertex:
-        lo = 1
-    else:
+    edges = tree._path_edges(tree._foot_vertex(p), tree._foot_vertex(q))
+    if not p.is_vertex and (not edges or edges[0] != p.edge):
         edges.insert(0, p.edge)
-    if q.is_vertex:
-        hi -= 1
-    else:
+    if not q.is_vertex and (not edges or edges[-1] != q.edge):
         edges.append(q.edge)
-    return Geodesic(tree, edges, vertices[lo:hi], p, q)
+    return Geodesic(tree, edges, p, q)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
@@ -441,22 +434,18 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onw
     ``onward(tree, vertex, via)`` at each vertex (by default the walk rule
     ``_onward``), until entering a ray or hitting a leaf.
 
-    Returns ``(edges, joints, terminal)`` where ``terminal`` is the leaf
-    vertex reached, or None when the walk escapes along a ray.
+    Returns ``(edges, terminal)`` where ``terminal`` is the leaf vertex
+    reached, or None when the walk escapes along a ray.
     """
     edges = [first_edge]
-    joints = []
-    via = first_edge
     current = tree.edges[first_edge].other_end(origin)
     while current is not None:
-        nxt = onward(tree, current, via)
+        nxt = onward(tree, current, edges[-1])
         if nxt is None:
-            return edges, joints, current
-        joints.append(current)
+            return edges, current
         edges.append(nxt)
-        via = nxt
         current = tree.edges[nxt].other_end(current)
-    return edges, joints, None
+    return edges, None
 
 
 def _flag_geodesic(tree: Tree, flag: Flag, onward) -> Geodesic:
@@ -467,11 +456,9 @@ def _flag_geodesic(tree: Tree, flag: Flag, onward) -> Geodesic:
     smaller of the two flag edges.
     """
     pos_edge, neg_edge = flag.edges
-    pos_edges, pos_joints, _ = _walk_to_infinity(tree, flag.vertex, pos_edge, onward)
-    neg_edges, neg_joints, _ = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
-    edges = list(reversed(neg_edges)) + pos_edges
-    joints = list(reversed(neg_joints)) + [flag.vertex] + pos_joints
-    return Geodesic(tree, edges, joints, None, None, origin=TreePoint(flag.vertex))
+    pos_edges, _ = _walk_to_infinity(tree, flag.vertex, pos_edge, onward)
+    neg_edges, _ = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
+    return Geodesic(tree, neg_edges[::-1] + pos_edges, None, None, origin=TreePoint(flag.vertex))
 
 
 def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:

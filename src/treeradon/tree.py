@@ -114,8 +114,8 @@ class Flag(NamedTuple):
         return a, b
 
     def __repr__(self) -> str:
-        a, b = self.edges
-        return f"Flag({self.vertex!r}, {{{a}, {b}}})"
+        pair = ", ".join(map(str, sorted(self.edge_pair)))
+        return f"Flag({self.vertex!r}, {{{pair}}})"
 
 
 @dataclass(frozen=True)
@@ -294,6 +294,8 @@ class Tree:
         return Flag(vertex, frozenset((e, f)))
 
     def validate_flag(self, flag: Flag) -> Flag:
+        if len(flag.edge_pair) != 2:
+            raise PointLocationError("a flag needs two distinct edges")
         e, f = flag.edges
         return self.flag(flag.vertex, e, f)
 
@@ -402,22 +404,19 @@ class Tree:
             b = link[b][0]
         return a
 
-    def _vertex_path(self, a: VertexId, b: VertexId) -> tuple[list, list]:
-        """Vertices and edges of the path from vertex ``a`` to vertex ``b``,
-        climbing parent links from the deeper end until the two meet."""
+    def _path_edges(self, a: VertexId, b: VertexId) -> list[int]:
+        """Edge ids of the path from vertex ``a`` to vertex ``b``, climbing
+        parent links from the deeper end until the two meet."""
         link, hops = self._link, self._hops
-        head, head_edges, tail, tail_edges = [a], [], [b], []
+        head, tail = [], []
         while a != b:
             if hops[a] >= hops[b]:
                 a, eid = link[a]
-                head.append(a)
-                head_edges.append(eid)
+                head.append(eid)
             else:
                 b, eid = link[b]
-                tail.append(b)
-                tail_edges.append(eid)
-        tail.pop()
-        return head + tail[::-1], head_edges + tail_edges[::-1]
+                tail.append(eid)
+        return head + tail[::-1]
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         """Length of the unique injective path between two points."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
-from .errors import GeodesicError
+from .errors import GenerationError, GeodesicError
 from .generate import (
     SuiteConfig,
     gen_measure,
@@ -678,7 +678,14 @@ def _shrink(check, cfg: SuiteConfig, name: str, payload: dict) -> dict:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute every property ``config.trials`` times; failures are data."""
+    """Execute every property ``config.trials`` times; failures are data.
+
+    Bounds under which the generator itself cannot draw a suite's trees
+    (finite trees need two vertices, leafless ones valency 3) are refused
+    before any trial runs, so a failure always comes from the library.
+    """
+    if config.max_vertices < 2 or config.max_valency < 3:
+        raise GenerationError("the property suite needs max_vertices >= 2 and max_valency >= 3")
     started = time.perf_counter()
     results = []
     for name, check in _PROPERTIES:

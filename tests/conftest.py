@@ -5,7 +5,9 @@ from treeradon import build_tree
 
 # Properties that check a kernel against its reference implementation run
 # 40 examples each in tier-1; TREERADON_SOLVER_PROFILE=solver-deep runs 300
-# each (CI does, in its own steps).
+# each (CI does, in its own steps). The geodesic reference properties in
+# test_metric_reference.py and test_geodesic_chart.py keep their own tier-1
+# counts and scale them by the same factor (profile_settings).
 settings.register_profile("solver", max_examples=40, deadline=None)
 settings.register_profile("solver-deep", max_examples=300, deadline=None)
 

@@ -43,19 +43,16 @@ def geodesic_through_edge(tree: Tree, edge_id: int) -> Geodesic:
     direction runs into the edge; continuations take smallest edge ids.
     """
     rec = tree.edge(edge_id)
-    pos_edges, pos_joints, pos_term = _walk_to_infinity(tree, rec.u, edge_id)
+    edges, pos_term = _walk_to_infinity(tree, rec.u, edge_id)
     others = [eid for eid in tree.incident_edges(rec.u) if eid != edge_id]
     if others:
-        neg_edges, neg_joints, neg_term = _walk_to_infinity(tree, rec.u, others[0])
-        edges = list(reversed(neg_edges)) + pos_edges
-        joints = list(reversed(neg_joints)) + [rec.u] + pos_joints
+        neg_edges, neg_term = _walk_to_infinity(tree, rec.u, others[0])
+        edges = neg_edges[::-1] + edges
         start = None if neg_term is None else tree.vertex_point(neg_term)
     else:
-        edges = pos_edges
-        joints = pos_joints
         start = tree.vertex_point(rec.u)
     end = None if pos_term is None else tree.vertex_point(pos_term)
-    return Geodesic(tree, edges, joints, start, end, origin=tree.vertex_point(rec.u))
+    return Geodesic(tree, edges, start, end, origin=tree.vertex_point(rec.u))
 
 
 class ParentCoordinates:

@@ -602,6 +602,16 @@ class TestVerify:
         assert code == 1
         assert json.loads(out.read_text())["ok"] is False
 
+    def test_unsatisfiable_bounds_are_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--trials", "2", "--min-valency", "1", "--max-valency", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the property suite needs max_vertices >= 2 and max_valency >= 3"]
+        assert not out.exists()
+
     def test_report_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["verify", "--trials", "2", "--seed", "9", "--out", str(a)]) == 0

@@ -13,11 +13,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from test_metric_reference import (
     probe_points,
+    profile_settings,
     random_caterpillar,
     random_point,
     random_tree,
@@ -106,7 +107,7 @@ def hand_built(tree, rng, base):
             end = None
     origins = [p for p in (start, end) if p is not None]
     origins += [tree.vertex_point(j) for j in joints] + [inside(tree, rng, e) for e in edges[1:-1]]
-    return Geodesic(tree, edges, joints, start, end, origin=rng.choice(origins))
+    return Geodesic(tree, edges, start, end, origin=rng.choice(origins))
 
 
 def ray_segments(tree, rng):
@@ -133,7 +134,7 @@ def chart_cases(tree, rng):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.booleans(), st.booleans())
-@settings(max_examples=40, deadline=None)
+@profile_settings(40)
 def test_chart_matches_parent_coordinates(seed, n, leaves, caterpillar):
     rng = random.Random(seed)
     tree = random_caterpillar(rng, n, leaves) if caterpillar else random_tree(rng, max(n, 2), leaves)
@@ -149,8 +150,8 @@ def test_one_flipped_chart_sign_is_caught():
             points = probe_points(tree, geodesic, rng)
             assert_matches_parent(geodesic, points)
             for k, (base, sign) in enumerate(geodesic._chart):
-                flipped = Geodesic(tree, geodesic.edges, geodesic.joints,
-                                   geodesic.start, geodesic.end, geodesic.origin)
+                flipped = Geodesic(tree, geodesic.edges, geodesic.start, geodesic.end,
+                                   geodesic.origin)
                 flipped._chart = list(geodesic._chart)
                 flipped._chart[k] = (base, -sign)
                 with pytest.raises(AssertionError):
@@ -189,7 +190,7 @@ def reference_pushforward(tree, ref, measure):
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
-@settings(max_examples=25, deadline=None)
+@profile_settings(25)
 def test_every_origin_placement_matches_parent(placement, seed, n):
     rng = random.Random(seed)
     tree = random_tree(rng, n, leaves=True)
@@ -199,7 +200,7 @@ def test_every_origin_placement_matches_parent(placement, seed, n):
              for origin in placed_origins(tree, rng, base, placement)]
     assume(cases)
     base, origin = rng.choice(cases)
-    geodesic = Geodesic(tree, base.edges, base.joints, base.start, base.end, origin=origin)
+    geodesic = Geodesic(tree, base.edges, base.start, base.end, origin=origin)
     ref = ParentCoordinates(geodesic)
     for c in probe_coordinates(ref):
         assert outcome(geodesic.point_at, c) == outcome(ref.point_at, c)
@@ -215,14 +216,14 @@ def test_every_origin_placement_matches_parent(placement, seed, n):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
-@settings(max_examples=40, deadline=None)
+@profile_settings(40)
 def test_origin_off_the_geodesic_is_rejected(seed, n, leaves):
     rng = random.Random(seed)
     tree = random_tree(rng, max(n, 2), leaves)
     for geodesic in chart_cases(tree, rng):
         ref = ParentCoordinates(geodesic)
         for x in probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(3)]:
-            args = (tree, geodesic.edges, geodesic.joints, geodesic.start, geodesic.end)
+            args = (tree, geodesic.edges, geodesic.start, geodesic.end)
             if ref._raw_of(tree.canonical_point(x)) is None:
                 with pytest.raises(GeodesicError, match="origin must lie on the geodesic"):
                     Geodesic(*args, origin=x)

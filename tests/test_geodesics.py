@@ -47,9 +47,9 @@ class TestPath:
             seg.point_at(3)
 
     def test_ray_between_two_joints_rejected(self, star3):
-        # a ray has one vertex, so both joints around it would be that vertex
+        # a ray has one vertex, so both joints around it are that vertex
         with pytest.raises(GeodesicError, match="revisit"):
-            Geodesic(star3, [0, 3, 4], ["a", "a"], star3.vertex_point("c"), None)
+            Geodesic(star3, [0, 3, 4], star3.vertex_point("c"), None)
 
     def test_contains(self, tripod):
         seg = path(tripod, tripod.vertex_point("x"), tripod.vertex_point("y"))
@@ -57,25 +57,24 @@ class TestPath:
         assert not seg.contains(tripod.point(2, F(1, 4)))
 
 
-# (edges, joints, start, end, origin) for star3, with the message each raises
+# (edges, start, end, origin) for star3, with the message each raises
 # (a revisited vertex is TestPath.test_ray_between_two_joints_rejected):
 # spokes 0: c-a, 1: c-b, 2: c-d; rays 3, 4 at a, 5, 6 at b, 7, 8 at d
 BAD_GEODESICS = [
-    (([], [], "c", "c", None), "at least one edge"),
-    (([0, 1], [], "a", "b", None), "junction count must be edge count minus one"),
-    (([0, 0], ["c"], "a", "a", None), "cannot traverse an edge twice"),
-    (([0, 1], ["a"], "a", "b", None), "junction 'a' does not join edges 0 and 1"),
-    (([0, 1], ["c"], None, "b", None), "an infinite end requires a ray edge"),
-    (([0, 1], ["c"], "a", None, None), "an infinite end requires a ray edge"),
-    (([3], [], None, None, None), "a single-edge geodesic needs both endpoints"),
-    (([3], [], "a", None, None), "a single-edge geodesic needs both endpoints"),
-    (([0, 1], ["c"], (2, F(1, 2)), "b", None), "is not on edge 0"),
-    (([0, 1], ["c"], "a", "b", "d"), "origin must lie on the geodesic"),
+    (([], "c", "c", None), "at least one edge"),
+    (([0, 0], "a", "a", None), "cannot traverse an edge twice"),
+    (([3, 5], None, None, None), "edges 3 and 5 do not meet"),
+    (([0, 1], None, "b", None), "an infinite end requires a ray edge"),
+    (([0, 1], "a", None, None), "an infinite end requires a ray edge"),
+    (([3], None, None, None), "a single-edge geodesic needs both endpoints"),
+    (([3], "a", None, None), "a single-edge geodesic needs both endpoints"),
+    (([0, 1], (2, F(1, 2)), "b", None), "is not on edge 0"),
+    (([0, 1], "a", "b", "d"), "origin must lie on the geodesic"),
     # the start sits halfway along spoke 0, so a and the points past the
     # start on that spoke are off the geodesic, though their edge is on it
-    (([0, 1], ["c"], (0, F(1, 2)), "b", "a"), "origin must lie on the geodesic"),
-    (([0, 1], ["c"], (0, F(1, 2)), "b", (0, F(3, 4))), "origin must lie on the geodesic"),
-    (([0], [], (0, F(1, 4)), (0, F(1, 2)), "c"), "origin must lie on the geodesic"),
+    (([0, 1], (0, F(1, 2)), "b", "a"), "origin must lie on the geodesic"),
+    (([0, 1], (0, F(1, 2)), "b", (0, F(3, 4))), "origin must lie on the geodesic"),
+    (([0], (0, F(1, 4)), (0, F(1, 2)), "c"), "origin must lie on the geodesic"),
 ]
 
 
@@ -86,9 +85,9 @@ def test_geodesic_constructor_rejects(star3, args, message):
             return None
         return star3.vertex_point(spec) if isinstance(spec, str) else star3.point(*spec)
 
-    edges, joints, start, end, origin = args
+    edges, start, end, origin = args
     with pytest.raises(GeodesicError, match=message):
-        Geodesic(star3, edges, joints, point(start), point(end), origin=point(origin))
+        Geodesic(star3, edges, point(start), point(end), origin=point(origin))
 
 
 def test_flag_geodesic_length_and_equality(star3):

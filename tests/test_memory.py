@@ -1,0 +1,98 @@
+"""README's memory promise: a tree costs O(V) memory, and answering queries
+adds nothing to what it retains.
+
+Memory is read with ``tracemalloc`` after a ``gc.collect()``, so it counts
+what is still reachable, not what a query allocated on the way.
+"""
+
+import gc
+import random
+import tracemalloc
+from fractions import Fraction as F
+
+import pytest
+
+from treeradon import build_tree, geodesic_through_flag, path
+
+SIZES = (500, 2000)
+
+
+def leafless_description(rng, n):
+    """A leafless tree of exactly n vertices: each vertex attaches to an
+    earlier one of valency below 5, then rays lift every vertex to
+    valency 3. Lengths are p/q with p, q <= 12."""
+    degree = [0] * n
+    open_ids = [0]
+    edges = []
+    for i in range(1, n):
+        parent = open_ids[rng.randrange(len(open_ids))]
+        edges.append((f"v{parent}", f"v{i}", F(rng.randint(1, 12), rng.randint(1, 12))))
+        degree[parent] += 1
+        degree[i] += 1
+        if degree[parent] == 5:
+            open_ids.remove(parent)
+        open_ids.append(i)
+    edges += [(f"v{i}", None, "inf") for i in range(n) for _ in range(3 - degree[i])]
+    return {"vertices": [f"v{i}" for i in range(n)], "edges": edges}
+
+
+def query_points(tree, rng, count):
+    """Vertices and points inside finite edges and rays."""
+    points = []
+    for _ in range(count):
+        rec = tree.edges[rng.randrange(len(tree.edges))]
+        if rng.random() < 0.3:
+            points.append(tree.vertex_point(rec.u))
+        else:
+            top = F(9) if rec.length is None else rec.length
+            points.append(tree.point(rec.id, top * F(rng.randint(1, 7), 8)))
+    return points
+
+
+def traced_now():
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+@pytest.fixture
+def tracing():
+    gc.collect()
+    tracemalloc.start()
+    yield
+    tracemalloc.stop()
+
+
+def test_bytes_per_vertex_do_not_grow_with_size(tracing):
+    per_vertex = []
+    for n in SIZES:
+        description = leafless_description(random.Random(n), n)
+        before = traced_now()
+        tree = build_tree(description)
+        per_vertex.append((traced_now() - before) / n)
+        del tree
+    # about 600 B per vertex at both sizes; a per-pair cache would grow
+    # fourfold between them
+    assert max(per_vertex) <= 1.25 * min(per_vertex), per_vertex
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_queries_retain_nothing(tracing, n):
+    rng = random.Random(n)
+    tree = build_tree(leafless_description(rng, n))
+    root = tree.vertices[0]
+    geodesic = geodesic_through_flag(tree, tree.flag(root, *tree.incident_edges(root)[:2]))
+    # a fresh pair each round, so a cache keyed by its queries would grow
+    points = query_points(tree, rng, 2000)
+
+    def rounds(start, stop):
+        for i in range(start, stop):
+            p, q = points[2 * i], points[2 * i + 1]
+            tree.distance(p, q)
+            path(tree, p, q)
+            geodesic.project(p)
+
+    rounds(0, 200)
+    after_200 = traced_now()
+    rounds(200, 1000)
+    after_1000 = traced_now()
+    assert after_1000 <= after_200 + 4096, (after_200, after_1000)

@@ -7,16 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeradon import (
+    Flag,
+    FlagTable,
+    RadonError,
     SuiteConfig,
     Tree,
     TreePoint,
     TreeStructureError,
     PointLocationError,
     build_tree,
+    dirac,
+    flag_mass,
     gen_point,
     gen_tree,
     geodesic_through_flag,
     make_measure,
+    perpendicular,
     radon_oracle,
     reconstruct_measure,
 )
@@ -231,6 +237,26 @@ class TestPoints:
     def test_canonical_point_rejects_bad_points(self, star3, raw):
         with pytest.raises(PointLocationError):
             star3.canonical_point(raw)
+
+
+class TestMalformedFlag:
+    # a Flag built by hand, not through Tree.flag, whose edge pair is not
+    # two edges
+    PAIRS = [frozenset({0}), frozenset({0, 1, 2}), frozenset()]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("call", [
+        lambda tree, flag: perpendicular(tree, flag),
+        lambda tree, flag: geodesic_through_flag(tree, flag),
+        lambda tree, flag: flag_mass(tree, dirac(tree, tree.vertex_point("c")), flag),
+    ], ids=["perpendicular", "geodesic_through_flag", "flag_mass"])
+    def test_rejected_with_the_flag_message(self, star3, call, pair):
+        with pytest.raises(PointLocationError, match="^a flag needs two distinct edges$"):
+            call(star3, Flag("c", pair))
+
+    def test_missing_entry_names_it(self):
+        with pytest.raises(RadonError, match=r"no entry for Flag\('c', \{0\}\)"):
+            FlagTable({}).value(Flag("c", frozenset({0})))
 
 
 class TestDistance:

@@ -38,6 +38,10 @@ def test_hash_is_the_hash_of_the_fields(value, fields):
     (Flag(0, frozenset({10, 9})), "Flag(0, {9, 10})"),
     (SEGMENT, "EdgeRecord(id=0, u='a', v='b', length=Fraction(3, 2))"),
     (RAY, "EdgeRecord(id=4, u=7, v=None, length=None)"),
+    # a malformed edge pair still prints, so an error message can name it
+    (Flag("c", frozenset({0})), "Flag('c', {0})"),
+    (Flag("c", frozenset({2, 0, 1})), "Flag('c', {0, 1, 2})"),
+    (Flag("c", frozenset()), "Flag('c', {})"),
 ])
 def test_repr(value, text):
     assert repr(value) == text

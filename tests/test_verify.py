@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from treeradon import (
+    GenerationError,
     GeodesicError,
     SuiteConfig,
     check_dirac_preserved_extension,
@@ -117,6 +118,28 @@ class TestRunSuite:
         assert "duration_seconds" not in payload
         assert payload["ok"] is True
         assert len(payload["properties"]) == len(report.properties)
+
+    @pytest.mark.parametrize("bounds", [
+        {"max_vertices": 1},
+        {"min_valency": 1, "max_valency": 2},
+    ], ids=["one-vertex", "valency-2"])
+    def test_bounds_the_generator_cannot_meet_are_refused(self, bounds):
+        # finite trees need two vertices and leafless ones valency 3, so
+        # trials would fail in the generator, not in the library; the
+        # configuration itself stays valid (gen-tree accepts it)
+        config = SuiteConfig(trials=20, **bounds)
+        with pytest.raises(GenerationError, match="^the property suite needs max_vertices >= 2 "
+                                                  "and max_valency >= 3$"):
+            run_suite(config)
+
+    @pytest.mark.parametrize("bounds", [
+        {"max_vertices": 2},
+        {"min_valency": 1, "max_valency": 3},
+        {"min_valency": 3, "max_valency": 3},
+        {"max_vertices": 2, "max_valency": 3, "max_atoms": 1, "max_denominator": 2},
+    ])
+    def test_smallest_kept_bounds_pass(self, bounds):
+        assert run_suite(SuiteConfig(seed=3, trials=2, **bounds)).ok
 
     def test_counts_sum_to_trials(self):
         report = run_suite(SuiteConfig(seed=13, trials=4))
