@@ -16,16 +16,21 @@ coordinate itself. Each edge carries one affine chart ``(base, sign)``
 for it: the point at offset ``o`` in the edge's own coordinate has
 coordinate ``base + sign·o``.
 
+Construction runs on one list, the closed vertex path or *walk*: the far
+end of the first edge, the joints, and the far end of the last edge (for a
+single edge, its two ends in start-to-end order), with None for a ray's
+open end, so edge i runs from ``walk[i]`` to ``walk[i + 1]``. The origin
+fixes the raw coordinate of one walk vertex, one pass outward fills in the
+others, and an edge's chart is the raw coordinate of its ``u`` end with
+sign 1 exactly when that end is ``walk[i]``.
+
 Projection onto a geodesic is combinatorial: a point inside one of the
 geodesic's edges reads its raw coordinate from the edge's chart, clipped to
 the finite ends; any other point climbs the tree's parent links from its
-foot until it reaches a vertex of the geodesic's closed vertex path, which
-maps to its nearest point and raw coordinate. No distance is computed. It
-is also the one way a built geodesic locates a point: a geodesic is closed
-and convex, so a point lies on it exactly when it is its own nearest point.
-Only the origin is placed before the charts exist, since they are built
-from it: it is a joint, or a point of one of the edges that lies between
-the ends once they have their coordinates.
+foot until it reaches a vertex of the walk, which maps to its nearest point
+and raw coordinate. No distance is computed. It is also the one way a built
+geodesic locates a point: a geodesic is closed and convex, so a point lies
+on it exactly when it is its own nearest point.
 """
 
 from __future__ import annotations
@@ -48,13 +53,13 @@ class Geodesic:
     derived: each is the one vertex two consecutive edges share, and two
     consecutive edges that share none raise :class:`GeodesicError` ("edges
     A and B do not meet"). Coordinates increase from ``start`` toward
-    ``end``; the ``origin`` point has coordinate 0, and the charts are
-    built outward from it, so the stored raw coordinates (joints, ends,
-    chart bases, projection anchors) are arc-length coordinates with no
-    origin to add or subtract. The origin defaults to the start, or to the
-    first joint when the start is infinite; one off the geodesic raises
-    :class:`GeodesicError`. Everything is built at construction, so
-    instances are immutable and safe to share.
+    ``end``; the ``origin`` point has coordinate 0, and the walk's raw
+    coordinates are filled outward from it, so the stored raw coordinates
+    (joints, ends, chart bases, projection anchors) are arc-length
+    coordinates with no origin to add or subtract. The origin defaults to
+    the start, or to the first joint when the start is infinite; one off
+    the geodesic raises :class:`GeodesicError`. Everything is built at
+    construction, so instances are immutable and safe to share.
     """
 
     __slots__ = (
@@ -92,81 +97,61 @@ class Geodesic:
             raise GeodesicError("an infinite end requires a ray edge")
         o_start = None if self.start is None else self._offset_on(self.start, first)
         o_end = None if self.end is None else self._offset_on(self.end, last)
-        n = len(joints)
-        if not n and (o_start is None or o_end is None):
+
+        # The closed vertex path, start side first; edge i runs from
+        # walk[i] to walk[i + 1], and a ray's open end is None.
+        if joints:
+            walk = [first.other_end(joints[0]), *joints, last.other_end(joints[-1])]
+        elif o_start is None or o_end is None:
             raise GeodesicError("a single-edge geodesic needs both endpoints")
+        else:
+            walk = [first.v, first.u] if o_end < o_start else [first.u, first.v]
         self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
 
-        # Locate the origin: a joint k, or an offset o on edge i, where it
-        # must lie between the ends (checked once they have coordinates).
-        if origin is None:
-            self.origin = TreePoint(vertex=joints[0]) if self.start is None else self.start
+        # Place the origin: a walk vertex k at raw coordinate 0, or a point
+        # at offset o inside edge i, which puts the edge's u end at raw -o
+        # when the edge runs from u (walk vertex i), else at o (vertex i + 1).
+        # A given origin must lie between the ends, checked once they have
+        # coordinates.
+        self.origin = point = (self.start or TreePoint(vertex=walk[1]) if origin is None
+                               else tree.canonical_point(origin))
+        i = self._edge_index.get(point.edge)
+        if i is not None:
+            o = point.offset
+            k, r = (i, -o) if records[i].u == walk[i] else (i + 1, o)
+        elif point.vertex is not None and point.vertex in walk:
+            k, r = walk.index(point.vertex), _ZERO
         else:
-            self.origin = tree.canonical_point(origin)
-        v = self.origin.vertex
-        k = joints.index(v) if v is not None and v in joints else None
-        if k is None:
-            if v is None:
-                i = self._edge_index.get(self.origin.edge)
-            else:
-                i = 0 if v in first.endpoints() else n if v in last.endpoints() else None
-            if i is None:
-                raise GeodesicError("origin must lie on the geodesic")
-            o = self._offset_on(self.origin, records[i])
+            raise GeodesicError("origin must lie on the geodesic")
 
-        # The chart pass starts at the origin and accumulates edge lengths
-        # outward both ways, one Fraction operation per joint. It starts at
-        # joint k with raw coordinate r: 0 at the origin's own joint; else
-        # the distance along the origin's edge i to the joint ahead, or, on
-        # the last edge, minus the distance back to the last joint. A
-        # chart's base is the raw coordinate of the edge's u end; an edge
-        # between two joints is finite, as a ray has one vertex. A single
-        # edge's chart runs from its start toward its end.
-        if n:
-            r = _ZERO
-            if k is None:
-                k = min(i, n - 1)
-                rec = records[i]
-                r = o if rec.u == joints[k] else rec.length - o
-                if i == n:
-                    r = -r
-            raw = [r] * n
-            for t in range(k + 1, n):
-                raw[t] = raw[t - 1] + records[t].length
-            for t in range(k - 1, -1, -1):
-                raw[t] = raw[t + 1] - records[t + 1].length
-            chart = [(raw[0], -1) if first.u == joints[0] else (raw[0] - first.length, 1)]
-            chart += [(raw[t - 1], 1) if records[t].u == joints[t - 1] else (raw[t], -1)
-                      for t in range(1, n)]
-            chart.append((raw[-1], 1) if last.u == joints[-1] else (raw[-1] + last.length, -1))
-        else:
-            raw = []
-            chart = [(o, -1) if o_end < o_start else (-o, 1)]
-        self._chart = chart
-        self._joint_raw = raw
+        # One pass outward from the origin accumulates edge lengths into the
+        # raw coordinates of the walk's vertices (an edge between two of
+        # them is finite). An edge's chart is (raw at its u end, sign).
+        raw = [None] * len(walk)
+        raw[k] = r
+        for t in range(k + 1, len(walk)):
+            if walk[t] is not None:
+                raw[t] = raw[t - 1] + records[t - 1].length
+        for t in range(k - 1, -1, -1):
+            if walk[t] is not None:
+                raw[t] = raw[t + 1] - records[t].length
+        self._chart = [(raw[i], 1) if rec.u == walk[i] else (raw[i + 1], -1)
+                       for i, rec in enumerate(records)]
+        self._joint_raw = raw[1:-1]
         self._start_raw = None if o_start is None else self._edge_raw(o_start, 0)
         self._end_raw = None if o_end is None else self._edge_raw(o_end, -1)
         if origin is not None and ((self._start_raw is not None and self._start_raw > 0)
                                    or (self._end_raw is not None and self._end_raw < 0)):
             raise GeodesicError("origin must lie on the geodesic")
 
-        # Projection anchors: each vertex of the closed vertex path maps to
-        # (nearest point, raw coordinate). Joints map to themselves; the far
-        # vertex of an end edge that is not a ray maps to that (finite) end,
-        # and a single edge's u end is on its start side iff its sign is 1.
-        # The apex is the anchor with the fewest hops from the tree's root.
-        start, end = (self.start, self._start_raw), (self.end, self._end_raw)
-        anchors = {j: (TreePoint(vertex=j), r) for j, r in zip(joints, raw)}
-        if raw:
-            if not first.is_ray:
-                anchors[first.other_end(joints[0])] = start
-            if not last.is_ray:
-                anchors[last.other_end(joints[-1])] = end
-        else:
-            near_u, near_v = (start, end) if chart[0][1] > 0 else (end, start)
-            anchors[first.u] = near_u
-            if not first.is_ray:
-                anchors[first.v] = near_v
+        # Projection anchors: each vertex of the walk maps to (nearest
+        # point, raw coordinate), a joint to itself and walk[0] and
+        # walk[-1] to the start and the end; a ray's open end has none. The
+        # apex is the anchor with the fewest hops from the tree's root.
+        anchors = {j: (TreePoint(vertex=j), r) for j, r in zip(joints, self._joint_raw)}
+        anchors[walk[0]] = self.start, self._start_raw
+        anchors[walk[-1]] = self.end, self._end_raw
+        anchors.pop(None, None)
         self._anchors = anchors
         self._apex = min(anchors, key=tree._hops.__getitem__)
 
@@ -304,14 +289,13 @@ class Geodesic:
         return (
             self.tree is other.tree
             and self.edges == other.edges
-            and self.joints == other.joints
             and self.start == other.start
             and self.end == other.end
             and self.origin == other.origin
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.tree), self.edges, self.joints, self.start, self.end, self.origin))
+        return hash((id(self.tree), self.edges, self.start, self.end, self.origin))
 
     def __repr__(self) -> str:
         ends = f"{self.start!r}..{self.end!r}"
@@ -329,23 +313,19 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     The edges between the two points' feet come from climbing the tree's
     parent links. A point inside an edge puts that edge at its end of the
     path: the climb already starts (or stops) with it when the path leaves
-    the point through the edge's far end, and otherwise it is added. The
-    origin sits at ``p``, so coordinates run from 0 to the distance.
+    the point through the edge's far end, and otherwise it is added, so
+    two points of one edge give that edge alone. Only a vertex to itself
+    has no edge; it takes its smallest incident one. The origin sits at
+    ``p``, so coordinates run from 0 to the distance.
     """
     p = tree.canonical_point(p)
     q = tree.canonical_point(q)
-    if p == q:
-        eid = p.edge if not p.is_vertex else tree._incident[p.vertex][0]
-        return Geodesic(tree, [eid], p, p)
-    if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-        return Geodesic(tree, [p.edge], p, q)
-
     edges = tree._path_edges(tree._foot_vertex(p), tree._foot_vertex(q))
     if not p.is_vertex and (not edges or edges[0] != p.edge):
         edges.insert(0, p.edge)
     if not q.is_vertex and (not edges or edges[-1] != q.edge):
         edges.append(q.edge)
-    return Geodesic(tree, edges, p, q)
+    return Geodesic(tree, edges or [tree._incident[p.vertex][0]], p, q)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:

@@ -42,6 +42,11 @@ VertexId = Union[str, int]
 _ZERO = Fraction(0)
 
 
+def _is_edge_id(value) -> bool:
+    # bool is an int subclass, but True is not edge 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class EdgeRecord(NamedTuple):
     """One edge: a finite segment with two endpoints, or an infinite ray.
 
@@ -114,8 +119,11 @@ class Flag(NamedTuple):
         return a, b
 
     def __repr__(self) -> str:
-        pair = ", ".join(map(str, sorted(self.edge_pair)))
-        return f"Flag({self.vertex!r}, {{{pair}}})"
+        try:
+            pair = "{" + ", ".join(map(str, sorted(self.edge_pair))) + "}"
+        except TypeError:  # a hand-built pair that is not a set of edge ids
+            pair = repr(self.edge_pair)
+        return f"Flag({self.vertex!r}, {pair})"
 
 
 @dataclass(frozen=True)
@@ -277,15 +285,16 @@ class Tree:
         return tuple(v for v in self.vertices if len(self._incident[v]) == 1)
 
     def edge(self, edge_id: int) -> EdgeRecord:
-        # bool is an int subclass, but True is not edge 1
-        if (not isinstance(edge_id, int) or isinstance(edge_id, bool)
-                or not 0 <= edge_id < len(self.edges)):
+        if not _is_edge_id(edge_id) or not 0 <= edge_id < len(self.edges):
             raise PointLocationError(f"unknown edge id {edge_id!r}")
         return self.edges[edge_id]
 
     def flag(self, vertex: VertexId, e: int, f: int) -> Flag:
         """Validated flag at ``vertex`` with the incident edge pair {e, f}."""
         inc = self.incident_edges(vertex)
+        for eid in (e, f):
+            if not _is_edge_id(eid):
+                raise PointLocationError(f"unknown edge id {eid!r}")
         if e == f:
             raise PointLocationError("a flag needs two distinct edges")
         for eid in (e, f):
@@ -294,9 +303,14 @@ class Tree:
         return Flag(vertex, frozenset((e, f)))
 
     def validate_flag(self, flag: Flag) -> Flag:
-        if len(flag.edge_pair) != 2:
-            raise PointLocationError("a flag needs two distinct edges")
-        e, f = flag.edges
+        """A hand-built flag checked as :meth:`flag` checks its edges, the
+        smaller id first."""
+        try:
+            e, f = flag.edge_pair
+        except (TypeError, ValueError):
+            raise PointLocationError("a flag needs two distinct edges") from None
+        if _is_edge_id(e) and _is_edge_id(f) and f < e:
+            e, f = f, e
         return self.flag(flag.vertex, e, f)
 
     def describe(self) -> dict:

@@ -1,15 +1,28 @@
+import os
+
 import pytest
 from hypothesis import settings
 
 from treeradon import build_tree
 
-# Properties that check a kernel against its reference implementation run
-# 40 examples each in tier-1; TREERADON_SOLVER_PROFILE=solver-deep runs 300
-# each (CI does, in its own steps). The geodesic reference properties in
-# test_metric_reference.py and test_geodesic_chart.py keep their own tier-1
-# counts and scale them by the same factor (profile_settings).
+# Properties that check a kernel against its reference implementation take
+# profile_settings(n): n examples in tier-1 ("solver" profile), and 7.5
+# times as many under TREERADON_SOLVER_PROFILE=solver-deep, which CI's deep
+# equivalence step sets.
 settings.register_profile("solver", max_examples=40, deadline=None)
 settings.register_profile("solver-deep", max_examples=300, deadline=None)
+
+
+def profile_settings(floor):
+    """Settings for a property that runs ``floor`` examples in tier-1.
+
+    The profile named by TREERADON_SOLVER_PROFILE scales the count by its
+    examples over the "solver" profile's, never below ``floor``.
+    """
+    chosen = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
+    scaled = floor * chosen.max_examples // settings.get_profile("solver").max_examples
+    return settings(chosen, max_examples=max(floor, scaled))
+
 
 # Fixture trees used throughout. Edge ids are list positions.
 #

@@ -522,8 +522,12 @@ def test_malformed_input_is_one_line_error(tmp_path, command, tree, payload):
     ("invert tree data --total 1 --out OUT",
      {"flags": [{"x": "x", "e": 0, "f": 1, "value": "1"}]}, 1,
      "edge 1 is not incident to vertex 'x'"),
+    ("invert tree data --total 1 --out OUT", {"flags": {}}, 2,
+     "a flag table file needs a 'flags' list"),
+    ("invert tree data --total 1 --out OUT", {"flags": [3]}, 2, "flag row 0 is not an object"),
+    ("reconstruct tree data --skeleton a,b --out OUT", MEASURE, 2, "bad skeleton list 'a,b'"),
 ], ids=["t-outside", "missing-file", "atom-no-mass", "values-list", "row-no-value",
-        "row-same-edge", "row-edge-not-incident"])
+        "row-same-edge", "row-edge-not-incident", "flags-dict", "flag-row-int", "skeleton-word"])
 def test_error_path_exit_and_message(tmp_path, capsys, command, payload, code, message):
     tree_file, _ = write_tripod(tmp_path)
     data_file = tmp_path / "data.json"

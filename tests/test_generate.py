@@ -31,6 +31,15 @@ def test_valency_bound_two_in_complete_mode_errors():
         gen_tree(cfg, "complete")
 
 
+def test_valency_bound_one_stops_at_one_edge():
+    # after the first edge both vertices are full, so no later vertex has a
+    # parent to hang from and the tree stays a single segment
+    for seed in range(4):
+        tree = gen_tree(SuiteConfig(seed=seed, max_vertices=9, min_valency=1, max_valency=1),
+                        "finite")
+        assert len(tree.vertices) == 2 and len(tree.edges) == 1
+
+
 def test_finite_mode_has_no_rays():
     cfg = SuiteConfig(seed=3, max_vertices=9)
     tree = gen_tree(cfg, "finite")

@@ -15,10 +15,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import profile_settings
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from test_metric_reference import (
     probe_points,
-    profile_settings,
     random_caterpillar,
     random_point,
     random_tree,

@@ -7,6 +7,7 @@ import pytest
 from treeradon import (
     GeodesicError,
     MeasureError,
+    build_tree,
     dirac,
     make_measure,
     path,
@@ -43,6 +44,10 @@ class TestMakeMeasure:
                 (tripod.vertex_point("x"), F(3, 2)),
                 (tripod.vertex_point("y"), F(-1, 2)),
             ])
+
+    def test_empty_rejected(self, tripod):
+        with pytest.raises(MeasureError, match="at least one atom"):
+            make_measure(tripod, [])
 
     def test_equivalent_locations_merge(self, tripod):
         # offset 0 on edge (o,x) is the vertex o itself
@@ -89,6 +94,12 @@ class TestPushforward:
             (star3.point(2, F(1, 2)), F(4, 7)),
         ])
         assert pushforward_projection(star3, geo, mu).total_mass == 1
+
+    def test_geodesic_of_another_tree_rejected(self, tripod):
+        twin = build_tree(tripod.describe())
+        geo = path(twin, twin.vertex_point("x"), twin.vertex_point("y"))
+        with pytest.raises(GeodesicError, match="different tree"):
+            pushforward_projection(tripod, geo, dirac(tripod, tripod.vertex_point("z")))
 
     def test_non_maximal_geodesic_rejected(self, tripod):
         geo = path(tripod, tripod.vertex_point("x"), tripod.vertex_point("o"))

@@ -12,14 +12,14 @@ under test.
 """
 
 import functools
-import os
 import pickle
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from conftest import profile_settings
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from treeradon import (
     Geodesic,
@@ -31,19 +31,6 @@ from treeradon import (
     path,
     pushforward_projection,
 )
-
-
-def profile_settings(floor):
-    """Settings for a property that runs ``floor`` examples in tier-1.
-
-    TREERADON_SOLVER_PROFILE (see conftest.py) scales the count by its
-    examples over tier-1's "solver" profile's, never below ``floor``:
-    "solver-deep", which CI's deep geodesic step runs, gives 7.5 times as
-    many.
-    """
-    chosen = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
-    scaled = floor * chosen.max_examples // settings.get_profile("solver").max_examples
-    return settings(chosen, max_examples=max(floor, scaled))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from treeradon import (
     FlagTable,
     OracleInconsistencyError,
+    PointLocationError,
     RadonError,
     RadonSample,
     SuiteConfig,
@@ -79,6 +80,11 @@ class TestForward:
         table = radon_forward(star3, h)
         for flag in enumerate_flags(star3):
             assert table.value(flag) == brute_flag_value(star3, h, flag)
+
+
+def test_vertex_function_rejects_an_unknown_vertex(star3):
+    with pytest.raises(PointLocationError, match="unknown vertex 'nope'"):
+        vertex_function(star3, {"c": 1, "nope": 2})
 
 
 def test_cached_total_keeps_equality_and_pickling(star3):

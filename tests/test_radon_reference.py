@@ -12,15 +12,15 @@ sums of inversion and double counting, an arbitrary table with a
 distinct prime denominator per flag.
 """
 
-import os
 import random
 from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import radon_reference as reference
+from conftest import profile_settings
 from treeradon import (
     Flag,
     FlagTable,
@@ -34,8 +34,6 @@ from treeradon import (
     radon_invert,
     vertex_function,
 )
-
-RADON_SETTINGS = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
 
 
 def _primes(limit):
@@ -130,7 +128,7 @@ def raised(fn, *args):
 
 
 @given(trees(), VALUE_KINDS)
-@RADON_SETTINGS
+@profile_settings(40)
 def test_forward_matches_reference(drawn, values):
     tree, rng = drawn
     h = values(tree, rng)
@@ -141,7 +139,7 @@ TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, flag_prime_tab
 
 
 @given(trees(LEAFLESS), TABLE_KINDS)
-@RADON_SETTINGS
+@profile_settings(40)
 def test_invert_matches_reference(drawn, kind):
     tree, rng = drawn
     if kind is flag_prime_table:
@@ -157,7 +155,7 @@ def test_invert_matches_reference(drawn, kind):
 
 
 @given(trees(), TABLE_KINDS)
-@RADON_SETTINGS
+@profile_settings(40)
 def test_double_count_sides_match_reference(drawn, kind):
     tree, rng = drawn
     if kind is flag_prime_table:
@@ -174,7 +172,7 @@ def test_double_count_sides_match_reference(drawn, kind):
 
 
 @given(trees(LEAFLESS))
-@RADON_SETTINGS
+@profile_settings(40)
 def test_missing_entry_names_the_same_flag(drawn):
     tree, rng = drawn
     full = reference.radon_forward(tree, small_values(tree, rng)).values
@@ -195,7 +193,7 @@ def test_missing_entry_names_the_same_flag(drawn):
 
 
 @given(trees(LEAFLESS))
-@RADON_SETTINGS
+@profile_settings(40)
 def test_foreign_entries_are_ignored(drawn):
     tree, rng = drawn
     h = small_values(tree, rng)
@@ -216,7 +214,7 @@ def test_foreign_entries_are_ignored(drawn):
 
 
 @given(trees(("finite",)))
-@RADON_SETTINGS
+@profile_settings(40)
 def test_valency_error_comes_before_a_missing_entry(drawn):
     tree, rng = drawn
     for table in (FlagTable({}), reference.radon_forward(tree, small_values(tree, rng))):

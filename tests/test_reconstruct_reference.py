@@ -13,13 +13,13 @@ field.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
+from conftest import profile_settings
 from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
@@ -359,13 +359,6 @@ def tree_and_measure(draw):
     return tree, hidden_measure(tree, rng, draw(st.integers(1, 6))), rng
 
 
-# The four properties below read their profile through
-# TREERADON_SOLVER_PROFILE (see conftest.py), but never run fewer than 60
-# examples: 60 in tier-1, the "solver-deep" profile's 300 in CI's deep step.
-_PROFILE = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
-RECONSTRUCT_SETTINGS = settings(_PROFILE, max_examples=max(60, _PROFILE.max_examples))
-
-
 def result_fields(result):
     return (result.measure, result.interior_atoms, result.interior_total,
             result.vertex_part, result.edge_reads, result.flag_rows)
@@ -379,7 +372,7 @@ def outcome(reconstruct, tree, hidden, skeleton):
 
 
 @given(tree_and_measure())
-@RECONSTRUCT_SETTINGS
+@profile_settings(60)
 def test_full_skeleton_matches_reference(data):
     tree, hidden, _ = data
     result = reconstruct_measure(tree, radon_oracle(tree, hidden))
@@ -388,7 +381,7 @@ def test_full_skeleton_matches_reference(data):
 
 
 @given(tree_and_measure())
-@RECONSTRUCT_SETTINGS
+@profile_settings(60)
 def test_sub_skeleton_agrees_or_both_reject(data):
     tree, hidden, rng = data
     skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8]
@@ -397,7 +390,7 @@ def test_sub_skeleton_agrees_or_both_reject(data):
 
 
 @given(tree_and_measure())
-@RECONSTRUCT_SETTINGS
+@profile_settings(60)
 def test_full_skeleton_matches_flag_schedule(data):
     tree, hidden, _ = data
     result = reconstruct_measure(tree, radon_oracle(tree, hidden))
@@ -406,7 +399,7 @@ def test_full_skeleton_matches_flag_schedule(data):
 
 
 @given(tree_and_measure())
-@RECONSTRUCT_SETTINGS
+@profile_settings(60)
 def test_sub_skeleton_agrees_with_flag_schedule_or_both_reject(data):
     tree, hidden, rng = data
     skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8]

@@ -1,13 +1,13 @@
 """Exact transport: solver, interpolation, dilation, extension, certificates."""
 
 import math
-import os
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import profile_settings
 from treeradon import (
     CompletenessError,
     MeasureError,
@@ -188,6 +188,14 @@ class TestCyclicalMonotonicity:
         ])
         assert is_cyclically_monotone(tripod, optimal_plan(tripod, mu, nu),
                                       exhaustive=True) is True
+
+    def test_exhaustive_mode_refuses_more_than_eight_pairs(self, star3):
+        # one atom inside each of star3's nine edges, coupled to itself
+        mu = make_measure(star3, [(star3.point(eid, F(1, 2)), F(1, 9)) for eid in range(9)])
+        plan = optimal_plan(star3, mu, mu)
+        assert len(plan.couplings) == 9
+        with pytest.raises(ValueError, match="bounded to supports of size 8"):
+            is_cyclically_monotone(star3, plan, exhaustive=True)
 
     def test_identity_plan_is_monotone(self, tripod):
         mu = make_measure(tripod, [
@@ -587,18 +595,14 @@ def symmetric_tie_instance(draw):
     return _solver_instance(star3, src, dst, [F(1, n)] * n, [F(1, m)] * m)
 
 
-# The two properties below run under the "solver" profile (see conftest.py).
-SOLVER_SETTINGS = settings.get_profile(os.environ.get("TREERADON_SOLVER_PROFILE", "solver"))
-
-
 @given(random_instance())
-@SOLVER_SETTINGS
+@profile_settings(40)
 def test_integer_solver_matches_reference_allocation(instance):
     assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
 
 
 @given(symmetric_tie_instance())
-@SOLVER_SETTINGS
+@profile_settings(40)
 def test_integer_solver_matches_reference_on_ties(instance):
     assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
 

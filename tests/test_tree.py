@@ -1,6 +1,7 @@
 """Tree construction, validation, metric queries."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -197,6 +198,19 @@ class TestPoints:
     def test_unknown_vertex(self, tripod):
         with pytest.raises(PointLocationError):
             tripod.vertex_point("nope")
+        with pytest.raises(PointLocationError, match="unknown vertex 'nope'"):
+            tripod.incident_edges("nope")
+
+    def test_canonical_point_rejects_non_points(self, tripod):
+        for raw in ("o", ("o", None, None), None):
+            with pytest.raises(PointLocationError, match="not a tree point"):
+                tripod.canonical_point(raw)
+
+    def test_edge_record_rejects_a_non_endpoint(self, star3):
+        for rec in (star3.edge(0), star3.edge(3)):  # c–a and a ray at a
+            for call in (rec.other_end, rec.endpoint_offset):
+                with pytest.raises(PointLocationError, match="is not an endpoint of edge"):
+                    call("b")
 
     def test_boolean_edge_id_rejected(self, tripod):
         with pytest.raises(PointLocationError):
@@ -257,6 +271,36 @@ class TestMalformedFlag:
     def test_missing_entry_names_it(self):
         with pytest.raises(RadonError, match=r"no entry for Flag\('c', \{0\}\)"):
             FlagTable({}).value(Flag("c", frozenset({0})))
+
+    # an edge id is an int and not a bool, as Tree.edge requires; 1.0 and
+    # True compare equal to edge 1 but are not edge ids
+    @pytest.mark.parametrize("pair, message", [
+        (frozenset({0, 1.0}), "unknown edge id 1.0"),
+        (frozenset({0, True}), "unknown edge id True"),
+        (frozenset({0, "x"}), "unknown edge id 'x'"),
+        (None, "a flag needs two distinct edges"),
+    ], ids=["float", "bool", "mixed", "none"])
+    @pytest.mark.parametrize("call", [
+        lambda tree, flag: perpendicular(tree, flag),
+        lambda tree, flag: geodesic_through_flag(tree, flag),
+        lambda tree, flag: flag_mass(tree, dirac(tree, tree.vertex_point("c")), flag),
+    ], ids=["perpendicular", "geodesic_through_flag", "flag_mass"])
+    def test_non_int_edge_id_rejected(self, star3, call, pair, message):
+        with pytest.raises(PointLocationError, match=f"^{re.escape(message)}$"):
+            call(star3, Flag("c", pair))
+
+    @pytest.mark.parametrize("e, f", [(0, True), (True, 0), (0, 1.0), ("0", 1), (None, 1)],
+                             ids=["bool-second", "bool-first", "float", "str", "none"])
+    def test_tree_flag_rejects_non_int_ids(self, star3, e, f):
+        with pytest.raises(PointLocationError, match="^unknown edge id "):
+            star3.flag("c", e, f)
+
+    def test_hand_built_flag_reports_the_smaller_edge_first(self, star3):
+        # edges 7 and 9 are not at c; the message names the smaller, as
+        # before a malformed pair was caught
+        with pytest.raises(PointLocationError, match="^edge 7 is not incident"):
+            star3.validate_flag(Flag("c", frozenset({9, 7})))
+        assert star3.validate_flag(Flag("c", {1, 0})) == star3.flag("c", 0, 1)
 
 
 class TestDistance:
