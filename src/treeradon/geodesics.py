@@ -160,10 +160,11 @@ class Geodesic:
     def _offset_on(self, point: TreePoint, rec) -> Fraction:
         """Offset of a point in the coordinate of an edge record it lies on."""
         if point.is_vertex:
-            return rec.endpoint_offset(point.vertex)
-        if point.edge != rec.id:
-            raise GeodesicError(f"point {point!r} is not on edge {rec.id}")
-        return point.offset
+            if point.vertex in rec.endpoints():
+                return rec.endpoint_offset(point.vertex)
+        elif point.edge == rec.id:
+            return point.offset
+        raise GeodesicError(f"point {point!r} is not on edge {rec.id}")
 
     def _raw_of(self, point: TreePoint):
         """Raw coordinate of a canonical point, or None when off the

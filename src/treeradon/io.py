@@ -197,8 +197,9 @@ def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
     if not isinstance(payload, Mapping) or not isinstance(payload.get("flags"), list):
         raise FileFormatError("a flag table file needs a 'flags' list")
     by_name = {str(v): v for v in tree.vertices}
-    values = {}
-    row_of = {}
+    # by flag position: each flag's value, and the row that gave it
+    entries: list[Fraction | None] = [None] * tree._flag_count
+    row_at: list[int | None] = [None] * tree._flag_count
     for i, row in enumerate(payload["flags"]):
         if not isinstance(row, Mapping):
             raise FileFormatError(f"flag row {i} is not an object")
@@ -209,13 +210,14 @@ def flag_table_from_dict(tree: Tree, payload) -> FlagTable:
             flag = tree.flag(vertex,
                              _edge_id(row["e"], f"flag row {i}"),
                              _edge_id(row["f"], f"flag row {i}"))
-            first = row_of.setdefault(flag, i)
-            if first != i:
-                raise FileFormatError(f"flag rows {first} and {i} give the same flag")
-            values[flag] = read_rational(row["value"], f"flag row {i}")
+            at = tree._flag_position(vertex, *flag.edges)
+            if row_at[at] is not None:
+                raise FileFormatError(f"flag rows {row_at[at]} and {i} give the same flag")
+            row_at[at] = i
+            entries[at] = read_rational(row["value"], f"flag row {i}")
         except KeyError as exc:
             raise FileFormatError(f"flag row {i} missing key {exc}") from None
-    return FlagTable(values)
+    return FlagTable(tree, tuple(entries))
 
 
 def load_flag_table(tree: Tree, path) -> FlagTable:

@@ -15,6 +15,15 @@ for the whole tree is the lcm of all its denominators, and when those are
 distinct primes every operation works on numbers as large as the whole
 tree's.
 
+A flag table holds one value per flag of its tree, by position in
+``enumerate_flags`` order: the tree records the position of each vertex's
+first flag when it is built, and a flag's position is that plus the index
+of its edge pair among the vertex's C(k,2) pairs. So the kernels build no
+``Flag`` key: ``radon_forward`` appends each value in order, the flag sums
+read one slice per vertex, and reconstruction keeps its readings in lists
+by position. A table belongs to one tree object; a kernel given a table
+of another tree raises :class:`RadonError`.
+
 The measure-level transform is the family of projections onto complete
 geodesics; ``reconstruct_measure`` recovers a finitely supported measure
 from the projections onto flag geodesics alone. Each answer gives the flag
@@ -47,7 +56,7 @@ from .errors import (
 from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
 from .measures import Measure, RadonSample, make_measure, pushforward_projection
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint, VertexId
+from .tree import Flag, Tree, TreePoint, VertexId, _is_edge_id
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -85,18 +94,70 @@ def vertex_function(tree: Tree, values: Mapping) -> VertexFunction:
 
 @dataclass(frozen=True)
 class FlagTable:
-    """Values of the combinatorial transform, one per flag."""
+    """Values of the combinatorial transform, one per flag of ``tree``.
 
-    values: Mapping[Flag, Fraction]
+    ``entries`` holds the values by flag position, in
+    :func:`enumerate_flags` order, with ``None`` where the table has no
+    entry. A flag's position is the position of its vertex's first flag,
+    which the tree records when it is built, plus the index of its edge
+    pair among the vertex's C(k,2) pairs. A table belongs to its ``tree``
+    object: the kernels refuse a table of any other tree, even one built
+    from the same description. Build a table from a ``{Flag: value}``
+    mapping with :func:`flag_table`.
+    """
+
+    tree: Tree
+    entries: tuple[Fraction | None, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if len(self.entries) != self.tree._flag_count:
+            raise RadonError(f"a flag table of this tree needs {self.tree._flag_count} "
+                             f"entries, not {len(self.entries)}")
+
+    @property
+    def values(self) -> dict[Flag, Fraction]:
+        """The entries present, as a ``{Flag: Fraction}`` mapping in
+        :func:`enumerate_flags` order; built afresh on every read."""
+        return {flag: value for flag, value in zip(enumerate_flags(self.tree), self.entries)
+                if value is not None}
 
     def value(self, flag: Flag) -> Fraction:
+        """The entry at ``flag``'s position; :class:`RadonError` when the
+        table has none there or the tree has no such flag."""
+        entry = None
         try:
-            return self.values[flag]
-        except KeyError:
-            raise RadonError(f"flag table has no entry for {flag!r}") from None
+            e, f = flag.edge_pair
+            # a hand-built pair may repeat an edge, or hold 1.0 or True,
+            # which equal edge 1 but are not edge ids
+            if e != f and _is_edge_id(e) and _is_edge_id(f):
+                entry = self.entries[self.tree._flag_position(flag.vertex, e, f)]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass  # not a flag of this tree
+        if entry is None:
+            raise RadonError(f"flag table has no entry for {flag!r}")
+        return entry
 
     def __len__(self) -> int:
-        return len(self.values)
+        """The number of entries present."""
+        return sum(value is not None for value in self.entries)
+
+
+def flag_table(tree: Tree, values: Mapping) -> FlagTable:
+    """Build a flag table of ``tree`` from a ``{Flag: value}`` mapping, the
+    twin of :func:`vertex_function`.
+
+    Each value is parsed as an exact rational and stored at its flag's
+    position (see :class:`FlagTable`); entries for flags the tree lacks
+    are ignored, and a flag without an entry has none in the table. The
+    table belongs to ``tree``: the kernels refuse it with any other tree
+    object.
+    """
+    entries = []
+    for flag in enumerate_flags(tree):
+        raw = values.get(flag)
+        entries.append(None if raw is None else parse_rational(raw))
+    return FlagTable(tree, tuple(entries))
 
 
 def enumerate_flags(tree: Tree) -> list[Flag]:
@@ -136,7 +197,7 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     subtree = _subtree_sums(tree, h)
     total = h.total
     links, edges, incident = tree._link, tree.edges, tree._incident
-    table: dict[Flag, Fraction] = {}
+    table: list[Fraction] = []
     for x in tree.vertices:
         inc = incident[x]
         via = links[x][1]
@@ -158,34 +219,42 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
                 inside = subtree[rec.v if rec.u == x else rec.u]
                 branch.append(inside)
                 rest.append(total - inside)
+        # the pairs in combinations order, so each value lands at its flag's position
         for i, e in enumerate(inc):
             for j in range(i + 1, len(inc)):
                 f = inc[j]
                 if edges[f].v is None:
-                    value = rest[i]
+                    table.append(rest[i])
                 elif edges[e].v is None:
-                    value = rest[j]
+                    table.append(rest[j])
                 elif f == via:
-                    value = rest[j] - branch[i]
+                    table.append(rest[j] - branch[i])
                 else:
-                    value = rest[i] - branch[j]
-                table[Flag(x, frozenset((e, f)))] = value
-    return FlagTable(table)
+                    table.append(rest[i] - branch[j])
+    return FlagTable(tree, tuple(table))
 
 
 def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
               total: Fraction = _ZERO) -> tuple[int, int]:
     """Σ Rh(x, ef) over the C(k,2) flags at ``x``, as an integer numerator
     over a scale D_x: the lcm of the flag values' denominators and of
-    ``total``'s.
+    ``total``'s. The flags at ``x`` are one slice of the table.
 
     The scale is per vertex. One scale for the whole table would be the
     lcm of every denominator in it, and each vertex would pay for the
     denominators of all the others.
     """
-    values = [table.value(Flag(x, frozenset(pair)))
-              for pair in combinations(tree._incident[x], 2)]
-    scale = lcm(total.denominator, *(value.denominator for value in values))
+    if table.tree is not tree:
+        raise RadonError("the flag table belongs to another tree")
+    inc = tree._incident[x]
+    start = tree._flag_start[x]
+    values = table.entries[start:start + len(inc) * (len(inc) - 1) // 2]
+    try:
+        scale = lcm(total.denominator, *(value.denominator for value in values))
+    except AttributeError:  # a None: name the first flag without an entry
+        for pair in combinations(inc, 2):
+            table.value(Flag(x, frozenset(pair)))
+        raise
     return sum(value.numerator * (scale // value.denominator) for value in values), scale
 
 
@@ -337,18 +406,20 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     skeleton_set = set(skeleton)
     interior: dict[TreePoint, Fraction] = {}
     flags = enumerate_flags(tree)
-    raw: dict[Flag, Fraction] = {}
+    # flag masses read so far, by flag position; None until read
+    raw: list[Fraction | None] = [None] * len(flags)
+    position = tree._flag_position
 
     def routed(tree: Tree, vertex: VertexId, via: int) -> int:
         """Past the queried flag: the smallest-id edge that forms an unread
         flag with ``via``, else the smallest-id other edge."""
         for eid in tree._incident[vertex]:
-            if eid != via and Flag(vertex, frozenset((via, eid))) not in raw:
+            if eid != via and raw[position(vertex, via, eid)] is None:
                 return eid
         return _onward(tree, vertex, via)
 
-    for flag in flags:
-        if flag in raw:
+    for at, flag in enumerate(flags):
+        if raw[at] is not None:
             continue
         geodesic = _flag_geodesic(tree, flag, routed)
         # on a complete geodesic every vertex atom sits on a joint
@@ -371,12 +442,14 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                 )
         edges = geodesic.edges
         for i, joint in enumerate(geodesic.joints):
-            read = Flag(joint, frozenset((edges[i], edges[i + 1])))
+            joint_at = position(joint, edges[i], edges[i + 1])
             mass = at_joint.get(joint, _ZERO)
-            known = raw.setdefault(read, mass)
-            if known != mass:
+            known = raw[joint_at]
+            if known is None:
+                raw[joint_at] = mass
+            elif known != mass:
                 raise OracleInconsistencyError(
-                    f"flag {read!r} reads {known} on one geodesic and {mass} on another"
+                    f"flag {flags[joint_at]!r} reads {known} on one geodesic and {mass} on another"
                 )
 
     # Interior mass inside each perpendicular is the forward transform of
@@ -389,29 +462,29 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     for foot, _, mass in footed:
         known = on_foot.get(foot)
         on_foot[foot] = mass if known is None else known + mass
-    inside = radon_forward(tree, VertexFunction(on_foot)).values
+    inside = list(radon_forward(tree, VertexFunction(on_foot)).entries)
     for foot, edge, mass in footed:
         for eid in tree._incident[foot]:
             if eid != edge:
-                inside[Flag(foot, frozenset((edge, eid)))] -= mass
+                inside[position(foot, edge, eid)] -= mass
 
     flag_rows = []
-    table: dict[Flag, Fraction] = {}
-    for flag in flags:
-        held = inside[flag]
-        value = raw[flag] - held if held else raw[flag]
-        table[flag] = value
-        flag_rows.append(FlagRow(flag=flag, raw_mass=raw[flag],
+    values = []
+    for flag, raw_mass, held in zip(flags, raw, inside):
+        value = raw_mass - held if held else raw_mass
+        values.append(value)
+        flag_rows.append(FlagRow(flag=flag, raw_mass=raw_mass,
                                  interior_subtracted=held, vertex_value=value))
+    table = FlagTable(tree, tuple(values))
 
-    vertex_part = radon_invert(tree, FlagTable(table), _ONE - interior_total)
+    vertex_part = radon_invert(tree, table, _ONE - interior_total)
 
     for vertex, value in vertex_part.values.items():
         if value < 0:
             raise OracleInconsistencyError(
                 f"inverted vertex mass at {vertex!r} is negative ({value})"
             )
-    if radon_forward(tree, vertex_part).values != table:
+    if radon_forward(tree, vertex_part) != table:
         raise OracleInconsistencyError(
             "flag table is not a transform of any vertex function with the "
             "implied total; oracle data is inconsistent"

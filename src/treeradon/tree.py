@@ -7,12 +7,13 @@ simpler graph), and every vertex has at least one incident edge.
 
 Construction roots the tree once at its first vertex: every vertex records
 its parent link, its hop count and its depth (exact distance from the
-root). Distances, paths and projections all derive from those three maps,
-which are built once and never grow, so a tree is literally immutable
-after construction, costs O(V) memory for its lifetime, and is safe to
-share between threads. Lengths, offsets and distances are
-``fractions.Fraction`` throughout; nothing in this package touches
-floating point.
+root). Distances, paths and projections all derive from those three maps.
+Every vertex also records the position of its first flag, which places
+each flag in the Radon tables. The maps are built once and never grow, so
+a tree is literally immutable after construction, costs O(V) memory for
+its lifetime, and is safe to share between threads. Lengths, offsets and
+distances are ``fractions.Fraction`` throughout; nothing in this package
+touches floating point.
 
 Arguments are validated once, at the public boundary: public methods
 check the ids and points they are given, while the ``_incident`` and
@@ -160,7 +161,7 @@ class Tree:
     """
 
     __slots__ = ("vertices", "edges", "geodesically_complete",
-                 "_incident", "_link", "_hops", "_depth")
+                 "_incident", "_link", "_hops", "_depth", "_flag_start", "_flag_count")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple]) -> None:
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
@@ -249,7 +250,11 @@ class Tree:
             raise TreeStructureError("cycle detected: too many finite edges for a tree")
 
         # True iff the tree has no leaf, i.e. every geodesic extends to a line.
+        # Flags take positions vertex by vertex, C(k,2) at a valency-k
+        # vertex; each vertex records the position of its first flag.
         self.geodesically_complete = True
+        flag_start: dict[VertexId, int] = {}
+        count = 0
         for v in self.vertices:
             k = len(self._incident[v])
             if k == 2:
@@ -258,6 +263,9 @@ class Tree:
                 raise TreeStructureError(f"isolated vertex {v!r} (valency 0)")
             if k == 1:
                 self.geodesically_complete = False
+            flag_start[v] = count
+            count += k * (k - 1) // 2
+        self._flag_start, self._flag_count = flag_start, count
 
     # ------------------------------------------------------------------ #
     # Structure queries                                                    #
@@ -301,6 +309,18 @@ class Tree:
             if eid not in inc:
                 raise PointLocationError(f"edge {eid} is not incident to vertex {vertex!r}")
         return Flag(vertex, frozenset((e, f)))
+
+    def _flag_position(self, vertex: VertexId, e: int, f: int) -> int:
+        """The position of the flag (vertex, {e, f}), for two distinct edges
+        incident to ``vertex``: the position of the vertex's first flag plus
+        the index of the pair among its C(k,2) incident pairs, taken in
+        ``itertools.combinations`` order of the sorted incident edges."""
+        inc = self._incident[vertex]
+        i, j = inc.index(e), inc.index(f)
+        if j < i:
+            i, j = j, i
+        # the pairs (i, ·) start after the (k-1) + … + (k-i) pairs before them
+        return self._flag_start[vertex] + i * (2 * len(inc) - i - 3) // 2 + j - 1
 
     def validate_flag(self, flag: Flag) -> Flag:
         """A hand-built flag checked as :meth:`flag` checks its edges, the
@@ -483,7 +503,8 @@ def build_tree(description) -> Tree:
             raise TreeStructureError(f"tree description {key!r} must be a list")
     edges = []
     for entry in raw_edges:
-        if isinstance(entry, Mapping):
+        # a loaded file's edges are plain dicts; skip the ABC check for them
+        if type(entry) is dict or isinstance(entry, Mapping):
             u = entry.get("u")
             v = entry.get("v")
             raw_len = entry.get("len")

@@ -495,7 +495,7 @@ def _prop_radon_injectivity(cfg, rng):
     l = vertex_function(tree, shifted)
     if l == h:
         return None
-    if radon_forward(tree, h).values == radon_forward(tree, l).values:
+    if radon_forward(tree, h) == radon_forward(tree, l):
         return {"tree": tree.describe(),
                 "detail": f"distinct functions with equal total share a table"}
     return None

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from treeradon import Flag, FlagTable, RadonError, Tree, VertexFunction
+from treeradon import Flag, FlagTable, RadonError, Tree, VertexFunction, flag_table
 from treeradon.rationals import parse_rational
 from treeradon.tree import VertexId
 
@@ -66,7 +66,7 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     for x in tree.vertices:
         for e, f in combinations(tree.incident_edges(x), 2):
             table[Flag(x, frozenset((e, f)))] = total - sums[(x, e)] - sums[(x, f)]
-    return FlagTable(table)
+    return flag_table(tree, table)
 
 
 def _flag_sum(tree: Tree, table: FlagTable, x: VertexId) -> Fraction:

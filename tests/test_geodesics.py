@@ -75,6 +75,8 @@ BAD_GEODESICS = [
     (([0, 1], (0, F(1, 2)), "b", "a"), "origin must lie on the geodesic"),
     (([0, 1], (0, F(1, 2)), "b", (0, F(3, 4))), "origin must lie on the geodesic"),
     (([0], (0, F(1, 4)), (0, F(1, 2)), "c"), "origin must lie on the geodesic"),
+    # a vertex end that is not an end of its edge
+    (([0], "b", "a", None), r"point TreePoint\('b'\) is not on edge 0"),
 ]
 
 

@@ -19,8 +19,9 @@ PUBLIC = {
     "second_moment", "supported_on",
     # radon
     "DoubleCountIdentity", "FlagTable", "ReconstructionResult", "VertexFunction",
-    "double_count_check", "enumerate_flags", "flag_mass", "radon_forward",
-    "radon_invert", "radon_oracle", "reconstruct_measure", "vertex_function",
+    "double_count_check", "enumerate_flags", "flag_mass", "flag_table",
+    "radon_forward", "radon_invert", "radon_oracle", "reconstruct_measure",
+    "vertex_function",
     # transport
     "CycleViolation", "NonextendabilityWitness", "TransportPlan",
     "WassersteinGeodesic", "check_nonextendable", "dilate", "extend_from_dirac",

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeradon import (
-    FlagTable,
     OracleInconsistencyError,
     PointLocationError,
     RadonError,
@@ -18,6 +17,7 @@ from treeradon import (
     dirac,
     enumerate_flags,
     flag_mass,
+    flag_table,
     gen_measure,
     gen_tree,
     gen_vertex_function,
@@ -139,11 +139,11 @@ class TestInvert:
 
     def test_low_valency_rejected(self, tripod):
         with pytest.raises(RadonError, match="valency"):
-            radon_invert(tripod, FlagTable({}), 0)
+            radon_invert(tripod, flag_table(tripod, {}), 0)
 
     def test_incomplete_table_rejected(self, star3):
         with pytest.raises(RadonError, match="no entry"):
-            radon_invert(star3, FlagTable({}), 0)
+            radon_invert(star3, flag_table(star3, {}), 0)
 
     def test_negative_and_zero_values(self, star3):
         h = vertex_function(star3, {"c": F(-3, 7), "a": 0, "b": F(2, 5), "d": -1})

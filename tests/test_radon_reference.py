@@ -23,12 +23,12 @@ import radon_reference as reference
 from conftest import profile_settings
 from treeradon import (
     Flag,
-    FlagTable,
     RadonError,
     SuiteConfig,
     Tree,
     double_count_check,
     enumerate_flags,
+    flag_table,
     gen_tree,
     radon_forward,
     radon_invert,
@@ -104,7 +104,7 @@ def vertex_prime_values(tree, rng):
 def flag_prime_table(tree, rng):
     flags = enumerate_flags(tree)
     primes = rng.sample(PRIMES, len(flags))
-    return FlagTable({flag: F(rng.randint(-50, 50), p) for flag, p in zip(flags, primes)})
+    return flag_table(tree, {flag: F(rng.randint(-50, 50), p) for flag, p in zip(flags, primes)})
 
 
 VALUE_KINDS = st.sampled_from((small_values, vertex_prime_values))
@@ -177,7 +177,7 @@ def test_missing_entry_names_the_same_flag(drawn):
     tree, rng = drawn
     full = reference.radon_forward(tree, small_values(tree, rng)).values
     kept = rng.random()
-    table = FlagTable({flag: value for flag, value in full.items() if rng.random() < kept})
+    table = flag_table(tree, {flag: value for flag, value in full.items() if rng.random() < kept})
     assume(len(table) < len(full))
     message = raised(radon_invert, tree, table, 1)
     assert message == raised(reference.radon_invert, tree, table, 1)
@@ -205,19 +205,19 @@ def test_foreign_entries_are_ignored(drawn):
         padded[Flag(v, frozenset((tree.incident_edges(v)[0], rng.choice(strangers))))] = F(7, 3)
     padded[Flag("nowhere", frozenset((0, 1)))] = F(-1, 5)
     padded[Flag(v, frozenset((len(tree.edges), len(tree.edges) + 1)))] = F(2)
-    table = FlagTable(padded)
+    table = flag_table(tree, padded)
     inverse = radon_invert(tree, table, h.total)
     assert_identical(inverse.values, reference.radon_invert(tree, table, h.total).values)
     assert inverse == h
     x = rng.choice(tree.vertices)
-    assert double_count_check(tree, h, x, table) == double_count_check(tree, h, x, FlagTable(clean))
+    assert double_count_check(tree, h, x, table) == double_count_check(tree, h, x, flag_table(tree, clean))
 
 
 @given(trees(("finite",)))
 @profile_settings(40)
 def test_valency_error_comes_before_a_missing_entry(drawn):
     tree, rng = drawn
-    for table in (FlagTable({}), reference.radon_forward(tree, small_values(tree, rng))):
+    for table in (flag_table(tree, {}), reference.radon_forward(tree, small_values(tree, rng))):
         message = raised(radon_invert, tree, table, 0)
         assert message == raised(reference.radon_invert, tree, table, 0)
         assert message.startswith("inversion needs valency >= 3")

@@ -24,7 +24,6 @@ from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
     Flag,
-    FlagTable,
     MeasureError,
     OracleInconsistencyError,
     ReconstructionResult,
@@ -32,6 +31,7 @@ from treeradon import (
     TreePoint,
     build_tree,
     enumerate_flags,
+    flag_table,
     gen_measure,
     gen_tree,
     geodesic_through_flag,
@@ -128,7 +128,7 @@ def reference_reconstruct(tree, oracle, candidate_skeleton=None):
                                  interior_subtracted=inside, vertex_value=value))
 
     interior_total = sum(interior.values(), _ZERO)
-    vertex_part = radon_invert(tree, FlagTable(table), _ONE - interior_total)
+    vertex_part = radon_invert(tree, flag_table(tree, table), _ONE - interior_total)
 
     for vertex, value in vertex_part.values.items():
         if value < 0:
@@ -268,7 +268,7 @@ def flag_schedule_reconstruct(tree: Tree, oracle: Callable[[Geodesic], RadonSamp
         flag_rows.append(FlagRow(flag=flag, raw_mass=raw[flag],
                                  interior_subtracted=inside, vertex_value=value))
 
-    vertex_part = radon_invert(tree, FlagTable(table), _ONE - interior_total)
+    vertex_part = radon_invert(tree, flag_table(tree, table), _ONE - interior_total)
 
     for vertex, value in vertex_part.values.items():
         if value < 0:

@@ -2,9 +2,10 @@
 
 README promises that trees, geodesics, measures, plans and Wasserstein
 geodesics are immutable after construction and safe to share across
-threads. Four threads share one tree, one ``radon_oracle`` and one
-``WassersteinGeodesic`` (from a Dirac, so evaluation past time 1 walks
-each atom on); a tiny switch interval makes the interpreter change
+threads. Four threads share one tree, one ``radon_oracle``, one
+``FlagTable`` (whose ``values`` mapping is built afresh on each read) and
+one ``WassersteinGeodesic`` (from a Dirac, so evaluation past time 1
+walks each atom on); a tiny switch interval makes the interpreter change
 threads every few bytecodes, inside every query. Each thread's results
 must equal the serial ones.
 """
@@ -17,8 +18,13 @@ from fractions import Fraction as F
 from treeradon import (
     SuiteConfig,
     WassersteinGeodesic,
+    double_count_check,
+    enumerate_flags,
     gen_measure,
     gen_tree,
+    gen_vertex_function,
+    radon_forward,
+    radon_invert,
     radon_oracle,
     reconstruct_measure,
 )
@@ -35,12 +41,19 @@ def test_shared_objects_give_serial_results():
     oracle = radon_oracle(tree, hidden)
     geodesic = WassersteinGeodesic.from_dirac(
         tree, tree.vertex_point(tree.vertices[0]), gen_measure(cfg, tree, rng), horizon=2)
+    h = gen_vertex_function(cfg, tree, rng)
+    table = radon_forward(tree, h)
+    flags = enumerate_flags(tree)
 
     def run():
-        return (reconstruct_measure(tree, oracle), [geodesic.at(t) for t in TIMES])
+        return (reconstruct_measure(tree, oracle), [geodesic.at(t) for t in TIMES],
+                radon_invert(tree, table, h.total), list(table.values.items()),
+                [table.value(flag) for flag in flags], len(table),
+                [double_count_check(tree, h, x, table) for x in tree.vertices])
 
     serial = run()
     assert serial[0].measure == hidden
+    assert serial[2] == h
     barrier = threading.Barrier(THREADS)
     results, errors = [None] * THREADS, []
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from treeradon import (
     Flag,
-    FlagTable,
     RadonError,
     SuiteConfig,
     Tree,
@@ -19,6 +18,7 @@ from treeradon import (
     build_tree,
     dirac,
     flag_mass,
+    flag_table,
     gen_point,
     gen_tree,
     geodesic_through_flag,
@@ -268,9 +268,9 @@ class TestMalformedFlag:
         with pytest.raises(PointLocationError, match="^a flag needs two distinct edges$"):
             call(star3, Flag("c", pair))
 
-    def test_missing_entry_names_it(self):
+    def test_missing_entry_names_it(self, star3):
         with pytest.raises(RadonError, match=r"no entry for Flag\('c', \{0\}\)"):
-            FlagTable({}).value(Flag("c", frozenset({0})))
+            flag_table(star3, {}).value(Flag("c", frozenset({0})))
 
     # an edge id is an int and not a bool, as Tree.edge requires; 1.0 and
     # True compare equal to edge 1 but are not edge ids
