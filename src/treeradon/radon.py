@@ -56,7 +56,7 @@ from .errors import (
 from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
 from .measures import Measure, RadonSample, make_measure, pushforward_projection
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint, VertexId, _is_edge_id
+from .tree import Flag, Tree, TreePoint, VertexId
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -124,16 +124,13 @@ class FlagTable:
 
     def value(self, flag: Flag) -> Fraction:
         """The entry at ``flag``'s position; :class:`RadonError` when the
-        table has none there or the tree has no such flag."""
-        entry = None
+        table has none there or ``Tree.validate_flag`` refuses the flag."""
         try:
-            e, f = flag.edge_pair
-            # a hand-built pair may repeat an edge, or hold 1.0 or True,
-            # which equal edge 1 but are not edge ids
-            if e != f and _is_edge_id(e) and _is_edge_id(f):
-                entry = self.entries[self.tree._flag_position(flag.vertex, e, f)]
-        except (AttributeError, KeyError, TypeError, ValueError):
-            pass  # not a flag of this tree
+            vertex, (e, f) = self.tree.validate_flag(flag)
+        except PointLocationError:
+            entry = None
+        else:
+            entry = self.entries[self.tree._flag_position(vertex, e, f)]
         if entry is None:
             raise RadonError(f"flag table has no entry for {flag!r}")
         return entry
@@ -148,15 +145,18 @@ def flag_table(tree: Tree, values: Mapping) -> FlagTable:
     twin of :func:`vertex_function`.
 
     Each value is parsed as an exact rational and stored at its flag's
-    position (see :class:`FlagTable`); entries for flags the tree lacks
-    are ignored, and a flag without an entry has none in the table. The
-    table belongs to ``tree``: the kernels refuse it with any other tree
-    object.
+    position (see :class:`FlagTable`). A key that ``Tree.validate_flag``
+    refuses is ignored, and a flag without an entry, or with the value
+    ``None``, has none in the table. The table belongs to ``tree``: the
+    kernels refuse it with any other tree object.
     """
-    entries = []
-    for flag in enumerate_flags(tree):
-        raw = values.get(flag)
-        entries.append(None if raw is None else parse_rational(raw))
+    entries: list[Fraction | None] = [None] * tree._flag_count
+    for flag, raw in values.items():
+        try:
+            vertex, (e, f) = tree.validate_flag(flag)
+        except PointLocationError:
+            continue  # not a flag of this tree
+        entries[tree._flag_position(vertex, e, f)] = None if raw is None else parse_rational(raw)
     return FlagTable(tree, tuple(entries))
 
 
@@ -390,9 +390,10 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     vertex table is inverted with total 1 minus the interior mass.
 
     Interior sightings and flag readings are cross-checked across every
-    queried geodesic; disagreement, mass outside the skeleton, or a vertex
-    table that is not a genuine transform of a nonnegative function all
-    raise :class:`OracleInconsistencyError`.
+    queried geodesic; disagreement, a coordinate listed twice in one
+    answer, mass outside the skeleton, or a vertex table that is not a
+    genuine transform of a nonnegative function all raise
+    :class:`OracleInconsistencyError`.
     """
     if not tree.geodesically_complete:
         raise CompletenessError("reconstruction needs a tree without leaves")
@@ -424,9 +425,13 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         geodesic = _flag_geodesic(tree, flag, routed)
         # on a complete geodesic every vertex atom sits on a joint
         at_joint: dict[VertexId, Fraction] = {}
+        seen: set[TreePoint] = set()
         for coord, mass in oracle(geodesic).atoms:
             spot = geodesic.point_at(coord)
             mass = parse_rational(mass)
+            if spot in seen:
+                raise OracleInconsistencyError(f"an answer lists coordinate {coord} twice")
+            seen.add(spot)
             if spot.is_vertex:
                 at_joint[spot.vertex] = mass
                 continue

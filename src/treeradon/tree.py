@@ -19,6 +19,9 @@ Arguments are validated once, at the public boundary: public methods
 check the ids and points they are given, while the ``_incident`` and
 ``_link`` maps and the underscore helpers take only vertices, edge ids and
 canonical points that the tree produced or a public method already checked.
+The tree alone decides what belongs to it: ``incident_edges`` is the one
+vertex lookup, to which an unhashable id is an unknown vertex, and
+``validate_flag`` the one flag check, which the Radon flag tables ask too.
 
 The value types :class:`EdgeRecord`, :class:`TreePoint` and :class:`Flag`
 are ``typing.NamedTuple`` subclasses, so building, hashing and comparing
@@ -272,13 +275,18 @@ class Tree:
     # ------------------------------------------------------------------ #
 
     def has_vertex(self, v: VertexId) -> bool:
-        return v in self._incident
+        try:
+            self.incident_edges(v)
+        except PointLocationError:
+            return False
+        return True
 
     def incident_edges(self, v: VertexId) -> tuple[int, ...]:
-        """Edge ids incident to ``v``, sorted ascending."""
+        """Edge ids incident to ``v``, sorted ascending: the one vertex
+        lookup, which refuses an unknown or unhashable id."""
         try:
             return self._incident[v]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError: an unhashable id
             raise PointLocationError(f"unknown vertex {v!r}") from None
 
     def valency(self, v: VertexId) -> int:
@@ -324,9 +332,13 @@ class Tree:
 
     def validate_flag(self, flag: Flag) -> Flag:
         """A hand-built flag checked as :meth:`flag` checks its edges, the
-        smaller id first."""
+        smaller id first: the one flag check, which ``FlagTable.value`` and
+        ``flag_table`` ask too. An object without an ``edge_pair`` is not a
+        flag, nor is a pair that only equals an edge pair, like ``{0, True}``."""
         try:
             e, f = flag.edge_pair
+        except AttributeError:
+            raise PointLocationError(f"not a flag: {flag!r}") from None
         except (TypeError, ValueError):
             raise PointLocationError("a flag needs two distinct edges") from None
         if _is_edge_id(e) and _is_edge_id(f) and f < e:
@@ -348,8 +360,7 @@ class Tree:
     # ------------------------------------------------------------------ #
 
     def vertex_point(self, v: VertexId) -> TreePoint:
-        if v not in self._incident:
-            raise PointLocationError(f"unknown vertex {v!r}")
+        self.incident_edges(v)
         return TreePoint(vertex=v)
 
     def point(self, edge_id: int, offset) -> TreePoint:
@@ -384,9 +395,9 @@ class Tree:
             raise PointLocationError(f"not a tree point: {point!r}")
         edge, offset = point.edge, point.offset
         if point.is_vertex:
-            if edge is None and offset is None and point.vertex in self._incident:
-                return point
-            return self.vertex_point(point.vertex)
+            self.incident_edges(point.vertex)
+            # a point that names a vertex is that vertex
+            return point if edge is None and offset is None else TreePoint(point.vertex)
         # bool is an int subclass, but True is not edge 1
         if type(edge) is int and 0 <= edge < len(self.edges) and type(offset) is Fraction:
             length = self.edges[edge].length

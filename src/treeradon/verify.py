@@ -493,8 +493,7 @@ def _prop_radon_injectivity(cfg, rng):
     shifted[a] = shifted.get(a, _ZERO) + delta
     shifted[b] = shifted.get(b, _ZERO) - delta
     l = vertex_function(tree, shifted)
-    if l == h:
-        return None
+    # delta > 0 and a != b, so l(a) != h(a): the two functions differ
     if radon_forward(tree, h) == radon_forward(tree, l):
         return {"tree": tree.describe(),
                 "detail": f"distinct functions with equal total share a table"}

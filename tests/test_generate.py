@@ -71,3 +71,9 @@ def test_valencies_respect_upper_bound():
     for seed in range(6):
         tree = gen_tree(SuiteConfig(seed=seed, max_vertices=14, max_valency=4), "complete")
         assert all(k <= 4 for k in tree.valency_profile.values())
+
+
+def test_negative_trials_refused():
+    assert SuiteConfig(trials=0).trials == 0
+    with pytest.raises(GenerationError, match="^trials must be nonnegative$"):
+        SuiteConfig(trials=-1)

@@ -79,6 +79,11 @@ class TestFunctionAndTableFiles:
         io.save_vertex_function(h, target)
         assert io.load_vertex_function(star3, target) == h
 
+    @pytest.mark.parametrize("payload", [{}, [], {"value": {"c": "1"}}])
+    def test_values_mapping_required(self, star3, payload):
+        with pytest.raises(FileFormatError, match="^an h file needs a 'values' mapping$"):
+            io.vertex_function_from_dict(star3, payload)
+
     def test_unknown_vertex_rejected(self, tmp_path, star3):
         bad = tmp_path / "h.json"
         bad.write_text('{"values": {"zz": "1"}}')

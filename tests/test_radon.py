@@ -288,6 +288,35 @@ class TestReconstruction:
         with pytest.raises(TypeError, match="^cannot interpret float as an exact rational$"):
             reconstruct_measure(star3, liar)
 
+    @pytest.mark.parametrize("extra", [
+        lambda atoms: atoms[:1],
+        lambda atoms: ((atoms[-1][0], F(0)),),
+        lambda atoms: ((atoms[0][0], atoms[0][1] + 1),),
+    ], ids=["copy-of-first", "zero-mass", "other-mass"])
+    @pytest.mark.parametrize("parts", [
+        [("c", 1)],
+        [("c", F(1, 2)), ((0, F(1, 2)), F(1, 2))],
+        [(v, F(1, 4)) for v in "cabd"],
+        [("a", F(1, 3)), ((3, 2), F(1, 3)), ((1, F(1, 3)), F(1, 3))],
+    ], ids=["dirac", "vertex-and-edge", "four-vertices", "ray"])
+    def test_repeated_coordinate_detected(self, star3, parts, extra):
+        # each answer lists one of its coordinates a second time; within
+        # one answer the second reading must not replace the first
+        hidden = make_measure(star3, [
+            (star3.vertex_point(at) if isinstance(at, str) else star3.point(*at), mass)
+            for at, mass in parts])
+        repeated = []
+
+        def liar(geodesic):
+            atoms = pushforward_projection(star3, geodesic, hidden).atoms
+            again = extra(atoms)
+            repeated.append(again[0][0])
+            return RadonSample(geodesic, atoms + again)
+
+        with pytest.raises(OracleInconsistencyError) as info:
+            reconstruct_measure(star3, liar)
+        assert str(info.value) == f"an answer lists coordinate {repeated[0]} twice"
+
     def test_table_outside_the_transform_image_detected(self, star3):
         # 1/1000 moved from flag (c, {0, 2}) to flag (c, {0, 1}) on every
         # answer: the readings agree, the flag sum at c is unchanged, so the

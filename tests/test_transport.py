@@ -277,6 +277,7 @@ class TestNonextendability:
         wit = check_nonextendable(tripod, mu, tripod.vertex_point("y"), 1)
         assert wit.violated
         assert wit.continued_cost == 16 and wit.swapped_cost == 8
+        assert wit.cycle == ((wit.y_prime, wit.y_continued), (wit.y, wit.y))
 
     def test_witness_matches_monotonicity_oracle(self, star3):
         # straight continuation: the static two-cycle itself must violate

@@ -1,6 +1,9 @@
 """The named checks and the property suite harness."""
 
+import itertools
+import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,15 +11,19 @@ from treeradon import (
     GenerationError,
     GeodesicError,
     SuiteConfig,
+    VertexFunction,
     check_dirac_preserved_extension,
     check_thales,
     comparison_point_distance_sq,
     dirac,
     make_measure,
     path,
+    perpendicular,
     run_suite,
+    w2_squared_enumerated,
     w2_triangle_holds,
 )
+from treeradon import io, verify
 
 
 class TestThales:
@@ -53,6 +60,9 @@ class TestThales:
         with pytest.raises(GeodesicError):
             check_thales(tripod, geo, tripod.vertex_point("z"),
                          tripod.vertex_point("y"), dirac(tripod, tripod.vertex_point("o")))
+        with pytest.raises(GeodesicError, match="^g must lie on the geodesic$"):
+            check_thales(tripod, geo, tripod.vertex_point("x"),
+                         tripod.vertex_point("z"), dirac(tripod, tripod.vertex_point("o")))
 
 
 class TestDiracExtension:
@@ -90,6 +100,15 @@ class TestExactHelpers:
         for t in (F(0), F(1, 3), F(1, 2), F(1)):
             val = comparison_point_distance_sq(F(1), F(4), F(9), t)
             assert val == (3 * t - 1) ** 2
+
+
+class TestEnumerationOracle:
+    def test_more_than_six_atoms_refused(self, star3):
+        seven = make_measure(star3, [(star3.point(3, k), F(1, 7)) for k in range(1, 8)])
+        one = dirac(star3, star3.vertex_point("c"))
+        for mu, nu in ((seven, one), (one, seven)):
+            with pytest.raises(ValueError, match="^enumeration oracle is limited to small supports$"):
+                w2_squared_enumerated(star3, mu, nu)
 
 
 class TestRunSuite:
@@ -144,3 +163,119 @@ class TestRunSuite:
     def test_counts_sum_to_trials(self):
         report = run_suite(SuiteConfig(seed=13, trials=4))
         assert all(r.passes + r.failures == r.trials for r in report.properties)
+
+
+def returning(**fields):
+    """A stand-in that ignores its arguments and returns an object with
+    ``fields`` as attributes."""
+    return lambda *args, **kwargs: SimpleNamespace(**fields)
+
+
+def constant(value):
+    return lambda *args, **kwargs: value
+
+
+def counting():
+    """A stand-in for ``w2_squared`` whose every answer exceeds the last."""
+    count = itertools.count()
+    return lambda *args: F(next(count))
+
+
+def negated_perpendicular(tree, flag):
+    real = perpendicular(tree, flag)
+    return SimpleNamespace(vertices=real.vertices, contains=lambda point: not real.contains(point))
+
+
+def fresh_atoms(tree, geodesic, mu):
+    """A pushforward whose atoms differ from every other answer's."""
+    return SimpleNamespace(atoms=object(), to_measure=lambda tree: mu)
+
+
+# Per property: the one function in verify's namespace whose answer it
+# checks, and a stand-in that makes the check fail on the first trial.
+FORCED = {
+    "tree.metric_axioms": ("path", returning(length=F(-1))),
+    "tree.projection_lipschitz": ("geodesic_through_flag", returning(project=lambda p: object())),
+    "tree.perpendicular_level_set": ("perpendicular", negated_perpendicular),
+    "tree.cat0_inequality": ("check_cat0_triangle", returning(holds=False)),
+    "measures.pushforward_mass": ("pushforward_projection", returning(total_mass=F(0))),
+    "measures.pushforward_idempotent": ("pushforward_projection", fresh_atoms),
+    "measures.pushforward_contracts": ("w2_squared", counting()),
+    "transport.plan_marginals": ("optimal_plan", returning(couplings=())),
+    "transport.w2_triangle": ("w2_triangle_holds", constant(False)),
+    "transport.geodesic_property": ("w2_squared", constant(F(-1))),
+    "transport.optimal_plan_monotone": ("is_cyclically_monotone", constant(False)),
+    "transport.solver_matches_enumeration": ("w2_squared", constant(F(-1))),
+    "transport.dirac_extension": ("check_dirac_preserved_extension", returning(passed=False)),
+    "radon.roundtrip": ("radon_invert", constant(VertexFunction({"nowhere": F(1)}))),
+    "radon.double_counting": ("double_count_check", returning(holds=False, lhs=F(0), rhs=F(1))),
+    "radon.injectivity_fixed_total": ("radon_forward", constant(None)),
+    "radon.reconstruction_roundtrip": ("reconstruct_measure",
+                                       returning(measure=SimpleNamespace(atoms=()))),
+    "radon.flag_mass_refinement": ("flag_mass", constant(F(-1))),
+    "verify.thales_criterion": ("check_thales", returning(relation="gt")),
+    "verify.cat0_strictness_calibration": ("comparison_point_distance_sq", constant(F(-1))),
+}
+
+
+def run_alone(monkeypatch, name, check, config):
+    """The suite's report on one property."""
+    monkeypatch.setattr(verify, "_PROPERTIES", ((name, check),))
+    report = run_suite(config)
+    (result,) = report.properties
+    return report, result
+
+
+def test_every_property_is_forced_once():
+    assert sorted(FORCED) == sorted(name for name, _ in verify._PROPERTIES)
+
+
+@pytest.mark.parametrize("name", sorted(FORCED))
+def test_a_forced_failure_is_reported(monkeypatch, tmp_path, name):
+    target, stand_in = FORCED[name]
+    monkeypatch.setattr(verify, target, stand_in)
+    report, result = run_alone(monkeypatch, name, dict(verify._PROPERTIES)[name],
+                               SuiteConfig(seed=1, trials=1))
+    assert (result.passes, result.failures) == (0, 1)
+    example = result.counterexample
+    assert example["detail"] and "tree" in example
+    assert example["seed"] == f"1:{name}:0"
+    out = tmp_path / "report.json"
+    io.save_json(report.to_dict(), out)
+    assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_dict()))
+
+
+def boom(cfg, rng):
+    raise ZeroDivisionError("boom")
+
+
+FLOOR = {"max_vertices": 2, "max_denominator": 2, "max_atoms": 1}
+
+
+def test_a_raising_property_is_reported_with_its_seed(monkeypatch):
+    # at the floor bounds there is nothing to shrink
+    _, result = run_alone(monkeypatch, "boom", boom, SuiteConfig(seed=5, trials=1, **FLOOR))
+    assert result.failures == 1
+    assert result.counterexample == {"detail": "exception: ZeroDivisionError('boom')",
+                                     "seed": "5:boom:0"}
+
+
+def test_a_property_raising_while_shrinking_is_reported(monkeypatch):
+    _, result = run_alone(monkeypatch, "boom", boom, SuiteConfig(seed=5, trials=1))
+    assert result.counterexample == {
+        "detail": "exception during shrink: ZeroDivisionError('boom')",
+        "shrunk_bounds": FLOOR,
+        "seed": "5:boom:0",
+    }
+
+
+def test_no_smaller_counterexample_keeps_the_original(monkeypatch):
+    start = SuiteConfig(seed=5, trials=1)
+
+    def only_at_start(cfg, rng):
+        return {"detail": "fails at the starting bounds"} if cfg == start else None
+
+    _, result = run_alone(monkeypatch, "only", only_at_start, start)
+    assert result.failures == 1
+    assert result.counterexample == {"detail": "fails at the starting bounds",
+                                     "seed": "5:only:0"}
