@@ -153,7 +153,7 @@ class Geodesic:
         anchors[walk[-1]] = self.end, self._end_raw
         anchors.pop(None, None)
         self._anchors = anchors
-        self._apex = min(anchors, key=tree._hops.__getitem__)
+        self._apex = min(anchors, key=lambda v: tree._vertex[v].hops)
 
     # ------------------------------------------------------------------ #
 
@@ -201,7 +201,7 @@ class Geodesic:
         for endpoint in (self.start, self.end):
             if endpoint is None:
                 continue
-            if not endpoint.is_vertex or len(self.tree._incident[endpoint.vertex]) != 1:
+            if not endpoint.is_vertex or len(self.tree._vertex[endpoint.vertex].incident) != 1:
                 return False
         return True
 
@@ -271,15 +271,14 @@ class Geodesic:
             if self._end_raw is not None and raw > self._end_raw:
                 return self.end, self._end_raw
             return point, raw
-        tree, anchors, apex = self.tree, self._anchors, self._apex
-        link, hops = tree._link, tree._hops
-        top = hops[apex]
-        v = tree._foot_vertex(point)
-        while hops[v] >= top:
-            hit = anchors.get(v)
+        anchors, apex, vertex = self._anchors, self._apex, self.tree._vertex
+        top = vertex[apex].hops
+        v = vertex[self.tree._foot_vertex(point)]
+        while v.hops >= top:
+            hit = anchors.get(v.id)
             if hit is not None:
                 return hit
-            v = link[v][0]
+            v = vertex[v.parent]
         return anchors[apex]
 
     # ------------------------------------------------------------------ #
@@ -326,7 +325,7 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
         edges.insert(0, p.edge)
     if not q.is_vertex and (not edges or edges[-1] != q.edge):
         edges.append(q.edge)
-    return Geodesic(tree, edges or [tree._incident[p.vertex][0]], p, q)
+    return Geodesic(tree, edges or [tree._vertex[p.vertex].incident[0]], p, q)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
@@ -353,7 +352,7 @@ def perpendicular(tree: Tree, flag: Flag) -> Subtree:
     stack = [flag.vertex]
     while stack:
         w = stack.pop()
-        for eid in tree._incident[w]:
+        for eid in tree._vertex[w].incident:
             if w == flag.vertex and eid in banned:
                 continue
             if eid in edges:
@@ -369,7 +368,7 @@ def perpendicular(tree: Tree, flag: Flag) -> Subtree:
 def _onward(tree: Tree, vertex: VertexId, via: int) -> int | None:
     """The one walk rule: the smallest-id edge at ``vertex`` other than
     ``via``, the edge the walk arrived by, or None at a leaf."""
-    return next((eid for eid in tree._incident[vertex] if eid != via), None)
+    return next((eid for eid in tree._vertex[vertex].incident if eid != via), None)
 
 
 def _travel(segment: Geodesic, t) -> TreePoint:

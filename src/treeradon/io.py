@@ -100,7 +100,7 @@ def point_to_dict(tree: Tree, point: TreePoint) -> dict:
     """Encode a point as edge + offset; vertices ride their smallest
     incident edge at offset 0 (or the full length at the far end)."""
     if point.is_vertex:
-        eid = tree._incident[point.vertex][0]
+        eid = tree._vertex[point.vertex].incident[0]
         offset = tree.edges[eid].endpoint_offset(point.vertex)
         return {"edge": eid, "offset": format_rational(offset)}
     return {"edge": point.edge, "offset": format_rational(point.offset)}

@@ -16,8 +16,8 @@ distinct primes every operation works on numbers as large as the whole
 tree's.
 
 A flag table holds one value per flag of its tree, by position in
-``enumerate_flags`` order: the tree records the position of each vertex's
-first flag when it is built, and a flag's position is that plus the index
+``enumerate_flags`` order: each vertex's record in the tree holds the
+position of its first flag, and a flag's position is that plus the index
 of its edge pair among the vertex's C(k,2) pairs. So the kernels build no
 ``Flag`` key: ``radon_forward`` appends each value in order, the flag sums
 read one slice per vertex, and reconstruction keeps its readings in lists
@@ -84,8 +84,7 @@ def vertex_function(tree: Tree, values: Mapping) -> VertexFunction:
     """Build a vertex function, validating keys against the tree."""
     cleaned: dict[VertexId, Fraction] = {}
     for vertex, raw in values.items():
-        if not tree.has_vertex(vertex):
-            raise PointLocationError(f"unknown vertex {vertex!r}")
+        vertex = tree._record(vertex).id
         value = parse_rational(raw)
         if value != 0:
             cleaned[vertex] = value
@@ -99,8 +98,8 @@ class FlagTable:
     ``entries`` holds the values by flag position, in
     :func:`enumerate_flags` order, with ``None`` where the table has no
     entry. A flag's position is the position of its vertex's first flag,
-    which the tree records when it is built, plus the index of its edge
-    pair among the vertex's C(k,2) pairs. A table belongs to its ``tree``
+    which the vertex's record in the tree holds, plus the index of its
+    edge pair among the vertex's C(k,2) pairs. A table belongs to its ``tree``
     object: the kernels refuse a table of any other tree, even one built
     from the same description. Build a table from a ``{Flag: value}``
     mapping with :func:`flag_table`.
@@ -146,17 +145,23 @@ def flag_table(tree: Tree, values: Mapping) -> FlagTable:
 
     Each value is parsed as an exact rational and stored at its flag's
     position (see :class:`FlagTable`). A key that ``Tree.validate_flag``
-    refuses is ignored, and a flag without an entry, or with the value
+    refuses is ignored, two keys that name one flag raise
+    :class:`RadonError`, and a flag without an entry, or with the value
     ``None``, has none in the table. The table belongs to ``tree``: the
     kernels refuse it with any other tree object.
     """
     entries: list[Fraction | None] = [None] * tree._flag_count
+    key_at: dict[int, object] = {}  # the key that gave each position
     for flag, raw in values.items():
         try:
             vertex, (e, f) = tree.validate_flag(flag)
         except PointLocationError:
             continue  # not a flag of this tree
-        entries[tree._flag_position(vertex, e, f)] = None if raw is None else parse_rational(raw)
+        at = tree._flag_position(vertex, e, f)
+        first = key_at.setdefault(at, flag)
+        if first is not flag:
+            raise RadonError(f"keys {first!r} and {flag!r} name the same flag")
+        entries[at] = None if raw is None else parse_rational(raw)
     return FlagTable(tree, tuple(entries))
 
 
@@ -164,19 +169,19 @@ def enumerate_flags(tree: Tree) -> list[Flag]:
     """All flags, vertex by vertex; a valency-k vertex contributes C(k,2)."""
     flags = []
     for v in tree.vertices:
-        for e, f in combinations(tree._incident[v], 2):
+        for e, f in combinations(tree._vertex[v].incident, 2):
             flags.append(Flag(v, frozenset((e, f))))
     return flags
 
 
 def _subtree_sums(tree: Tree, h: VertexFunction) -> dict[VertexId, Fraction]:
-    """Σh over each vertex and everything below it, in one pass over the
-    tree's own parent links, which list every parent before its children."""
+    """Σh over each vertex and everything below it, in one backward pass over
+    the tree's vertex records, which list every parent before its children."""
     values = h.values
     subtree = {v: values.get(v, _ZERO) for v in tree.vertices}
-    for vertex, (parent, _) in reversed(tree._link.items()):
-        if parent is not None:
-            subtree[parent] += subtree[vertex]
+    for record in reversed(tree._vertex.values()):
+        if record.parent is not None:
+            subtree[record.parent] += subtree[record.id]
     return subtree
 
 
@@ -196,11 +201,11 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     """
     subtree = _subtree_sums(tree, h)
     total = h.total
-    links, edges, incident = tree._link, tree.edges, tree._incident
+    vertex, edges = tree._vertex, tree.edges
     table: list[Fraction] = []
     for x in tree.vertices:
-        inc = incident[x]
-        via = links[x][1]
+        record = vertex[x]
+        inc, via = record.incident, record.parent_edge
         # Per incident edge: Σh over its branch and Σh over the rest. A
         # ray's branch is empty, so a flag with a ray is the other edge's
         # rest. The parent edge's rest is x's subtree, so a flag with it
@@ -246,8 +251,8 @@ def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
     """
     if table.tree is not tree:
         raise RadonError("the flag table belongs to another tree")
-    inc = tree._incident[x]
-    start = tree._flag_start[x]
+    record = tree._vertex[x]
+    inc, start = record.incident, record.first_flag
     values = table.entries[start:start + len(inc) * (len(inc) - 1) // 2]
     try:
         scale = lcm(total.denominator, *(value.denominator for value in values))
@@ -306,7 +311,7 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
         )
     values: dict[VertexId, Fraction] = {}
     for x in tree.vertices:
-        k = len(tree._incident[x])
+        k = len(tree._vertex[x].incident)
         flag_sum, scale = _flag_sum(tree, table, x, total)
         scaled_total = total.numerator * (scale // total.denominator)
         numerator = 2 * flag_sum - (k - 1) * (k - 2) * scaled_total
@@ -414,7 +419,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     def routed(tree: Tree, vertex: VertexId, via: int) -> int:
         """Past the queried flag: the smallest-id edge that forms an unread
         flag with ``via``, else the smallest-id other edge."""
-        for eid in tree._incident[vertex]:
+        for eid in tree._vertex[vertex].incident:
             if eid != via and raw[position(vertex, via, eid)] is None:
                 return eid
         return _onward(tree, vertex, via)
@@ -469,7 +474,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         on_foot[foot] = mass if known is None else known + mass
     inside = list(radon_forward(tree, VertexFunction(on_foot)).entries)
     for foot, edge, mass in footed:
-        for eid in tree._incident[foot]:
+        for eid in tree._vertex[foot].incident:
             if eid != edge:
                 inside[position(foot, edge, eid)] -= mass
 

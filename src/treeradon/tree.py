@@ -5,23 +5,23 @@ lengths; single-endpoint edges are infinite rays. No vertex may have
 valency 2 (such a vertex would describe the same metric space with a
 simpler graph), and every vertex has at least one incident edge.
 
-Construction roots the tree once at its first vertex: every vertex records
-its parent link, its hop count and its depth (exact distance from the
-root). Distances, paths and projections all derive from those three maps.
-Every vertex also records the position of its first flag, which places
-each flag in the Radon tables. The maps are built once and never grow, so
-a tree is literally immutable after construction, costs O(V) memory for
-its lifetime, and is safe to share between threads. Lengths, offsets and
-distances are ``fractions.Fraction`` throughout; nothing in this package
-touches floating point.
+Construction roots the tree once at its first vertex and keeps one
+:class:`VertexRecord` per vertex in one map, ``_vertex``: incident edges,
+parent link, hop count, depth (exact distance from the root) and the
+position of the first flag. The records list every parent before its
+children; flag positions follow ``vertices`` order. Nothing changes
+later, so a tree is immutable, costs O(V) memory for its lifetime, and is
+safe to share between threads. Lengths, offsets and distances are
+``fractions.Fraction``; nothing in this package touches floating point.
 
 Arguments are validated once, at the public boundary: public methods
-check the ids and points they are given, while the ``_incident`` and
-``_link`` maps and the underscore helpers take only vertices, edge ids and
-canonical points that the tree produced or a public method already checked.
-The tree alone decides what belongs to it: ``incident_edges`` is the one
+check the ids and points they are given, while underscore helpers take
+only ids and canonical points that the tree produced or a public method
+checked. The tree alone decides what belongs to it: ``_record`` is the one
 vertex lookup, to which an unhashable id is an unknown vertex, and
-``validate_flag`` the one flag check, which the Radon flag tables ask too.
+``validate_flag`` the one flag check. An id that equals a vertex's, like
+``True`` for ``1``, names that vertex, and every edge record, point and
+flag the tree hands out carries the vertex list's own id object.
 
 The value types :class:`EdgeRecord`, :class:`TreePoint` and :class:`Flag`
 are ``typing.NamedTuple`` subclasses, so building, hashing and comparing
@@ -130,6 +130,18 @@ class Flag(NamedTuple):
         return f"Flag({self.vertex!r}, {pair})"
 
 
+class VertexRecord(NamedTuple):
+    """What a tree knows about one vertex; ``parent`` is None at the root."""
+
+    id: VertexId
+    incident: tuple[int, ...]
+    parent: VertexId | None
+    parent_edge: int | None
+    hops: int
+    depth: Fraction
+    first_flag: int
+
+
 @dataclass(frozen=True)
 class Subtree:
     """A rooted full subtree: the root plus whole components hanging off it.
@@ -163,8 +175,7 @@ class Tree:
     triples and performs full validation.
     """
 
-    __slots__ = ("vertices", "edges", "geodesically_complete",
-                 "_incident", "_link", "_hops", "_depth", "_flag_start", "_flag_count")
+    __slots__ = ("vertices", "edges", "geodesically_complete", "_vertex", "_flag_count")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple]) -> None:
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
@@ -172,7 +183,7 @@ class Tree:
             raise TreeStructureError("a tree needs at least one vertex")
         # Files key vertices by str(v), and points order by it, so two ids
         # with one name would be one vertex there and two here.
-        incident: dict[VertexId, list[int]] = {}
+        incident: dict[VertexId, tuple[VertexId, list[int]]] = {}
         names = {}
         for v in self.vertices:
             if v is None:
@@ -183,7 +194,7 @@ class Tree:
                     raise TreeStructureError(f"duplicate vertex id {v!r}")
             except TypeError:
                 raise TreeStructureError(f"vertex id {v!r} is not hashable") from None
-            incident[v] = []
+            incident[v] = (v, [])
             name = str(v)
             if name in names:
                 raise TreeStructureError(
@@ -192,12 +203,13 @@ class Tree:
             names[name] = v
 
         # One lookup in ``incident`` checks an endpoint's hashability (a
-        # TypeError) and membership (a KeyError) together.
+        # TypeError) and membership (a KeyError) together, and swaps an
+        # equal alias (True for 1) for the vertex list's own id.
         records = []
         finite_count = 0
         for eid, (u, v, length) in enumerate(edges):
             try:
-                u_edges = incident[u]
+                u, u_edges = incident[u]
             except (KeyError, TypeError):
                 raise TreeStructureError(f"edge {eid} endpoint {u!r} is not a vertex") from None
             if v is None:
@@ -205,7 +217,7 @@ class Tree:
                     raise TreeStructureError(f"edge {eid} is a ray but has finite length")
             else:
                 try:
-                    v_edges = incident[v]
+                    v, v_edges = incident[v]
                 except (KeyError, TypeError):
                     raise TreeStructureError(f"edge {eid} endpoint {v!r} is not a vertex") from None
                 if u == v:
@@ -219,86 +231,80 @@ class Tree:
             records.append(EdgeRecord(eid, u, v, length))
             u_edges.append(eid)
         self.edges: tuple[EdgeRecord, ...] = tuple(records)
-        # edges are appended in id order, so each tuple is sorted
-        self._incident: dict[VertexId, tuple[int, ...]] = {
-            v: tuple(ids) for v, ids in incident.items()
-        }
 
         # Connectivity over finite edges, then acyclicity by edge count. The
-        # walk roots the tree at vertices[0]: each vertex gets its (parent,
-        # edge) link, hop count and depth, and is linked after its parent.
-        root = self.vertices[0]
-        link: dict[VertexId, tuple[VertexId | None, int | None]] = {root: (None, None)}
-        hops: dict[VertexId, int] = {root: 0}
-        depth: dict[VertexId, Fraction] = {root: _ZERO}
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for eid in self._incident[w]:
+        # walk roots the tree at vertices[0] and lists each vertex with its
+        # parent, parent edge, hop count and depth, after its parent; it
+        # grows while it is read, so it runs breadth first.
+        walk = [(self.vertices[0], None, None, 0, _ZERO)]
+        reached = {self.vertices[0]}
+        for w, _, _, hops, depth in walk:
+            for eid in incident[w][1]:
                 rec = records[eid]
-                o = rec.v
-                if o is None:  # a ray
-                    continue
-                if o == w:
-                    o = rec.u
-                if o not in link:
-                    link[o] = (w, eid)
-                    hops[o] = hops[w] + 1
-                    depth[o] = depth[w] + rec.length
-                    stack.append(o)
-        self._link, self._hops, self._depth = link, hops, depth
-        if len(link) != len(self.vertices):
+                o = rec.u if rec.v == w else rec.v  # None across a ray
+                if o is not None and o not in reached:
+                    reached.add(o)
+                    walk.append((o, w, eid, hops + 1, depth + rec.length))
+        if len(walk) != len(self.vertices):
             raise TreeStructureError("disconnected: not all vertices are reachable")
         if finite_count != len(self.vertices) - 1:
             raise TreeStructureError("cycle detected: too many finite edges for a tree")
 
         # True iff the tree has no leaf, i.e. every geodesic extends to a line.
         # Flags take positions vertex by vertex, C(k,2) at a valency-k
-        # vertex; each vertex records the position of its first flag.
+        # vertex, from the position of the vertex's first flag.
         self.geodesically_complete = True
-        flag_start: dict[VertexId, int] = {}
+        first_flag: dict[VertexId, int] = {}
         count = 0
         for v in self.vertices:
-            k = len(self._incident[v])
+            k = len(incident[v][1])
             if k == 2:
                 raise TreeStructureError(f"valency-2 vertex {v!r} is not allowed")
             if k == 0:
                 raise TreeStructureError(f"isolated vertex {v!r} (valency 0)")
             if k == 1:
                 self.geodesically_complete = False
-            flag_start[v] = count
+            first_flag[v] = count
             count += k * (k - 1) // 2
-        self._flag_start, self._flag_count = flag_start, count
+        self._flag_count = count
+        # edges are appended in id order, so each incident tuple is sorted
+        self._vertex: dict[VertexId, VertexRecord] = {
+            v: VertexRecord(v, tuple(incident[v][1]), parent, via, hops, depth, first_flag[v])
+            for v, parent, via, hops, depth in walk
+        }
 
     # ------------------------------------------------------------------ #
     # Structure queries                                                    #
     # ------------------------------------------------------------------ #
 
+    def _record(self, v: VertexId) -> VertexRecord:
+        """The one vertex lookup: it refuses an unknown or unhashable id."""
+        try:
+            return self._vertex[v]
+        except (KeyError, TypeError):  # a TypeError: an unhashable id
+            raise PointLocationError(f"unknown vertex {v!r}") from None
+
     def has_vertex(self, v: VertexId) -> bool:
         try:
-            self.incident_edges(v)
+            self._record(v)
         except PointLocationError:
             return False
         return True
 
     def incident_edges(self, v: VertexId) -> tuple[int, ...]:
-        """Edge ids incident to ``v``, sorted ascending: the one vertex
-        lookup, which refuses an unknown or unhashable id."""
-        try:
-            return self._incident[v]
-        except (KeyError, TypeError):  # a TypeError: an unhashable id
-            raise PointLocationError(f"unknown vertex {v!r}") from None
+        """Edge ids incident to ``v``, sorted ascending."""
+        return self._record(v).incident
 
     def valency(self, v: VertexId) -> int:
-        return len(self.incident_edges(v))
+        return len(self._record(v).incident)
 
     @property
     def valency_profile(self) -> dict[VertexId, int]:
-        return {v: len(self._incident[v]) for v in self.vertices}
+        return {v: len(self._vertex[v].incident) for v in self.vertices}
 
     @property
     def leaves(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.vertices if len(self._incident[v]) == 1)
+        return tuple(v for v in self.vertices if len(self._vertex[v].incident) == 1)
 
     def edge(self, edge_id: int) -> EdgeRecord:
         if not _is_edge_id(edge_id) or not 0 <= edge_id < len(self.edges):
@@ -307,28 +313,29 @@ class Tree:
 
     def flag(self, vertex: VertexId, e: int, f: int) -> Flag:
         """Validated flag at ``vertex`` with the incident edge pair {e, f}."""
-        inc = self.incident_edges(vertex)
+        record = self._record(vertex)
         for eid in (e, f):
             if not _is_edge_id(eid):
                 raise PointLocationError(f"unknown edge id {eid!r}")
         if e == f:
             raise PointLocationError("a flag needs two distinct edges")
         for eid in (e, f):
-            if eid not in inc:
+            if eid not in record.incident:
                 raise PointLocationError(f"edge {eid} is not incident to vertex {vertex!r}")
-        return Flag(vertex, frozenset((e, f)))
+        return Flag(record.id, frozenset((e, f)))
 
     def _flag_position(self, vertex: VertexId, e: int, f: int) -> int:
         """The position of the flag (vertex, {e, f}), for two distinct edges
         incident to ``vertex``: the position of the vertex's first flag plus
         the index of the pair among its C(k,2) incident pairs, taken in
         ``itertools.combinations`` order of the sorted incident edges."""
-        inc = self._incident[vertex]
+        record = self._vertex[vertex]
+        inc = record.incident
         i, j = inc.index(e), inc.index(f)
         if j < i:
             i, j = j, i
         # the pairs (i, ·) start after the (k-1) + … + (k-i) pairs before them
-        return self._flag_start[vertex] + i * (2 * len(inc) - i - 3) // 2 + j - 1
+        return record.first_flag + i * (2 * len(inc) - i - 3) // 2 + j - 1
 
     def validate_flag(self, flag: Flag) -> Flag:
         """A hand-built flag checked as :meth:`flag` checks its edges, the
@@ -360,8 +367,7 @@ class Tree:
     # ------------------------------------------------------------------ #
 
     def vertex_point(self, v: VertexId) -> TreePoint:
-        self.incident_edges(v)
-        return TreePoint(vertex=v)
+        return TreePoint(self._record(v).id)
 
     def point(self, edge_id: int, offset) -> TreePoint:
         """The point at ``offset`` from the designated endpoint of an edge.
@@ -387,17 +393,19 @@ class Tree:
     def canonical_point(self, point: TreePoint) -> TreePoint:
         """Validate a point against this tree and return its canonical form.
 
-        A point that is already canonical here (a known vertex, or a
-        ``Fraction`` offset strictly inside a known edge) comes back as the
-        same object; any other input is rebuilt through :meth:`point`.
+        A point that is already canonical here (a vertex under the vertex
+        list's own id object, or a ``Fraction`` offset strictly inside a
+        known edge) comes back as the same object; any other is rebuilt.
         """
         if not isinstance(point, TreePoint):
             raise PointLocationError(f"not a tree point: {point!r}")
         edge, offset = point.edge, point.offset
         if point.is_vertex:
-            self.incident_edges(point.vertex)
-            # a point that names a vertex is that vertex
-            return point if edge is None and offset is None else TreePoint(point.vertex)
+            own = self._record(point.vertex).id
+            # a point that names a vertex is that vertex, under its own id
+            if point.vertex is own and edge is None and offset is None:
+                return point
+            return TreePoint(own)
         # bool is an int subclass, but True is not edge 1
         if type(edge) is int and 0 <= edge < len(self.edges) and type(offset) is Fraction:
             length = self.edges[edge].length
@@ -420,7 +428,7 @@ class Tree:
         if point.is_vertex:
             return point.vertex
         rec = self.edges[point.edge]
-        if rec.v is not None and self._link[rec.v][1] == rec.id:
+        if rec.v is not None and self._vertex[rec.v].parent_edge == rec.id:
             return rec.v
         return rec.u
 
@@ -429,38 +437,40 @@ class Tree:
         whether the point sits inside that vertex's parent edge."""
         foot = self._foot_vertex(point)
         if point.is_vertex:
-            return foot, self._depth[foot], False
+            return foot, self._vertex[foot].depth, False
         rec = self.edges[point.edge]
         inside = rec.v is not None
         if inside and foot == rec.u:
             # the edge hangs below u, so the point is shallower than u
-            return foot, self._depth[foot] - point.offset, True
-        return foot, self._depth[rec.u] + point.offset, inside
+            return foot, self._vertex[foot].depth - point.offset, True
+        return foot, self._vertex[rec.u].depth + point.offset, inside
 
-    def _lca(self, a: VertexId, b: VertexId) -> VertexId:
-        """Lowest common ancestor of two vertices, by climbing parent links."""
-        link, hops = self._link, self._hops
-        while hops[a] > hops[b]:
-            a = link[a][0]
-        while hops[b] > hops[a]:
-            b = link[b][0]
-        while a != b:
-            a = link[a][0]
-            b = link[b][0]
+    def _lca(self, a: VertexId, b: VertexId) -> VertexRecord:
+        """Record of the lowest common ancestor of two vertices, by climbing."""
+        vertex = self._vertex
+        a, b = vertex[a], vertex[b]
+        while a.hops > b.hops:
+            a = vertex[a.parent]
+        while b.hops > a.hops:
+            b = vertex[b.parent]
+        while a is not b:
+            a = vertex[a.parent]
+            b = vertex[b.parent]
         return a
 
     def _path_edges(self, a: VertexId, b: VertexId) -> list[int]:
         """Edge ids of the path from vertex ``a`` to vertex ``b``, climbing
         parent links from the deeper end until the two meet."""
-        link, hops = self._link, self._hops
+        vertex = self._vertex
+        a, b = vertex[a], vertex[b]
         head, tail = [], []
-        while a != b:
-            if hops[a] >= hops[b]:
-                a, eid = link[a]
-                head.append(eid)
+        while a is not b:
+            if a.hops >= b.hops:
+                head.append(a.parent_edge)
+                a = vertex[a.parent]
             else:
-                b, eid = link[b]
-                tail.append(eid)
+                tail.append(b.parent_edge)
+                b = vertex[b.parent]
         return head + tail[::-1]
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
@@ -485,10 +495,10 @@ class Tree:
         p_vertex, p_depth, p_inside = p_foot
         q_vertex, q_depth, q_inside = q_foot
         top = self._lca(p_vertex, q_vertex)
-        meet = self._depth[top]
-        if p_inside and p_vertex == top:
+        meet = top.depth
+        if p_inside and p_vertex == top.id:
             meet = p_depth
-        elif q_inside and q_vertex == top:
+        elif q_inside and q_vertex == top.id:
             meet = q_depth
         return p_depth + q_depth - 2 * meet
 

@@ -49,7 +49,7 @@ def _subtree_sums(tree: Tree, h: VertexFunction) -> dict[VertexId, Fraction]:
     tree's own parent links, which list every parent before its children."""
     values = h.values
     subtree = {v: values.get(v, _ZERO) for v in tree.vertices}
-    for vertex, (parent, _) in reversed(tree._link.items()):
+    for vertex, _, parent, *_ in reversed(tree._vertex.values()):
         if parent is not None:
             subtree[parent] += subtree[vertex]
     return subtree
@@ -71,11 +71,11 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     """
     subtree = _subtree_sums(tree, h)
     total = h.total
-    links, edges, incident = tree._link, tree.edges, tree._incident
+    records, edges = tree._vertex, tree.edges
     table: dict[Flag, Fraction] = {}
     for x in tree.vertices:
-        inc = incident[x]
-        via = links[x][1]
+        inc = tree.incident_edges(x)
+        via = records[x].parent_edge
         # Per incident edge: Σh over its branch and Σh over the rest. A
         # ray's branch is empty, so a flag with a ray is the other edge's
         # rest. The parent edge's rest is x's subtree, so a flag with it
@@ -120,7 +120,7 @@ def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
     denominators of all the others.
     """
     values = [table.value(Flag(x, frozenset(pair)))
-              for pair in combinations(tree._incident[x], 2)]
+              for pair in combinations(tree.incident_edges(x), 2)]
     scale = lcm(total.denominator, *(value.denominator for value in values))
     return sum(value.numerator * (scale // value.denominator) for value in values), scale
 
@@ -142,7 +142,7 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
         )
     values: dict[VertexId, Fraction] = {}
     for x in tree.vertices:
-        k = len(tree._incident[x])
+        k = len(tree.incident_edges(x))
         flag_sum, scale = _flag_sum(tree, table, x, total)
         scaled_total = total.numerator * (scale // total.denominator)
         numerator = 2 * flag_sum - (k - 1) * (k - 2) * scaled_total
@@ -191,7 +191,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     def routed(tree: Tree, vertex: VertexId, via: int) -> int:
         """Past the queried flag: the smallest-id edge that forms an unread
         flag with ``via``, else the smallest-id other edge."""
-        for eid in tree._incident[vertex]:
+        for eid in tree.incident_edges(vertex):
             if eid != via and Flag(vertex, frozenset((via, eid))) not in raw:
                 return eid
         return _onward(tree, vertex, via)
@@ -240,7 +240,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         on_foot[foot] = mass if known is None else known + mass
     inside = radon_forward(tree, VertexFunction(on_foot)).values
     for foot, edge, mass in footed:
-        for eid in tree._incident[foot]:
+        for eid in tree.incident_edges(foot):
             if eid != edge:
                 inside[Flag(foot, frozenset((edge, eid)))] -= mass
 

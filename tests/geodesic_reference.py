@@ -172,8 +172,7 @@ class ParentCoordinates:
             anchors[rec.u] = near_u
             if not rec.is_ray:
                 anchors[rec.v] = near_v
-        hops = tree._hops
-        apex = min(anchors, key=hops.__getitem__)
+        apex = min(anchors, key=lambda v: tree._vertex[v].hops)
         self._anchors = table = (anchors, apex)
         return table
 
@@ -223,14 +222,14 @@ class ParentCoordinates:
             return self.end, self._end_raw
         anchors, apex = self._anchor_table()
         tree = self.tree
-        link, hops = tree._link, tree._hops
-        top = hops[apex]
+        records = tree._vertex
+        top = records[apex].hops
         v = tree._foot(point)[0]
-        while hops[v] >= top:
+        while records[v].hops >= top:
             hit = anchors.get(v)
             if hit is not None:
                 return hit
-            v = link[v][0]
+            v = records[v].parent
         return anchors[apex]
 
     def exit_cursor(self):

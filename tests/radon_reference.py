@@ -32,15 +32,15 @@ def _branch_sums(tree: Tree, h: VertexFunction) -> dict[tuple[VertexId, int], Fr
     One subtree-sum pass over the tree's own parent links, which list every
     parent before its children, gives all of them in O(V + E).
     """
-    links = tree._link
+    records = tree._vertex.values()
     subtree = {v: h.value(v) for v in tree.vertices}
-    for vertex, (parent, _) in reversed(links.items()):
+    for vertex, _, parent, *_ in reversed(records):
         if parent is not None:
             subtree[parent] += subtree[vertex]
 
     total = h.total
     sums: dict[tuple[VertexId, int], Fraction] = {}
-    for vertex, (_, via) in links.items():
+    for vertex, _, _, via, *_ in records:
         for eid in tree.incident_edges(vertex):
             rec = tree.edge(eid)
             if rec.is_ray:

@@ -87,7 +87,7 @@ def test_tree_positions_agree_with_enumerate_flags(drawn):
     assert tree._flag_count == len(flags)
     before = 0
     for v in tree.vertices:
-        assert tree._flag_start[v] == before
+        assert tree._vertex[v].first_flag == before
         before += sum(1 for flag in flags if flag.vertex == v)
     for at, flag in enumerate(flags):
         e, f = flag.edges
@@ -194,6 +194,13 @@ def test_flag_table_parses_values(star3):
     assert all(type(value) is F for value in table.values.values())
     with pytest.raises(TypeError, match="float"):
         flag_table(star3, {flags[0]: 0.5})
+
+
+def test_flag_table_refuses_two_keys_for_one_flag(star3):
+    first, second = Flag("c", frozenset({0, 1})), Flag("c", (1, 0))
+    with pytest.raises(RadonError) as info:
+        flag_table(star3, {first: 1, second: 2})
+    assert str(info.value) == f"keys {first!r} and {second!r} name the same flag"
 
 
 # ---------------------------------------------------------------------- #

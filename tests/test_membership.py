@@ -1,13 +1,16 @@
 """What belongs to a tree is decided in one place.
 
-``Tree.incident_edges`` is the one vertex lookup of the public methods,
-and ``Tree.validate_flag`` the one flag check. ``FlagTable.value`` and
+``Tree._record`` is the one vertex lookup of the public methods, and
+``Tree.validate_flag`` the one flag check. An id that only equals a
+vertex's, like ``True`` or ``1.0`` for ``1``, names that vertex, and what
+the tree hands out carries the vertex list's own id. ``FlagTable.value`` and
 ``flag_table`` must agree with ``validate_flag`` on every key: a real
 flag, a hand-built flag whose pair only equals one of the tree's, a pair
 that is not two incident edges, a plain tuple, something that is no flag
 at all, and a flag at an unknown or unhashable vertex.
 """
 
+import json
 import re
 from collections.abc import Mapping
 from fractions import Fraction as F
@@ -23,12 +26,15 @@ from treeradon import (
     PointLocationError,
     RadonError,
     TreePoint,
+    build_tree,
     double_count_check,
     enumerate_flags,
     flag_table,
     geodesic_through_flag,
+    make_measure,
     vertex_function,
 )
+from treeradon.io import measure_to_dict
 
 
 class One(Mapping):
@@ -145,3 +151,24 @@ def test_has_vertex_is_false_for_an_unhashable_id(star3, vertex):
 def test_an_object_without_an_edge_pair_is_not_a_flag(star3, key):
     with pytest.raises(PointLocationError, match=f"^{re.escape(f'not a flag: {key!r}')}$"):
         star3.validate_flag(key)
+
+
+def test_an_alias_of_a_vertex_id_becomes_the_vertex_lists_own_id():
+    plain = build_tree({"vertices": [1, 2, 3, 4],
+                        "edges": [(1, 2, 1), (1, 3, 1), (1, 4, 1)]})
+    aliased = build_tree({"vertices": [1, 2, 3, 4],
+                          "edges": [(True, 2, 1), (1.0, 3, 1), (1, 4, 1)]})
+    assert json.dumps(aliased.describe()) == json.dumps(plain.describe())
+    for tree in (plain, aliased):
+        one = tree.vertices[0]
+        assert tree.point(0, 0).vertex is one
+        expected = make_measure(tree, [(TreePoint(1), "1/2"), (TreePoint(2), "1/2")])
+        for alias in (True, 1.0):
+            mu = make_measure(tree, [(TreePoint(alias), "1/2"), (TreePoint(2), "1/2")])
+            assert mu == expected
+            assert repr(mu) == repr(expected)
+            assert measure_to_dict(tree, mu) == measure_to_dict(tree, expected)
+            assert tree.vertex_point(alias).vertex is one
+            assert tree.canonical_point(TreePoint(alias)).vertex is one
+            assert tree.flag(alias, 0, 1).vertex is one
+            assert repr(vertex_function(tree, {alias: 1})) == repr(vertex_function(tree, {1: 1}))

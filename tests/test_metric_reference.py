@@ -303,11 +303,11 @@ def probe_points(tree, geodesic, rng):
     for i, end in ((0, geodesic.start), (-1, geodesic.end)):
         if end is not None:
             path_vertices.update(tree.edge(geodesic.edges[i]).endpoints())
-    apex = min(path_vertices, key=lambda v: tree._hops[v])
+    apex = min(path_vertices, key=lambda v: tree._vertex[v].hops)
 
     def below_apex(v):
-        while tree._hops[v] > tree._hops[apex]:
-            v = tree._link[v][0]
+        while tree._vertex[v].hops > tree._vertex[apex].hops:
+            v = tree._vertex[v].parent
         return v == apex
 
     below, outside = [], []
