@@ -22,7 +22,14 @@ single edge, its two ends in start-to-end order), with None for a ray's
 open end, so edge i runs from ``walk[i]`` to ``walk[i + 1]``. The origin
 fixes the raw coordinate of one walk vertex, one pass outward fills in the
 others, and an edge's chart is the raw coordinate of its ``u`` end with
-sign 1 exactly when that end is ``walk[i]``.
+sign 1 exactly when that end is ``walk[i]``. One core builds every
+geodesic from its edges and walk, and it is reached two ways: through the
+validating constructor, which checks the edges, ends and origin it is
+given and derives the walk from them, or with a walk the tree itself
+made, which ``path`` climbs from parent links and ``_flag_geodesic``
+walks past its flag. Such a walk is valid by construction and is not
+checked again, so, as for the tree, arguments are validated once, at the
+public boundary.
 
 Projection onto a geodesic is combinatorial: a point inside one of the
 geodesic's edges reads its raw coordinate from the edge's chart, clipped to
@@ -59,7 +66,10 @@ class Geodesic:
     coordinates with no origin to add or subtract. The origin defaults to
     the start, or to the first joint when the start is infinite; one off
     the geodesic raises :class:`GeodesicError`. Everything is built at
-    construction, so instances are immutable and safe to share.
+    construction, so instances are immutable and safe to share. One core
+    builds it: the constructor reaches the core after its checks, and
+    ``path`` and ``_flag_geodesic`` reach it with their own walks through
+    ``_from_walk``.
     """
 
     __slots__ = (
@@ -69,13 +79,12 @@ class Geodesic:
     )
 
     def __init__(self, tree: Tree, edges, start, end, origin=None) -> None:
-        self.tree = tree
-        self.edges = tuple(edges)
-        if not self.edges:
+        edges = tuple(edges)
+        if not edges:
             raise GeodesicError("a geodesic traverses at least one edge")
-        if len(set(self.edges)) != len(self.edges):
+        if len(set(edges)) != len(edges):
             raise GeodesicError("a geodesic cannot traverse an edge twice")
-        records = [tree.edge(eid) for eid in self.edges]
+        records = [tree.edge(eid) for eid in edges]
         joints = []
         for left, right in zip(records, records[1:]):
             if left.u == right.u or left.u == right.v:
@@ -84,19 +93,18 @@ class Geodesic:
                 joints.append(left.v)
             else:
                 raise GeodesicError(f"edges {left.id} and {right.id} do not meet")
-        self.joints = joints = tuple(joints)
         if len(set(joints)) != len(joints):
             raise GeodesicError("a geodesic cannot revisit a vertex")
 
-        self.start = tree.canonical_point(start) if start is not None else None
-        self.end = tree.canonical_point(end) if end is not None else None
+        start = tree.canonical_point(start) if start is not None else None
+        end = tree.canonical_point(end) if end is not None else None
         first, last = records[0], records[-1]
-        if self.start is None and not first.is_ray:
+        if start is None and not first.is_ray:
             raise GeodesicError("an infinite end requires a ray edge")
-        if self.end is None and not last.is_ray:
+        if end is None and not last.is_ray:
             raise GeodesicError("an infinite end requires a ray edge")
-        o_start = None if self.start is None else self._offset_on(self.start, first)
-        o_end = None if self.end is None else self._offset_on(self.end, last)
+        o_start = None if start is None else self._offset_on(start, first)
+        o_end = None if end is None else self._offset_on(end, last)
 
         # The closed vertex path, start side first; edge i runs from
         # walk[i] to walk[i + 1], and a ray's open end is None.
@@ -106,21 +114,41 @@ class Geodesic:
             raise GeodesicError("a single-edge geodesic needs both endpoints")
         else:
             walk = [first.v, first.u] if o_end < o_start else [first.u, first.v]
-        self._edge_index = {eid: i for i, eid in enumerate(self.edges)}
+        self._set_up(tree, edges, walk, start, end, start or TreePoint(walk[1])
+                     if origin is None else tree.canonical_point(origin))
+        # a given origin must also lie between the ends
+        if origin is not None and ((self._start_raw is not None and self._start_raw > 0)
+                                   or (self._end_raw is not None and self._end_raw < 0)):
+            raise GeodesicError("origin must lie on the geodesic")
+
+    @classmethod
+    def _from_walk(cls, tree: Tree, edges, walk, start, end, origin) -> Geodesic:
+        """The geodesic on a walk the tree itself made, as ``path`` and
+        ``_flag_geodesic`` make it: edge ids and vertices read from the
+        tree's own records, the ends and the origin canonical points on
+        it, and for a single edge the walk in the order the constructor
+        would give. Nothing is checked again; the core sets every slot."""
+        geodesic = cls.__new__(cls)
+        geodesic._set_up(tree, edges, walk, start, end, origin)
+        return geodesic
+
+    def _set_up(self, tree: Tree, edges, walk, start, end, origin: TreePoint) -> None:
+        """The one core: every slot from the edges, the walk, the ends and
+        the origin, which must lie on an edge or at a vertex of the walk."""
+        self.tree, self.edges, self.joints = tree, tuple(edges), tuple(walk[1:-1])
+        self.start, self.end, self.origin = start, end, origin
+        records = [tree.edges[eid] for eid in edges]
+        self._edge_index = {eid: i for i, eid in enumerate(edges)}
 
         # Place the origin: a walk vertex k at raw coordinate 0, or a point
         # at offset o inside edge i, which puts the edge's u end at raw -o
         # when the edge runs from u (walk vertex i), else at o (vertex i + 1).
-        # A given origin must lie between the ends, checked once they have
-        # coordinates.
-        self.origin = point = (self.start or TreePoint(vertex=walk[1]) if origin is None
-                               else tree.canonical_point(origin))
-        i = self._edge_index.get(point.edge)
+        i = self._edge_index.get(origin.edge)
         if i is not None:
-            o = point.offset
+            o = origin.offset
             k, r = (i, -o) if records[i].u == walk[i] else (i + 1, o)
-        elif point.vertex is not None and point.vertex in walk:
-            k, r = walk.index(point.vertex), _ZERO
+        elif origin.vertex is not None and origin.vertex in walk:
+            k, r = walk.index(origin.vertex), _ZERO
         else:
             raise GeodesicError("origin must lie on the geodesic")
 
@@ -138,19 +166,19 @@ class Geodesic:
         self._chart = [(raw[i], 1) if rec.u == walk[i] else (raw[i + 1], -1)
                        for i, rec in enumerate(records)]
         self._joint_raw = raw[1:-1]
-        self._start_raw = None if o_start is None else self._edge_raw(o_start, 0)
-        self._end_raw = None if o_end is None else self._edge_raw(o_end, -1)
-        if origin is not None and ((self._start_raw is not None and self._start_raw > 0)
-                                   or (self._end_raw is not None and self._end_raw < 0)):
-            raise GeodesicError("origin must lie on the geodesic")
+        self._start_raw = self._end_raw = None
+        if start is not None:
+            self._start_raw = self._edge_raw(self._offset_on(start, records[0]), 0)
+        if end is not None:
+            self._end_raw = self._edge_raw(self._offset_on(end, records[-1]), -1)
 
         # Projection anchors: each vertex of the walk maps to (nearest
         # point, raw coordinate), a joint to itself and walk[0] and
         # walk[-1] to the start and the end; a ray's open end has none. The
         # apex is the anchor with the fewest hops from the tree's root.
-        anchors = {j: (TreePoint(vertex=j), r) for j, r in zip(joints, self._joint_raw)}
-        anchors[walk[0]] = self.start, self._start_raw
-        anchors[walk[-1]] = self.end, self._end_raw
+        anchors = {j: (TreePoint(j), r) for j, r in zip(self.joints, self._joint_raw)}
+        anchors[walk[0]] = start, self._start_raw
+        anchors[walk[-1]] = end, self._end_raw
         anchors.pop(None, None)
         self._anchors = anchors
         self._apex = min(anchors, key=lambda v: tree._vertex[v].hops)
@@ -310,22 +338,32 @@ class Geodesic:
 def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     """The unique injective path from ``p`` to ``q`` as a geodesic segment.
 
-    The edges between the two points' feet come from climbing the tree's
-    parent links. A point inside an edge puts that edge at its end of the
-    path: the climb already starts (or stops) with it when the path leaves
-    the point through the edge's far end, and otherwise it is added, so
-    two points of one edge give that edge alone. Only a vertex to itself
-    has no edge; it takes its smallest incident one. The origin sits at
-    ``p``, so coordinates run from 0 to the distance.
+    The edges and vertices between the two points' feet come from climbing
+    the tree's parent links, and the walk goes straight to the geodesic
+    core. A point inside an edge puts that edge at its end of the path: the
+    climb already starts (or stops) with it when the path leaves the point
+    through the edge's far end, and otherwise it is added with its far
+    vertex. Two points of one edge give that edge alone, its ends in the
+    order of their offsets, as the constructor orders them; a vertex to
+    itself takes its smallest incident edge, ``u`` end first. The origin
+    sits at ``p``, so coordinates run from 0 to the distance.
     """
     p = tree.canonical_point(p)
     q = tree.canonical_point(q)
-    edges = tree._path_edges(tree._foot_vertex(p), tree._foot_vertex(q))
-    if not p.is_vertex and (not edges or edges[0] != p.edge):
-        edges.insert(0, p.edge)
-    if not q.is_vertex and (not edges or edges[-1] != q.edge):
-        edges.append(q.edge)
-    return Geodesic(tree, edges or [tree._vertex[p.vertex].incident[0]], p, q)
+    a, b = tree._foot_vertex(p), tree._foot_vertex(q)
+    if a == b and p.edge == q.edge:  # one edge, or one vertex (both edges None)
+        rec = tree.edges[tree._vertex[a].incident[0] if p.edge is None else p.edge]
+        edges = [rec.id]
+        walk = [rec.v, rec.u] if p.edge is not None and q.offset < p.offset else [rec.u, rec.v]
+    else:
+        edges, walk = tree._path_walk(a, b)
+        if not p.is_vertex and (not edges or edges[0] != p.edge):
+            edges.insert(0, p.edge)
+            walk.insert(0, tree.edges[p.edge].other_end(a))
+        if not q.is_vertex and (not edges or edges[-1] != q.edge):
+            edges.append(q.edge)
+            walk.append(tree.edges[q.edge].other_end(b))
+    return Geodesic._from_walk(tree, edges, walk, p, q, p)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
@@ -414,31 +452,35 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onw
     ``onward(tree, vertex, via)`` at each vertex (by default the walk rule
     ``_onward``), until entering a ray or hitting a leaf.
 
-    Returns ``(edges, terminal)`` where ``terminal`` is the leaf vertex
-    reached, or None when the walk escapes along a ray.
+    Returns ``(edges, vertices)``, where ``vertices[i]`` is the far end of
+    ``edges[i]``: the last is the leaf reached, or None when the walk
+    escapes along a ray.
     """
     edges = [first_edge]
-    current = tree.edges[first_edge].other_end(origin)
-    while current is not None:
-        nxt = onward(tree, current, edges[-1])
+    vertices = [tree.edges[first_edge].other_end(origin)]
+    while vertices[-1] is not None:
+        nxt = onward(tree, vertices[-1], edges[-1])
         if nxt is None:
-            return edges, current
+            break
         edges.append(nxt)
-        current = tree.edges[nxt].other_end(current)
-    return edges, None
+        vertices.append(tree.edges[nxt].other_end(vertices[-1]))
+    return edges, vertices
 
 
 def _flag_geodesic(tree: Tree, flag: Flag, onward) -> Geodesic:
     """The complete geodesic through a validated flag of a leafless tree,
-    continued on both sides by the next-edge rule ``onward``.
+    continued on both sides by the next-edge rule ``onward``; the two walks
+    hand their edges and vertices straight to the geodesic core.
 
     The origin is the flag vertex; the positive direction heads into the
     smaller of the two flag edges.
     """
     pos_edge, neg_edge = flag.edges
-    pos_edges, _ = _walk_to_infinity(tree, flag.vertex, pos_edge, onward)
-    neg_edges, _ = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
-    return Geodesic(tree, neg_edges[::-1] + pos_edges, None, None, origin=TreePoint(flag.vertex))
+    pos_edges, pos_walk = _walk_to_infinity(tree, flag.vertex, pos_edge, onward)
+    neg_edges, neg_walk = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
+    return Geodesic._from_walk(tree, neg_edges[::-1] + pos_edges,
+                               [*neg_walk[::-1], flag.vertex, *pos_walk],
+                               None, None, TreePoint(flag.vertex))
 
 
 def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:

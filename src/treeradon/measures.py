@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import GeodesicError, MeasureError
 from .geodesics import Geodesic
@@ -112,12 +113,15 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     """Project a measure onto a geodesic: each atom moves to its nearest
     point, masses at equal coordinates merge.
 
-    Each atom's coordinate is the raw coordinate from the same parent-link
-    lookup that finds its nearest point (``Geodesic._project``); raw
-    coordinates are measured from the origin, so nothing is shifted, no
-    distance is taken and no coordinate is searched for twice. The first
-    atom at a coordinate stores its mass as it is; only a repeated
-    coordinate adds.
+    Each atom's nearest point and raw coordinate come from one parent-link
+    lookup (``Geodesic._project``); raw coordinates are measured from the
+    origin, so nothing is shifted, no distance is taken and no coordinate
+    is searched for twice. Distinct points of a geodesic have distinct
+    coordinates, so masses merge by nearest point, which for an atom off
+    the geodesic's own edges is a vertex and hashes as its id: no
+    coordinate is hashed. The first atom at a point stores its
+    ``(coordinate, mass)`` pair as it is; only a repeated point adds. The
+    pairs are sorted by coordinate alone.
 
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
@@ -128,12 +132,12 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
         raise GeodesicError("geodesic belongs to a different tree")
     if not geodesic.is_maximal:
         raise GeodesicError("projection target must be a maximal geodesic")
-    merged: dict[Fraction, Fraction] = {}
+    merged: dict[TreePoint, tuple[Fraction, Fraction]] = {}
     for point, mass in measure.atoms:
-        coord = geodesic._project(point)[1]
-        known = merged.get(coord)
-        merged[coord] = mass if known is None else known + mass
-    return RadonSample(geodesic, tuple(sorted(merged.items())))
+        near, coord = geodesic._project(point)
+        known = merged.get(near)
+        merged[near] = (coord, mass) if known is None else (coord, known[1] + mass)
+    return RadonSample(geodesic, tuple(sorted(merged.values(), key=itemgetter(0))))
 
 
 def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:

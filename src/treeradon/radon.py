@@ -176,12 +176,19 @@ def enumerate_flags(tree: Tree) -> list[Flag]:
 
 def _subtree_sums(tree: Tree, h: VertexFunction) -> dict[VertexId, Fraction]:
     """Σh over each vertex and everything below it, in one backward pass over
-    the tree's vertex records, which list every parent before its children."""
+    the tree's vertex records, which list every parent before its children.
+
+    A sum that no nonzero value reached is the shared ``_ZERO`` object, and
+    adding it to the parent is skipped. The test is by identity: a sum
+    that cancels to zero is a fresh ``Fraction`` and is added like any
+    other, and an identity test costs no Python-level ``Fraction`` call.
+    """
     values = h.values
     subtree = {v: values.get(v, _ZERO) for v in tree.vertices}
     for record in reversed(tree._vertex.values()):
-        if record.parent is not None:
-            subtree[record.parent] += subtree[record.id]
+        inside = subtree[record.id]
+        if inside is not _ZERO and record.parent is not None:
+            subtree[record.parent] += inside
     return subtree
 
 
@@ -194,10 +201,13 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     Σh minus one branch is taken once per edge to a child of x (for the
     edge to x's parent it is x's own subtree sum), so each flag costs at
     most one subtraction, and a flag with a ray costs none: a ray's branch
-    is empty. The sums stay in ``Fraction``s: a flag's denominator is that
-    of its own perpendicular, and an integer pass at one global scale
-    would multiply every flag up to the scale of all the denominators in
-    the tree.
+    is empty. Nor does a branch whose sum is the shared ``_ZERO`` (see
+    :func:`_subtree_sums`), so a sparse h, such as reconstruction's
+    interior atoms or a measure's few vertex atoms, costs a subtraction
+    only where a nonzero value lies. The sums stay in ``Fraction``s: a
+    flag's denominator is that of its own perpendicular, and an integer
+    pass at one global scale would multiply every flag up to the scale of
+    all the denominators in the tree.
     """
     subtree = _subtree_sums(tree, h)
     total = h.total
@@ -207,15 +217,16 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
         record = vertex[x]
         inc, via = record.incident, record.parent_edge
         # Per incident edge: Σh over its branch and Σh over the rest. A
-        # ray's branch is empty, so a flag with a ray is the other edge's
+        # ray's branch is empty, held as _ZERO like a branch that no nonzero
+        # value reached, so a flag with an empty branch is the other edge's
         # rest. The parent edge's rest is x's subtree, so a flag with it
         # subtracts the other edge's branch from that, and the parent
-        # edge's own branch is never needed.
+        # edge's own branch (None) is never needed.
         branch, rest = [], []
         for eid in inc:
             rec = edges[eid]
             if rec.v is None:
-                branch.append(None)
+                branch.append(_ZERO)
                 rest.append(total)
             elif eid == via:
                 branch.append(None)
@@ -223,16 +234,15 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
             else:
                 inside = subtree[rec.v if rec.u == x else rec.u]
                 branch.append(inside)
-                rest.append(total - inside)
+                rest.append(total if inside is _ZERO else total - inside)
         # the pairs in combinations order, so each value lands at its flag's position
-        for i, e in enumerate(inc):
+        for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
-                f = inc[j]
-                if edges[f].v is None:
+                if branch[j] is _ZERO:
                     table.append(rest[i])
-                elif edges[e].v is None:
+                elif branch[i] is _ZERO:
                     table.append(rest[j])
-                elif f == via:
+                elif branch[j] is None:
                     table.append(rest[j] - branch[i])
                 else:
                     table.append(rest[i] - branch[j])
@@ -405,9 +415,9 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     if candidate_skeleton is None:
         skeleton = list(range(len(tree.edges)))
     else:
-        skeleton = sorted(set(candidate_skeleton))
-        for eid in skeleton:
-            tree.edge(eid)
+        # each id is validated before the set and the sort, which would
+        # fail on an unhashable or non-int id with a bare TypeError
+        skeleton = sorted({tree.edge(eid).id for eid in candidate_skeleton})
 
     skeleton_set = set(skeleton)
     interior: dict[TreePoint, Fraction] = {}

@@ -458,20 +458,25 @@ class Tree:
             b = vertex[b.parent]
         return a
 
-    def _path_edges(self, a: VertexId, b: VertexId) -> list[int]:
-        """Edge ids of the path from vertex ``a`` to vertex ``b``, climbing
-        parent links from the deeper end until the two meet."""
+    def _path_walk(self, a: VertexId, b: VertexId) -> tuple[list[int], list[VertexId]]:
+        """Edge ids and vertices of the path from vertex ``a`` to vertex
+        ``b``, ``a`` first, climbing parent links from the deeper end until
+        the two meet; edge i joins vertices i and i + 1."""
         vertex = self._vertex
         a, b = vertex[a], vertex[b]
         head, tail = [], []
+        head_walk, tail_walk = [a.id], [b.id]
         while a is not b:
             if a.hops >= b.hops:
                 head.append(a.parent_edge)
                 a = vertex[a.parent]
+                head_walk.append(a.id)
             else:
                 tail.append(b.parent_edge)
                 b = vertex[b.parent]
-        return head + tail[::-1]
+                tail_walk.append(b.id)
+        # both halves end at the meeting vertex; keep it once
+        return head + tail[::-1], head_walk + tail_walk[-2::-1]
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         """Length of the unique injective path between two points."""

@@ -43,10 +43,10 @@ def geodesic_through_edge(tree: Tree, edge_id: int) -> Geodesic:
     direction runs into the edge; continuations take smallest edge ids.
     """
     rec = tree.edge(edge_id)
-    edges, pos_term = _walk_to_infinity(tree, rec.u, edge_id)
+    edges, (*_, pos_term) = _walk_to_infinity(tree, rec.u, edge_id)
     others = [eid for eid in tree.incident_edges(rec.u) if eid != edge_id]
     if others:
-        neg_edges, neg_term = _walk_to_infinity(tree, rec.u, others[0])
+        neg_edges, (*_, neg_term) = _walk_to_infinity(tree, rec.u, others[0])
         edges = neg_edges[::-1] + edges
         start = None if neg_term is None else tree.vertex_point(neg_term)
     else:

@@ -6,7 +6,9 @@ code, with its single-edge direction and its ``abs()`` about a joint, and
 measures raws from the first joint (or the start); on every geodesic the
 library's raws must be the reference's less the reference's origin raw,
 and the two must agree on ``point_at``, ``coordinate_of``, the projection
-anchors and ``project``.
+anchors and ``project``. Path segments and flag geodesics are built from
+their own walks, so each must also equal, slot by slot, the geodesic the
+validating constructor builds on the same edges, ends and origin.
 """
 
 import random
@@ -32,6 +34,7 @@ from treeradon import (
     path,
     pushforward_projection,
 )
+from treeradon.geodesics import _flag_geodesic
 
 
 def outcome(call, *args):
@@ -121,16 +124,36 @@ def ray_segments(tree, rng):
     return [path(tree, p, q), path(tree, q, p), path(tree, vertex, q), path(tree, q, vertex)]
 
 
+def any_other_edge(rng):
+    """A next-edge rule that takes a random edge other than the one the walk
+    came by: a flag geodesic need not follow ``_onward``, and
+    reconstruction's own rule does not."""
+    return lambda tree, vertex, via: rng.choice(
+        [eid for eid in tree.incident_edges(vertex) if eid != via])
+
+
 def chart_cases(tree, rng):
-    """Path segments, maximal and flag geodesics, and hand-built ones."""
+    """Path segments, maximal and flag geodesics (under the walk rule and
+    under a random one), and hand-built ones."""
     maximal = [geodesic_through_edge(tree, rng.randrange(len(tree.edges))) for _ in range(2)]
     if tree.geodesically_complete:
         for _ in range(2):
             x = rng.choice(tree.vertices)
             e, f = rng.sample(tree.incident_edges(x), 2)
             maximal.append(geodesic_through_flag(tree, tree.flag(x, e, f)))
+            maximal.append(_flag_geodesic(tree, tree.flag(x, e, f), any_other_edge(rng)))
     built = [hand_built(tree, rng, rng.choice(maximal)) for _ in range(3)]
     return segment_cases(tree, rng) + ray_segments(tree, rng) + maximal + built
+
+
+def assert_matches_constructor(geodesic):
+    """Every slot equals that of the public constructor's geodesic on the
+    same edges, ends and origin: a walk that ``path`` or ``_flag_geodesic``
+    handed to the core builds what the validating constructor builds."""
+    again = Geodesic(geodesic.tree, geodesic.edges, geodesic.start, geodesic.end,
+                     origin=geodesic.origin)
+    for slot in Geodesic.__slots__:
+        assert getattr(geodesic, slot) == getattr(again, slot), slot
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.booleans(), st.booleans())
@@ -139,6 +162,7 @@ def test_chart_matches_parent_coordinates(seed, n, leaves, caterpillar):
     rng = random.Random(seed)
     tree = random_caterpillar(rng, n, leaves) if caterpillar else random_tree(rng, max(n, 2), leaves)
     for geodesic in chart_cases(tree, rng):
+        assert_matches_constructor(geodesic)
         points = probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(3)]
         assert_matches_parent(geodesic, points)
 

@@ -2,23 +2,27 @@
 
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_radon_reference import leafless_tree
 from treeradon import (
     OracleInconsistencyError,
     PointLocationError,
     RadonError,
     RadonSample,
     SuiteConfig,
+    Tree,
     double_count_check,
     dirac,
     enumerate_flags,
     flag_mass,
     flag_table,
     gen_measure,
+    gen_point,
     gen_tree,
     gen_vertex_function,
     geodesic_through_flag,
@@ -220,6 +224,29 @@ class TestReconstruction:
         skeleton = [0, 2, 3, 4, 5, 6, 7, 8]  # edge 1 carries hidden mass
         with pytest.raises(OracleInconsistencyError, match="skeleton"):
             reconstruct_measure(star3, radon_oracle(star3, hidden), skeleton)
+
+    @pytest.mark.parametrize("skeleton, bad", [
+        ([0, "a"], "'a'"), ([0, None], "None"), ([0, [1]], "[1]"),
+        ([-1], "-1"), ([0, 1.0], "1.0"),
+    ])
+    def test_bad_skeleton_id_is_an_unknown_edge(self, star3, skeleton, bad):
+        # each id is checked before the set and the sort, so a non-int id
+        # is refused by name, not by a TypeError from hashing or ordering
+        hidden = dirac(star3, star3.vertex_point("c"))
+        with pytest.raises(PointLocationError, match=rf"^unknown edge id {re.escape(bad)}$"):
+            reconstruct_measure(star3, radon_oracle(star3, hidden), skeleton)
+
+    def test_no_edge_is_validated_again(self, monkeypatch):
+        # every edge id reconstruction hands on comes from the tree itself,
+        # so the validating Tree.edge is never called on a recon-size tree
+        rng = random.Random(11)
+        tree = leafless_tree(rng, 40)
+        hidden = make_measure(tree, [(gen_point(tree, rng, 12), F(1, 6)) for _ in range(6)])
+        calls = []
+        edge = Tree.edge
+        monkeypatch.setattr(Tree, "edge", lambda self, eid: calls.append(eid) or edge(self, eid))
+        assert reconstruct_measure(tree, radon_oracle(tree, hidden)).measure == hidden
+        assert calls == []
 
     def test_lying_oracle_detected(self, star3):
         # answers come from different measures depending on the geodesic

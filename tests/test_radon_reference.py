@@ -6,9 +6,10 @@ keys in the same order, the same inverse, the same identity sides, and the
 same errors. Trees come from ``gen_tree`` (leafy and leafless) and from a
 builder here that makes leafless trees of 100 to 400 vertices with
 shuffled edge ids, so that the edge to a vertex's parent sits anywhere
-among its incident edges. Values come in three kinds: small
-denominators, a distinct prime denominator per vertex, and, for the flag
-sums of inversion and double counting, an arbitrary table with a
+among its incident edges. Values come in four kinds: small
+denominators, a distinct prime denominator per vertex, at most three
+nonzero values (often a pair that cancels inside one branch), and, for
+the flag sums of inversion and double counting, an arbitrary table with a
 distinct prime denominator per flag.
 """
 
@@ -107,7 +108,23 @@ def flag_prime_table(tree, rng):
     return flag_table(tree, {flag: F(rng.randint(-50, 50), p) for flag, p in zip(flags, primes)})
 
 
-VALUE_KINDS = st.sampled_from((small_values, vertex_prime_values))
+def sparse_values(tree, rng):
+    """At most 3 nonzero values, most often a pair that cancels inside one
+    branch: opposite values at the two ends of a finite edge, so the subtree
+    sums above it are a fresh ``Fraction(0)``, not the shared zero that
+    ``radon_forward`` skips."""
+    values = {}
+    finite = [rec for rec in tree.edges if not rec.is_ray]
+    if finite and rng.random() < 0.7:
+        rec = rng.choice(finite)
+        value = F(rng.randint(1, 12), rng.randint(1, 12))
+        values = {rec.u: value, rec.v: -value}
+    for v in rng.sample(tree.vertices, min(rng.randint(0, 3 - len(values)), len(tree.vertices))):
+        values.setdefault(v, F(rng.randint(-12, 12), rng.randint(1, 12)))
+    return vertex_function(tree, values)
+
+
+VALUE_KINDS = st.sampled_from((small_values, vertex_prime_values, sparse_values))
 
 
 def assert_identical(new, ref):
@@ -135,7 +152,7 @@ def test_forward_matches_reference(drawn, values):
     assert_identical(radon_forward(tree, h).values, reference.radon_forward(tree, h).values)
 
 
-TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, flag_prime_table))
+TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, sparse_values, flag_prime_table))
 
 
 @given(trees(LEAFLESS), TABLE_KINDS)
