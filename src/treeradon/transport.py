@@ -2,15 +2,18 @@
 
 The solver is a transportation simplex with a north-west corner start and
 Bland's rule for anti-cycling. Distances enter only through their squares,
-so every cost and mass is rational; the solver scales masses and costs to
-integers over their common denominators and pivots in exact Python ints,
-which leaves every sign, comparison and tie, and so the pivot sequence,
-as it would be over the rationals. The basis is one spanning tree rooted
-at row 0 (parent, depth and dual potential per node); each pivot re-hangs
-only the subtree its leaving cell cuts off, and the entering scan tests
-whole rows at C speed before it looks at single cells. Plans, costs and
-every other value at the API stay exact Fractions; a plan's squared cost
-is summed from the solver's own cost matrix.
+so every cost and mass is rational. The squared distances come as ints
+over one scale, built from the atoms' depths with no Fraction arithmetic
+per pair; the solver scales the masses to integers over their common
+denominator and pivots in exact Python ints, which leaves every sign,
+comparison and tie, and so the pivot sequence, as it would be over the
+rationals. The basis is one spanning tree rooted at row 0 (parent, depth,
+dual potential and allocation per node); each pivot re-hangs only the
+subtree its leaving cell cuts off, shifting its potentials, and the
+entering scan skips every row whose lower bound on its reduced costs is
+not negative. Plans, costs and every other value at the API stay exact
+Fractions; a plan's squared cost is summed from the solver's own cost
+matrix.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps the
@@ -82,26 +85,6 @@ def _northwest_corner(supply, demand):
     return alloc
 
 
-def _hang(cost, adj, n, parent, depth, pot, top):
-    """Hang every node that ``top`` reaches without passing its parent:
-    set each one's parent, depth and potential (``pot[b] = c − pot[a]``
-    across the basis cell joining it to its parent a) from ``top``'s own,
-    which the caller sets. Returns the set of nodes reached, ``top`` and its
-    parent included."""
-    seen = {top, parent[top]}
-    stack = [top]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                parent[b] = a
-                depth[b] = depth[a] + 1
-                pot[b] = (cost[a][b - n] if a < n else cost[b][a - n]) - pot[a]
-                stack.append(b)
-    return seen
-
-
 def _rooted_basis(cost, cells, n, m):
     """The basis tree over rows 0..n-1 and columns n..n+m-1 (nodes), rooted
     at row 0, as ``(adj, parent, depth, pot)``.
@@ -115,19 +98,45 @@ def _rooted_basis(cost, cells, n, m):
         adj[i].add(n + j)
         adj[n + j].add(i)
     parent, depth, pot = [0] * (n + m), [0] * (n + m), [0] * (n + m)
-    if len(_hang(cost, adj, n, parent, depth, pot, 0)) < n + m:
+    # cells that close a cycle leave some node unreached, and would send a
+    # walk that only checks parents round the cycle
+    order, seen = [0], {0}
+    for a in order:
+        for b in adj[a]:
+            if b not in seen:
+                seen.add(b)
+                parent[b] = a
+                depth[b] = depth[a] + 1
+                pot[b] = (cost[a][b - n] if a < n else cost[b][a - n]) - pot[a]
+                order.append(b)
+    if len(order) < n + m:
         raise SolverError("basis does not span the bipartite graph")
     return adj, parent, depth, pot
+
+
+def _hang(adj, parent, depth, top):
+    """Hang every node that ``top`` reaches without passing its parent:
+    set each one's parent and depth from ``top``'s own, which the caller
+    sets. Returns the nodes hung, ``top`` first."""
+    order = [top]
+    for a in order:
+        up, below = parent[a], depth[a] + 1
+        for b in adj[a]:
+            if b != up:
+                parent[b] = a
+                depth[b] = below
+                order.append(b)
+    return order
 
 
 def _transportation_simplex(supply, demand, cost):
     """Exact min-cost allocation for equal total supply and demand.
 
     The pivots run on Python ints: masses are scaled by the lcm M of their
-    denominators and costs by the lcm L of theirs. Positive scaling keeps
-    every sign, comparison and tie, so the pivot sequence is the one the
-    rational problem would take, and the result is returned as Fractions
-    over M.
+    denominators and costs by the lcm L of theirs (1 for the int costs of
+    ``_cost_matrix``). Positive scaling keeps every sign, comparison and
+    tie, so the pivot sequence is the one the rational problem would take,
+    and the result is returned as Fractions over M.
 
     North-west corner start, then Bland's rule: the entering cell is the
     first (row-major) with negative reduced cost; the leaving cell is the
@@ -135,15 +144,25 @@ def _transportation_simplex(supply, demand, cost):
     minus side of the pivot cycle.
 
     The basis is one spanning tree rooted at row 0, kept as parent, depth
-    and potential per node (network simplex in its spanning-tree form). A
-    row is tested for a negative reduced cost at C speed,
-    ``min(map(sub, row, v)) < u_i``, and only the first row that passes is
-    scanned cell by cell. The pivot cycle is the entering cell plus the
-    tree paths from its row and column up to their lowest common ancestor.
-    Removing the leaving cell cuts one subtree off the root; only that
-    subtree is re-hung, below the entering cell, with fresh parents, depths
-    and potentials. Those are the values a full recompute from u_0 = 0
-    would give, since the basis tree fixes them.
+    and potential per node, with each basis cell's allocation on its child
+    node (network simplex in its spanning-tree form). The pivot cycle is
+    the entering cell plus the tree paths from its row and column up to
+    their lowest common ancestor. Removing the leaving cell cuts the tree
+    in two: side I holds the entering row, side J the entering column. The
+    side without the root is re-hung below the entering cell. The entering
+    cell's reduced cost r < 0 must become 0, so that side's potentials
+    shift by r, its rows one way and its columns the other (Ahuja,
+    Magnanti and Orlin, *Network Flows*, 1993, ch. 11), with no cost
+    looked up.
+
+    After the shift only the cells with their row on side J and their
+    column on side I lose reduced cost, each by exactly |r|. So the scan
+    keeps a lower bound per row on its least reduced cost, exact at the
+    start, and lowers the bound of every row on side J by |r| per pivot. A
+    row whose bound is ≥ 0 has no negative reduced cost and is skipped;
+    any other row is tested in full, ``min(map(sub, row, v)) - u_i``, and
+    that minimum is its new bound. The first row whose minimum is negative
+    holds Bland's cell.
     """
     n, m = len(supply), len(demand)
     mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
@@ -151,23 +170,37 @@ def _transportation_simplex(supply, demand, cost):
     cost = [_scaled(row, cost_scale) for row in cost]
     alloc = _northwest_corner(_scaled(supply, mass_scale), _scaled(demand, mass_scale))
     adj, parent, depth, pot = _rooted_basis(cost, alloc, n, m)
+    # each basis cell's allocation sits on its child node
+    flow = [0] * (n + m)
+    for (i, j), q in alloc.items():
+        flow[i if parent[i] == n + j else n + j] = q
 
     def cell(c):
         """The basis cell joining node c to its parent."""
         return (c, parent[c] - n) if c < n else (parent[c], c - n)
 
+    # row i's least reduced cost is at least bound[i] - drop: a pivot
+    # that lowers every row outside the side it re-hangs raises ``drop``
+    v = pot[n:]
+    bound = [min(map(sub, row, v)) - u for row, u in zip(cost, pot)]
+    drop = 0
     max_pivots = 1000 + 100 * n * m
     for _ in range(max_pivots):
-        # basis cells have reduced cost exactly 0, so only nonbasic cells
-        # can pass the test c_ij - v_j < u_i
         v = pot[n:]
         for i, row in enumerate(cost):
+            if bound[i] >= drop:
+                continue
             u = pot[i]
-            if min(map(sub, row, v)) < u:
+            least = min(map(sub, row, v)) - u
+            bound[i] = least + drop
+            # basis cells have reduced cost exactly 0, so only nonbasic
+            # cells can pass the test c_ij - v_j < u_i
+            if least < 0:
                 j = next(j for j, r in enumerate(map(sub, row, v)) if r < u)
                 break
         else:
-            return {c: Fraction(q, mass_scale) for c, q in alloc.items() if q > 0}
+            return {cell(c): Fraction(flow[c], mass_scale)
+                    for c in range(1, n + m) if flow[c] > 0}
         # Climb to the lowest common ancestor. The cycle's signs alternate
         # from + on the entering cell, so a path cell is on the minus side
         # when it is an even number of cells from the entering row or
@@ -182,49 +215,96 @@ def _transportation_simplex(supply, demand, cost):
             else:
                 (minus if b >= n else plus).append(b)
                 b = parent[b]
-        plus = list(map(cell, plus))
-        minus = list(map(cell, minus))
-        theta = min(alloc[c] for c in minus)
-        leaving = min(c for c in minus if alloc[c] == theta)
-        alloc[(i, j)] = theta
-        for c in plus:
-            alloc[c] += theta
-        for c in minus:
-            alloc[c] -= theta
-        del alloc[leaving]
+        theta = min(flow[c] for c in minus)
         # the leaving cell's child node heads the subtree it cuts off; as a
-        # minus cell, it lies on the row's path, and its subtree holds the
-        # entering row, exactly when that child is a row
-        il, jl = leaving
-        cut = il if parent[il] == n + jl else n + jl
-        adj[il].discard(n + jl)
-        adj[n + jl].discard(il)
+        # minus cell, it lies on the row's path, and its subtree is side I,
+        # holding the entering row, exactly when that child is a row
+        cut = min((c for c in minus if flow[c] == theta), key=cell)
+        for c in plus:
+            flow[c] += theta
+        for c in minus:
+            flow[c] -= theta
+        adj[cut].discard(parent[cut])
+        adj[parent[cut]].discard(cut)
         adj[i].add(n + j)
         adj[n + j].add(i)
         top, below = (i, n + j) if cut < n else (n + j, i)
+        # the path from top up to cut turns over: each of its cells moves
+        # to the node that was its parent, and the entering cell takes top
+        c, q = top, theta
+        while c != cut:
+            flow[c], q = q, flow[c]
+            c = parent[c]
+        flow[cut] = q
         parent[top] = below
         depth[top] = depth[below] + 1
-        pot[top] = cost[i][j] - pot[below]
-        _hang(cost, adj, n, parent, depth, pot, top)
+        # the side ``top`` heads shifts, its rows by s and its columns by -s,
+        # with s = r on side I and -r on side J. Each row on side J loses |r|
+        # of bound: all of them through ``drop`` when side J holds the root,
+        # else through the shift itself, as a re-hung row's bound moves by
+        # -s; a row of a re-hung side I gets back what ``drop`` took.
+        r = cost[i][j] - pot[i] - pot[n + j]
+        s = r if top < n else -r
+        if top < n:
+            drop -= r
+        for c in _hang(adj, parent, depth, top):
+            if c < n:
+                pot[c] += s
+                bound[c] -= s
+            else:
+                pot[c] -= s
     raise SolverError("pivot limit exceeded")
 
 
 def _cost_matrix(tree, sources, targets):
     """Squared distances between the atoms of two measures, one row per
-    source atom; each atom, canonical as its measure holds it, has its foot
-    found once."""
-    def feet(atoms):
-        return [(p, tree._foot(p)) for p, _ in atoms]
+    source atom, as ``(matrix, scale)``: ints with
+    ``matrix[i][j] == scale · d²``, where ``scale`` is the lcm of the
+    reduced denominators of the d².
 
-    columns = feet(targets)
-    matrix = []
-    for p, p_foot in feet(sources):
+    Each atom, canonical as its measure holds it, has its foot found once.
+    A pair's distance is P + Q − 2·M, with P and Q the atoms' depths and M
+    the depth where their paths to the root meet, found as
+    ``Tree._feet_distance`` finds it; two atoms inside one edge meet at the
+    shallower one. Scaled by the lcm D of the denominators of every depth
+    involved, each distance is an int, and so is each D²·d²; dividing
+    these and D² by their gcd leaves the least scale.
+    """
+    def feet(atoms):
+        return [(p.edge, *tree._foot(p)) for p, _ in atoms]
+
+    rows, columns = feet(sources), feet(targets)
+    lca = tree._lca
+    meets = []
+    for p_edge, p_vertex, p_depth, p_inside in rows:
         row = []
-        for q, q_foot in columns:
-            d = tree._feet_distance(p, p_foot, q, q_foot)
-            row.append(d * d)
-        matrix.append(row)
-    return matrix
+        for q_edge, q_vertex, q_depth, q_inside in columns:
+            if p_edge is not None and p_edge == q_edge:
+                # they meet at the shallower one: |P − Q| once scaled
+                row.append(None)
+                continue
+            top = lca(p_vertex, q_vertex)
+            if p_inside and p_vertex == top.id:
+                row.append(p_depth)
+            elif q_inside and q_vertex == top.id:
+                row.append(q_depth)
+            else:
+                row.append(top.depth)
+        meets.append(row)
+    chain = itertools.chain.from_iterable
+    lcd = math.lcm(*{x.denominator for x in chain(meets) if x is not None},
+                   *(foot[2].denominator for foot in rows + columns))
+    sources_depth = _scaled((foot[2] for foot in rows), lcd)
+    targets_depth = _scaled((foot[2] for foot in columns), lcd)
+    matrix = []
+    for p, row in zip(sources_depth, meets):
+        squares = []
+        for q, x in zip(targets_depth, row):
+            d = abs(p - q) if x is None else p + q - 2 * x.numerator * (lcd // x.denominator)
+            squares.append(d * d)
+        matrix.append(squares)
+    common = math.gcd(lcd * lcd, *chain(matrix))
+    return [[c // common for c in row] for row in matrix], lcd * lcd // common
 
 
 def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
@@ -233,14 +313,14 @@ def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
     Every pair goes through the exact transportation simplex. From (or to)
     a Dirac its only feasible plan is the unique coupling; between identical
     measures the identity is the only plan of cost 0. The squared cost sums
-    the solver's own cost matrix over the couplings.
+    the solver's own cost matrix over the couplings, over its scale.
     """
-    cost = _cost_matrix(tree, mu.atoms, nu.atoms)
+    cost, scale = _cost_matrix(tree, mu.atoms, nu.atoms)
     alloc = sorted(_transportation_simplex(
         [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
     ).items())
     couplings = tuple((mu.atoms[i][0], nu.atoms[j][0], q) for (i, j), q in alloc)
-    total = sum((q * cost[i][j] for (i, j), q in alloc), _ZERO)
+    total = sum((q * cost[i][j] for (i, j), q in alloc), _ZERO) / scale
     _check_marginals(mu, nu, couplings)
     return TransportPlan(mu, nu, couplings, total)
 

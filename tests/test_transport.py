@@ -557,7 +557,7 @@ def _random_masses(rng, count):
 def _solver_instance(tree, src, dst, src_mass, dst_mass):
     mu = make_measure(tree, zip(src, src_mass))
     nu = make_measure(tree, zip(dst, dst_mass))
-    cost = transport._cost_matrix(tree, mu.atoms, nu.atoms)
+    cost, _ = transport._cost_matrix(tree, mu.atoms, nu.atoms)
     return [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
 
 
@@ -618,6 +618,15 @@ def test_integer_solver_matches_reference_16x16():
     alloc = transport._transportation_simplex(*instance)
     assert alloc == reference_simplex(*instance)
     assert all(type(q) is F for q in alloc.values())
+
+
+def test_scan_enters_a_reduced_cost_of_minus_one():
+    # the north-west corner start leaves cell (0, 1) at reduced cost
+    # 0 - u_0 - v_1 = -1, the least negative an int cost allows; a scan that
+    # skipped it would stop at cost 1/2
+    half = [F(1, 2), F(1, 2)]
+    assert transport._transportation_simplex(half, half, [[1, 0], [0, 0]]) == {
+        (0, 1): F(1, 2), (1, 0): F(1, 2)}
 
 
 def test_broken_basis_raises_solver_error():
@@ -690,8 +699,9 @@ def _assert_squared_cost_matches_distances(tree, plan):
 @settings(max_examples=60, deadline=None)
 def test_cost_matrix_and_squared_cost_match_tree_distance(case):
     tree, mu, nu = case
-    cost = transport._cost_matrix(tree, mu.atoms, nu.atoms)
-    assert cost == [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
+    cost, scale = transport._cost_matrix(tree, mu.atoms, nu.atoms)
+    assert [[F(c, scale) for c in row] for row in cost] == [
+        [tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
     _assert_squared_cost_matches_distances(tree, optimal_plan(tree, mu, nu))
     x = mu.atoms[-1][0]
     _assert_squared_cost_matches_distances(tree, optimal_plan(tree, dirac(tree, x), nu))
@@ -699,6 +709,22 @@ def test_cost_matrix_and_squared_cost_match_tree_distance(case):
     same = optimal_plan(tree, mu, mu)
     assert same.squared_cost == 0
     _assert_squared_cost_matches_distances(tree, same)
+
+
+@given(tree_and_measures())
+@settings(max_examples=60, deadline=None)
+def test_cost_matrix_is_the_least_integer_scaling(case):
+    """Every entry is an int and ``scale`` is the lcm of the reduced
+    denominators of the d², the scale the solver took when it was given
+    Fractions; given the d² as Fractions, it returns the same allocation."""
+    tree, mu, nu = case
+    cost, scale = transport._cost_matrix(tree, mu.atoms, nu.atoms)
+    squares = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
+    assert all(type(c) is int for row in cost for c in row)
+    assert scale == math.lcm(*(d.denominator for row in squares for d in row))
+    supply, demand = [m for _, m in mu.atoms], [m for _, m in nu.atoms]
+    assert (transport._transportation_simplex(supply, demand, cost)
+            == transport._transportation_simplex(supply, demand, squares))
 
 
 @pytest.mark.parametrize("seed", range(6))
