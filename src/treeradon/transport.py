@@ -2,13 +2,14 @@
 
 The solver is a transportation simplex with a north-west corner start and
 Bland's rule for anti-cycling. Distances enter only through their squares,
-so every cost and mass is rational. The squared distances come as ints
-over one scale, built from the atoms' depths with no Fraction arithmetic
-per pair; the solver scales the masses to integers over their common
-denominator and pivots in exact Python ints, which leaves every sign,
-comparison and tie, and so the pivot sequence, as it would be over the
-rationals. The basis is one spanning tree rooted at row 0 (parent, depth,
-dual potential and allocation per node); each pivot re-hangs only the
+so every cost and mass is rational. The squared distances arrive at the
+solver as ints over one scale, built from the atoms' depths with no
+Fraction arithmetic per pair; the solver scales the masses to integers
+over their common denominator and pivots in exact Python ints, which
+leaves every sign, comparison and tie, and so the pivot sequence, as it
+would be over the rationals. The basis is one spanning tree rooted at row
+0 (parent, depth, dual potential and allocation per node), read off the
+north-west staircase as it is walked; each pivot re-hangs only the
 subtree its leaving cell cuts off, shifting its potentials, and the
 entering scan skips every row whose lower bound on its reduced costs is
 not negative. Plans, costs and every other value at the API stay exact
@@ -64,54 +65,45 @@ def _scaled(values, scale: int) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _northwest_corner(supply, demand):
-    """Initial basic feasible solution with exactly n+m-1 basis cells."""
+def _northwest_basis(supply, demand, cost):
+    """The north-west corner start as its basis tree over rows 0..n-1 and
+    columns n..n+m-1 (nodes), rooted at row 0, as
+    ``(adj, parent, depth, pot, flow)``.
+
+    The corner's n+m-1 cells form a staircase: each shares its row or its
+    column with the cell before it, so each hangs one new node from a node
+    already hung, column j below row i when j advances, row i below column
+    j when i advances. ``pot`` holds the dual potentials, u_i at node i and
+    v_j at node n+j, with u_0 pinned to 0, so u_i + v_j = c_ij on every
+    basis cell; ``flow`` holds each cell's allocation on its child node.
+    The root is its own parent.
+    """
     n, m = len(supply), len(demand)
-    s = list(supply)
-    d = list(demand)
-    alloc = {}
+    adj = [set() for _ in range(n + m)]
+    parent, depth, pot, flow = ([0] * (n + m) for _ in range(4))
     i = j = 0
+    s, d = supply[0], demand[0]
+    a, b = 0, n
     while True:
-        q = min(s[i], d[j])
-        alloc[(i, j)] = q
-        s[i] -= q
-        d[j] -= q
+        q = min(s, d)
+        s -= q
+        d -= q
+        adj[a].add(b)
+        adj[b].add(a)
+        parent[b] = a
+        depth[b] = depth[a] + 1
+        pot[b] = cost[i][j] - pot[a]
+        flow[b] = q
         if i == n - 1 and j == m - 1:
-            break
-        if s[i] == 0 and i < n - 1:
+            return adj, parent, depth, pot, flow
+        if s == 0 and i < n - 1:
             i += 1
+            s = supply[i]
+            a, b = n + j, i
         else:
             j += 1
-    return alloc
-
-
-def _rooted_basis(cost, cells, n, m):
-    """The basis tree over rows 0..n-1 and columns n..n+m-1 (nodes), rooted
-    at row 0, as ``(adj, parent, depth, pot)``.
-
-    ``pot`` holds the dual potentials, u_i at node i and v_j at node n+j,
-    with u_0 pinned to 0, so every potential is an int and
-    u_i + v_j = c_ij on every basis cell. The root is its own parent.
-    """
-    adj = [set() for _ in range(n + m)]
-    for i, j in cells:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
-    parent, depth, pot = [0] * (n + m), [0] * (n + m), [0] * (n + m)
-    # cells that close a cycle leave some node unreached, and would send a
-    # walk that only checks parents round the cycle
-    order, seen = [0], {0}
-    for a in order:
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                parent[b] = a
-                depth[b] = depth[a] + 1
-                pot[b] = (cost[a][b - n] if a < n else cost[b][a - n]) - pot[a]
-                order.append(b)
-    if len(order) < n + m:
-        raise SolverError("basis does not span the bipartite graph")
-    return adj, parent, depth, pot
+            d = demand[j]
+            a, b = i, n + j
 
 
 def _hang(adj, parent, depth, top):
@@ -132,11 +124,12 @@ def _hang(adj, parent, depth, top):
 def _transportation_simplex(supply, demand, cost):
     """Exact min-cost allocation for equal total supply and demand.
 
-    The pivots run on Python ints: masses are scaled by the lcm M of their
-    denominators and costs by the lcm L of theirs (1 for the int costs of
-    ``_cost_matrix``). Positive scaling keeps every sign, comparison and
-    tie, so the pivot sequence is the one the rational problem would take,
-    and the result is returned as Fractions over M.
+    The pivots run on Python ints: the costs arrive as the ints of
+    ``_cost_matrix``, and the masses are scaled by the lcm M of their
+    denominators. Positive scaling keeps every sign, comparison and tie,
+    so the pivot sequence is the one the rational problem would take, and
+    the result is returned as Fractions over M. (Fraction costs give the
+    same allocation, pivoted in Fractions.)
 
     North-west corner start, then Bland's rule: the entering cell is the
     first (row-major) with negative reduced cost; the leaving cell is the
@@ -145,7 +138,8 @@ def _transportation_simplex(supply, demand, cost):
 
     The basis is one spanning tree rooted at row 0, kept as parent, depth
     and potential per node, with each basis cell's allocation on its child
-    node (network simplex in its spanning-tree form). The pivot cycle is
+    node (network simplex in its spanning-tree form), read off the
+    north-west staircase by ``_northwest_basis``. The pivot cycle is
     the entering cell plus the tree paths from its row and column up to
     their lowest common ancestor. Removing the leaving cell cuts the tree
     in two: side I holds the entering row, side J the entering column. The
@@ -166,14 +160,8 @@ def _transportation_simplex(supply, demand, cost):
     """
     n, m = len(supply), len(demand)
     mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
-    cost_scale = math.lcm(*(c.denominator for row in cost for c in row))
-    cost = [_scaled(row, cost_scale) for row in cost]
-    alloc = _northwest_corner(_scaled(supply, mass_scale), _scaled(demand, mass_scale))
-    adj, parent, depth, pot = _rooted_basis(cost, alloc, n, m)
-    # each basis cell's allocation sits on its child node
-    flow = [0] * (n + m)
-    for (i, j), q in alloc.items():
-        flow[i if parent[i] == n + j else n + j] = q
+    adj, parent, depth, pot, flow = _northwest_basis(
+        _scaled(supply, mass_scale), _scaled(demand, mass_scale), cost)
 
     def cell(c):
         """The basis cell joining node c to its parent."""
@@ -264,38 +252,24 @@ def _cost_matrix(tree, sources, targets):
 
     Each atom, canonical as its measure holds it, has its foot found once.
     A pair's distance is P + Q − 2·M, with P and Q the atoms' depths and M
-    the depth where their paths to the root meet, found as
-    ``Tree._feet_distance`` finds it; two atoms inside one edge meet at the
-    shallower one. Scaled by the lcm D of the denominators of every depth
-    involved, each distance is an int, and so is each D²·d²; dividing
-    these and D² by their gcd leaves the least scale.
+    the depth where their paths to the root meet (``Tree._meet``), or
+    |P − Q| when the two lie inside one edge. Scaled by the lcm D of the
+    denominators of every depth involved, each distance is an int, and so
+    is each D²·d²; dividing these and D² by their gcd leaves the least
+    scale.
     """
     def feet(atoms):
-        return [(p.edge, *tree._foot(p)) for p, _ in atoms]
+        return [(p.edge, tree._foot(p)) for p, _ in atoms]
 
     rows, columns = feet(sources), feet(targets)
-    lca = tree._lca
-    meets = []
-    for p_edge, p_vertex, p_depth, p_inside in rows:
-        row = []
-        for q_edge, q_vertex, q_depth, q_inside in columns:
-            if p_edge is not None and p_edge == q_edge:
-                # they meet at the shallower one: |P − Q| once scaled
-                row.append(None)
-                continue
-            top = lca(p_vertex, q_vertex)
-            if p_inside and p_vertex == top.id:
-                row.append(p_depth)
-            elif q_inside and q_vertex == top.id:
-                row.append(q_depth)
-            else:
-                row.append(top.depth)
-        meets.append(row)
+    meet = tree._meet
+    meets = [[meet(p_edge, p_foot, q_edge, q_foot) for q_edge, q_foot in columns]
+             for p_edge, p_foot in rows]
     chain = itertools.chain.from_iterable
     lcd = math.lcm(*{x.denominator for x in chain(meets) if x is not None},
-                   *(foot[2].denominator for foot in rows + columns))
-    sources_depth = _scaled((foot[2] for foot in rows), lcd)
-    targets_depth = _scaled((foot[2] for foot in columns), lcd)
+                   *(foot[1].denominator for _, foot in rows + columns))
+    sources_depth = _scaled((foot[1] for _, foot in rows), lcd)
+    targets_depth = _scaled((foot[1] for _, foot in columns), lcd)
     matrix = []
     for p, row in zip(sources_depth, meets):
         squares = []

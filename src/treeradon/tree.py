@@ -482,30 +482,33 @@ class Tree:
         """Length of the unique injective path between two points."""
         p = self.canonical_point(p)
         q = self.canonical_point(q)
-        return self._feet_distance(p, self._foot(p), q, self._foot(q))
+        p_foot, q_foot = self._foot(p), self._foot(q)
+        meet = self._meet(p.edge, p_foot, q.edge, q_foot)
+        if meet is None:
+            return abs(p_foot[1] - q_foot[1])
+        return p_foot[1] + q_foot[1] - 2 * meet
 
-    def _feet_distance(self, p: TreePoint, p_foot: tuple, q: TreePoint, q_foot: tuple) -> Fraction:
-        """The distance between two canonical points, given their
-        :meth:`_foot` triples.
+    def _meet(self, p_edge: int | None, p_foot: tuple, q_edge: int | None,
+              q_foot: tuple) -> Fraction | None:
+        """The depth at which the paths from two canonical points to the
+        root meet, given each point's edge and :meth:`_foot` triple, or None
+        when both points lie inside one edge.
 
-        ``depth(p) + depth(q) − 2·m``, where ``m`` is the depth at which the
-        paths from p and q to the root meet: the depth of the lowest common
-        ancestor of their feet, or of p (q) itself when it sits inside the
-        edge just above that ancestor.
+        That depth is the depth of the lowest common ancestor of their
+        feet, or of p (q) itself when it sits inside the edge just above
+        that ancestor. The distance is ``depth(p) + depth(q) − 2·meet``, or
+        ``|depth(p) − depth(q)|`` inside one edge.
         """
-        if p == q:
-            return _ZERO
-        if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-            return abs(p.offset - q.offset)
+        if p_edge is not None and p_edge == q_edge:
+            return None
         p_vertex, p_depth, p_inside = p_foot
         q_vertex, q_depth, q_inside = q_foot
         top = self._lca(p_vertex, q_vertex)
-        meet = top.depth
         if p_inside and p_vertex == top.id:
-            meet = p_depth
-        elif q_inside and q_vertex == top.id:
-            meet = q_depth
-        return p_depth + q_depth - 2 * meet
+            return p_depth
+        if q_inside and q_vertex == top.id:
+            return q_depth
+        return top.depth
 
 
 def build_tree(description) -> Tree:

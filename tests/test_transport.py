@@ -629,15 +629,34 @@ def test_scan_enters_a_reduced_cost_of_minus_one():
         (0, 1): F(1, 2), (1, 0): F(1, 2)}
 
 
-def test_broken_basis_raises_solver_error():
-    # rows 0, 1 and columns 0, 1 (nodes 2, 3) with only the basis cell (0, 0)
-    cost = [[0, 1], [1, 0]]
-    with pytest.raises(SolverError, match="span"):
-        transport._rooted_basis(cost, [(0, 0)], 2, 2)
-    # n + m - 1 cells that close a cycle over rows 0, 1 and leave row 2 out
-    cost = [[0, 1], [1, 0], [2, 2]]
-    with pytest.raises(SolverError, match="span"):
-        transport._rooted_basis(cost, [(0, 0), (0, 1), (1, 0), (1, 1)], 3, 2)
+def _assert_basis_is_the_reference_corner(supply, demand, cost):
+    n, m = len(supply), len(demand)
+    adj, parent, depth, pot, flow = transport._northwest_basis(supply, demand, cost)
+    alloc, basis = _reference_northwest_corner(supply, demand)
+    assert {(i, b - n) for i in range(n) for b in adj[i]} == basis
+    assert {(a, j) for j in range(m) for a in adj[n + j]} == basis
+    # each non-root node's parent link is one basis cell, with its flow
+    assert {(c, parent[c] - n) if c < n else (parent[c], c - n): flow[c]
+            for c in range(1, n + m)} == alloc
+    assert parent[0] == depth[0] == pot[0] == 0
+    assert all(depth[c] == depth[parent[c]] + 1 for c in range(1, n + m))
+    assert all(pot[i] + pot[n + j] == cost[i][j] for i, j in basis)
+    return parent, depth, flow
+
+
+@given(st.one_of(random_instance(), symmetric_tie_instance()))
+@profile_settings(40)
+def test_northwest_basis_is_the_reference_corner_as_a_tree(instance):
+    _assert_basis_is_the_reference_corner(*instance)
+
+
+def test_northwest_basis_keeps_a_zero_cell_where_row_and_column_run_out():
+    # row 0 and column 0 run out together at (0, 0); the staircase steps
+    # down to the zero cell (1, 0), which hangs row 1 below column 0
+    # (node 2), and then right to (1, 1)
+    half = [F(1, 2), F(1, 2)]
+    assert _assert_basis_is_the_reference_corner(half, half, [[1, 0], [0, 0]]) == (
+        [0, 2, 0, 1], [0, 2, 1, 3], [0, 0, F(1, 2), F(1, 2)])
 
 
 def test_plan_with_wrong_marginals_raises_solver_error(tripod, monkeypatch):
