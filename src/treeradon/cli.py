@@ -3,7 +3,7 @@
 Subcommands: gen-tree, radon, invert, w2, plan, interpolate, reconstruct,
 verify. Outputs are pure functions of (inputs, flags, seed): repeated runs
 produce byte-identical files. Exit codes: 0 success, 1 domain/validation
-failure, 2 usage error or malformed input file.
+failure or a solver that gives up, 2 usage error or malformed input file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import io
-from .errors import DomainError, FileFormatError
+from .errors import DomainError, FileFormatError, SolverError
 from .generate import SuiteConfig, gen_tree
 from .radon import radon_forward, radon_invert, radon_oracle, reconstruct_measure
 from .rationals import format_rational
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except DomainError as exc:
+    except (DomainError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

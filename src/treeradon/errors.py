@@ -3,8 +3,9 @@
 ``DomainError`` covers semantic/validation failures (CLI exit code 1);
 ``FileFormatError`` covers malformed input files and output paths that
 cannot be written (CLI exit code 2, like a usage error); ``SolverError``
-signals an internal failure of the exact transportation solver, which
-should be unreachable for valid inputs.
+signals that the exact transportation solver gave up (CLI exit code 1).
+Valid inputs can reach it: a large, highly degenerate problem can run
+past the simplex's pivot limit.
 """
 
 

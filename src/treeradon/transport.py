@@ -404,7 +404,10 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
 
     Returns True when no cycle improves, else a :class:`CycleViolation`
     witness. ``exhaustive=True`` checks every cycle length but refuses
-    supports larger than 8.
+    supports larger than 8. The table of squared distances is taken once
+    from ``tree.distance`` and put over the lcm of its denominators, so
+    cycles are summed and compared as ints; a witness carries its costs
+    back as Fractions over that scale.
     """
     pairs = [(p, q) for p, q, _ in plan.couplings]
     n = len(pairs)
@@ -415,8 +418,10 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
     else:
         top = min(max_cycle_len, n)
 
-    # cost[a][b] = d²(source of pair a, target of pair b), each taken once
-    cost = [[tree.distance(p, q) ** 2 for _, q in pairs] for p, _ in pairs]
+    # cost[a][b] = scale · d²(source of pair a, target of pair b), each d² taken once
+    squares = [[tree.distance(p, q) ** 2 for _, q in pairs] for p, _ in pairs]
+    scale = math.lcm(*(c.denominator for row in squares for c in row))
+    cost = [_scaled(row, scale) for row in squares]
     for length in range(2, top + 1):
         for combo in itertools.combinations(range(n), length):
             base = sum(cost[k][k] for k in combo)
@@ -425,9 +430,8 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
                 order = (first,) + rest
                 shifted = sum(cost[order[k]][order[(k + 1) % length]] for k in range(length))
                 if shifted < base:
-                    return CycleViolation(
-                        tuple(pairs[k] for k in order), base, shifted
-                    )
+                    return CycleViolation(tuple(pairs[k] for k in order),
+                                          Fraction(base, scale), Fraction(shifted, scale))
     return True
 
 

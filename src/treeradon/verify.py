@@ -17,6 +17,7 @@ rationals; there is no tolerance anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -101,18 +102,27 @@ def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
     """Brute-force oracle for ``w2_squared``: minimum cost over all extreme
     points of the transportation polytope, found by enumerating saturating
     allocation orders with memoization. It shares no code with the simplex,
-    its cost matrix included. Exponential; supports of size > 6 are refused.
+    its cost matrix included: the squared distances come from
+    ``tree.distance``. The search runs on ints, the masses over the lcm of
+    their denominators and the squared distances over the lcm of theirs;
+    scaling by a positive constant keeps every comparison and tie, and the
+    minimum comes back over the product of the two scales. Exponential;
+    supports of size > 6 are refused.
     """
     if len(mu) > 6 or len(nu) > 6:
         raise ValueError("enumeration oracle is limited to small supports")
-    cost = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
-    supplies = tuple(m for _, m in mu.atoms)
-    demands = tuple(m for _, m in nu.atoms)
+    squares = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
+    cost_scale = math.lcm(*(c.denominator for row in squares for c in row))
+    cost = [[c.numerator * (cost_scale // c.denominator) for c in row] for row in squares]
+    masses = [m for _, m in mu.atoms + nu.atoms]
+    mass_scale = math.lcm(*(m.denominator for m in masses))
+    ints = tuple(m.numerator * (mass_scale // m.denominator) for m in masses)
+    supplies, demands = ints[:len(mu)], ints[len(mu):]
 
     @cache
     def best(s, d):
-        if all(x == 0 for x in s):
-            return _ZERO
+        if not any(s):
+            return 0
         result = None
         for i, si in enumerate(s):
             if si == 0:
@@ -128,7 +138,7 @@ def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
                     result = candidate
         return result
 
-    return best(supplies, demands)
+    return Fraction(best(supplies, demands), mass_scale * cost_scale)
 
 
 # ---------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from treeradon import (
+    SolverError,
     SuiteConfig,
     gen_measure,
     gen_point,
@@ -177,6 +178,23 @@ class TestW2AndPlan:
         assert main(["w2", str(tree_file), str(mu_file), str(nu_file)]) == 0
         printed = capsys.readouterr().out.strip()
         assert printed == str(w2_squared_enumerated(tripod, mu, nu))
+
+    def test_solver_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a valid input can run past the pivot limit; the CLI reports it as
+        # a failure (exit 1) on one line, not a traceback
+        def give_up(supply, demand, cost):
+            raise SolverError("pivot limit exceeded")
+
+        monkeypatch.setattr("treeradon.transport._transportation_simplex", give_up)
+        tree_file, tripod = write_tripod(tmp_path)
+        mu_file, nu_file = tmp_path / "mu.json", tmp_path / "nu.json"
+        io.save_measure(tripod, make_measure(tripod, [(tripod.vertex_point("x"), 1)]), mu_file)
+        io.save_measure(tripod, make_measure(tripod, [(tripod.vertex_point("y"), 1)]), nu_file)
+        assert main(["w2", str(tree_file), str(mu_file), str(nu_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: pivot limit exceeded"]
+        assert "Traceback" not in captured.err
 
     def test_plan_file(self, tmp_path, capsys):
         tree_file, tripod = write_tripod(tmp_path)

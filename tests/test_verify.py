@@ -2,20 +2,28 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import profile_settings
+from test_transport_oracles import DEEP, monotone_coupling
 from treeradon import (
     GenerationError,
     GeodesicError,
     SuiteConfig,
     VertexFunction,
+    build_tree,
     check_dirac_preserved_extension,
     check_thales,
     comparison_point_distance_sq,
     dirac,
+    enumerate_flags,
+    gen_tree,
+    geodesic_through_flag,
     make_measure,
     path,
     perpendicular,
@@ -109,6 +117,68 @@ class TestEnumerationOracle:
         for mu, nu in ((seven, one), (one, seven)):
             with pytest.raises(ValueError, match="^enumeration oracle is limited to small supports$"):
                 w2_squared_enumerated(star3, mu, nu)
+
+
+# The oracle searches on ints, the masses over the lcm of their denominators
+# and the squared distances over the lcm of theirs. In the closed forms
+# below neither lcm is one of its own denominators: the masses lie over 15,
+# 21, 35 and 7 (lcm 105), and a tripod with legs 1/2, 2/3 and 3/5 puts the
+# squared distances over 4, 9, 25 and their products.
+SPLIT_MASSES = {
+    1: (F(1),),
+    2: (F(1, 3), F(2, 3)),
+    3: (F(1, 15), F(1, 21), F(31, 35)),
+    4: (F(1, 15), F(1, 21), F(1, 35), F(6, 7)),
+    5: (F(1, 15), F(1, 21), F(1, 35), F(1, 7), F(5, 7)),
+    6: (F(1, 15), F(1, 21), F(1, 35), F(1, 7), F(1, 5), F(18, 35)),
+}
+
+
+@pytest.mark.parametrize("count", sorted(SPLIT_MASSES))
+def test_enumeration_with_a_dirac_is_the_second_moment(count):
+    # from (or to) a Dirac at x the only coupling is the trivial one, so
+    # W2² = Σ m·d²(x, y), each d² taken from tree.distance
+    tree = build_tree({
+        "vertices": ["o", "x", "y", "z"],
+        "edges": [("o", "x", F(1, 2)), ("o", "y", F(2, 3)), ("o", "z", F(3, 5))],
+    })
+    points = [tree.vertex_point(v) for v in ("o", "x", "y", "z")]
+    points += [tree.point(0, F(1, 4)), tree.point(1, F(1, 3)), tree.point(2, F(2, 5))]
+    for x in points:
+        targets = [p for p in points if p != x][:count]
+        nu = make_measure(tree, zip(targets, SPLIT_MASSES[count]))
+        expected = sum((m * tree.distance(x, y) ** 2 for y, m in nu.atoms), F(0))
+        assert w2_squared_enumerated(tree, dirac(tree, x), nu) == expected
+        assert w2_squared_enumerated(tree, nu, dirac(tree, x)) == expected
+
+
+SIDE = 6 if DEEP else 5
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, SIDE), st.integers(1, SIDE), st.booleans())
+@example(seed=0, n=SIDE, m=SIDE, equal=False)
+@profile_settings(8)
+def test_enumeration_on_one_geodesic_is_the_monotone_cost(seed, n, m, equal):
+    """Both measures on one flag geodesic, where the monotone coupling is
+    the unique optimal plan; up to 5×5 atoms in tier-1 and the oracle's
+    own limit, 6×6, under ``TREERADON_SOLVER_PROFILE=solver-deep``."""
+    rng = random.Random(seed)
+    tree = gen_tree(SuiteConfig(seed=seed, max_vertices=12, max_denominator=6), "complete", rng)
+    geodesic = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
+
+    def on_geodesic(count):
+        coordinates = set()
+        while len(coordinates) < count:
+            coordinates.add(F(rng.randint(-60, 60), rng.randint(1, 4)))
+        weights = [1 if equal else rng.randint(1, 9) for _ in coordinates]
+        total = sum(weights)
+        return [(c, F(w, total)) for c, w in zip(sorted(coordinates), weights)]
+
+    xs, ys = on_geodesic(n), on_geodesic(m)
+    mu, nu = (make_measure(tree, [(geodesic.point_at(c), mass) for c, mass in atoms])
+              for atoms in (xs, ys))
+    expected = sum((mass * (x - y) ** 2 for x, y, mass in monotone_coupling(xs, ys)), F(0))
+    assert w2_squared_enumerated(tree, mu, nu) == expected
 
 
 class TestRunSuite:
