@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import io
 from .errors import DomainError, FileFormatError, SolverError
@@ -31,44 +32,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-tree", help="generate a random tree file")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-vertices", type=int, default=8)
+    # The generator's bounds, shared by gen-tree and verify, with
+    # SuiteConfig's defaults.
+    defaults = SuiteConfig()
+    bounds = argparse.ArgumentParser(add_help=False)
+    for field in ("seed", "max_vertices", "min_valency", "max_valency", "max_denominator"):
+        bounds.add_argument("--" + field.replace("_", "-"), type=int,
+                            default=getattr(defaults, field))
+    pair = argparse.ArgumentParser(add_help=False)
+    for name in ("tree", "mu", "nu"):
+        pair.add_argument(name)
+
+    p = sub.add_parser("gen-tree", parents=[bounds], help="generate a random tree file")
     p.add_argument("--mode", choices=("finite", "complete"), default="complete")
-    p.add_argument("--min-valency", type=int, default=3)
-    p.add_argument("--max-valency", type=int, default=5)
-    p.add_argument("--max-denominator", type=int, default=12)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_gen_tree)
 
     p = sub.add_parser("radon", help="forward transform of a vertex function")
     p.add_argument("tree")
     p.add_argument("h")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_radon)
 
     p = sub.add_parser("invert", help="invert a flag table")
     p.add_argument("tree")
     p.add_argument("table")
     p.add_argument("--total", required=True, help="the function total, as p/q")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_invert)
 
-    p = sub.add_parser("w2", help="squared transport distance and a plan")
-    p.add_argument("tree")
-    p.add_argument("mu")
-    p.add_argument("nu")
+    p = sub.add_parser("w2", parents=[pair], help="squared transport distance and a plan")
     p.add_argument("--out", help="optional plan file")
+    p.set_defaults(run=_cmd_w2)
 
-    p = sub.add_parser("plan", help="optimal plan between two measures")
-    p.add_argument("tree")
-    p.add_argument("mu")
-    p.add_argument("nu")
+    p = sub.add_parser("plan", parents=[pair], help="optimal plan between two measures")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_plan)
 
-    p = sub.add_parser("interpolate", help="displacement interpolation")
-    p.add_argument("tree")
-    p.add_argument("mu")
-    p.add_argument("nu")
+    p = sub.add_parser("interpolate", parents=[pair], help="displacement interpolation")
     p.add_argument("--t", required=True, help="parameter in [0,1], as p/q")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_interpolate)
 
     p = sub.add_parser("reconstruct",
                        help="recover a measure from its projection oracle")
@@ -76,31 +80,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("hidden", help="measure file served through the oracle")
     p.add_argument("--skeleton", help="comma-separated edge ids (default: all)")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_reconstruct)
 
-    p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--seed", type=int, default=42)
+    p = sub.add_parser("verify", parents=[bounds], help="run the property suite")
+    # 20, not SuiteConfig's 25: a bare `verify` has always run 20 trials, and
+    # its report stays byte-identical.
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--min-valency", type=int, default=3)
-    p.add_argument("--max-valency", type=int, default=5)
-    p.add_argument("--max-atoms", type=int, default=4)
-    p.add_argument("--max-denominator", type=int, default=12)
+    p.add_argument("--max-atoms", type=int, default=defaults.max_atoms)
     p.add_argument("--inject-fault", action="store_true",
                    help="self-test: mutate one check so the suite must fail")
     p.add_argument("--out", help="report file")
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
 
+def _suite_config(args) -> SuiteConfig:
+    """The SuiteConfig that the parsed options set; fields they lack keep
+    their defaults."""
+    options = vars(args)
+    return SuiteConfig(**{f.name: options[f.name] for f in fields(SuiteConfig)
+                          if f.name in options})
+
+
+def _load_pair(args):
+    """The tree and the two measures that ``tree mu nu`` name."""
+    tree = io.load_tree(args.tree)
+    return tree, io.load_measure(tree, args.mu), io.load_measure(tree, args.nu)
+
+
 def _cmd_gen_tree(args) -> int:
-    config = SuiteConfig(
-        seed=args.seed,
-        max_vertices=args.max_vertices,
-        min_valency=args.min_valency,
-        max_valency=args.max_valency,
-        max_denominator=args.max_denominator,
-    )
-    tree = gen_tree(config, mode=args.mode)
+    tree = gen_tree(_suite_config(args), mode=args.mode)
     io.save_tree(tree, args.out)
     complete = "complete" if tree.geodesically_complete else "has leaves"
     valencies = ",".join(str(k) for k in sorted(tree.valency_profile.values()))
@@ -127,9 +137,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_w2(args) -> int:
-    tree = io.load_tree(args.tree)
-    mu = io.load_measure(tree, args.mu)
-    nu = io.load_measure(tree, args.nu)
+    tree, mu, nu = _load_pair(args)
     plan = optimal_plan(tree, mu, nu)
     print(format_rational(plan.squared_cost))
     if args.out:
@@ -138,18 +146,14 @@ def _cmd_w2(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    tree = io.load_tree(args.tree)
-    mu = io.load_measure(tree, args.mu)
-    nu = io.load_measure(tree, args.nu)
+    tree, mu, nu = _load_pair(args)
     io.save_plan(tree, optimal_plan(tree, mu, nu), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_interpolate(args) -> int:
-    tree = io.load_tree(args.tree)
-    mu = io.load_measure(tree, args.mu)
-    nu = io.load_measure(tree, args.nu)
+    tree, mu, nu = _load_pair(args)
     t = io.read_rational(args.t, "--t")
     if not 0 <= t <= 1:
         raise DomainError(f"interpolation parameter {t} outside [0, 1]")
@@ -203,17 +207,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(
-        seed=args.seed,
-        max_vertices=args.max_vertices,
-        min_valency=args.min_valency,
-        max_valency=args.max_valency,
-        max_atoms=args.max_atoms,
-        max_denominator=args.max_denominator,
-        trials=args.trials,
-        inject_fault=args.inject_fault,
-    )
-    report = run_suite(config)
+    report = run_suite(_suite_config(args))
     if args.out:
         io.save_json(report.to_dict(), args.out)
     for result in report.properties:
@@ -224,18 +218,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-_HANDLERS = {
-    "gen-tree": _cmd_gen_tree,
-    "radon": _cmd_radon,
-    "invert": _cmd_invert,
-    "w2": _cmd_w2,
-    "plan": _cmd_plan,
-    "interpolate": _cmd_interpolate,
-    "reconstruct": _cmd_reconstruct,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -243,7 +225,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

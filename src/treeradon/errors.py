@@ -52,4 +52,6 @@ class FileFormatError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Internal transportation-solver failure (pivot limit, broken basis)."""
+    """The transportation solver gave up: ``pivot limit exceeded``
+    (``_transportation_simplex``) or ``plan marginals do not match the
+    measures`` (``_check_marginals``)."""

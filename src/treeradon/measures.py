@@ -26,9 +26,10 @@ class Measure:
     """A finitely supported probability measure: ``((location, mass), ...)``.
 
     Build it with :func:`make_measure` or :func:`dirac`: every atom is then
-    a canonical point of the tree given there. Functions that take a
-    ``Measure`` trust that and do not check its atoms again, so a measure
-    goes only with the tree it was made on.
+    a canonical point of the tree given there, and the atoms come in
+    ``point_sort_key`` order. Functions that take a ``Measure`` trust that
+    and do not check or sort its atoms again, so a measure goes only with
+    the tree it was made on.
     """
 
     atoms: tuple[tuple[TreePoint, Fraction], ...]

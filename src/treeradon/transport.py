@@ -39,7 +39,7 @@ from .errors import CompletenessError, MeasureError, SolverError
 from .geodesics import _travel, path
 from .measures import Measure, dirac, make_measure
 from .rationals import parse_rational
-from .tree import Tree, TreePoint, point_sort_key
+from .tree import Tree, TreePoint
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -468,9 +468,9 @@ def check_nonextendable(tree: Tree, mu0: Measure, y: TreePoint, epsilon=_ONE,
     support point) admits no extension past time 1.
 
     The stationary atom at ``y`` pairs with itself; a moving atom ``y′``
-    continued to time 1+ε lands at ``y″``. Swapping targets in that
-    two-cycle is strictly cheaper than the continued transport whenever
-    ε > 0. By default ``y″`` follows the deterministic smallest-edge-id
+    (the first other atom of ``mu0``) continued to time 1+ε lands at
+    ``y″``. Swapping targets in that two-cycle is strictly cheaper than the
+    continued transport whenever ε > 0. By default ``y″`` follows the deterministic smallest-edge-id
     continuation (reversing at leaves); a caller may propose any ``y″``
     reachable at constant speed instead.
     """
@@ -483,9 +483,7 @@ def check_nonextendable(tree: Tree, mu0: Measure, y: TreePoint, epsilon=_ONE,
     if epsilon < 0:
         raise ValueError(f"negative extension {epsilon}")
 
-    y_prime = next(
-        p for p in sorted(mu0.support, key=point_sort_key) if p != y
-    )
+    y_prime = next(p for p in mu0.support if p != y)
     d = tree.distance(y_prime, y)
     if proposed_continuation is None:
         y2 = _travel(path(tree, y_prime, y), 1 + epsilon)

@@ -54,7 +54,7 @@ from .radon import (
     vertex_function,
 )
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint, point_sort_key
+from .tree import Flag, Tree, TreePoint
 from .transport import (
     NonextendabilityWitness,
     WassersteinGeodesic,
@@ -225,7 +225,7 @@ def check_dirac_preserved_extension(tree: Tree, x: TreePoint, mu: Measure,
     ok = _scaling_failure(tree, snapshots, family.plan.squared_cost) is None
     witnesses = ()
     if not mu.is_dirac:
-        targets = sorted(mu.support, key=point_sort_key)[:2]
+        targets = mu.support[:2]
         witnesses = tuple(check_nonextendable(tree, mu, y) for y in targets)
     return DiracExtensionCheck(geodesic_property_ok=ok, witnesses=witnesses)
 

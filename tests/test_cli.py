@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, determinism, file formats."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -20,7 +21,8 @@ from treeradon import (
     make_measure,
     vertex_function,
 )
-from treeradon.cli import main
+from treeradon.cli import _build_parser, main
+from treeradon.verify import run_suite
 
 
 def write_star3(tmp_path):
@@ -639,6 +641,100 @@ class TestVerify:
         assert main(["verify", "--trials", "2", "--seed", "9", "--out", str(a)]) == 0
         assert main(["verify", "--trials", "2", "--seed", "9", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_default_gen_tree_is_suite_config_default(tmp_path, capsys):
+    out, expected = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["gen-tree", "--out", str(out)]) == 0
+    io.save_tree(gen_tree(SuiteConfig()), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_default_verify_is_suite_config_default_at_20_trials(tmp_path, capsys):
+    out, expected = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    io.save_json(run_suite(SuiteConfig(trials=20)).to_dict(), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+# Every subcommand's arguments by dest: (option strings, default, type,
+# required, choices, action, help). Written from the parser that declared
+# each option in each subcommand, so a shared declaration that drops or
+# changes one fails here.
+_TREE_MU_NU = {
+    "tree": ((), None, None, True, None, "_StoreAction", None),
+    "mu": ((), None, None, True, None, "_StoreAction", None),
+    "nu": ((), None, None, True, None, "_StoreAction", None),
+}
+_BOUNDS = {
+    "seed": (("--seed",), 42, int, False, None, "_StoreAction", None),
+    "max_vertices": (("--max-vertices",), 8, int, False, None, "_StoreAction", None),
+    "min_valency": (("--min-valency",), 3, int, False, None, "_StoreAction", None),
+    "max_valency": (("--max-valency",), 5, int, False, None, "_StoreAction", None),
+    "max_denominator": (("--max-denominator",), 12, int, False, None, "_StoreAction", None),
+}
+_OUT = (("--out",), None, None, True, None, "_StoreAction", None)
+CLI_OPTIONS = {
+    "gen-tree": {
+        **_BOUNDS,
+        "mode": (("--mode",), "complete", None, False, ("finite", "complete"),
+                 "_StoreAction", None),
+        "out": _OUT,
+    },
+    "radon": {
+        "tree": _TREE_MU_NU["tree"],
+        "h": ((), None, None, True, None, "_StoreAction", None),
+        "out": _OUT,
+    },
+    "invert": {
+        "tree": _TREE_MU_NU["tree"],
+        "table": ((), None, None, True, None, "_StoreAction", None),
+        "total": (("--total",), None, None, True, None, "_StoreAction",
+                  "the function total, as p/q"),
+        "out": _OUT,
+    },
+    "w2": {
+        **_TREE_MU_NU,
+        "out": (("--out",), None, None, False, None, "_StoreAction", "optional plan file"),
+    },
+    "plan": {**_TREE_MU_NU, "out": _OUT},
+    "interpolate": {
+        **_TREE_MU_NU,
+        "t": (("--t",), None, None, True, None, "_StoreAction", "parameter in [0,1], as p/q"),
+        "out": _OUT,
+    },
+    "reconstruct": {
+        "tree": _TREE_MU_NU["tree"],
+        "hidden": ((), None, None, True, None, "_StoreAction",
+                   "measure file served through the oracle"),
+        "skeleton": (("--skeleton",), None, None, False, None, "_StoreAction",
+                     "comma-separated edge ids (default: all)"),
+        "out": _OUT,
+    },
+    "verify": {
+        **_BOUNDS,
+        "trials": (("--trials",), 20, int, False, None, "_StoreAction", None),
+        "max_atoms": (("--max-atoms",), 4, int, False, None, "_StoreAction", None),
+        "inject_fault": (("--inject-fault",), False, None, False, None, "_StoreTrueAction",
+                         "self-test: mutate one check so the suite must fail"),
+        "out": (("--out",), None, None, False, None, "_StoreAction", "report file"),
+    },
+}
+
+
+def test_every_subcommand_declares_its_options():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    got = {
+        name: {
+            a.dest: (tuple(a.option_strings), a.default, a.type, a.required, a.choices,
+                     type(a).__name__, a.help)
+            for a in command._actions if not isinstance(a, argparse._HelpAction)
+        }
+        for name, command in commands.items()
+    }
+    assert got == CLI_OPTIONS
 
 
 class TestUsage:

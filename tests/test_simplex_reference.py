@@ -9,18 +9,17 @@ the bounds and the pivot rule are stressed hardest: 32×32 in tier-1, and
 256 vertices built the way ``bench/gen.py`` builds them.
 """
 
-import os
 import random
 from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
 import simplex_reference as reference
-from conftest import profile_settings
+from conftest import DEEP, profile_settings
 from treeradon import TreePoint, build_tree, make_measure
 from treeradon import transport
 
-SIZE = 48 if os.environ.get("TREERADON_SOLVER_PROFILE") == "solver-deep" else 32
+SIZE = 48 if DEEP else 32
 
 
 def _leafless_tree(rng, vertices):

@@ -18,13 +18,12 @@ The one-geodesic property draws 16 to 24 atoms per measure in tier-1 and
 up to 40 under ``TREERADON_SOLVER_PROFILE=solver-deep``.
 """
 
-import os
 import random
 from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from conftest import profile_settings
+from conftest import DEEP, profile_settings
 from treeradon import (
     SuiteConfig,
     dirac,
@@ -38,7 +37,6 @@ from treeradon import (
     second_moment,
 )
 
-DEEP = os.environ.get("TREERADON_SOLVER_PROFILE") == "solver-deep"
 ATOMS = st.integers(16, 40 if DEEP else 24)
 
 

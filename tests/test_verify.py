@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import profile_settings
-from test_transport_oracles import DEEP, monotone_coupling
+from conftest import DEEP, profile_settings
+from test_transport_oracles import monotone_coupling
 from treeradon import (
     GenerationError,
     GeodesicError,
