@@ -43,7 +43,7 @@ def save_json(payload, path) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -56,7 +56,7 @@ def save_json(payload, path) -> None:
 
 def load_json(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc

@@ -506,7 +506,7 @@ def _prop_radon_injectivity(cfg, rng):
     # delta > 0 and a != b, so l(a) != h(a): the two functions differ
     if radon_forward(tree, h) == radon_forward(tree, l):
         return {"tree": tree.describe(),
-                "detail": f"distinct functions with equal total share a table"}
+                "detail": "distinct functions with equal total share a table"}
     return None
 
 

@@ -3,6 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
+from common import STAR3, TRIPOD
 from treeradon import build_tree
 
 # Properties that check a kernel against its reference implementation take
@@ -27,32 +28,14 @@ def profile_settings(floor):
     return settings(chosen, max_examples=max(floor, scaled))
 
 
-# Fixture trees used throughout. Edge ids are list positions.
-#
-# TRIPOD: center o, tips x, y, z, three unit edges.
-#   0: (o,x)  1: (o,y)  2: (o,z)
-#
-# STAR3: hub c, spokes a, b, d at distance 1, two rays at each spoke tip.
-#   0: (c,a)  1: (c,b)  2: (c,d)
-#   3,4: rays at a   5,6: rays at b   7,8: rays at d
+# Fixture trees used throughout; their edge-id maps are in common.py.
 
 
 @pytest.fixture
 def tripod():
-    return build_tree({
-        "vertices": ["o", "x", "y", "z"],
-        "edges": [("o", "x", 1), ("o", "y", 1), ("o", "z", 1)],
-    })
+    return build_tree(TRIPOD)
 
 
 @pytest.fixture
 def star3():
-    return build_tree({
-        "vertices": ["c", "a", "b", "d"],
-        "edges": [
-            ("c", "a", 1), ("c", "b", 1), ("c", "d", 1),
-            ("a", None, "inf"), ("a", None, "inf"),
-            ("b", None, "inf"), ("b", None, "inf"),
-            ("d", None, "inf"), ("d", None, "inf"),
-        ],
-    })
+    return build_tree(STAR3)

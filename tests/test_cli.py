@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from common import STAR3, TRIPOD, distinct_points, random_masses
 from treeradon import (
     SolverError,
     SuiteConfig,
@@ -27,25 +29,14 @@ from treeradon.verify import run_suite
 
 def write_star3(tmp_path):
     path = tmp_path / "star3.json"
-    star3 = io.build_tree({
-        "vertices": ["c", "a", "b", "d"],
-        "edges": [
-            ("c", "a", 1), ("c", "b", 1), ("c", "d", 1),
-            ("a", None, "inf"), ("a", None, "inf"),
-            ("b", None, "inf"), ("b", None, "inf"),
-            ("d", None, "inf"), ("d", None, "inf"),
-        ],
-    })
+    star3 = io.build_tree(STAR3)
     io.save_tree(star3, path)
     return path, star3
 
 
 def write_tripod(tmp_path):
     path = tmp_path / "tripod.json"
-    tripod = io.build_tree({
-        "vertices": ["o", "x", "y", "z"],
-        "edges": [("o", "x", 1), ("o", "y", 1), ("o", "z", 1)],
-    })
+    tripod = io.build_tree(TRIPOD)
     io.save_tree(tripod, path)
     return path, tripod
 
@@ -56,17 +47,14 @@ def write_seeded_16x16(tmp_path):
     rng = random.Random(16)
     files = []
     for name in ("mu", "nu"):
-        points = []
-        while len(points) < 16:
+        def spot():
             eid = rng.randrange(len(star3.edges))
             stretch = rng.randint(1, 4) if star3.edge(eid).is_ray else 1
-            point = star3.point(eid, F(rng.randint(0, 12), 12) * stretch)
-            if point not in points:
-                points.append(point)
-        weights = [rng.randint(1, 9) for _ in points]
-        masses = [F(w, sum(weights)) for w in weights]
+            return star3.point(eid, F(rng.randint(0, 12), 12) * stretch)
+
+        points = distinct_points(16, spot)
         path = tmp_path / f"{name}.json"
-        io.save_measure(star3, make_measure(star3, zip(points, masses)), path)
+        io.save_measure(star3, make_measure(star3, zip(points, random_masses(rng, 16))), path)
         files.append(path)
     return tree_file, *files
 
@@ -261,11 +249,7 @@ def write_seeded_equal_mass_inputs(tmp_path):
     io.save_tree(tree, tree_file)
     files = [tree_file]
     for name in ("mu", "nu"):
-        points = []
-        while len(points) < size:
-            point = gen_point(tree, rng, config.max_denominator)
-            if point not in points:
-                points.append(point)
+        points = distinct_points(size, lambda: gen_point(tree, rng, config.max_denominator))
         path = tmp_path / f"{name}.json"
         io.save_measure(tree, make_measure(tree, ((p, F(1, size)) for p in points)), path)
         files.append(path)
@@ -754,3 +738,25 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert io.load_tree(out).geodesically_complete
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 whatever the locale: vertex names stored as raw UTF-8
+    # bytes must load, and come back in the flag table
+    tree = io.build_tree({"vertices": ["β", "x", "y", "z"],
+                          "edges": [("β", tip, 1) for tip in "xyz"]})
+    tree_file, h_file, out = tmp_path / "tree.json", tmp_path / "h.json", tmp_path / "table.json"
+    io.save_tree(tree, tree_file)
+    io.save_vertex_function(vertex_function(tree, {"β": 1}), h_file)
+    for path in (tree_file, h_file):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+        assert "β".encode("utf-8") in path.read_bytes()
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeradon.cli", "radon", str(tree_file), str(h_file),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {flag["x"] for flag in json.loads(out.read_text())["flags"]} == {"β"}

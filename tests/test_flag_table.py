@@ -19,16 +19,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import flag_dict_reference as reference
-from conftest import profile_settings
-from test_radon_reference import (
+from common import (
     LEAFLESS,
     PRIMES,
+    assert_identical,
     flag_prime_table,
+    raised,
     small_values,
+    tree_and_measure,
     trees,
     vertex_prime_values,
 )
-from test_reconstruct_reference import tree_and_measure
+from conftest import profile_settings
 from treeradon import (
     Flag,
     FlagTable,
@@ -67,12 +69,6 @@ def partial(tree, rng, table):
 def twin(tree):
     """Another tree object built from the same description."""
     return Tree(tree.vertices, [(rec.u, rec.v, rec.length) for rec in tree.edges])
-
-
-def raised(fn, *args):
-    with pytest.raises(RadonError) as info:
-        fn(*args)
-    return str(info.value)
 
 
 # ---------------------------------------------------------------------- #
@@ -206,12 +202,6 @@ def test_flag_table_refuses_two_keys_for_one_flag(star3):
 # ---------------------------------------------------------------------- #
 # The kernels against the Flag-keyed references                             #
 # ---------------------------------------------------------------------- #
-
-def assert_identical(new, ref):
-    """Equal keys in equal order, equal values, and every value a Fraction."""
-    assert list(new.items()) == list(ref.items())
-    assert all(type(value) is F for value in new.values())
-
 
 @given(trees(), VALUE_KINDS)
 @profile_settings(40)

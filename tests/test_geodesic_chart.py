@@ -17,15 +17,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from common import probe_points, random_caterpillar, random_point, random_tree, segment_cases
 from conftest import profile_settings
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
-from test_metric_reference import (
-    probe_points,
-    random_caterpillar,
-    random_point,
-    random_tree,
-    segment_cases,
-)
 from treeradon import (
     Geodesic,
     GeodesicError,

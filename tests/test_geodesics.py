@@ -143,7 +143,7 @@ class TestProjection:
 
 class TestPerpendicular:
     # Expected sets are enumerated by hand from the component split at the
-    # flag vertex; see the STAR3 edge-id map in conftest.
+    # flag vertex; see the STAR3 edge-id map in common.py.
 
     def test_hub_pair(self, star3):
         perp = perpendicular(star3, star3.flag("c", 0, 1))

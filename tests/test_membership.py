@@ -18,8 +18,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 
+from common import trees
 from conftest import profile_settings
-from test_radon_reference import trees
 from treeradon import (
     Flag,
     FlagTable,

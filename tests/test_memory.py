@@ -12,28 +12,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from common import leafless_description
 from treeradon import build_tree, geodesic_through_flag, path
 
 SIZES = (500, 2000)
-
-
-def leafless_description(rng, n):
-    """A leafless tree of exactly n vertices: each vertex attaches to an
-    earlier one of valency below 5, then rays lift every vertex to
-    valency 3. Lengths are p/q with p, q <= 12."""
-    degree = [0] * n
-    open_ids = [0]
-    edges = []
-    for i in range(1, n):
-        parent = open_ids[rng.randrange(len(open_ids))]
-        edges.append((f"v{parent}", f"v{i}", F(rng.randint(1, 12), rng.randint(1, 12))))
-        degree[parent] += 1
-        degree[i] += 1
-        if degree[parent] == 5:
-            open_ids.remove(parent)
-        open_ids.append(i)
-    edges += [(f"v{i}", None, "inf") for i in range(n) for _ in range(3 - degree[i])]
-    return {"vertices": [f"v{i}" for i in range(n)], "edges": edges}
 
 
 def query_points(tree, rng, count):

@@ -19,13 +19,13 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
+from common import probe_points, random_caterpillar, random_point, random_tree, segment_cases
 from conftest import profile_settings
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from treeradon import (
     Geodesic,
     Measure,
     TreePoint,
-    build_tree,
     geodesic_through_flag,
     midpoint,
     path,
@@ -159,42 +159,6 @@ def reference_project_median(geodesic, point):
     return TreePoint(vertex=geodesic.joints[bisect_left(ref._joint_raw, raw)])
 
 
-def random_tree(rng, n, leaves):
-    """A random tree on n vertices, edges oriented and numbered at random.
-
-    Valency-2 vertices get rays. Without leaves every vertex gets rays up
-    to valency 3; with leaves most valency-1 vertices stay leaves. Vertex
-    order is shuffled, so the root (the first vertex) can be a leaf or a
-    vertex that holds rays.
-    """
-    edges = []
-    valency = [0] * n
-    for v in range(1, n):
-        u = rng.randrange(v)
-        length = F(rng.randint(1, 12), rng.randint(1, 4))
-        edges.append((u, v, length) if rng.random() < 0.5 else (v, u, length))
-        valency[u] += 1
-        valency[v] += 1
-    for v in range(n):
-        if leaves and valency[v] == 1 and rng.random() < 0.8:
-            continue
-        rays = max(0, 3 - valency[v]) + (rng.random() < 0.2)
-        edges.extend((v, None, "inf") for _ in range(rays))
-    rng.shuffle(edges)
-    vertices = list(range(n))
-    rng.shuffle(vertices)
-    return build_tree({"vertices": vertices, "edges": edges})
-
-
-def random_point(tree, rng):
-    rec = tree.edge(rng.randrange(len(tree.edges)))
-    if rec.is_ray:
-        offset = F(rng.randint(0, 12), rng.randint(1, 4))
-    else:
-        offset = rng.choice((F(0), rec.length, rec.length * F(rng.randint(1, 7), 8)))
-    return tree.point(rec.id, offset)
-
-
 def random_geodesics(tree, rng):
     """Finite segments, maximal geodesics through edges, and (leafless
     trees only) complete geodesics through flags."""
@@ -237,90 +201,6 @@ def test_queries_leave_the_tree_unchanged():
         tree.distance(p, target)
         path(tree, p, target)
     assert len(pickle.dumps(tree)) == size
-
-
-def random_caterpillar(rng, n, leaves):
-    """A spine of vertices, each with legs up to valency 3: leaf vertices
-    when ``leaves`` (about n vertices in all), rays otherwise. The root is
-    a spine end half of the time, so parent chains run the spine's length."""
-    spine = max(1, n // 2 if leaves else n)
-    edges = [(i, i + 1, F(rng.randint(1, 9), rng.randint(1, 3))) for i in range(spine - 1)]
-    vertices = list(range(spine))
-    for i in range(spine):
-        legs = 1 if 0 < i < spine - 1 else (3 if spine == 1 else 2)
-        for _ in range(legs):
-            if leaves:
-                vertices.append(len(vertices))
-                edges.append((i, vertices[-1], F(rng.randint(1, 9), rng.randint(1, 3))))
-            else:
-                edges.append((i, None, "inf"))
-    edges = [e if rng.random() < 0.5 or e[1] is None else (e[1], e[0], e[2]) for e in edges]
-    rng.shuffle(edges)
-    rng.shuffle(vertices)
-    if rng.random() < 0.5:
-        vertices.remove(0)
-        vertices.insert(0, 0)
-    return build_tree({"vertices": vertices, "edges": edges})
-
-
-def segment_cases(tree, rng):
-    """Random segments, plus single-edge ones: two points of one edge, the
-    two endpoints of one finite edge, and a point to itself."""
-    segments = [path(tree, random_point(tree, rng), random_point(tree, rng)) for _ in range(3)]
-    rec = tree.edge(rng.randrange(len(tree.edges)))
-    top = rec.length if rec.length is not None else F(20)
-    a, b = sorted(top * F(rng.randint(1, 15), 16) for _ in range(2))
-    segments.append(path(tree, tree.point(rec.id, b), tree.point(rec.id, a)))
-    finite = [r for r in tree.edges if not r.is_ray]
-    if finite:
-        rec = rng.choice(finite)
-        segments.append(path(tree, tree.vertex_point(rec.u), tree.vertex_point(rec.v)))
-    p = random_point(tree, rng)
-    segments.append(path(tree, p, p))
-    return segments
-
-
-def probe_points(tree, geodesic, rng):
-    """Points chosen to reach every branch of the projection: joints, points
-    of the end edges past a finite end, ray points, and vertices and edge
-    points both below the apex (the highest vertex of the geodesic's
-    closed vertex path) and outside its subtree."""
-    points = [tree.vertex_point(j) for j in geodesic.joints[:4]]
-    for end, eid in ((geodesic.start, geodesic.edges[0]), (geodesic.end, geodesic.edges[-1])):
-        if end is None:
-            continue
-        rec = tree.edge(eid)
-        off = rec.endpoint_offset(end.vertex) if end.is_vertex else end.offset
-        far = [F(0)] if rec.length is None else [F(0), rec.length]
-        for bound in far + ([off + 5] if rec.length is None else []):
-            if bound != off:
-                points.append(tree.point(eid, off + (bound - off) * F(rng.randint(1, 15), 16)))
-    rays = [r.id for r in tree.edges if r.is_ray]
-    for eid in rng.sample(rays, min(2, len(rays))):
-        points.append(tree.point(eid, F(rng.randint(1, 20), rng.randint(1, 3))))
-
-    path_vertices = set(geodesic.joints)
-    for i, end in ((0, geodesic.start), (-1, geodesic.end)):
-        if end is not None:
-            path_vertices.update(tree.edge(geodesic.edges[i]).endpoints())
-    apex = min(path_vertices, key=lambda v: tree._vertex[v].hops)
-
-    def below_apex(v):
-        while tree._vertex[v].hops > tree._vertex[apex].hops:
-            v = tree._vertex[v].parent
-        return v == apex
-
-    below, outside = [], []
-    for v in tree.vertices:
-        if v not in path_vertices:
-            (below if below_apex(v) else outside).append(v)
-    for group in (below, outside):
-        for v in rng.sample(group, min(4, len(group))):
-            points.append(tree.vertex_point(v))
-            rec = tree.edge(rng.choice(tree.incident_edges(v)))
-            top = rec.length if rec.length is not None else F(9)
-            points.append(tree.point(rec.id, top * F(rng.randint(1, 7), 8)))
-    return points
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.booleans(), st.booleans())

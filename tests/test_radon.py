@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_radon_reference import leafless_tree
+from common import shuffled_leafless_tree
 from treeradon import (
     OracleInconsistencyError,
     PointLocationError,
@@ -25,7 +25,6 @@ from treeradon import (
     gen_point,
     gen_tree,
     gen_vertex_function,
-    geodesic_through_flag,
     make_measure,
     perpendicular,
     pushforward_projection,
@@ -240,7 +239,7 @@ class TestReconstruction:
         # every edge id reconstruction hands on comes from the tree itself,
         # so the validating Tree.edge is never called on a recon-size tree
         rng = random.Random(11)
-        tree = leafless_tree(rng, 40)
+        tree = shuffled_leafless_tree(rng, 40)
         hidden = make_measure(tree, [(gen_point(tree, rng, 12), F(1, 6)) for _ in range(6)])
         calls = []
         edge = Tree.edge

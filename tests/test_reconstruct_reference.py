@@ -17,8 +17,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from common import hidden_measure, leafless_tree, tree_and_measure
 from conftest import profile_settings
 from geodesic_reference import geodesic_through_edge
 from treeradon import (
@@ -27,13 +28,9 @@ from treeradon import (
     MeasureError,
     OracleInconsistencyError,
     ReconstructionResult,
-    SuiteConfig,
     TreePoint,
-    build_tree,
     enumerate_flags,
     flag_table,
-    gen_measure,
-    gen_tree,
     geodesic_through_flag,
     make_measure,
     perpendicular,
@@ -308,56 +305,8 @@ def flag_schedule_reconstruct(tree: Tree, oracle: Callable[[Geodesic], RadonSamp
 
 
 # ---------------------------------------------------------------------- #
-# Inputs                                                                    #
+# Against the references                                                    #
 # ---------------------------------------------------------------------- #
-
-def leafless_tree(rng, vertices):
-    """A leafless tree with exactly ``vertices`` vertices: each new vertex
-    hangs off an earlier one of valency below 5, then rays lift every
-    valency to at least 3."""
-    degree = [0] * vertices
-    open_ids = [0]
-    edges = []
-    for i in range(1, vertices):
-        parent = open_ids[rng.randrange(len(open_ids))]
-        edges.append((f"v{parent}", f"v{i}", Fraction(rng.randint(1, 12), rng.randint(1, 12))))
-        degree[parent] += 1
-        degree[i] += 1
-        if degree[parent] == 5:
-            open_ids.remove(parent)
-        open_ids.append(i)
-    for i in range(vertices):
-        edges.extend((f"v{i}", None, "inf") for _ in range(3 - degree[i]))
-    return build_tree({"vertices": [f"v{i}" for i in range(vertices)], "edges": edges})
-
-
-def hidden_measure(tree, rng, count):
-    """``count`` distinct atoms, vertices and edge interiors mixed, with
-    positive masses summing to one."""
-    points = set()
-    while len(points) < count:
-        if rng.random() < 0.4:
-            points.add(TreePoint(vertex=rng.choice(tree.vertices)))
-        else:
-            rec = rng.choice(tree.edges)
-            scale = Fraction(rng.randint(1, 12)) if rec.is_ray else rec.length
-            points.add(TreePoint(edge=rec.id, offset=scale * Fraction(rng.randint(1, 3), 4)))
-    weights = [rng.randint(1, 9) for _ in points]
-    return make_measure(tree, [(p, Fraction(w, sum(weights)))
-                               for p, w in zip(sorted(points, key=repr), weights)])
-
-
-@st.composite
-def tree_and_measure(draw):
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = random.Random(seed)
-    if draw(st.booleans()):
-        cfg = SuiteConfig(seed=seed, max_vertices=12, max_valency=6, max_denominator=11)
-        tree = gen_tree(cfg, "complete", rng)
-        return tree, gen_measure(cfg, tree, rng), rng
-    tree = leafless_tree(rng, draw(st.integers(1, 40)))
-    return tree, hidden_measure(tree, rng, draw(st.integers(1, 6))), rng
-
 
 def result_fields(result):
     return (result.measure, result.interior_atoms, result.interior_total,

@@ -15,30 +15,12 @@ from fractions import Fraction as F
 from hypothesis import given, strategies as st
 
 import simplex_reference as reference
+from common import leafless_tree
 from conftest import DEEP, profile_settings
-from treeradon import TreePoint, build_tree, make_measure
+from treeradon import TreePoint, make_measure
 from treeradon import transport
 
 SIZE = 48 if DEEP else 32
-
-
-def _leafless_tree(rng, vertices):
-    """Vertex i hangs from a random earlier vertex of valency below 5, at
-    length p/q with p, q ≤ 12; rays then bring every vertex to valency 3."""
-    degree = [0] * vertices
-    open_ids = [0]
-    edges = []
-    for i in range(1, vertices):
-        parent = open_ids[rng.randrange(len(open_ids))]
-        edges.append((f"v{parent}", f"v{i}", F(rng.randint(1, 12), rng.randint(1, 12))))
-        degree[parent] += 1
-        degree[i] += 1
-        if degree[parent] == 5:
-            open_ids.remove(parent)
-        open_ids.append(i)
-    for i in range(vertices):
-        edges += [(f"v{i}", None, "inf")] * (3 - degree[i])
-    return build_tree({"vertices": [f"v{i}" for i in range(vertices)], "edges": edges})
 
 
 def _points(tree, rng, count):
@@ -59,7 +41,7 @@ def _points(tree, rng, count):
 def test_bounded_scan_matches_the_parent_simplex(seed):
     """Equal masses, then random masses on the same atoms."""
     rng = random.Random(seed)
-    tree = _leafless_tree(rng, 256)
+    tree = leafless_tree(rng, 256)
     mu = make_measure(tree, ((p, F(1, SIZE)) for p in _points(tree, rng, SIZE)))
     nu = make_measure(tree, ((q, F(1, SIZE)) for q in _points(tree, rng, SIZE)))
     cost, _ = transport._cost_matrix(tree, mu.atoms, nu.atoms)

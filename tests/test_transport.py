@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from common import STAR3, distinct_points, random_masses
 from conftest import profile_settings
 from treeradon import (
     CompletenessError,
@@ -539,21 +540,6 @@ def reference_simplex(supply, demand, cost):
     raise SolverError("pivot limit exceeded")
 
 
-def _distinct_points(count, pick):
-    points, seen = [], set()
-    while len(points) < count:
-        p = pick()
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
-    return points
-
-
-def _random_masses(rng, count):
-    weights = [rng.randint(1, 9) for _ in range(count)]
-    return [F(w, sum(weights)) for w in weights]
-
-
 def _solver_instance(tree, src, dst, src_mass, dst_mass):
     mu = make_measure(tree, zip(src, src_mass))
     nu = make_measure(tree, zip(dst, dst_mass))
@@ -569,9 +555,9 @@ def random_instance(draw):
     rng = random.Random(seed)
     tree = gen_tree(SuiteConfig(seed=seed, max_vertices=10, max_denominator=8),
                     "complete", rng)
-    src = _distinct_points(n, lambda: gen_point(tree, rng, 8))
-    dst = _distinct_points(m, lambda: gen_point(tree, rng, 8))
-    return _solver_instance(tree, src, dst, _random_masses(rng, n), _random_masses(rng, m))
+    src = distinct_points(n, lambda: gen_point(tree, rng, 8))
+    dst = distinct_points(m, lambda: gen_point(tree, rng, 8))
+    return _solver_instance(tree, src, dst, random_masses(rng, n), random_masses(rng, m))
 
 
 @st.composite
@@ -579,15 +565,7 @@ def symmetric_tie_instance(draw):
     """Equal masses on a grid of half-unit spots of the symmetric star3
     tree: many equal costs, many equal allocations, many degenerate
     pivots."""
-    star3 = build_tree({
-        "vertices": ["c", "a", "b", "d"],
-        "edges": [
-            ("c", "a", 1), ("c", "b", 1), ("c", "d", 1),
-            ("a", None, "inf"), ("a", None, "inf"),
-            ("b", None, "inf"), ("b", None, "inf"),
-            ("d", None, "inf"), ("d", None, "inf"),
-        ],
-    })
+    star3 = build_tree(STAR3)
     spots = sorted({star3.point(eid, F(k, 2)) for eid in range(9) for k in range(4)
                     if eid >= 3 or k <= 2}, key=repr)
     n, m = draw(st.integers(2, 16)), draw(st.integers(2, 16))
@@ -612,9 +590,9 @@ def test_integer_solver_matches_reference_16x16():
     rng = random.Random(1616)
     tree = gen_tree(SuiteConfig(seed=1616, max_vertices=12, max_denominator=8),
                     "complete", rng)
-    src = _distinct_points(16, lambda: gen_point(tree, rng, 8))
-    dst = _distinct_points(16, lambda: gen_point(tree, rng, 8))
-    instance = _solver_instance(tree, src, dst, _random_masses(rng, 16), _random_masses(rng, 16))
+    src = distinct_points(16, lambda: gen_point(tree, rng, 8))
+    dst = distinct_points(16, lambda: gen_point(tree, rng, 8))
+    instance = _solver_instance(tree, src, dst, random_masses(rng, 16), random_masses(rng, 16))
     alloc = transport._transportation_simplex(*instance)
     assert alloc == reference_simplex(*instance)
     assert all(type(q) is F for q in alloc.values())
@@ -756,10 +734,10 @@ def test_w2_matches_networkx_beyond_enumeration(seed):
     tree = gen_tree(SuiteConfig(seed=seed, max_vertices=12, max_denominator=8),
                     "complete", rng)
     n, m = rng.randint(12, 20), rng.randint(12, 20)
-    src = _distinct_points(n, lambda: gen_point(tree, rng, 8))
-    dst = _distinct_points(m, lambda: gen_point(tree, rng, 8))
-    mu = make_measure(tree, zip(src, _random_masses(rng, n)))
-    nu = make_measure(tree, zip(dst, _random_masses(rng, m)))
+    src = distinct_points(n, lambda: gen_point(tree, rng, 8))
+    dst = distinct_points(m, lambda: gen_point(tree, rng, 8))
+    mu = make_measure(tree, zip(src, random_masses(rng, n)))
+    nu = make_measure(tree, zip(dst, random_masses(rng, m)))
     cost = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
     mass_scale = math.lcm(*(x.denominator for _, x in mu.atoms + nu.atoms))
     cost_scale = math.lcm(*(c.denominator for row in cost for c in row))

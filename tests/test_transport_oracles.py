@@ -23,6 +23,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
+from common import monotone_coupling, random_masses
 from conftest import DEEP, profile_settings
 from treeradon import (
     SuiteConfig,
@@ -40,28 +41,6 @@ from treeradon import (
 ATOMS = st.integers(16, 40 if DEEP else 24)
 
 
-def monotone_coupling(xs, ys):
-    """The north-west corner on sorted coordinates: ``xs`` and ``ys`` are
-    ``(coordinate, mass)`` pairs in increasing coordinate order with equal
-    total mass; returns ``[(x, y, mass), ...]``."""
-    couplings = []
-    i = j = 0
-    left, right = xs[0][1], ys[0][1]
-    while True:
-        q = min(left, right)
-        couplings.append((xs[i][0], ys[j][0], q))
-        left -= q
-        right -= q
-        if left == 0:
-            i += 1
-            if i == len(xs):
-                return couplings
-            left = xs[i][1]
-        if right == 0:
-            j += 1
-            right = ys[j][1]
-
-
 def test_monotone_coupling_by_hand():
     xs = [(F(0), F(1, 2)), (F(3), F(1, 2))]
     ys = [(F(1), F(1, 4)), (F(2), F(3, 4))]
@@ -69,14 +48,7 @@ def test_monotone_coupling_by_hand():
         (F(0), F(1), F(1, 4)), (F(0), F(2), F(1, 4)), (F(3), F(2), F(1, 2))]
 
 
-def _masses(rng, count, equal):
-    if equal:
-        return [F(1, count)] * count
-    weights = [rng.randint(1, 9) for _ in range(count)]
-    return [F(w, sum(weights)) for w in weights]
-
-
-def _leafless_tree(seed, rng):
+def _complete_tree(seed, rng):
     return gen_tree(SuiteConfig(seed=seed, max_vertices=12, max_denominator=6),
                     "complete", rng)
 
@@ -88,7 +60,7 @@ def test_plan_on_one_geodesic_is_the_monotone_coupling(seed, n, m, equal):
     flag geodesic and up to four off it, projected onto it and placed back
     on the tree; masses are equal (many degenerate pivots) or random."""
     rng = random.Random(seed)
-    tree = _leafless_tree(seed, rng)
+    tree = _complete_tree(seed, rng)
     geodesic = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
 
     def slice_of(count):
@@ -97,7 +69,8 @@ def test_plan_on_one_geodesic_is_the_monotone_coupling(seed, n, m, equal):
             coordinates.add(F(rng.randint(-60, 60), rng.randint(1, 4)))
         points = [geodesic.point_at(c) for c in sorted(coordinates)]
         points += [gen_point(tree, rng, 6) for _ in range(rng.randint(0, 4))]
-        mu = make_measure(tree, zip(points, _masses(rng, len(points), equal)))
+        masses = [F(1, len(points))] * len(points) if equal else random_masses(rng, len(points))
+        mu = make_measure(tree, zip(points, masses))
         return pushforward_projection(tree, geodesic, mu)
 
     mu_slice, nu_slice = slice_of(n), slice_of(m)
@@ -113,10 +86,11 @@ def test_plan_on_one_geodesic_is_the_monotone_coupling(seed, n, m, equal):
 @profile_settings(20)
 def test_plan_to_a_projection_is_the_projection_map(seed, count, equal):
     rng = random.Random(seed)
-    tree = _leafless_tree(seed, rng)
+    tree = _complete_tree(seed, rng)
     geodesic = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     points = list(dict.fromkeys(gen_point(tree, rng, 6) for _ in range(count)))
-    mu = make_measure(tree, zip(points, _masses(rng, len(points), equal)))
+    masses = [F(1, len(points))] * len(points) if equal else random_masses(rng, len(points))
+    mu = make_measure(tree, zip(points, masses))
     projected = pushforward_projection(tree, geodesic, mu).to_measure(tree)
     plan = optimal_plan(tree, mu, projected)
     expected = sum((mass * tree.distance(y, geodesic.project(y)) ** 2 for y, mass in mu.atoms),
@@ -130,14 +104,14 @@ def test_plan_to_a_projection_is_the_projection_map(seed, count, equal):
 @profile_settings(20)
 def test_projection_is_the_nearest_measure_on_the_geodesic(seed, count, on):
     rng = random.Random(seed)
-    tree = _leafless_tree(seed, rng)
+    tree = _complete_tree(seed, rng)
     geodesic = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     points = list(dict.fromkeys(gen_point(tree, rng, 6) for _ in range(count)))
-    mu = make_measure(tree, zip(points, _masses(rng, len(points), False)))
+    mu = make_measure(tree, zip(points, random_masses(rng, len(points))))
     projected = pushforward_projection(tree, geodesic, mu).to_measure(tree)
     spots = {F(rng.randint(-60, 60), rng.randint(1, 4)) for _ in range(on)}
     nu = make_measure(tree, zip((geodesic.point_at(c) for c in spots),
-                                _masses(rng, len(spots), False)))
+                                random_masses(rng, len(spots))))
 
     def w2(a, b):
         return optimal_plan(tree, a, b).squared_cost
@@ -152,7 +126,7 @@ def test_plan_from_a_dirac_costs_the_second_moment(seed, count, mode):
     tree = gen_tree(SuiteConfig(seed=seed, max_vertices=12, max_denominator=6), mode, rng)
     x = gen_point(tree, rng, 6)
     points = list(dict.fromkeys(gen_point(tree, rng, 6) for _ in range(count)))
-    nu = make_measure(tree, zip(points, _masses(rng, len(points), False)))
+    nu = make_measure(tree, zip(points, random_masses(rng, len(points))))
     moment = second_moment(tree, nu, x)
     assert optimal_plan(tree, dirac(tree, x), nu).squared_cost == moment
     assert optimal_plan(tree, nu, dirac(tree, x)).squared_cost == moment

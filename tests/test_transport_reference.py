@@ -17,6 +17,7 @@ from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
 
+from common import distinct_points, random_masses
 from treeradon import (
     SuiteConfig,
     TransportPlan,
@@ -69,27 +70,13 @@ def outcome(call, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def _distinct_points(tree, rng, count):
-    points = []
-    while len(points) < count:
-        p = gen_point(tree, rng, 6)
-        if p not in points:
-            points.append(p)
-    return points
-
-
-def _masses(rng, count):
-    weights = [rng.randint(1, 9) for _ in range(count)]
-    return [F(w, sum(weights)) for w in weights]
-
-
 def _hand_built_plan(tree, rng, n):
     """n couplings between random points, sources and targets drawn
     independently, so the pairing is almost never optimal. A source or
     target may repeat, as in a plan that splits an atom's mass."""
     sources = [gen_point(tree, rng, 6) for _ in range(n)]
     targets = [gen_point(tree, rng, 6) for _ in range(n)]
-    masses = _masses(rng, n)
+    masses = random_masses(rng, n)
     couplings = tuple(zip(sources, targets, masses))
     cost = sum((m * tree.distance(p, q) ** 2 for p, q, m in couplings), F(0))
     return TransportPlan(make_measure(tree, zip(sources, masses)),
@@ -113,9 +100,10 @@ def test_cyclical_monotonicity_matches_reference(seed, mode, n, kind):
     if kind:
         plan = _hand_built_plan(tree, rng, n)
     else:
-        mu, nu = (make_measure(tree, zip(points, _masses(rng, len(points))))
-                  for points in (_distinct_points(tree, rng, rng.randint(1, 4)),
-                                 _distinct_points(tree, rng, rng.randint(1, 4))))
+        supports = [distinct_points(rng.randint(1, 4), lambda: gen_point(tree, rng, 6))
+                    for _ in range(2)]
+        mu, nu = (make_measure(tree, zip(points, random_masses(rng, len(points))))
+                  for points in supports)
         plan = optimal_plan(tree, mu, nu)
     for max_cycle_len in (2, 3):
         assert (outcome(is_cyclically_monotone, tree, plan, max_cycle_len)
@@ -142,11 +130,11 @@ def test_identical_measures_get_the_identity_plan(seed, mode, extra):
         points.append(tree.point(rec.id, rec.length * F(rng.randint(1, 5), 6)))
     if rays:
         points.append(tree.point(rng.choice(rays).id, F(rng.randint(1, 12), rng.randint(1, 6))))
-    points += _distinct_points(tree, rng, extra)
+    points += distinct_points(extra, lambda: gen_point(tree, rng, 6))
     points = list(dict.fromkeys(points))
     if extra == 0:
         points = points[:1]
-    mu = make_measure(tree, zip(points, _masses(rng, len(points))))
+    mu = make_measure(tree, zip(points, random_masses(rng, len(points))))
     plan = optimal_plan(tree, mu, mu)
     assert plan == TransportPlan(mu, mu, tuple((p, p, m) for p, m in mu.atoms), F(0))
     assert type(plan.squared_cost) is F

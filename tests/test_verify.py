@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
+from common import monotone_coupling
 from conftest import DEEP, profile_settings
-from test_transport_oracles import monotone_coupling
 from treeradon import (
     GenerationError,
     GeodesicError,
@@ -22,6 +22,7 @@ from treeradon import (
     comparison_point_distance_sq,
     dirac,
     enumerate_flags,
+    flag_mass,
     gen_tree,
     geodesic_through_flag,
     make_measure,
@@ -245,10 +246,22 @@ def constant(value):
     return lambda *args, **kwargs: value
 
 
+def in_turn(*answers):
+    """A stand-in that gives ``answers`` in turn, over and over."""
+    answers = itertools.cycle(answers)
+    return lambda *args: next(answers)
+
+
 def counting():
     """A stand-in for ``w2_squared`` whose every answer exceeds the last."""
     count = itertools.count()
     return lambda *args: F(next(count))
+
+
+def every_other_off_by_one(fn):
+    """``fn`` with every second answer one too large."""
+    calls = itertools.count()
+    return lambda *args: fn(*args) + next(calls) % 2
 
 
 def negated_perpendicular(tree, flag):
@@ -261,31 +274,74 @@ def fresh_atoms(tree, geodesic, mu):
     return SimpleNamespace(atoms=object(), to_measure=lambda tree: mu)
 
 
-# Per property: the one function in verify's namespace whose answer it
-# checks, and a stand-in that makes the check fail on the first trial.
+# Per property: stand-ins that each make one of its checks fail on the
+# first trial, and a phrase of the detail that check reports. A stand-in
+# maps names reached from verify's namespace to their replacements; a
+# Tree.distance stand-in answers the property's distance queries in the
+# order it asks them.
 FORCED = {
-    "tree.metric_axioms": ("path", returning(length=F(-1))),
-    "tree.projection_lipschitz": ("geodesic_through_flag", returning(project=lambda p: object())),
-    "tree.perpendicular_level_set": ("perpendicular", negated_perpendicular),
-    "tree.cat0_inequality": ("check_cat0_triangle", returning(holds=False)),
-    "measures.pushforward_mass": ("pushforward_projection", returning(total_mass=F(0))),
-    "measures.pushforward_idempotent": ("pushforward_projection", fresh_atoms),
-    "measures.pushforward_contracts": ("w2_squared", counting()),
-    "transport.plan_marginals": ("optimal_plan", returning(couplings=())),
-    "transport.w2_triangle": ("w2_triangle_holds", constant(False)),
-    "transport.geodesic_property": ("w2_squared", constant(F(-1))),
-    "transport.optimal_plan_monotone": ("is_cyclically_monotone", constant(False)),
-    "transport.solver_matches_enumeration": ("w2_squared", constant(F(-1))),
-    "transport.dirac_extension": ("check_dirac_preserved_extension", returning(passed=False)),
-    "radon.roundtrip": ("radon_invert", constant(VertexFunction({"nowhere": F(1)}))),
-    "radon.double_counting": ("double_count_check", returning(holds=False, lhs=F(0), rhs=F(1))),
-    "radon.injectivity_fixed_total": ("radon_forward", constant(None)),
-    "radon.reconstruction_roundtrip": ("reconstruct_measure",
-                                       returning(measure=SimpleNamespace(atoms=()))),
-    "radon.flag_mass_refinement": ("flag_mass", constant(F(-1))),
-    "verify.thales_criterion": ("check_thales", returning(relation="gt")),
-    "verify.cat0_strictness_calibration": ("comparison_point_distance_sq", constant(F(-1))),
+    "tree.metric_axioms": [
+        ({"path": returning(length=F(-1))}, "path length != distance"),
+        ({"Tree.distance": in_turn(F(0), F(1))}, "asymmetry at"),
+        ({"Tree.distance": constant(F(1))}, "d(p,p) != 0 at"),
+        ({"Tree.distance": constant(F(0))}, "zero distance"),
+        ({"Tree.distance": in_turn(F(1), F(1), F(0), F(3), F(1))}, "triangle violated at"),
+    ],
+    "tree.projection_lipschitz": [
+        ({"geodesic_through_flag": returning(project=lambda p: object())},
+         "projection not idempotent"),
+        ({"Tree.distance": in_turn(F(1), F(0))}, "projection expands"),
+    ],
+    "tree.perpendicular_level_set": [
+        ({"perpendicular": negated_perpendicular}, "perpendicular membership")],
+    "tree.cat0_inequality": [
+        ({"check_cat0_triangle": returning(holds=False)}, "inequality violated at t=0"),
+        ({"points_aligned": constant(True),
+          "check_cat0_triangle": returning(holds=True, lhs=F(0), rhs=F(1))},
+         "aligned triple not equal at t=0"),
+        ({"points_aligned": constant(False),
+          "check_cat0_triangle": returning(holds=True, lhs=F(0), rhs=F(0), strict=False)},
+         "non-aligned triple not strict at t=1/4"),
+    ],
+    "measures.pushforward_mass": [
+        ({"pushforward_projection": returning(total_mass=F(0))}, "pushforward mass 0")],
+    "measures.pushforward_idempotent": [
+        ({"pushforward_projection": fresh_atoms}, "projection is not idempotent")],
+    "measures.pushforward_contracts": [({"w2_squared": counting()}, "pushforward expanded")],
+    "transport.plan_marginals": [({"optimal_plan": returning(couplings=())}, "marginals drifted")],
+    "transport.w2_triangle": [({"w2_triangle_holds": constant(False)}, "triangle fails")],
+    "transport.geodesic_property": [({"w2_squared": constant(F(-1))}, "interpolation: W2^2")],
+    "transport.optimal_plan_monotone": [
+        ({"is_cyclically_monotone": constant(False)}, "optimal plan not monotone")],
+    "transport.solver_matches_enumeration": [
+        ({"w2_squared": constant(F(-1))}, "simplex -1 != enumeration")],
+    "transport.dirac_extension": [
+        ({"check_dirac_preserved_extension": returning(passed=False)},
+         "dirac extension check failed")],
+    "radon.roundtrip": [
+        ({"radon_invert": constant(VertexFunction({"nowhere": F(1)}))}, "round trip failed")],
+    "radon.double_counting": [
+        ({"double_count_check": returning(holds=False, lhs=F(0), rhs=F(1))},
+         "identity fails at")],
+    "radon.injectivity_fixed_total": [
+        ({"radon_forward": constant(None)}, "distinct functions with equal total share a table")],
+    "radon.reconstruction_roundtrip": [
+        ({"reconstruct_measure": returning(measure=SimpleNamespace(atoms=()))},
+         "reconstruction mismatch")],
+    "radon.flag_mass_refinement": [
+        ({"flag_mass": constant(F(-1))}, "disagrees with branch masses"),
+        ({"flag_mass": every_other_off_by_one(flag_mass)}, "refinement step"),
+    ],
+    "verify.thales_criterion": [
+        ({"check_thales": returning(relation="gt")}, "branching configuration gave gt")],
+    "verify.cat0_strictness_calibration": [
+        ({"comparison_point_distance_sq": constant(F(-1))},
+         "comparison-triangle coordinates disagree at t=0")],
 }
+FORCED_CASES = [
+    pytest.param(name, stand_ins, detail, id=name if k == 0 else f"{name}-{k + 1}")
+    for name, cases in sorted(FORCED.items()) for k, (stand_ins, detail) in enumerate(cases)
+]
 
 
 def run_alone(monkeypatch, name, check, config):
@@ -298,17 +354,18 @@ def run_alone(monkeypatch, name, check, config):
 
 def test_every_property_is_forced_once():
     assert sorted(FORCED) == sorted(name for name, _ in verify._PROPERTIES)
+    assert all(FORCED.values())
 
 
-@pytest.mark.parametrize("name", sorted(FORCED))
-def test_a_forced_failure_is_reported(monkeypatch, tmp_path, name):
-    target, stand_in = FORCED[name]
-    monkeypatch.setattr(verify, target, stand_in)
+@pytest.mark.parametrize("name, stand_ins, detail", FORCED_CASES)
+def test_a_forced_failure_is_reported(monkeypatch, tmp_path, name, stand_ins, detail):
+    for target, stand_in in stand_ins.items():
+        monkeypatch.setattr(f"treeradon.verify.{target}", stand_in)
     report, result = run_alone(monkeypatch, name, dict(verify._PROPERTIES)[name],
                                SuiteConfig(seed=1, trials=1))
     assert (result.passes, result.failures) == (0, 1)
     example = result.counterexample
-    assert example["detail"] and "tree" in example
+    assert detail in example["detail"] and "tree" in example
     assert example["seed"] == f"1:{name}:0"
     out = tmp_path / "report.json"
     io.save_json(report.to_dict(), out)
