@@ -83,9 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("verify", parents=[bounds], help="run the property suite")
-    # 20, not SuiteConfig's 25: a bare `verify` has always run 20 trials, and
-    # its report stays byte-identical.
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=defaults.trials)
     p.add_argument("--max-atoms", type=int, default=defaults.max_atoms)
     p.add_argument("--inject-fault", action="store_true",
                    help="self-test: mutate one check so the suite must fail")

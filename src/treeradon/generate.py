@@ -10,6 +10,7 @@ attached until every vertex reaches the minimum valency.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ class SuiteConfig:
     max_valency: int = 5
     max_atoms: int = 4
     max_denominator: int = 12
-    trials: int = 25
+    trials: int = 20
     inject_fault: bool = False
 
     def __post_init__(self) -> None:
@@ -140,8 +141,17 @@ def gen_measure(config: SuiteConfig, tree: Tree, rng: random.Random,
     Masses come from normalizing random positive rationals, so they sum to
     one exactly; duplicate locations merge.
     """
+    return _gen_measure_at(config, tree, rng,
+                           lambda: gen_point(tree, rng, config.max_denominator), max_atoms)
+
+
+def _gen_measure_at(config: SuiteConfig, tree: Tree, rng: random.Random,
+                    draw_point: Callable[[], TreePoint],
+                    max_atoms: int | None = None) -> Measure:
+    """``gen_measure`` with its atoms at ``draw_point()``: the atom count,
+    then the points, then the weights, all drawn from ``rng``."""
     count = rng.randint(1, max_atoms if max_atoms is not None else config.max_atoms)
-    points = [gen_point(tree, rng, config.max_denominator) for _ in range(count)]
+    points = [draw_point() for _ in range(count)]
     weights = [random_rational(rng, config.max_denominator) for _ in points]
     total = sum(weights)
     return make_measure(tree, ((p, w / total) for p, w in zip(points, weights)))

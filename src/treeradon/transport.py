@@ -398,16 +398,26 @@ class CycleViolation:
         return False
 
 
+def _squared_distances(tree: Tree, sources, targets) -> tuple[list[list[int]], int]:
+    """``(table, scale)`` with ``table[i][j] == scale · d²(sources[i],
+    targets[j])`` as ints, each d² from ``tree.distance`` and ``scale`` the
+    lcm of their denominators: the exhaustive searches' table, which shares
+    no code with the simplex's ``_cost_matrix``."""
+    squares = [[tree.distance(p, q) ** 2 for q in targets] for p in sources]
+    scale = math.lcm(*(c.denominator for row in squares for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in squares], scale
+
+
 def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int = 2,
                            exhaustive: bool = False):
     """Check all cycles of support pairs up to ``max_cycle_len``.
 
     Returns True when no cycle improves, else a :class:`CycleViolation`
     witness. ``exhaustive=True`` checks every cycle length but refuses
-    supports larger than 8. The table of squared distances is taken once
-    from ``tree.distance`` and put over the lcm of its denominators, so
-    cycles are summed and compared as ints; a witness carries its costs
-    back as Fractions over that scale.
+    supports larger than 8. The table of squared distances
+    (``_squared_distances``) is taken once, so cycles are summed and
+    compared as ints; a witness carries its costs back as Fractions over
+    the table's scale.
     """
     pairs = [(p, q) for p, q, _ in plan.couplings]
     n = len(pairs)
@@ -418,10 +428,8 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
     else:
         top = min(max_cycle_len, n)
 
-    # cost[a][b] = scale · d²(source of pair a, target of pair b), each d² taken once
-    squares = [[tree.distance(p, q) ** 2 for _, q in pairs] for p, _ in pairs]
-    scale = math.lcm(*(c.denominator for row in squares for c in row))
-    cost = [_scaled(row, scale) for row in squares]
+    # cost[a][b] = scale · d²(source of pair a, target of pair b)
+    cost, scale = _squared_distances(tree, [p for p, _ in pairs], [q for _, q in pairs])
     for length in range(2, top + 1):
         for combo in itertools.combinations(range(n), length):
             base = sum(cost[k][k] for k in combo)

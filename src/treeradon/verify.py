@@ -8,8 +8,9 @@ inequality for the transport metric, exact geodesic scaling, cyclical
 monotonicity, solver-vs-enumeration agreement, the Radon round trip,
 double counting, injectivity at fixed total, measure reconstruction, flag
 mass refinement, the Thales midpoint criterion and Dirac extension
-behaviour. Failures carry reproducible seeds and are shrunk by reducing
-vertex count first, then denominators, then atom count.
+behaviour. One trial runner draws each trial's tree before its check
+runs; failures carry that tree and a reproducible seed, and are shrunk by
+reducing vertex count first, then denominators, then atom count.
 
 Equality-vs-strictness is always decided on squared quantities in exact
 rationals; there is no tolerance anywhere.
@@ -20,13 +21,16 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from typing import NamedTuple
 
 from .errors import GenerationError, GeodesicError
 from .generate import (
     SuiteConfig,
+    _gen_measure_at,
     gen_measure,
     gen_point,
     gen_tree,
@@ -42,7 +46,7 @@ from .geodesics import (
     perpendicular,
     points_aligned,
 )
-from .measures import Measure, dirac, make_measure, pushforward_projection
+from .measures import Measure, dirac, pushforward_projection
 from .radon import (
     double_count_check,
     enumerate_flags,
@@ -54,10 +58,11 @@ from .radon import (
     vertex_function,
 )
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint
+from .tree import Tree, TreePoint
 from .transport import (
     NonextendabilityWitness,
     WassersteinGeodesic,
+    _squared_distances,
     check_nonextendable,
     dilate,
     is_cyclically_monotone,
@@ -103,17 +108,16 @@ def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
     points of the transportation polytope, found by enumerating saturating
     allocation orders with memoization. It shares no code with the simplex,
     its cost matrix included: the squared distances come from
-    ``tree.distance``. The search runs on ints, the masses over the lcm of
-    their denominators and the squared distances over the lcm of theirs;
+    ``tree.distance`` (``transport._squared_distances``, the cycle
+    certificate's table). The search runs on ints, the masses over the lcm
+    of their denominators and the squared distances over the lcm of theirs;
     scaling by a positive constant keeps every comparison and tie, and the
     minimum comes back over the product of the two scales. Exponential;
     supports of size > 6 are refused.
     """
     if len(mu) > 6 or len(nu) > 6:
         raise ValueError("enumeration oracle is limited to small supports")
-    squares = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
-    cost_scale = math.lcm(*(c.denominator for row in squares for c in row))
-    cost = [[c.numerator * (cost_scale // c.denominator) for c in row] for row in squares]
+    cost, cost_scale = _squared_distances(tree, mu.support, nu.support)
     masses = [m for _, m in mu.atoms + nu.atoms]
     mass_scale = math.lcm(*(m.denominator for m in masses))
     ints = tuple(m.numerator * (mass_scale // m.denominator) for m in masses)
@@ -250,60 +254,45 @@ def _measure_payload(measure: Measure):
     return [[repr(p), str(m)] for p, m in measure.atoms]
 
 
-def _random_flag(tree: Tree, rng: random.Random) -> Flag:
-    flags = enumerate_flags(tree)
-    return rng.choice(flags)
-
-
 def _random_coordinate(rng: random.Random, cfg: SuiteConfig) -> Fraction:
     sign = rng.choice((-1, 1))
     return sign * random_rational(rng, cfg.max_denominator)
 
 
-def _measure_on_geodesic(cfg, tree, geodesic, rng) -> Measure:
-    count = rng.randint(1, cfg.max_atoms)
-    points = [geodesic.point_at(_random_coordinate(rng, cfg)) for _ in range(count)]
-    weights = [random_rational(rng, cfg.max_denominator) for _ in points]
-    total = sum(weights)
-    return make_measure(tree, ((p, w / total) for p, w in zip(points, weights)))
+# Each check takes the trial's drawn tree and returns None on a pass or the
+# fields of its counterexample; ``_trial`` adds the tree.
 
-
-def _prop_metric_axioms(cfg, rng):
-    mode = rng.choice(("finite", "complete"))
-    tree = gen_tree(cfg, mode, rng)
+def _prop_metric_axioms(cfg, tree, rng):
     p, q, r = (gen_point(tree, rng, cfg.max_denominator) for _ in range(3))
     dpq = tree.distance(p, q)
     if dpq != tree.distance(q, p):
-        return {"tree": tree.describe(), "detail": f"asymmetry at {p!r}, {q!r}"}
+        return {"detail": f"asymmetry at {p!r}, {q!r}"}
     if tree.distance(p, p) != 0:
-        return {"tree": tree.describe(), "detail": f"d(p,p) != 0 at {p!r}"}
+        return {"detail": f"d(p,p) != 0 at {p!r}"}
     if dpq == 0 and p != q:
-        return {"tree": tree.describe(), "detail": f"zero distance {p!r} != {q!r}"}
+        return {"detail": f"zero distance {p!r} != {q!r}"}
     if tree.distance(p, r) > dpq + tree.distance(q, r):
-        return {"tree": tree.describe(), "detail": f"triangle violated at {p!r},{q!r},{r!r}"}
+        return {"detail": f"triangle violated at {p!r},{q!r},{r!r}"}
     seg = path(tree, p, q)
     if seg.length != dpq:
-        return {"tree": tree.describe(), "detail": "path length != distance"}
+        return {"detail": "path length != distance"}
     return None
 
 
-def _prop_projection_lipschitz(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
-    geo = geodesic_through_flag(tree, _random_flag(tree, rng))
+def _prop_projection_lipschitz(cfg, tree, rng):
+    geo = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     p = gen_point(tree, rng, cfg.max_denominator)
     q = gen_point(tree, rng, cfg.max_denominator)
     pp, qq = geo.project(p), geo.project(q)
     if geo.project(pp) != pp:
-        return {"tree": tree.describe(), "detail": f"projection not idempotent at {p!r}"}
+        return {"detail": f"projection not idempotent at {p!r}"}
     if tree.distance(pp, qq) > tree.distance(p, q):
-        return {"tree": tree.describe(),
-                "detail": f"projection expands {p!r},{q!r}"}
+        return {"detail": f"projection expands {p!r},{q!r}"}
     return None
 
 
-def _prop_perpendicular_level_set(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
-    flag = _random_flag(tree, rng)
+def _prop_perpendicular_level_set(cfg, tree, rng):
+    flag = rng.choice(enumerate_flags(tree))
     geo = geodesic_through_flag(tree, flag)
     perp = perpendicular(tree, flag)
     root = tree.vertex_point(flag.vertex)
@@ -312,74 +301,55 @@ def _prop_perpendicular_level_set(cfg, rng):
     for point in samples:
         in_level_set = geo.project(point) == root
         if perp.contains(point) != in_level_set:
-            return {
-                "tree": tree.describe(),
-                "detail": f"{point!r}: perpendicular membership {perp.contains(point)} "
-                          f"but projection-to-root {in_level_set} for {flag!r}",
-            }
+            return {"detail": f"{point!r}: perpendicular membership {perp.contains(point)} "
+                              f"but projection-to-root {in_level_set} for {flag!r}"}
     return None
 
 
-def _cat0_case(cfg, rng, calibrate):
-    mode = rng.choice(("finite", "complete"))
-    tree = gen_tree(cfg, mode, rng)
+def _cat0_case(cfg, tree, rng, calibrate):
     x, y, z = (gen_point(tree, rng, cfg.max_denominator) for _ in range(3))
     aligned = points_aligned(tree, x, y, z)
     for t in (_ZERO, Fraction(1, 4), _HALF, Fraction(3, 4), Fraction(1)):
         res = check_cat0_triangle(tree, x, y, z, t)
         if not res.holds:
-            return {"tree": tree.describe(), "detail": f"inequality violated at t={t}"}
+            return {"detail": f"inequality violated at t={t}"}
         interior = 0 < t < 1
         if aligned and res.lhs != res.rhs:
-            return {"tree": tree.describe(), "detail": f"aligned triple not equal at t={t}"}
+            return {"detail": f"aligned triple not equal at t={t}"}
         if not aligned and interior and not res.strict:
-            return {"tree": tree.describe(),
-                    "detail": f"non-aligned triple not strict at t={t}"}
+            return {"detail": f"non-aligned triple not strict at t={t}"}
         if calibrate:
             dyx = tree.distance(y, x)
             dyz = tree.distance(y, z)
             dxz = tree.distance(x, z)
             expected = comparison_point_distance_sq(dyx * dyx, dyz * dyz, dxz * dxz, t)
             if res.rhs != expected:
-                return {"tree": tree.describe(),
-                        "detail": f"comparison-triangle coordinates disagree at t={t}"}
+                return {"detail": f"comparison-triangle coordinates disagree at t={t}"}
     return None
 
 
-def _prop_cat0_inequality(cfg, rng):
-    return _cat0_case(cfg, rng, calibrate=False)
-
-
-def _prop_cat0_calibration(cfg, rng):
-    return _cat0_case(cfg, rng, calibrate=True)
-
-
-def _prop_pushforward_mass(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
-    geo = geodesic_through_flag(tree, _random_flag(tree, rng))
+def _prop_pushforward_mass(cfg, tree, rng):
+    geo = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     mu = gen_measure(cfg, tree, rng)
     sample = pushforward_projection(tree, geo, mu)
     if sample.total_mass != 1:
-        return {"tree": tree.describe(), "mu": _measure_payload(mu),
-                "detail": f"pushforward mass {sample.total_mass}"}
+        return {"mu": _measure_payload(mu), "detail": f"pushforward mass {sample.total_mass}"}
     return None
 
 
-def _prop_pushforward_idempotent(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
-    geo = geodesic_through_flag(tree, _random_flag(tree, rng))
+def _prop_pushforward_idempotent(cfg, tree, rng):
+    geo = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     mu = gen_measure(cfg, tree, rng)
     once = pushforward_projection(tree, geo, mu)
     again = pushforward_projection(tree, geo, once.to_measure(tree))
     if once.atoms != again.atoms:
-        return {"tree": tree.describe(), "mu": _measure_payload(mu),
+        return {"mu": _measure_payload(mu),
                 "detail": "projection is not idempotent on its own image"}
     return None
 
 
-def _prop_pushforward_contracts(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
-    geo = geodesic_through_flag(tree, _random_flag(tree, rng))
+def _prop_pushforward_contracts(cfg, tree, rng):
+    geo = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     mu = gen_measure(cfg, tree, rng, max_atoms=3)
     nu = gen_measure(cfg, tree, rng, max_atoms=3)
     before = w2_squared(tree, mu, nu)
@@ -389,12 +359,11 @@ def _prop_pushforward_contracts(cfg, rng):
         pushforward_projection(tree, geo, nu).to_measure(tree),
     )
     if after > before:
-        return {"tree": tree.describe(), "detail": f"pushforward expanded {before} -> {after}"}
+        return {"detail": f"pushforward expanded {before} -> {after}"}
     return None
 
 
-def _prop_plan_marginals(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_plan_marginals(cfg, tree, rng):
     mu = gen_measure(cfg, tree, rng)
     nu = gen_measure(cfg, tree, rng)
     plan = optimal_plan(tree, mu, nu)  # marginals are verified on construction
@@ -404,24 +373,22 @@ def _prop_plan_marginals(cfg, rng):
         left[p] = left.get(p, _ZERO) + m
         right[q] = right.get(q, _ZERO) + m
     if left != dict(mu.atoms) or right != dict(nu.atoms):
-        return {"tree": tree.describe(), "detail": "marginals drifted"}
+        return {"detail": "marginals drifted"}
     return None
 
 
-def _prop_w2_triangle(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_w2_triangle(cfg, tree, rng):
     mu, nu, kappa = (gen_measure(cfg, tree, rng, max_atoms=3) for _ in range(3))
     a = w2_squared(tree, mu, kappa)
     b = w2_squared(tree, mu, nu)
     c = w2_squared(tree, nu, kappa)
     if not w2_triangle_holds(a, b, c):
-        return {"tree": tree.describe(), "detail": f"triangle fails: {a}, {b}, {c}"}
+        return {"detail": f"triangle fails: {a}, {b}, {c}"}
     return None
 
 
-def _prop_geodesic_property(cfg, rng):
+def _prop_geodesic_property(cfg, tree, rng):
     # the Dirac extension past time 1 is transport.dirac_extension's check
-    tree = gen_tree(cfg, "complete", rng)
     mu = gen_measure(cfg, tree, rng, max_atoms=3)
     nu = gen_measure(cfg, tree, rng, max_atoms=3)
     family = WassersteinGeodesic(tree, optimal_plan(tree, mu, nu))
@@ -430,39 +397,33 @@ def _prop_geodesic_property(cfg, rng):
     failure = _scaling_failure(tree, snaps, family.plan.squared_cost)
     if failure is not None:
         s, t, got, want = failure
-        return {"tree": tree.describe(),
-                "detail": f"interpolation: W2^2({s},{t}) = {got}, expected {want}"}
+        return {"detail": f"interpolation: W2^2({s},{t}) = {got}, expected {want}"}
     return None
 
 
-def _prop_optimal_monotone(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_optimal_monotone(cfg, tree, rng):
     mu = gen_measure(cfg, tree, rng, max_atoms=4)
     nu = gen_measure(cfg, tree, rng, max_atoms=4)
     plan = optimal_plan(tree, mu, nu)
     exhaustive = len(plan.couplings) <= 6
     verdict = is_cyclically_monotone(tree, plan, max_cycle_len=3, exhaustive=exhaustive)
     if verdict is not True:
-        return {"tree": tree.describe(),
-                "detail": f"optimal plan not monotone: {verdict!r}"}
+        return {"detail": f"optimal plan not monotone: {verdict!r}"}
     return None
 
 
-def _prop_solver_enumeration(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_solver_enumeration(cfg, tree, rng):
     mu = gen_measure(cfg, tree, rng, max_atoms=4)
     nu = gen_measure(cfg, tree, rng, max_atoms=4)
     fast = w2_squared(tree, mu, nu)
     slow = w2_squared_enumerated(tree, mu, nu)
     if fast != slow:
-        return {"tree": tree.describe(), "mu": _measure_payload(mu),
-                "nu": _measure_payload(nu),
+        return {"mu": _measure_payload(mu), "nu": _measure_payload(nu),
                 "detail": f"simplex {fast} != enumeration {slow}"}
     return None
 
 
-def _prop_radon_roundtrip(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_radon_roundtrip(cfg, tree, rng):
     h = gen_vertex_function(cfg, tree, rng)
     recovered = radon_invert(tree, radon_forward(tree, h), h.total)
     if cfg.inject_fault:
@@ -473,27 +434,24 @@ def _prop_radon_roundtrip(cfg, rng):
         mutated[victim] = mutated.get(victim, _ZERO) + 1
         recovered = vertex_function(tree, mutated)
     if recovered != h:
-        return {"tree": tree.describe(),
-                "h": _jsonable(dict(h.values)),
+        return {"h": _jsonable(dict(h.values)),
                 "recovered": _jsonable(dict(recovered.values)),
                 "detail": "round trip failed"}
     return None
 
 
-def _prop_double_counting(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_double_counting(cfg, tree, rng):
     h = gen_vertex_function(cfg, tree, rng)
     table = radon_forward(tree, h)
     for x in tree.vertices:
         identity = double_count_check(tree, h, x, table=table)
         if not identity.holds:
-            return {"tree": tree.describe(), "h": _jsonable(dict(h.values)),
+            return {"h": _jsonable(dict(h.values)),
                     "detail": f"identity fails at {x!r}: {identity.lhs} != {identity.rhs}"}
     return None
 
 
-def _prop_radon_injectivity(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_radon_injectivity(cfg, tree, rng):
     if len(tree.vertices) < 2:
         return None  # needs two vertices to shift mass between
     h = gen_vertex_function(cfg, tree, rng)
@@ -505,24 +463,20 @@ def _prop_radon_injectivity(cfg, rng):
     l = vertex_function(tree, shifted)
     # delta > 0 and a != b, so l(a) != h(a): the two functions differ
     if radon_forward(tree, h) == radon_forward(tree, l):
-        return {"tree": tree.describe(),
-                "detail": "distinct functions with equal total share a table"}
+        return {"detail": "distinct functions with equal total share a table"}
     return None
 
 
-def _prop_reconstruction(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_reconstruction(cfg, tree, rng):
     mu = gen_measure(cfg, tree, rng)
     result = reconstruct_measure(tree, radon_oracle(tree, mu))
     if result.measure != mu:
-        return {"tree": tree.describe(), "mu": _measure_payload(mu),
-                "got": _measure_payload(result.measure),
+        return {"mu": _measure_payload(mu), "got": _measure_payload(result.measure),
                 "detail": "reconstruction mismatch"}
     return None
 
 
-def _prop_flag_mass_refinement(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_flag_mass_refinement(cfg, tree, rng):
     mu = gen_measure(cfg, tree, rng)
     x = rng.choice(tree.vertices)
     e, f, g = rng.sample(list(tree.incident_edges(x)), 3)
@@ -542,25 +496,22 @@ def _prop_flag_mass_refinement(cfg, rng):
     m_ef = flag_mass(tree, mu, tree.flag(x, e, f))
     m_eg = flag_mass(tree, mu, tree.flag(x, e, g))
     if m_ef != 1 - branch_mass(e) - branch_mass(f):
-        return {"tree": tree.describe(), "detail": f"flag mass at ({x!r},{{{e},{f}}}) "
-                                                   "disagrees with branch masses"}
+        return {"detail": f"flag mass at ({x!r},{{{e},{f}}}) disagrees with branch masses"}
     if m_ef - m_eg != branch_mass(g) - branch_mass(f):
-        return {"tree": tree.describe(),
-                "detail": "refinement step is not the exchanged component mass"}
+        return {"detail": "refinement step is not the exchanged component mass"}
     return None
 
 
-def _prop_thales(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
-    geo = geodesic_through_flag(tree, _random_flag(tree, rng))
+def _prop_thales(cfg, tree, rng):
+    geo = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     if rng.random() < 0.5:
-        mu = _measure_on_geodesic(cfg, tree, geo, rng)
+        mu = _gen_measure_at(cfg, tree, rng, lambda: geo.point_at(_random_coordinate(rng, cfg)))
         c1 = _random_coordinate(rng, cfg)
         c2 = c1 + random_rational(rng, cfg.max_denominator)
         x, g = geo.point_at(c1), geo.point_at(c2)
         res = check_thales(tree, geo, x, g, mu)
         if res.relation != "eq":
-            return {"tree": tree.describe(), "mu": _measure_payload(mu),
+            return {"mu": _measure_payload(mu),
                     "detail": f"supported measure gave {res.relation}"}
     else:
         mu = gen_measure(cfg, tree, rng)
@@ -575,43 +526,52 @@ def _prop_thales(cfg, rng):
         g = geo.point_at(cw + arm + 1)  # d(x,g) = arm+2 > d(x,y) = arm+1
         res = check_thales(tree, geo, x, g, mu)
         if res.relation != "lt":
-            return {"tree": tree.describe(), "mu": _measure_payload(mu),
+            return {"mu": _measure_payload(mu),
                     "detail": f"branching configuration gave {res.relation}"}
     return None
 
 
-def _prop_dirac_extension(cfg, rng):
-    tree = gen_tree(cfg, "complete", rng)
+def _prop_dirac_extension(cfg, tree, rng):
     x = gen_point(tree, rng, cfg.max_denominator)
     mu = gen_measure(cfg, tree, rng, max_atoms=3)
     outcome = check_dirac_preserved_extension(tree, x, mu, horizon=2)
     if not outcome.passed:
-        return {"tree": tree.describe(), "mu": _measure_payload(mu),
-                "detail": "dirac extension check failed"}
+        return {"mu": _measure_payload(mu), "detail": "dirac extension check failed"}
     return None
 
 
+class _Property(NamedTuple):
+    """One row of the suite: its name, its check, and whether the drawn
+    tree may have leaves (finite or complete, chosen per trial) or is
+    always complete."""
+
+    name: str
+    check: Callable
+    leafy: bool = False
+
+
 _PROPERTIES = (
-    ("tree.metric_axioms", _prop_metric_axioms),
-    ("tree.projection_lipschitz", _prop_projection_lipschitz),
-    ("tree.perpendicular_level_set", _prop_perpendicular_level_set),
-    ("tree.cat0_inequality", _prop_cat0_inequality),
-    ("measures.pushforward_mass", _prop_pushforward_mass),
-    ("measures.pushforward_idempotent", _prop_pushforward_idempotent),
-    ("measures.pushforward_contracts", _prop_pushforward_contracts),
-    ("transport.plan_marginals", _prop_plan_marginals),
-    ("transport.w2_triangle", _prop_w2_triangle),
-    ("transport.geodesic_property", _prop_geodesic_property),
-    ("transport.optimal_plan_monotone", _prop_optimal_monotone),
-    ("transport.solver_matches_enumeration", _prop_solver_enumeration),
-    ("transport.dirac_extension", _prop_dirac_extension),
-    ("radon.roundtrip", _prop_radon_roundtrip),
-    ("radon.double_counting", _prop_double_counting),
-    ("radon.injectivity_fixed_total", _prop_radon_injectivity),
-    ("radon.reconstruction_roundtrip", _prop_reconstruction),
-    ("radon.flag_mass_refinement", _prop_flag_mass_refinement),
-    ("verify.thales_criterion", _prop_thales),
-    ("verify.cat0_strictness_calibration", _prop_cat0_calibration),
+    _Property("tree.metric_axioms", _prop_metric_axioms, leafy=True),
+    _Property("tree.projection_lipschitz", _prop_projection_lipschitz),
+    _Property("tree.perpendicular_level_set", _prop_perpendicular_level_set),
+    _Property("tree.cat0_inequality", partial(_cat0_case, calibrate=False), leafy=True),
+    _Property("measures.pushforward_mass", _prop_pushforward_mass),
+    _Property("measures.pushforward_idempotent", _prop_pushforward_idempotent),
+    _Property("measures.pushforward_contracts", _prop_pushforward_contracts),
+    _Property("transport.plan_marginals", _prop_plan_marginals),
+    _Property("transport.w2_triangle", _prop_w2_triangle),
+    _Property("transport.geodesic_property", _prop_geodesic_property),
+    _Property("transport.optimal_plan_monotone", _prop_optimal_monotone),
+    _Property("transport.solver_matches_enumeration", _prop_solver_enumeration),
+    _Property("transport.dirac_extension", _prop_dirac_extension),
+    _Property("radon.roundtrip", _prop_radon_roundtrip),
+    _Property("radon.double_counting", _prop_double_counting),
+    _Property("radon.injectivity_fixed_total", _prop_radon_injectivity),
+    _Property("radon.reconstruction_roundtrip", _prop_reconstruction),
+    _Property("radon.flag_mass_refinement", _prop_flag_mass_refinement),
+    _Property("verify.thales_criterion", _prop_thales),
+    _Property("verify.cat0_strictness_calibration", partial(_cat0_case, calibrate=True),
+              leafy=True),
 )
 
 
@@ -655,34 +615,41 @@ class SuiteReport:
         }
 
 
-def _shrink(check, cfg: SuiteConfig, name: str, payload: dict) -> dict:
+def _trial(prop: _Property, cfg: SuiteConfig, seed_key: str, crash: str) -> dict | None:
+    """One trial of ``prop`` on the rng seeded by ``seed_key``: draw the
+    tree, run the check on it, and return None on a pass or the
+    counterexample with the tree added. A crash is a counterexample too,
+    its detail ``crash`` and the exception, with no tree."""
+    rng = random.Random(seed_key)
+    try:
+        mode = rng.choice(("finite", "complete")) if prop.leafy else "complete"
+        tree = gen_tree(cfg, mode, rng)
+        payload = prop.check(cfg, tree, rng)
+        return None if payload is None else {"tree": tree.describe(), **payload}
+    except Exception as exc:
+        return {"detail": f"{crash}: {exc!r}"}
+
+
+# The shrink order: each bound with its floor.
+_SHRINK = (("max_vertices", 2), ("max_denominator", 2), ("max_atoms", 1))
+
+
+def _shrink(prop: _Property, cfg: SuiteConfig, payload: dict) -> dict:
     """Hunt for a smaller counterexample: vertices, then denominators, then
     atoms; each shrink step re-samples a handful of fresh seeds."""
     best = payload
     current = cfg
-    for field, floor in (("max_vertices", 2), ("max_denominator", 2), ("max_atoms", 1)):
+    for field, floor in _SHRINK:
         while getattr(current, field) > floor:
-            reduced = replace(
-                current, **{field: max(floor, getattr(current, field) // 2)}
-            )
-            found = None
-            for probe in range(10):
-                rng = random.Random(f"{cfg.seed}:{name}:shrink:{field}:{probe}")
-                try:
-                    found = check(reduced, rng)
-                except Exception as exc:  # a crash is a counterexample too
-                    found = {"detail": f"exception during shrink: {exc!r}"}
-                if found is not None:
-                    found["shrunk_bounds"] = {
-                        "max_vertices": reduced.max_vertices,
-                        "max_denominator": reduced.max_denominator,
-                        "max_atoms": reduced.max_atoms,
-                    }
-                    break
+            reduced = replace(current, **{field: max(floor, getattr(current, field) // 2)})
+            probes = (_trial(prop, reduced, f"{cfg.seed}:{prop.name}:shrink:{field}:{probe}",
+                             "exception during shrink") for probe in range(10))
+            found = next((p for p in probes if p is not None), None)
             if found is None:
                 break
             current = reduced
-            best = {**found, "seed": best.get("seed")}
+            best = {**found, "shrunk_bounds": {f: getattr(reduced, f) for f, _ in _SHRINK},
+                    "seed": payload["seed"]}
     return best
 
 
@@ -697,24 +664,20 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise GenerationError("the property suite needs max_vertices >= 2 and max_valency >= 3")
     started = time.perf_counter()
     results = []
-    for name, check in _PROPERTIES:
+    for prop in _PROPERTIES:
         passes = failures = 0
         counterexample = None
         for trial in range(config.trials):
-            seed_key = f"{config.seed}:{name}:{trial}"
-            rng = random.Random(seed_key)
-            try:
-                payload = check(config, rng)
-            except Exception as exc:
-                payload = {"detail": f"exception: {exc!r}"}
+            seed_key = f"{config.seed}:{prop.name}:{trial}"
+            payload = _trial(prop, config, seed_key, "exception")
             if payload is None:
                 passes += 1
             else:
                 failures += 1
                 if counterexample is None:
                     payload.setdefault("seed", seed_key)
-                    counterexample = _shrink(check, config, name, payload)
-        results.append(PropertyResult(name, config.trials, passes, failures,
+                    counterexample = _shrink(prop, config, payload)
+        results.append(PropertyResult(prop.name, config.trials, passes, failures,
                                       counterexample))
     duration = time.perf_counter() - started
     return SuiteReport(seed=config.seed, trials=config.trials,

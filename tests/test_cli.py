@@ -637,8 +637,30 @@ def test_default_gen_tree_is_suite_config_default(tmp_path, capsys):
 def test_default_verify_is_suite_config_default_at_20_trials(tmp_path, capsys):
     out, expected = tmp_path / "cli.json", tmp_path / "lib.json"
     assert main(["verify", "--out", str(out)]) == 0
-    io.save_json(run_suite(SuiteConfig(trials=20)).to_dict(), expected)
+    io.save_json(run_suite(SuiteConfig()).to_dict(), expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+# Reports pinned byte for byte: a passing run, the self-test's failing run
+# with its shrunk counterexample, and a run on larger trees and measures.
+# A change to the suite's draws, checks or payloads changes a digest.
+PINNED_REPORTS = [
+    (["--seed", "1", "--trials", "20"], 0,
+     "32e71aaae37c6d0cd3d96addd9340fd10eb34d76c9498caf75f75c1c40fe242b"),
+    (["--inject-fault", "--trials", "20"], 1,
+     "a94630cd9b37ea683664e3bbe657ed8ba279371931b530e5f1401e67837f4935"),
+    (["--seed", "3", "--trials", "20", "--max-vertices", "30", "--max-atoms", "8",
+      "--max-denominator", "30"], 0,
+     "632158246d5441a808edb36148903621e76fadcf13a8c7b9e25e933ba5f11a0a"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", PINNED_REPORTS,
+                         ids=["seed-1", "inject-fault", "seed-3-large"])
+def test_verify_reports_are_pinned(tmp_path, capsys, args, code, digest):
+    out = tmp_path / "report.json"
+    assert main(["verify", *args, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # Every subcommand's arguments by dest: (option strings, default, type,

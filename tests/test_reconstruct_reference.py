@@ -14,6 +14,7 @@ field.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,12 @@ from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
     Flag,
+    Geodesic,
     MeasureError,
     OracleInconsistencyError,
+    RadonSample,
     ReconstructionResult,
+    Tree,
     TreePoint,
     enumerate_flags,
     flag_table,
@@ -42,6 +46,7 @@ from treeradon import (
 )
 from radon_reference import _branch_sums
 from treeradon.radon import EdgeRead, FlagRow, VertexFunction
+from treeradon.tree import VertexId
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

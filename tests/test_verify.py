@@ -344,16 +344,16 @@ FORCED_CASES = [
 ]
 
 
-def run_alone(monkeypatch, name, check, config):
-    """The suite's report on one property."""
-    monkeypatch.setattr(verify, "_PROPERTIES", ((name, check),))
+def run_alone(monkeypatch, prop, config):
+    """The suite's report on one property, a ``verify._PROPERTIES`` row."""
+    monkeypatch.setattr(verify, "_PROPERTIES", (prop,))
     report = run_suite(config)
     (result,) = report.properties
     return report, result
 
 
 def test_every_property_is_forced_once():
-    assert sorted(FORCED) == sorted(name for name, _ in verify._PROPERTIES)
+    assert sorted(FORCED) == sorted(prop.name for prop in verify._PROPERTIES)
     assert all(FORCED.values())
 
 
@@ -361,8 +361,8 @@ def test_every_property_is_forced_once():
 def test_a_forced_failure_is_reported(monkeypatch, tmp_path, name, stand_ins, detail):
     for target, stand_in in stand_ins.items():
         monkeypatch.setattr(f"treeradon.verify.{target}", stand_in)
-    report, result = run_alone(monkeypatch, name, dict(verify._PROPERTIES)[name],
-                               SuiteConfig(seed=1, trials=1))
+    (prop,) = (prop for prop in verify._PROPERTIES if prop.name == name)
+    report, result = run_alone(monkeypatch, prop, SuiteConfig(seed=1, trials=1))
     assert (result.passes, result.failures) == (0, 1)
     example = result.counterexample
     assert detail in example["detail"] and "tree" in example
@@ -372,7 +372,7 @@ def test_a_forced_failure_is_reported(monkeypatch, tmp_path, name, stand_ins, de
     assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_dict()))
 
 
-def boom(cfg, rng):
+def boom(cfg, tree, rng):
     raise ZeroDivisionError("boom")
 
 
@@ -381,14 +381,16 @@ FLOOR = {"max_vertices": 2, "max_denominator": 2, "max_atoms": 1}
 
 def test_a_raising_property_is_reported_with_its_seed(monkeypatch):
     # at the floor bounds there is nothing to shrink
-    _, result = run_alone(monkeypatch, "boom", boom, SuiteConfig(seed=5, trials=1, **FLOOR))
+    _, result = run_alone(monkeypatch, verify._Property("boom", boom),
+                          SuiteConfig(seed=5, trials=1, **FLOOR))
     assert result.failures == 1
     assert result.counterexample == {"detail": "exception: ZeroDivisionError('boom')",
                                      "seed": "5:boom:0"}
 
 
 def test_a_property_raising_while_shrinking_is_reported(monkeypatch):
-    _, result = run_alone(monkeypatch, "boom", boom, SuiteConfig(seed=5, trials=1))
+    _, result = run_alone(monkeypatch, verify._Property("boom", boom),
+                          SuiteConfig(seed=5, trials=1))
     assert result.counterexample == {
         "detail": "exception during shrink: ZeroDivisionError('boom')",
         "shrunk_bounds": FLOOR,
@@ -399,10 +401,27 @@ def test_a_property_raising_while_shrinking_is_reported(monkeypatch):
 def test_no_smaller_counterexample_keeps_the_original(monkeypatch):
     start = SuiteConfig(seed=5, trials=1)
 
-    def only_at_start(cfg, rng):
+    def only_at_start(cfg, tree, rng):
         return {"detail": "fails at the starting bounds"} if cfg == start else None
 
-    _, result = run_alone(monkeypatch, "only", only_at_start, start)
+    _, result = run_alone(monkeypatch, verify._Property("only", only_at_start), start)
     assert result.failures == 1
-    assert result.counterexample == {"detail": "fails at the starting bounds",
+    # the tree the trial drew: complete, from the trial's own seed
+    drawn = gen_tree(start, "complete", random.Random("5:only:0"))
+    assert result.counterexample == {"tree": drawn.describe(),
+                                     "detail": "fails at the starting bounds",
                                      "seed": "5:only:0"}
+
+
+@pytest.mark.parametrize("leafy", [True, False])
+def test_only_a_leafy_row_draws_trees_with_leaves(monkeypatch, leafy):
+    # a leafy row draws finite or complete per trial; any other row draws
+    # complete trees only, which have no leaves
+    leaves = []
+
+    def record(cfg, tree, rng):
+        leaves.append(bool(tree.leaves))
+
+    run_alone(monkeypatch, verify._Property("record", record, leafy), SuiteConfig(trials=20))
+    assert len(leaves) == 20
+    assert set(leaves) == ({True, False} if leafy else {False})
