@@ -38,6 +38,12 @@ foot until it reaches a vertex of the walk, which maps to its nearest point
 and raw coordinate. No distance is computed. It is also the one way a built
 geodesic locates a point: a geodesic is closed and convex, so a point lies
 on it exactly when it is its own nearest point.
+
+A point a fraction of the way from p to q needs no geodesic: the path
+climbs from p to the depth where the two points' paths to the root meet
+and descends to q, so ``_point_along`` compares the tree's stored depths
+along parent links on the side where the point lies. Midpoints, the CAT(0)
+comparison and constant-speed travel up to time 1 all read it.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .rationals import parse_rational
 from .tree import Flag, Subtree, Tree, TreePoint, VertexId
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 class Geodesic:
@@ -368,8 +375,58 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
     """The point halfway along the path from ``p`` to ``q``."""
-    segment = path(tree, p, q)
-    return segment.point_at(segment.length / 2)
+    return _point_along(tree, tree.canonical_point(p), tree.canonical_point(q), _HALF)
+
+
+def _point_along(tree: Tree, p: TreePoint, q: TreePoint, t: Fraction) -> TreePoint:
+    """The point a fraction ``t`` in [0, 1] of the way from ``p`` to ``q``,
+    two canonical points, located from the depths the tree stores: the
+    point ``path(tree, p, q).point_at(t · length)`` gives, with no
+    ``Geodesic`` built and no edge length added.
+
+    The path climbs from p to the depth M at which the two points' paths
+    to the root meet (``Tree._meet``), then descends to q. So the point at
+    arc length s from p lies on p's climb at depth ``depth(p) − s`` while s
+    is at most ``depth(p) − M``, and else on q's climb at depth
+    ``M + s − (depth(p) − M)``; ``_climb_to`` finds it. Two points inside
+    one edge give the offset ``t`` of the way between theirs.
+    """
+    p_foot, q_foot = tree._foot(p), tree._foot(q)
+    meet = tree._meet(p.edge, p_foot, q.edge, q_foot)
+    if meet is None:
+        return TreePoint(edge=p.edge, offset=p.offset + t * (q.offset - p.offset))
+    up = p_foot[1] - meet
+    s = t * (up + q_foot[1] - meet)
+    if s <= up:
+        return _climb_to(tree, p, p_foot, p_foot[1] - s)
+    return _climb_to(tree, q, q_foot, meet + s - up)
+
+
+def _climb_to(tree: Tree, point: TreePoint, foot: tuple, depth: Fraction) -> TreePoint:
+    """The point at ``depth`` on the way from a canonical point up to the
+    root, given the point's ``Tree._foot`` triple; ``depth`` lies between
+    the root's and the point's own.
+
+    A ray point lies below its foot, and the target is on the ray while
+    it is deeper than the foot. Otherwise the climb starts at the foot (a
+    point inside a finite edge lies in its foot's parent edge) and follows
+    parent links while the vertex is deeper than the target: the target is
+    that vertex, or inside its parent edge when the parent is shallower.
+    Only depths are compared; one subtraction gives the offset.
+    """
+    vertex = tree._vertex
+    v, _, inside = foot
+    rec = vertex[v]
+    if not (inside or point.is_vertex) and depth > rec.depth:
+        return TreePoint(edge=point.edge, offset=depth - rec.depth)
+    while rec.depth > depth:
+        up = vertex[rec.parent]
+        if up.depth < depth:
+            edge = tree.edges[rec.parent_edge]
+            return TreePoint(edge=edge.id, offset=depth - up.depth if edge.u == up.id
+                             else rec.depth - depth)
+        rec = up
+    return TreePoint(rec.id)
 
 
 # ---------------------------------------------------------------------- #
@@ -409,24 +466,24 @@ def _onward(tree: Tree, vertex: VertexId, via: int) -> int | None:
     return next((eid for eid in tree._vertex[vertex].incident if eid != via), None)
 
 
-def _travel(segment: Geodesic, t) -> TreePoint:
-    """Where constant-speed travel along a finite segment is at time
-    ``t ≥ 0``, reaching the segment's end at time 1.
+def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
+    """Where constant-speed travel from ``p`` to ``q``, two canonical
+    points, is at time ``t ≥ 0``, reaching ``q`` at time 1.
 
-    Up to the end this is the segment's own point. Past it, each call walks
-    afresh: it finishes the last edge in the direction its chart gives,
-    then takes the walk rule ``_onward`` at every vertex and turns back
-    along the edge it came by at a leaf, so the speed stays constant on
-    trees with leaves. A zero-length segment stays at its point.
+    Up to time 1 this is ``_point_along``, and no path is built. Past it,
+    each call builds ``path(tree, p, q)`` and walks afresh from its end: it
+    finishes the last edge in the direction its chart gives, then takes
+    the walk rule ``_onward`` at every vertex and turns back along the
+    edge it came by at a leaf, so the speed stays constant on trees with
+    leaves. A zero-length segment stays at its point.
     """
-    s = t * segment.length
-    extra = s - segment.length
-    if extra <= 0:
-        return segment.point_at(s)
-    tree = segment.tree
+    if t <= 1:
+        return _point_along(tree, p, q, t)
+    segment = path(tree, p, q)
+    extra = (t - 1) * segment.length
     eid = segment.edges[-1]
     rec = tree.edges[eid]
-    offset = segment._offset_on(segment.end, rec)
+    offset = segment._offset_on(q, rec)
     sign = segment._chart[-1][1]
     # an end on a vertex has no room left on its edge, so the first pass
     # turns straight onto the walk rule there
@@ -542,9 +599,9 @@ def check_cat0_triangle(tree: Tree, x: TreePoint, y: TreePoint, z: TreePoint, t)
     t = parse_rational(t)
     if not 0 <= t <= 1:
         raise PointLocationError(f"interpolation parameter {t} outside [0, 1]")
-    segment = path(tree, x, z)
-    ell = segment.length
-    gamma_t = segment.point_at(t * ell)
+    x, z = tree.canonical_point(x), tree.canonical_point(z)
+    ell = tree.distance(x, z)
+    gamma_t = _point_along(tree, x, z, t)
     d_y_gamma = tree.distance(y, gamma_t)
     dyx = tree.distance(y, x)
     dyz = tree.distance(y, z)

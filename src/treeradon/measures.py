@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .errors import GeodesicError, MeasureError
@@ -60,7 +61,9 @@ def make_measure(tree: Tree, atoms) -> Measure:
     """Canonicalize, merge duplicate locations, and validate a measure.
 
     ``atoms`` is an iterable of ``(point, mass)`` with positive rational
-    masses summing exactly to one.
+    masses summing exactly to one. The first mass at a point is stored as
+    it is; only a repeated point adds. The total is checked as one integer
+    sum over the lcm of the masses' denominators.
     """
     merged: dict[TreePoint, Fraction] = {}
     for point, raw_mass in atoms:
@@ -68,12 +71,14 @@ def make_measure(tree: Tree, atoms) -> Measure:
         mass = parse_rational(raw_mass)
         if mass <= 0:
             raise MeasureError(f"nonpositive mass {mass} at {point!r}")
-        merged[point] = merged.get(point, _ZERO) + mass
+        known = merged.get(point)
+        merged[point] = mass if known is None else known + mass
     if not merged:
         raise MeasureError("a measure needs at least one atom")
-    total = sum(merged.values())
-    if total != _ONE:
-        raise MeasureError(f"masses sum to {total}, not 1")
+    scale = lcm(*(mass.denominator for mass in merged.values()))
+    total = sum(mass.numerator * (scale // mass.denominator) for mass in merged.values())
+    if total != scale:
+        raise MeasureError(f"masses sum to {Fraction(total, scale)}, not 1")
     ordered = tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0])))
     return Measure(ordered)
 

@@ -17,14 +17,15 @@ Fractions; a plan's squared cost is summed from the solver's own cost
 matrix.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
-past time 1 all evaluate one ``WassersteinGeodesic``, which keeps the
-path of each coupling and moves its mass along it at constant speed
-(``geodesics._travel``). Past its target the mass follows the geodesics'
-one walk rule (``geodesics._onward``): the smallest other incident edge
-identifier at every vertex, which makes every output deterministic, and
-it turns back at a leaf. Each evaluation walks afresh and nothing is
-cached, so plans and Wasserstein geodesics are safe to share across
-threads.
+past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
+plan's couplings and moves each coupled mass at constant speed along the
+path from its source to its target (``geodesics._travel``). Up to time 1
+the point is located from the tree's depths and no path is built. Past
+its target the mass follows the geodesics' one walk rule
+(``geodesics._onward``): the smallest other incident edge identifier at
+every vertex, which makes every output deterministic, and it turns back
+at a leaf. Each evaluation walks afresh and nothing is cached, so plans
+and Wasserstein geodesics are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import CompletenessError, MeasureError, SolverError
-from .geodesics import _travel, path
+from .geodesics import _travel
 from .measures import Measure, dirac, make_measure
 from .rationals import parse_rational
 from .tree import Tree, TreePoint
@@ -303,8 +304,10 @@ def _check_marginals(mu, nu, couplings):
     left: dict[TreePoint, Fraction] = {}
     right: dict[TreePoint, Fraction] = {}
     for p, q, mass in couplings:
-        left[p] = left.get(p, _ZERO) + mass
-        right[q] = right.get(q, _ZERO) + mass
+        known = left.get(p)
+        left[p] = mass if known is None else known + mass
+        known = right.get(q)
+        right[q] = mass if known is None else known + mass
     if left != dict(mu.atoms) or right != dict(nu.atoms):
         raise SolverError("plan marginals do not match the measures")
 
@@ -339,8 +342,10 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
 
 
 class WassersteinGeodesic:
-    """A measure-valued geodesic: a plan plus the path of each coupling,
-    along which its mass travels at constant speed (``geodesics._travel``).
+    """A measure-valued geodesic: a plan whose coupled masses each travel
+    at constant speed along the path from their source to their target
+    (``geodesics._travel``). It keeps the plan's couplings, their points
+    checked against the tree once, and builds no path up to time 1.
 
     Evaluation at times s, t inside the interval satisfies
     W²(μ_s, μ_t) = (t−s)²·W²(μ_0, μ_1) exactly. A horizon past 1 needs a
@@ -360,8 +365,9 @@ class WassersteinGeodesic:
         self.tree = tree
         self.plan = plan
         self.interval = (_ZERO, horizon)
-        self._segments = tuple(
-            (path(tree, src, dst), mass) for src, dst, mass in plan.couplings
+        self._couplings = tuple(
+            (tree.canonical_point(src), tree.canonical_point(dst), mass)
+            for src, dst, mass in plan.couplings
         )
 
     @classmethod
@@ -374,8 +380,9 @@ class WassersteinGeodesic:
         lo, hi = self.interval
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
+        tree = self.tree
         return make_measure(
-            self.tree, ((_travel(segment, t), mass) for segment, mass in self._segments)
+            tree, ((_travel(tree, src, dst, t), mass) for src, dst, mass in self._couplings)
         )
 
 
@@ -494,7 +501,7 @@ def check_nonextendable(tree: Tree, mu0: Measure, y: TreePoint, epsilon=_ONE,
     y_prime = next(p for p in mu0.support if p != y)
     d = tree.distance(y_prime, y)
     if proposed_continuation is None:
-        y2 = _travel(path(tree, y_prime, y), 1 + epsilon)
+        y2 = _travel(tree, y_prime, y, 1 + epsilon)
     else:
         y2 = tree.canonical_point(proposed_continuation)
         if tree.distance(y, y2) > epsilon * d:

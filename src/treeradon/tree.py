@@ -172,7 +172,8 @@ class Tree:
 
     Prefer :func:`build_tree` for construction from a description; the
     constructor expects pre-parsed ``(u, v_or_None, length_or_None)``
-    triples and performs full validation.
+    triples and performs full validation. A finite length must be an
+    ``int`` (not a ``bool``), stored as a ``Fraction``, or a ``Fraction``.
     """
 
     __slots__ = ("vertices", "edges", "geodesically_complete", "_vertex", "_flag_count")
@@ -224,6 +225,13 @@ class Tree:
                     raise TreeStructureError(f"cycle detected: edge {eid} is a self-loop at {u!r}")
                 if length is None:
                     raise TreeStructureError(f"edge {eid} has two endpoints but infinite length")
+                # depths and offsets are compared and subtracted exactly, so
+                # a length is an int (stored as a Fraction) or a Fraction
+                if type(length) is not Fraction:
+                    if isinstance(length, bool) or not isinstance(length, (int, Fraction)):
+                        raise TreeStructureError(
+                            f"edge {eid} length {length!r} is not an int or a Fraction")
+                    length = Fraction(length)
                 if length <= 0:
                     raise TreeStructureError(f"edge {eid} has nonpositive length {length}")
                 finite_count += 1

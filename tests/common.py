@@ -243,6 +243,13 @@ def random_point(tree, rng):
     return tree.point(rec.id, offset)
 
 
+def inside(tree, rng, eid):
+    """A point strictly inside an edge (at some distance along a ray)."""
+    length = tree.edge(eid).length
+    top = F(rng.randint(2, 12)) if length is None else length
+    return tree.point(eid, top * F(rng.randint(1, 7), 8))
+
+
 def segment_cases(tree, rng):
     """Random segments, plus single-edge ones: two points of one edge, the
     two endpoints of one finite edge, and a point to itself."""

@@ -218,7 +218,7 @@ def test_acceptance_7_nonextendability_witness():
         witnesses.append(check_nonextendable(tree, mu, y, epsilon,
                                              proposed_continuation=y))
         y_prime = witnesses[0].y_prime
-        partway = _travel(path(tree, y_prime, y), 1 + epsilon / 2)
+        partway = _travel(tree, y_prime, y, 1 + epsilon / 2)
         witnesses.append(check_nonextendable(tree, mu, y, epsilon,
                                              proposed_continuation=partway))
         if not all(w.violated for w in witnesses):

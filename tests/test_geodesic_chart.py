@@ -17,7 +17,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from common import probe_points, random_caterpillar, random_point, random_tree, segment_cases
+from common import (
+    inside, probe_points, random_caterpillar, random_point, random_tree, segment_cases,
+)
 from conftest import profile_settings
 from geodesic_reference import ParentCoordinates, geodesic_through_edge
 from treeradon import (
@@ -75,13 +77,6 @@ def assert_matches_parent(geodesic, points):
     anchors, apex = ref._anchor_table()
     assert (geodesic._anchors, geodesic._apex) \
         == ({v: (near, shifted(raw)) for v, (near, raw) in anchors.items()}, apex)
-
-
-def inside(tree, rng, eid):
-    """A point strictly inside an edge (at some distance along a ray)."""
-    length = tree.edge(eid).length
-    top = F(rng.randint(2, 12)) if length is None else length
-    return tree.point(eid, top * F(rng.randint(1, 7), 8))
 
 
 def hand_built(tree, rng, base):

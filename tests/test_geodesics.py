@@ -6,12 +6,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from common import inside, leafless_tree, random_caterpillar, random_point
+from conftest import profile_settings
 from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
     Geodesic,
     GeodesicError,
     SuiteConfig,
+    TreePoint,
     check_cat0_triangle,
     enumerate_flags,
     gen_point,
@@ -22,6 +25,7 @@ from treeradon import (
     perpendicular,
     points_aligned,
 )
+from treeradon.geodesics import _point_along
 
 
 class TestPath:
@@ -261,3 +265,70 @@ def test_perpendicular_is_projection_level_set(data):
     root = tree.vertex_point(flag.vertex)
     for point in list(points) + [tree.vertex_point(v) for v in perp.vertices]:
         assert perp.contains(point) == (geo.project(point) == root)
+
+
+# ---------------------------------------------------------------------- #
+# The locator behind midpoints, the CAT(0) check and interpolation          #
+# ---------------------------------------------------------------------- #
+
+LOCATOR_TREES = ("finite", "complete", "leafless", "caterpillar", "leafy caterpillar")
+
+
+def locator_tree(kind, rng):
+    """A ``gen_tree`` tree of up to 30 vertices, a leafless tree of up to
+    60, or a caterpillar rooted at one end of its 210-vertex spine, so
+    that its parent chains run 200 hops or more."""
+    if kind in ("finite", "complete"):
+        return gen_tree(SuiteConfig(max_vertices=30, max_valency=5), kind, rng)
+    if kind == "leafless":
+        return leafless_tree(rng, rng.randint(1, 60))
+    leaves = kind == "leafy caterpillar"
+    while True:
+        tree = random_caterpillar(rng, 420 if leaves else 210, leaves)
+        if tree.vertices[0] == 0:
+            return tree
+
+
+def locator_pairs(tree, rng):
+    """Pairs of canonical points for each way a path can run: a point to
+    itself, two points of one edge in both orders, ray points, a vertex
+    and an ancestor any number of hops above it, a point inside the edge
+    just above the meeting vertex with a point below that vertex, and
+    random pairs."""
+    vertex = tree._vertex
+    p = random_point(tree, rng)
+    pairs = [(p, p)]
+    eid = rng.randrange(len(tree.edges))
+    a, b = inside(tree, rng, eid), inside(tree, rng, eid)
+    pairs += [(a, b), (b, a)]
+    rays = [rec.id for rec in tree.edges if rec.is_ray]
+    if rays:
+        r = inside(tree, rng, rng.choice(rays))
+        pairs += [(r, random_point(tree, rng)), (random_point(tree, rng), r),
+                  (r, inside(tree, rng, rng.choice(rays)))]
+    low = high = vertex[rng.choice(tree.vertices)]
+    for _ in range(rng.randint(0, low.hops)):
+        high = vertex[high.parent]
+    pairs += [(TreePoint(low.id), TreePoint(high.id)), (TreePoint(high.id), TreePoint(low.id))]
+    if high.parent is not None:
+        above = inside(tree, rng, high.parent_edge)
+        down = [e for e in low.incident if e != low.parent_edge]
+        below = inside(tree, rng, rng.choice(down)) if down else TreePoint(low.id)
+        pairs += [(above, below), (below, above), (above, TreePoint(low.id))]
+    return pairs + [(random_point(tree, rng), random_point(tree, rng)) for _ in range(4)]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(LOCATOR_TREES))
+@profile_settings(40)
+def test_point_along_matches_path_point_at(seed, kind):
+    rng = random.Random(seed)
+    tree = locator_tree(kind, rng)
+    if "caterpillar" in kind:
+        assert max(rec.hops for rec in tree._vertex.values()) >= 200
+    for p, q in locator_pairs(tree, rng):
+        segment = path(tree, p, q)
+        den = rng.randint(2, 40)
+        for t in (F(0), F(1, 2), F(1), F(rng.randint(1, den - 1), den)):
+            found = _point_along(tree, p, q, t)
+            assert found == segment.point_at(t * segment.length), (p, q, t)
+            assert tree.canonical_point(found) is found

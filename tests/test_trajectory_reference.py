@@ -1,6 +1,6 @@
 """Constant-speed travel against the cached walk it replaced.
 
-``geodesics._travel`` walks past a segment's end afresh on every call,
+``geodesics._travel`` walks past a path's end afresh on every call,
 with the geodesics' one walk rule, and turns back at a leaf.
 ``ParentTrajectory`` is the earlier code, which grew and kept a list of
 extension segments; with ``bounce=True`` it turns back at a leaf too. On
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from geodesic_reference import ParentTrajectory
 from treeradon import SuiteConfig, WassersteinGeodesic, gen_measure, gen_point, gen_tree
-from treeradon.geodesics import _travel, path
+from treeradon.geodesics import _travel
 
 
 @given(
@@ -33,7 +33,6 @@ def test_position_matches_parent_trajectory(seed, mode, times):
     for _ in range(6):
         src = gen_point(tree, rng, cfg.max_denominator)
         dst = src if rng.random() < 0.1 else gen_point(tree, rng, cfg.max_denominator)
-        segment = path(tree, src, dst)
         reference = ParentTrajectory(tree, src, dst, bounce=True)
         # the times at which the walk past dst would land exactly on each
         # vertex, so that turning back at a leaf is reached as well as passed
@@ -42,7 +41,7 @@ def test_position_matches_parent_trajectory(seed, mode, times):
                              for v in tree.vertices]
             rng.shuffle(times)
         for t in times:
-            assert _travel(segment, t) == reference.position(t)
+            assert _travel(tree, src, dst, t) == reference.position(t)
 
 
 def test_wasserstein_geodesic_is_unchanged_by_evaluation():

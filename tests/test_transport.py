@@ -11,12 +11,14 @@ from common import STAR3, distinct_points, random_masses
 from conftest import profile_settings
 from treeradon import (
     CompletenessError,
+    Geodesic,
     MeasureError,
     SolverError,
     SuiteConfig,
     TransportPlan,
     WassersteinGeodesic,
     build_tree,
+    check_cat0_triangle,
     check_nonextendable,
     dilate,
     dirac,
@@ -27,7 +29,9 @@ from treeradon import (
     interpolate,
     is_cyclically_monotone,
     make_measure,
+    midpoint,
     optimal_plan,
+    path,
     w2_squared,
     w2_squared_enumerated,
 )
@@ -127,6 +131,34 @@ class TestInterpolate:
                             dirac(tripod, tripod.vertex_point("y")))
         with pytest.raises(ValueError):
             interpolate(tripod, plan, F(3, 2))
+
+
+def test_no_geodesic_is_built_up_to_time_one(monkeypatch):
+    """interpolate, dilate, midpoint and check_cat0_triangle locate each
+    point from the tree's depths: for t <= 1 no Geodesic is set up."""
+    built = []
+    set_up = Geodesic._set_up
+
+    def counted(self, *args):
+        built.append(args)
+        set_up(self, *args)
+
+    monkeypatch.setattr(Geodesic, "_set_up", counted)
+    cfg = SuiteConfig(max_vertices=14, max_atoms=5, max_denominator=9)
+    rng = random.Random(30)
+    for mode in ("finite", "complete") * 8:
+        tree = gen_tree(cfg, mode, rng)
+        mu, nu = gen_measure(cfg, tree, rng), gen_measure(cfg, tree, rng)
+        x, y, z = (gen_point(tree, rng, cfg.max_denominator) for _ in range(3))
+        plan = optimal_plan(tree, mu, nu)
+        for t in (0, F(1, 3), F(1, 2), 1):
+            interpolate(tree, plan, t)
+            dilate(tree, x, mu, t)
+            check_cat0_triangle(tree, x, y, z, t)
+        midpoint(tree, x, z)
+    assert built == []
+    path(tree, x, z)  # the spy sees the geodesic that path builds
+    assert len(built) == 1
 
 
 class TestDilate:

@@ -144,6 +144,25 @@ class TestBuildTree:
             build_tree(description)
         assert str(caught.value) == message
 
+    # Tree itself takes pre-parsed lengths: an int (not a bool) or a
+    # Fraction, so that depths and distances stay exact
+    @pytest.mark.parametrize("length, message", [
+        (1.5, "edge 0 length 1.5 is not an int or a Fraction"),
+        (True, "edge 0 length True is not an int or a Fraction"),
+        ("3/2", "edge 0 length '3/2' is not an int or a Fraction"),
+    ], ids=["float", "bool", "str"])
+    def test_constructor_refuses_an_inexact_length(self, length, message):
+        with pytest.raises(TreeStructureError) as caught:
+            Tree(["a", "b", "c", "d"], [("a", "b", length), ("a", "c", 1), ("a", "d", 2)])
+        assert str(caught.value) == message
+
+    def test_constructor_stores_an_int_length_as_a_fraction(self):
+        tree = Tree(["a", "b", "c", "d"], [("a", "b", 1), ("a", "c", F(1, 2)), ("a", "d", 2)])
+        assert [type(rec.length) for rec in tree.edges] == [F, F, F]
+        assert all(type(rec.depth) is F for rec in tree._vertex.values())
+        distance = tree.distance(tree.vertex_point("b"), tree.vertex_point("d"))
+        assert (distance, type(distance)) == (3, F)
+
 
 class TestCompleteness:
     def test_tripod_incomplete(self, tripod):
