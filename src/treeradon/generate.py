@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationError
-from .measures import Measure, make_measure
+from .measures import Measure, _measure
 from .radon import VertexFunction, vertex_function
 from .tree import Tree, TreePoint
 
@@ -141,20 +141,21 @@ def gen_measure(config: SuiteConfig, tree: Tree, rng: random.Random,
     Masses come from normalizing random positive rationals, so they sum to
     one exactly; duplicate locations merge.
     """
-    return _gen_measure_at(config, tree, rng,
+    return _gen_measure_at(config, rng,
                            lambda: gen_point(tree, rng, config.max_denominator), max_atoms)
 
 
-def _gen_measure_at(config: SuiteConfig, tree: Tree, rng: random.Random,
+def _gen_measure_at(config: SuiteConfig, rng: random.Random,
                     draw_point: Callable[[], TreePoint],
                     max_atoms: int | None = None) -> Measure:
     """``gen_measure`` with its atoms at ``draw_point()``: the atom count,
-    then the points, then the weights, all drawn from ``rng``."""
+    then the points, then the weights, all drawn from ``rng``. The points
+    must be canonical, as ``Tree`` and ``Geodesic`` locate them."""
     count = rng.randint(1, max_atoms if max_atoms is not None else config.max_atoms)
     points = [draw_point() for _ in range(count)]
     weights = [random_rational(rng, config.max_denominator) for _ in points]
     total = sum(weights)
-    return make_measure(tree, ((p, w / total) for p, w in zip(points, weights)))
+    return _measure((p, w / total) for p, w in zip(points, weights))
 
 
 def gen_vertex_function(config: SuiteConfig, tree: Tree,

@@ -26,11 +26,13 @@ _ONE = Fraction(1)
 class Measure:
     """A finitely supported probability measure: ``((location, mass), ...)``.
 
-    Build it with :func:`make_measure` or :func:`dirac`: every atom is then
-    a canonical point of the tree given there, and the atoms come in
+    Build it with :func:`make_measure` or :func:`dirac`, or take it from
+    interpolation, reconstruction or generation: every atom is then a
+    canonical point of the tree used there, and the atoms come in
     ``point_sort_key`` order. Functions that take a ``Measure`` trust that
-    and do not check or sort its atoms again, so a measure goes only with
-    the tree it was made on.
+    and check or sort nothing again, so a measure goes with the tree it
+    was made on or one built from the same description; any other tree
+    can raise a bare ``KeyError`` or give a wrong value.
     """
 
     atoms: tuple[tuple[TreePoint, Fraction], ...]
@@ -58,17 +60,21 @@ class Measure:
 
 
 def make_measure(tree: Tree, atoms) -> Measure:
-    """Canonicalize, merge duplicate locations, and validate a measure.
+    """A measure from atoms given from outside: ``(point, mass)`` pairs
+    with positive rational masses summing exactly to one. Each point is
+    made a canonical point of ``tree`` and each mass a ``Fraction``, once,
+    on the way into the core, ``_measure``."""
+    return _measure((tree.canonical_point(point), parse_rational(mass)) for point, mass in atoms)
 
-    ``atoms`` is an iterable of ``(point, mass)`` with positive rational
-    masses summing exactly to one. The first mass at a point is stored as
-    it is; only a repeated point adds. The total is checked as one integer
-    sum over the lcm of the masses' denominators.
-    """
+
+def _measure(atoms) -> Measure:
+    """The one core, for canonical points of one tree with ``Fraction``
+    masses. The first mass at a point is stored as it is; only a repeated
+    point adds. Each mass must be positive, the total is checked as one
+    integer sum over the lcm of the masses' denominators, and the atoms
+    are sorted by ``point_sort_key``."""
     merged: dict[TreePoint, Fraction] = {}
-    for point, raw_mass in atoms:
-        point = tree.canonical_point(point)
-        mass = parse_rational(raw_mass)
+    for point, mass in atoms:
         if mass <= 0:
             raise MeasureError(f"nonpositive mass {mass} at {point!r}")
         known = merged.get(point)
@@ -132,7 +138,7 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
     transform. The measure must be made on ``tree``: its atoms are taken as
-    the canonical points ``make_measure`` made them, and are not checked.
+    the canonical points the measure holds, and are not checked.
     """
     if geodesic.tree is not tree:
         raise GeodesicError("geodesic belongs to a different tree")
@@ -156,5 +162,5 @@ def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:
 
 
 def supported_on(measure: Measure, geodesic: Geodesic) -> bool:
-    """True iff every atom lies on the geodesic."""
-    return all(geodesic.contains(p) for p, _ in measure.atoms)
+    """True iff every atom lies on the geodesic (atoms are not checked)."""
+    return all(geodesic._raw_of(p) is not None for p, _ in measure.atoms)

@@ -54,7 +54,7 @@ from .errors import (
     RadonError,
 )
 from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
-from .measures import Measure, RadonSample, make_measure, pushforward_projection
+from .measures import Measure, RadonSample, _measure, pushforward_projection
 from .rationals import parse_rational
 from .tree import Flag, Tree, TreePoint, VertexId
 
@@ -510,10 +510,11 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
             "implied total; oracle data is inconsistent"
         )
 
+    # canonical points (the tree's own vertex ids) with Fraction masses
     atoms = [(TreePoint(v), m) for v, m in vertex_part.values.items()]
     atoms.extend(interior.items())
     try:
-        measure = make_measure(tree, atoms)
+        measure = _measure(atoms)
     except MeasureError as exc:
         raise OracleInconsistencyError(f"reconstructed masses are not a probability: {exc}") from exc
 

@@ -18,14 +18,16 @@ matrix.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
-plan's couplings and moves each coupled mass at constant speed along the
-path from its source to its target (``geodesics._travel``). Up to time 1
-the point is located from the tree's depths and no path is built. Past
-its target the mass follows the geodesics' one walk rule
-(``geodesics._onward``): the smallest other incident edge identifier at
-every vertex, which makes every output deterministic, and it turns back
-at a leaf. Each evaluation walks afresh and nothing is cached, so plans
-and Wasserstein geodesics are safe to share across threads.
+plan's couplings, checked once when it is built, and moves each coupled
+mass at constant speed along the path from its source to its target
+(``geodesics._travel``); the atoms it locates are canonical and go to
+the measure core unchecked. Up to time 1 the point is located from the
+tree's depths and no path is built. Past its target the mass follows
+the geodesics' one walk rule (``geodesics._onward``): the smallest other
+incident edge identifier at every vertex, which makes every output
+deterministic, and it turns back at a leaf. Each evaluation walks afresh
+and nothing is cached, so plans and Wasserstein geodesics are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from operator import sub
 
 from .errors import CompletenessError, MeasureError, SolverError
 from .geodesics import _travel
-from .measures import Measure, dirac, make_measure
+from .measures import Measure, _measure, dirac
 from .rationals import parse_rational
 from .tree import Tree, TreePoint
 
@@ -344,8 +346,10 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
 class WassersteinGeodesic:
     """A measure-valued geodesic: a plan whose coupled masses each travel
     at constant speed along the path from their source to their target
-    (``geodesics._travel``). It keeps the plan's couplings, their points
-    checked against the tree once, and builds no path up to time 1.
+    (``geodesics._travel``). The constructor takes the plan as outside
+    input: it makes each coupling's points canonical points of ``tree``
+    and parses its mass, once. ``at`` builds no path up to time 1 and
+    hands the atoms it locates to ``measures._measure`` unchecked.
 
     Evaluation at times s, t inside the interval satisfies
     W²(μ_s, μ_t) = (t−s)²·W²(μ_0, μ_1) exactly. A horizon past 1 needs a
@@ -366,7 +370,7 @@ class WassersteinGeodesic:
         self.plan = plan
         self.interval = (_ZERO, horizon)
         self._couplings = tuple(
-            (tree.canonical_point(src), tree.canonical_point(dst), mass)
+            (tree.canonical_point(src), tree.canonical_point(dst), parse_rational(mass))
             for src, dst, mass in plan.couplings
         )
 
@@ -381,9 +385,7 @@ class WassersteinGeodesic:
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
         tree = self.tree
-        return make_measure(
-            tree, ((_travel(tree, src, dst, t), mass) for src, dst, mass in self._couplings)
-        )
+        return _measure((_travel(tree, src, dst, t), mass) for src, dst, mass in self._couplings)
 
 
 # ---------------------------------------------------------------------- #

@@ -505,7 +505,7 @@ def _prop_flag_mass_refinement(cfg, tree, rng):
 def _prop_thales(cfg, tree, rng):
     geo = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
     if rng.random() < 0.5:
-        mu = _gen_measure_at(cfg, tree, rng, lambda: geo.point_at(_random_coordinate(rng, cfg)))
+        mu = _gen_measure_at(cfg, rng, lambda: geo.point_at(_random_coordinate(rng, cfg)))
         c1 = _random_coordinate(rng, cfg)
         c2 = c1 + random_rational(rng, cfg.max_denominator)
         x, g = geo.point_at(c1), geo.point_at(c2)

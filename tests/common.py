@@ -3,6 +3,7 @@
 Test modules import what they draw from here, never from one another.
 """
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -77,6 +78,13 @@ def leafless_description(rng, n):
 
 def leafless_tree(rng, n):
     return build_tree(leafless_description(rng, n))
+
+
+def twin(tree):
+    """Another tree object built from the same description, passed through
+    JSON as a description read from a file is: its vertex ids are equal,
+    and string ids are other objects."""
+    return build_tree(json.loads(json.dumps(tree.describe())))
 
 
 def shuffled_leafless_tree(rng, n):

@@ -28,6 +28,7 @@ from common import (
     small_values,
     tree_and_measure,
     trees,
+    twin,
     vertex_prime_values,
 )
 from conftest import profile_settings
@@ -36,7 +37,6 @@ from treeradon import (
     FlagTable,
     OracleInconsistencyError,
     RadonError,
-    Tree,
     double_count_check,
     enumerate_flags,
     flag_table,
@@ -64,11 +64,6 @@ def partial(tree, rng, table):
     kept = rng.random()
     mapping = {flag: value for flag, value in table.values.items() if rng.random() < kept}
     return flag_table(tree, mapping), mapping
-
-
-def twin(tree):
-    """Another tree object built from the same description."""
-    return Tree(tree.vertices, [(rec.u, rec.v, rec.length) for rec in tree.edges])
 
 
 # ---------------------------------------------------------------------- #

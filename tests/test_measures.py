@@ -1,17 +1,33 @@
-"""Measures, pushforwards, second moments."""
+"""Measures, pushforwards, second moments, and which code checks a
+measure's atoms."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from common import hidden_measure, leafless_tree, tree_and_measure, twin
+from conftest import profile_settings
 from treeradon import (
     GeodesicError,
     MeasureError,
-    build_tree,
+    SuiteConfig,
+    Tree,
+    WassersteinGeodesic,
     dirac,
+    enumerate_flags,
+    gen_measure,
+    gen_point,
+    gen_tree,
+    geodesic_through_flag,
+    interpolate,
     make_measure,
+    optimal_plan,
     path,
     pushforward_projection,
+    radon_oracle,
+    reconstruct_measure,
     second_moment,
     supported_on,
 )
@@ -96,8 +112,8 @@ class TestPushforward:
         assert pushforward_projection(star3, geo, mu).total_mass == 1
 
     def test_geodesic_of_another_tree_rejected(self, tripod):
-        twin = build_tree(tripod.describe())
-        geo = path(twin, twin.vertex_point("x"), twin.vertex_point("y"))
+        other = twin(tripod)
+        geo = path(other, other.vertex_point("x"), other.vertex_point("y"))
         with pytest.raises(GeodesicError, match="different tree"):
             pushforward_projection(tripod, geo, dirac(tripod, tripod.vertex_point("z")))
 
@@ -126,3 +142,116 @@ class TestSecondMoment:
             (tripod.vertex_point("y"), F(1, 2)),
         ])
         assert second_moment(tripod, mu, tripod.vertex_point("x")) == 2
+
+
+# ---------------------------------------------------------------------- #
+# Who checks the atoms                                                      #
+# ---------------------------------------------------------------------- #
+#
+# make_measure and the WassersteinGeodesic constructor take atoms from
+# outside and check each once. Interpolation, reconstruction and
+# generation make canonical atoms with Fraction masses themselves and hand
+# them to the measure core unchecked.
+
+CONFIG = SuiteConfig(max_vertices=14, max_atoms=5, max_denominator=9)
+
+
+def assert_canonical(tree, measure):
+    for point, mass in measure.atoms:
+        assert tree.canonical_point(point) is point
+        assert type(mass) is F
+
+
+@given(st.integers(0, 2**32 - 1))
+@profile_settings(40)
+def test_library_made_atoms_are_canonical(seed):
+    """Generated measures, their interpolants at t in [0, 1], a Dirac
+    plan's extension to t in (1, 2] on a leafless tree, and reconstructions
+    hold canonical points of their tree and Fraction masses."""
+    rng = random.Random(seed)
+    tree = gen_tree(CONFIG, rng.choice(("finite", "complete")), rng)
+    mu, nu = gen_measure(CONFIG, tree, rng), gen_measure(CONFIG, tree, rng)
+    geodesic = WassersteinGeodesic(tree, optimal_plan(tree, mu, nu))
+    for measure in (mu, nu, *(geodesic.at(t) for t in (0, F(rng.randint(1, 8), 9), 1))):
+        assert_canonical(tree, measure)
+
+    leafless = leafless_tree(rng, rng.randint(1, 30))
+    hidden = gen_measure(CONFIG, leafless, rng)
+    x = gen_point(leafless, rng, CONFIG.max_denominator)
+    extension = WassersteinGeodesic.from_dirac(leafless, x, hidden, horizon=2)
+    for t in (F(rng.randint(1, 9), 9) + 1, 2):
+        assert_canonical(leafless, extension.at(t))
+    assert_canonical(leafless, reconstruct_measure(leafless, radon_oracle(leafless, hidden)).measure)
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Every point passed to ``Tree.canonical_point``, in call order."""
+    calls = []
+    canonical = Tree.canonical_point
+
+    def counted(self, point):
+        calls.append(point)
+        return canonical(self, point)
+
+    monkeypatch.setattr(Tree, "canonical_point", counted)
+    return calls
+
+
+def test_a_wasserstein_geodesic_checks_its_couplings_once(canonical_calls):
+    """Its constructor checks both points of each coupling; evaluation up
+    to time 1 checks nothing, so interpolation checks 2 points a coupling."""
+    rng = random.Random(31)
+    for mode in ("finite", "complete") * 8:
+        tree = gen_tree(CONFIG, mode, rng)
+        plan = optimal_plan(tree, gen_measure(CONFIG, tree, rng), gen_measure(CONFIG, tree, rng))
+        checked = 2 * len(plan.couplings)
+        for t in (0, F(1, 3), F(1, 2), 1):
+            canonical_calls.clear()
+            geodesic = WassersteinGeodesic(tree, plan)
+            assert len(canonical_calls) == checked
+            canonical_calls.clear()
+            geodesic.at(t)
+            assert canonical_calls == []
+            interpolate(tree, plan, t)
+            assert len(canonical_calls) == checked
+
+
+def test_generation_checks_no_atom(canonical_calls):
+    rng = random.Random(32)
+    for mode in ("finite", "complete") * 8:
+        tree = gen_tree(CONFIG, mode, rng)
+        for _ in range(4):
+            gen_measure(CONFIG, tree, rng)
+    assert canonical_calls == []
+
+
+def test_reconstruction_checks_no_atom(canonical_calls):
+    rng = random.Random(33)
+    for _ in range(8):
+        tree = leafless_tree(rng, rng.randint(1, 30))
+        mu = hidden_measure(tree, rng, rng.randint(1, 6))
+        canonical_calls.clear()
+        assert reconstruct_measure(tree, radon_oracle(tree, mu)).measure == mu
+        assert canonical_calls == []
+
+
+@given(tree_and_measure())
+@profile_settings(20)
+def test_a_measure_goes_with_a_twin_of_its_tree(drawn):
+    """A tree built from the same description, with vertex ids that are
+    other objects, gives a measure made on the first tree the same plans,
+    interpolants, projections and reconstruction."""
+    tree, mu, rng = drawn
+    nu = hidden_measure(tree, rng, rng.randint(1, 6))
+    other = twin(tree)
+    assert all(a == b and a is not b for a, b in zip(tree.vertices, other.vertices))
+    plan = optimal_plan(tree, mu, nu)
+    assert optimal_plan(other, mu, nu) == plan
+    t = F(rng.randint(0, 6), 6)
+    assert interpolate(other, optimal_plan(other, mu, nu), t) == interpolate(tree, plan, t)
+    flag = rng.choice(enumerate_flags(tree))
+    assert (pushforward_projection(other, geodesic_through_flag(other, flag), mu).atoms
+            == pushforward_projection(tree, geodesic_through_flag(tree, flag), mu).atoms)
+    assert (reconstruct_measure(other, radon_oracle(other, mu)).measure
+            == reconstruct_measure(tree, radon_oracle(tree, mu)).measure == mu)

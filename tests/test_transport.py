@@ -16,6 +16,7 @@ from treeradon import (
     SolverError,
     SuiteConfig,
     TransportPlan,
+    TreePoint,
     WassersteinGeodesic,
     build_tree,
     check_cat0_triangle,
@@ -131,6 +132,29 @@ class TestInterpolate:
                             dirac(tripod, tripod.vertex_point("y")))
         with pytest.raises(ValueError):
             interpolate(tripod, plan, F(3, 2))
+
+    def test_a_hand_built_plan_is_checked_at_the_boundary(self, tripod):
+        """A hand-built plan is outside input: non-canonical points and
+        string masses interpolate as the canonical plan does, a zero mass
+        and a bool mass are refused."""
+        o, x, y = (tripod.vertex_point(v) for v in "oxy")
+        half_z = tripod.point(2, F(1, 2))
+        mu = make_measure(tripod, [(o, F(1, 2)), (x, F(1, 2))])
+        nu = make_measure(tripod, [(y, F(1, 2)), (half_z, F(1, 2))])
+
+        def plan(*couplings):
+            return TransportPlan(mu, nu, couplings, F(13, 8))
+
+        canonical = plan((o, y, F(1, 2)), (x, half_z, F(1, 2)))
+        # o at offset 0 of edge 0, y at the far end of edge 1, a str offset
+        by_hand = plan((TreePoint(edge=0, offset=F(0)), TreePoint(edge=1, offset=F(1)), "1/2"),
+                       (x, TreePoint(edge=2, offset="1/2"), "1/2"))
+        for t in (0, F(1, 4), F(1, 2), 1):
+            assert interpolate(tripod, by_hand, t) == interpolate(tripod, canonical, t)
+        with pytest.raises(MeasureError, match="^nonpositive mass 0 at "):
+            interpolate(tripod, plan((o, y, 0), (x, half_z, 1)), F(1, 2))
+        with pytest.raises(TypeError, match="^booleans are not rationals$"):
+            interpolate(tripod, plan((o, y, True), (x, half_z, F(1, 2))), F(1, 2))
 
 
 def test_no_geodesic_is_built_up_to_time_one(monkeypatch):
