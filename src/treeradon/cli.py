@@ -18,7 +18,6 @@ from .generate import SuiteConfig, gen_tree
 from .radon import radon_forward, radon_invert, radon_oracle, reconstruct_measure
 from .rationals import format_rational
 from .transport import interpolate, optimal_plan
-from .verify import run_suite
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -205,6 +204,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: verify is the largest module and no other command needs it
+    from .verify import run_suite
+
     report = run_suite(_suite_config(args))
     if args.out:
         io.save_json(report.to_dict(), args.out)

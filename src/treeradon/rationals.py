@@ -27,19 +27,25 @@ def parse_rational(value) -> Fraction:
 
 def _parse_text(text: str, value: str) -> Fraction:
     """Parse ``text``, the string ``value`` already stripped; errors name
-    ``value`` as given."""
-    # ASCII-digit "p" and "p/q" skip Fraction's regex; anything else
-    # (signs, spaces, "_", other scripts' digits) takes the general path
+    ``value`` as given.
+
+    The grammar is an optional sign, decimal digits of any script, and an
+    optional ``/`` followed by such digits: what ``Fraction(str)`` accepts
+    on every supported Python. Later versions' additions (``_`` between
+    digits from 3.11, blanks around ``/`` from 3.12) are refused, so a file
+    loads the same on each.
+    """
+    # ASCII-digit "p" and "p/q" take the fast path; anything else (signs,
+    # spaces, "_", other scripts' digits) is checked against the grammar
     num, slash, den = text.partition("/")
-    if num.isdigit() and num.isascii() and (not slash or den.isdigit() and den.isascii()):
-        try:
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    if "." in text or "e" in text.lower():
-        raise ValueError(f"decimal notation is not allowed: {value!r}")
+    if not (num.isdigit() and num.isascii() and (not slash or den.isdigit() and den.isascii())):
+        if "." in text or "e" in text.lower():
+            raise ValueError(f"decimal notation is not allowed: {value!r}")
+        digits = num[1:] if num.startswith(("+", "-")) else num
+        if not (digits.isdecimal() and (not slash or den.isdecimal())):
+            raise ValueError(f"not a rational: {value!r}")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {value!r}") from exc
 

@@ -6,7 +6,9 @@ names, kept verbatim from before ``parse_rational`` built plain ``"p"`` and
 ``"p/q"`` strings with ``Fraction(int(p), int(q))`` instead of
 ``Fraction(str)``'s regex. The library must accept exactly what these
 accept, with the same values, and reject the rest with the same exception
-type and message.
+type and message, except where ``Fraction(str)`` differs between Python
+versions (``_`` between digits, blanks next to ``/``): the library refuses
+those strings on every version.
 """
 
 from __future__ import annotations

@@ -1,8 +1,17 @@
 """``parse_rational`` and ``parse_length`` against the parsers kept in
 ``tests/rationals_reference.py``: the same value for every string the
 reference accepts, and the same exception type and message for every
-string it rejects."""
+string it rejects.
 
+The reference reads strings with ``Fraction(str)``, whose grammar grows
+with the Python version: 3.11 accepts ``_`` between digits and 3.12 blanks
+around ``/``. The library refuses both on every version, so a string with
+a ``_`` or a blank next to ``/`` is checked against that refusal instead
+of the reference, and ``EXPECTED`` pins outcomes that hold on every
+version.
+"""
+
+import re
 import sys
 from fractions import Fraction as F
 
@@ -31,6 +40,12 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+def version_dependent(text):
+    """Whether some supported Python's ``Fraction(str)`` reads ``text``
+    differently from another's."""
+    return "_" in text or re.search(r"\s/|/\s", text) is not None
+
+
 def assert_same(text):
     for parse, parent in ((parse_rational, reference.parse_rational),
                           (parse_length, reference.parse_length)):
@@ -43,15 +58,45 @@ def assert_same(text):
                                                               want[1].denominator)
 
 
+def assert_parses(text):
+    """The reference's outcome where every version agrees, else a refusal."""
+    if not version_dependent(text):
+        assert_same(text)
+        return
+    # none of these is a rational in the library's grammar
+    kind = "decimal notation is not allowed" if "." in text or "e" in text.lower() \
+        else "not a rational"
+    for parse in (parse_rational, parse_length):
+        assert outcome(parse, text) == (ValueError, f"{kind}: {text!r}")
+
+
 @given(TEXTS)
 @settings(max_examples=400, deadline=None)
 def test_strings_parse_as_the_reference_does(text):
-    assert_same(text)
+    assert_parses(text)
 
 
 @pytest.mark.parametrize("text", EXPLICIT, ids=range(len(EXPLICIT)))
 def test_explicit_strings_parse_as_the_reference_does(text):
-    assert_same(text)
+    assert_parses(text)
+
+
+# The outcome on every supported Python: a value, or None for "not a rational".
+EXPECTED = {
+    "1_000": None, "1_000/3": None, "1_0/3_0": None, "_1": None, "1_": None,
+    " 3 / 4 ": None, "3 /4": None, "3/ 4": None, "3\t/4": None, "3/\u00a04": None,
+    "+ 3": None, "+-3": None, "3/+4": None, "\u00b2": None,
+    "3/4": F(3, 4), " 3/4 ": F(3, 4), "+3": F(3), "-3/4": F(-3, 4), "-0": F(0),
+    "\u0663/\uff14": F(3, 4), "-\u0663/\u0664": F(-3, 4), "\uff13": F(3),
+}
+
+
+@pytest.mark.parametrize("text", EXPECTED, ids=range(len(EXPECTED)))
+def test_strings_parse_the_same_on_every_version(text):
+    want = (ValueError, f"not a rational: {text!r}") if EXPECTED[text] is None \
+        else ("ok", EXPECTED[text])
+    assert outcome(parse_rational, text) == want
+    assert outcome(parse_length, text) == want
 
 
 def test_fast_path_values():
