@@ -22,7 +22,9 @@ of its edge pair among the vertex's C(k,2) pairs. So the kernels build no
 ``Flag`` key: ``radon_forward`` appends each value in order, the flag sums
 read one slice per vertex, and reconstruction keeps its readings in lists
 by position. A table belongs to one tree object; a kernel given a table
-of another tree raises :class:`RadonError`.
+of another tree raises :class:`RadonError`. The inversion and the
+double-counting check ask that once per call, then sum each vertex's
+slice with C-level iteration.
 
 The measure-level transform is the family of projections onto complete
 geodesics; ``reconstruct_measure`` recovers a finitely supported measure
@@ -42,9 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, lcm
-from typing import Callable, Iterable, Mapping
+from operator import attrgetter, floordiv, mul
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     CompletenessError,
@@ -60,6 +63,8 @@ from .tree import Flag, Tree, TreePoint, VertexId
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -249,11 +254,13 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     return FlagTable(tree, tuple(table))
 
 
-def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
-              total: Fraction = _ZERO) -> tuple[int, int]:
-    """Σ Rh(x, ef) over the C(k,2) flags at ``x``, as an integer numerator
-    over a scale D_x: the lcm of the flag values' denominators and of
-    ``total``'s. The flags at ``x`` are one slice of the table.
+def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
+               total: Fraction = _ZERO) -> Iterator[tuple[int, int, int]]:
+    """Per vertex x of ``vertices``, in turn: its valency k and Σ Rh(x, ef)
+    over the C(k,2) flags at x, as an integer numerator over a scale D_x,
+    the lcm of the flag values' denominators and of ``total``'s. The flags
+    at x are one slice of the table, summed by C-level iteration. Whether
+    the table belongs to the tree is asked once, before the first vertex.
 
     The scale is per vertex. One scale for the whole table would be the
     lcm of every denominator in it, and each vertex would pay for the
@@ -261,16 +268,24 @@ def _flag_sum(tree: Tree, table: FlagTable, x: VertexId,
     """
     if table.tree is not tree:
         raise RadonError("the flag table belongs to another tree")
-    record = tree._vertex[x]
-    inc, start = record.incident, record.first_flag
-    values = table.entries[start:start + len(inc) * (len(inc) - 1) // 2]
-    try:
-        scale = lcm(total.denominator, *(value.denominator for value in values))
-    except AttributeError:  # a None: name the first flag without an entry
-        for pair in combinations(inc, 2):
-            table.value(Flag(x, frozenset(pair)))
-        raise
-    return sum(value.numerator * (scale // value.denominator) for value in values), scale
+    entries, records = table.entries, tree._vertex
+    total_denominator = total.denominator
+    for x in vertices:
+        record = records[x]
+        k, start = len(record.incident), record.first_flag
+        values = entries[start:start + k * (k - 1) // 2]
+        try:
+            denominators = list(map(_denominator, values))
+        except AttributeError:  # a None: name the first flag without an entry
+            for pair in combinations(record.incident, 2):
+                table.value(Flag(x, frozenset(pair)))
+            raise
+        scale = lcm(total_denominator, *denominators)
+        # yielded, not listed: with a distinct prime per flag, D_x and the
+        # sum reach thousands of digits, and holding all V of them at once
+        # is slower than holding one vertex's at a time
+        yield k, sum(map(mul, map(_numerator, values),
+                         map(floordiv, repeat(scale), denominators))), scale
 
 
 @dataclass(frozen=True)
@@ -301,7 +316,8 @@ def double_count_check(tree: Tree, h: VertexFunction, x: VertexId,
     if table is None:
         table = radon_forward(tree, h)
     rhs = comb(k - 1, 2) * h.total + (k - 1) * h.value(x)
-    return DoubleCountIdentity(vertex=x, lhs=Fraction(*_flag_sum(tree, table, x)), rhs=rhs)
+    [(_, flag_sum, scale)] = _flag_sums(tree, table, (x,))
+    return DoubleCountIdentity(vertex=x, lhs=Fraction(flag_sum, scale), rhs=rhs)
 
 
 def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
@@ -310,7 +326,7 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     Requires every valency ≥ 3 (equivalently: no leaves, given that
     valency 2 is banned); the table must cover every flag. Each h(x) is
     one ``Fraction`` built from integers at x's own scale D_x (see
-    :func:`_flag_sum`): with S/D_x the flag sum and T/D_x the total,
+    :func:`_flag_sums`): with S/D_x the flag sum and T/D_x the total,
     h(x) = (2S − (k−1)(k−2)·T) / (2·D_x·(k−1)).
     """
     total = parse_rational(total)
@@ -320,10 +336,10 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
             f"inversion needs valency >= 3 everywhere; vertex {tree.leaves[0]!r} has 1"
         )
     values: dict[VertexId, Fraction] = {}
-    for x in tree.vertices:
-        k = len(tree._vertex[x].incident)
-        flag_sum, scale = _flag_sum(tree, table, x, total)
-        scaled_total = total.numerator * (scale // total.denominator)
+    total_numerator, total_denominator = total.numerator, total.denominator
+    for x, (k, flag_sum, scale) in zip(tree.vertices,
+                                       _flag_sums(tree, table, tree.vertices, total)):
+        scaled_total = total_numerator * (scale // total_denominator)
         numerator = 2 * flag_sum - (k - 1) * (k - 2) * scaled_total
         if numerator:
             values[x] = Fraction(numerator, 2 * scale * (k - 1))

@@ -24,10 +24,11 @@ vertex lookup, to which an unhashable id is an unknown vertex, and
 flag the tree hands out carries the vertex list's own id object.
 
 The value types :class:`EdgeRecord`, :class:`TreePoint` and :class:`Flag`
-are ``typing.NamedTuple`` subclasses, so building, hashing and comparing
-them runs in C. Each is immutable, and each hashes and compares as the
-plain tuple of its fields: ``TreePoint("a") == ("a", None, None)`` holds,
-and a value unpacks like a tuple. Two different value types never compare
+are ``typing.NamedTuple`` subclasses, so hashing and comparing them runs
+in C, and so does building them through ``tuple.__new__``, as
+construction builds its records. Each is immutable, and each hashes and
+compares as the plain tuple of its fields: ``TreePoint("a") == ("a",
+None, None)`` holds, and a value unpacks like a tuple. Two different value types never compare
 equal, since their field counts differ.
 """
 
@@ -44,6 +45,10 @@ from .rationals import format_length, parse_length, parse_rational
 VertexId = Union[str, int]
 
 _ZERO = Fraction(0)
+
+# A NamedTuple's own __new__ is a Python function; tuple.__new__(cls, fields)
+# builds the same record in C. Construction makes one per edge and per vertex.
+_new = tuple.__new__
 
 
 def _is_edge_id(value) -> bool:
@@ -232,11 +237,12 @@ class Tree:
                         raise TreeStructureError(
                             f"edge {eid} length {length!r} is not an int or a Fraction")
                     length = Fraction(length)
-                if length <= 0:
+                # a Fraction's denominator is positive, so its sign is the numerator's
+                if length.numerator <= 0:
                     raise TreeStructureError(f"edge {eid} has nonpositive length {length}")
                 finite_count += 1
                 v_edges.append(eid)
-            records.append(EdgeRecord(eid, u, v, length))
+            records.append(_new(EdgeRecord, (eid, u, v, length)))
             u_edges.append(eid)
         self.edges: tuple[EdgeRecord, ...] = tuple(records)
 
@@ -277,7 +283,8 @@ class Tree:
         self._flag_count = count
         # edges are appended in id order, so each incident tuple is sorted
         self._vertex: dict[VertexId, VertexRecord] = {
-            v: VertexRecord(v, tuple(incident[v][1]), parent, via, hops, depth, first_flag[v])
+            v: _new(VertexRecord, (v, tuple(incident[v][1]), parent, via, hops, depth,
+                                   first_flag[v]))
             for v, parent, via, hops, depth in walk
         }
 
@@ -519,6 +526,10 @@ class Tree:
         return top.depth
 
 
+# Sequences of characters or bytes: "ab1" is not the edge ("a", "b", "1")
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
 def build_tree(description) -> Tree:
     """Build and validate a tree from a description.
 
@@ -526,7 +537,9 @@ def build_tree(description) -> Tree:
     where each edge is either a mapping ``{"u": id, "v": id|None,
     "len": "p/q"|"inf"}`` or a ``(u, v, len)`` tuple. Rays are written with
     ``v`` null and length "inf". Lengths are decimal-free rational strings,
-    ints, or Fractions.
+    ints, or Fractions; each distinct string is parsed once per call, and
+    the edges that repeat it share one ``Fraction``. A string of characters
+    or bytes is not an edge entry, even one of length 3.
     """
     if not isinstance(description, Mapping):
         raise TreeStructureError("tree description must be a mapping")
@@ -539,19 +552,27 @@ def build_tree(description) -> Tree:
         if not isinstance(value, (list, tuple)):
             raise TreeStructureError(f"tree description {key!r} must be a list")
     edges = []
+    # Lengths by string: a file repeats few of them ("inf" on every ray).
+    # Only exact strs are keys, since 1 == True == Fraction(1) as keys.
+    parsed: dict[str, Fraction | None] = {}
     for entry in raw_edges:
         # a loaded file's edges are plain dicts; skip the ABC check for them
         if type(entry) is dict or isinstance(entry, Mapping):
             u = entry.get("u")
             v = entry.get("v")
             raw_len = entry.get("len")
-        elif isinstance(entry, Sequence) and len(entry) == 3:
+        elif isinstance(entry, Sequence) and not isinstance(entry, _TEXT) and len(entry) == 3:
             u, v, raw_len = entry
         else:
             raise TreeStructureError(f"unintelligible edge entry {entry!r}")
-        try:
-            length = parse_length(raw_len)
-        except (ValueError, TypeError) as exc:
-            raise TreeStructureError(f"bad edge length {raw_len!r}: {exc}") from exc
+        if type(raw_len) is str and raw_len in parsed:
+            length = parsed[raw_len]
+        else:
+            try:
+                length = parse_length(raw_len)
+            except (ValueError, TypeError) as exc:
+                raise TreeStructureError(f"bad edge length {raw_len!r}: {exc}") from exc
+            if type(raw_len) is str:
+                parsed[raw_len] = length
         edges.append((u, v, length))
     return Tree(vertices, edges)

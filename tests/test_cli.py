@@ -544,6 +544,19 @@ def test_error_path_exit_and_message(tmp_path, capsys, command, payload, code, m
     assert lines[0].startswith("error: " + message)
 
 
+def test_three_letter_edge_string_is_refused(tmp_path, capsys):
+    # "ox1" is a sequence of three items, but not the edge o-x of length 1
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({"vertices": ["o", "x", "y", "z"],
+                                     "edges": ["ox1", *TRIPOD_EDGES[1:]]}))
+    data_file = tmp_path / "h.json"
+    data_file.write_text(json.dumps({"values": {"o": "1"}}))
+    out = tmp_path / "out.json"
+    assert main(["radon", str(tree_file), str(data_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unintelligible edge entry 'ox1'"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["existing-directory", "missing-parent"])
 def test_unwritable_out_is_one_line_error(tmp_path, capsys, where):
     if where == "existing-directory":

@@ -2,11 +2,16 @@
 
 import random
 import re
+from collections import deque
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treeradon.tree
+from common import leafless_description, random_caterpillar, random_tree
+from conftest import profile_settings
 from treeradon import (
     Flag,
     RadonError,
@@ -27,6 +32,8 @@ from treeradon import (
     radon_oracle,
     reconstruct_measure,
 )
+from treeradon.rationals import parse_length
+from treeradon.tree import EdgeRecord, VertexRecord
 
 
 class TestBuildTree:
@@ -104,12 +111,26 @@ class TestBuildTree:
         ({"vertices": ["o"], "edges": {}}, "tree description 'edges' must be a list"),
         ({"vertices": ["o"], "edges": [("o", None)]}, "unintelligible edge entry ('o', None)"),
         ({"vertices": ["o"], "edges": [5]}, "unintelligible edge entry 5"),
+        ({"vertices": ["a", "b"], "edges": ["ab1"]}, "unintelligible edge entry 'ab1'"),
+        ({"vertices": ["a", "b"], "edges": [b"ab1"]}, "unintelligible edge entry b'ab1'"),
+        ({"vertices": [97, 98], "edges": [bytearray(b"ab\x01")]},
+         "unintelligible edge entry bytearray(b'ab\\x01')"),
         ({"vertices": ["o", "x"], "edges": [("o", "x", "1.5")]},
          "bad edge length '1.5': decimal notation is not allowed: '1.5'"),
         ({"vertices": ["o", "x"], "edges": [("o", "x", "x")]},
          "bad edge length 'x': not a rational: 'x'"),
         ({"vertices": ["o", "x"], "edges": [("o", "x", True)]},
          "bad edge length True: booleans are not rationals"),
+        # lengths parsed once per string still fail at the first bad edge
+        ({"vertices": ["o", "x", "y", "z"],
+          "edges": [("o", "x", "1/2"), ("o", "y", ["1"]), ("o", "z", "x")]},
+         "bad edge length ['1']: cannot interpret list as an exact rational"),
+        ({"vertices": ["o", "x", "y", "z"],
+          "edges": [("o", "x", "1/2"), ("o", "y", "x/2"), ("o", "z", ["1"])]},
+         "bad edge length 'x/2': not a rational: 'x/2'"),
+        ({"vertices": ["o", "x", "y", "z"],
+          "edges": [("o", "x", "1/2"), ("o", "y", "1/2"), ("o", "z", {"p": 1})]},
+         "bad edge length {'p': 1}: cannot interpret dict as an exact rational"),
         ({"vertices": [], "edges": []}, "a tree needs at least one vertex"),
         ({"vertices": ["o", None], "edges": []}, "vertex id null is not allowed"),
         ({"vertices": ["o", ["x"]], "edges": []}, "vertex id ['x'] is not hashable"),
@@ -162,6 +183,137 @@ class TestBuildTree:
         assert all(type(rec.depth) is F for rec in tree._vertex.values())
         distance = tree.distance(tree.vertex_point("b"), tree.vertex_point("d"))
         assert (distance, type(distance)) == (3, F)
+
+
+# ---------------------------------------------------------------------- #
+# Construction: lengths parsed once, records against a hand-built walk      #
+# ---------------------------------------------------------------------- #
+
+def spy_on_parse_length(monkeypatch):
+    """The values ``build_tree`` hands ``parse_length``, in call order."""
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return parse_length(value)
+
+    monkeypatch.setattr(treeradon.tree, "parse_length", spy)
+    return calls
+
+
+def test_each_distinct_length_string_is_parsed_once(monkeypatch):
+    description = build_tree(leafless_description(random.Random(5), 80)).describe()
+    strings = [entry["len"] for entry in description["edges"]]
+    calls = spy_on_parse_length(monkeypatch)
+    tree = build_tree(description)
+    assert calls == list(dict.fromkeys(strings))
+    assert len(calls) < len(strings)
+    shared = {}
+    for string, rec in zip(strings, tree.edges):
+        assert shared.setdefault(string, rec.length) is rec.length
+    # the same records as a tree whose lengths were each parsed alone
+    alone = Tree(tree.vertices, [(rec.u, rec.v, parse_length(string))
+                                 for rec, string in zip(tree.edges, strings)])
+    assert alone.edges == tree.edges
+    assert alone._vertex == tree._vertex
+
+
+def test_only_strings_share_a_parse(monkeypatch):
+    # 1, "1" and Fraction(1) are equal as keys, and True equals 1, but only
+    # an exact str is looked up: each other length is parsed where it stands
+    calls = spy_on_parse_length(monkeypatch)
+    tree = build_tree({"vertices": ["o", "x", "y", "z"],
+                       "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", F(1))]})
+    assert calls == ["1", 1, F(1)]
+    assert [rec.length for rec in tree.edges] == [1, 1, 1]
+    with pytest.raises(TreeStructureError) as caught:
+        build_tree({"vertices": ["o", "x", "y", "z"],
+                    "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", True)]})
+    assert str(caught.value) == "bad edge length True: booleans are not rationals"
+
+
+def records_by_hand(description):
+    """The records a tree of ``description`` holds, built apart from
+    ``Tree``: edges in list order, each endpoint swapped for the vertex
+    list's own id, then vertices breadth first from the first one, each
+    depth its parent's plus the length of the edge between them."""
+    vertices = description["vertices"]
+    own = {v: v for v in vertices}
+    edges, incident = [], {v: [] for v in vertices}
+    for eid, entry in enumerate(description["edges"]):
+        u, v, raw = (entry["u"], entry["v"], entry["len"]) if isinstance(entry, dict) else entry
+        u, v = own[u], None if v is None else own[v]
+        edges.append(EdgeRecord(eid, u, v, None if v is None else F(raw)))
+        for end in (u, v):
+            if end is not None:
+                incident[end].append(eid)
+    first_flag, count = {}, 0
+    for v in vertices:
+        first_flag[v] = count
+        count += comb(len(incident[v]), 2)
+    found = {vertices[0]: (None, None, 0, F(0))}
+    queue = deque([vertices[0]])
+    while queue:
+        w = queue.popleft()
+        hops, depth = found[w][2:]
+        for eid in incident[w]:
+            rec = edges[eid]
+            o = rec.u if rec.v == w else rec.v
+            if o is not None and o not in found:
+                found[o] = (w, eid, hops + 1, depth + rec.length)
+                queue.append(o)
+    return edges, {v: VertexRecord(v, tuple(incident[v]), *found[v], first_flag[v])
+                   for v in found}
+
+
+RECORD_TREES = ("leafless", "finite", "complete", "caterpillar", "int ids")
+
+
+def record_description(kind, rng):
+    """A tree description: ``leafless_description`` of up to 60 vertices, a
+    ``gen_tree`` tree of up to 30, a caterpillar rooted at one end of its
+    210-vertex spine, or a ``random_tree`` with int ids whose edges are
+    (u, v, length) tuples that name vertex 1 as ``True``."""
+    if kind == "leafless":
+        return leafless_description(rng, rng.randint(1, 60))
+    if kind in ("finite", "complete"):
+        return gen_tree(SuiteConfig(max_vertices=30, max_valency=5), kind, rng).describe()
+    if kind == "caterpillar":
+        tree = random_caterpillar(rng, 210, False)
+        while tree.vertices[0] != 0:
+            tree = random_caterpillar(rng, 210, False)
+        return tree.describe()
+    description = random_tree(rng, rng.randint(2, 30), rng.random() < 0.5).describe()
+    alias = {1: True}
+    description["edges"] = [
+        (alias.get(e["u"], e["u"]), alias.get(e["v"], e["v"]),
+         "inf" if e["v"] is None else F(e["len"]))
+        for e in description["edges"]
+    ]
+    return description
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(RECORD_TREES))
+@profile_settings(40)
+def test_records_match_a_breadth_first_construction(seed, kind):
+    description = record_description(kind, random.Random(seed))
+    tree = build_tree(description)
+    edges, vertex = records_by_hand(description)
+    if kind == "caterpillar":
+        assert max(record.hops for record in vertex.values()) >= 200
+    assert tree.edges == tuple(edges)
+    assert tree._vertex == vertex
+    pairs = [*zip(tree.edges, edges), *((tree._vertex[v], vertex[v]) for v in vertex)]
+    for got, want in pairs:
+        assert type(got) is type(want)
+        assert [type(field) for field in got] == [type(field) for field in want]
+    for got, want in zip(tree.edges, edges):
+        assert got.u is want.u and got.v is want.v
+    seen = set()
+    for v, record in tree._vertex.items():
+        assert v is record.id is vertex[v].id
+        assert record.parent is None or record.parent in seen
+        seen.add(v)
 
 
 class TestCompleteness:
