@@ -14,7 +14,6 @@ from dataclasses import fields
 
 from . import io
 from .errors import DomainError, FileFormatError, SolverError
-from .generate import SuiteConfig, gen_tree
 from .radon import radon_forward, radon_invert, radon_oracle, reconstruct_measure
 from .rationals import format_rational
 from .transport import interpolate, optimal_plan
@@ -31,13 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The generator's bounds, shared by gen-tree and verify, with
-    # SuiteConfig's defaults.
-    defaults = SuiteConfig()
+    # The generator's bounds, shared by gen-tree and verify. An option not
+    # given stays out of the parsed namespace, so _suite_config keeps
+    # SuiteConfig's default for it and the parser never loads the generator.
     bounds = argparse.ArgumentParser(add_help=False)
     for field in ("seed", "max_vertices", "min_valency", "max_valency", "max_denominator"):
-        bounds.add_argument("--" + field.replace("_", "-"), type=int,
-                            default=getattr(defaults, field))
+        bounds.add_argument("--" + field.replace("_", "-"), type=int, default=argparse.SUPPRESS)
     pair = argparse.ArgumentParser(add_help=False)
     for name in ("tree", "mu", "nu"):
         pair.add_argument(name)
@@ -82,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("verify", parents=[bounds], help="run the property suite")
-    p.add_argument("--trials", type=int, default=defaults.trials)
-    p.add_argument("--max-atoms", type=int, default=defaults.max_atoms)
+    p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-atoms", type=int, default=argparse.SUPPRESS)
     p.add_argument("--inject-fault", action="store_true",
                    help="self-test: mutate one check so the suite must fail")
     p.add_argument("--out", help="report file")
@@ -92,9 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suite_config(args) -> SuiteConfig:
+def _suite_config(args):
     """The SuiteConfig that the parsed options set; fields they lack keep
     their defaults."""
+    # imported here, as verify is: only the commands that draw need the generator
+    from .generate import SuiteConfig
+
     options = vars(args)
     return SuiteConfig(**{f.name: options[f.name] for f in fields(SuiteConfig)
                           if f.name in options})
@@ -107,6 +108,8 @@ def _load_pair(args):
 
 
 def _cmd_gen_tree(args) -> int:
+    from .generate import gen_tree
+
     tree = gen_tree(_suite_config(args), mode=args.mode)
     io.save_tree(tree, args.out)
     complete = "complete" if tree.geodesically_complete else "has leaves"

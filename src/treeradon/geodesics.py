@@ -26,10 +26,10 @@ sign 1 exactly when that end is ``walk[i]``. One core builds every
 geodesic from its edges and walk, and it is reached two ways: through the
 validating constructor, which checks the edges, ends and origin it is
 given and derives the walk from them, or with a walk the tree itself
-made, which ``path`` climbs from parent links and ``_flag_geodesic``
-walks past its flag. Such a walk is valid by construction and is not
-checked again, so, as for the tree, arguments are validated once, at the
-public boundary.
+made: ``path`` takes the one the tree climbs between two points
+(``Tree._walk``), and ``_flag_geodesic`` walks past its flag. Such a
+walk is valid by construction and is not checked again, so, as for the
+tree, arguments are validated once, at the public boundary.
 
 Projection onto a geodesic is combinatorial: a point inside one of the
 geodesic's edges reads its raw coordinate from the edge's chart, clipped to
@@ -43,7 +43,9 @@ A point a fraction of the way from p to q needs no geodesic: the path
 climbs from p to the depth where the two points' paths to the root meet
 and descends to q, so ``_point_along`` compares the tree's stored depths
 along parent links on the side where the point lies. Midpoints, the CAT(0)
-comparison and constant-speed travel up to time 1 all read it.
+comparison and constant-speed travel up to time 1 all read it; travel
+past time 1 reads the last edge of the tree's walk, so travel builds no
+geodesic at any time.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class Geodesic:
     the geodesic raises :class:`GeodesicError`. Everything is built at
     construction, so instances are immutable and safe to share. One core
     builds it: the constructor reaches the core after its checks, and
-    ``path`` and ``_flag_geodesic`` reach it with their own walks through
-    ``_from_walk``.
+    ``path`` and ``_flag_geodesic`` reach it with walks the tree made
+    through ``_from_walk``.
     """
 
     __slots__ = (
@@ -343,34 +345,12 @@ class Geodesic:
 
 
 def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
-    """The unique injective path from ``p`` to ``q`` as a geodesic segment.
-
-    The edges and vertices between the two points' feet come from climbing
-    the tree's parent links, and the walk goes straight to the geodesic
-    core. A point inside an edge puts that edge at its end of the path: the
-    climb already starts (or stops) with it when the path leaves the point
-    through the edge's far end, and otherwise it is added with its far
-    vertex. Two points of one edge give that edge alone, its ends in the
-    order of their offsets, as the constructor orders them; a vertex to
-    itself takes its smallest incident edge, ``u`` end first. The origin
-    sits at ``p``, so coordinates run from 0 to the distance.
-    """
-    p = tree.canonical_point(p)
-    q = tree.canonical_point(q)
-    a, b = tree._foot_vertex(p), tree._foot_vertex(q)
-    if a == b and p.edge == q.edge:  # one edge, or one vertex (both edges None)
-        rec = tree.edges[tree._vertex[a].incident[0] if p.edge is None else p.edge]
-        edges = [rec.id]
-        walk = [rec.v, rec.u] if p.edge is not None and q.offset < p.offset else [rec.u, rec.v]
-    else:
-        edges, walk = tree._path_walk(a, b)
-        if not p.is_vertex and (not edges or edges[0] != p.edge):
-            edges.insert(0, p.edge)
-            walk.insert(0, tree.edges[p.edge].other_end(a))
-        if not q.is_vertex and (not edges or edges[-1] != q.edge):
-            edges.append(q.edge)
-            walk.append(tree.edges[q.edge].other_end(b))
-    return Geodesic._from_walk(tree, edges, walk, p, q, p)
+    """The unique injective path from ``p`` to ``q`` as a geodesic segment:
+    the tree's walk between them (``Tree._walk``) goes straight to the
+    geodesic core. The origin sits at ``p``, so coordinates run from 0 to
+    the distance."""
+    p, q = tree.canonical_point(p), tree.canonical_point(q)
+    return Geodesic._from_walk(tree, *tree._walk(p, q), p, q, p)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
@@ -470,21 +450,23 @@ def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
     """Where constant-speed travel from ``p`` to ``q``, two canonical
     points, is at time ``t ≥ 0``, reaching ``q`` at time 1.
 
-    Up to time 1 this is ``_point_along``, and no path is built. Past it,
-    each call builds ``path(tree, p, q)`` and walks afresh from its end: it
-    finishes the last edge in the direction its chart gives, then takes
-    the walk rule ``_onward`` at every vertex and turns back along the
-    edge it came by at a leaf, so the speed stays constant on trees with
-    leaves. A zero-length segment stays at its point.
+    Up to time 1 this is ``_point_along``. Past it, each call reads the
+    last edge of the path and the way along it from the tree's walk
+    (``Tree._walk``), and walks afresh from ``q``: it finishes that edge,
+    then takes the walk rule ``_onward`` at every vertex and turns back
+    along the edge it came by at a leaf, so the speed stays constant on
+    trees with leaves. No ``Geodesic`` is built at any time. A
+    zero-length segment stays at its point.
     """
     if t <= 1:
         return _point_along(tree, p, q, t)
-    segment = path(tree, p, q)
-    extra = (t - 1) * segment.length
-    eid = segment.edges[-1]
+    edges, walk = tree._walk(p, q)
+    extra = (t - 1) * tree.distance(p, q)
+    eid = edges[-1]
     rec = tree.edges[eid]
-    offset = segment._offset_on(q, rec)
-    sign = segment._chart[-1][1]
+    offset = q.offset if q.vertex is None else rec.endpoint_offset(q.vertex)
+    # the last edge runs toward walk[-1], so toward u exactly when that is u
+    sign = -1 if walk[-1] == rec.u else 1
     # an end on a vertex has no room left on its edge, so the first pass
     # turns straight onto the walk rule there
     while True:

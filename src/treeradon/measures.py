@@ -115,10 +115,14 @@ class RadonSample:
         return _ZERO
 
     def to_measure(self, tree: Tree) -> Measure:
-        """Place the sample back on the tree as atoms on the geodesic."""
-        return make_measure(
-            tree, ((self.geodesic.point_at(c), m) for c, m in self.atoms)
-        )
+        """Place the sample back on ``tree``, the geodesic's own tree, as
+        atoms on the geodesic. ``point_at`` gives canonical points, so they
+        go to the measure core unchecked; each mass is parsed once, since a
+        hand-built sample may carry ``"p/q"`` strings."""
+        if self.geodesic.tree is not tree:
+            raise GeodesicError("geodesic belongs to a different tree")
+        point_at = self.geodesic.point_at
+        return _measure((point_at(c), parse_rational(m)) for c, m in self.atoms)
 
 
 def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> RadonSample:

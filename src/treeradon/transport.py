@@ -22,7 +22,9 @@ plan's couplings, checked once when it is built, and moves each coupled
 mass at constant speed along the path from its source to its target
 (``geodesics._travel``); the atoms it locates are canonical and go to
 the measure core unchecked. Up to time 1 the point is located from the
-tree's depths and no path is built. Past its target the mass follows
+tree's depths, and past it from the last edge of the tree's walk from
+source to target (``Tree._walk``), so no path is built at any time.
+Past its target the mass follows
 the geodesics' one walk rule (``geodesics._onward``): the smallest other
 incident edge identifier at every vertex, which makes every output
 deterministic, and it turns back at a leaf. Each evaluation walks afresh
@@ -348,7 +350,7 @@ class WassersteinGeodesic:
     at constant speed along the path from their source to their target
     (``geodesics._travel``). The constructor takes the plan as outside
     input: it makes each coupling's points canonical points of ``tree``
-    and parses its mass, once. ``at`` builds no path up to time 1 and
+    and parses its mass, once. ``at`` builds no path at any time and
     hands the atoms it locates to ``measures._measure`` unchecked.
 
     Evaluation at times s, t inside the interval satisfies

@@ -473,26 +473,6 @@ class Tree:
             b = vertex[b.parent]
         return a
 
-    def _path_walk(self, a: VertexId, b: VertexId) -> tuple[list[int], list[VertexId]]:
-        """Edge ids and vertices of the path from vertex ``a`` to vertex
-        ``b``, ``a`` first, climbing parent links from the deeper end until
-        the two meet; edge i joins vertices i and i + 1."""
-        vertex = self._vertex
-        a, b = vertex[a], vertex[b]
-        head, tail = [], []
-        head_walk, tail_walk = [a.id], [b.id]
-        while a is not b:
-            if a.hops >= b.hops:
-                head.append(a.parent_edge)
-                a = vertex[a.parent]
-                head_walk.append(a.id)
-            else:
-                tail.append(b.parent_edge)
-                b = vertex[b.parent]
-                tail_walk.append(b.id)
-        # both halves end at the meeting vertex; keep it once
-        return head + tail[::-1], head_walk + tail_walk[-2::-1]
-
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         """Length of the unique injective path between two points."""
         p = self.canonical_point(p)
@@ -524,6 +504,44 @@ class Tree:
         if q_inside and q_vertex == top.id:
             return q_depth
         return top.depth
+
+    def _walk(self, p: TreePoint, q: TreePoint) -> tuple[list[int], list[VertexId | None]]:
+        """The path between canonical points ``p`` and ``q`` as ``(edges,
+        walk)``: its edge ids from ``p`` on, and its closed vertex path, None
+        at a ray's open end, so edge i runs from ``walk[i]`` to ``walk[i + 1]``.
+
+        The climb follows parent links from the deeper foot until the two
+        meet. A point inside an edge puts that edge at its end of the path,
+        unless the climb already starts (or stops) with it. Two points of
+        one edge give that edge alone, its ends in the order of their
+        offsets; a vertex to itself its smallest incident edge, ``u`` first.
+        """
+        a, b = self._foot_vertex(p), self._foot_vertex(q)
+        vertex = self._vertex
+        if a == b and p.edge == q.edge:  # one edge, or one vertex (both edges None)
+            rec = self.edges[vertex[a].incident[0] if p.edge is None else p.edge]
+            flip = p.edge is not None and q.offset < p.offset
+            return [rec.id], [rec.v, rec.u] if flip else [rec.u, rec.v]
+        x, y = vertex[a], vertex[b]
+        head, tail, head_walk, tail_walk = [], [], [x.id], [y.id]
+        while x is not y:
+            if x.hops >= y.hops:
+                head.append(x.parent_edge)
+                x = vertex[x.parent]
+                head_walk.append(x.id)
+            else:
+                tail.append(y.parent_edge)
+                y = vertex[y.parent]
+                tail_walk.append(y.id)
+        # both halves end at the meeting vertex; keep it once
+        edges, walk = head + tail[::-1], head_walk + tail_walk[-2::-1]
+        if p.edge is not None and (not edges or edges[0] != p.edge):
+            edges.insert(0, p.edge)
+            walk.insert(0, self.edges[p.edge].other_end(a))
+        if q.edge is not None and (not edges or edges[-1] != q.edge):
+            edges.append(q.edge)
+            walk.append(self.edges[q.edge].other_end(b))
+        return edges, walk
 
 
 # Sequences of characters or bytes: "ab1" is not the edge ("a", "b", "1")

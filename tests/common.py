@@ -147,6 +147,15 @@ def random_caterpillar(rng, n, leaves):
     return build_tree({"vertices": vertices, "edges": edges})
 
 
+def deep_caterpillar(rng, leaves):
+    """A caterpillar rooted at one end of its 210-vertex spine, so that its
+    parent chains run 200 hops or more."""
+    while True:
+        tree = random_caterpillar(rng, 420 if leaves else 210, leaves)
+        if tree.vertices[0] == 0:
+            return tree
+
+
 # ---------------------------------------------------------------------- #
 # Values and measures for the Radon kernels                                 #
 # ---------------------------------------------------------------------- #

@@ -23,7 +23,7 @@ from treeradon import (
     make_measure,
     vertex_function,
 )
-from treeradon.cli import _build_parser, main
+from treeradon.cli import _build_parser, _suite_config, main
 from treeradon.verify import run_suite
 
 
@@ -654,6 +654,13 @@ def test_default_verify_is_suite_config_default_at_20_trials(tmp_path, capsys):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def test_unset_bounds_keep_the_suite_config_defaults(tmp_path):
+    # the bounds default to argparse.SUPPRESS, so an option not given
+    # leaves SuiteConfig's own default in place
+    for argv in (["verify"], ["gen-tree", "--out", str(tmp_path / "t.json")]):
+        assert _suite_config(_build_parser().parse_args(argv)) == SuiteConfig()
+
+
 # Reports pinned byte for byte: a passing run, the self-test's failing run
 # with its shrunk counterexample, and a run on larger trees and measures.
 # A change to the suite's draws, checks or payloads changes a digest.
@@ -679,18 +686,25 @@ def test_verify_reports_are_pinned(tmp_path, capsys, args, code, digest):
 # Every subcommand's arguments by dest: (option strings, default, type,
 # required, choices, action, help). Written from the parser that declared
 # each option in each subcommand, so a shared declaration that drops or
-# changes one fails here.
+# changes one fails here. The generator's bounds default to
+# argparse.SUPPRESS: an option not given stays out of the namespace, and
+# the SuiteConfig that _suite_config builds keeps its own default.
 _TREE_MU_NU = {
     "tree": ((), None, None, True, None, "_StoreAction", None),
     "mu": ((), None, None, True, None, "_StoreAction", None),
     "nu": ((), None, None, True, None, "_StoreAction", None),
 }
 _BOUNDS = {
-    "seed": (("--seed",), 42, int, False, None, "_StoreAction", None),
-    "max_vertices": (("--max-vertices",), 8, int, False, None, "_StoreAction", None),
-    "min_valency": (("--min-valency",), 3, int, False, None, "_StoreAction", None),
-    "max_valency": (("--max-valency",), 5, int, False, None, "_StoreAction", None),
-    "max_denominator": (("--max-denominator",), 12, int, False, None, "_StoreAction", None),
+    "seed": (("--seed",), argparse.SUPPRESS, int, False, None,
+             "_StoreAction", None),
+    "max_vertices": (("--max-vertices",), argparse.SUPPRESS, int, False, None,
+                     "_StoreAction", None),
+    "min_valency": (("--min-valency",), argparse.SUPPRESS, int, False, None,
+                    "_StoreAction", None),
+    "max_valency": (("--max-valency",), argparse.SUPPRESS, int, False, None,
+                    "_StoreAction", None),
+    "max_denominator": (("--max-denominator",), argparse.SUPPRESS, int, False, None,
+                        "_StoreAction", None),
 }
 _OUT = (("--out",), None, None, True, None, "_StoreAction", None)
 CLI_OPTIONS = {
@@ -732,8 +746,10 @@ CLI_OPTIONS = {
     },
     "verify": {
         **_BOUNDS,
-        "trials": (("--trials",), 20, int, False, None, "_StoreAction", None),
-        "max_atoms": (("--max-atoms",), 4, int, False, None, "_StoreAction", None),
+        "trials": (("--trials",), argparse.SUPPRESS, int, False, None,
+                   "_StoreAction", None),
+        "max_atoms": (("--max-atoms",), argparse.SUPPRESS, int, False, None,
+                      "_StoreAction", None),
         "inject_fault": (("--inject-fault",), False, None, False, None, "_StoreTrueAction",
                          "self-test: mutate one check so the suite must fail"),
         "out": (("--out",), None, None, False, None, "_StoreAction", "report file"),

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import inside, leafless_tree, random_caterpillar, random_point
+from common import deep_caterpillar, inside, leafless_tree, random_point
 from conftest import profile_settings
 from geodesic_reference import geodesic_through_edge
 from treeradon import (
@@ -276,17 +276,13 @@ LOCATOR_TREES = ("finite", "complete", "leafless", "caterpillar", "leafy caterpi
 
 def locator_tree(kind, rng):
     """A ``gen_tree`` tree of up to 30 vertices, a leafless tree of up to
-    60, or a caterpillar rooted at one end of its 210-vertex spine, so
-    that its parent chains run 200 hops or more."""
+    60, or a ``deep_caterpillar``, whose parent chains run 200 hops or
+    more."""
     if kind in ("finite", "complete"):
         return gen_tree(SuiteConfig(max_vertices=30, max_valency=5), kind, rng)
     if kind == "leafless":
         return leafless_tree(rng, rng.randint(1, 60))
-    leaves = kind == "leafy caterpillar"
-    while True:
-        tree = random_caterpillar(rng, 420 if leaves else 210, leaves)
-        if tree.vertices[0] == 0:
-            return tree
+    return deep_caterpillar(rng, kind == "leafy caterpillar")
 
 
 def locator_pairs(tree, rng):

@@ -12,11 +12,15 @@ from conftest import profile_settings
 from treeradon import (
     GeodesicError,
     MeasureError,
+    RadonSample,
     SuiteConfig,
     Tree,
     WassersteinGeodesic,
+    build_tree,
+    check_nonextendable,
     dirac,
     enumerate_flags,
+    extend_from_dirac,
     gen_measure,
     gen_point,
     gen_tree,
@@ -116,6 +120,17 @@ class TestPushforward:
         geo = path(other, other.vertex_point("x"), other.vertex_point("y"))
         with pytest.raises(GeodesicError, match="different tree"):
             pushforward_projection(tripod, geo, dirac(tripod, tripod.vertex_point("z")))
+
+    def test_sample_placed_on_another_tree_rejected(self, tripod):
+        # same ids, edge 0 twice as long: A's coordinates would be read as
+        # points of another metric
+        longer = build_tree({**tripod.describe(), "edges": [
+            (e.u, e.v, e.length * 2 if e.id == 0 else e.length) for e in tripod.edges]})
+        geo = path(tripod, tripod.vertex_point("x"), tripod.vertex_point("y"))
+        sample = pushforward_projection(tripod, geo, dirac(tripod, tripod.point(0, F(1, 2))))
+        for other in (longer, twin(tripod)):
+            with pytest.raises(GeodesicError, match="different tree"):
+                sample.to_measure(other)
 
     def test_non_maximal_geodesic_rejected(self, tripod):
         geo = path(tripod, tripod.vertex_point("x"), tripod.vertex_point("o"))
@@ -217,6 +232,23 @@ def test_a_wasserstein_geodesic_checks_its_couplings_once(canonical_calls):
             assert len(canonical_calls) == checked
 
 
+def test_placing_a_sample_checks_no_atom(canonical_calls):
+    """to_measure hands the geodesic's own points to the measure core, and
+    parses a hand-built sample's string masses."""
+    rng = random.Random(35)
+    for _ in range(8):
+        tree = leafless_tree(rng, rng.randint(1, 30))
+        mu = hidden_measure(tree, rng, rng.randint(1, 6))
+        geodesic = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
+        sample = pushforward_projection(tree, geodesic, mu)
+        by_hand = RadonSample(geodesic, tuple((c, str(m)) for c, m in sample.atoms))
+        canonical_calls.clear()
+        placed = sample.to_measure(tree)
+        assert by_hand.to_measure(tree) == placed
+        assert canonical_calls == []
+        assert pushforward_projection(tree, geodesic, placed) == sample
+
+
 def test_generation_checks_no_atom(canonical_calls):
     rng = random.Random(32)
     for mode in ("finite", "complete") * 8:
@@ -241,7 +273,8 @@ def test_reconstruction_checks_no_atom(canonical_calls):
 def test_a_measure_goes_with_a_twin_of_its_tree(drawn):
     """A tree built from the same description, with vertex ids that are
     other objects, gives a measure made on the first tree the same plans,
-    interpolants, projections and reconstruction."""
+    interpolants, projections and reconstruction, and the same extension
+    past time 1 and continuation of a geodesic to one of its atoms."""
     tree, mu, rng = drawn
     nu = hidden_measure(tree, rng, rng.randint(1, 6))
     other = twin(tree)
@@ -255,3 +288,8 @@ def test_a_measure_goes_with_a_twin_of_its_tree(drawn):
             == pushforward_projection(tree, geodesic_through_flag(tree, flag), mu).atoms)
     assert (reconstruct_measure(other, radon_oracle(other, mu)).measure
             == reconstruct_measure(tree, radon_oracle(tree, mu)).measure == mu)
+    x, s = rng.choice(nu.support), 1 + F(rng.randint(1, 6), 6)
+    assert extend_from_dirac(other, x, mu, s) == extend_from_dirac(tree, x, mu, s)
+    if not mu.is_dirac:
+        y = rng.choice(mu.support)
+        assert check_nonextendable(other, mu, y) == check_nonextendable(tree, mu, y)

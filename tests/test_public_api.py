@@ -104,6 +104,19 @@ print('treeradon.verify' in sys.modules)
     assert fresh(code).split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("imports", ["import treeradon.cli", workloads_imports()],
+                         ids=["cli", "bench-workloads"])
+def test_only_drawing_loads_the_generator(imports):
+    # the CLI's parser declares the generator's bounds without its defaults
+    code = f"""{imports}
+import sys, treeradon
+print('treeradon.generate' in sys.modules)
+treeradon.gen_tree
+print('treeradon.generate' in sys.modules)
+"""
+    assert fresh(code).split() == ["False", "True"]
+
+
 def test_every_export_is_its_modules_object():
     # e.g. treeradon.Tree is treeradon.tree.Tree, and the package keeps it
     code = f"""import sys, treeradon

@@ -37,6 +37,7 @@ from treeradon import (
     w2_squared_enumerated,
 )
 from treeradon import transport
+from treeradon.geodesics import _travel
 
 
 class TestW2:
@@ -182,6 +183,39 @@ def test_no_geodesic_is_built_up_to_time_one(monkeypatch):
         midpoint(tree, x, z)
     assert built == []
     path(tree, x, z)  # the spy sees the geodesic that path builds
+    assert len(built) == 1
+
+
+def test_no_geodesic_is_built_past_time_one(monkeypatch):
+    """Travel past time 1 reads the last edge of the tree's walk: extension
+    from a Dirac, the default continuation of check_nonextendable and
+    _travel itself set up no Geodesic."""
+    built = []
+    set_up = Geodesic._set_up
+
+    def counted(self, *args):
+        built.append(args)
+        set_up(self, *args)
+
+    monkeypatch.setattr(Geodesic, "_set_up", counted)
+    cfg = SuiteConfig(max_vertices=14, max_atoms=5, max_denominator=9)
+    rng = random.Random(34)
+    for mode in ("finite", "complete") * 8:
+        tree = gen_tree(cfg, mode, rng)
+        mu = gen_measure(cfg, tree, rng)
+        x, y = gen_point(tree, rng, cfg.max_denominator), gen_point(tree, rng, cfg.max_denominator)
+        for t in (F(5, 4), 2, F(7, 3)):
+            _travel(tree, x, y, t)
+            _travel(tree, x, x, t)
+        if not mu.is_dirac:
+            check_nonextendable(tree, mu, mu.support[-1])
+        if tree.geodesically_complete:
+            family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon=3)
+            for t in (F(3, 2), 2, 3):
+                family.at(t)
+                extend_from_dirac(tree, x, mu, t)
+    assert built == []
+    path(tree, x, y)  # the spy sees the geodesic that path builds
     assert len(built) == 1
 
 
