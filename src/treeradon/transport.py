@@ -8,11 +8,13 @@ Fraction arithmetic per pair; the solver scales the masses to integers
 over their common denominator and pivots in exact Python ints, which
 leaves every sign, comparison and tie, and so the pivot sequence, as it
 would be over the rationals. The basis is one spanning tree rooted at row
-0 (parent, depth, dual potential and allocation per node), read off the
-north-west staircase as it is walked; each pivot re-hangs only the
-subtree its leaving cell cuts off, shifting its potentials, and the
-entering scan skips every row whose lower bound on its reduced costs is
-not negative. Plans, costs and every other value at the API stay exact
+0 (child list, parent, dual potential and allocation per node), read off
+the north-west staircase as it is walked. Each pivot finds its cycle by
+stamping the entering row's path to the root, turns over only the path
+from the entering cell to the leaving one, and shifts the potentials of
+the side it re-hangs. The entering scan skips every row whose lower
+bound on its reduced costs is not negative and tests each other row in
+one pass. Plans, costs and every other value at the API stay exact
 Fractions; a plan's squared cost is summed from the solver's own cost
 matrix.
 
@@ -73,19 +75,21 @@ def _scaled(values, scale: int) -> list[int]:
 def _northwest_basis(supply, demand, cost):
     """The north-west corner start as its basis tree over rows 0..n-1 and
     columns n..n+m-1 (nodes), rooted at row 0, as
-    ``(adj, parent, depth, pot, flow)``.
+    ``(children, parent, pot, flow)``.
 
     The corner's n+m-1 cells form a staircase: each shares its row or its
     column with the cell before it, so each hangs one new node from a node
     already hung, column j below row i when j advances, row i below column
-    j when i advances. ``pot`` holds the dual potentials, u_i at node i and
-    v_j at node n+j, with u_0 pinned to 0, so u_i + v_j = c_ij on every
-    basis cell; ``flow`` holds each cell's allocation on its child node.
-    The root is its own parent.
+    j when i advances (also at the last column with supply left, which
+    only unbalanced masses leave). ``children`` lists each node's children
+    and ``parent`` its parent; the root is its own parent. ``pot`` holds
+    the dual potentials, u_i at node i and v_j at node n+j, with u_0
+    pinned to 0, so u_i + v_j = c_ij on every basis cell; ``flow`` holds
+    each cell's allocation on its child node.
     """
     n, m = len(supply), len(demand)
-    adj = [set() for _ in range(n + m)]
-    parent, depth, pot, flow = ([0] * (n + m) for _ in range(4))
+    children = [[] for _ in range(n + m)]
+    parent, pot, flow = ([0] * (n + m) for _ in range(3))
     i = j = 0
     s, d = supply[0], demand[0]
     a, b = 0, n
@@ -93,15 +97,13 @@ def _northwest_basis(supply, demand, cost):
         q = min(s, d)
         s -= q
         d -= q
-        adj[a].add(b)
-        adj[b].add(a)
+        children[a].append(b)
         parent[b] = a
-        depth[b] = depth[a] + 1
         pot[b] = cost[i][j] - pot[a]
         flow[b] = q
         if i == n - 1 and j == m - 1:
-            return adj, parent, depth, pot, flow
-        if s == 0 and i < n - 1:
+            return children, parent, pot, flow
+        if (s == 0 or j == m - 1) and i < n - 1:
             i += 1
             s = supply[i]
             a, b = n + j, i
@@ -111,19 +113,17 @@ def _northwest_basis(supply, demand, cost):
             a, b = i, n + j
 
 
-def _hang(adj, parent, depth, top):
-    """Hang every node that ``top`` reaches without passing its parent:
-    set each one's parent and depth from ``top``'s own, which the caller
-    sets. Returns the nodes hung, ``top`` first."""
-    order = [top]
-    for a in order:
-        up, below = parent[a], depth[a] + 1
-        for b in adj[a]:
-            if b != up:
-                parent[b] = a
-                depth[b] = below
-                order.append(b)
-    return order
+def _hang(children, parent, flow, path, below, q):
+    """Hang ``path[0]`` below ``below`` by turning over ``path``, its
+    chain of parents up to the node whose parent link leaves the basis:
+    each node's parent becomes the node before it, and each cell's flow
+    moves down with it, the entering cell taking ``q``."""
+    for c in path:
+        children[parent[c]].remove(c)
+        children[below].append(c)
+        parent[c] = below
+        flow[c], q = q, flow[c]
+        below = c
 
 
 def _transportation_simplex(supply, demand, cost):
@@ -141,111 +141,111 @@ def _transportation_simplex(supply, demand, cost):
     lexicographically smallest among the minimum-allocation cells on the
     minus side of the pivot cycle.
 
-    The basis is one spanning tree rooted at row 0, kept as parent, depth
-    and potential per node, with each basis cell's allocation on its child
-    node (network simplex in its spanning-tree form), read off the
-    north-west staircase by ``_northwest_basis``. The pivot cycle is
+    The basis is one spanning tree rooted at row 0, kept as child list,
+    parent and potential per node, with each basis cell's allocation on
+    its child node (network simplex in its spanning-tree form), read off
+    the north-west staircase by ``_northwest_basis``. The pivot cycle is
     the entering cell plus the tree paths from its row and column up to
-    their lowest common ancestor. Removing the leaving cell cuts the tree
-    in two: side I holds the entering row, side J the entering column. The
-    side without the root is re-hung below the entering cell. The entering
-    cell's reduced cost r < 0 must become 0, so that side's potentials
-    shift by r, its rows one way and its columns the other (Ahuja,
-    Magnanti and Orlin, *Network Flows*, 1993, ch. 11), with no cost
-    looked up.
+    their lowest common ancestor, found as the first node of the column's
+    climb that the row's climb to the root stamped. Removing the leaving
+    cell cuts the tree in two: side I holds the entering row, side J the
+    entering column. The side without the root is re-hung below the
+    entering cell by turning over the path from the entering cell's end
+    on that side up to the cut (``_hang``); no other node's parent
+    changes. The entering cell's reduced cost r < 0 must become 0, so
+    that side's potentials shift by r, its rows one way and its columns
+    the other (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 11),
+    in one walk down its child lists, with no cost looked up.
 
     After the shift only the cells with their row on side J and their
     column on side I lose reduced cost, each by exactly |r|. So the scan
     keeps a lower bound per row on its least reduced cost, exact at the
     start, and lowers the bound of every row on side J by |r| per pivot. A
     row whose bound is ≥ 0 has no negative reduced cost and is skipped;
-    any other row is tested in full, ``min(map(sub, row, v)) - u_i``, and
+    any other row is tested once, ``min(map(sub, row, v)) - u_i``, and
     that minimum is its new bound. The first row whose minimum is negative
-    holds Bland's cell.
+    holds Bland's cell, and only that row is read a second time, up to its
+    first negative reduced cost.
     """
     n, m = len(supply), len(demand)
     mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
-    adj, parent, depth, pot, flow = _northwest_basis(
+    children, parent, pot, flow = _northwest_basis(
         _scaled(supply, mass_scale), _scaled(demand, mass_scale), cost)
-
-    def cell(c):
-        """The basis cell joining node c to its parent."""
-        return (c, parent[c] - n) if c < n else (parent[c], c - n)
-
+    u, v = pot[:n], pot[n:]
     # row i's least reduced cost is at least bound[i] - drop: a pivot
     # that lowers every row outside the side it re-hangs raises ``drop``
-    v = pot[n:]
-    bound = [min(map(sub, row, v)) - u for row, u in zip(cost, pot)]
-    drop = 0
+    bound = [min(map(sub, row, v)) - ui for row, ui in zip(cost, u)]
+    drop, stamp = 0, [-1] * (n + m)
     max_pivots = 1000 + 100 * n * m
-    for _ in range(max_pivots):
-        v = pot[n:]
+    for k in range(max_pivots):
         for i, row in enumerate(cost):
             if bound[i] >= drop:
                 continue
-            u = pot[i]
-            least = min(map(sub, row, v)) - u
+            ui = u[i]
+            least = min(map(sub, row, v)) - ui
             bound[i] = least + drop
             # basis cells have reduced cost exactly 0, so only nonbasic
             # cells can pass the test c_ij - v_j < u_i
             if least < 0:
-                j = next(j for j, r in enumerate(map(sub, row, v)) if r < u)
+                for j, x in enumerate(map(sub, row, v)):
+                    if x < ui:
+                        break
                 break
         else:
-            return {cell(c): Fraction(flow[c], mass_scale)
+            return {(c, parent[c] - n) if c < n else (parent[c], c - n):
+                    Fraction(flow[c], mass_scale)
                     for c in range(1, n + m) if flow[c] > 0}
-        # Climb to the lowest common ancestor. The cycle's signs alternate
-        # from + on the entering cell, so a path cell is on the minus side
-        # when it is an even number of cells from the entering row or
-        # column, that is when its child node is a row on the row's path or
-        # a column on the column's path.
-        plus, minus = [], []
-        a, b = i, n + j
-        while a != b:
-            if depth[a] >= depth[b]:
-                (minus if a < n else plus).append(a)
-                a = parent[a]
-            else:
-                (minus if b >= n else plus).append(b)
-                b = parent[b]
-        theta = min(flow[c] for c in minus)
+        # stamp the row's path up to the root; the column's climb stops at
+        # the first stamped node, the lowest common ancestor
+        a, rows = i, [i]
+        while a:
+            a = parent[a]
+            rows.append(a)
+        for a in rows:
+            stamp[a] = k
+        b, columns = n + j, []
+        while stamp[b] != k:
+            columns.append(b)
+            b = parent[b]
+        del rows[rows.index(b):]
+        # The cycle's signs alternate from + on the entering cell, so a
+        # path cell is on the minus side when it is an even number of cells
+        # from the entering row or column, that is when its child node is a
+        # row on the row's path or a column on the column's path. The
+        # least (flow, cell) among them gives theta and the leaving cell.
+        minus = [(flow[c], c, parent[c] - n, c) for c in rows[::2]]
+        minus += [(flow[c], parent[c], c - n, c) for c in columns[::2]]
+        theta, _, _, cut = min(minus)
+        if theta:
+            for c in rows[1::2]:
+                flow[c] += theta
+            for c in columns[1::2]:
+                flow[c] += theta
+            for f, _, _, c in minus:
+                flow[c] = f - theta
+        r = x - ui  # the entering cell's reduced cost
         # the leaving cell's child node heads the subtree it cuts off; as a
         # minus cell, it lies on the row's path, and its subtree is side I,
         # holding the entering row, exactly when that child is a row
-        cut = min((c for c in minus if flow[c] == theta), key=cell)
-        for c in plus:
-            flow[c] += theta
-        for c in minus:
-            flow[c] -= theta
-        adj[cut].discard(parent[cut])
-        adj[parent[cut]].discard(cut)
-        adj[i].add(n + j)
-        adj[n + j].add(i)
-        top, below = (i, n + j) if cut < n else (n + j, i)
-        # the path from top up to cut turns over: each of its cells moves
-        # to the node that was its parent, and the entering cell takes top
-        c, q = top, theta
-        while c != cut:
-            flow[c], q = q, flow[c]
-            c = parent[c]
-        flow[cut] = q
-        parent[top] = below
-        depth[top] = depth[below] + 1
+        if cut < n:
+            top, path, below, s = i, rows, n + j, r
+            drop -= r
+        else:
+            top, path, below, s = n + j, columns, i, -r
+        _hang(children, parent, flow, path[:path.index(cut) + 1], below, theta)
         # the side ``top`` heads shifts, its rows by s and its columns by -s,
         # with s = r on side I and -r on side J. Each row on side J loses |r|
         # of bound: all of them through ``drop`` when side J holds the root,
         # else through the shift itself, as a re-hung row's bound moves by
         # -s; a row of a re-hung side I gets back what ``drop`` took.
-        r = cost[i][j] - pot[i] - pot[n + j]
-        s = r if top < n else -r
-        if top < n:
-            drop -= r
-        for c in _hang(adj, parent, depth, top):
+        order = [top]
+        for c in order:
+            order += children[c]
             if c < n:
-                pot[c] += s
+                u[c] += s
                 bound[c] -= s
             else:
-                pot[c] -= s
+                v[c - n] -= s
     raise SolverError("pivot limit exceeded")
 
 

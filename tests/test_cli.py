@@ -21,6 +21,8 @@ from treeradon import (
     gen_vertex_function,
     io,
     make_measure,
+    optimal_plan,
+    transport,
     vertex_function,
 )
 from treeradon.cli import _build_parser, _suite_config, main
@@ -273,6 +275,25 @@ def test_seeded_equal_mass_32x32_plan_file_is_byte_identical(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     assert main(["plan", *map(str, files), "--out", str(plan_file)]) == 0
     assert _sha256(plan_file) == SEEDED_EQUAL_MASS_PLAN_SHA256
+
+
+@pytest.mark.parametrize("write, pivots", [(write_seeded_16x16, 162),
+                                            (write_seeded_equal_mass_inputs, 781)])
+def test_seeded_plans_take_the_same_number_of_pivots(tmp_path, monkeypatch, write, pivots):
+    # equal plan files do not prove an equal pivot sequence; the solver
+    # re-hangs its basis tree exactly once per pivot, so count those calls
+    tree_file, mu_file, nu_file = write(tmp_path)
+    tree = io.load_tree(tree_file)
+    mu, nu = io.load_measure(tree, mu_file), io.load_measure(tree, nu_file)
+    hang, calls = transport._hang, []
+
+    def counted(*args):
+        calls.append(None)
+        return hang(*args)
+
+    monkeypatch.setattr(transport, "_hang", counted)
+    optimal_plan(tree, mu, nu)
+    assert len(calls) == pivots
 
 
 # Digests of the interpolate files written at the commit before Wasserstein

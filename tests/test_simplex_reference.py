@@ -4,9 +4,10 @@
 scan kept a lower bound per row: it tests every row from row 0 after each
 pivot. Both follow Bland's rule, so they must return the same allocation,
 cell for cell. Equal masses make most pivots degenerate, which is where
-the bounds and the pivot rule are stressed hardest: 32×32 in tier-1, and
-48×48 under ``TREERADON_SOLVER_PROFILE=solver-deep``, on a leafless tree of
-256 vertices built the way ``bench/gen.py`` builds them.
+the bounds and the pivot rule are stressed hardest: 32×32, 32×16 and
+16×32 in tier-1, and 48×48, 48×24 and 24×48 under
+``TREERADON_SOLVER_PROFILE=solver-deep``, on a leafless tree of 256
+vertices built the way ``bench/gen.py`` builds them.
 """
 
 import random
@@ -36,18 +37,28 @@ def _points(tree, rng, count):
     return list(points)
 
 
-@given(st.integers(0, 2**32 - 1))
-@profile_settings(4)
-def test_bounded_scan_matches_the_parent_simplex(seed):
+def _assert_matches_the_parent_simplex(seed, rows, columns):
     """Equal masses, then random masses on the same atoms."""
     rng = random.Random(seed)
     tree = leafless_tree(rng, 256)
-    mu = make_measure(tree, ((p, F(1, SIZE)) for p in _points(tree, rng, SIZE)))
-    nu = make_measure(tree, ((q, F(1, SIZE)) for q in _points(tree, rng, SIZE)))
+    mu = make_measure(tree, ((p, F(1, rows)) for p in _points(tree, rng, rows)))
+    nu = make_measure(tree, ((q, F(1, columns)) for q in _points(tree, rng, columns)))
     cost, _ = transport._cost_matrix(tree, mu.atoms, nu.atoms)
-    weights = [rng.randint(1, 9) for _ in range(2 * SIZE)]
+    weights = [rng.randint(1, 9) for _ in range(rows + columns)]
     for supply, demand in (([m for _, m in mu.atoms], [m for _, m in nu.atoms]),
-                           ([F(w, sum(weights[:SIZE])) for w in weights[:SIZE]],
-                            [F(w, sum(weights[SIZE:])) for w in weights[SIZE:]])):
+                           ([F(w, sum(weights[:rows])) for w in weights[:rows]],
+                            [F(w, sum(weights[rows:])) for w in weights[rows:]])):
         assert (transport._transportation_simplex(supply, demand, cost)
                 == reference._transportation_simplex(supply, demand, cost))
+
+
+@given(st.integers(0, 2**32 - 1))
+@profile_settings(4)
+def test_bounded_scan_matches_the_parent_simplex(seed):
+    _assert_matches_the_parent_simplex(seed, SIZE, SIZE)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(((SIZE, SIZE // 2), (SIZE // 2, SIZE))))
+@profile_settings(4)
+def test_bounded_scan_matches_the_parent_simplex_on_rectangles(seed, shape):
+    _assert_matches_the_parent_simplex(seed, *shape)

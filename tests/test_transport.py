@@ -12,6 +12,7 @@ from conftest import profile_settings
 from treeradon import (
     CompletenessError,
     Geodesic,
+    Measure,
     MeasureError,
     SolverError,
     SuiteConfig,
@@ -688,6 +689,27 @@ def test_integer_solver_matches_reference_16x16():
     assert all(type(q) is F for q in alloc.values())
 
 
+@st.composite
+def thin_instance(draw):
+    """A 1×1, 1×m or n×1 instance (m, n ≤ 16): every cell is a basis cell,
+    so the solver only builds its basis tree and reads the plan off it."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 16))
+    n, m = draw(st.sampled_from(((1, 1), (1, count), (count, 1))))
+    rng = random.Random(seed)
+    tree = gen_tree(SuiteConfig(seed=seed, max_vertices=10, max_denominator=8),
+                    "complete", rng)
+    src = distinct_points(n, lambda: gen_point(tree, rng, 8))
+    dst = distinct_points(m, lambda: gen_point(tree, rng, 8))
+    return _solver_instance(tree, src, dst, random_masses(rng, n), random_masses(rng, m))
+
+
+@given(thin_instance())
+@profile_settings(20)
+def test_integer_solver_matches_reference_on_one_row_or_column(instance):
+    assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
+
+
 def test_scan_enters_a_reduced_cost_of_minus_one():
     # the north-west corner start leaves cell (0, 1) at reduced cost
     # 0 - u_0 - v_1 = -1, the least negative an int cost allows; a scan that
@@ -699,17 +721,22 @@ def test_scan_enters_a_reduced_cost_of_minus_one():
 
 def _assert_basis_is_the_reference_corner(supply, demand, cost):
     n, m = len(supply), len(demand)
-    adj, parent, depth, pot, flow = transport._northwest_basis(supply, demand, cost)
+    children, parent, pot, flow = transport._northwest_basis(supply, demand, cost)
     alloc, basis = _reference_northwest_corner(supply, demand)
-    assert {(i, b - n) for i in range(n) for b in adj[i]} == basis
-    assert {(a, j) for j in range(m) for a in adj[n + j]} == basis
     # each non-root node's parent link is one basis cell, with its flow
     assert {(c, parent[c] - n) if c < n else (parent[c], c - n): flow[c]
             for c in range(1, n + m)} == alloc
-    assert parent[0] == depth[0] == pot[0] == 0
-    assert all(depth[c] == depth[parent[c]] + 1 for c in range(1, n + m))
+    # each node lists exactly the nodes whose parent it is, once each
+    assert [sorted(below) for below in children] == [
+        [c for c in range(1, n + m) if parent[c] == a] for a in range(n + m)]
+    assert parent[0] == pot[0] == 0
+    # every parent chain reaches row 0 within n+m-1 steps
+    for c in range(n + m):
+        for _ in range(n + m - 1):
+            c = parent[c]
+        assert c == 0
     assert all(pot[i] + pot[n + j] == cost[i][j] for i, j in basis)
-    return parent, depth, flow
+    return children, parent, flow
 
 
 @given(st.one_of(random_instance(), symmetric_tie_instance()))
@@ -724,7 +751,7 @@ def test_northwest_basis_keeps_a_zero_cell_where_row_and_column_run_out():
     # (node 2), and then right to (1, 1)
     half = [F(1, 2), F(1, 2)]
     assert _assert_basis_is_the_reference_corner(half, half, [[1, 0], [0, 0]]) == (
-        [0, 2, 0, 1], [0, 2, 1, 3], [0, 0, F(1, 2), F(1, 2)])
+        [[2], [3], [1], []], [0, 2, 0, 1], [0, 0, F(1, 2), F(1, 2)])
 
 
 def test_plan_with_wrong_marginals_raises_solver_error(tripod, monkeypatch):
@@ -747,6 +774,21 @@ def test_plan_with_wrong_marginals_raises_solver_error(tripod, monkeypatch):
     monkeypatch.setattr(transport, "_transportation_simplex", skewed)
     with pytest.raises(SolverError, match="^plan marginals do not match the measures$"):
         optimal_plan(tripod, mu, nu)
+
+
+@pytest.mark.parametrize("masses", [(F(1), F(1)), (F(1, 4), F(1, 4)),
+                                    (F(-1, 2), F(3, 2)), (F(3, 2), F(-1, 2))],
+                         ids=["total 2", "total 1/2", "negative first", "negative last"])
+def test_hand_built_measure_of_wrong_mass_raises_solver_error(tripod, masses):
+    # a Measure built by hand skips make_measure's checks; whichever side
+    # it is on, the solver runs to an allocation that the marginal check
+    # refuses, with no IndexError or hang on the way
+    x, y, z = (tripod.vertex_point(name) for name in "xyz")
+    good = make_measure(tripod, [(x, F(1, 2)), (z, F(1, 2))])
+    bad = Measure(tuple(zip((x, y), masses)))
+    for mu, nu in ((bad, good), (good, bad)):
+        with pytest.raises(SolverError, match="^plan marginals do not match the measures$"):
+            optimal_plan(tripod, mu, nu)
 
 
 @st.composite
