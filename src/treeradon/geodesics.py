@@ -56,7 +56,7 @@ from fractions import Fraction
 
 from .errors import CompletenessError, GeodesicError, PointLocationError
 from .rationals import parse_rational
-from .tree import Flag, Subtree, Tree, TreePoint, VertexId
+from .tree import Flag, Subtree, Tree, TreePoint, VertexId, _new
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -185,7 +185,8 @@ class Geodesic:
         # point, raw coordinate), a joint to itself and walk[0] and
         # walk[-1] to the start and the end; a ray's open end has none. The
         # apex is the anchor with the fewest hops from the tree's root.
-        anchors = {j: (TreePoint(j), r) for j, r in zip(self.joints, self._joint_raw)}
+        anchors = {j: (_new(TreePoint, (j, None, None)), r)
+                   for j, r in zip(self.joints, self._joint_raw)}
         anchors[walk[0]] = start, self._start_raw
         anchors[walk[-1]] = end, self._end_raw
         anchors.pop(None, None)
@@ -266,9 +267,9 @@ class Geodesic:
             return self.end
         t = bisect_left(self._joint_raw, raw)
         if t < len(self.joints) and self._joint_raw[t] == raw:
-            return TreePoint(vertex=self.joints[t])
+            return _new(TreePoint, (self.joints[t], None, None))
         base, sign = self._chart[t]
-        return TreePoint(edge=self.edges[t], offset=raw - base if sign > 0 else base - raw)
+        return _new(TreePoint, (None, self.edges[t], raw - base if sign > 0 else base - raw))
 
     def project(self, point: TreePoint) -> TreePoint:
         """Nearest point of the geodesic (unique since trees are CAT(0)).
@@ -493,16 +494,24 @@ def _walk_to_infinity(tree: Tree, origin: VertexId, first_edge: int, onward=_onw
 
     Returns ``(edges, vertices)``, where ``vertices[i]`` is the far end of
     ``edges[i]``: the last is the leaf reached, or None when the walk
-    escapes along a ray.
+    escapes along a ray. Each far end is read from the edge's record, the
+    ``v`` end when the walk enters at ``u`` (None along a ray) and else
+    ``u``, with no check: the edges come from the tree's own incidence
+    lists, so each is incident to the vertex the walk is at.
     """
+    records = tree.edges
     edges = [first_edge]
-    vertices = [tree.edges[first_edge].other_end(origin)]
-    while vertices[-1] is not None:
-        nxt = onward(tree, vertices[-1], edges[-1])
+    rec = records[first_edge]
+    vertex = rec.v if rec.u == origin else rec.u
+    vertices = [vertex]
+    while vertex is not None:
+        nxt = onward(tree, vertex, edges[-1])
         if nxt is None:
             break
         edges.append(nxt)
-        vertices.append(tree.edges[nxt].other_end(vertices[-1]))
+        rec = records[nxt]
+        vertex = rec.v if rec.u == vertex else rec.u
+        vertices.append(vertex)
     return edges, vertices
 
 
@@ -519,7 +528,7 @@ def _flag_geodesic(tree: Tree, flag: Flag, onward) -> Geodesic:
     neg_edges, neg_walk = _walk_to_infinity(tree, flag.vertex, neg_edge, onward)
     return Geodesic._from_walk(tree, neg_edges[::-1] + pos_edges,
                                [*neg_walk[::-1], flag.vertex, *pos_walk],
-                               None, None, TreePoint(flag.vertex))
+                               None, None, _new(TreePoint, (flag.vertex, None, None)))
 
 
 def geodesic_through_flag(tree: Tree, flag: Flag) -> Geodesic:

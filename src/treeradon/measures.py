@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import GeodesicError, MeasureError
 from .geodesics import Geodesic
 from .rationals import parse_rational
-from .tree import Tree, TreePoint, point_sort_key
+from .tree import Tree, TreePoint, _new, point_sort_key
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,8 +32,10 @@ class Measure:
     canonical point of the tree used there, and the atoms come in
     ``point_sort_key`` order. Functions that take a ``Measure`` trust that
     and check or sort nothing again, so a measure goes with the tree it
-    was made on or one built from the same description; any other tree
-    can raise a bare ``KeyError`` or give a wrong value.
+    was made on or one built from the same description. Given a tree that
+    lacks one of its atoms, ``pushforward_projection``, ``optimal_plan``
+    and ``w2_squared`` raise :class:`MeasureError` naming that atom; a tree
+    with the same names and other lengths gives a wrong value.
     """
 
     atoms: tuple[tuple[TreePoint, Fraction], ...]
@@ -94,11 +97,20 @@ def dirac(tree: Tree, point: TreePoint) -> Measure:
     return Measure(((tree.canonical_point(point), _ONE),))
 
 
-@dataclass(frozen=True)
-class RadonSample:
-    """A 1-D pushforward along one geodesic: ``((coordinate, mass), ...)``.
+def _foreign_atom(point: TreePoint) -> MeasureError:
+    """The error for a measure's atom that the tree it came with lacks, raised
+    where the tree's lookup of it fails."""
+    return MeasureError(f"atom {point!r} is not a point of this tree")
 
-    Coordinates live in the geodesic's own arc-length system.
+
+class RadonSample(NamedTuple):
+    """A 1-D pushforward along one geodesic: ``(geodesic, atoms)``, the
+    atoms ``((coordinate, mass), ...)``.
+
+    Coordinates live in the geodesic's own arc-length system. Like the
+    tree's value types, a sample is a ``typing.NamedTuple``: immutable,
+    equal to and hashed as the plain tuple of its fields, and built in C
+    through ``tuple.__new__`` by ``pushforward_projection``, once per query.
     """
 
     geodesic: Geodesic
@@ -142,7 +154,9 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
     transform. The measure must be made on ``tree``: its atoms are taken as
-    the canonical points the measure holds, and are not checked.
+    the canonical points the measure holds, and are not checked. An atom
+    the tree lacks fails the projection's lookup, which raises
+    :class:`MeasureError` naming it.
     """
     if geodesic.tree is not tree:
         raise GeodesicError("geodesic belongs to a different tree")
@@ -150,10 +164,13 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
         raise GeodesicError("projection target must be a maximal geodesic")
     merged: dict[TreePoint, tuple[Fraction, Fraction]] = {}
     for point, mass in measure.atoms:
-        near, coord = geodesic._project(point)
+        try:
+            near, coord = geodesic._project(point)
+        except (KeyError, IndexError):  # an unknown vertex, or an edge id past the tree's
+            raise _foreign_atom(point) from None
         known = merged.get(near)
         merged[near] = (coord, mass) if known is None else (coord, known[1] + mass)
-    return RadonSample(geodesic, tuple(sorted(merged.values(), key=itemgetter(0))))
+    return _new(RadonSample, (geodesic, tuple(sorted(merged.values(), key=itemgetter(0)))))
 
 
 def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:

@@ -32,11 +32,15 @@ from the projections onto flag geodesics alone. Each answer gives the flag
 mass at every joint of its geodesic, so a flag already read is not queried
 again and a second reading of it is cross-checked. Past its flag, each
 queried geodesic continues through flags no answer has read yet, so fewer
-of its joints re-read known flags. One loop over the flags reads every
-answer; interior atoms are read directly (interior level sets are
-singletons), the interior mass inside each perpendicular comes from the
-forward transform of the atoms' foot vertices, and the vertex part is
-inverted.
+of its joints re-read known flags. The routing computes the position of
+every flag it tests, from the incoming edge's index found once per vertex,
+and records the one it passes through at each joint, so reading an answer
+computes no flag position. One loop over the flags reads every answer;
+interior atoms are read directly (interior level sets are singletons), the
+interior mass inside each perpendicular comes from the forward transform
+of the atoms' foot vertices, and the vertex part is inverted. The
+per-query records, the oracle's ``RadonSample`` and reconstruction's
+``FlagRow`` and ``EdgeRead``, are ``typing.NamedTuple``s built in C.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, lcm
 from operator import attrgetter, floordiv, mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     CompletenessError,
@@ -56,10 +60,10 @@ from .errors import (
     PointLocationError,
     RadonError,
 )
-from .geodesics import Geodesic, _flag_geodesic, _onward, geodesic_through_flag
+from .geodesics import Geodesic, _flag_geodesic, geodesic_through_flag
 from .measures import Measure, RadonSample, _measure, pushforward_projection
 from .rationals import parse_rational
-from .tree import Flag, Tree, TreePoint, VertexId
+from .tree import Flag, Tree, TreePoint, VertexId, _new, _pair_start
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -174,8 +178,8 @@ def enumerate_flags(tree: Tree) -> list[Flag]:
     """All flags, vertex by vertex; a valency-k vertex contributes C(k,2)."""
     flags = []
     for v in tree.vertices:
-        for e, f in combinations(tree._vertex[v].incident, 2):
-            flags.append(Flag(v, frozenset((e, f))))
+        for pair in combinations(tree._vertex[v].incident, 2):
+            flags.append(_new(Flag, (v, frozenset(pair))))
     return flags
 
 
@@ -226,7 +230,8 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
         # value reached, so a flag with an empty branch is the other edge's
         # rest. The parent edge's rest is x's subtree, so a flag with it
         # subtracts the other edge's branch from that, and the parent
-        # edge's own branch (None) is never needed.
+        # edge's own branch (None) is never needed. A child edge's rest,
+        # Σh less a nonzero branch, is None until a flag first reads it.
         branch, rest = [], []
         for eid in inc:
             rec = edges[eid]
@@ -239,18 +244,23 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
             else:
                 inside = subtree[rec.v if rec.u == x else rec.u]
                 branch.append(inside)
-                rest.append(total if inside is _ZERO else total - inside)
-        # the pairs in combinations order, so each value lands at its flag's position
+                rest.append(total if inside is _ZERO else None)
+        # the pairs in combinations order, so each value lands at its flag's
+        # position; each is one rest less at most one branch
         for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
                 if branch[j] is _ZERO:
-                    table.append(rest[i])
+                    a, less = i, _ZERO
                 elif branch[i] is _ZERO:
-                    table.append(rest[j])
+                    a, less = j, _ZERO
                 elif branch[j] is None:
-                    table.append(rest[j] - branch[i])
+                    a, less = j, branch[i]
                 else:
-                    table.append(rest[i] - branch[j])
+                    a, less = i, branch[j]
+                r = rest[a]
+                if r is None:
+                    r = rest[a] = total - branch[a]
+                table.append(r if less is _ZERO else r - less)
     return FlagTable(tree, tuple(table))
 
 
@@ -374,16 +384,14 @@ def flag_mass(tree: Tree, mu: Measure, flag: Flag) -> Fraction:
 # Reconstruction                                                            #
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class EdgeRead:
+class EdgeRead(NamedTuple):
     """Provenance of one interior read: the atoms seen inside an edge."""
 
     edge: int
     atoms: tuple[tuple[Fraction, Fraction], ...]  # (offset, mass)
 
 
-@dataclass(frozen=True)
-class FlagRow:
+class FlagRow(NamedTuple):
     """Provenance of one flag query during reconstruction."""
 
     flag: Flag
@@ -402,6 +410,41 @@ class ReconstructionResult:
     flag_rows: tuple[FlagRow, ...]
 
 
+def _router(tree: Tree, raw: list, position_at: dict) -> Callable[[Tree, VertexId, int], int]:
+    """Reconstruction's next-edge rule for ``_flag_geodesic``, which records
+    the flag it routes through.
+
+    At ``vertex``, entered by ``via``, the rule takes the smallest-id edge
+    that forms with ``via`` a flag whose entry in ``raw`` is None, else
+    the smallest-id other edge, and stores the position of the flag
+    {via, taken edge} at ``vertex`` in ``position_at[vertex]``. ``via``'s
+    index among the vertex's incident edges is found once; the position
+    of each flag tested follows from it and the other edge's index by the
+    tree module's one statement of the flag-position rule, ``_pair_start``,
+    with no ``Tree._flag_position`` call.
+    """
+    records = tree._vertex
+
+    def routed(tree: Tree, vertex: VertexId, via: int) -> int:
+        record = records[vertex]
+        inc = record.incident
+        k, i, first = len(inc), inc.index(via), record.first_flag
+        row = first + _pair_start(k, i)  # the flags (via, inc[j]) for j > i
+        fallback = None
+        for j, eid in enumerate(inc):
+            if j != i:
+                at = first + _pair_start(k, j) + i if j < i else row + j
+                if raw[at] is None:
+                    position_at[vertex] = at
+                    return eid
+                if fallback is None:
+                    fallback = eid, at
+        eid, position_at[vertex] = fallback
+        return eid
+
+    return routed
+
+
 def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                         candidate_skeleton: Iterable[int] | None = None) -> ReconstructionResult:
     """Recover a finitely supported measure from its projection oracle.
@@ -412,19 +455,25 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     earlier answer has read queries a geodesic through its two edges. Past
     the flag, that geodesic is routed: at each vertex it takes the
     smallest-id edge forming an unread flag with the edge it came in by,
-    and otherwise the smallest-id other edge. Every edge lies on a queried
-    geodesic, so every interior atom is read verbatim (interior level sets
-    are single points) and kept under its canonical point. The interior
-    mass inside each perpendicular is the forward transform of the interior
-    atoms placed on their foot vertices, less each atom at the flags of its
-    foot that contain its own edge. It is subtracted, and the remaining
-    vertex table is inverted with total 1 minus the interior mass.
+    and otherwise the smallest-id other edge. The routing records the
+    position of the flag it passes through at each joint, and the queried
+    flag's own position is its place in the flag order, so each answer is
+    read joint by joint with no flag position computed again. Every edge
+    lies on a queried geodesic, so every interior atom is read verbatim
+    (interior level sets are single points) and kept under its canonical
+    point. The interior mass inside each perpendicular is the forward
+    transform of the interior atoms placed on their foot vertices, less
+    each atom at the flags of its foot that contain its own edge. It is
+    subtracted, and the remaining vertex table is inverted with total 1
+    minus the interior mass.
 
     Interior sightings and flag readings are cross-checked across every
     queried geodesic; disagreement, a coordinate listed twice in one
     answer, mass outside the skeleton, or a vertex table that is not a
     genuine transform of a nonnegative function all raise
-    :class:`OracleInconsistencyError`.
+    :class:`OracleInconsistencyError`. A reading is compared by value
+    unless it is the very object already held, as the shared zero of two
+    joints without an atom is.
     """
     if not tree.geodesically_complete:
         raise CompletenessError("reconstruction needs a tree without leaves")
@@ -440,30 +489,28 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     flags = enumerate_flags(tree)
     # flag masses read so far, by flag position; None until read
     raw: list[Fraction | None] = [None] * len(flags)
-    position = tree._flag_position
-
-    def routed(tree: Tree, vertex: VertexId, via: int) -> int:
-        """Past the queried flag: the smallest-id edge that forms an unread
-        flag with ``via``, else the smallest-id other edge."""
-        for eid in tree._vertex[vertex].incident:
-            if eid != via and raw[position(vertex, via, eid)] is None:
-                return eid
-        return _onward(tree, vertex, via)
+    # the position of the flag a queried geodesic reads at each joint: the
+    # routing records every joint past the origin as it walks
+    position_at: dict[VertexId, int] = {}
+    routed = _router(tree, raw, position_at)
 
     for at, flag in enumerate(flags):
         if raw[at] is not None:
             continue
+        position_at[flag.vertex] = at
         geodesic = _flag_geodesic(tree, flag, routed)
+        point_at = geodesic.point_at
         # on a complete geodesic every vertex atom sits on a joint
         at_joint: dict[VertexId, Fraction] = {}
         seen: set[TreePoint] = set()
         for coord, mass in oracle(geodesic).atoms:
-            spot = geodesic.point_at(coord)
+            spot = point_at(coord)
             mass = parse_rational(mass)
-            if spot in seen:
-                raise OracleInconsistencyError(f"an answer lists coordinate {coord} twice")
+            count = len(seen)
             seen.add(spot)
-            if spot.is_vertex:
+            if len(seen) == count:
+                raise OracleInconsistencyError(f"an answer lists coordinate {coord} twice")
+            if spot.vertex is not None:
                 at_joint[spot.vertex] = mass
                 continue
             if spot.edge not in skeleton_set:
@@ -471,21 +518,20 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                     f"interior mass on edge {spot.edge} outside the candidate skeleton"
                 )
             known = interior.setdefault(spot, mass)
-            if known != mass:
+            if known is not mass and known != mass:
                 raise OracleInconsistencyError(
                     f"masses disagree across geodesics through edge {spot.edge}: "
                     f"{known} vs {mass} at offset {spot.offset}"
                 )
-        edges = geodesic.edges
-        for i, joint in enumerate(geodesic.joints):
-            joint_at = position(joint, edges[i], edges[i + 1])
+        for joint in geodesic.joints:
+            read = position_at[joint]
             mass = at_joint.get(joint, _ZERO)
-            known = raw[joint_at]
+            known = raw[read]
             if known is None:
-                raw[joint_at] = mass
-            elif known != mass:
+                raw[read] = mass
+            elif known is not mass and known != mass:
                 raise OracleInconsistencyError(
-                    f"flag {flags[joint_at]!r} reads {known} on one geodesic and {mass} on another"
+                    f"flag {flags[read]!r} reads {known} on one geodesic and {mass} on another"
                 )
 
     # Interior mass inside each perpendicular is the forward transform of
@@ -499,6 +545,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         known = on_foot.get(foot)
         on_foot[foot] = mass if known is None else known + mass
     inside = list(radon_forward(tree, VertexFunction(on_foot)).entries)
+    position = tree._flag_position
     for foot, edge, mass in footed:
         for eid in tree._vertex[foot].incident:
             if eid != edge:
@@ -509,8 +556,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     for flag, raw_mass, held in zip(flags, raw, inside):
         value = raw_mass - held if held else raw_mass
         values.append(value)
-        flag_rows.append(FlagRow(flag=flag, raw_mass=raw_mass,
-                                 interior_subtracted=held, vertex_value=value))
+        flag_rows.append(_new(FlagRow, (flag, raw_mass, held, value)))
     table = FlagTable(tree, tuple(values))
 
     vertex_part = radon_invert(tree, table, _ONE - interior_total)
@@ -543,6 +589,6 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         interior_atoms=ordered,
         interior_total=interior_total,
         vertex_part=vertex_part,
-        edge_reads=tuple(EdgeRead(edge=eid, atoms=tuple(seen)) for eid, seen in reads.items()),
+        edge_reads=tuple(_new(EdgeRead, (eid, tuple(seen))) for eid, seen in reads.items()),
         flag_rows=tuple(flag_rows),
     )

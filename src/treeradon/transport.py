@@ -44,7 +44,7 @@ from operator import sub
 
 from .errors import CompletenessError, MeasureError, SolverError
 from .geodesics import _travel
-from .measures import Measure, _measure, dirac
+from .measures import Measure, _foreign_atom, _measure, dirac
 from .rationals import parse_rational
 from .tree import Tree, TreePoint
 
@@ -255,7 +255,8 @@ def _cost_matrix(tree, sources, targets):
     ``matrix[i][j] == scale · d²``, where ``scale`` is the lcm of the
     reduced denominators of the d².
 
-    Each atom, canonical as its measure holds it, has its foot found once.
+    Each atom, canonical as its measure holds it, has its foot found once;
+    an atom the tree lacks fails that lookup and raises :class:`MeasureError`.
     A pair's distance is P + Q − 2·M, with P and Q the atoms' depths and M
     the depth where their paths to the root meet (``Tree._meet``), or
     |P − Q| when the two lie inside one edge. Scaled by the lcm D of the
@@ -264,7 +265,13 @@ def _cost_matrix(tree, sources, targets):
     scale.
     """
     def feet(atoms):
-        return [(p.edge, tree._foot(p)) for p, _ in atoms]
+        found = []
+        for p, _ in atoms:
+            try:
+                found.append((p.edge, tree._foot(p)))
+            except (KeyError, IndexError):  # an unknown vertex, or an edge id past the tree's
+                raise _foreign_atom(p) from None
+        return found
 
     rows, columns = feet(sources), feet(targets)
     meet = tree._meet

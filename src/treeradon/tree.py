@@ -51,6 +51,15 @@ _ZERO = Fraction(0)
 _new = tuple.__new__
 
 
+def _pair_start(k: int, i: int) -> int:
+    """The flag-position rule, stated once: at a valency-k vertex, the flag
+    on its i-th and j-th incident edges, i < j in sorted order, sits at the
+    vertex's ``first_flag`` plus ``_pair_start(k, i) + j``, which is its
+    index in ``itertools.combinations`` order. The pairs (i, ·) start after
+    the (k-1) + … + (k-i) pairs before them."""
+    return i * (2 * k - i - 3) // 2 - 1
+
+
 def _is_edge_id(value) -> bool:
     # bool is an int subclass, but True is not edge 1
     return isinstance(value, int) and not isinstance(value, bool)
@@ -349,8 +358,7 @@ class Tree:
         i, j = inc.index(e), inc.index(f)
         if j < i:
             i, j = j, i
-        # the pairs (i, ·) start after the (k-1) + … + (k-i) pairs before them
-        return record.first_flag + i * (2 * len(inc) - i - 3) // 2 + j - 1
+        return record.first_flag + _pair_start(len(inc), i) + j
 
     def validate_flag(self, flag: Flag) -> Flag:
         """A hand-built flag checked as :meth:`flag` checks its edges, the

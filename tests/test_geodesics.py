@@ -25,7 +25,8 @@ from treeradon import (
     perpendicular,
     points_aligned,
 )
-from treeradon.geodesics import _point_along
+from treeradon.geodesics import _flag_geodesic, _point_along
+from treeradon.radon import _router
 
 
 class TestPath:
@@ -328,3 +329,42 @@ def test_point_along_matches_path_point_at(seed, kind):
             found = _point_along(tree, p, q, t)
             assert found == segment.point_at(t * segment.length), (p, q, t)
             assert tree.canonical_point(found) is found
+
+
+# ---------------------------------------------------------------------- #
+# Reconstruction's routing and the flag positions it records                #
+# ---------------------------------------------------------------------- #
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("complete", "leafless", "caterpillar")))
+@profile_settings(40)
+def test_routed_positions_are_the_flag_positions(seed, kind):
+    # a random next-edge rule: before each step, the flags at the vertex
+    # are drawn read or unread, and the routing takes the first other edge
+    # whose flag with the incoming one is unread, else the first other edge
+    rng = random.Random(seed)
+    tree = locator_tree(kind, rng)
+    raw = [None] * tree._flag_count
+    position_at = {}
+    routed = _router(tree, raw, position_at)
+
+    def rule(tree, vertex, via):
+        record = tree._vertex[vertex]
+        k = len(record.incident)
+        for at in range(record.first_flag, record.first_flag + k * (k - 1) // 2):
+            raw[at] = rng.choice((None, F(0)))
+        taken = routed(tree, vertex, via)
+        others = [eid for eid in record.incident if eid != via]
+        unread = [eid for eid in others if raw[tree._flag_position(vertex, via, eid)] is None]
+        assert taken == (unread or others)[0]
+        return taken
+
+    flags = enumerate_flags(tree)
+    for flag in rng.sample(flags, min(12, len(flags))):
+        position_at.clear()
+        geodesic = _flag_geodesic(tree, flag, rule)
+        edges = geodesic.edges
+        walked = {}
+        for i, joint in enumerate(geodesic.joints):
+            if joint != flag.vertex:
+                walked[joint] = tree._flag_position(joint, edges[i], edges[i + 1])
+        assert position_at == walked

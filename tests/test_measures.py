@@ -2,6 +2,7 @@
 measure's atoms."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from treeradon import (
     RadonSample,
     SuiteConfig,
     Tree,
+    TreePoint,
     WassersteinGeodesic,
     build_tree,
     check_nonextendable,
@@ -34,6 +36,7 @@ from treeradon import (
     reconstruct_measure,
     second_moment,
     supported_on,
+    w2_squared,
 )
 
 
@@ -293,3 +296,37 @@ def test_a_measure_goes_with_a_twin_of_its_tree(drawn):
     if not mu.is_dirac:
         y = rng.choice(mu.support)
         assert check_nonextendable(other, mu, y) == check_nonextendable(tree, mu, y)
+
+
+# A 5-vertex tree and a 4-vertex tree that lacks its vertex 'e' and its
+# edges past id 8: a measure of the first is foreign to the second.
+FIVE = {"vertices": ["a", "b", "c", "d", "e"],
+        "edges": [("a", "b", 1), ("a", "c", 1), ("a", "d", 1),
+                  ("b", None, "inf"), ("c", None, "inf"), ("c", None, "inf"),
+                  ("d", None, "inf"), ("d", None, "inf"), ("b", "e", 1),
+                  ("e", None, "inf"), ("e", None, "inf")]}
+FOUR = {"vertices": ["a", "b", "c", "d"], "edges": FIVE["edges"][:8] + [("b", None, "inf")]}
+
+
+@pytest.mark.parametrize("entry", ["w2_squared", "optimal_plan", "pushforward_projection",
+                                   "reconstruct_measure"])
+@pytest.mark.parametrize("atom, named", [
+    (TreePoint("e"), "TreePoint('e')"),
+    (TreePoint(edge=10, offset=F(1, 2)), "TreePoint(edge=10, offset=1/2)"),
+], ids=["vertex", "edge"])
+def test_an_atom_the_tree_lacks_is_named(entry, atom, named):
+    # the lookup that fails raises a MeasureError naming the atom, not a
+    # bare KeyError (a vertex) or IndexError (an edge id past the tree's)
+    five, four = build_tree(FIVE), build_tree(FOUR)
+    mu = make_measure(five, [(five.vertex_point("c"), F(1, 2)), (atom, F(1, 2))])
+    nu = dirac(four, four.vertex_point("d"))
+    calls = {
+        "w2_squared": lambda: w2_squared(four, mu, nu),
+        "optimal_plan": lambda: optimal_plan(four, nu, mu),
+        "pushforward_projection": lambda: pushforward_projection(
+            four, geodesic_through_flag(four, four.flag("a", 0, 1)), mu),
+        "reconstruct_measure": lambda: reconstruct_measure(four, radon_oracle(four, mu)),
+    }
+    message = rf"^atom {re.escape(named)} is not a point of this tree$"
+    with pytest.raises(MeasureError, match=message):
+        calls[entry]()

@@ -467,3 +467,58 @@ def test_liar_at_a_flag_read_once_is_caught():
 
             with pytest.raises(OracleInconsistencyError):
                 reconstruct_measure(tree, liar)
+
+
+def test_no_flag_position_is_computed_per_joint(monkeypatch):
+    # the routing records the position of the flag at every joint it walks
+    # through, and the queried flag's is its place in the flag order, so
+    # the only positions computed are the interior correction's: one per
+    # other edge at each interior atom's foot
+    tree, hidden = fixed_40_vertex_case()
+    calls = []
+    position = Tree._flag_position
+    monkeypatch.setattr(Tree, "_flag_position",
+                        lambda self, *args: calls.append(args) or position(self, *args))
+    assert reconstruct_measure(tree, radon_oracle(tree, hidden)).measure == hidden
+    expected = []
+    for point, _ in hidden.atoms:
+        if not point.is_vertex:
+            foot = tree._foot_vertex(point)
+            expected += [(foot, point.edge, eid) for eid in tree.incident_edges(foot)
+                         if eid != point.edge]
+    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
+
+def zero_joint_reread(tree, hidden):
+    """A queried geodesic and the coordinate of one of its joints, past its
+    origin, whose flag an earlier answer read as zero."""
+    read = set()
+    for geodesic in spied_queries(tree, hidden):
+        coordinates = dict(pushforward_projection(tree, geodesic, hidden).atoms)
+        for flag, coord in joint_flags(geodesic):
+            if flag in read and coord != 0 and coord not in coordinates:
+                return geodesic, coord
+            read.add(flag)
+    raise AssertionError("no flag read as zero is read again")
+
+
+@pytest.mark.parametrize("reading, caught", [
+    (Fraction(0), False), (0, False), (Fraction(1, 7), True),
+], ids=["fresh-fraction-zero", "int-zero", "one-seventh"])
+def test_a_zero_reread_is_compared_by_value(reading, caught):
+    # an earlier answer read the flag as the shared zero; a later answer
+    # that lists the joint with another zero object agrees with it
+    tree, hidden = fixed_40_vertex_case()
+    bent, coord = zero_joint_reread(tree, hidden)
+
+    def oracle(geodesic):
+        sample = pushforward_projection(tree, geodesic, hidden)
+        if geodesic != bent:
+            return sample
+        return type(sample)(geodesic, tuple(sorted(sample.atoms + ((coord, reading),))))
+
+    if caught:
+        with pytest.raises(OracleInconsistencyError, match="on one geodesic and"):
+            reconstruct_measure(tree, oracle)
+    else:
+        assert reconstruct_measure(tree, oracle).measure == hidden

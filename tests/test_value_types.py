@@ -1,14 +1,27 @@
 """The contract of the tree value types ``TreePoint``, ``Flag`` and
 ``EdgeRecord``: hashing as the tuple of their fields (so sets and dicts
 keyed by them iterate in a fixed order), exact reprs, immutability,
-pickling, keyword construction, and no equality across types."""
+pickling, keyword construction, and no equality across types; and of the
+per-query records ``RadonSample``, ``FlagRow`` and ``EdgeRead``, which are
+``NamedTuple``s too."""
 
 import pickle
 from fractions import Fraction as F
 
 import pytest
 
-from treeradon import EdgeRecord, Flag, TreePoint
+from common import STAR3
+from treeradon import (
+    EdgeRecord,
+    Flag,
+    RadonSample,
+    TreePoint,
+    build_tree,
+    geodesic_through_flag,
+    make_measure,
+    pushforward_projection,
+)
+from treeradon.radon import EdgeRead, FlagRow
 
 VERTEX = TreePoint("a")
 INTERIOR = TreePoint(edge=2, offset=F(1, 3))
@@ -91,3 +104,56 @@ def test_types_never_equal_each_other():
     assert TreePoint("a", None) != Flag("a", None)
     assert EdgeRecord(None, None, None, None) != TreePoint()
     assert len({Flag("a", None), TreePoint("a"), EdgeRecord("a", None, None, None)}) == 3
+
+
+# ---------------------------------------------------------------------- #
+# The per-query records: RadonSample, FlagRow and EdgeRead                  #
+# ---------------------------------------------------------------------- #
+
+def _sample():
+    tree = build_tree(STAR3)
+    geodesic = geodesic_through_flag(tree, tree.flag("c", 0, 1))
+    mu = make_measure(tree, [(tree.vertex_point("c"), F(1, 2)),
+                             (tree.point(2, F(1, 3)), F(1, 2))])
+    return tree, pushforward_projection(tree, geodesic, mu)
+
+
+ROW_FIELDS = (FLAG, F(1, 2), F(1, 6), F(1, 3))
+READ_FIELDS = (2, ((F(1, 3), F(1, 2)),))
+
+
+def test_records_build_by_keyword_and_by_position():
+    _, sample = _sample()
+    fields = (sample.geodesic, sample.atoms)
+    assert RadonSample(*fields) == sample
+    assert RadonSample(atoms=sample.atoms, geodesic=sample.geodesic) == sample
+    assert FlagRow(*ROW_FIELDS) == FlagRow(vertex_value=F(1, 3), interior_subtracted=F(1, 6),
+                                           raw_mass=F(1, 2), flag=FLAG)
+    assert EdgeRead(*READ_FIELDS) == EdgeRead(atoms=READ_FIELDS[1], edge=2)
+    assert FlagRow(*ROW_FIELDS).interior_subtracted == F(1, 6)
+    assert EdgeRead(*READ_FIELDS).edge == 2
+
+
+def test_records_compare_and_hash_as_their_fields():
+    _, sample = _sample()
+    for record, fields in ((sample, (sample.geodesic, sample.atoms)),
+                           (FlagRow(*ROW_FIELDS), ROW_FIELDS),
+                           (EdgeRead(*READ_FIELDS), READ_FIELDS)):
+        assert tuple(getattr(record, name) for name in record._fields) == fields
+        assert record == fields and hash(record) == hash(fields)
+        assert type(record)._make(fields) == record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+
+
+def test_records_pickle_round_trip():
+    for record in (FlagRow(*ROW_FIELDS), EdgeRead(*READ_FIELDS)):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record) and hash(back) == hash(record)
+    # a geodesic equals only geodesics of its own tree object, so the sample
+    # travels with its tree and is compared on the copy
+    tree, sample = _sample()
+    tree_back, back = pickle.loads(pickle.dumps((tree, sample)))
+    assert type(back) is RadonSample and back.geodesic.tree is tree_back
+    assert back.atoms == sample.atoms and back.geodesic.edges == sample.geodesic.edges
+    assert back.to_measure(tree_back) == sample.to_measure(tree)
