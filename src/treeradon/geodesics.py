@@ -41,11 +41,11 @@ on it exactly when it is its own nearest point.
 
 A point a fraction of the way from p to q needs no geodesic: the path
 climbs from p to the depth where the two points' paths to the root meet
-and descends to q, so ``_point_along`` compares the tree's stored depths
-along parent links on the side where the point lies. Midpoints, the CAT(0)
-comparison and constant-speed travel up to time 1 all read it; travel
-past time 1 reads the last edge of the tree's walk, so travel builds no
-geodesic at any time.
+and descends to q, so the tree locates it (``Tree._point_along``) by
+comparing its stored depths along parent links on the side where the
+point lies. Midpoints, the CAT(0) comparison and constant-speed travel up
+to time 1 all read it; travel past time 1 reads the last edge of the
+tree's walk, so travel builds no geodesic at any time.
 """
 
 from __future__ import annotations
@@ -356,58 +356,7 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
     """The point halfway along the path from ``p`` to ``q``."""
-    return _point_along(tree, tree.canonical_point(p), tree.canonical_point(q), _HALF)
-
-
-def _point_along(tree: Tree, p: TreePoint, q: TreePoint, t: Fraction) -> TreePoint:
-    """The point a fraction ``t`` in [0, 1] of the way from ``p`` to ``q``,
-    two canonical points, located from the depths the tree stores: the
-    point ``path(tree, p, q).point_at(t · length)`` gives, with no
-    ``Geodesic`` built and no edge length added.
-
-    The path climbs from p to the depth M at which the two points' paths
-    to the root meet (``Tree._meet``), then descends to q. So the point at
-    arc length s from p lies on p's climb at depth ``depth(p) − s`` while s
-    is at most ``depth(p) − M``, and else on q's climb at depth
-    ``M + s − (depth(p) − M)``; ``_climb_to`` finds it. Two points inside
-    one edge give the offset ``t`` of the way between theirs.
-    """
-    p_foot, q_foot = tree._foot(p), tree._foot(q)
-    meet = tree._meet(p.edge, p_foot, q.edge, q_foot)
-    if meet is None:
-        return TreePoint(edge=p.edge, offset=p.offset + t * (q.offset - p.offset))
-    up = p_foot[1] - meet
-    s = t * (up + q_foot[1] - meet)
-    if s <= up:
-        return _climb_to(tree, p, p_foot, p_foot[1] - s)
-    return _climb_to(tree, q, q_foot, meet + s - up)
-
-
-def _climb_to(tree: Tree, point: TreePoint, foot: tuple, depth: Fraction) -> TreePoint:
-    """The point at ``depth`` on the way from a canonical point up to the
-    root, given the point's ``Tree._foot`` triple; ``depth`` lies between
-    the root's and the point's own.
-
-    A ray point lies below its foot, and the target is on the ray while
-    it is deeper than the foot. Otherwise the climb starts at the foot (a
-    point inside a finite edge lies in its foot's parent edge) and follows
-    parent links while the vertex is deeper than the target: the target is
-    that vertex, or inside its parent edge when the parent is shallower.
-    Only depths are compared; one subtraction gives the offset.
-    """
-    vertex = tree._vertex
-    v, _, inside = foot
-    rec = vertex[v]
-    if not (inside or point.is_vertex) and depth > rec.depth:
-        return TreePoint(edge=point.edge, offset=depth - rec.depth)
-    while rec.depth > depth:
-        up = vertex[rec.parent]
-        if up.depth < depth:
-            edge = tree.edges[rec.parent_edge]
-            return TreePoint(edge=edge.id, offset=depth - up.depth if edge.u == up.id
-                             else rec.depth - depth)
-        rec = up
-    return TreePoint(rec.id)
+    return tree._point_along(tree.canonical_point(p), tree.canonical_point(q), _HALF)
 
 
 # ---------------------------------------------------------------------- #
@@ -451,8 +400,8 @@ def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
     """Where constant-speed travel from ``p`` to ``q``, two canonical
     points, is at time ``t ≥ 0``, reaching ``q`` at time 1.
 
-    Up to time 1 this is ``_point_along``. Past it, each call reads the
-    last edge of the path and the way along it from the tree's walk
+    Up to time 1 this is ``Tree._point_along``. Past it, each call reads
+    the last edge of the path and the way along it from the tree's walk
     (``Tree._walk``), and walks afresh from ``q``: it finishes that edge,
     then takes the walk rule ``_onward`` at every vertex and turns back
     along the edge it came by at a leaf, so the speed stays constant on
@@ -460,7 +409,7 @@ def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
     zero-length segment stays at its point.
     """
     if t <= 1:
-        return _point_along(tree, p, q, t)
+        return tree._point_along(p, q, t)
     edges, walk = tree._walk(p, q)
     extra = (t - 1) * tree.distance(p, q)
     eid = edges[-1]
@@ -592,7 +541,7 @@ def check_cat0_triangle(tree: Tree, x: TreePoint, y: TreePoint, z: TreePoint, t)
         raise PointLocationError(f"interpolation parameter {t} outside [0, 1]")
     x, z = tree.canonical_point(x), tree.canonical_point(z)
     ell = tree.distance(x, z)
-    gamma_t = _point_along(tree, x, z, t)
+    gamma_t = tree._point_along(x, z, t)
     d_y_gamma = tree.distance(y, gamma_t)
     dyx = tree.distance(y, x)
     dyz = tree.distance(y, z)

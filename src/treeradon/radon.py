@@ -286,9 +286,13 @@ def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
         values = entries[start:start + k * (k - 1) // 2]
         try:
             denominators = list(map(_denominator, values))
-        except AttributeError:  # a None: name the first flag without an entry
-            for pair in combinations(record.incident, 2):
-                table.value(Flag(x, frozenset(pair)))
+        except AttributeError:  # name the first flag with a None or a non-rational entry
+            for pair, value in zip(combinations(record.incident, 2), values):
+                if not hasattr(value, "denominator"):
+                    flag = Flag(x, frozenset(pair))
+                    table.value(flag)  # a None: the table has no entry there
+                    raise RadonError(
+                        f"flag table entry {value!r} for {flag!r} is not a rational") from None
             raise
         scale = lcm(total_denominator, *denominators)
         # yielded, not listed: with a distinct prime per flag, D_x and the

@@ -24,9 +24,9 @@ plan's couplings, checked once when it is built, and moves each coupled
 mass at constant speed along the path from its source to its target
 (``geodesics._travel``); the atoms it locates are canonical and go to
 the measure core unchecked. Up to time 1 the point is located from the
-tree's depths, and past it from the last edge of the tree's walk from
-source to target (``Tree._walk``), so no path is built at any time.
-Past its target the mass follows
+tree's depths (``Tree._point_along``), and past it from the last edge of
+the tree's walk from source to target (``Tree._walk``), so no path is
+built at any time. Past its target the mass follows
 the geodesics' one walk rule (``geodesics._onward``): the smallest other
 incident edge identifier at every vertex, which makes every output
 deterministic, and it turns back at a leaf. Each evaluation walks afresh

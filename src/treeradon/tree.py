@@ -513,6 +513,44 @@ class Tree:
             return q_depth
         return top.depth
 
+    def _point_along(self, p: TreePoint, q: TreePoint, t: Fraction) -> TreePoint:
+        """The point a fraction ``t`` in [0, 1] of the way from ``p`` to
+        ``q``, two canonical points, located from the stored depths: the
+        point ``path(tree, p, q).point_at(t · length)`` gives, with no
+        ``Geodesic`` built and no edge length added.
+
+        The path climbs from p to the depth M at which the two points' paths
+        to the root meet (:meth:`_meet`), then descends to q. So the point
+        at arc length s from p lies on p's way up at depth ``depth(p) − s``
+        while s is at most ``up = depth(p) − M``, and else on q's way up at
+        depth ``M + s − up``. A ray point lies below its foot, and the
+        target is on the ray while it is deeper than the foot. Otherwise
+        the climb starts at the foot (a point inside a finite edge lies in
+        its foot's parent edge) and follows parent links while the vertex
+        is deeper than the target: the target is the vertex it stops at, or
+        inside the parent edge of the vertex before it. Two points inside
+        one edge give the offset ``t`` of the way between theirs.
+        """
+        p_foot, q_foot = self._foot(p), self._foot(q)
+        meet = self._meet(p.edge, p_foot, q.edge, q_foot)
+        if meet is None:
+            return TreePoint(edge=p.edge, offset=p.offset + t * (q.offset - p.offset))
+        up = p_foot[1] - meet
+        s = t * (up + q_foot[1] - meet)
+        point, (v, _, inside), depth = ((p, p_foot, p_foot[1] - s) if s <= up
+                                        else (q, q_foot, meet + s - up))
+        vertex = self._vertex
+        rec = vertex[v]
+        if not (inside or point.is_vertex) and depth > rec.depth:
+            return TreePoint(edge=point.edge, offset=depth - rec.depth)
+        while rec.depth > depth:
+            child, rec = rec, vertex[rec.parent]
+        if rec.depth == depth:
+            return TreePoint(rec.id)
+        edge = self.edges[child.parent_edge]
+        return TreePoint(edge=edge.id, offset=depth - rec.depth if edge.u == rec.id
+                         else child.depth - depth)
+
     def _walk(self, p: TreePoint, q: TreePoint) -> tuple[list[int], list[VertexId | None]]:
         """The path between canonical points ``p`` and ``q`` as ``(edges,
         walk)``: its edge ids from ``p`` on, and its closed vertex path, None

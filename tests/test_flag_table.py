@@ -178,6 +178,19 @@ def test_entries_must_cover_every_flag(star3):
             FlagTable(star3, entries)
 
 
+@pytest.mark.parametrize("entry", [0.5, "1/2"])
+def test_a_non_rational_entry_is_named_by_both_kernels(star3, entry):
+    h = vertex_function(star3, {"a": 1})
+    table = radon_forward(star3, h)
+    flag = enumerate_flags(star3)[4]  # a flag at "a"
+    entries = list(table.entries)
+    entries[4] = entry
+    table = FlagTable(star3, entries)
+    message = f"flag table entry {entry!r} for {flag!r} is not a rational"
+    assert raised(radon_invert, star3, table, h.total) == message
+    assert raised(double_count_check, star3, h, "a", table) == message
+
+
 def test_flag_table_parses_values(star3):
     flags = enumerate_flags(star3)
     table = flag_table(star3, {flags[0]: "3/6", flags[1]: 2})

@@ -25,7 +25,7 @@ from treeradon import (
     perpendicular,
     points_aligned,
 )
-from treeradon.geodesics import _flag_geodesic, _point_along
+from treeradon.geodesics import _flag_geodesic
 from treeradon.radon import _router
 
 
@@ -326,9 +326,38 @@ def test_point_along_matches_path_point_at(seed, kind):
         segment = path(tree, p, q)
         den = rng.randint(2, 40)
         for t in (F(0), F(1, 2), F(1), F(rng.randint(1, den - 1), den)):
-            found = _point_along(tree, p, q, t)
+            found = tree._point_along(p, q, t)
             assert found == segment.point_at(t * segment.length), (p, q, t)
             assert tree.canonical_point(found) is found
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("leaves", (False, True))
+def test_point_along_lands_on_every_vertex_depth(seed, leaves):
+    # a random fraction rarely lands on a vertex, so every vertex depth
+    # and every edge midpoint on a deepest vertex's path to the root is
+    # asked for in turn, in both directions; the caterpillar writes its
+    # edges child first and parent first
+    tree = deep_caterpillar(random.Random(seed), leaves)
+    vertex = tree._vertex
+    chain = [max(vertex.values(), key=lambda rec: rec.hops)]
+    while chain[-1].parent is not None:
+        chain.append(vertex[chain[-1].parent])
+    assert len(chain) > 200
+    bottom, root = chain[0], chain[-1]
+    length = bottom.depth
+    pairs = ((TreePoint(bottom.id), TreePoint(root.id), lambda depth: (length - depth) / length),
+             (TreePoint(root.id), TreePoint(bottom.id), lambda depth: depth / length))
+    for p, q, at in pairs:
+        for rec in chain:
+            found = tree._point_along(p, q, at(rec.depth))
+            assert found == TreePoint(rec.id) and found.vertex is rec.id, (p, q, rec.id)
+        for rec in chain[:-1]:
+            edge = tree.edges[rec.parent_edge]
+            found = tree._point_along(p, q, at(rec.depth - edge.length / 2))
+            assert found == tree.point(edge.id, edge.length / 2), (p, q, edge.id)
+            assert tree.canonical_point(found) is found
+    assert {tree.edges[rec.parent_edge].u == rec.id for rec in chain[:-1]} == {False, True}
 
 
 # ---------------------------------------------------------------------- #
