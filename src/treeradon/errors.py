@@ -54,4 +54,4 @@ class FileFormatError(ValueError):
 class SolverError(RuntimeError):
     """The transportation solver gave up: ``pivot limit exceeded``
     (``_transportation_simplex``) or ``plan marginals do not match the
-    measures`` (``_check_marginals``)."""
+    measures`` (``optimal_plan``'s check of the returned couplings)."""

@@ -405,13 +405,14 @@ def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
     (``Tree._walk``), and walks afresh from ``q``: it finishes that edge,
     then takes the walk rule ``_onward`` at every vertex and turns back
     along the edge it came by at a leaf, so the speed stays constant on
-    trees with leaves. No ``Geodesic`` is built at any time. A
-    zero-length segment stays at its point.
+    trees with leaves. The distance it travels past ``q`` comes from
+    ``Tree._distance``, which checks neither point again. No ``Geodesic``
+    is built at any time. A zero-length segment stays at its point.
     """
     if t <= 1:
         return tree._point_along(p, q, t)
     edges, walk = tree._walk(p, q)
-    extra = (t - 1) * tree.distance(p, q)
+    extra = (t - 1) * tree._distance(p, q)
     eid = edges[-1]
     rec = tree.edges[eid]
     offset = q.offset if q.vertex is None else rec.endpoint_offset(q.vertex)

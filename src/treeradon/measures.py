@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -33,12 +34,35 @@ class Measure:
     ``point_sort_key`` order. Functions that take a ``Measure`` trust that
     and check or sort nothing again, so a measure goes with the tree it
     was made on or one built from the same description. Given a tree that
-    lacks one of its atoms, ``pushforward_projection``, ``optimal_plan``
-    and ``w2_squared`` raise :class:`MeasureError` naming that atom; a tree
-    with the same names and other lengths gives a wrong value.
+    lacks one of its atoms, ``pushforward_projection``, ``supported_on``,
+    ``optimal_plan`` and ``w2_squared`` raise :class:`MeasureError` naming
+    that atom; a tree with the same names and other lengths gives a wrong
+    value.
+
+    The masses' integer view, ``_integer_masses``, is computed once and
+    kept, like ``VertexFunction.total``: by the measure core, which checks
+    the total with it, or on first use for a measure built by hand.
+    Equality and hashing read the atoms alone.
     """
 
     atoms: tuple[tuple[TreePoint, Fraction], ...]
+
+    @cached_property
+    def _integer_masses(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, numerators)``: the lcm of the masses' denominators, and
+        each mass times it as an int, in atom order. An int mass (a
+        hand-built Dirac's ``1``) counts as its own numerator over 1; any
+        mass that is neither an int nor a ``Fraction`` raises
+        :class:`MeasureError` naming its atom."""
+        try:
+            scale = lcm(*(mass.denominator for _, mass in self.atoms))
+            return scale, tuple(mass.numerator * (scale // mass.denominator)
+                                for _, mass in self.atoms)
+        except (AttributeError, TypeError):
+            for point, mass in self.atoms:
+                if not isinstance(mass, (int, Fraction)):
+                    raise MeasureError(f"mass {mass!r} at {point!r} is not a rational") from None
+            raise
 
     @property
     def total_mass(self) -> Fraction:
@@ -73,9 +97,9 @@ def make_measure(tree: Tree, atoms) -> Measure:
 def _measure(atoms) -> Measure:
     """The one core, for canonical points of one tree with ``Fraction``
     masses. The first mass at a point is stored as it is; only a repeated
-    point adds. Each mass must be positive, the total is checked as one
-    integer sum over the lcm of the masses' denominators, and the atoms
-    are sorted by ``point_sort_key``."""
+    point adds. Each mass must be positive, the atoms are sorted by
+    ``point_sort_key``, and the total is checked as one integer sum over
+    the measure's integer view, which the measure then keeps."""
     merged: dict[TreePoint, Fraction] = {}
     for point, mass in atoms:
         if mass <= 0:
@@ -84,12 +108,12 @@ def _measure(atoms) -> Measure:
         merged[point] = mass if known is None else known + mass
     if not merged:
         raise MeasureError("a measure needs at least one atom")
-    scale = lcm(*(mass.denominator for mass in merged.values()))
-    total = sum(mass.numerator * (scale // mass.denominator) for mass in merged.values())
+    measure = Measure(tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0]))))
+    scale, numerators = measure._integer_masses
+    total = sum(numerators)
     if total != scale:
         raise MeasureError(f"masses sum to {Fraction(total, scale)}, not 1")
-    ordered = tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0])))
-    return Measure(ordered)
+    return measure
 
 
 def dirac(tree: Tree, point: TreePoint) -> Measure:
@@ -147,30 +171,39 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     is searched for twice. Distinct points of a geodesic have distinct
     coordinates, so masses merge by nearest point, which for an atom off
     the geodesic's own edges is a vertex and hashes as its id: no
-    coordinate is hashed. The first atom at a point stores its
-    ``(coordinate, mass)`` pair as it is; only a repeated point adds. The
-    pairs are sorted by coordinate alone.
+    coordinate is hashed. Masses merge as the ints of the measure's
+    integer view (``Measure._integer_masses``, one scale for all its
+    atoms), so no ``Fraction`` is added: a point that received two or more
+    atoms gets one ``Fraction`` of its summed ints over that scale, and a
+    lone atom's mass passes through as the object the measure holds. The
+    ``(coordinate, mass)`` pairs are sorted by coordinate alone.
 
     The geodesic must be maximal (complete in a leafless tree, or ending at
     leaves), since projections onto extendable segments are not part of the
     transform. The measure must be made on ``tree``: its atoms are taken as
     the canonical points the measure holds, and are not checked. An atom
     the tree lacks fails the projection's lookup, which raises
-    :class:`MeasureError` naming it.
+    :class:`MeasureError` naming it, as does a mass that is neither an int
+    nor a ``Fraction``.
     """
     if geodesic.tree is not tree:
         raise GeodesicError("geodesic belongs to a different tree")
     if not geodesic.is_maximal:
         raise GeodesicError("projection target must be a maximal geodesic")
-    merged: dict[TreePoint, tuple[Fraction, Fraction]] = {}
-    for point, mass in measure.atoms:
+    scale, numerators = measure._integer_masses
+    # near point -> (coordinate, the lone atom's mass or None once merged, summed int)
+    merged: dict[TreePoint, tuple[Fraction, Fraction | None, int]] = {}
+    for (point, mass), n in zip(measure.atoms, numerators):
         try:
             near, coord = geodesic._project(point)
         except (KeyError, IndexError):  # an unknown vertex, or an edge id past the tree's
             raise _foreign_atom(point) from None
         known = merged.get(near)
-        merged[near] = (coord, mass) if known is None else (coord, known[1] + mass)
-    return _new(RadonSample, (geodesic, tuple(sorted(merged.values(), key=itemgetter(0)))))
+        merged[near] = (coord, mass, n) if known is None else (coord, None, known[2] + n)
+    atoms = [(coord, Fraction(n, scale) if mass is None else mass)
+             for coord, mass, n in merged.values()]
+    atoms.sort(key=itemgetter(0))
+    return _new(RadonSample, (geodesic, tuple(atoms)))
 
 
 def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:
@@ -183,5 +216,13 @@ def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:
 
 
 def supported_on(measure: Measure, geodesic: Geodesic) -> bool:
-    """True iff every atom lies on the geodesic (atoms are not checked)."""
-    return all(geodesic._raw_of(p) is not None for p, _ in measure.atoms)
+    """True iff every atom lies on the geodesic (atoms are not checked).
+    An atom the geodesic's tree lacks fails the projection's lookup, which
+    raises :class:`MeasureError` naming it."""
+    for point, _ in measure.atoms:
+        try:
+            if geodesic._raw_of(point) is None:
+                return False
+        except (KeyError, IndexError):  # an unknown vertex, or an edge id past the tree's
+            raise _foreign_atom(point) from None
+    return True

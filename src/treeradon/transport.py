@@ -15,8 +15,11 @@ from the entering cell to the leaving one, and shifts the potentials of
 the side it re-hangs. The entering scan skips every row whose lower
 bound on its reduced costs is not negative and tests each other row in
 one pass. Plans, costs and every other value at the API stay exact
-Fractions; a plan's squared cost is summed from the solver's own cost
-matrix.
+Fractions. A plan's squared cost and its marginals are integer sums: the
+couplings' masses are taken as ints over the lcm of their denominators,
+the cost is summed against the solver's own cost matrix and made one
+Fraction, and each row and column is compared with its measure's masses
+(``Measure._integer_masses``) across the two scales.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
@@ -298,29 +301,33 @@ def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
 
     Every pair goes through the exact transportation simplex. From (or to)
     a Dirac its only feasible plan is the unique coupling; between identical
-    measures the identity is the only plan of cost 0. The squared cost sums
-    the solver's own cost matrix over the couplings, over its scale.
+    measures the identity is the only plan of cost 0.
+
+    The couplings' masses are taken as ints over the lcm of their
+    denominators. The squared cost sums them against the solver's own cost
+    matrix as one int, made one ``Fraction`` over both scales; each row and
+    column of the couplings is summed as ints too, and must equal its
+    measure's mass exactly (``Measure._integer_masses``, compared across
+    the two scales), or :class:`SolverError` is raised. A mass that is
+    neither an int nor a ``Fraction`` raises :class:`MeasureError` naming
+    its atom before any solving.
     """
+    (mu_scale, mu_masses), (nu_scale, nu_masses) = mu._integer_masses, nu._integer_masses
     cost, scale = _cost_matrix(tree, mu.atoms, nu.atoms)
     alloc = sorted(_transportation_simplex(
         [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
     ).items())
-    couplings = tuple((mu.atoms[i][0], nu.atoms[j][0], q) for (i, j), q in alloc)
-    total = sum((q * cost[i][j] for (i, j), q in alloc), _ZERO) / scale
-    _check_marginals(mu, nu, couplings)
-    return TransportPlan(mu, nu, couplings, total)
-
-
-def _check_marginals(mu, nu, couplings):
-    left: dict[TreePoint, Fraction] = {}
-    right: dict[TreePoint, Fraction] = {}
-    for p, q, mass in couplings:
-        known = left.get(p)
-        left[p] = mass if known is None else known + mass
-        known = right.get(q)
-        right[q] = mass if known is None else known + mass
-    if left != dict(mu.atoms) or right != dict(nu.atoms):
+    common = math.lcm(*(q.denominator for _, q in alloc))
+    left, right, total = [0] * len(mu_masses), [0] * len(nu_masses), 0
+    for ((i, j), _), f in zip(alloc, _scaled((q for _, q in alloc), common)):
+        left[i] += f
+        right[j] += f
+        total += f * cost[i][j]
+    if (any(f * mu_scale != m * common for f, m in zip(left, mu_masses))
+            or any(f * nu_scale != m * common for f, m in zip(right, nu_masses))):
         raise SolverError("plan marginals do not match the measures")
+    couplings = tuple((mu.atoms[i][0], nu.atoms[j][0], q) for (i, j), q in alloc)
+    return TransportPlan(mu, nu, couplings, Fraction(total, common * scale))
 
 
 def w2_squared(tree: Tree, mu: Measure, nu: Measure) -> Fraction:

@@ -483,8 +483,11 @@ class Tree:
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         """Length of the unique injective path between two points."""
-        p = self.canonical_point(p)
-        q = self.canonical_point(q)
+        return self._distance(self.canonical_point(p), self.canonical_point(q))
+
+    def _distance(self, p: TreePoint, q: TreePoint) -> Fraction:
+        """:meth:`distance` between two canonical points of this tree, which
+        it takes as they are and does not check."""
         p_foot, q_foot = self._foot(p), self._foot(q)
         meet = self._meet(p.edge, p_foot, q.edge, q_foot)
         if meet is None:

@@ -1,9 +1,12 @@
 """Measures, pushforwards, second moments, and which code checks a
 measure's atoms."""
 
+import pickle
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +14,9 @@ from hypothesis import given, strategies as st
 from common import hidden_measure, leafless_tree, tree_and_measure, twin
 from conftest import profile_settings
 from treeradon import (
+    Geodesic,
     GeodesicError,
+    Measure,
     MeasureError,
     RadonSample,
     SuiteConfig,
@@ -38,6 +43,7 @@ from treeradon import (
     supported_on,
     w2_squared,
 )
+from treeradon.geodesics import _travel
 
 
 class TestMakeMeasure:
@@ -330,3 +336,174 @@ def test_an_atom_the_tree_lacks_is_named(entry, atom, named):
     message = rf"^atom {re.escape(named)} is not a point of this tree$"
     with pytest.raises(MeasureError, match=message):
         calls[entry]()
+
+
+@pytest.mark.parametrize("atom", [TreePoint("e"), TreePoint(edge=10, offset=F(1, 2))],
+                         ids=["vertex", "edge"])
+def test_supported_on_names_an_atom_the_tree_lacks(atom):
+    five, four = build_tree(FIVE), build_tree(FOUR)
+    mu = make_measure(five, [(five.vertex_point("c"), F(1, 2)), (atom, F(1, 2))])
+    geodesic = geodesic_through_flag(four, four.flag("a", 0, 1))
+    message = rf"^atom {re.escape(repr(atom))} is not a point of this tree$"
+    with pytest.raises(MeasureError, match=message):
+        supported_on(mu, geodesic)
+
+
+def test_travel_past_time_one_checks_no_point(canonical_calls):
+    """Past time 1, ``_travel`` takes the distance it has to go between its
+    two canonical points from ``Tree._distance``, which checks neither."""
+    rng = random.Random(36)
+    for _ in range(8):
+        tree = leafless_tree(rng, rng.randint(1, 30))
+        p, q = gen_point(tree, rng, 9), gen_point(tree, rng, 9)
+        canonical_calls.clear()
+        for t in (F(5, 4), 2, F(5, 2)):
+            _travel(tree, p, q, t)
+            _travel(tree, p, p, t)
+        assert canonical_calls == []
+        assert tree.distance(p, q) == tree._distance(p, q)
+
+
+# ---------------------------------------------------------------------- #
+# The merge over integer masses                                             #
+# ---------------------------------------------------------------------- #
+#
+# pushforward_projection adds the ints of the measure's integer view. The
+# reference below is the merge it replaced, which adds the masses as they
+# are held.
+
+def fraction_merge(geodesic, measure):
+    """The projection's atoms, merged by adding the masses themselves."""
+    merged = {}
+    for point, mass in measure.atoms:
+        near, coord = geodesic._project(point)
+        known = merged.get(near)
+        merged[near] = (coord, mass) if known is None else (coord, known[1] + mass)
+    return tuple(sorted(merged.values(), key=itemgetter(0)))
+
+
+def assert_merge_is_the_fraction_merge(tree, geodesic, measure):
+    got = pushforward_projection(tree, geodesic, measure).atoms
+    expected = fraction_merge(geodesic, measure)
+    assert got == expected
+    assert [str(m) for _, m in got] == [str(m) for _, m in expected]
+    # a point that received one atom holds that atom's very mass object
+    projected = [(geodesic._project(point), mass) for point, mass in measure.atoms]
+    landed = Counter(near for (near, _), _ in projected)
+    lone = {coord: mass for (near, coord), mass in projected if landed[near] == 1}
+    for coord, mass in got:
+        if coord in lone:
+            assert mass is lone[coord]
+        else:
+            assert type(mass) is F
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@given(tree_and_measure())
+@profile_settings(40)
+def test_pushforward_is_the_fraction_merge(drawn):
+    """On generated measures, and on hand-built ones the measure core would
+    refuse: masses over distinct prime denominators with either sign (so a
+    total other than 1), and int masses with either sign, which can cancel
+    to 0 at a point."""
+    tree, mu, rng = drawn
+    flags = enumerate_flags(tree)
+    geodesics = [geodesic_through_flag(tree, flag) for flag in rng.sample(flags, min(8, len(flags)))]
+    primed = Measure(tuple((point, F(rng.choice((-1, 1)) * rng.randint(1, p - 1), p))
+                           for (point, _), p in zip(mu.atoms, PRIMES)))
+    ints = Measure(tuple((point, rng.choice((-2, -1, 1, 2))) for point, _ in mu.atoms))
+    for measure in (mu, primed, ints):
+        for geodesic in geodesics:
+            assert_merge_is_the_fraction_merge(tree, geodesic, measure)
+
+
+def test_pushforward_adds_no_fraction(monkeypatch):
+    """Over every flag geodesic of a 40-vertex tree, the merge makes no
+    ``Fraction`` addition; the geodesic's own chart, which places an atom
+    on one of its edges, is not counted. The reference merge, under the
+    same spy, adds."""
+    rng = random.Random(40)
+    tree = leafless_tree(rng, 40)
+    mu = hidden_measure(tree, rng, 6)
+    geodesics = [geodesic_through_flag(tree, flag) for flag in enumerate_flags(tree)]
+    added, charting = [], []
+    add, radd, project = F.__add__, F.__radd__, Geodesic._project
+
+    def counted_add(a, b):
+        if not charting:
+            added.append((a, b))
+        return add(a, b)
+
+    def counted_radd(a, b):
+        if not charting:
+            added.append((b, a))
+        return radd(a, b)
+
+    def uncounted_project(self, point):
+        charting.append(point)
+        try:
+            return project(self, point)
+        finally:
+            charting.pop()
+
+    monkeypatch.setattr(F, "__add__", counted_add)
+    monkeypatch.setattr(F, "__radd__", counted_radd)
+    monkeypatch.setattr(Geodesic, "_project", uncounted_project)
+    samples = [pushforward_projection(tree, geodesic, mu) for geodesic in geodesics]
+    assert added == []
+    assert [sample.atoms for sample in samples] == [fraction_merge(g, mu) for g in geodesics]
+    assert added
+
+
+def test_cached_integer_masses_keep_equality_hashing_and_pickling(tripod):
+    """The core keeps the view it checked the total with; a measure built
+    by hand makes it on first use. Neither changes equality, hashing or a
+    pickle's round trip."""
+    mu = make_measure(tripod, [(tripod.vertex_point("x"), F(1, 2)),
+                               (tripod.vertex_point("y"), F(1, 3)),
+                               (tripod.point(2, F(1, 2)), F(1, 6))])
+    assert "_integer_masses" in vars(mu)
+    by_hand = Measure(mu.atoms)
+    assert "_integer_masses" not in vars(by_hand)
+    assert by_hand == mu and hash(by_hand) == hash(mu)
+    restored = pickle.loads(pickle.dumps(by_hand))
+    assert restored == mu and hash(restored) == hash(mu)
+    assert by_hand._integer_masses == mu._integer_masses == (6, (3, 2, 1))
+    assert by_hand == mu and hash(by_hand) == hash(mu)
+    restored = pickle.loads(pickle.dumps(mu))
+    assert restored == mu and hash(restored) == hash(mu)
+    assert restored._integer_masses == (6, (3, 2, 1))
+    assert dirac(tripod, tripod.vertex_point("o"))._integer_masses == (1, (1,))
+
+
+@pytest.mark.parametrize("entry", ["pushforward_projection", "optimal_plan", "w2_squared"])
+@pytest.mark.parametrize("mass", ["1/2", 0.5], ids=["string", "float"])
+def test_a_mass_that_is_not_a_rational_is_named(star3, entry, mass):
+    a, b = star3.vertex_point("a"), star3.vertex_point("b")
+    mu = Measure(((a, F(1, 2)), (b, mass)))
+    nu = dirac(star3, star3.vertex_point("d"))
+    geodesic = geodesic_through_flag(star3, star3.flag("c", 0, 1))
+    calls = {
+        "pushforward_projection": lambda: pushforward_projection(star3, geodesic, mu),
+        "optimal_plan": lambda: optimal_plan(star3, nu, mu),
+        "w2_squared": lambda: w2_squared(star3, mu, nu),
+    }
+    message = rf"^mass {re.escape(repr(mass))} at TreePoint\('b'\) is not a rational$"
+    with pytest.raises(MeasureError, match=message):
+        calls[entry]()
+
+
+def test_an_int_mass_is_accepted(star3):
+    """A hand-built Dirac's ``1`` counts as 1/1 everywhere, and a lone int
+    mass passes through a projection as itself."""
+    a, b = star3.vertex_point("a"), star3.vertex_point("b")
+    by_hand, made = Measure(((a, 1),)), dirac(star3, a)
+    geodesic = geodesic_through_flag(star3, star3.flag("c", 0, 1))
+    projected = pushforward_projection(star3, geodesic, by_hand)
+    assert projected == pushforward_projection(star3, geodesic, made)
+    assert projected.atoms[0][1] is by_hand.atoms[0][1]
+    nu = make_measure(star3, [(a, F(1, 2)), (b, F(1, 2))])
+    assert optimal_plan(star3, by_hand, nu).squared_cost == optimal_plan(star3, made, nu).squared_cost
+    assert w2_squared(star3, nu, by_hand) == w2_squared(star3, nu, made) == 2

@@ -791,6 +791,42 @@ def test_hand_built_measure_of_wrong_mass_raises_solver_error(tripod, masses):
             optimal_plan(tripod, mu, nu)
 
 
+@pytest.mark.parametrize("shift", ["one cell up", "half across rows", "a hair across rows",
+                                   "half across columns", "a hair across columns"])
+def test_a_perturbed_allocation_raises_solver_error(monkeypatch, shift):
+    """The integer marginal check sees every row and column: one cell made
+    heavier throws off its row and its column; mass moved from the largest
+    cell to the next row (column) of its column (row) throws off two rows
+    (columns) alone, by half that cell or by 1/(2^61 - 1)."""
+    solve = transport._transportation_simplex
+
+    def perturbed(supply, demand, cost):
+        alloc = solve(supply, demand, cost)
+        (i, j), q = max(alloc.items(), key=lambda item: item[1])
+        if shift == "one cell up":
+            alloc[(i, j)] = q + F(1, 7)
+            return alloc
+        amount = q / 2 if shift.startswith("half") else F(1, 2**61 - 1)
+        other = ((i + 1) % len(supply), j) if shift.endswith("rows") else (i, (j + 1) % len(demand))
+        alloc[(i, j)] = q - amount
+        alloc[other] = alloc.get(other, F(0)) + amount
+        return alloc
+
+    monkeypatch.setattr(transport, "_transportation_simplex", perturbed)
+    cfg = SuiteConfig(max_vertices=10, max_atoms=5, max_denominator=9)
+    rng = random.Random(38)
+    checked = 0
+    for mode in ("finite", "complete") * 6:
+        tree = gen_tree(cfg, mode, rng)
+        mu, nu = gen_measure(cfg, tree, rng), gen_measure(cfg, tree, rng)
+        if len(mu) < 2 or len(nu) < 2:
+            continue
+        with pytest.raises(SolverError, match="^plan marginals do not match the measures$"):
+            optimal_plan(tree, mu, nu)
+        checked += 1
+    assert checked >= 4
+
+
 @st.composite
 def tree_and_measures(draw):
     """Two measures on a seeded ``gen_tree`` tree whose atoms include the
@@ -838,6 +874,30 @@ def test_cost_matrix_and_squared_cost_match_tree_distance(case):
     same = optimal_plan(tree, mu, mu)
     assert same.squared_cost == 0
     _assert_squared_cost_matches_distances(tree, same)
+
+
+@given(st.one_of(measure_pair(), tree_and_measures()))
+@profile_settings(40)
+def test_plan_sums_are_the_fraction_sums(case):
+    """``optimal_plan`` sums its cost and its marginals as ints: the cost
+    equals the ``Fraction`` sum of each coupling's mass times its entry of
+    the solver's cost matrix over its scale, and each row and column's
+    ``Fraction`` sum is its measure's mass. Also from a Dirac, and from a
+    measure to itself."""
+    tree, mu, nu = case
+    x = mu.atoms[-1][0]
+    for source, target in ((mu, nu), (dirac(tree, x), nu), (mu, mu)):
+        plan = optimal_plan(tree, source, target)
+        cost, scale = transport._cost_matrix(tree, source.atoms, target.atoms)
+        row = {p: i for i, (p, _) in enumerate(source.atoms)}
+        column = {q: j for j, (q, _) in enumerate(target.atoms)}
+        expected = sum((m * cost[row[p]][column[q]] for p, q, m in plan.couplings), F(0)) / scale
+        assert type(plan.squared_cost) is F and plan.squared_cost == expected
+        left, right = {}, {}
+        for p, q, m in plan.couplings:
+            left[p] = left.get(p, F(0)) + m
+            right[q] = right.get(q, F(0)) + m
+        assert left == dict(source.atoms) and right == dict(target.atoms)
 
 
 @given(tree_and_measures())
