@@ -1,4 +1,4 @@
-"""JSON wire formats with exact rational round-trips.
+r"""JSON wire formats with exact rational round-trips.
 
 Every rational is a decimal-free string ("p/q" or "p"); ray lengths are
 "inf". Writers emit canonical, sorted JSON so identical inputs produce
@@ -14,6 +14,14 @@ Formats:
   table     {"flags": [{"x":..., "e": id, "f": id, "value": "p/q"}]}
   plan      {"w2_squared": "p/q", "couplings": [{"src": point, "dst": point,
              "mass": "p/q"}]}
+
+Files are the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
+ensure_ascii=True)``, but written through the stdlib's C encoder, which
+``json`` skips whenever an indent is asked for. The C encoder writes a
+container compactly, with ``",\x00"`` between items. An encoded string
+never holds a raw control character (``json`` escapes them all), so each
+``\x00`` marks an item boundary, and ``str.replace`` turns it into the
+newline and indent that the indented encoder writes there.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import os
 import tempfile
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 
 from .errors import FileFormatError
 from .measures import Measure, make_measure
@@ -36,9 +45,62 @@ from .tree import Tree, TreePoint, build_tree
 # ---------------------------------------------------------------------- #
 
 
+# One C call writes a container whose items are all scalars: compact, with
+# the ",\x00" item mark that _canonical lays out.
+_compact = json.JSONEncoder(separators=(",\x00", ": "), sort_keys=True).encode
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_dicts(items) -> bool:
+    """Whether every item is a non-empty dict whose values are scalars."""
+    return (set(map(type, items)) == {dict} and all(items)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, items)))))
+
+
+def _canonical(node, depth: int) -> str:
+    r"""``node`` as ``json.dumps(node, indent=2, sort_keys=True,
+    ensure_ascii=True)`` writes it ``depth`` levels deep.
+
+    A container of scalars, or a list of non-empty dicts of scalars, is one
+    C call laid out by ``str.replace``; in the list, each ``},\x00{`` is the
+    boundary between two dicts, since no scalar writes a brace outside a
+    string. A dict with str keys, or a list or tuple, recurses into its
+    items, and anything else is the stdlib's own indented call, shifted to
+    its depth (a newline never sits inside an encoded string)."""
+    kind = type(node)
+    if kind in _SCALARS:
+        return _compact(node)
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if kind is dict or kind is list or kind is tuple:
+        if not node:
+            return "{}" if kind is dict else "[]"
+        if _SCALARS.issuperset(map(type, node.values() if kind is dict else node)):
+            text = _compact(node)
+            return text[0] + inner + text[1:-1].replace(",\x00", "," + inner) + pad + text[-1]
+        if kind is dict:
+            if set(map(type, node)) == {str}:
+                return "{" + inner + ("," + inner).join(
+                    _compact(key) + ": " + _canonical(value, depth + 1)
+                    for key, value in sorted(node.items())) + pad + "}"
+        elif _flat_dicts(node):
+            deeper = inner + "  "
+            text = _compact(node)[2:-2].replace("},\x00{", inner + "}," + inner + "{" + deeper)
+            return ("[" + inner + "{" + deeper + text.replace(",\x00", "," + deeper)
+                    + inner + "}" + pad + "]")
+        else:
+            return "[" + inner + ("," + inner).join(
+                _canonical(item, depth + 1) for item in node) + pad + "]"
+    return json.dumps(node, indent=2, sort_keys=True, ensure_ascii=True).replace("\n", pad)
+
+
 def save_json(payload, path) -> None:
-    """Canonical, atomic JSON write."""
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Canonical, atomic JSON write.
+
+    The file holds ``json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=True)`` and a newline, byte for byte; ``_canonical`` makes
+    those bytes in the C encoder wherever the payload's shape allows."""
+    text = _canonical(payload, 0) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:

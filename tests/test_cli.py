@@ -644,6 +644,15 @@ class TestVerify:
         assert code == 1
         assert json.loads(out.read_text())["ok"] is False
 
+    def test_failing_report_is_the_stdlib_bytes(self, tmp_path, capsys):
+        # the shrunk counterexample nests dicts and lists under str keys,
+        # so the writer's recursive layout runs, not only its one-call shapes
+        out = tmp_path / "r.json"
+        assert main(["verify", "--inject-fault", "--trials", "2", "--out", str(out)]) == 1
+        report = run_suite(SuiteConfig(trials=2, inject_fault=True))
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+        assert out.read_bytes() == expected.encode()
+
     def test_unsatisfiable_bounds_are_one_line_error(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify", "--trials", "2", "--min-valency", "1", "--max-valency", "2",

@@ -1,9 +1,17 @@
 """Wire-format round trips and atomic writes."""
 
+import json
+import math
+import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from common import hidden_measure, leafless_tree, small_values
+from conftest import profile_settings
 from treeradon import (
     FileFormatError,
     SuiteConfig,
@@ -11,6 +19,7 @@ from treeradon import (
     make_measure,
     optimal_plan,
     radon_forward,
+    run_suite,
     vertex_function,
 )
 from treeradon import io
@@ -128,3 +137,123 @@ class TestPlanFiles:
         target = tmp_path / "plan.json"
         io.save_plan(tripod, plan, target)
         assert target.exists()
+
+
+# ---------------------------------------------------------------------- #
+# The canonical bytes                                                       #
+# ---------------------------------------------------------------------- #
+
+
+def reference_bytes(payload) -> bytes:
+    """What save_json writes: the stdlib's indented, key-sorted, ASCII JSON."""
+    return (json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True) + "\n").encode()
+
+
+def written_bytes(payload) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        target = Path(directory) / "out.json"
+        io.save_json(payload, target)
+        return target.read_bytes()
+
+
+# Strings hold the marks and brackets the writer lays out around.
+TEXT = st.text(max_size=5) | st.lists(st.sampled_from(
+    ['"', "\\", "\x00", "\n", "},{", "},\x00{", ",\x00", "[", "]", ": ", "\u00e9",
+     "\u2603", "\U0001d11e", "a"]), max_size=4).map("".join)
+NUMBERS = (st.integers() | st.sampled_from([2**64, -2**64 - 1, 3**90])
+           | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]))
+SCALARS = st.none() | st.booleans() | NUMBERS | TEXT
+
+
+def dicts(values, **bounds):
+    """Dicts keyed by str, by numbers and bools, or by None."""
+    return st.one_of(
+        st.dictionaries(TEXT, values, **bounds),
+        st.dictionaries(st.integers() | st.floats() | st.booleans(), values, **bounds),
+        st.dictionaries(st.none(), values, **bounds))
+
+
+@st.composite
+def dict_rows(draw, children):
+    """A list of flat dicts, the shape of tree edges, measure atoms and
+    flag rows: keys equal in every row or not, and sometimes an empty dict
+    or a nested value among them."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({key: SCALARS for key in keys})
+    rows = draw(st.lists(row | dicts(SCALARS, min_size=1, max_size=4), min_size=1, max_size=5))
+    odd = draw(st.sampled_from([None, {}, "nested"]))
+    if odd == "nested":
+        odd = {draw(TEXT): draw(st.lists(children, max_size=2))}
+    if odd is not None:
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+PAYLOADS = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    dicts(children, max_size=4),
+    dict_rows(children),
+), max_leaves=30)
+
+
+@profile_settings(150)
+@given(PAYLOADS)
+def test_save_json_writes_the_stdlib_bytes(payload):
+    assert written_bytes(payload) == reference_bytes(payload)
+
+
+# A set or a Fraction in each kind of place, and keys that do not sort
+# together: json.dumps raises TypeError on each
+UNENCODABLE = [place(bad) for bad in ({1, 2}, F(1, 3)) for place in (
+    lambda bad: bad,
+    lambda bad: {"a": 1, "b": bad},
+    lambda bad: [{"a": 1}, {"a": bad}],
+    lambda bad: {"a": [1, {"b": [bad]}]},
+    lambda bad: {1: [bad]},
+)] + [{1: "a", "b": 2}, [{"a": 1}, {None: 1, 2: 1}], {"a": {1: [], "b": []}}]
+
+
+@pytest.mark.parametrize("payload", UNENCODABLE)
+def test_unencodable_payloads_raise_type_error(tmp_path, payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True)
+    with pytest.raises(TypeError):
+        io.save_json(payload, tmp_path / "out.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_library_files_never_use_the_pure_python_encoder(tmp_path, monkeypatch):
+    # json.dumps with an indent builds its pure-Python encoder through
+    # json.encoder._make_iterencode; the library's own shapes never need it
+    calls = []
+    make = json.encoder._make_iterencode
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    json.dumps({"a": 1}, indent=2)
+    assert len(calls) == 1, "the counter does not see the pure-Python encoder"
+
+    rng = random.Random(7)
+    tree = leafless_tree(rng, 200)
+    mu, nu = hidden_measure(tree, rng, 6), hidden_measure(tree, rng, 5)
+    h = small_values(tree, rng)
+    report = run_suite(SuiteConfig(trials=1))
+    assert report.ok
+    files = {
+        "tree": lambda path: io.save_tree(tree, path),
+        "measure": lambda path: io.save_measure(tree, mu, path),
+        "h": lambda path: io.save_vertex_function(h, path),
+        "table": lambda path: io.save_flag_table(radon_forward(tree, h), path),
+        "plan": lambda path: io.save_plan(tree, optimal_plan(tree, mu, nu), path),
+        "report": lambda path: io.save_json(report.to_dict(), path),
+    }
+    made = {}
+    for name, save in files.items():
+        calls.clear()
+        save(tmp_path / f"{name}.json")
+        made[name] = len(calls)
+    assert made == dict.fromkeys(files, 0)
