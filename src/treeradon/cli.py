@@ -167,11 +167,12 @@ def _cmd_reconstruct(args) -> int:
     tree = io.load_tree(args.tree)
     hidden = io.load_measure(tree, args.hidden)
     skeleton = None
-    if args.skeleton:
-        try:
-            skeleton = [int(x) for x in args.skeleton.split(",") if x.strip()]
-        except ValueError:
-            raise FileFormatError(f"bad skeleton list {args.skeleton!r}") from None
+    if args.skeleton is not None:
+        entries = [x for x in map(str.strip, args.skeleton.split(",")) if x]
+        # ASCII digits only: int() also reads "1_0", "+0" and full-width digits
+        if not all(x.isascii() and x.isdigit() for x in entries):
+            raise FileFormatError(f"bad skeleton list {args.skeleton!r}")
+        skeleton = [int(x) for x in entries]
     result = reconstruct_measure(tree, radon_oracle(tree, hidden), skeleton)
     payload = {
         "measure": io.measure_to_dict(tree, result.measure),

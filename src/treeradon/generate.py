@@ -20,6 +20,7 @@ from .radon import VertexFunction, vertex_function
 from .tree import Tree, TreePoint
 
 
+# A dataclass, not a NamedTuple: cli reads dataclasses.fields, verify calls replace.
 @dataclass(frozen=True)
 class SuiteConfig:
     """Bounds and seed for random generation and the property suite."""

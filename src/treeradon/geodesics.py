@@ -51,8 +51,8 @@ tree's walk, so travel builds no geodesic at any time.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CompletenessError, GeodesicError, PointLocationError
 from .rationals import parse_rational
@@ -511,8 +511,7 @@ def points_aligned(tree: Tree, x: TreePoint, y: TreePoint, z: TreePoint) -> bool
     return dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy
 
 
-@dataclass(frozen=True)
-class Cat0Comparison:
+class Cat0Comparison(NamedTuple):
     """Both sides of the quadratic comparison-triangle inequality at one t."""
 
     t: Fraction

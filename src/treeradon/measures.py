@@ -24,6 +24,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# A dataclass, not a NamedTuple: cached_property needs an instance dict, and
+# len() counts atoms, not fields.
 @dataclass(frozen=True)
 class Measure:
     """A finitely supported probability measure: ``((location, mass), ...)``.

@@ -71,6 +71,7 @@ _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
+# A dataclass, not a NamedTuple: cached_property needs an instance dict.
 @dataclass(frozen=True)
 class VertexFunction:
     """A finitely supported rational function on the vertices.
@@ -100,6 +101,7 @@ def vertex_function(tree: Tree, values: Mapping) -> VertexFunction:
     return VertexFunction(cleaned)
 
 
+# A dataclass, not a NamedTuple: __post_init__ checks the entries' count.
 @dataclass(frozen=True)
 class FlagTable:
     """Values of the combinatorial transform, one per flag of ``tree``.
@@ -302,8 +304,7 @@ def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
                          map(floordiv, repeat(scale), denominators))), scale
 
 
-@dataclass(frozen=True)
-class DoubleCountIdentity:
+class DoubleCountIdentity(NamedTuple):
     """Both sides of the flag-sum identity at one vertex.
 
     Summing Rh over the C(k,2) flags at x counts every other vertex once
@@ -404,8 +405,7 @@ class FlagRow(NamedTuple):
     vertex_value: Fraction
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     measure: Measure
     interior_atoms: tuple[tuple[TreePoint, Fraction], ...]
     interior_total: Fraction

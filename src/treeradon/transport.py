@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
+from typing import NamedTuple
 
 from .errors import CompletenessError, MeasureError, SolverError
 from .geodesics import _travel
@@ -55,8 +55,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(NamedTuple):
     """A coupling of two measures with its exact squared cost."""
 
     source: Measure
@@ -408,11 +407,10 @@ class WassersteinGeodesic:
 # Optimality certificates                                                   #
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class CycleViolation:
+class CycleViolation(NamedTuple):
     """A cycle of coupled pairs whose shifted cost beats the plan's cost.
 
-    Falsy, so ``is_cyclically_monotone`` reads naturally in conditions.
+    Falsy, unlike other tuples, so ``is_cyclically_monotone`` reads naturally in conditions.
     """
 
     pairs: tuple[tuple[TreePoint, TreePoint], ...]
@@ -468,8 +466,7 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
     return True
 
 
-@dataclass(frozen=True)
-class NonextendabilityWitness:
+class NonextendabilityWitness(NamedTuple):
     """The two-cycle certificate that a geodesic toward a Dirac inside the
     support cannot continue past time 1.
 

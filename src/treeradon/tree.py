@@ -35,7 +35,6 @@ equal, since their field counts differ.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -156,8 +155,7 @@ class VertexRecord(NamedTuple):
     first_flag: int
 
 
-@dataclass(frozen=True)
-class Subtree:
+class Subtree(NamedTuple):
     """A rooted full subtree: the root plus whole components hanging off it.
 
     Used for the perpendicular of a flag. Membership of an interior point

@@ -149,8 +149,7 @@ def w2_squared_enumerated(tree: Tree, mu: Measure, nu: Measure) -> Fraction:
 # Named checks                                                              #
 # ---------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class ThalesCheck:
+class ThalesCheck(NamedTuple):
     """Squared sides of the halving comparison for one (x, g, mu) triple."""
 
     lhs_sq: Fraction
@@ -186,8 +185,7 @@ def check_thales(tree: Tree, geodesic: Geodesic, x: TreePoint, g: TreePoint,
     return ThalesCheck(lhs_sq=lhs_sq, rhs_sq=rhs_sq)
 
 
-@dataclass(frozen=True)
-class DiracExtensionCheck:
+class DiracExtensionCheck(NamedTuple):
     """Outcome of the Dirac-extension behaviour check."""
 
     geodesic_property_ok: bool
@@ -575,6 +573,7 @@ _PROPERTIES = (
 )
 
 
+# Mutable, so a dataclass.
 @dataclass
 class PropertyResult:
     name: str
@@ -584,6 +583,7 @@ class PropertyResult:
     counterexample: dict | None
 
 
+# Mutable, so a dataclass.
 @dataclass
 class SuiteReport:
     seed: int

@@ -551,8 +551,15 @@ def test_malformed_input_is_one_line_error(tmp_path, command, tree, payload):
      "a flag table file needs a 'flags' list"),
     ("invert tree data --total 1 --out OUT", {"flags": [3]}, 2, "flag row 0 is not an object"),
     ("reconstruct tree data --skeleton a,b --out OUT", MEASURE, 2, "bad skeleton list 'a,b'"),
+    # int() reads these as edge ids 10, 0, 0 and -1
+    ("reconstruct tree data --skeleton 1_0 --out OUT", MEASURE, 2, "bad skeleton list '1_0'"),
+    ("reconstruct tree data --skeleton 0,+0 --out OUT", MEASURE, 2, "bad skeleton list '0,+0'"),
+    ("reconstruct tree data --skeleton \uff10 --out OUT", MEASURE, 2,
+     "bad skeleton list '\uff10'"),
+    ("reconstruct tree data --skeleton -1 --out OUT", MEASURE, 2, "bad skeleton list '-1'"),
 ], ids=["t-outside", "missing-file", "atom-no-mass", "values-list", "row-no-value",
-        "row-same-edge", "row-edge-not-incident", "flags-dict", "flag-row-int", "skeleton-word"])
+        "row-same-edge", "row-edge-not-incident", "flags-dict", "flag-row-int", "skeleton-word",
+        "skeleton-underscore", "skeleton-plus", "skeleton-full-width", "skeleton-negative"])
 def test_error_path_exit_and_message(tmp_path, capsys, command, payload, code, message):
     tree_file, _ = write_tripod(tmp_path)
     data_file = tmp_path / "data.json"
@@ -621,6 +628,24 @@ class TestReconstruct:
                      "--skeleton", "0,2,3,4,5,6,7,8", "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interior", [True, False], ids=["interior-mass", "vertex-mass"])
+    def test_empty_skeleton_is_the_empty_list(self, tmp_path, capsys, interior):
+        # "" is the empty list, as "," is, and not "all edges"
+        tree_file, star3 = write_star3(tmp_path)
+        atom = star3.point(1, F(1, 3)) if interior else star3.vertex_point("a")
+        hidden = make_measure(star3, [(atom, F(1, 2)), (star3.vertex_point("c"), F(1, 2))])
+        hidden_file = tmp_path / "hidden.json"
+        io.save_measure(star3, hidden, hidden_file)
+        outcomes = []
+        for skeleton in ("", ","):
+            out = tmp_path / f"r{len(skeleton)}.json"
+            code = main(["reconstruct", str(tree_file), str(hidden_file),
+                         "--skeleton", skeleton, "--out", str(out)])
+            outcomes.append((code, capsys.readouterr().err,
+                             out.read_bytes() if out.exists() else None))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (1 if interior else 0)
 
 
 class TestVerify:

@@ -152,3 +152,28 @@ except AttributeError as exc:
 """
     assert fresh(code).splitlines() == ["module 'treeradon' has no attribute 'no_such_name'",
                                         "[]"]
+
+
+# The exported classes that stay dataclasses, each for a reason its
+# definition gives; every other record is a NamedTuple.
+DATACLASSES = ["FlagTable", "Measure", "PropertyResult", "SuiteConfig", "SuiteReport",
+               "VertexFunction"]
+
+
+def test_only_the_pinned_exports_are_dataclasses():
+    code = """import dataclasses, treeradon
+print(sorted(name for name in treeradon.__all__
+             if dataclasses.is_dataclass(getattr(treeradon, name))))
+"""
+    assert fresh(code) == f"{DATACLASSES}\n"
+
+
+def test_the_cli_import_makes_three_dataclasses():
+    # each dataclass writes and runs its methods' source at import
+    code = """import dataclasses, inspect, sys, treeradon.cli
+print(sorted(name for module in list(sys.modules) if module.startswith('treeradon')
+             for name, value in vars(sys.modules[module]).items()
+             if inspect.isclass(value) and value.__module__ == module
+             and dataclasses.is_dataclass(value)))
+"""
+    assert fresh(code) == "['FlagTable', 'Measure', 'VertexFunction']\n"

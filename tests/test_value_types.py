@@ -1,25 +1,48 @@
 """The contract of the tree value types ``TreePoint``, ``Flag`` and
 ``EdgeRecord``: hashing as the tuple of their fields (so sets and dicts
 keyed by them iterate in a fixed order), exact reprs, immutability,
-pickling, keyword construction, and no equality across types; and of the
+pickling, keyword construction, and no equality across types; of the
 per-query records ``RadonSample``, ``FlagRow`` and ``EdgeRead``, which are
-``NamedTuple``s too."""
+``NamedTuple``s too; and of the nine result records, ``NamedTuple``s that
+keep the fields, properties and reprs they had as frozen dataclasses."""
 
 import pickle
+from dataclasses import make_dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from common import STAR3
+from conftest import profile_settings
 from treeradon import (
+    Cat0Comparison,
+    CycleViolation,
+    DiracExtensionCheck,
+    DoubleCountIdentity,
     EdgeRecord,
     Flag,
+    NonextendabilityWitness,
     RadonSample,
+    ReconstructionResult,
+    Subtree,
+    ThalesCheck,
+    TransportPlan,
     TreePoint,
     build_tree,
+    check_cat0_triangle,
+    check_dirac_preserved_extension,
+    check_nonextendable,
+    check_thales,
+    double_count_check,
     geodesic_through_flag,
     make_measure,
+    optimal_plan,
+    perpendicular,
     pushforward_projection,
+    radon_oracle,
+    reconstruct_measure,
+    vertex_function,
 )
 from treeradon.radon import EdgeRead, FlagRow
 
@@ -157,3 +180,145 @@ def test_records_pickle_round_trip():
     assert type(back) is RadonSample and back.geodesic.tree is tree_back
     assert back.atoms == sample.atoms and back.geodesic.edges == sample.geodesic.edges
     assert back.to_measure(tree_back) == sample.to_measure(tree)
+
+
+# ---------------------------------------------------------------------- #
+# The result records, frozen dataclasses before and NamedTuples now         #
+# ---------------------------------------------------------------------- #
+
+# Each record's fields in their dataclass order.
+RECORD_FIELDS = {
+    Cat0Comparison: ("t", "lhs", "rhs"),
+    DoubleCountIdentity: ("vertex", "lhs", "rhs"),
+    ReconstructionResult: ("measure", "interior_atoms", "interior_total", "vertex_part",
+                           "edge_reads", "flag_rows"),
+    TransportPlan: ("source", "target", "couplings", "squared_cost"),
+    CycleViolation: ("pairs", "base_cost", "shifted_cost"),
+    NonextendabilityWitness: ("y_prime", "y", "y_continued", "epsilon", "continued_cost",
+                              "swapped_cost"),
+    Subtree: ("root", "vertices", "edges"),
+    ThalesCheck: ("lhs_sq", "rhs_sq"),
+    DiracExtensionCheck: ("geodesic_property_ok", "witnesses"),
+}
+# A frozen dataclass with each record's name and fields, as the record was
+# declared before: its repr is the one the record must keep.
+DATACLASS_TWIN = {cls: make_dataclass(cls.__name__, fields, frozen=True)
+                  for cls, fields in RECORD_FIELDS.items()}
+
+
+def _library_records():
+    """One record of each type on STAR3, as the library makes it (the cycle
+    violation is built by hand)."""
+    tree = build_tree(STAR3)
+    a, b, c = (tree.vertex_point(v) for v in "abc")
+    inner = tree.point(1, F(1, 3))
+    mu = make_measure(tree, [(c, F(1, 2)), (inner, F(1, 2))])
+    nu = make_measure(tree, [(a, F(1, 4)), (b, F(3, 4))])
+    flag = tree.flag("c", 0, 1)
+    return [
+        check_cat0_triangle(tree, a, b, inner, F(1, 2)),
+        double_count_check(tree, vertex_function(tree, {"c": 1, "a": F(2, 3)}), "c"),
+        reconstruct_measure(tree, radon_oracle(tree, mu)),
+        optimal_plan(tree, mu, nu),
+        CycleViolation(((c, a), (inner, b)), F(5, 2), F(3, 2)),
+        check_nonextendable(tree, mu, c, F(1, 2)),
+        perpendicular(tree, flag),
+        check_thales(tree, geodesic_through_flag(tree, flag), a, c, mu),
+        check_dirac_preserved_extension(tree, c, mu, 2),
+    ]
+
+
+RECORDS = _library_records()
+each_record = pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+
+
+def _field_values(record):
+    return tuple(getattr(record, name) for name in RECORD_FIELDS[type(record)])
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a VertexFunction holds a dict
+        return type(exc)
+
+
+def test_every_record_is_covered():
+    assert [type(record) for record in RECORDS] == list(RECORD_FIELDS)
+
+
+@each_record
+def test_result_record_fields_and_construction(record):
+    cls, values = type(record), _field_values(record)
+    assert cls._fields == RECORD_FIELDS[cls]
+    assert cls(*values) == record
+    assert cls(**dict(reversed(list(zip(cls._fields, values))))) == record
+    assert cls._make(values) == record and tuple(record) == values
+
+
+@each_record
+def test_result_record_equals_and_hashes_as_its_fields(record):
+    values = _field_values(record)
+    assert record == values and values == record
+    assert _hash_or_error(record) == _hash_or_error(values)
+
+
+def test_result_records_of_two_types_with_equal_fields_are_equal():
+    assert Cat0Comparison(0, 1, 1) == DoubleCountIdentity(0, 1, 1)
+
+
+@each_record
+def test_result_record_cannot_be_assigned(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@each_record
+def test_result_record_pickle_round_trip(record):
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record) and repr(back) == repr(record)
+
+
+@each_record
+def test_result_record_repr_is_the_dataclass_repr(record):
+    assert repr(record) == repr(DATACLASS_TWIN[type(record)](*record))
+
+
+def test_result_record_properties():
+    cat0, identity, _, _, violation, witness, subtree, thales, dirac_check = RECORDS
+    assert (cat0.holds, cat0.strict) == (cat0.lhs <= cat0.rhs, cat0.lhs < cat0.rhs)
+    assert Cat0Comparison(F(0), F(1), F(1)).holds and not Cat0Comparison(F(0), F(1), F(1)).strict
+    assert not Cat0Comparison(F(0), F(2), F(1)).holds
+    assert identity.holds and not DoubleCountIdentity("c", F(1), F(2)).holds
+    assert bool(violation) is False and not CycleViolation((), F(0), F(0))
+    assert witness.violated == (witness.continued_cost > witness.swapped_cost) and witness.violated
+    assert witness.cycle == ((witness.y_prime, witness.y_continued), (witness.y, witness.y))
+    # the perpendicular of the flag {0, 1} at c: c, the spoke to d and d's two rays
+    assert subtree.contains(TreePoint("d")) and subtree.contains(TreePoint(edge=7, offset=F(1)))
+    assert not subtree.contains(TreePoint("a")) and not subtree.contains(TreePoint(edge=0,
+                                                                                   offset=F(1, 2)))
+    assert thales.relation == "eq"
+    assert [ThalesCheck(F(1), F(1)).relation, ThalesCheck(F(1), F(2)).relation,
+            ThalesCheck(F(2), F(1)).relation] == ["eq", "lt", "gt"]
+    assert dirac_check.passed and dirac_check.witnesses
+    assert not DiracExtensionCheck(False, dirac_check.witnesses).passed
+    assert not DiracExtensionCheck(True, (witness._replace(continued_cost=F(0)),)).passed
+
+
+# Field values of any shape: a repr depends only on its fields' reprs.
+_FIELD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.fractions() | st.text(max_size=6)
+    | st.builds(TreePoint, st.text(max_size=3)),
+    lambda inner: st.tuples(inner, inner) | st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(st.integers(), max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@profile_settings(20)
+def test_record_reprs_are_the_dataclass_reprs(cls, data):
+    values = data.draw(st.tuples(*[_FIELD_VALUES] * len(cls._fields)))
+    assert repr(cls(*values)) == repr(DATACLASS_TWIN[cls](*values))
