@@ -4,8 +4,9 @@
 ``FileFormatError`` covers malformed input files and output paths that
 cannot be written (CLI exit code 2, like a usage error); ``SolverError``
 signals that the exact transportation solver gave up (CLI exit code 1).
-Valid inputs can reach it: a large, highly degenerate problem can run
-past the simplex's pivot limit.
+Valid inputs can reach it, but only through Bland's rule, which runs on
+inputs whose optimum the first solve could not prove unique: a large,
+highly degenerate problem with ties can run past its pivot limit.
 """
 
 
@@ -53,5 +54,7 @@ class FileFormatError(ValueError):
 
 class SolverError(RuntimeError):
     """The transportation solver gave up: ``pivot limit exceeded``
-    (``_transportation_simplex``) or ``plan marginals do not match the
-    measures`` (``optimal_plan``'s check of the returned couplings)."""
+    (``_bland_simplex``, which ``_transportation_simplex`` runs only where
+    its first solve finds a tight cell off the basis or reaches its cap)
+    or ``plan marginals do not match the measures`` (``optimal_plan``'s
+    check of the returned couplings)."""

@@ -66,7 +66,10 @@ def _canonical(node, depth: int) -> str:
     boundary between two dicts, since no scalar writes a brace outside a
     string. A dict with str keys, or a list or tuple, recurses into its
     items, and anything else is the stdlib's own indented call, shifted to
-    its depth (a newline never sits inside an encoded string)."""
+    its depth (a newline never sits inside an encoded string). A tuple
+    subclass, such as a result record or a ``TreePoint``, raises the
+    stdlib's ``TypeError`` for an unencodable object, where ``json.dumps``
+    would write its fields as a list."""
     kind = type(node)
     if kind in _SCALARS:
         return _compact(node)
@@ -91,6 +94,8 @@ def _canonical(node, depth: int) -> str:
         else:
             return "[" + inner + ("," + inner).join(
                 _canonical(item, depth + 1) for item in node) + pad + "]"
+    if isinstance(node, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return json.dumps(node, indent=2, sort_keys=True, ensure_ascii=True).replace("\n", pad)
 
 

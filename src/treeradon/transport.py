@@ -1,25 +1,31 @@
 """Exact quadratic optimal transport between finitely supported measures.
 
-The solver is a transportation simplex with a north-west corner start and
-Bland's rule for anti-cycling. Distances enter only through their squares,
-so every cost and mass is rational. The squared distances arrive at the
-solver as ints over one scale, built from the atoms' depths with no
-Fraction arithmetic per pair; the solver scales the masses to integers
-over their common denominator and pivots in exact Python ints, which
-leaves every sign, comparison and tie, and so the pivot sequence, as it
-would be over the rationals. The basis is one spanning tree rooted at row
-0 (child list, parent, dual potential and allocation per node), read off
-the north-west staircase as it is walked. Each pivot finds its cycle by
-stamping the entering row's path to the root, turns over only the path
-from the entering cell to the leaving one, and shifts the potentials of
-the side it re-hangs. The entering scan skips every row whose lower
-bound on its reduced costs is not negative and tests each other row in
-one pass. Plans, costs and every other value at the API stay exact
-Fractions. A plan's squared cost and its marginals are integer sums: the
-couplings' masses are taken as ints over the lcm of their denominators,
-the cost is summed against the solver's own cost matrix and made one
-Fraction, and each row and column is compared with its measure's masses
-(``Measure._integer_masses``) across the two scales.
+The solver is a transportation simplex from a north-west corner start, and
+every plan is the one Bland's rule reaches. It solves first by block
+search, a faster entering rule. At that optimum it counts the tight
+cells, where the cost equals the sum of the dual potentials. When there
+are exactly n+m-1 of them, the optimum is unique, so it is Bland's, and
+it is returned. Otherwise, and when the first solve reaches its cap of
+10·(n+m) pivots, Bland's rule solves again from the start.
+
+Distances enter only through their squares, so every cost and mass is
+rational. The squared distances arrive at the solver as ints over one
+scale, built from the atoms' depths with no Fraction arithmetic per pair;
+the solver scales the masses to integers over their common denominator
+and pivots in exact Python ints, which leaves every sign, comparison and
+tie, and so the pivot sequence, as it would be over the rationals. The
+basis is one spanning tree rooted at row 0 (child list, parent, dual
+potential and allocation per node), read off the north-west staircase as
+it is walked. Each pivot, under either rule, finds its cycle by stamping
+the entering row's path to the root, turns over only the path from the
+entering cell to the leaving one, and shifts the potentials of the side
+it re-hangs. Both scans skip every row whose lower bound on its reduced
+costs is not negative. Plans, costs and every other value at the API
+stay exact Fractions. A plan's squared cost and its marginals are
+integer sums: the couplings' masses are taken as ints over the lcm of
+their denominators, the cost is summed against the solver's own cost
+matrix and made one Fraction, and each row and column is compared with
+its measure's masses (``Measure._integer_masses``) across the two scales.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
@@ -128,8 +134,117 @@ def _hang(children, parent, flow, path, below, q):
         below = c
 
 
+def _start(supply, demand, cost):
+    """``(M, basis)``: the lcm M of the masses' denominators, and the
+    north-west corner of the masses scaled by M as the state a solve
+    pivots, ``[children, parent, u, v, flow, bound, stamp]``. The basis
+    is one spanning tree rooted at row 0 (network simplex in its
+    spanning-tree form); ``u`` and ``v`` are the row and column
+    potentials; ``bound[i]`` is a lower bound on row i's least reduced
+    cost plus the solve's ``drop``, exact here where ``drop`` is 0;
+    ``stamp`` marks the nodes of an entering row's path to the root."""
+    n = len(supply)
+    mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
+    children, parent, pot, flow = _northwest_basis(
+        _scaled(supply, mass_scale), _scaled(demand, mass_scale), cost)
+    u, v = pot[:n], pot[n:]
+    bound = [min(map(sub, row, v)) - ui for row, ui in zip(cost, u)]
+    return mass_scale, [children, parent, u, v, flow, bound, [-1] * len(pot)]
+
+
+def _allocation(basis, mass_scale):
+    """The basis cells with positive flow, as ``{(i, j): Fraction}``."""
+    _, parent, u, _, flow, _, _ = basis
+    n = len(u)
+    return {(c, parent[c] - n) if c < n else (parent[c], c - n): Fraction(flow[c], mass_scale)
+            for c in range(1, len(flow)) if flow[c] > 0}
+
+
+def _pivot(basis, k, i, j, r):
+    """Pivot ``k`` of a solve: cell (i, j), of reduced cost ``r`` < 0,
+    enters ``basis``. Returns how much the solve's ``drop`` rises.
+
+    The pivot cycle is the entering cell plus the tree paths from its row
+    and column up to their lowest common ancestor, found as the first node
+    of the column's climb that the row's climb to the root stamped. The
+    leaving cell is the least (flow, cell) on the minus side of the cycle.
+    Removing it cuts the tree in two: side I holds the entering row, side
+    J the entering column. The side without the root is re-hung below the
+    entering cell by turning over the path from the entering cell's end on
+    that side up to the cut (``_hang``); no other node's parent changes.
+    The entering cell's reduced cost r must become 0, so that side's
+    potentials shift by r, its rows one way and its columns the other
+    (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 11), in one
+    walk down its child lists, with no cost looked up.
+
+    After the shift only the cells with their row on side J and their
+    column on side I lose reduced cost, each by exactly |r|. So each row on
+    side J loses |r| of bound: all of them through ``drop`` when side J
+    holds the root, else through the shift itself, as a re-hung row's
+    bound moves by -s; a row of a re-hung side I gets back what ``drop``
+    took.
+    """
+    children, parent, u, v, flow, bound, stamp = basis
+    n = len(u)
+    # stamp the row's path up to the root; the column's climb stops at
+    # the first stamped node, the lowest common ancestor
+    a, rows = i, [i]
+    while a:
+        a = parent[a]
+        rows.append(a)
+    for a in rows:
+        stamp[a] = k
+    b, columns = n + j, []
+    while stamp[b] != k:
+        columns.append(b)
+        b = parent[b]
+    del rows[rows.index(b):]
+    # The cycle's signs alternate from + on the entering cell, so a
+    # path cell is on the minus side when it is an even number of cells
+    # from the entering row or column, that is when its child node is a
+    # row on the row's path or a column on the column's path. The
+    # least (flow, cell) among them gives theta and the leaving cell.
+    minus = [(flow[c], c, parent[c] - n, c) for c in rows[::2]]
+    minus += [(flow[c], parent[c], c - n, c) for c in columns[::2]]
+    theta, _, _, cut = min(minus)
+    if theta:
+        for c in rows[1::2]:
+            flow[c] += theta
+        for c in columns[1::2]:
+            flow[c] += theta
+        for f, _, _, c in minus:
+            flow[c] = f - theta
+    # the leaving cell's child node heads the subtree it cuts off; as a
+    # minus cell, it lies on the row's path, and its subtree is side I,
+    # holding the entering row, exactly when that child is a row
+    if cut < n:
+        top, path, below, s = i, rows, n + j, r
+    else:
+        top, path, below, s = n + j, columns, i, -r
+    _hang(children, parent, flow, path[:path.index(cut) + 1], below, theta)
+    # the side ``top`` heads shifts, its rows by s and its columns by -s,
+    # with s = r on side I and -r on side J
+    order = [top]
+    for c in order:
+        order += children[c]
+        if c < n:
+            u[c] += s
+            bound[c] -= s
+        else:
+            v[c - n] -= s
+    return -r if cut < n else 0
+
+
+def _first_solve_cap(n, m):
+    """The most pivots the first solve of ``_transportation_simplex`` takes
+    before it hands an n×m problem to ``_bland_simplex``."""
+    return 10 * (n + m)
+
+
 def _transportation_simplex(supply, demand, cost):
-    """Exact min-cost allocation for equal total supply and demand.
+    """Exact min-cost allocation for equal total supply and demand: the
+    allocation ``_bland_simplex`` returns, found with fewer pivots where
+    the optimum is unique.
 
     The pivots run on Python ints: the costs arrive as the ints of
     ``_cost_matrix``, and the masses are scaled by the lcm M of their
@@ -138,48 +253,78 @@ def _transportation_simplex(supply, demand, cost):
     the result is returned as Fractions over M. (Fraction costs give the
     same allocation, pivoted in Fractions.)
 
-    North-west corner start, then Bland's rule: the entering cell is the
-    first (row-major) with negative reduced cost; the leaving cell is the
-    lexicographically smallest among the minimum-allocation cells on the
-    minus side of the pivot cycle.
+    The first solve starts from the north-west corner and enters by block
+    search (Grigoriadis, Math. Programming Study 26, 1986): from the row
+    after the last entering row, rows are scanned in blocks of ⌈√n⌉, and
+    at the end of the first block that holds a negative reduced cost the
+    most negative one seen enters (the first row's, and in it the first
+    column's, on a tie). Rows whose bound rules out a negative reduced
+    cost are passed over, as in Bland's scan. Each pivot is ``_pivot``,
+    the step Bland's rule takes too.
 
-    The basis is one spanning tree rooted at row 0, kept as child list,
-    parent and potential per node, with each basis cell's allocation on
-    its child node (network simplex in its spanning-tree form), read off
-    the north-west staircase by ``_northwest_basis``. The pivot cycle is
-    the entering cell plus the tree paths from its row and column up to
-    their lowest common ancestor, found as the first node of the column's
-    climb that the row's climb to the root stamped. Removing the leaving
-    cell cuts the tree in two: side I holds the entering row, side J the
-    entering column. The side without the root is re-hung below the
-    entering cell by turning over the path from the entering cell's end
-    on that side up to the cut (``_hang``); no other node's parent
-    changes. The entering cell's reduced cost r < 0 must become 0, so
-    that side's potentials shift by r, its rows one way and its columns
-    the other (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 11),
-    in one walk down its child lists, with no cost looked up.
-
-    After the shift only the cells with their row on side J and their
-    column on side I lose reduced cost, each by exactly |r|. So the scan
-    keeps a lower bound per row on its least reduced cost, exact at the
-    start, and lowers the bound of every row on side J by |r| per pivot. A
-    row whose bound is ≥ 0 has no negative reduced cost and is skipped;
-    any other row is tested once, ``min(map(sub, row, v)) - u_i``, and
-    that minimum is its new bound. The first row whose minimum is negative
-    holds Bland's cell, and only that row is read a second time, up to its
-    first negative reduced cost.
+    At its optimum the potentials certify uniqueness: every optimal plan
+    lives on the tight cells, where c_ij = u_i + v_j (complementary
+    slackness; Peyré and Cuturi, *Computational Optimal Transport*, 2019,
+    §3). When those are exactly the n+m-1 basis cells, they form a
+    spanning tree, the marginals fix the one plan on them, and that plan
+    is returned; it is the one Bland's rule reaches too. With any other
+    tight cell, the optimum may have ties, and ``_bland_simplex`` solves
+    again from the start, so the plan is Bland's. It does the same when
+    the first solve has taken ``_first_solve_cap`` pivots, 10·(n+m), since
+    its leaving rule does not rule out cycling; no input costs more than
+    Bland's own solve plus that cap.
     """
     n, m = len(supply), len(demand)
-    mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
-    children, parent, pot, flow = _northwest_basis(
-        _scaled(supply, mass_scale), _scaled(demand, mass_scale), cost)
-    u, v = pot[:n], pot[n:]
+    mass_scale, basis = _start(supply, demand, cost)
+    _, _, u, v, _, bound, _ = basis
+    block = math.isqrt(n - 1) + 1
+    drop, i = 0, n - 1
+    for k in range(_first_solve_cap(n, m)):
+        best, first = 0, i + 1
+        for p in range(n):
+            a = (first + p) % n
+            if bound[a] < drop:
+                least = min(map(sub, cost[a], v)) - u[a]
+                bound[a] = least + drop
+                if least < best:
+                    best, i = least, a
+            if best and p % block == block - 1:
+                break
+        if not best:
+            tight = sum(list(map(sub, row, v)).count(ui) for row, ui in zip(cost, u))
+            if tight == n + m - 1:
+                return _allocation(basis, mass_scale)
+            break
+        j = list(map(sub, cost[i], v)).index(best + u[i])
+        drop += _pivot(basis, k, i, j, best)
+    return _bland_simplex(supply, demand, cost)
+
+
+def _bland_simplex(supply, demand, cost):
+    """Exact min-cost allocation for equal total supply and demand, by
+    Bland's rule from the north-west corner: the entering cell is the
+    first (row-major) with negative reduced cost; the leaving cell is the
+    lexicographically smallest among the minimum-allocation cells on the
+    minus side of the pivot cycle (``_pivot``). Masses and costs are taken
+    as in ``_transportation_simplex``, which calls this only on inputs
+    whose optimum its first solve could not prove unique.
+
+    The scan keeps a lower bound per row on its least reduced cost, exact
+    at the start, and lowers the bound of every row on the side of a
+    pivot's cut that can lose reduced cost (``_pivot``). A row whose bound
+    is ≥ 0 has no negative reduced cost and is skipped; any other row is
+    tested once, ``min(map(sub, row, v)) - u_i``, and that minimum is its
+    new bound. The first row whose minimum is negative holds Bland's cell,
+    and only that row is read a second time, up to its first negative
+    reduced cost. Past 1000 + 100·n·m pivots it raises
+    :class:`SolverError`.
+    """
+    mass_scale, basis = _start(supply, demand, cost)
+    _, _, u, v, _, bound, _ = basis
     # row i's least reduced cost is at least bound[i] - drop: a pivot
     # that lowers every row outside the side it re-hangs raises ``drop``
-    bound = [min(map(sub, row, v)) - ui for row, ui in zip(cost, u)]
-    drop, stamp = 0, [-1] * (n + m)
-    max_pivots = 1000 + 100 * n * m
-    for k in range(max_pivots):
+    drop = 0
+    for k in range(1000 + 100 * len(supply) * len(demand)):
         for i, row in enumerate(cost):
             if bound[i] >= drop:
                 continue
@@ -194,60 +339,8 @@ def _transportation_simplex(supply, demand, cost):
                         break
                 break
         else:
-            return {(c, parent[c] - n) if c < n else (parent[c], c - n):
-                    Fraction(flow[c], mass_scale)
-                    for c in range(1, n + m) if flow[c] > 0}
-        # stamp the row's path up to the root; the column's climb stops at
-        # the first stamped node, the lowest common ancestor
-        a, rows = i, [i]
-        while a:
-            a = parent[a]
-            rows.append(a)
-        for a in rows:
-            stamp[a] = k
-        b, columns = n + j, []
-        while stamp[b] != k:
-            columns.append(b)
-            b = parent[b]
-        del rows[rows.index(b):]
-        # The cycle's signs alternate from + on the entering cell, so a
-        # path cell is on the minus side when it is an even number of cells
-        # from the entering row or column, that is when its child node is a
-        # row on the row's path or a column on the column's path. The
-        # least (flow, cell) among them gives theta and the leaving cell.
-        minus = [(flow[c], c, parent[c] - n, c) for c in rows[::2]]
-        minus += [(flow[c], parent[c], c - n, c) for c in columns[::2]]
-        theta, _, _, cut = min(minus)
-        if theta:
-            for c in rows[1::2]:
-                flow[c] += theta
-            for c in columns[1::2]:
-                flow[c] += theta
-            for f, _, _, c in minus:
-                flow[c] = f - theta
-        r = x - ui  # the entering cell's reduced cost
-        # the leaving cell's child node heads the subtree it cuts off; as a
-        # minus cell, it lies on the row's path, and its subtree is side I,
-        # holding the entering row, exactly when that child is a row
-        if cut < n:
-            top, path, below, s = i, rows, n + j, r
-            drop -= r
-        else:
-            top, path, below, s = n + j, columns, i, -r
-        _hang(children, parent, flow, path[:path.index(cut) + 1], below, theta)
-        # the side ``top`` heads shifts, its rows by s and its columns by -s,
-        # with s = r on side I and -r on side J. Each row on side J loses |r|
-        # of bound: all of them through ``drop`` when side J holds the root,
-        # else through the shift itself, as a re-hung row's bound moves by
-        # -s; a row of a re-hung side I gets back what ``drop`` took.
-        order = [top]
-        for c in order:
-            order += children[c]
-            if c < n:
-                u[c] += s
-                bound[c] -= s
-            else:
-                v[c - n] -= s
+            return _allocation(basis, mass_scale)
+        drop += _pivot(basis, k, i, j, x - ui)
     raise SolverError("pivot limit exceeded")
 
 

@@ -23,6 +23,7 @@ from treeradon import (
     path,
     vertex_function,
 )
+from treeradon import transport
 
 # ---------------------------------------------------------------------- #
 # Fixture trees                                                             #
@@ -364,3 +365,22 @@ def monotone_coupling(xs, ys):
         if right == 0:
             j += 1
             right = ys[j][1]
+
+
+def spy_on_bland(monkeypatch):
+    """Count the solver's ``_hang`` calls, one per pivot, and record how
+    many came before each call of ``_bland_simplex``: returns the two
+    lists ``(calls, before_bland)``."""
+    hang, bland, calls, before_bland = transport._hang, transport._bland_simplex, [], []
+
+    def counted(*args):
+        calls.append(None)
+        return hang(*args)
+
+    def spied(*args):
+        before_bland.append(len(calls))
+        return bland(*args)
+
+    monkeypatch.setattr(transport, "_hang", counted)
+    monkeypatch.setattr(transport, "_bland_simplex", spied)
+    return calls, before_bland

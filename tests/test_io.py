@@ -13,8 +13,12 @@ from hypothesis import given, strategies as st
 from common import hidden_measure, leafless_tree, small_values
 from conftest import profile_settings
 from treeradon import (
+    DiracExtensionCheck,
+    EdgeRecord,
     FileFormatError,
+    Flag,
     SuiteConfig,
+    TreePoint,
     gen_tree,
     make_measure,
     optimal_plan,
@@ -220,6 +224,23 @@ def test_unencodable_payloads_raise_type_error(tmp_path, payload):
         json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=True)
     with pytest.raises(TypeError):
         io.save_json(payload, tmp_path / "out.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+# json.dumps writes a tuple subclass as a list of its fields; save_json
+# refuses the library's records instead, as it would any other object
+RECORDS = [DiracExtensionCheck(True, ()), TreePoint(vertex="a"), Flag("a", frozenset((0, 1))),
+           EdgeRecord(0, "a", "b", F(1))]
+
+
+@pytest.mark.parametrize("place", [lambda record: record, lambda record: {"check": record},
+                                   lambda record: [1, record]],
+                         ids=["top level", "under a str key", "in a list"])
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_not_json(tmp_path, record, place):
+    with pytest.raises(TypeError, match=f"^Object of type {type(record).__name__} is not JSON "
+                                        "serializable$"):
+        io.save_json(place(record), tmp_path / "out.json")
     assert list(tmp_path.iterdir()) == []
 
 

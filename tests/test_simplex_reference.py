@@ -2,8 +2,9 @@
 
 ``tests/simplex_reference.py`` keeps the solver from before the entering
 scan kept a lower bound per row: it tests every row from row 0 after each
-pivot. Both follow Bland's rule, so they must return the same allocation,
-cell for cell. Equal masses make most pivots degenerate, which is where
+pivot. Both return the allocation Bland's rule reaches (the library's
+first solve proves its own optimum unique or hands over to Bland's rule),
+so they must return the same allocation, cell for cell. Equal masses make most pivots degenerate, which is where
 the bounds and the pivot rule are stressed hardest: 32×32, 32×16 and
 16×32 in tier-1, and 48×48, 48×24 and 24×48 under
 ``TREERADON_SOLVER_PROFILE=solver-deep``, on a leafless tree of 256

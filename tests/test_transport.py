@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import STAR3, distinct_points, random_masses
-from conftest import profile_settings
+from common import (STAR3, distinct_points, leafless_tree, random_masses, random_point,
+                    spy_on_bland)
+from conftest import DEEP, profile_settings
 from treeradon import (
     CompletenessError,
     Geodesic,
@@ -24,10 +25,12 @@ from treeradon import (
     check_nonextendable,
     dilate,
     dirac,
+    enumerate_flags,
     extend_from_dirac,
     gen_measure,
     gen_point,
     gen_tree,
+    geodesic_through_flag,
     interpolate,
     is_cyclically_monotone,
     make_measure,
@@ -717,6 +720,89 @@ def test_scan_enters_a_reduced_cost_of_minus_one():
     half = [F(1, 2), F(1, 2)]
     assert transport._transportation_simplex(half, half, [[1, 0], [0, 0]]) == {
         (0, 1): F(1, 2), (1, 0): F(1, 2)}
+
+
+# ---------------------------------------------------------------------- #
+# Uniqueness first: the first solve against Bland's rule                   #
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def geodesic_instance(draw):
+    """Atoms at coordinates of halves and wholes on one flag geodesic, all
+    of them or about seven in eight, the rest anywhere on the tree, with
+    equal or random masses: on the line the optimum is unique, equal masses
+    make many pivots degenerate, and equal distances off it make ties."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, m = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    rng = random.Random(seed)
+    tree = gen_tree(SuiteConfig(seed=seed, max_vertices=10, max_denominator=2),
+                    "complete", rng)
+    geodesic = geodesic_through_flag(tree, rng.choice(enumerate_flags(tree)))
+    off = draw(st.sampled_from((0, F(1, 8))))
+
+    def atoms(count):
+        return distinct_points(count, lambda: gen_point(tree, rng, 2) if rng.random() < off
+                               else geodesic.point_at(F(rng.randint(-12, 12), rng.randint(1, 2))))
+
+    equal = draw(st.booleans())
+    masses = ([F(1, n)] * n, [F(1, m)] * m) if equal else (random_masses(rng, n),
+                                                              random_masses(rng, m))
+    return _solver_instance(tree, atoms(n), atoms(m), *masses)
+
+
+@given(st.one_of(random_instance(), symmetric_tie_instance(), geodesic_instance()))
+@profile_settings(60)
+def test_first_solve_returns_blands_allocation(instance):
+    assert transport._transportation_simplex(*instance) == transport._bland_simplex(*instance)
+
+
+def _unique_16x16():
+    """A 16×16 instance whose optimum the tight-cell count proves unique."""
+    rng = random.Random(1)
+    tree = gen_tree(SuiteConfig(seed=1, max_vertices=12, max_denominator=8), "complete", rng)
+    src = distinct_points(16, lambda: gen_point(tree, rng, 8))
+    dst = distinct_points(16, lambda: gen_point(tree, rng, 8))
+    return _solver_instance(tree, src, dst, random_masses(rng, 16), random_masses(rng, 16))
+
+
+def test_a_unique_optimum_skips_bland_and_a_tie_runs_it_once(monkeypatch):
+    unique = _unique_16x16()
+    star3 = build_tree(STAR3)
+    spots = [star3.point(eid, F(k, 2)) for eid in range(3, 9) for k in (1, 2, 3)]
+    tied = _solver_instance(star3, spots[:16], spots[2:], [F(1, 16)] * 16, [F(1, 16)] * 16)
+    expected = [transport._bland_simplex(*unique), transport._bland_simplex(*tied)]
+    calls, before_bland = spy_on_bland(monkeypatch)
+    assert transport._transportation_simplex(*unique) == expected[0]
+    assert calls and before_bland == []
+    assert transport._transportation_simplex(*tied) == expected[1]
+    assert len(before_bland) == 1
+
+
+def test_a_first_solve_past_its_cap_hands_over_to_bland(monkeypatch):
+    instance = _unique_16x16()
+    expected = transport._bland_simplex(*instance)
+    calls, before_bland = spy_on_bland(monkeypatch)
+    monkeypatch.setattr(transport, "_first_solve_cap", lambda n, m: 5)
+    assert transport._transportation_simplex(*instance) == expected
+    assert before_bland == [5]
+
+
+# 48×48 and 100×100 under TREERADON_SOLVER_PROFILE=solver-deep
+SIDES = (48, 100) if DEEP else (16, 32)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("equal", [True, False], ids=["masses_1_over_n", "random_masses"])
+def test_first_solve_returns_blands_allocation_on_a_bench_tree(side, equal):
+    rng = random.Random(side)
+    tree = leafless_tree(rng, 256)
+    src = distinct_points(side, lambda: random_point(tree, rng))
+    dst = distinct_points(side, lambda: random_point(tree, rng))
+    masses = ([F(1, side)] * side,) * 2 if equal else (random_masses(rng, side),
+                                                        random_masses(rng, side))
+    instance = _solver_instance(tree, src, dst, *masses)
+    assert transport._transportation_simplex(*instance) == transport._bland_simplex(*instance)
 
 
 def _assert_basis_is_the_reference_corner(supply, demand, cost):
