@@ -42,10 +42,11 @@ on it exactly when it is its own nearest point.
 A point a fraction of the way from p to q needs no geodesic: the path
 climbs from p to the depth where the two points' paths to the root meet
 and descends to q, so the tree locates it (``Tree._point_along``) by
-comparing its stored depths along parent links on the side where the
-point lies. Midpoints, the CAT(0) comparison and constant-speed travel up
-to time 1 all read it; travel past time 1 reads the last edge of the
-tree's walk, so travel builds no geodesic at any time.
+comparing its stored depths, as int pairs cross-multiplied, along parent
+links on the side where the point lies. Midpoints, the CAT(0) comparison
+and constant-speed travel up to time 1 all read it; travel past time 1
+reads the last edge of the tree's walk, so travel builds no geodesic at
+any time.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ def path(tree: Tree, p: TreePoint, q: TreePoint) -> Geodesic:
     geodesic core. The origin sits at ``p``, so coordinates run from 0 to
     the distance."""
     p, q = tree.canonical_point(p), tree.canonical_point(q)
-    return Geodesic._from_walk(tree, *tree._walk(p, q), p, q, p)
+    edges, walk, _ = tree._walk(p, q)
+    return Geodesic._from_walk(tree, edges, walk, p, q, p)
 
 
 def midpoint(tree: Tree, p: TreePoint, q: TreePoint) -> TreePoint:
@@ -405,14 +407,15 @@ def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
     (``Tree._walk``), and walks afresh from ``q``: it finishes that edge,
     then takes the walk rule ``_onward`` at every vertex and turns back
     along the edge it came by at a leaf, so the speed stays constant on
-    trees with leaves. The distance it travels past ``q`` comes from
-    ``Tree._distance``, which checks neither point again. No ``Geodesic``
-    is built at any time. A zero-length segment stays at its point.
+    trees with leaves. The distance past ``q`` comes from ``Tree._distance``
+    at the vertex where the walk's climb met, so the tree is climbed once
+    and neither point is checked again. No ``Geodesic`` is built at any
+    time. A zero-length segment stays at its point.
     """
     if t <= 1:
         return tree._point_along(p, q, t)
-    edges, walk = tree._walk(p, q)
-    extra = (t - 1) * tree._distance(p, q)
+    edges, walk, top = tree._walk(p, q)
+    extra = (t - 1) * tree._distance(p, q, top)
     eid = edges[-1]
     rec = tree.edges[eid]
     offset = q.offset if q.vertex is None else rec.endpoint_offset(q.vertex)

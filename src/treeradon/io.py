@@ -64,12 +64,14 @@ def _canonical(node, depth: int) -> str:
     A container of scalars, or a list of non-empty dicts of scalars, is one
     C call laid out by ``str.replace``; in the list, each ``},\x00{`` is the
     boundary between two dicts, since no scalar writes a brace outside a
-    string. A dict with str keys, or a list or tuple, recurses into its
-    items, and anything else is the stdlib's own indented call, shifted to
-    its depth (a newline never sits inside an encoded string). A tuple
-    subclass, such as a result record or a ``TreePoint``, raises the
-    stdlib's ``TypeError`` for an unencodable object, where ``json.dumps``
-    would write its fields as a list."""
+    string. Any other dict, list or tuple recurses into its items, a key
+    that is not a str written as the C encoder writes it alone (an int,
+    float, bool or None quoted, any other key a ``TypeError``); anything
+    else is the stdlib's own indented call, shifted to its depth (a newline
+    never sits inside an encoded string). A tuple subclass, such as a
+    result record or a ``TreePoint``, raises the stdlib's ``TypeError`` for
+    an unencodable object wherever it sits, where ``json.dumps`` would
+    write its fields as a list."""
     kind = type(node)
     if kind in _SCALARS:
         return _compact(node)
@@ -82,18 +84,18 @@ def _canonical(node, depth: int) -> str:
             text = _compact(node)
             return text[0] + inner + text[1:-1].replace(",\x00", "," + inner) + pad + text[-1]
         if kind is dict:
-            if set(map(type, node)) == {str}:
-                return "{" + inner + ("," + inner).join(
-                    _compact(key) + ": " + _canonical(value, depth + 1)
-                    for key, value in sorted(node.items())) + pad + "}"
-        elif _flat_dicts(node):
+            # '{"1": null}' less its brace and ': null}' is the key '"1"'
+            return "{" + inner + ("," + inner).join(
+                (_compact(key) if type(key) is str else _compact({key: None})[1:-7])
+                + ": " + _canonical(value, depth + 1)
+                for key, value in sorted(node.items())) + pad + "}"
+        if _flat_dicts(node):
             deeper = inner + "  "
             text = _compact(node)[2:-2].replace("},\x00{", inner + "}," + inner + "{" + deeper)
             return ("[" + inner + "{" + deeper + text.replace(",\x00", "," + deeper)
                     + inner + "}" + pad + "]")
-        else:
-            return "[" + inner + ("," + inner).join(
-                _canonical(item, depth + 1) for item in node) + pad + "]"
+        return "[" + inner + ("," + inner).join(
+            _canonical(item, depth + 1) for item in node) + pad + "]"
     if isinstance(node, tuple):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return json.dumps(node, indent=2, sort_keys=True, ensure_ascii=True).replace("\n", pad)

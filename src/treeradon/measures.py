@@ -98,16 +98,20 @@ def make_measure(tree: Tree, atoms) -> Measure:
 
 def _measure(atoms) -> Measure:
     """The one core, for canonical points of one tree with ``Fraction``
-    masses. The first mass at a point is stored as it is; only a repeated
-    point adds. Each mass must be positive, the atoms are sorted by
-    ``point_sort_key``, and the total is checked as one integer sum over
-    the measure's integer view, which the measure then keeps."""
+    masses. Each mass must be positive, which its numerator's sign tells.
+    The first mass at a point is stored as it is, by one ``setdefault``,
+    the point's one hash; only a repeated point, which leaves the dict's
+    size as it was, adds. The atoms are sorted by ``point_sort_key``, and
+    the total is checked as one integer sum over the measure's integer
+    view, which the measure then keeps."""
     merged: dict[TreePoint, Fraction] = {}
     for point, mass in atoms:
-        if mass <= 0:
+        if mass.numerator <= 0:
             raise MeasureError(f"nonpositive mass {mass} at {point!r}")
-        known = merged.get(point)
-        merged[point] = mass if known is None else known + mass
+        size = len(merged)
+        known = merged.setdefault(point, mass)
+        if len(merged) == size:
+            merged[point] = known + mass
     if not merged:
         raise MeasureError("a measure needs at least one atom")
     measure = Measure(tuple(sorted(merged.items(), key=lambda item: point_sort_key(item[0]))))

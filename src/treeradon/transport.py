@@ -10,22 +10,23 @@ it is returned. Otherwise, and when the first solve reaches its cap of
 
 Distances enter only through their squares, so every cost and mass is
 rational. The squared distances arrive at the solver as ints over one
-scale, built from the atoms' depths with no Fraction arithmetic per pair;
-the solver scales the masses to integers over their common denominator
-and pivots in exact Python ints, which leaves every sign, comparison and
-tie, and so the pivot sequence, as it would be over the rationals. The
-basis is one spanning tree rooted at row 0 (child list, parent, dual
-potential and allocation per node), read off the north-west staircase as
-it is walked. Each pivot, under either rule, finds its cycle by stamping
-the entering row's path to the root, turns over only the path from the
-entering cell to the leaving one, and shifts the potentials of the side
-it re-hangs. Both scans skip every row whose lower bound on its reduced
-costs is not negative. Plans, costs and every other value at the API
-stay exact Fractions. A plan's squared cost and its marginals are
-integer sums: the couplings' masses are taken as ints over the lcm of
-their denominators, the cost is summed against the solver's own cost
-matrix and made one Fraction, and each row and column is compared with
-its measure's masses (``Measure._integer_masses``) across the two scales.
+scale, built from the atoms' depths, which the tree gives as int pairs,
+with no Fraction arithmetic; the solver scales the masses to integers
+over their common denominator and pivots in exact Python ints, which
+leaves every sign, comparison and tie, and so the pivot sequence, as it
+would be over the rationals. The basis is one spanning tree rooted at
+row 0 (child list, parent, dual potential and allocation per node), read
+off the north-west staircase as it is walked. Each pivot, under either
+rule, finds its cycle by stamping the entering row's path to the root,
+turns over only the path from the entering cell to the leaving one, and
+shifts the potentials of the side it re-hangs. Both scans skip every row
+whose lower bound on its reduced costs is not negative. Plans, costs and
+every other value at the API stay exact Fractions. A plan's squared cost
+and its marginals are integer sums: the couplings' masses are taken as
+ints over the lcm of their denominators, the cost is summed against the
+solver's own cost matrix and made one Fraction, and each row and column
+is compared with its measure's masses (``Measure._integer_masses``)
+across the two scales.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
@@ -33,14 +34,15 @@ plan's couplings, checked once when it is built, and moves each coupled
 mass at constant speed along the path from its source to its target
 (``geodesics._travel``); the atoms it locates are canonical and go to
 the measure core unchecked. Up to time 1 the point is located from the
-tree's depths (``Tree._point_along``), and past it from the last edge of
-the tree's walk from source to target (``Tree._walk``), so no path is
-built at any time. Past its target the mass follows
-the geodesics' one walk rule (``geodesics._onward``): the smallest other
-incident edge identifier at every vertex, which makes every output
-deterministic, and it turns back at a leaf. Each evaluation walks afresh
-and nothing is cached, so plans and Wasserstein geodesics are safe to
-share across threads.
+tree's depths, compared as int pairs (``Tree._point_along``), and past
+it from the last edge of the tree's walk from source to target
+(``Tree._walk``), whose climb also gives the distance, so no path is
+built at any time. Past its target the mass follows the geodesics' one
+walk rule (``geodesics._onward``): the smallest other incident edge
+identifier at every vertex, which makes every output deterministic, and
+it turns back at a leaf. Each evaluation walks afresh and nothing is
+cached, so plans and Wasserstein geodesics are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -354,10 +356,11 @@ def _cost_matrix(tree, sources, targets):
     an atom the tree lacks fails that lookup and raises :class:`MeasureError`.
     A pair's distance is P + Q − 2·M, with P and Q the atoms' depths and M
     the depth where their paths to the root meet (``Tree._meet``), or
-    |P − Q| when the two lie inside one edge. Scaled by the lcm D of the
-    denominators of every depth involved, each distance is an int, and so
-    is each D²·d²; dividing these and D² by their gcd leaves the least
-    scale.
+    |P − Q| when the two lie inside one edge. The feet and meets give each
+    depth as an int pair, so no ``Fraction`` enters the arithmetic: scaled
+    by the lcm D of the denominators of every depth involved, each
+    distance is an int, and so is each D²·d²; dividing these and D² by
+    their gcd leaves the least scale.
     """
     def feet(atoms):
         found = []
@@ -373,15 +376,15 @@ def _cost_matrix(tree, sources, targets):
     meets = [[meet(p_edge, p_foot, q_edge, q_foot) for q_edge, q_foot in columns]
              for p_edge, p_foot in rows]
     chain = itertools.chain.from_iterable
-    lcd = math.lcm(*{x.denominator for x in chain(meets) if x is not None},
-                   *(foot[1].denominator for _, foot in rows + columns))
-    sources_depth = _scaled((foot[1] for _, foot in rows), lcd)
-    targets_depth = _scaled((foot[1] for _, foot in columns), lcd)
+    lcd = math.lcm(*{x[1] for x in chain(meets) if x is not None},
+                   *(foot[2] for _, foot in rows + columns))
+    sources_depth = [foot[1] * (lcd // foot[2]) for _, foot in rows]
+    targets_depth = [foot[1] * (lcd // foot[2]) for _, foot in columns]
     matrix = []
     for p, row in zip(sources_depth, meets):
         squares = []
         for q, x in zip(targets_depth, row):
-            d = abs(p - q) if x is None else p + q - 2 * x.numerator * (lcd // x.denominator)
+            d = abs(p - q) if x is None else p + q - 2 * x[0] * (lcd // x[1])
             squares.append(d * d)
         matrix.append(squares)
     common = math.gcd(lcd * lcd, *chain(matrix))

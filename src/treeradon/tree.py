@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Union
 
 from .errors import PointLocationError, TreeStructureError
@@ -453,18 +454,22 @@ class Tree:
             return rec.v
         return rec.u
 
-    def _foot(self, point: TreePoint) -> tuple[VertexId, Fraction, bool]:
-        """The point's foot (see :meth:`_foot_vertex`), the point's depth, and
-        whether the point sits inside that vertex's parent edge."""
+    def _foot(self, point: TreePoint) -> tuple[VertexId, int, int, bool]:
+        """``(foot, n, d, inside)``: the point's foot (see :meth:`_foot_vertex`),
+        its depth as the int pair n/d, d > 0, and whether it sits inside that
+        vertex's parent edge. Inside an edge the pair is ``u``'s depth plus or
+        minus the offset over the product of their denominators, unreduced."""
         foot = self._foot_vertex(point)
-        if point.is_vertex:
-            return foot, self._vertex[foot].depth, False
+        if point.vertex is not None:
+            n, d = self._vertex[foot].depth.as_integer_ratio()
+            return foot, n, d, False
         rec = self.edges[point.edge]
+        a, b = self._vertex[rec.u].depth.as_integer_ratio()
+        c, e = point.offset.as_integer_ratio()
         inside = rec.v is not None
         if inside and foot == rec.u:
-            # the edge hangs below u, so the point is shallower than u
-            return foot, self._vertex[foot].depth - point.offset, True
-        return foot, self._vertex[rec.u].depth + point.offset, inside
+            c = -c  # u is the edge's lower end, so the point is shallower than u
+        return foot, a * e + c * b, b * e, inside
 
     def _lca(self, a: VertexId, b: VertexId) -> VertexRecord:
         """Record of the lowest common ancestor of two vertices, by climbing."""
@@ -483,36 +488,42 @@ class Tree:
         """Length of the unique injective path between two points."""
         return self._distance(self.canonical_point(p), self.canonical_point(q))
 
-    def _distance(self, p: TreePoint, q: TreePoint) -> Fraction:
+    def _distance(self, p: TreePoint, q: TreePoint, top: VertexRecord | None = None) -> Fraction:
         """:meth:`distance` between two canonical points of this tree, which
-        it takes as they are and does not check."""
+        it takes as they are and does not check: :meth:`_meet`'s sum over the
+        lcm of the depth pairs' denominators, made one ``Fraction``. ``top``
+        is the record of the feet's lowest common ancestor, if known."""
         p_foot, q_foot = self._foot(p), self._foot(q)
-        meet = self._meet(p.edge, p_foot, q.edge, q_foot)
+        (_, pn, pd, _), (_, qn, qd, _) = p_foot, q_foot
+        meet = self._meet(p.edge, p_foot, q.edge, q_foot, top)
         if meet is None:
-            return abs(p_foot[1] - q_foot[1])
-        return p_foot[1] + q_foot[1] - 2 * meet
+            return Fraction(abs(pn * qd - qn * pd), pd * qd)
+        mn, md = meet
+        scale = lcm(pd, qd, md)
+        return Fraction(pn * (scale // pd) + qn * (scale // qd) - 2 * mn * (scale // md), scale)
 
     def _meet(self, p_edge: int | None, p_foot: tuple, q_edge: int | None,
-              q_foot: tuple) -> Fraction | None:
+              q_foot: tuple, top: VertexRecord | None = None) -> tuple[int, int] | None:
         """The depth at which the paths from two canonical points to the
-        root meet, given each point's edge and :meth:`_foot` triple, or None
-        when both points lie inside one edge.
+        root meet, as an int pair ``(n, d)`` like :meth:`_foot`'s, given each
+        point's edge and :meth:`_foot` tuple, or None when both points lie
+        inside one edge.
 
-        That depth is the depth of the lowest common ancestor of their
-        feet, or of p (q) itself when it sits inside the edge just above
-        that ancestor. The distance is ``depth(p) + depth(q) − 2·meet``, or
-        ``|depth(p) − depth(q)|`` inside one edge.
+        That depth is the depth of the lowest common ancestor of their feet
+        (``top``, else found by :meth:`_lca`), or of p (q) itself when it
+        sits inside the edge just above that ancestor. The distance is
+        ``depth(p) + depth(q) − 2·meet``, or ``|depth(p) − depth(q)|`` inside
+        one edge.
         """
         if p_edge is not None and p_edge == q_edge:
             return None
-        p_vertex, p_depth, p_inside = p_foot
-        q_vertex, q_depth, q_inside = q_foot
-        top = self._lca(p_vertex, q_vertex)
-        if p_inside and p_vertex == top.id:
-            return p_depth
-        if q_inside and q_vertex == top.id:
-            return q_depth
-        return top.depth
+        if top is None:
+            top = self._lca(p_foot[0], q_foot[0])
+        if p_foot[3] and p_foot[0] == top.id:
+            return p_foot[1], p_foot[2]
+        if q_foot[3] and q_foot[0] == top.id:
+            return q_foot[1], q_foot[2]
+        return top.depth.as_integer_ratio()
 
     def _point_along(self, p: TreePoint, q: TreePoint, t: Fraction) -> TreePoint:
         """The point a fraction ``t`` in [0, 1] of the way from ``p`` to
@@ -530,32 +541,51 @@ class Tree:
         its foot's parent edge) and follows parent links while the vertex
         is deeper than the target: the target is the vertex it stops at, or
         inside the parent edge of the vertex before it. Two points inside
-        one edge give the offset ``t`` of the way between theirs.
+        one edge give the offset ``t`` of the way between theirs. It runs in
+        ints: the target is an int over the lcm of the depth pairs'
+        denominators times t's, compared with each record's depth by
+        cross-multiplying, and an offset is the one ``Fraction`` built.
         """
         p_foot, q_foot = self._foot(p), self._foot(q)
+        tn, td = t.as_integer_ratio()
         meet = self._meet(p.edge, p_foot, q.edge, q_foot)
         if meet is None:
-            return TreePoint(edge=p.edge, offset=p.offset + t * (q.offset - p.offset))
-        up = p_foot[1] - meet
-        s = t * (up + q_foot[1] - meet)
-        point, (v, _, inside), depth = ((p, p_foot, p_foot[1] - s) if s <= up
-                                        else (q, q_foot, meet + s - up))
+            a, b = p.offset.as_integer_ratio()
+            c, e = q.offset.as_integer_ratio()
+            offset = Fraction(a * e * td + tn * (c * b - a * e), b * e * td)
+            return _new(TreePoint, (None, p.edge, offset))
+        (_, pn, pd, _), (_, qn, qd, _), (mn, md) = p_foot, q_foot, meet
+        scale = lcm(pd, qd, md)
+        depth_p, depth_q, depth_m = pn * (scale // pd), qn * (scale // qd), mn * (scale // md)
+        # the arc length s, up and the target are ints over scale · td
+        up = depth_p - depth_m
+        s = tn * (up + depth_q - depth_m)
+        up *= td
+        point, (v, _, _, inside), target = ((p, p_foot, depth_p * td - s) if s <= up
+                                            else (q, q_foot, depth_m * td + s - up))
+        scale *= td
         vertex = self._vertex
         rec = vertex[v]
-        if not (inside or point.is_vertex) and depth > rec.depth:
-            return TreePoint(edge=point.edge, offset=depth - rec.depth)
-        while rec.depth > depth:
-            child, rec = rec, vertex[rec.parent]
-        if rec.depth == depth:
+        n, d = rec.depth.as_integer_ratio()
+        if not (inside or point.vertex is not None) and target * d > n * scale:
+            return _new(TreePoint, (None, point.edge, Fraction(target * d - n * scale, scale * d)))
+        while n * scale > target * d:
+            child, child_n, child_d = rec, n, d
+            rec = vertex[rec.parent]
+            n, d = rec.depth.as_integer_ratio()
+        if n * scale == target * d:
             return TreePoint(rec.id)
         edge = self.edges[child.parent_edge]
-        return TreePoint(edge=edge.id, offset=depth - rec.depth if edge.u == rec.id
-                         else child.depth - depth)
+        if edge.u == rec.id:
+            return _new(TreePoint, (None, edge.id, Fraction(target * d - n * scale, scale * d)))
+        return _new(TreePoint, (None, edge.id,
+                                Fraction(child_n * scale - target * child_d, scale * child_d)))
 
-    def _walk(self, p: TreePoint, q: TreePoint) -> tuple[list[int], list[VertexId | None]]:
+    def _walk(self, p: TreePoint, q: TreePoint) -> tuple[list[int], list, VertexRecord]:
         """The path between canonical points ``p`` and ``q`` as ``(edges,
-        walk)``: its edge ids from ``p`` on, and its closed vertex path, None
-        at a ray's open end, so edge i runs from ``walk[i]`` to ``walk[i + 1]``.
+        walk, top)``: its edge ids from ``p`` on, its closed vertex path,
+        None at a ray's open end, so edge i runs from ``walk[i]`` to
+        ``walk[i + 1]``, and the record of the vertex where the climb meets.
 
         The climb follows parent links from the deeper foot until the two
         meet. A point inside an edge puts that edge at its end of the path,
@@ -568,7 +598,7 @@ class Tree:
         if a == b and p.edge == q.edge:  # one edge, or one vertex (both edges None)
             rec = self.edges[vertex[a].incident[0] if p.edge is None else p.edge]
             flip = p.edge is not None and q.offset < p.offset
-            return [rec.id], [rec.v, rec.u] if flip else [rec.u, rec.v]
+            return [rec.id], [rec.v, rec.u] if flip else [rec.u, rec.v], vertex[a]
         x, y = vertex[a], vertex[b]
         head, tail, head_walk, tail_walk = [], [], [x.id], [y.id]
         while x is not y:
@@ -588,7 +618,7 @@ class Tree:
         if q.edge is not None and (not edges or edges[-1] != q.edge):
             edges.append(q.edge)
             walk.append(self.edges[q.edge].other_end(b))
-        return edges, walk
+        return edges, walk, x
 
 
 # Sequences of characters or bytes: "ab1" is not the edge ("a", "b", "1")

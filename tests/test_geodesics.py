@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import deep_caterpillar, inside, leafless_tree, random_point
+from common import (PRIMES, deep_caterpillar, inside, leafless_description, leafless_tree,
+                    random_point)
 from conftest import profile_settings
 from geodesic_reference import geodesic_through_edge
 from treeradon import (
@@ -15,6 +16,7 @@ from treeradon import (
     GeodesicError,
     SuiteConfig,
     TreePoint,
+    build_tree,
     check_cat0_triangle,
     enumerate_flags,
     gen_point,
@@ -27,6 +29,7 @@ from treeradon import (
 )
 from treeradon.geodesics import _flag_geodesic
 from treeradon.radon import _router
+from treeradon.transport import _cost_matrix
 
 
 class TestPath:
@@ -272,17 +275,29 @@ def test_perpendicular_is_projection_level_set(data):
 # The locator behind midpoints, the CAT(0) check and interpolation          #
 # ---------------------------------------------------------------------- #
 
-LOCATOR_TREES = ("finite", "complete", "leafless", "caterpillar", "leafy caterpillar")
+LOCATOR_TREES = ("finite", "complete", "leafless", "prime", "caterpillar", "leafy caterpillar")
 
 
 def locator_tree(kind, rng):
     """A ``gen_tree`` tree of up to 30 vertices, a leafless tree of up to
-    60, or a ``deep_caterpillar``, whose parent chains run 200 hops or
-    more."""
+    60, the same with a prime denominator of its own on every finite edge
+    ("prime"), so that every vertex depth has a scale of its own, or a
+    ``deep_caterpillar``, whose parent chains run 200 hops or more."""
     if kind in ("finite", "complete"):
         return gen_tree(SuiteConfig(max_vertices=30, max_valency=5), kind, rng)
     if kind == "leafless":
         return leafless_tree(rng, rng.randint(1, 60))
+    if kind == "prime":
+        description = leafless_description(rng, rng.randint(1, 60))
+        primes = iter(rng.sample(PRIMES, len(description["edges"])))
+
+        def length(p):
+            # a numerator p·k + r with 0 < r < p keeps the denominator p
+            return F(p * rng.randint(0, 3) + rng.randint(1, p - 1), p)
+
+        description["edges"] = [(u, v, given if v is None else length(next(primes)))
+                                for u, v, given in description["edges"]]
+        return build_tree(description)
     return deep_caterpillar(rng, kind == "leafy caterpillar")
 
 
@@ -329,6 +344,47 @@ def test_point_along_matches_path_point_at(seed, kind):
             found = tree._point_along(p, q, t)
             assert found == segment.point_at(t * segment.length), (p, q, t)
             assert tree.canonical_point(found) is found
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("prime", "caterpillar", "leafy caterpillar")))
+@profile_settings(20)
+def test_depth_pairs_give_the_summed_path_lengths(seed, kind):
+    # the distance and the cost matrix read depths as int pairs; the path
+    # sums edge lengths and reads no depth. On the "prime" kind every
+    # depth has its own scale, and the caterpillars climb 200 hops or more
+    rng = random.Random(seed)
+    tree = locator_tree(kind, rng)
+    pairs = locator_pairs(tree, rng)
+    for p, q in pairs:
+        assert tree.distance(p, q) == path(tree, p, q).length, (p, q)
+    sources, targets = [(p, None) for p, _ in pairs], [(q, None) for _, q in pairs]
+    matrix, scale = _cost_matrix(tree, sources, targets)
+    for (p, _), row in zip(sources, matrix):
+        for (q, _), cost in zip(targets, row):
+            assert F(cost, scale) == path(tree, p, q).length ** 2, (p, q)
+
+
+def test_locating_makes_no_fraction_arithmetic(monkeypatch):
+    # _point_along and _distance work on int pairs and build each answer's
+    # one Fraction from ints; every pair of locator_pairs, two points of
+    # one edge included, on every kind of locator tree
+    rng = random.Random(42)
+    cases = [(tree, p, q, t) for tree in (locator_tree(kind, rng) for kind in LOCATOR_TREES)
+             for p, q in locator_pairs(tree, rng) for t in (F(0), F(1, 3), F(1, 2), F(1))]
+    assert any(p.edge is not None and p.edge == q.edge for _, p, q, _ in cases)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+                 "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        method = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, _name=name, _method=method:
+                            calls.append(_name) or _method(*args))
+    found = [(tree._point_along(p, q, t), tree._distance(p, q)) for tree, p, q, t in cases]
+    monkeypatch.undo()
+    assert calls == []
+    for (tree, p, q, t), (point, distance) in zip(cases, found):
+        segment = path(tree, p, q)
+        assert (point, distance) == (segment.point_at(t * segment.length), segment.length)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -228,14 +228,17 @@ def test_unencodable_payloads_raise_type_error(tmp_path, payload):
 
 
 # json.dumps writes a tuple subclass as a list of its fields; save_json
-# refuses the library's records instead, as it would any other object
+# refuses the library's records instead, as it would any other object,
+# under any key
 RECORDS = [DiracExtensionCheck(True, ()), TreePoint(vertex="a"), Flag("a", frozenset((0, 1))),
            EdgeRecord(0, "a", "b", F(1))]
 
 
 @pytest.mark.parametrize("place", [lambda record: record, lambda record: {"check": record},
-                                   lambda record: [1, record]],
-                         ids=["top level", "under a str key", "in a list"])
+                                   lambda record: [1, record], lambda record: {1: record},
+                                   lambda record: [{1: record}]],
+                         ids=["top level", "under a str key", "in a list", "under an int key",
+                              "under an int key in a list"])
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 def test_records_are_not_json(tmp_path, record, place):
     with pytest.raises(TypeError, match=f"^Object of type {type(record).__name__} is not JSON "

@@ -44,6 +44,7 @@ from treeradon import (
     w2_squared,
 )
 from treeradon.geodesics import _travel
+from treeradon.measures import _measure
 
 
 class TestMakeMeasure:
@@ -77,6 +78,19 @@ class TestMakeMeasure:
     def test_empty_rejected(self, tripod):
         with pytest.raises(MeasureError, match="at least one atom"):
             make_measure(tripod, [])
+
+    def test_the_core_adds_one_mass_object_given_twice(self, tripod):
+        # the core hashes each point once and tells a repeated point by the
+        # dict's size: two atoms holding the very same Fraction at one point
+        # merge to twice it, at a vertex and inside an edge
+        half, quarter = F(1, 2), F(1, 4)
+        x, inner = tripod.vertex_point("x"), tripod.point(1, half)
+        assert _measure([(x, half), (x, half)]).atoms == ((x, 1),)
+        mu = _measure([(inner, quarter), (x, half), (inner, quarter)])
+        assert mu.atoms == ((x, half), (inner, half))
+        for mass in (F(0), F(-1, 2)):
+            with pytest.raises(MeasureError, match="^nonpositive mass"):
+                _measure([(x, F(3, 2)), (inner, mass)])
 
     def test_equivalent_locations_merge(self, tripod):
         # offset 0 on edge (o,x) is the vertex o itself

@@ -18,6 +18,7 @@ from treeradon import (
     SolverError,
     SuiteConfig,
     TransportPlan,
+    Tree,
     TreePoint,
     WassersteinGeodesic,
     build_tree,
@@ -221,6 +222,29 @@ def test_no_geodesic_is_built_past_time_one(monkeypatch):
     assert built == []
     path(tree, x, y)  # the spy sees the geodesic that path builds
     assert len(built) == 1
+
+
+def test_travel_past_time_one_climbs_once(monkeypatch):
+    """Past time 1, ``_travel`` takes the distance from the vertex where the
+    tree's walk met, so it finds no lowest common ancestor of its own; a
+    distance between the same points does."""
+    climbs = []
+    lca = Tree._lca
+
+    def counted(self, a, b):
+        climbs.append((a, b))
+        return lca(self, a, b)
+
+    monkeypatch.setattr(Tree, "_lca", counted)
+    rng = random.Random(29)
+    tree = leafless_tree(rng, 30)
+    pairs = [(random_point(tree, rng), random_point(tree, rng)) for _ in range(50)]
+    for p, q in pairs:
+        _travel(tree, p, q, F(5, 2))
+    assert climbs == []
+    for p, q in pairs:
+        tree._distance(p, q)
+    assert len(climbs) == sum(p.edge is None or p.edge != q.edge for p, q in pairs) > 40
 
 
 class TestDilate:
