@@ -7,13 +7,14 @@ of each flag; with k(x) the valency, the closed form
 
 recovers the function exactly whenever every valency is at least 3.
 Both directions are plain sums, kept to few ``Fraction`` operations:
-``radon_forward`` takes at most one subtraction per flag, and
-``radon_invert`` and the double-counting check sum the flags at each
-vertex as integers at that vertex's own scale, the lcm of their
-denominators, then build one ``Fraction``. No scale is global: one scale
-for the whole tree is the lcm of all its denominators, and when those are
-distinct primes every operation works on numbers as large as the whole
-tree's.
+``radon_forward`` sums ints over one scale, the lcm of h's denominators,
+and builds one ``Fraction`` per distinct flag value; ``radon_invert`` and
+the double-counting check sum the flags at each vertex as integers at
+that vertex's own scale, the lcm of their denominators, then build one
+``Fraction``. One scale serves the forward transform only while it fits
+in 64 bits: when the denominators are distinct primes it is as large as
+all of them, and reducing every flag value by it costs more than a
+``Fraction`` pass that takes at most one subtraction per flag.
 
 A flag table holds one value per flag of its tree, by position in
 ``enumerate_flags`` order: each vertex's record in the tree holds the
@@ -185,84 +186,92 @@ def enumerate_flags(tree: Tree) -> list[Flag]:
     return flags
 
 
-def _subtree_sums(tree: Tree, h: VertexFunction) -> dict[VertexId, Fraction]:
-    """Σh over each vertex and everything below it, in one backward pass over
-    the tree's vertex records, which list every parent before its children.
-
-    A sum that no nonzero value reached is the shared ``_ZERO`` object, and
-    adding it to the parent is skipped. The test is by identity: a sum
-    that cancels to zero is a fresh ``Fraction`` and is added like any
-    other, and an identity test costs no Python-level ``Fraction`` call.
-    """
-    values = h.values
-    subtree = {v: values.get(v, _ZERO) for v in tree.vertices}
-    for record in reversed(tree._vertex.values()):
-        inside = subtree[record.id]
-        if inside is not _ZERO and record.parent is not None:
-            subtree[record.parent] += inside
-    return subtree
-
-
 def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     """The combinatorial transform: per flag, the sum of h over the
     perpendicular's vertices.
 
     The perpendicular of (x, {e, f}) is everything except the two branches
     through e and f, so its vertex sum is Σh minus the two branch sums.
-    Σh minus one branch is taken once per edge to a child of x (for the
-    edge to x's parent it is x's own subtree sum), so each flag costs at
-    most one subtraction, and a flag with a ray costs none: a ray's branch
-    is empty. Nor does a branch whose sum is the shared ``_ZERO`` (see
-    :func:`_subtree_sums`), so a sparse h, such as reconstruction's
-    interior atoms or a measure's few vertex atoms, costs a subtraction
-    only where a nonzero value lies. The sums stay in ``Fraction``s: a
-    flag's denominator is that of its own perpendicular, and an integer
-    pass at one global scale would multiply every flag up to the scale of
-    all the denominators in the tree.
+    One backward pass over the tree's vertex records, which list every
+    parent before its children, gives each vertex's subtree sum, and Σh is
+    the root's. Σh minus one branch is taken once per edge to a child of x
+    (for the edge to x's parent it is x's own subtree sum), so each flag
+    costs at most one subtraction, and none beside an empty branch: a
+    ray's, or one that no nonzero value reached, whose sum is the shared
+    zero object (tested by identity; a sum that cancels is merely added).
+
+    The number type is chosen once, from L, the lcm of h's denominators.
+    Up to 64 bits, the sums are ints over L and each distinct flag
+    numerator becomes one ``Fraction(n, L)``, shared by the flags that
+    have it. Past that, they stay in ``Fraction``s: with a distinct prime
+    per vertex, ``Fraction(n, L)`` would take a gcd of numbers of L's
+    size per flag. Each value of h must be an int (not a bool) or a
+    ``Fraction``, and each key a vertex of the tree; :class:`RadonError`
+    names any other.
     """
-    subtree = _subtree_sums(tree, h)
-    total = h.total
+    values = h.values
+    if not {Fraction, int}.issuperset(map(type, values.values())):
+        for x, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise RadonError(f"value {value!r} at vertex {x!r} is not an int or a Fraction")
+    denominators = list(map(_denominator, values.values()))
+    # the lcm stops past 64 bits: over a distinct prime per vertex, the
+    # whole of it costs nearly a tenth of the Fraction pass
+    scale, ints = 1, True
+    for d in set(denominators):
+        scale = lcm(scale, d)
+        if scale >> 64:
+            ints = False
+            break
+    if ints:
+        zero, seeds = 0, map(mul, map(_numerator, values.values()),
+                             map(floordiv, repeat(scale), denominators))
+    else:
+        zero, seeds = _ZERO, [v if type(v) is Fraction else Fraction(v)
+                              for v in values.values()]
+    subtree = dict.fromkeys(tree.vertices, zero)
+    subtree.update(zip(values, seeds))
+    if len(subtree) != len(tree.vertices):
+        stray = next(v for v in values if v not in tree._vertex)
+        raise RadonError(f"vertex function has a value at {stray!r}, not a vertex of the tree")
     vertex, edges = tree._vertex, tree.edges
-    table: list[Fraction] = []
+    for record in reversed(vertex.values()):
+        inside = subtree[record.id]
+        if inside is not zero and record.parent is not None:
+            subtree[record.parent] += inside
+    total = subtree[tree.vertices[0]]
+    table: list = []
     for x in tree.vertices:
         record = vertex[x]
         inc, via = record.incident, record.parent_edge
-        # Per incident edge: Σh over its branch and Σh over the rest. A
-        # ray's branch is empty, held as _ZERO like a branch that no nonzero
+        # Per incident edge: Σh over the rest and Σh over its branch. A
+        # ray's branch is empty, held as zero like a branch that no nonzero
         # value reached, so a flag with an empty branch is the other edge's
         # rest. The parent edge's rest is x's subtree, so a flag with it
-        # subtracts the other edge's branch from that, and the parent
-        # edge's own branch (None) is never needed. A child edge's rest,
-        # Σh less a nonzero branch, is None until a flag first reads it.
-        branch, rest = [], []
+        # subtracts the other edge's branch from that, and its own branch
+        # (None) is never needed. A flag on two other edges is the first
+        # one's rest less the second one's branch, so the last of them has
+        # its rest read only beside an empty branch, and gets one only then.
+        last = inc[-2] if inc[-1] == via and len(inc) > 1 else inc[-1]
+        ends, empty = [], False
         for eid in inc:
             rec = edges[eid]
-            if rec.v is None:
-                branch.append(_ZERO)
-                rest.append(total)
-            elif eid == via:
-                branch.append(None)
-                rest.append(subtree[x])
+            if eid == via:
+                ends.append((subtree[x], None))
+                continue
+            inside = zero if rec.v is None else subtree[rec.v if rec.u == x else rec.u]
+            if inside is zero:
+                empty = True
+                ends.append((total, zero))
             else:
-                inside = subtree[rec.v if rec.u == x else rec.u]
-                branch.append(inside)
-                rest.append(total if inside is _ZERO else None)
+                ends.append((total - inside if empty or eid != last else None, inside))
         # the pairs in combinations order, so each value lands at its flag's
         # position; each is one rest less at most one branch
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                if branch[j] is _ZERO:
-                    a, less = i, _ZERO
-                elif branch[i] is _ZERO:
-                    a, less = j, _ZERO
-                elif branch[j] is None:
-                    a, less = j, branch[i]
-                else:
-                    a, less = i, branch[j]
-                r = rest[a]
-                if r is None:
-                    r = rest[a] = total - branch[a]
-                table.append(r if less is _ZERO else r - less)
+        table += [ri if bj is zero else rj if bi is zero else rj - bi if bj is None else ri - bj
+                  for (ri, bi), (rj, bj) in combinations(ends, 2)]
+    if ints:
+        shared = {n: Fraction(n, scale) for n in set(table)}
+        table = list(map(shared.__getitem__, table))
     return FlagTable(tree, tuple(table))
 
 

@@ -16,6 +16,7 @@ from treeradon import (
     RadonSample,
     SuiteConfig,
     Tree,
+    VertexFunction,
     double_count_check,
     dirac,
     enumerate_flags,
@@ -83,6 +84,41 @@ class TestForward:
         table = radon_forward(star3, h)
         for flag in enumerate_flags(star3):
             assert table.value(flag) == brute_flag_value(star3, h, flag)
+
+
+def two_hubs():
+    """Vertices a and b on one edge, with two rays at each: flags (a, {0,1}),
+    (a, {0,2}), (a, {1,2}), (b, {0,3}), (b, {0,4}), (b, {3,4})."""
+    return Tree(["a", "b"], [("a", "b", 1), ("a", None, None), ("a", None, None),
+                             ("b", None, None), ("b", None, None)])
+
+
+class TestForwardInputs:
+    """``radon_forward`` given a hand-built ``VertexFunction``, which
+    ``vertex_function`` has not checked."""
+
+    def test_a_key_off_the_tree_is_refused(self):
+        # it would count in the total but on no vertex: the flags would read
+        # 6, 6, 6, 0, 0, 6 instead of 1, 1, 1, 0, 0, 1
+        with pytest.raises(RadonError, match="'zz', not a vertex of the tree"):
+            radon_forward(two_hubs(), VertexFunction({"a": 1, "zz": 5}))
+
+    def test_an_alias_key_names_its_vertex(self):
+        tree = Tree([0, 1], [(0, 1, 1), (0, None, None), (0, None, None),
+                             (1, None, None), (1, None, None)])
+        table = radon_forward(tree, VertexFunction({True: 2}))
+        assert table == radon_forward(tree, vertex_function(tree, {1: 2}))
+
+    @pytest.mark.parametrize("value", [0.5, "1/2", True, None])
+    def test_a_value_that_is_not_an_int_or_a_fraction_is_refused(self, value):
+        message = f"value {value!r} at vertex 'b' is not an int or a Fraction"
+        with pytest.raises(RadonError, match=re.escape(message)):
+            radon_forward(two_hubs(), VertexFunction({"a": F(1, 3), "b": value}))
+
+    def test_every_entry_is_a_fraction(self):
+        table = radon_forward(two_hubs(), VertexFunction({"a": 1, "b": 2}))
+        assert table.entries == (1, 1, 3, 2, 2, 3)
+        assert {type(entry) for entry in table.entries} == {F}
 
 
 def test_vertex_function_rejects_an_unknown_vertex(star3):

@@ -11,10 +11,18 @@ denominators, a distinct prime denominator per vertex, at most three
 nonzero values (often a pair that cancels inside one branch), and, for
 the flag sums of inversion and double counting, an arbitrary table with a
 distinct prime denominator per flag.
+
+``radon_forward`` sums in ints over L, the lcm of h's denominators, while
+L has at most 64 bits, and in ``Fraction``s past that. Both regimes are
+compared at the switch, with L of exactly 64 and 65 bits, with and without
+a total that cancels to zero; the int regime must do no ``Fraction``
+arithmetic and build one ``Fraction`` per distinct flag value.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction as F
-from math import comb
+from itertools import cycle
+from math import comb, lcm
 
 from hypothesis import assume, given, strategies as st
 
@@ -74,6 +82,78 @@ def test_forward_matches_reference(drawn, values):
 
 
 TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, sparse_values, flag_prime_table))
+
+
+@contextmanager
+def fraction_arithmetic():
+    """The names of the ``Fraction`` +, - and reflected +, - calls made
+    while the block runs; a context manager, as hypothesis refuses
+    function-scoped fixtures such as ``monkeypatch``."""
+    calls = []
+    originals = {name: getattr(F, name) for name in ("__add__", "__radd__", "__sub__", "__rsub__")}
+    for name, method in originals.items():
+        setattr(F, name, lambda *args, _name=name, _method=method:
+                calls.append(_name) or _method(*args))
+    try:
+        yield calls
+    finally:
+        for name, method in originals.items():
+            setattr(F, name, method)
+
+
+def primes_of_bits(rng, bits):
+    """Distinct primes of ``PRIMES`` whose product has exactly ``bits`` bits."""
+    while True:
+        chosen, product = [], 1
+        while product * PRIMES[-1] < 1 << (bits - 1):
+            p = rng.choice(PRIMES)
+            if p not in chosen:
+                chosen.append(p)
+                product *= p
+        fits = [q for q in PRIMES if (product * q).bit_length() == bits and q not in chosen]
+        if fits:
+            return chosen + [rng.choice(fits)]
+
+
+def one_entry_per_value(entries):
+    return len(set(map(id, entries))) == len(set(entries))
+
+
+@given(trees(("large",)), st.sampled_from((64, 65)), st.booleans())
+@profile_settings(20)
+def test_forward_matches_reference_at_the_switch(drawn, bits, cancel):
+    """L of exactly 64 bits takes the int regime and 65 the Fraction
+    regime; with ``cancel`` the root's value makes the total zero."""
+    tree, rng = drawn
+    root, *others = tree.vertices
+    values = {v: F(rng.choice((-1, 1)) * rng.randint(1, p - 1), p)
+              for v, p in zip(others, cycle(primes_of_bits(rng, bits)))}
+    if cancel:
+        values[root] = -sum(values.values())
+    h = vertex_function(tree, values)
+    assert lcm(*(value.denominator for value in h.values.values())).bit_length() == bits
+    assert (h.total == 0) is cancel
+    with fraction_arithmetic() as calls:
+        table = radon_forward(tree, h)
+    assert_identical(table.values, reference.radon_forward(tree, h).values)
+    if bits == 64:
+        assert calls == []
+        assert one_entry_per_value(table.entries)
+    else:
+        assert calls
+
+
+@given(trees(LEAFLESS))
+@profile_settings(40)
+def test_int_regime_does_no_fraction_arithmetic(drawn):
+    """On denominators up to 12, as the benchmark's large tree draws them."""
+    tree, rng = drawn
+    h = small_values(tree, rng)
+    with fraction_arithmetic() as calls:
+        table = radon_forward(tree, h)
+    assert calls == []
+    assert one_entry_per_value(table.entries)
+    assert_identical(table.values, reference.radon_forward(tree, h).values)
 
 
 @given(trees(LEAFLESS), TABLE_KINDS)
