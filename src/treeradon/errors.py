@@ -55,6 +55,8 @@ class FileFormatError(ValueError):
 class SolverError(RuntimeError):
     """The transportation solver gave up: ``pivot limit exceeded``
     (``_bland_simplex``, which ``_transportation_simplex`` runs only where
-    its first solve finds a tight cell off the basis or reaches its cap)
-    or ``plan marginals do not match the measures`` (``optimal_plan``'s
-    check of the returned couplings)."""
+    its first solve finds a tight cell off the basis or reaches its cap;
+    one row scan serves both rules) or ``plan marginals do not match the
+    measures`` (``optimal_plan``'s check of the solver's flows, ints over
+    the one mass scale it forms for the two measures, against each
+    measure's masses over that scale)."""

@@ -11,22 +11,25 @@ it is returned. Otherwise, and when the first solve reaches its cap of
 Distances enter only through their squares, so every cost and mass is
 rational. The squared distances arrive at the solver as ints over one
 scale, built from the atoms' depths, which the tree gives as int pairs,
-with no Fraction arithmetic; the solver scales the masses to integers
-over their common denominator and pivots in exact Python ints, which
+with no Fraction arithmetic. The masses are scaled once, in
+``optimal_plan``: M is the lcm of the two measures' scales
+(``Measure._integer_masses``), and the solver takes ints over M and
+returns its flows as ints over M. It pivots in exact Python ints, which
 leaves every sign, comparison and tie, and so the pivot sequence, as it
 would be over the rationals. The basis is one spanning tree rooted at
 row 0 (child list, parent, dual potential and allocation per node), read
-off the north-west staircase as it is walked. Each pivot, under either
-rule, finds its cycle by stamping the entering row's path to the root,
-turns over only the path from the entering cell to the leaving one, and
-shifts the potentials of the side it re-hangs. Both scans skip every row
-whose lower bound on its reduced costs is not negative. Plans, costs and
-every other value at the API stay exact Fractions. A plan's squared cost
-and its marginals are integer sums: the couplings' masses are taken as
-ints over the lcm of their denominators, the cost is summed against the
-solver's own cost matrix and made one Fraction, and each row and column
-is compared with its measure's masses (``Measure._integer_masses``)
-across the two scales.
+off the north-west staircase as it is walked. One row scan (``_scan``)
+serves both entering rules: it skips every row whose lower bound on its
+reduced costs is not negative, and reads the rest in blocks, of ⌈√n⌉
+rows for block search and of one row for Bland's rule. Each pivot, under
+either rule, finds its cycle by stamping the entering row's path to the
+root, turns over only the path from the entering cell to the leaving
+one, and shifts the potentials of the side it re-hangs. Plans, costs and
+every other value at the API stay exact Fractions. ``optimal_plan``
+checks each row and column sum of the flows against its measure's masses
+over M, sums the squared cost against the solver's own cost matrix as
+one int, and then makes the plan's only Fractions: one per coupling and
+one for the cost.
 
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
@@ -75,12 +78,6 @@ class TransportPlan(NamedTuple):
 # ---------------------------------------------------------------------- #
 # Exact transportation simplex                                              #
 # ---------------------------------------------------------------------- #
-
-def _scaled(values, scale: int) -> list[int]:
-    """Each Fraction times ``scale``, as an int (``scale`` clears every
-    denominator)."""
-    return [x.numerator * (scale // x.denominator) for x in values]
-
 
 def _northwest_basis(supply, demand, cost):
     """The north-west corner start as its basis tree over rows 0..n-1 and
@@ -137,34 +134,57 @@ def _hang(children, parent, flow, path, below, q):
 
 
 def _start(supply, demand, cost):
-    """``(M, basis)``: the lcm M of the masses' denominators, and the
-    north-west corner of the masses scaled by M as the state a solve
-    pivots, ``[children, parent, u, v, flow, bound, stamp]``. The basis
-    is one spanning tree rooted at row 0 (network simplex in its
+    """The north-west corner of the int masses as the state a solve
+    pivots, ``[children, parent, u, v, flow, bound, drop, stamp]``. The
+    basis is one spanning tree rooted at row 0 (network simplex in its
     spanning-tree form); ``u`` and ``v`` are the row and column
-    potentials; ``bound[i]`` is a lower bound on row i's least reduced
-    cost plus the solve's ``drop``, exact here where ``drop`` is 0;
-    ``stamp`` marks the nodes of an entering row's path to the root."""
+    potentials; row i's least reduced cost is at least ``bound[i] -
+    drop``, exactly at the start, where ``drop`` is 0; ``stamp`` marks the
+    nodes of an entering row's path to the root."""
     n = len(supply)
-    mass_scale = math.lcm(*(x.denominator for x in itertools.chain(supply, demand)))
-    children, parent, pot, flow = _northwest_basis(
-        _scaled(supply, mass_scale), _scaled(demand, mass_scale), cost)
+    children, parent, pot, flow = _northwest_basis(supply, demand, cost)
     u, v = pot[:n], pot[n:]
     bound = [min(map(sub, row, v)) - ui for row, ui in zip(cost, u)]
-    return mass_scale, [children, parent, u, v, flow, bound, [-1] * len(pot)]
+    return [children, parent, u, v, flow, bound, 0, [-1] * len(pot)]
 
 
-def _allocation(basis, mass_scale):
-    """The basis cells with positive flow, as ``{(i, j): Fraction}``."""
-    _, parent, u, _, flow, _, _ = basis
+def _allocation(basis):
+    """The basis cells with positive flow, as ``{(i, j): int}``."""
+    _, parent, u, _, flow, _, _, _ = basis
     n = len(u)
-    return {(c, parent[c] - n) if c < n else (parent[c], c - n): Fraction(flow[c], mass_scale)
+    return {(c, parent[c] - n) if c < n else (parent[c], c - n): flow[c]
             for c in range(1, len(flow)) if flow[c] > 0}
+
+
+def _scan(basis, cost, first, block):
+    """``(i, least)``: the entering row and its least reduced cost, or
+    ``least`` 0 when no reduced cost is negative. Rows are tested from row
+    ``first`` on, wrapping past the last, and the scan stops at the end of
+    the first block of ``block`` rows that holds a negative reduced cost;
+    of the rows tested, the one with the most negative least reduced cost
+    enters (the first such row on a tie).
+
+    A row whose bound rules out a negative reduced cost is passed over;
+    any other row is tested once, ``min(map(sub, row, v)) - u_i``, and
+    that minimum is its new bound.
+    """
+    _, _, u, v, _, bound, drop, _ = basis
+    n = len(u)
+    best = i = 0
+    for p, a in enumerate(itertools.chain(range(first, n), range(first))):
+        if bound[a] < drop:
+            least = min(map(sub, cost[a], v)) - u[a]
+            bound[a] = least + drop
+            if least < best:
+                best, i = least, a
+        if best and p % block == block - 1:
+            break
+    return i, best
 
 
 def _pivot(basis, k, i, j, r):
     """Pivot ``k`` of a solve: cell (i, j), of reduced cost ``r`` < 0,
-    enters ``basis``. Returns how much the solve's ``drop`` rises.
+    enters ``basis``.
 
     The pivot cycle is the entering cell plus the tree paths from its row
     and column up to their lowest common ancestor, found as the first node
@@ -181,12 +201,12 @@ def _pivot(basis, k, i, j, r):
 
     After the shift only the cells with their row on side J and their
     column on side I lose reduced cost, each by exactly |r|. So each row on
-    side J loses |r| of bound: all of them through ``drop`` when side J
-    holds the root, else through the shift itself, as a re-hung row's
-    bound moves by -s; a row of a re-hung side I gets back what ``drop``
-    took.
+    side J loses |r| of bound: all of them through ``drop``, which rises
+    by |r|, when side J holds the root, else through the shift itself, as
+    a re-hung row's bound moves by -s; a row of a re-hung side I gets back
+    what ``drop`` took.
     """
-    children, parent, u, v, flow, bound, stamp = basis
+    children, parent, u, v, flow, bound, _, stamp = basis
     n = len(u)
     # stamp the row's path up to the root; the column's climb stops at
     # the first stamped node, the lowest common ancestor
@@ -221,6 +241,7 @@ def _pivot(basis, k, i, j, r):
     # holding the entering row, exactly when that child is a row
     if cut < n:
         top, path, below, s = i, rows, n + j, r
+        basis[6] -= r  # drop
     else:
         top, path, below, s = n + j, columns, i, -r
     _hang(children, parent, flow, path[:path.index(cut) + 1], below, theta)
@@ -234,7 +255,6 @@ def _pivot(basis, k, i, j, r):
             bound[c] -= s
         else:
             v[c - n] -= s
-    return -r if cut < n else 0
 
 
 def _first_solve_cap(n, m):
@@ -249,20 +269,20 @@ def _transportation_simplex(supply, demand, cost):
     the optimum is unique.
 
     The pivots run on Python ints: the costs arrive as the ints of
-    ``_cost_matrix``, and the masses are scaled by the lcm M of their
-    denominators. Positive scaling keeps every sign, comparison and tie,
-    so the pivot sequence is the one the rational problem would take, and
-    the result is returned as Fractions over M. (Fraction costs give the
-    same allocation, pivoted in Fractions.)
+    ``_cost_matrix``, and the supplies and demands as ints over the one
+    mass scale M that ``optimal_plan`` forms; the flows are returned as
+    ints over M, ``{(i, j): flow}``. Positive scaling keeps every sign,
+    comparison and tie, so the pivot sequence is the one the rational
+    problem would take. (Fraction costs give the same allocation, pivoted
+    in Fractions.)
 
     The first solve starts from the north-west corner and enters by block
-    search (Grigoriadis, Math. Programming Study 26, 1986): from the row
-    after the last entering row, rows are scanned in blocks of ⌈√n⌉, and
-    at the end of the first block that holds a negative reduced cost the
-    most negative one seen enters (the first row's, and in it the first
-    column's, on a tie). Rows whose bound rules out a negative reduced
-    cost are passed over, as in Bland's scan. Each pivot is ``_pivot``,
-    the step Bland's rule takes too.
+    search (Grigoriadis, Math. Programming Study 26, 1986): ``_scan``
+    reads rows in blocks of ⌈√n⌉ from the row after the last entering
+    row, and at the end of the first block that holds a negative reduced
+    cost the most negative one seen enters (the first row's, and in it
+    the first column's, on a tie). Each pivot is ``_pivot``. The scan and
+    the pivot are the ones Bland's rule takes too.
 
     At its optimum the potentials certify uniqueness: every optimal plan
     lives on the tight cells, where c_ij = u_i + v_j (complementary
@@ -277,28 +297,19 @@ def _transportation_simplex(supply, demand, cost):
     Bland's own solve plus that cap.
     """
     n, m = len(supply), len(demand)
-    mass_scale, basis = _start(supply, demand, cost)
-    _, _, u, v, _, bound, _ = basis
+    basis = _start(supply, demand, cost)
+    _, _, u, v, _, _, _, _ = basis
     block = math.isqrt(n - 1) + 1
-    drop, i = 0, n - 1
+    i = n - 1
     for k in range(_first_solve_cap(n, m)):
-        best, first = 0, i + 1
-        for p in range(n):
-            a = (first + p) % n
-            if bound[a] < drop:
-                least = min(map(sub, cost[a], v)) - u[a]
-                bound[a] = least + drop
-                if least < best:
-                    best, i = least, a
-            if best and p % block == block - 1:
-                break
+        i, best = _scan(basis, cost, i + 1, block)
         if not best:
             tight = sum(list(map(sub, row, v)).count(ui) for row, ui in zip(cost, u))
             if tight == n + m - 1:
-                return _allocation(basis, mass_scale)
+                return _allocation(basis)
             break
         j = list(map(sub, cost[i], v)).index(best + u[i])
-        drop += _pivot(basis, k, i, j, best)
+        _pivot(basis, k, i, j, best)
     return _bland_simplex(supply, demand, cost)
 
 
@@ -311,38 +322,25 @@ def _bland_simplex(supply, demand, cost):
     as in ``_transportation_simplex``, which calls this only on inputs
     whose optimum its first solve could not prove unique.
 
-    The scan keeps a lower bound per row on its least reduced cost, exact
-    at the start, and lowers the bound of every row on the side of a
-    pivot's cut that can lose reduced cost (``_pivot``). A row whose bound
-    is ≥ 0 has no negative reduced cost and is skipped; any other row is
-    tested once, ``min(map(sub, row, v)) - u_i``, and that minimum is its
-    new bound. The first row whose minimum is negative holds Bland's cell,
-    and only that row is read a second time, up to its first negative
-    reduced cost. Past 1000 + 100·n·m pivots it raises
-    :class:`SolverError`.
+    The entering row is the first solve's scan (``_scan``) in blocks of
+    one row from row 0, which stops at the first row whose least reduced
+    cost is negative: that row holds Bland's cell, and only that row is
+    read a second time, up to its first negative reduced cost. Past
+    1000 + 100·n·m pivots it raises :class:`SolverError`.
     """
-    mass_scale, basis = _start(supply, demand, cost)
-    _, _, u, v, _, bound, _ = basis
-    # row i's least reduced cost is at least bound[i] - drop: a pivot
-    # that lowers every row outside the side it re-hangs raises ``drop``
-    drop = 0
+    basis = _start(supply, demand, cost)
+    _, _, u, v, _, _, _, _ = basis
     for k in range(1000 + 100 * len(supply) * len(demand)):
-        for i, row in enumerate(cost):
-            if bound[i] >= drop:
-                continue
-            ui = u[i]
-            least = min(map(sub, row, v)) - ui
-            bound[i] = least + drop
-            # basis cells have reduced cost exactly 0, so only nonbasic
-            # cells can pass the test c_ij - v_j < u_i
-            if least < 0:
-                for j, x in enumerate(map(sub, row, v)):
-                    if x < ui:
-                        break
+        i, least = _scan(basis, cost, 0, 1)
+        if not least:
+            return _allocation(basis)
+        # basis cells have reduced cost exactly 0, so only nonbasic cells
+        # can pass the test c_ij - v_j < u_i
+        ui = u[i]
+        for j, x in enumerate(map(sub, cost[i], v)):
+            if x < ui:
                 break
-        else:
-            return _allocation(basis, mass_scale)
-        drop += _pivot(basis, k, i, j, x - ui)
+        _pivot(basis, k, i, j, x - ui)
     raise SolverError("pivot limit exceeded")
 
 
@@ -398,31 +396,32 @@ def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
     a Dirac its only feasible plan is the unique coupling; between identical
     measures the identity is the only plan of cost 0.
 
-    The couplings' masses are taken as ints over the lcm of their
-    denominators. The squared cost sums them against the solver's own cost
-    matrix as one int, made one ``Fraction`` over both scales; each row and
-    column of the couplings is summed as ints too, and must equal its
-    measure's mass exactly (``Measure._integer_masses``, compared across
-    the two scales), or :class:`SolverError` is raised. A mass that is
-    neither an int nor a ``Fraction`` raises :class:`MeasureError` naming
-    its atom before any solving.
+    The masses are scaled once, here: M is the lcm of the two measures'
+    scales (``Measure._integer_masses``), and the solver takes and returns
+    ints over M. Each row and column of the flows is summed as ints and
+    must equal its measure's masses over M exactly, or :class:`SolverError`
+    is raised. The squared cost sums the flows against the solver's own
+    cost matrix as one int. The plan's only ``Fraction``s are made last:
+    one per coupling, its flow over M, and one for the cost. A mass that
+    is neither an int nor a ``Fraction`` raises :class:`MeasureError`
+    naming its atom before any solving.
     """
     (mu_scale, mu_masses), (nu_scale, nu_masses) = mu._integer_masses, nu._integer_masses
+    mass_scale = math.lcm(mu_scale, nu_scale)
+    supply = [f * (mass_scale // mu_scale) for f in mu_masses]
+    demand = [f * (mass_scale // nu_scale) for f in nu_masses]
     cost, scale = _cost_matrix(tree, mu.atoms, nu.atoms)
-    alloc = sorted(_transportation_simplex(
-        [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
-    ).items())
-    common = math.lcm(*(q.denominator for _, q in alloc))
-    left, right, total = [0] * len(mu_masses), [0] * len(nu_masses), 0
-    for ((i, j), _), f in zip(alloc, _scaled((q for _, q in alloc), common)):
+    alloc = sorted(_transportation_simplex(supply, demand, cost).items())
+    left, right, total = [0] * len(supply), [0] * len(demand), 0
+    for (i, j), f in alloc:
         left[i] += f
         right[j] += f
         total += f * cost[i][j]
-    if (any(f * mu_scale != m * common for f, m in zip(left, mu_masses))
-            or any(f * nu_scale != m * common for f, m in zip(right, nu_masses))):
+    if left != supply or right != demand:
         raise SolverError("plan marginals do not match the measures")
-    couplings = tuple((mu.atoms[i][0], nu.atoms[j][0], q) for (i, j), q in alloc)
-    return TransportPlan(mu, nu, couplings, Fraction(total, common * scale))
+    couplings = tuple((mu.atoms[i][0], nu.atoms[j][0], Fraction(f, mass_scale))
+                      for (i, j), f in alloc)
+    return TransportPlan(mu, nu, couplings, Fraction(total, mass_scale * scale))
 
 
 def w2_squared(tree: Tree, mu: Measure, nu: Measure) -> Fraction:

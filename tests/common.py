@@ -4,6 +4,7 @@ Test modules import what they draw from here, never from one another.
 """
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -365,6 +366,18 @@ def monotone_coupling(xs, ys):
         if right == 0:
             j += 1
             right = ys[j][1]
+
+
+def solver_masses(supply, demand):
+    """``(scale, supply, demand)``: two lists of Fraction masses as ints
+    over one scale, the lcm of all their denominators, the form in which
+    ``optimal_plan`` hands masses to the solver."""
+    scale = math.lcm(*(q.denominator for q in [*supply, *demand]))
+
+    def over(masses):
+        return [q.numerator * (scale // q.denominator) for q in masses]
+
+    return scale, over(supply), over(demand)
 
 
 def spy_on_bland(monkeypatch):

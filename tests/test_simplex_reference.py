@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from hypothesis import given, strategies as st
 
 import simplex_reference as reference
-from common import leafless_tree
+from common import leafless_tree, solver_masses
 from conftest import DEEP, profile_settings
 from treeradon import TreePoint, make_measure
 from treeradon import transport
@@ -46,11 +46,15 @@ def _assert_matches_the_parent_simplex(seed, rows, columns):
     nu = make_measure(tree, ((q, F(1, columns)) for q in _points(tree, rng, columns)))
     cost, _ = transport._cost_matrix(tree, mu.atoms, nu.atoms)
     weights = [rng.randint(1, 9) for _ in range(rows + columns)]
-    for supply, demand in (([m for _, m in mu.atoms], [m for _, m in nu.atoms]),
-                           ([F(w, sum(weights[:rows])) for w in weights[:rows]],
-                            [F(w, sum(weights[rows:])) for w in weights[rows:]])):
-        assert (transport._transportation_simplex(supply, demand, cost)
-                == reference._transportation_simplex(supply, demand, cost))
+    for masses in (([m for _, m in mu.atoms], [m for _, m in nu.atoms]),
+                   ([F(w, sum(weights[:rows])) for w in weights[:rows]],
+                    [F(w, sum(weights[rows:])) for w in weights[rows:]])):
+        # the library takes and returns ints over the masses' scale, the
+        # reference Fractions
+        scale, supply, demand = solver_masses(*masses)
+        flows = transport._transportation_simplex(supply, demand, cost)
+        assert ({cell: F(f, scale) for cell, f in flows.items()}
+                == reference._transportation_simplex(*masses, cost))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from common import (STAR3, distinct_points, leafless_tree, random_masses, random_point,
-                    spy_on_bland)
+                    solver_masses, spy_on_bland)
 from conftest import DEEP, profile_settings
 from treeradon import (
     CompletenessError,
@@ -520,12 +520,13 @@ def test_equal_mass_case_matches_assignment_oracle(seed):
 # Reference solver: the transportation simplex over Fractions              #
 # ---------------------------------------------------------------------- #
 #
-# The library solver pivots on integers scaled over common denominators.
-# This is the rational solver it replaced, kept as the reference for the
-# pivot sequence: north-west corner start, Bland's first negative reduced
-# cost in row-major order, lexicographically smallest leaving cell among
-# the minimum-theta cells. Equal allocations, not just equal costs, pin
-# the plan files byte for byte.
+# The library solver takes the masses as ints over one scale M and
+# returns its flows as ints over M. This is the rational solver it
+# replaced, kept as the reference for the pivot sequence: north-west
+# corner start, Bland's first negative reduced cost in row-major order,
+# lexicographically smallest leaving cell among the minimum-theta cells.
+# Equal allocations (the library's flows over M against the reference's
+# Fractions), not just equal costs, pin the plan files byte for byte.
 
 def _reference_northwest_corner(supply, demand):
     """Initial basic feasible solution with exactly n+m-1 basis cells."""
@@ -662,7 +663,19 @@ def _solver_instance(tree, src, dst, src_mass, dst_mass):
     mu = make_measure(tree, zip(src, src_mass))
     nu = make_measure(tree, zip(dst, dst_mass))
     cost, _ = transport._cost_matrix(tree, mu.atoms, nu.atoms)
-    return [m for _, m in mu.atoms], [m for _, m in nu.atoms], cost
+    _, supply, demand = solver_masses([m for _, m in mu.atoms], [m for _, m in nu.atoms])
+    return supply, demand, cost
+
+
+def _assert_flows_are_the_reference_allocation(supply, demand, cost):
+    """The solver's int flows, over the masses' scale M, against the
+    Fraction ``reference_simplex`` given the masses over M. Every
+    instance's masses sum to 1, so M is the supply's sum."""
+    scale = sum(supply)
+    flows = transport._transportation_simplex(supply, demand, cost)
+    assert all(type(f) is int for f in flows.values())
+    assert {cell: F(f, scale) for cell, f in flows.items()} == reference_simplex(
+        [F(s, scale) for s in supply], [F(d, scale) for d in demand], cost)
 
 
 @st.composite
@@ -695,13 +708,13 @@ def symmetric_tie_instance(draw):
 @given(random_instance())
 @profile_settings(40)
 def test_integer_solver_matches_reference_allocation(instance):
-    assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
+    _assert_flows_are_the_reference_allocation(*instance)
 
 
 @given(symmetric_tie_instance())
 @profile_settings(40)
 def test_integer_solver_matches_reference_on_ties(instance):
-    assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
+    _assert_flows_are_the_reference_allocation(*instance)
 
 
 def test_integer_solver_matches_reference_16x16():
@@ -711,9 +724,7 @@ def test_integer_solver_matches_reference_16x16():
     src = distinct_points(16, lambda: gen_point(tree, rng, 8))
     dst = distinct_points(16, lambda: gen_point(tree, rng, 8))
     instance = _solver_instance(tree, src, dst, random_masses(rng, 16), random_masses(rng, 16))
-    alloc = transport._transportation_simplex(*instance)
-    assert alloc == reference_simplex(*instance)
-    assert all(type(q) is F for q in alloc.values())
+    _assert_flows_are_the_reference_allocation(*instance)
 
 
 @st.composite
@@ -734,16 +745,17 @@ def thin_instance(draw):
 @given(thin_instance())
 @profile_settings(20)
 def test_integer_solver_matches_reference_on_one_row_or_column(instance):
-    assert transport._transportation_simplex(*instance) == reference_simplex(*instance)
+    _assert_flows_are_the_reference_allocation(*instance)
 
 
 def test_scan_enters_a_reduced_cost_of_minus_one():
     # the north-west corner start leaves cell (0, 1) at reduced cost
     # 0 - u_0 - v_1 = -1, the least negative an int cost allows; a scan that
-    # skipped it would stop at cost 1/2
-    half = [F(1, 2), F(1, 2)]
+    # skipped it would stop at cost 1/2; the masses are 1/2 each, as ints
+    # over their scale 2
+    half = [1, 1]
     assert transport._transportation_simplex(half, half, [[1, 0], [0, 0]]) == {
-        (0, 1): F(1, 2), (1, 0): F(1, 2)}
+        (0, 1): 1, (1, 0): 1}
 
 
 # ---------------------------------------------------------------------- #
@@ -858,10 +870,11 @@ def test_northwest_basis_is_the_reference_corner_as_a_tree(instance):
 def test_northwest_basis_keeps_a_zero_cell_where_row_and_column_run_out():
     # row 0 and column 0 run out together at (0, 0); the staircase steps
     # down to the zero cell (1, 0), which hangs row 1 below column 0
-    # (node 2), and then right to (1, 1)
-    half = [F(1, 2), F(1, 2)]
+    # (node 2), and then right to (1, 1); the masses are 1/2 each, as ints
+    # over their scale 2
+    half = [1, 1]
     assert _assert_basis_is_the_reference_corner(half, half, [[1, 0], [0, 0]]) == (
-        [[2], [3], [1], []], [0, 2, 0, 1], [0, 0, F(1, 2), F(1, 2)])
+        [[2], [3], [1], []], [0, 2, 0, 1], [0, 0, 1, 1])
 
 
 def test_plan_with_wrong_marginals_raises_solver_error(tripod, monkeypatch):
@@ -872,13 +885,14 @@ def test_plan_with_wrong_marginals_raises_solver_error(tripod, monkeypatch):
     solve = transport._transportation_simplex
 
     def skewed(supply, demand, cost):
-        # half of the first cell's mass moves to another column of its row:
-        # the row sums stay right, two column sums do not
+        # half of the first cell's flow, rounded up, moves to another column
+        # of its row: the row sums stay right, two column sums do not
         alloc = solve(supply, demand, cost)
         (i, j), q = min(alloc.items())
-        alloc[(i, j)] = q / 2
+        half = q - q // 2
+        alloc[(i, j)] = q - half
         other = (i, 1 - j)
-        alloc[other] = alloc.get(other, F(0)) + q / 2
+        alloc[other] = alloc.get(other, 0) + half
         return alloc
 
     monkeypatch.setattr(transport, "_transportation_simplex", skewed)
@@ -907,19 +921,20 @@ def test_a_perturbed_allocation_raises_solver_error(monkeypatch, shift):
     """The integer marginal check sees every row and column: one cell made
     heavier throws off its row and its column; mass moved from the largest
     cell to the next row (column) of its column (row) throws off two rows
-    (columns) alone, by half that cell or by 1/(2^61 - 1)."""
+    (columns) alone, by half that cell or by one unit of the masses' scale.
+    The flows are ints over that scale, so each shift is an int."""
     solve = transport._transportation_simplex
 
     def perturbed(supply, demand, cost):
         alloc = solve(supply, demand, cost)
         (i, j), q = max(alloc.items(), key=lambda item: item[1])
         if shift == "one cell up":
-            alloc[(i, j)] = q + F(1, 7)
+            alloc[(i, j)] = q + 1
             return alloc
-        amount = q / 2 if shift.startswith("half") else F(1, 2**61 - 1)
+        amount = q // 2 if shift.startswith("half") else 1
         other = ((i + 1) % len(supply), j) if shift.endswith("rows") else (i, (j + 1) % len(demand))
         alloc[(i, j)] = q - amount
-        alloc[other] = alloc.get(other, F(0)) + amount
+        alloc[other] = alloc.get(other, 0) + amount
         return alloc
 
     monkeypatch.setattr(transport, "_transportation_simplex", perturbed)
@@ -1021,7 +1036,7 @@ def test_cost_matrix_is_the_least_integer_scaling(case):
     squares = [[tree.distance(p, q) ** 2 for q, _ in nu.atoms] for p, _ in mu.atoms]
     assert all(type(c) is int for row in cost for c in row)
     assert scale == math.lcm(*(d.denominator for row in squares for d in row))
-    supply, demand = [m for _, m in mu.atoms], [m for _, m in nu.atoms]
+    _, supply, demand = solver_masses([m for _, m in mu.atoms], [m for _, m in nu.atoms])
     assert (transport._transportation_simplex(supply, demand, cost)
             == transport._transportation_simplex(supply, demand, squares))
 

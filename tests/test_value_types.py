@@ -278,7 +278,11 @@ def test_result_record_cannot_be_assigned(record):
 @each_record
 def test_result_record_pickle_round_trip(record):
     back = pickle.loads(pickle.dumps(record))
-    assert back == record and type(back) is type(record) and repr(back) == repr(record)
+    assert back == record and type(back) is type(record)
+    assert _hash_or_error(back) == _hash_or_error(record)
+    # a rebuilt frozenset may iterate, and so print, in another order
+    if not any(isinstance(value, (set, frozenset)) for value in record):
+        assert repr(back) == repr(record)
 
 
 @each_record
