@@ -400,20 +400,19 @@ def _onward(tree: Tree, vertex: VertexId, via: int) -> int | None:
 
 def _travel(tree: Tree, p: TreePoint, q: TreePoint, t) -> TreePoint:
     """Where constant-speed travel from ``p`` to ``q``, two canonical
-    points, is at time ``t ≥ 0``, reaching ``q`` at time 1.
+    points, is at time ``t ≥ 1``, reaching ``q`` at time 1; up to time 1
+    it is ``Tree._point_along(p, q, t)``, which callers ask themselves.
 
-    Up to time 1 this is ``Tree._point_along``. Past it, each call reads
-    the last edge of the path and the way along it from the tree's walk
-    (``Tree._walk``), and walks afresh from ``q``: it finishes that edge,
-    then takes the walk rule ``_onward`` at every vertex and turns back
-    along the edge it came by at a leaf, so the speed stays constant on
-    trees with leaves. The distance past ``q`` comes from ``Tree._distance``
-    at the vertex where the walk's climb met, so the tree is climbed once
-    and neither point is checked again. No ``Geodesic`` is built at any
-    time. A zero-length segment stays at its point.
+    Each call reads the last edge of the path and the way along it from
+    the tree's walk (``Tree._walk``), and walks afresh from ``q``: it
+    finishes that edge, then takes the walk rule ``_onward`` at every
+    vertex and turns back along the edge it came by at a leaf, so the
+    speed stays constant on trees with leaves. The distance past ``q``
+    comes from ``Tree._distance`` at the vertex where the walk's climb met,
+    so the tree is climbed once and neither point is checked again. No
+    ``Geodesic`` is built. At time 1, and on a zero-length segment, it
+    stays at ``q``.
     """
-    if t <= 1:
-        return tree._point_along(p, q, t)
     edges, walk, top = tree._walk(p, q)
     extra = (t - 1) * tree._distance(p, q, top)
     eid = edges[-1]

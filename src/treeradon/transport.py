@@ -34,16 +34,17 @@ one for the cost.
 Displacement interpolation, dilation from a Dirac mass and its extension
 past time 1 all evaluate one ``WassersteinGeodesic``, which keeps its
 plan's couplings, checked once when it is built, and moves each coupled
-mass at constant speed along the path from its source to its target
-(``geodesics._travel``); the atoms it locates are canonical and go to
-the measure core unchecked. Up to time 1 the point is located from the
-tree's depths, compared as int pairs (``Tree._point_along``), and past
-it from the last edge of the tree's walk from source to target
-(``Tree._walk``), whose climb also gives the distance, so no path is
-built at any time. Past its target the mass follows the geodesics' one
-walk rule (``geodesics._onward``): the smallest other incident edge
-identifier at every vertex, which makes every output deterministic, and
-it turns back at a leaf. Each evaluation walks afresh and nothing is
+mass at constant speed along the path from its source to its target; the
+atoms it locates are canonical and go to the measure core unchecked.
+Each evaluation compares its time with 1 once. Up to time 1 every point
+is located from the tree's depths, compared as int pairs
+(``Tree._point_along``), and past it from the last edge of the tree's
+walk from source to target (``geodesics._travel`` over ``Tree._walk``),
+whose climb also gives the distance, so no path is built at any time.
+Past its target the mass follows the geodesics' one walk rule
+(``geodesics._onward``): the smallest other incident edge identifier at
+every vertex, which makes every output deterministic, and it turns back
+at a leaf. Each evaluation walks afresh and nothing is
 cached, so plans and Wasserstein geodesics are safe to share across
 threads.
 """
@@ -53,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from typing import NamedTuple
 
@@ -352,39 +354,32 @@ def _cost_matrix(tree, sources, targets):
 
     Each atom, canonical as its measure holds it, has its foot found once;
     an atom the tree lacks fails that lookup and raises :class:`MeasureError`.
-    A pair's distance is P + Q − 2·M, with P and Q the atoms' depths and M
-    the depth where their paths to the root meet (``Tree._meet``), or
-    |P − Q| when the two lie inside one edge. The feet and meets give each
-    depth as an int pair, so no ``Fraction`` enters the arithmetic: scaled
-    by the lcm D of the denominators of every depth involved, each
-    distance is an int, and so is each D²·d²; dividing these and D² by
-    their gcd leaves the least scale.
+    Every pair's distance is P + Q − 2·M, with P and Q the atoms' depths and
+    M the depth where their paths to the root meet (``Tree._meet``), which
+    for two atoms of one edge is the shallower one's. The feet and meets
+    give each depth as an int pair, so no ``Fraction`` enters the
+    arithmetic: scaled by the lcm D of the denominators of every depth
+    involved, each distance is an int, and so is each D²·d²; dividing these
+    and D² by their gcd leaves the least scale.
     """
     def feet(atoms):
         found = []
         for p, _ in atoms:
             try:
-                found.append((p.edge, tree._foot(p)))
+                found.append(tree._foot(p))
             except (KeyError, IndexError):  # an unknown vertex, or an edge id past the tree's
                 raise _foreign_atom(p) from None
         return found
 
     rows, columns = feet(sources), feet(targets)
     meet = tree._meet
-    meets = [[meet(p_edge, p_foot, q_edge, q_foot) for q_edge, q_foot in columns]
-             for p_edge, p_foot in rows]
+    meets = [[meet(p, q) for q in columns] for p in rows]
     chain = itertools.chain.from_iterable
-    lcd = math.lcm(*{x[1] for x in chain(meets) if x is not None},
-                   *(foot[2] for _, foot in rows + columns))
-    sources_depth = [foot[1] * (lcd // foot[2]) for _, foot in rows]
-    targets_depth = [foot[1] * (lcd // foot[2]) for _, foot in columns]
-    matrix = []
-    for p, row in zip(sources_depth, meets):
-        squares = []
-        for q, x in zip(targets_depth, row):
-            d = abs(p - q) if x is None else p + q - 2 * x[0] * (lcd // x[1])
-            squares.append(d * d)
-        matrix.append(squares)
+    lcd = math.lcm(*{md for _, md in chain(meets)}, *(foot[2] for foot in rows + columns))
+    sources_depth = [foot[1] * (lcd // foot[2]) for foot in rows]
+    targets_depth = [foot[1] * (lcd // foot[2]) for foot in columns]
+    matrix = [[(p + q - 2 * mn * (lcd // md)) ** 2 for q, (mn, md) in zip(targets_depth, row)]
+              for p, row in zip(sources_depth, meets)]
     common = math.gcd(lcd * lcd, *chain(matrix))
     return [[c // common for c in row] for row in matrix], lcd * lcd // common
 
@@ -456,7 +451,8 @@ def extend_from_dirac(tree: Tree, x: TreePoint, mu: Measure, t) -> Measure:
 class WassersteinGeodesic:
     """A measure-valued geodesic: a plan whose coupled masses each travel
     at constant speed along the path from their source to their target
-    (``geodesics._travel``). The constructor takes the plan as outside
+    (``Tree._point_along`` up to time 1, ``geodesics._travel`` past it,
+    chosen once per evaluation). The constructor takes the plan as outside
     input: it makes each coupling's points canonical points of ``tree``
     and parses its mass, once. ``at`` builds no path at any time and
     hands the atoms it locates to ``measures._measure`` unchecked.
@@ -494,8 +490,9 @@ class WassersteinGeodesic:
         lo, hi = self.interval
         if not lo <= t <= hi:
             raise ValueError(f"time {t} outside parameter interval [{lo}, {hi}]")
-        tree = self.tree
-        return _measure((_travel(tree, src, dst, t), mass) for src, dst, mass in self._couplings)
+        # one comparison decides for every coupling which side of time 1 it is on
+        move = self.tree._point_along if t <= 1 else partial(_travel, self.tree)
+        return _measure((move(src, dst, t), mass) for src, dst, mass in self._couplings)
 
 
 # ---------------------------------------------------------------------- #

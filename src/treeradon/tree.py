@@ -13,6 +13,14 @@ children; flag positions follow ``vertices`` order. Nothing changes
 later, so a tree is immutable, costs O(V) memory for its lifetime, and is
 safe to share between threads. Lengths, offsets and distances are
 ``fractions.Fraction``; nothing in this package touches floating point.
+A depth is kept as the reduced int pair ``(n, d)``, d > 0, that the
+construction walk sums in ints, since the metric reads it only as ints.
+
+The metric is stated once, through the Gromov product at the root: the
+distance between two points is ``depth(p) + depth(q) − 2·meet``, where
+``meet`` is the depth at which their paths to the root meet (``_meet``).
+That rule holds for every pair, two points of one edge or ray included,
+so the distance, the locator and the cost matrix have no case of their own.
 
 Arguments are validated once, at the public boundary: public methods
 check the ids and points they are given, while underscore helpers take
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Union
 
 from .errors import PointLocationError, TreeStructureError
@@ -145,14 +153,16 @@ class Flag(NamedTuple):
 
 
 class VertexRecord(NamedTuple):
-    """What a tree knows about one vertex; ``parent`` is None at the root."""
+    """What a tree knows about one vertex; ``parent`` is None at the root,
+    and ``depth`` is the distance from the root as a reduced int pair
+    ``(n, d)`` with d > 0."""
 
     id: VertexId
     incident: tuple[int, ...]
     parent: VertexId | None
     parent_edge: int | None
     hops: int
-    depth: Fraction
+    depth: tuple[int, int]
     first_flag: int
 
 
@@ -220,7 +230,8 @@ class Tree:
         # TypeError) and membership (a KeyError) together, and swaps an
         # equal alias (True for 1) for the vertex list's own id.
         records = []
-        finite_count = 0
+        # each finite length as its int pair, which the depths are summed in
+        ratios: dict[int, tuple[int, int]] = {}
         for eid, (u, v, length) in enumerate(edges):
             try:
                 u, u_edges = incident[u]
@@ -246,9 +257,9 @@ class Tree:
                             f"edge {eid} length {length!r} is not an int or a Fraction")
                     length = Fraction(length)
                 # a Fraction's denominator is positive, so its sign is the numerator's
-                if length.numerator <= 0:
+                ratios[eid] = ratio = length.as_integer_ratio()
+                if ratio[0] <= 0:
                     raise TreeStructureError(f"edge {eid} has nonpositive length {length}")
-                finite_count += 1
                 v_edges.append(eid)
             records.append(_new(EdgeRecord, (eid, u, v, length)))
             u_edges.append(eid)
@@ -257,19 +268,23 @@ class Tree:
         # Connectivity over finite edges, then acyclicity by edge count. The
         # walk roots the tree at vertices[0] and lists each vertex with its
         # parent, parent edge, hop count and depth, after its parent; it
-        # grows while it is read, so it runs breadth first.
-        walk = [(self.vertices[0], None, None, 0, _ZERO)]
+        # grows while it is read, so it runs breadth first. A depth is its
+        # parent's plus the edge's length, summed and reduced as int pairs.
+        walk = [(self.vertices[0], None, None, 0, (0, 1))]
         reached = {self.vertices[0]}
-        for w, _, _, hops, depth in walk:
+        for w, _, _, hops, (n, d) in walk:
             for eid in incident[w][1]:
                 rec = records[eid]
                 o = rec.u if rec.v == w else rec.v  # None across a ray
                 if o is not None and o not in reached:
                     reached.add(o)
-                    walk.append((o, w, eid, hops + 1, depth + rec.length))
+                    a, b = ratios[eid]
+                    n_o, d_o = n * b + a * d, d * b
+                    g = gcd(n_o, d_o)
+                    walk.append((o, w, eid, hops + 1, (n_o // g, d_o // g)))
         if len(walk) != len(self.vertices):
             raise TreeStructureError("disconnected: not all vertices are reachable")
-        if finite_count != len(self.vertices) - 1:
+        if len(ratios) != len(self.vertices) - 1:
             raise TreeStructureError("cycle detected: too many finite edges for a tree")
 
         # True iff the tree has no leaf, i.e. every geodesic extends to a line.
@@ -454,22 +469,23 @@ class Tree:
             return rec.v
         return rec.u
 
-    def _foot(self, point: TreePoint) -> tuple[VertexId, int, int, bool]:
-        """``(foot, n, d, inside)``: the point's foot (see :meth:`_foot_vertex`),
-        its depth as the int pair n/d, d > 0, and whether it sits inside that
-        vertex's parent edge. Inside an edge the pair is ``u``'s depth plus or
-        minus the offset over the product of their denominators, unreduced."""
+    def _foot(self, point: TreePoint) -> tuple[VertexId, int, int, bool, int | None]:
+        """``(foot, n, d, inside, edge)``: the point's foot (see
+        :meth:`_foot_vertex`), its depth as the int pair n/d, d > 0, whether
+        it sits inside that vertex's parent edge, and its edge (None at a
+        vertex). Inside an edge the pair is ``u``'s depth plus or minus the
+        offset over the product of their denominators, unreduced."""
         foot = self._foot_vertex(point)
         if point.vertex is not None:
-            n, d = self._vertex[foot].depth.as_integer_ratio()
-            return foot, n, d, False
+            n, d = self._vertex[foot].depth
+            return foot, n, d, False, None
         rec = self.edges[point.edge]
-        a, b = self._vertex[rec.u].depth.as_integer_ratio()
+        a, b = self._vertex[rec.u].depth
         c, e = point.offset.as_integer_ratio()
         inside = rec.v is not None
         if inside and foot == rec.u:
             c = -c  # u is the edge's lower end, so the point is shallower than u
-        return foot, a * e + c * b, b * e, inside
+        return foot, a * e + c * b, b * e, inside, rec.id
 
     def _lca(self, a: VertexId, b: VertexId) -> VertexRecord:
         """Record of the lowest common ancestor of two vertices, by climbing."""
@@ -490,40 +506,39 @@ class Tree:
 
     def _distance(self, p: TreePoint, q: TreePoint, top: VertexRecord | None = None) -> Fraction:
         """:meth:`distance` between two canonical points of this tree, which
-        it takes as they are and does not check: :meth:`_meet`'s sum over the
-        lcm of the depth pairs' denominators, made one ``Fraction``. ``top``
-        is the record of the feet's lowest common ancestor, if known."""
+        it takes as they are and does not check: ``depth(p) + depth(q) −
+        2·meet`` (:meth:`_meet`) over the lcm of the depth pairs'
+        denominators, made one ``Fraction``. ``top`` is the record of the
+        feet's lowest common ancestor, if known."""
         p_foot, q_foot = self._foot(p), self._foot(q)
-        (_, pn, pd, _), (_, qn, qd, _) = p_foot, q_foot
-        meet = self._meet(p.edge, p_foot, q.edge, q_foot, top)
-        if meet is None:
-            return Fraction(abs(pn * qd - qn * pd), pd * qd)
-        mn, md = meet
+        (_, pn, pd, _, _), (_, qn, qd, _, _) = p_foot, q_foot
+        mn, md = self._meet(p_foot, q_foot, top)
         scale = lcm(pd, qd, md)
         return Fraction(pn * (scale // pd) + qn * (scale // qd) - 2 * mn * (scale // md), scale)
 
-    def _meet(self, p_edge: int | None, p_foot: tuple, q_edge: int | None,
-              q_foot: tuple, top: VertexRecord | None = None) -> tuple[int, int] | None:
-        """The depth at which the paths from two canonical points to the
-        root meet, as an int pair ``(n, d)`` like :meth:`_foot`'s, given each
-        point's edge and :meth:`_foot` tuple, or None when both points lie
-        inside one edge.
+    def _meet(self, p_foot: tuple, q_foot: tuple,
+              top: VertexRecord | None = None) -> tuple[int, int]:
+        """The Gromov product of two canonical points at the root: the
+        depth at which their paths to the root meet, as an int pair ``(n,
+        d)`` like :meth:`_foot`'s, given each point's :meth:`_foot` tuple.
+        It is defined for every pair, so the distance is always ``depth(p)
+        + depth(q) − 2·meet``.
 
-        That depth is the depth of the lowest common ancestor of their feet
-        (``top``, else found by :meth:`_lca`), or of p (q) itself when it
-        sits inside the edge just above that ancestor. The distance is
-        ``depth(p) + depth(q) − 2·meet``, or ``|depth(p) − depth(q)|`` inside
-        one edge.
+        Two points of one edge or ray meet at the shallower of the two.
+        Otherwise they meet at the lowest common ancestor of their feet
+        (``top``, else found by :meth:`_lca`), or at p (q) itself when it
+        sits inside the edge just above that ancestor.
         """
+        (a, pn, pd, p_inside, p_edge), (b, qn, qd, q_inside, q_edge) = p_foot, q_foot
         if p_edge is not None and p_edge == q_edge:
-            return None
+            return (pn, pd) if pn * qd <= qn * pd else (qn, qd)
         if top is None:
-            top = self._lca(p_foot[0], q_foot[0])
-        if p_foot[3] and p_foot[0] == top.id:
-            return p_foot[1], p_foot[2]
-        if q_foot[3] and q_foot[0] == top.id:
-            return q_foot[1], q_foot[2]
-        return top.depth.as_integer_ratio()
+            top = self._lca(a, b)
+        if p_inside and a == top.id:
+            return pn, pd
+        if q_inside and b == top.id:
+            return qn, qd
+        return top.depth
 
     def _point_along(self, p: TreePoint, q: TreePoint, t: Fraction) -> TreePoint:
         """The point a fraction ``t`` in [0, 1] of the way from ``p`` to
@@ -540,39 +555,35 @@ class Tree:
         the climb starts at the foot (a point inside a finite edge lies in
         its foot's parent edge) and follows parent links while the vertex
         is deeper than the target: the target is the vertex it stops at, or
-        inside the parent edge of the vertex before it. Two points inside
-        one edge give the offset ``t`` of the way between theirs. It runs in
-        ints: the target is an int over the lcm of the depth pairs'
-        denominators times t's, compared with each record's depth by
-        cross-multiplying, and an offset is the one ``Fraction`` built.
+        inside the parent edge of the vertex before it. Two points of one
+        edge or ray take the same steps, since they meet at the shallower
+        one: the target lies between them, on their ray, or in their edge
+        just below the vertex the climb stops at. It runs in ints: the
+        target is an int over the lcm of the depth pairs' denominators
+        times t's, compared with each record's depth by cross-multiplying,
+        and an offset is the one ``Fraction`` built.
         """
         p_foot, q_foot = self._foot(p), self._foot(q)
         tn, td = t.as_integer_ratio()
-        meet = self._meet(p.edge, p_foot, q.edge, q_foot)
-        if meet is None:
-            a, b = p.offset.as_integer_ratio()
-            c, e = q.offset.as_integer_ratio()
-            offset = Fraction(a * e * td + tn * (c * b - a * e), b * e * td)
-            return _new(TreePoint, (None, p.edge, offset))
-        (_, pn, pd, _), (_, qn, qd, _), (mn, md) = p_foot, q_foot, meet
+        (_, pn, pd, _, _), (_, qn, qd, _, _), (mn, md) = p_foot, q_foot, self._meet(p_foot, q_foot)
         scale = lcm(pd, qd, md)
         depth_p, depth_q, depth_m = pn * (scale // pd), qn * (scale // qd), mn * (scale // md)
         # the arc length s, up and the target are ints over scale · td
         up = depth_p - depth_m
         s = tn * (up + depth_q - depth_m)
         up *= td
-        point, (v, _, _, inside), target = ((p, p_foot, depth_p * td - s) if s <= up
-                                            else (q, q_foot, depth_m * td + s - up))
+        (v, _, _, inside, edge), target = ((p_foot, depth_p * td - s) if s <= up
+                                           else (q_foot, depth_m * td + s - up))
         scale *= td
         vertex = self._vertex
         rec = vertex[v]
-        n, d = rec.depth.as_integer_ratio()
-        if not (inside or point.vertex is not None) and target * d > n * scale:
-            return _new(TreePoint, (None, point.edge, Fraction(target * d - n * scale, scale * d)))
+        n, d = rec.depth
+        if edge is not None and not inside and target * d > n * scale:
+            return _new(TreePoint, (None, edge, Fraction(target * d - n * scale, scale * d)))
         while n * scale > target * d:
             child, child_n, child_d = rec, n, d
             rec = vertex[rec.parent]
-            n, d = rec.depth.as_integer_ratio()
+            n, d = rec.depth
         if n * scale == target * d:
             return TreePoint(rec.id)
         edge = self.edges[child.parent_edge]

@@ -6,6 +6,7 @@ Test modules import what they draw from here, never from one another.
 import json
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -378,6 +379,23 @@ def solver_masses(supply, demand):
         return [q.numerator * (scale // q.denominator) for q in masses]
 
     return scale, over(supply), over(demand)
+
+
+@contextmanager
+def fraction_calls(*names):
+    """The names of the ``Fraction`` methods among ``names`` called while
+    the block runs, in call order; a context manager, as hypothesis refuses
+    function-scoped fixtures such as ``monkeypatch``."""
+    calls = []
+    originals = {name: getattr(F, name) for name in names}
+    for name, method in originals.items():
+        setattr(F, name, lambda *args, _name=name, _method=method:
+                calls.append(_name) or _method(*args))
+    try:
+        yield calls
+    finally:
+        for name, method in originals.items():
+            setattr(F, name, method)
 
 
 def spy_on_bland(monkeypatch):

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import (PRIMES, deep_caterpillar, inside, leafless_description, leafless_tree,
-                    random_point)
+from common import (PRIMES, deep_caterpillar, distinct_points, fraction_calls, inside,
+                    leafless_description, leafless_tree, random_point)
 from conftest import profile_settings
 from geodesic_reference import geodesic_through_edge
 from treeradon import (
@@ -364,7 +364,38 @@ def test_depth_pairs_give_the_summed_path_lengths(seed, kind):
             assert F(cost, scale) == path(tree, p, q).length ** 2, (p, q)
 
 
-def test_locating_makes_no_fraction_arithmetic(monkeypatch):
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@profile_settings(20)
+def test_one_edge_pairs_meet_at_the_shallower_point(seed, leaves):
+    # two points of one edge or ray, in both orders, against the closed
+    # forms the metric once wrote for them apart: they meet at the shallower
+    # point, their distance is the offsets' difference, and the point t of
+    # the way from p to q sits at offset p + t·(q − p). The caterpillars
+    # write finite edges child end first and parent end first, and the
+    # leafless one holds rays
+    rng = random.Random(seed)
+    tree = deep_caterpillar(rng, leaves)
+    vertex, root = tree._vertex, TreePoint(tree.vertices[0])
+    kinds = {"ray": [], "u": [], "v": []}  # a finite edge by its child end
+    for rec in tree.edges:
+        kind = "ray" if rec.is_ray else "u" if vertex[rec.u].parent_edge == rec.id else "v"
+        kinds[kind].append(rec.id)
+    assert [bool(edges) for edges in kinds.values()] == [not leaves, True, True]
+    for edges in kinds.values():
+        for eid in rng.sample(edges, min(4, len(edges))):
+            p, q = distinct_points(2, lambda: inside(tree, rng, eid))
+            for a, b in ((p, q), (q, p)):
+                shallower = min(a, b, key=lambda point: path(tree, root, point).length)
+                meet = tree._meet(tree._foot(a), tree._foot(b))
+                assert meet == tree._foot(shallower)[1:3], (a, b)
+                assert F(*meet) == path(tree, root, shallower).length
+                assert tree._distance(a, b) == abs(a.offset - b.offset)
+                for t in (F(0), F(1, 3), F(1, 2), F(1)):
+                    offset = a.offset + t * (b.offset - a.offset)
+                    assert tree._point_along(a, b, t) == TreePoint(edge=eid, offset=offset)
+
+
+def test_locating_makes_no_fraction_arithmetic():
     # _point_along and _distance work on int pairs and build each answer's
     # one Fraction from ints; every pair of locator_pairs, two points of
     # one edge included, on every kind of locator tree
@@ -372,15 +403,10 @@ def test_locating_makes_no_fraction_arithmetic(monkeypatch):
     cases = [(tree, p, q, t) for tree in (locator_tree(kind, rng) for kind in LOCATOR_TREES)
              for p, q in locator_pairs(tree, rng) for t in (F(0), F(1, 3), F(1, 2), F(1))]
     assert any(p.edge is not None and p.edge == q.edge for _, p, q, _ in cases)
-    calls = []
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__neg__", "__abs__",
-                 "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-        method = getattr(F, name)
-        monkeypatch.setattr(F, name, lambda *args, _name=name, _method=method:
-                            calls.append(_name) or _method(*args))
-    found = [(tree._point_along(p, q, t), tree._distance(p, q)) for tree, p, q, t in cases]
-    monkeypatch.undo()
+    with fraction_calls("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                        "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+                        "__eq__", "__lt__", "__le__", "__gt__", "__ge__") as calls:
+        found = [(tree._point_along(p, q, t), tree._distance(p, q)) for tree, p, q, t in cases]
     assert calls == []
     for (tree, p, q, t), (point, distance) in zip(cases, found):
         segment = path(tree, p, q)
@@ -401,16 +427,16 @@ def test_point_along_lands_on_every_vertex_depth(seed, leaves):
         chain.append(vertex[chain[-1].parent])
     assert len(chain) > 200
     bottom, root = chain[0], chain[-1]
-    length = bottom.depth
+    length = F(*bottom.depth)
     pairs = ((TreePoint(bottom.id), TreePoint(root.id), lambda depth: (length - depth) / length),
              (TreePoint(root.id), TreePoint(bottom.id), lambda depth: depth / length))
     for p, q, at in pairs:
         for rec in chain:
-            found = tree._point_along(p, q, at(rec.depth))
+            found = tree._point_along(p, q, at(F(*rec.depth)))
             assert found == TreePoint(rec.id) and found.vertex is rec.id, (p, q, rec.id)
         for rec in chain[:-1]:
             edge = tree.edges[rec.parent_edge]
-            found = tree._point_along(p, q, at(rec.depth - edge.length / 2))
+            found = tree._point_along(p, q, at(F(*rec.depth) - edge.length / 2))
             assert found == tree.point(edge.id, edge.length / 2), (p, q, edge.id)
             assert tree.canonical_point(found) is found
     assert {tree.edges[rec.parent_edge].u == rec.id for rec in chain[:-1]} == {False, True}

@@ -11,7 +11,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from common import hidden_measure, leafless_tree, tree_and_measure, twin
+from common import fraction_calls, hidden_measure, leafless_tree, tree_and_measure, twin
 from conftest import profile_settings
 from treeradon import (
     Geodesic,
@@ -442,33 +442,21 @@ def test_pushforward_adds_no_fraction(monkeypatch):
     tree = leafless_tree(rng, 40)
     mu = hidden_measure(tree, rng, 6)
     geodesics = [geodesic_through_flag(tree, flag) for flag in enumerate_flags(tree)]
-    added, charting = [], []
-    add, radd, project = F.__add__, F.__radd__, Geodesic._project
+    project = Geodesic._project
+    with fraction_calls("__add__", "__radd__") as added:
 
-    def counted_add(a, b):
-        if not charting:
-            added.append((a, b))
-        return add(a, b)
+        def uncounted_project(self, point):
+            start = len(added)
+            try:
+                return project(self, point)
+            finally:
+                del added[start:]
 
-    def counted_radd(a, b):
-        if not charting:
-            added.append((b, a))
-        return radd(a, b)
-
-    def uncounted_project(self, point):
-        charting.append(point)
-        try:
-            return project(self, point)
-        finally:
-            charting.pop()
-
-    monkeypatch.setattr(F, "__add__", counted_add)
-    monkeypatch.setattr(F, "__radd__", counted_radd)
-    monkeypatch.setattr(Geodesic, "_project", uncounted_project)
-    samples = [pushforward_projection(tree, geodesic, mu) for geodesic in geodesics]
-    assert added == []
-    assert [sample.atoms for sample in samples] == [fraction_merge(g, mu) for g in geodesics]
-    assert added
+        monkeypatch.setattr(Geodesic, "_project", uncounted_project)
+        samples = [pushforward_projection(tree, geodesic, mu) for geodesic in geodesics]
+        assert added == []
+        assert [sample.atoms for sample in samples] == [fraction_merge(g, mu) for g in geodesics]
+        assert added
 
 
 def test_cached_integer_masses_keep_equality_hashing_and_pickling(tripod):

@@ -52,8 +52,9 @@ def test_bytes_per_vertex_do_not_grow_with_size(tracing):
         tree = build_tree(description)
         per_vertex.append((traced_now() - before) / n)
         del tree
-    # 569 B per vertex at V=500 and 583 at V=2000 (Python 3.11); a
-    # per-pair cache would grow fourfold between them
+    # 576 B per vertex at V=500 and 591 at V=2000 (Python 3.11), with
+    # each depth kept as an int pair; a per-pair cache would grow fourfold
+    # between them
     assert max(per_vertex) <= 1.25 * min(per_vertex), per_vertex
 
 

@@ -19,7 +19,6 @@ a total that cancels to zero; the int regime must do no ``Fraction``
 arithmetic and build one ``Fraction`` per distinct flag value.
 """
 
-from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import cycle
 from math import comb, lcm
@@ -32,6 +31,7 @@ from common import (
     PRIMES,
     assert_identical,
     flag_prime_table,
+    fraction_calls,
     raised,
     small_values,
     trees,
@@ -84,21 +84,8 @@ def test_forward_matches_reference(drawn, values):
 TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, sparse_values, flag_prime_table))
 
 
-@contextmanager
-def fraction_arithmetic():
-    """The names of the ``Fraction`` +, - and reflected +, - calls made
-    while the block runs; a context manager, as hypothesis refuses
-    function-scoped fixtures such as ``monkeypatch``."""
-    calls = []
-    originals = {name: getattr(F, name) for name in ("__add__", "__radd__", "__sub__", "__rsub__")}
-    for name, method in originals.items():
-        setattr(F, name, lambda *args, _name=name, _method=method:
-                calls.append(_name) or _method(*args))
-    try:
-        yield calls
-    finally:
-        for name, method in originals.items():
-            setattr(F, name, method)
+# the Fraction arithmetic a sum makes: +, - and their reflections
+ADD_SUB = ("__add__", "__radd__", "__sub__", "__rsub__")
 
 
 def primes_of_bits(rng, bits):
@@ -133,7 +120,7 @@ def test_forward_matches_reference_at_the_switch(drawn, bits, cancel):
     h = vertex_function(tree, values)
     assert lcm(*(value.denominator for value in h.values.values())).bit_length() == bits
     assert (h.total == 0) is cancel
-    with fraction_arithmetic() as calls:
+    with fraction_calls(*ADD_SUB) as calls:
         table = radon_forward(tree, h)
     assert_identical(table.values, reference.radon_forward(tree, h).values)
     if bits == 64:
@@ -149,7 +136,7 @@ def test_int_regime_does_no_fraction_arithmetic(drawn):
     """On denominators up to 12, as the benchmark's large tree draws them."""
     tree, rng = drawn
     h = small_values(tree, rng)
-    with fraction_arithmetic() as calls:
+    with fraction_calls(*ADD_SUB) as calls:
         table = radon_forward(tree, h)
     assert calls == []
     assert one_entry_per_value(table.entries)

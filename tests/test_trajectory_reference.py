@@ -1,5 +1,6 @@
 """Constant-speed travel against the cached walk it replaced.
 
+Up to time 1 travel is ``Tree._point_along``; past it,
 ``geodesics._travel`` walks past a path's end afresh on every call,
 with the geodesics' one walk rule, and turns back at a leaf.
 ``ParentTrajectory`` is the earlier code, which grew and kept a list of
@@ -50,7 +51,8 @@ def test_position_matches_parent_trajectory(seed, kind, times):
                              for v in landings]
             rng.shuffle(times)
         for t in times:
-            assert _travel(tree, src, dst, t) == reference.position(t)
+            found = tree._point_along(src, dst, t) if t <= 1 else _travel(tree, src, dst, t)
+            assert found == reference.position(t)
 
 
 def test_wasserstein_geodesic_is_unchanged_by_evaluation():

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from common import (STAR3, distinct_points, leafless_tree, random_masses, random_point,
-                    solver_masses, spy_on_bland)
+from common import (STAR3, distinct_points, fraction_calls, inside, leafless_tree, random_masses,
+                    random_point, solver_masses, spy_on_bland)
 from conftest import DEEP, profile_settings
 from treeradon import (
     CompletenessError,
@@ -222,6 +222,39 @@ def test_no_geodesic_is_built_past_time_one(monkeypatch):
     assert built == []
     path(tree, x, y)  # the spy sees the geodesic that path builds
     assert len(built) == 1
+
+
+def test_travel_at_time_one_is_the_target():
+    """``_travel`` walks past time 1 only, so at time 1 it stays at the
+    target, as ``check_nonextendable`` with ε = 0 asks it to."""
+    rng = random.Random(12)
+    for _ in range(20):
+        tree = leafless_tree(rng, rng.randint(1, 30))
+        p, q = random_point(tree, rng), random_point(tree, rng)
+        eid = rng.randrange(len(tree.edges))
+        a, b = distinct_points(2, lambda: inside(tree, rng, eid))
+        for x, y in ((p, q), (p, p), (a, b), (b, a)):
+            assert _travel(tree, x, y, F(1)) == y
+        if p != q:
+            mu = make_measure(tree, [(p, F(1, 2)), (q, F(1, 2))])
+            assert check_nonextendable(tree, mu, q, 0).y_continued == q
+
+
+@pytest.mark.parametrize("count", (10, 30))
+def test_evaluation_compares_its_time_once(count):
+    """``at`` compares t with its interval and with 1 once, and so makes
+    at most three ``Fraction`` comparisons whatever the coupling count: on
+    a star of rays, each coupling from its ray to the hub, so the
+    midpoints lie on distinct edges and the measure core's sort compares
+    no offset."""
+    star = build_tree({"vertices": ["c"], "edges": [("c", None, "inf")] * count})
+    mu = make_measure(star, [(star.point(eid, 2), F(1, count)) for eid in range(count)])
+    family = WassersteinGeodesic(star, optimal_plan(star, mu, dirac(star, TreePoint("c"))))
+    assert len(family.plan.couplings) == count
+    with fraction_calls("__eq__", "__lt__", "__le__", "__gt__", "__ge__") as calls:
+        half = family.at(F(1, 2))
+    assert len(calls) <= 3
+    assert half == make_measure(star, [(star.point(eid, 1), F(1, count)) for eid in range(count)])
 
 
 def test_travel_past_time_one_climbs_once(monkeypatch):

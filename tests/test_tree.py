@@ -4,13 +4,13 @@ import random
 import re
 from collections import deque
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeradon.tree
-from common import leafless_description, random_caterpillar, random_tree
+from common import fraction_calls, leafless_description, random_caterpillar, random_tree
 from conftest import profile_settings
 from treeradon import (
     Flag,
@@ -180,7 +180,12 @@ class TestBuildTree:
     def test_constructor_stores_an_int_length_as_a_fraction(self):
         tree = Tree(["a", "b", "c", "d"], [("a", "b", 1), ("a", "c", F(1, 2)), ("a", "d", 2)])
         assert [type(rec.length) for rec in tree.edges] == [F, F, F]
-        assert all(type(rec.depth) is F for rec in tree._vertex.values())
+        # a depth is the reduced int pair of the summed edge lengths
+        summed = {"a": F(0), "b": F(1), "c": F(1, 2), "d": F(2)}
+        for v, rec in tree._vertex.items():
+            n, d = rec.depth
+            assert (type(n), type(d)) == (int, int) and d > 0 and gcd(n, d) == 1
+            assert F(n, d) == summed[v]
         distance = tree.distance(tree.vertex_point("b"), tree.vertex_point("d"))
         assert (distance, type(distance)) == (3, F)
 
@@ -236,7 +241,8 @@ def records_by_hand(description):
     """The records a tree of ``description`` holds, built apart from
     ``Tree``: edges in list order, each endpoint swapped for the vertex
     list's own id, then vertices breadth first from the first one, each
-    depth its parent's plus the length of the edge between them."""
+    depth its parent's plus the length of the edge between them, summed as
+    ``Fraction``s and kept as the sum's reduced int pair."""
     vertices = description["vertices"]
     own = {v: v for v in vertices}
     edges, incident = [], {v: [] for v in vertices}
@@ -262,8 +268,9 @@ def records_by_hand(description):
             if o is not None and o not in found:
                 found[o] = (w, eid, hops + 1, depth + rec.length)
                 queue.append(o)
-    return edges, {v: VertexRecord(v, tuple(incident[v]), *found[v], first_flag[v])
-                   for v in found}
+    return edges, {v: VertexRecord(v, tuple(incident[v]), parent, via, hops,
+                                   depth.as_integer_ratio(), first_flag[v])
+                   for v, (parent, via, hops, depth) in found.items()}
 
 
 RECORD_TREES = ("leafless", "finite", "complete", "caterpillar", "int ids")
@@ -307,6 +314,8 @@ def test_records_match_a_breadth_first_construction(seed, kind):
     for got, want in pairs:
         assert type(got) is type(want)
         assert [type(field) for field in got] == [type(field) for field in want]
+    depths = [record.depth for record in tree._vertex.values()]
+    assert all(type(n) is int and type(d) is int for n, d in depths)
     for got, want in zip(tree.edges, edges):
         assert got.u is want.u and got.v is want.v
     seen = set()
@@ -314,6 +323,16 @@ def test_records_match_a_breadth_first_construction(seed, kind):
         assert v is record.id is vertex[v].id
         assert record.parent is None or record.parent in seen
         seen.add(v)
+
+
+def test_construction_adds_no_fraction():
+    """Depths are summed as int pairs, so building a 200-vertex leafless
+    tree makes no ``Fraction`` addition."""
+    description = leafless_description(random.Random(7), 200)
+    with fraction_calls("__add__", "__radd__") as calls:
+        tree = build_tree(description)
+    assert calls == []
+    assert max(record.hops for record in tree._vertex.values()) > 1
 
 
 class TestCompleteness:
