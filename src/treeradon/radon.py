@@ -7,14 +7,17 @@ of each flag; with k(x) the valency, the closed form
 
 recovers the function exactly whenever every valency is at least 3.
 Both directions are plain sums, kept to few ``Fraction`` operations:
-``radon_forward`` sums ints over one scale, the lcm of h's denominators,
-and builds one ``Fraction`` per distinct flag value; ``radon_invert`` and
-the double-counting check sum the flags at each vertex as integers at
-that vertex's own scale, the lcm of their denominators, then build one
-``Fraction``. One scale serves the forward transform only while it fits
-in 64 bits: when the denominators are distinct primes it is as large as
-all of them, and reducing every flag value by it costs more than a
-``Fraction`` pass that takes at most one subtraction per flag.
+``radon_forward`` sums ints over one scale L, the lcm of h's
+denominators, builds one ``Fraction`` per distinct flag value, and keeps
+the ints and L in the table it returns. ``radon_invert`` and the
+double-counting check sum the flags at each vertex as integers: on such a
+table, slices of its ints over L; on any other, the flag values at that
+vertex's own scale, the lcm of their denominators. The inversion then
+builds one ``Fraction`` per distinct value it finds. One scale serves the
+forward transform only while it fits in 64 bits: when the denominators
+are distinct primes it is as large as all of them, and reducing every
+flag value by it costs more than a ``Fraction`` pass that takes at most
+one subtraction per flag.
 
 A flag table holds one value per flag of its tree, by position in
 ``enumerate_flags`` order: each vertex's record in the tree holds the
@@ -46,7 +49,7 @@ per-query records, the oracle's ``RadonSample`` and reconstruction's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -115,10 +118,21 @@ class FlagTable:
     object: the kernels refuse a table of any other tree, even one built
     from the same description. Build a table from a ``{Flag: value}``
     mapping with :func:`flag_table`.
+
+    A table that :func:`radon_forward` returns in its int regime also
+    holds its entries as ints over one scale, which the flag sums read
+    instead of the entries. That form is private: it takes no part in
+    ``==``, ``hash`` or ``repr``, and a table built or replaced from
+    entries has none.
     """
 
     tree: Tree
     entries: tuple[Fraction | None, ...]
+    # (numerators, L): every entry as an int over one scale L. Only
+    # radon_forward sets it; init=False, so a table built or replaced from
+    # entries, ``dataclasses.replace`` included, never keeps stale ints.
+    _ints: tuple[tuple[int, ...], int] | None = field(init=False, compare=False, repr=False,
+                                                      default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -203,11 +217,12 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     The number type is chosen once, from L, the lcm of h's denominators.
     Up to 64 bits, the sums are ints over L and each distinct flag
     numerator becomes one ``Fraction(n, L)``, shared by the flags that
-    have it. Past that, they stay in ``Fraction``s: with a distinct prime
-    per vertex, ``Fraction(n, L)`` would take a gcd of numbers of L's
-    size per flag. Each value of h must be an int (not a bool) or a
-    ``Fraction``, and each key a vertex of the tree; :class:`RadonError`
-    names any other.
+    have it; the table keeps the ints and L for the flag sums of
+    :func:`radon_invert` and :func:`double_count_check`. Past that, they
+    stay in ``Fraction``s: with a distinct prime per vertex,
+    ``Fraction(n, L)`` would take a gcd of numbers of L's size per flag.
+    Each value of h must be an int (not a bool) or a ``Fraction``, and each
+    key a vertex of the tree; :class:`RadonError` names any other.
     """
     values = h.values
     if not {Fraction, int}.issuperset(map(type, values.values())):
@@ -269,28 +284,44 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
         # position; each is one rest less at most one branch
         table += [ri if bj is zero else rj if bi is zero else rj - bi if bj is None else ri - bj
                   for (ri, bi), (rj, bj) in combinations(ends, 2)]
-    if ints:
-        shared = {n: Fraction(n, scale) for n in set(table)}
-        table = list(map(shared.__getitem__, table))
-    return FlagTable(tree, tuple(table))
+    if not ints:
+        return FlagTable(tree, tuple(table))
+    shared = {n: Fraction(n, scale) for n in set(table)}
+    flags = FlagTable(tree, tuple(map(shared.__getitem__, table)))
+    object.__setattr__(flags, "_ints", (tuple(table), scale))
+    return flags
 
 
 def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
                total: Fraction = _ZERO) -> Iterator[tuple[int, int, int]]:
     """Per vertex x of ``vertices``, in turn: its valency k and Σ Rh(x, ef)
-    over the C(k,2) flags at x, as an integer numerator over a scale D_x,
-    the lcm of the flag values' denominators and of ``total``'s. The flags
-    at x are one slice of the table, summed by C-level iteration. Whether
-    the table belongs to the tree is asked once, before the first vertex.
+    over the C(k,2) flags at x, as an integer numerator over a scale D_x
+    that ``total``'s denominator divides. The flags at x are one slice of
+    the table, summed by C-level iteration. Whether the table belongs to
+    the tree is asked once, before the first vertex.
 
-    The scale is per vertex. One scale for the whole table would be the
-    lcm of every denominator in it, and each vertex would pay for the
-    denominators of all the others.
+    A table from the forward transform's int regime holds its entries as
+    ints over one scale L, so each D_x is the lcm of L and ``total``'s
+    denominator, and a flag sum is the sum of an int slice: no entry's
+    numerator or denominator is read. Any other table is summed at each
+    vertex's own scale, the lcm of its flag values' denominators and of
+    ``total``'s. One scale for such a table would be the lcm of every
+    denominator in it, and each vertex would pay for the denominators of
+    all the others.
     """
     if table.tree is not tree:
         raise RadonError("the flag table belongs to another tree")
-    entries, records = table.entries, tree._vertex
-    total_denominator = total.denominator
+    records = tree._vertex
+    if table._ints is not None:
+        numerators, over = table._ints
+        scale = lcm(over, total.denominator)
+        times = scale // over
+        for x in vertices:
+            record = records[x]
+            k, start = len(record.incident), record.first_flag
+            yield k, sum(numerators[start:start + k * (k - 1) // 2]) * times, scale
+        return
+    entries, total_denominator = table.entries, total.denominator
     for x in vertices:
         record = records[x]
         k, start = len(record.incident), record.first_flag
@@ -349,9 +380,13 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
 
     Requires every valency ≥ 3 (equivalently: no leaves, given that
     valency 2 is banned); the table must cover every flag. Each h(x) is
-    one ``Fraction`` built from integers at x's own scale D_x (see
-    :func:`_flag_sums`): with S/D_x the flag sum and T/D_x the total,
-    h(x) = (2S − (k−1)(k−2)·T) / (2·D_x·(k−1)).
+    built from integers at the scale D_x of :func:`_flag_sums`, one scale
+    for every vertex when the table comes from the forward transform's int
+    regime: with S/D_x the flag sum and T/D_x the total,
+    h(x) = (2S − (k−1)(k−2)·T) / (2·D_x·(k−1)). That is put over
+    2·D_x·M, M the lcm of every k − 1 in the tree, and one ``Fraction`` is
+    built per distinct pair of numerator and denominator, shared by the
+    vertices that have it: over one scale, one per distinct value.
     """
     total = parse_rational(total)
     # construction bans valency 0 and 2, so without leaves every k >= 3
@@ -359,14 +394,20 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
         raise RadonError(
             f"inversion needs valency >= 3 everywhere; vertex {tree.leaves[0]!r} has 1"
         )
+    lcm_k = lcm(*{len(record.incident) - 1 for record in tree._vertex.values()})
     values: dict[VertexId, Fraction] = {}
+    shared: dict[tuple[int, int], Fraction] = {}
     total_numerator, total_denominator = total.numerator, total.denominator
     for x, (k, flag_sum, scale) in zip(tree.vertices,
                                        _flag_sums(tree, table, tree.vertices, total)):
         scaled_total = total_numerator * (scale // total_denominator)
         numerator = 2 * flag_sum - (k - 1) * (k - 2) * scaled_total
         if numerator:
-            values[x] = Fraction(numerator, 2 * scale * (k - 1))
+            key = numerator * (lcm_k // (k - 1)), 2 * scale * lcm_k
+            value = shared.get(key)
+            if value is None:
+                value = shared[key] = Fraction(*key)
+            values[x] = value
     return VertexFunction(values)
 
 
@@ -481,10 +522,10 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     minus the interior mass.
 
     Interior sightings and flag readings are cross-checked across every
-    queried geodesic; disagreement, a coordinate listed twice in one
-    answer, mass outside the skeleton, or a vertex table that is not a
-    genuine transform of a nonnegative function all raise
-    :class:`OracleInconsistencyError`. A reading is compared by value
+    queried geodesic; an answer that is not a ``RadonSample``,
+    disagreement, a coordinate listed twice in one answer, mass outside
+    the skeleton, or a vertex table that is not a genuine transform of a
+    nonnegative function all raise :class:`OracleInconsistencyError`. A reading is compared by value
     unless it is the very object already held, as the shared zero of two
     joints without an atom is.
     """
@@ -516,7 +557,11 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         # on a complete geodesic every vertex atom sits on a joint
         at_joint: dict[VertexId, Fraction] = {}
         seen: set[TreePoint] = set()
-        for coord, mass in oracle(geodesic).atoms:
+        sample = oracle(geodesic)
+        if not isinstance(sample, RadonSample):
+            raise OracleInconsistencyError(
+                f"the oracle answered with a {type(sample).__name__}, not a RadonSample")
+        for coord, mass in sample.atoms:
             spot = point_at(coord)
             mass = parse_rational(mass)
             count = len(seen)

@@ -350,6 +350,15 @@ class TestReconstruction:
         with pytest.raises(TypeError, match="^cannot interpret float as an exact rational$"):
             reconstruct_measure(star3, liar)
 
+    @pytest.mark.parametrize("answer", [None, 5, "x"], ids=["none", "int", "str"])
+    def test_an_answer_that_is_not_a_sample_is_refused(self, star3, answer):
+        # the oracle is outside input: an answer without atoms is named by
+        # its type, not met by an AttributeError deep in the reading
+        with pytest.raises(OracleInconsistencyError) as info:
+            reconstruct_measure(star3, lambda geodesic: answer)
+        assert str(info.value) == (f"the oracle answered with a {type(answer).__name__}, "
+                                   "not a RadonSample")
+
     @pytest.mark.parametrize("extra", [
         lambda atoms: atoms[:1],
         lambda atoms: ((atoms[-1][0], F(0)),),

@@ -16,13 +16,19 @@ distinct prime denominator per flag.
 L has at most 64 bits, and in ``Fraction``s past that. Both regimes are
 compared at the switch, with L of exactly 64 and 65 bits, with and without
 a total that cancels to zero; the int regime must do no ``Fraction``
-arithmetic and build one ``Fraction`` per distinct flag value.
+arithmetic and build one ``Fraction`` per distinct flag value. A table
+from the int regime keeps its ints for the flag sums: inverting it and
+double counting with it must match the same entries in a table without
+ints, read no entry's numerator or denominator, and build at most one
+``Fraction`` per distinct inverted value.
 """
 
+import random
 from fractions import Fraction as F
 from itertools import cycle
 from math import comb, lcm
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 import radon_reference as reference
@@ -33,13 +39,16 @@ from common import (
     flag_prime_table,
     fraction_calls,
     raised,
+    shuffled_leafless_tree,
     small_values,
     trees,
+    twin,
     vertex_prime_values,
 )
 from conftest import profile_settings
 from treeradon import (
     Flag,
+    FlagTable,
     RadonError,
     double_count_check,
     flag_table,
@@ -47,6 +56,7 @@ from treeradon import (
     radon_invert,
     vertex_function,
 )
+from treeradon import radon
 
 
 def sparse_values(tree, rng):
@@ -106,18 +116,24 @@ def one_entry_per_value(entries):
     return len(set(map(id, entries))) == len(set(entries))
 
 
+def switch_values(tree, rng, bits, cancel):
+    """Prime denominators whose lcm L has exactly ``bits`` bits; with
+    ``cancel`` the root's value makes the total zero."""
+    root, *others = tree.vertices
+    values = {v: F(rng.choice((-1, 1)) * rng.randint(1, p - 1), p)
+              for v, p in zip(others, cycle(primes_of_bits(rng, bits)))}
+    if cancel:
+        values[root] = -sum(values.values())
+    return vertex_function(tree, values)
+
+
 @given(trees(("large",)), st.sampled_from((64, 65)), st.booleans())
 @profile_settings(20)
 def test_forward_matches_reference_at_the_switch(drawn, bits, cancel):
     """L of exactly 64 bits takes the int regime and 65 the Fraction
     regime; with ``cancel`` the root's value makes the total zero."""
     tree, rng = drawn
-    root, *others = tree.vertices
-    values = {v: F(rng.choice((-1, 1)) * rng.randint(1, p - 1), p)
-              for v, p in zip(others, cycle(primes_of_bits(rng, bits)))}
-    if cancel:
-        values[root] = -sum(values.values())
-    h = vertex_function(tree, values)
+    h = switch_values(tree, rng, bits, cancel)
     assert lcm(*(value.denominator for value in h.values.values())).bit_length() == bits
     assert (h.total == 0) is cancel
     with fraction_calls(*ADD_SUB) as calls:
@@ -141,6 +157,80 @@ def test_int_regime_does_no_fraction_arithmetic(drawn):
     assert calls == []
     assert one_entry_per_value(table.entries)
     assert_identical(table.values, reference.radon_forward(tree, h).values)
+
+
+def prime_total(rng, scale):
+    """A total whose denominator is a prime that does not divide ``scale``."""
+    p = rng.choice([p for p in PRIMES[:200] if scale % p])
+    return F(rng.choice((-1, 1)) * rng.randint(1, p - 1), p)
+
+
+@given(trees(LEAFLESS), st.sampled_from(("small", 64)), st.booleans())
+@profile_settings(20)
+def test_int_flag_sums_match_the_entries(drawn, inputs, cancel):
+    """A forward table in the int regime, with denominators up to 12 or
+    with L of exactly 64 bits, inverts and double counts exactly as the
+    same entries in a table without ints and as the reference, at the
+    function's total, at 0, and at a total whose prime denominator L
+    lacks, which rescales every flag sum. A twin tree is refused."""
+    tree, rng = drawn
+    h = small_values(tree, rng) if inputs == "small" else switch_values(tree, rng, 64, cancel)
+    table = radon_forward(tree, h)
+    assert table._ints is not None
+    plain = FlagTable(tree, table.entries)
+    assert plain._ints is None
+    for total in (h.total, F(0), prime_total(rng, table._ints[1])):
+        inverse = radon_invert(tree, table, total)
+        assert_identical(inverse.values, radon_invert(tree, plain, total).values)
+        assert_identical(inverse.values, reference.radon_invert(tree, table, total).values)
+    assert radon_invert(tree, table, h.total) == h
+    for x in rng.sample(tree.vertices, min(8, len(tree.vertices))):
+        check = double_count_check(tree, h, x, table)
+        assert check == double_count_check(tree, h, x, plain)
+        assert (check.lhs, check.rhs) == reference_double_count(tree, h, x, table)
+        assert type(check.lhs) is F
+    other = twin(tree)
+    message = "the flag table belongs to another tree"
+    assert raised(radon_invert, other, table, h.total) == message
+    assert raised(double_count_check, other, h, tree.vertices[0], table) == message
+
+
+class Counted:
+    """Wraps a callable and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_regime_flag_sums_read_no_entry(monkeypatch, seed):
+    """On a forward table in the int regime, inversion and double counting
+    read no entry's numerator or denominator, and inversion builds at most
+    one ``Fraction`` per distinct value; on the same entries without ints,
+    each flag's numerator and denominator are read once."""
+    rng = random.Random(seed)
+    tree = shuffled_leafless_tree(rng, rng.randint(100, 400))
+    h = small_values(tree, rng)
+    table = radon_forward(tree, h)
+    numerators, denominators = Counted(radon._numerator), Counted(radon._denominator)
+    built = Counted(F)
+    monkeypatch.setattr(radon, "_numerator", numerators)
+    monkeypatch.setattr(radon, "_denominator", denominators)
+    monkeypatch.setattr(radon, "Fraction", built)
+    inverse = radon_invert(tree, table, h.total)
+    assert inverse == h
+    assert built.calls <= len(set(inverse.values.values()))
+    assert one_entry_per_value(list(inverse.values.values()))
+    for x in tree.vertices[:16]:
+        double_count_check(tree, h, x, table)
+    assert (numerators.calls, denominators.calls) == (0, 0)
+    assert radon_invert(tree, FlagTable(tree, table.entries), h.total) == h
+    flags = len(table.entries)
+    assert (numerators.calls, denominators.calls) == (flags, flags)
 
 
 @given(trees(LEAFLESS), TABLE_KINDS)

@@ -4,10 +4,12 @@ keyed by them iterate in a fixed order), exact reprs, immutability,
 pickling, keyword construction, and no equality across types; of the
 per-query records ``RadonSample``, ``FlagRow`` and ``EdgeRead``, which are
 ``NamedTuple``s too; and of the nine result records, ``NamedTuple``s that
-keep the fields, properties and reprs they had as frozen dataclasses."""
+keep the fields, properties and reprs they had as frozen dataclasses; and
+of ``FlagTable``, whose forward-transform ints never show."""
 
+import inspect
 import pickle
-from dataclasses import make_dataclass
+from dataclasses import make_dataclass, replace
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,7 @@ from treeradon import (
     DoubleCountIdentity,
     EdgeRecord,
     Flag,
+    FlagTable,
     NonextendabilityWitness,
     RadonSample,
     ReconstructionResult,
@@ -40,6 +43,8 @@ from treeradon import (
     optimal_plan,
     perpendicular,
     pushforward_projection,
+    radon_forward,
+    radon_invert,
     radon_oracle,
     reconstruct_measure,
     vertex_function,
@@ -180,6 +185,36 @@ def test_records_pickle_round_trip():
     assert type(back) is RadonSample and back.geodesic.tree is tree_back
     assert back.atoms == sample.atoms and back.geodesic.edges == sample.geodesic.edges
     assert back.to_measure(tree_back) == sample.to_measure(tree)
+
+
+# ---------------------------------------------------------------------- #
+# FlagTable: the forward transform's ints are invisible                     #
+# ---------------------------------------------------------------------- #
+
+def test_a_forward_table_is_the_table_of_its_entries():
+    tree = build_tree(STAR3)
+    h = vertex_function(tree, {"c": F(1, 2), "a": F(-1, 3), "b": 2})
+    table = radon_forward(tree, h)
+    plain = FlagTable(tree, table.entries)
+    assert list(inspect.signature(FlagTable).parameters) == ["tree", "entries"]
+    assert table == plain and hash(table) == hash(plain) and repr(table) == repr(plain)
+    # the table travels with its tree and is compared on the copy
+    tree_back, back = pickle.loads(pickle.dumps((tree, table)))
+    assert back.tree is tree_back and back == FlagTable(tree_back, table.entries)
+    assert hash(back) == hash(FlagTable(tree_back, table.entries))
+    assert radon_invert(tree_back, back, h.total).values == h.values
+
+
+def test_new_entries_never_sit_beside_old_ints():
+    tree = build_tree(STAR3)
+    h = vertex_function(tree, {"c": F(1, 2), "a": F(-1, 3), "b": 2})
+    g = vertex_function(tree, {"d": F(5, 7), "c": -1})
+    table, other = radon_forward(tree, h), radon_forward(tree, g)
+    for rebuilt in (replace(table, entries=other.entries), FlagTable(tree, other.entries),
+                    replace(table)):
+        assert rebuilt._ints is None
+    assert radon_invert(tree, replace(table, entries=other.entries), g.total) == g
+    assert radon_invert(tree, replace(other, entries=table.entries), h.total) == h
 
 
 # ---------------------------------------------------------------------- #
