@@ -8,16 +8,17 @@ of each flag; with k(x) the valency, the closed form
 recovers the function exactly whenever every valency is at least 3.
 Both directions are plain sums, kept to few ``Fraction`` operations:
 ``radon_forward`` sums ints over one scale L, the lcm of h's
-denominators, builds one ``Fraction`` per distinct flag value, and keeps
-the ints and L in the table it returns. ``radon_invert`` and the
-double-counting check sum the flags at each vertex as integers: on such a
-table, slices of its ints over L; on any other, the flag values at that
-vertex's own scale, the lcm of their denominators. The inversion then
-builds one ``Fraction`` per distinct value it finds. One scale serves the
-forward transform only while it fits in 64 bits: when the denominators
-are distinct primes it is as large as all of them, and reducing every
-flag value by it costs more than a ``Fraction`` pass that takes at most
-one subtraction per flag.
+denominators, and returns a table that holds the ints and L. The table
+builds its entries on their first read, one ``Fraction`` per distinct
+flag value; inversion and double counting never read them.
+``radon_invert`` and the double-counting check sum the flags at each
+vertex as integers: on such a table, slices of its ints over L; on any
+other, the flag values at that vertex's own scale, the lcm of their
+denominators. The inversion then builds one ``Fraction`` per distinct
+value it finds. One scale serves the forward transform only while it
+fits in 64 bits: when the denominators are distinct primes it is as
+large as all of them, and reducing every flag value by it costs more
+than a ``Fraction`` pass that takes at most one subtraction per flag.
 
 A flag table holds one value per flag of its tree, by position in
 ``enumerate_flags`` order: each vertex's record in the tree holds the
@@ -73,6 +74,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
+# the value types radon_forward takes (bool, an int subclass, aside)
+_RATIONALS = (int, Fraction)
+_RATIONAL_TYPES = frozenset(_RATIONALS)
 
 
 # A dataclass, not a NamedTuple: cached_property needs an instance dict.
@@ -119,11 +123,13 @@ class FlagTable:
     from the same description. Build a table from a ``{Flag: value}``
     mapping with :func:`flag_table`.
 
-    A table that :func:`radon_forward` returns in its int regime also
-    holds its entries as ints over one scale, which the flag sums read
-    instead of the entries. That form is private: it takes no part in
-    ``==``, ``hash`` or ``repr``, and a table built or replaced from
-    entries has none.
+    A table that :func:`radon_forward` returns in its int regime holds its
+    entries as ints over one scale, which the flag sums read instead of the
+    entries, and builds ``entries`` from them on its first read, one
+    ``Fraction`` per distinct value; later reads return the same tuple.
+    That form is private: ``==``, ``hash``, ``repr``, pickling, copying
+    and ``dataclasses.replace`` see the entries alone, and a table built
+    or replaced from entries has no ints.
     """
 
     tree: Tree
@@ -139,6 +145,20 @@ class FlagTable:
         if len(self.entries) != self.tree._flag_count:
             raise RadonError(f"a flag table of this tree needs {self.tree._flag_count} "
                              f"entries, not {len(self.entries)}")
+
+    def __getattr__(self, name: str):
+        # Python asks this only for a name missing from the instance: on a
+        # table from radon_forward's int regime, ``entries`` until its first
+        # read, which builds and stores them. Two threads reading at once
+        # may each build them, with equal results.
+        if name == "entries" and self._ints is not None:
+            numerators, scale = self._ints
+            shared = {n: Fraction(n, scale) for n in set(numerators)}
+            entries = tuple(map(shared.__getitem__, numerators))
+            object.__setattr__(self, "entries", entries)
+            return entries
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                             name=name, obj=self)
 
     @property
     def values(self) -> dict[Flag, Fraction]:
@@ -215,19 +235,22 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     zero object (tested by identity; a sum that cancels is merely added).
 
     The number type is chosen once, from L, the lcm of h's denominators.
-    Up to 64 bits, the sums are ints over L and each distinct flag
-    numerator becomes one ``Fraction(n, L)``, shared by the flags that
-    have it; the table keeps the ints and L for the flag sums of
-    :func:`radon_invert` and :func:`double_count_check`. Past that, they
-    stay in ``Fraction``s: with a distinct prime per vertex,
+    Up to 64 bits, the sums are ints over L, and the table keeps them and L
+    for the flag sums of :func:`radon_invert` and
+    :func:`double_count_check`, which read no entry. The table builds its
+    entries on their first read: each distinct flag numerator becomes one
+    ``Fraction(n, L)``, shared by the flags that have it. Past 64 bits,
+    the sums stay in ``Fraction``s: with a distinct prime per vertex,
     ``Fraction(n, L)`` would take a gcd of numbers of L's size per flag.
-    Each value of h must be an int (not a bool) or a ``Fraction``, and each
-    key a vertex of the tree; :class:`RadonError` names any other.
+    ``h`` must be a :class:`VertexFunction`, each of its values an int
+    (not a bool) or a ``Fraction``, and each key a vertex of the tree;
+    :class:`RadonError` names any other.
     """
+    _require(h, VertexFunction, "the vertex function")
     values = h.values
-    if not {Fraction, int}.issuperset(map(type, values.values())):
+    if not _RATIONAL_TYPES.issuperset(map(type, values.values())):
         for x, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            if isinstance(value, bool) or not isinstance(value, _RATIONALS):
                 raise RadonError(f"value {value!r} at vertex {x!r} is not an int or a Fraction")
     denominators = list(map(_denominator, values.values()))
     # the lcm stops past 64 bits: over a distinct prime per vertex, the
@@ -286,10 +309,17 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
                   for (ri, bi), (rj, bj) in combinations(ends, 2)]
     if not ints:
         return FlagTable(tree, tuple(table))
-    shared = {n: Fraction(n, scale) for n in set(table)}
-    flags = FlagTable(tree, tuple(map(shared.__getitem__, table)))
-    object.__setattr__(flags, "_ints", (tuple(table), scale))
+    # no __init__: the entries wait for their first read (FlagTable.__getattr__)
+    flags = object.__new__(FlagTable)
+    vars(flags).update(tree=tree, _ints=(tuple(table), scale))
     return flags
+
+
+def _require(value, kind: type, role: str) -> None:
+    """Raise :class:`RadonError` unless ``value`` is a ``kind``; asked once
+    per kernel call, so a wrong kind is named, not a missing attribute."""
+    if not isinstance(value, kind):
+        raise RadonError(f"{role} is a {type(value).__name__}, not a {kind.__name__}")
 
 
 def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
@@ -298,7 +328,8 @@ def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
     over the C(k,2) flags at x, as an integer numerator over a scale D_x
     that ``total``'s denominator divides. The flags at x are one slice of
     the table, summed by C-level iteration. Whether the table belongs to
-    the tree is asked once, before the first vertex.
+    the tree, and whether it is a :class:`FlagTable` at all, is asked
+    once, before the first vertex.
 
     A table from the forward transform's int regime holds its entries as
     ints over one scale L, so each D_x is the lcm of L and ``total``'s
@@ -309,6 +340,7 @@ def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
     denominator in it, and each vertex would pay for the denominators of
     all the others.
     """
+    _require(table, FlagTable, "the flag table")
     if table.tree is not tree:
         raise RadonError("the flag table belongs to another tree")
     records = tree._vertex
@@ -364,7 +396,10 @@ class DoubleCountIdentity(NamedTuple):
 def double_count_check(tree: Tree, h: VertexFunction, x: VertexId,
                        table: FlagTable | None = None) -> DoubleCountIdentity:
     """Evaluate the double-counting identity at ``x``; both sides are
-    computed independently (flag sums vs. the closed form)."""
+    computed independently (flag sums vs. the closed form). ``h`` must be
+    a :class:`VertexFunction` and ``table``, if given, a
+    :class:`FlagTable`; :class:`RadonError` names any other kind."""
+    _require(h, VertexFunction, "the vertex function")
     k = tree.valency(x)
     if k < 2:
         raise RadonError(f"vertex {x!r} has valency {k}; no flags exist there")
@@ -386,7 +421,8 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     h(x) = (2S − (k−1)(k−2)·T) / (2·D_x·(k−1)). That is put over
     2·D_x·M, M the lcm of every k − 1 in the tree, and one ``Fraction`` is
     built per distinct pair of numerator and denominator, shared by the
-    vertices that have it: over one scale, one per distinct value.
+    vertices that have it: over one scale, one per distinct value. A
+    ``table`` that is not a :class:`FlagTable` raises :class:`RadonError`.
     """
     total = parse_rational(total)
     # construction bans valency 0 and 2, so without leaves every k >= 3

@@ -121,6 +121,28 @@ class TestForwardInputs:
         assert {type(entry) for entry in table.entries} == {F}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tree, h: radon_invert(tree, "x", 1), "the flag table is a str, not a FlagTable"),
+    (lambda tree, h: radon_invert(tree, None, 1),
+     "the flag table is a NoneType, not a FlagTable"),
+    (lambda tree, h: double_count_check(tree, h, "a", "x"),
+     "the flag table is a str, not a FlagTable"),
+    (lambda tree, h: double_count_check(tree, "x", "a"),
+     "the vertex function is a str, not a VertexFunction"),
+    (lambda tree, h: radon_forward(tree, "x"),
+     "the vertex function is a str, not a VertexFunction"),
+    (lambda tree, h: radon_forward(tree, {"a": 1}),
+     "the vertex function is a dict, not a VertexFunction"),
+], ids=["invert-str", "invert-none", "double-count-table", "double-count-h", "forward-str",
+        "forward-dict"])
+def test_a_kernel_names_an_argument_of_the_wrong_kind(star3, call, message):
+    # named by its type, not met by an AttributeError inside the kernel
+    h = vertex_function(star3, {"c": 1, "a": F(2, 3)})
+    with pytest.raises(RadonError) as info:
+        call(star3, h)
+    assert str(info.value) == message
+
+
 def test_vertex_function_rejects_an_unknown_vertex(star3):
     with pytest.raises(PointLocationError, match="unknown vertex 'nope'"):
         vertex_function(star3, {"c": 1, "nope": 2})

@@ -20,7 +20,11 @@ arithmetic and build one ``Fraction`` per distinct flag value. A table
 from the int regime keeps its ints for the flag sums: inverting it and
 double counting with it must match the same entries in a table without
 ints, read no entry's numerator or denominator, and build at most one
-``Fraction`` per distinct inverted value.
+``Fraction`` per distinct inverted value. Such a table builds its entries
+on their first read: the forward transform, inversion and double
+counting build none, the first read builds one per distinct numerator,
+a second read none, and whichever reader comes first (``entries``,
+``values``, ``value`` or ``len``) gives the reference's table.
 """
 
 import random
@@ -231,6 +235,60 @@ def test_int_regime_flag_sums_read_no_entry(monkeypatch, seed):
     assert radon_invert(tree, FlagTable(tree, table.entries), h.total) == h
     flags = len(table.entries)
     assert (numerators.calls, denominators.calls) == (flags, flags)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_entries_are_built_on_first_read(monkeypatch, seed):
+    """In the int regime the forward transform builds no ``Fraction``, and
+    inversion and 16 double counts leave its table's entries unbuilt; the
+    first read builds one per distinct numerator and stores them, so a
+    second read builds none."""
+    rng = random.Random(seed)
+    tree = shuffled_leafless_tree(rng, rng.randint(100, 400))
+    h = small_values(tree, rng)
+    built = Counted(F)
+    monkeypatch.setattr(radon, "Fraction", built)
+    table = radon_forward(tree, h)
+    assert built.calls == 0
+    inverse = radon_invert(tree, table, h.total)
+    for x in tree.vertices[:16]:
+        double_count_check(tree, h, x, table)
+    assert "entries" not in vars(table)
+    built.calls = 0
+    entries = table.entries
+    assert built.calls == len(set(table._ints[0]))
+    assert table.entries is entries and built.calls == len(set(table._ints[0]))
+    assert one_entry_per_value(entries)
+    assert inverse == h
+    assert_identical(table.values, reference.radon_forward(tree, h).values)
+
+
+# small denominators on any leafless tree, or L of exactly 64 bits (the int
+# regime) or 65 (the Fraction regime) on a large one
+FORWARD_INPUTS = st.one_of(st.tuples(trees(LEAFLESS), st.just("small")),
+                           st.tuples(trees(("large",)), st.sampled_from((64, 65))))
+
+
+@given(FORWARD_INPUTS, st.booleans())
+@profile_settings(40)
+def test_unread_forward_table_reads_as_the_reference(inputs, cancel):
+    """Whichever reader comes first on a forward table, ``entries``,
+    ``values``, ``value`` or ``len``, it gives the reference's table; in the
+    int regime that read is the one that builds the entries."""
+    (tree, rng), kind = inputs
+    h = small_values(tree, rng) if kind == "small" else switch_values(tree, rng, kind, cancel)
+    ref = reference.radon_forward(tree, h)
+
+    def unread():
+        table = radon_forward(tree, h)
+        assert ("entries" in vars(table)) is (kind == 65)
+        return table
+
+    assert_identical(dict(enumerate(unread().entries)), dict(enumerate(ref.entries)))
+    assert_identical(unread().values, ref.values)
+    table = unread()
+    assert_identical({flag: table.value(flag) for flag in ref.values}, ref.values)
+    assert len(unread()) == len(ref)
 
 
 @given(trees(LEAFLESS), TABLE_KINDS)

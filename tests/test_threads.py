@@ -6,8 +6,10 @@ threads. Four threads share one tree, one ``radon_oracle``, one
 ``FlagTable`` (whose ``values`` mapping is built afresh on each read) and
 one ``WassersteinGeodesic`` (from a Dirac, so evaluation past time 1
 walks each atom on); a tiny switch interval makes the interpreter change
-threads every few bytecodes, inside every query. Each thread's results
-must equal the serial ones.
+threads every few bytecodes, inside every query. The table is a fresh
+forward table whose entries no one has read, so the threads race to build
+them: each may build its own, and every read must be equal. Each thread's
+results must equal the serial ones.
 """
 
 import random
@@ -16,6 +18,7 @@ import threading
 from fractions import Fraction as F
 
 from treeradon import (
+    FlagTable,
     SuiteConfig,
     WassersteinGeodesic,
     double_count_check,
@@ -42,25 +45,30 @@ def test_shared_objects_give_serial_results():
     geodesic = WassersteinGeodesic.from_dirac(
         tree, tree.vertex_point(tree.vertices[0]), gen_measure(cfg, tree, rng), horizon=2)
     h = gen_vertex_function(cfg, tree, rng)
-    table = radon_forward(tree, h)
+    plain = FlagTable(tree, radon_forward(tree, h).entries)
     flags = enumerate_flags(tree)
 
-    def run():
-        return (reconstruct_measure(tree, oracle), [geodesic.at(t) for t in TIMES],
+    def run(table):
+        # the entries' first readers first, so the threads start by racing
+        return (table.entries, hash(table), table == plain, plain == table,
+                reconstruct_measure(tree, oracle), [geodesic.at(t) for t in TIMES],
                 radon_invert(tree, table, h.total), list(table.values.items()),
                 [table.value(flag) for flag in flags], len(table),
                 [double_count_check(tree, h, x, table) for x in tree.vertices])
 
-    serial = run()
-    assert serial[0].measure == hidden
-    assert serial[2] == h
+    serial = run(radon_forward(tree, h))
+    assert serial[2] and serial[3]
+    assert serial[4].measure == hidden
+    assert serial[6] == h
+    table = radon_forward(tree, h)
+    assert "entries" not in vars(table)
     barrier = threading.Barrier(THREADS)
     results, errors = [None] * THREADS, []
 
     def work(slot):
         try:
             barrier.wait(timeout=60)
-            results[slot] = [run() for _ in range(3)]
+            results[slot] = [run(table) for _ in range(3)]
         except Exception as exc:  # reported below, in the test's thread
             errors.append(exc)
 

@@ -5,8 +5,11 @@ pickling, keyword construction, and no equality across types; of the
 per-query records ``RadonSample``, ``FlagRow`` and ``EdgeRead``, which are
 ``NamedTuple``s too; and of the nine result records, ``NamedTuple``s that
 keep the fields, properties and reprs they had as frozen dataclasses; and
-of ``FlagTable``, whose forward-transform ints never show."""
+of ``FlagTable``, whose forward-transform ints never show, and whose
+entries, when it comes from the forward transform, are built on their
+first read by whichever reader comes first."""
 
+import copy
 import inspect
 import pickle
 from dataclasses import make_dataclass, replace
@@ -215,6 +218,42 @@ def test_new_entries_never_sit_beside_old_ints():
         assert rebuilt._ints is None
     assert radon_invert(tree, replace(table, entries=other.entries), g.total) == g
     assert radon_invert(tree, replace(other, entries=table.entries), h.total) == h
+
+
+def test_an_unread_forward_table_is_the_table_of_its_entries():
+    """Each check runs on a table whose entries were never read, so the
+    reader under test is the one that builds them."""
+    tree = build_tree(STAR3)
+    h = vertex_function(tree, {"c": F(1, 2), "a": F(-1, 3), "b": 2})
+
+    def unread():
+        table = radon_forward(tree, h)
+        assert "entries" not in vars(table)
+        return table
+
+    plain = FlagTable(tree, unread().entries)
+    assert hash(unread()) == hash(plain)
+    assert unread() == plain and plain == unread()
+    assert repr(unread()) == repr(plain)
+    # pickled unread, it stays unread and still inverts through its ints
+    tree_back, back = pickle.loads(pickle.dumps((tree, unread())))
+    assert "entries" not in vars(back) and back._ints is not None
+    assert radon_invert(tree_back, back, h.total) == h
+    assert "entries" not in vars(back)
+    assert back == FlagTable(tree_back, plain.entries)
+    assert copy.copy(unread()) == plain
+    # a deep copy copies the tree too, unless the memo keeps it
+    assert copy.deepcopy(unread(), {id(tree): tree}) == plain
+    deep = copy.deepcopy(unread())
+    assert deep.tree is not tree and deep == FlagTable(deep.tree, plain.entries)
+    assert replace(unread()) == plain
+    # the hook answers ``entries`` alone; any other name is Python's error
+    table, missing = unread(), object()
+    assert getattr(table, "nope", missing) is missing
+    with pytest.raises(AttributeError) as info:
+        table.nope
+    assert str(info.value) == "'FlagTable' object has no attribute 'nope'"
+    assert "entries" not in vars(table)
 
 
 # ---------------------------------------------------------------------- #
