@@ -50,13 +50,14 @@ per-query records, the oracle's ``RadonSample`` and reconstruction's
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, lcm
 from operator import attrgetter, floordiv, mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     CompletenessError,
@@ -99,7 +100,11 @@ class VertexFunction:
 
 
 def vertex_function(tree: Tree, values: Mapping) -> VertexFunction:
-    """Build a vertex function, validating keys against the tree."""
+    """Build a vertex function, validating keys against the tree; a
+    ``tree`` that is not a :class:`Tree`, or ``values`` that are not a
+    mapping, raise :class:`RadonError`."""
+    _require(tree, Tree, "the tree")
+    _require(values, Mapping, "the mapping")
     cleaned: dict[VertexId, Fraction] = {}
     for vertex, raw in values.items():
         vertex = tree._record(vertex).id
@@ -194,8 +199,12 @@ def flag_table(tree: Tree, values: Mapping) -> FlagTable:
     refuses is ignored, two keys that name one flag raise
     :class:`RadonError`, and a flag without an entry, or with the value
     ``None``, has none in the table. The table belongs to ``tree``: the
-    kernels refuse it with any other tree object.
+    kernels refuse it with any other tree object. A ``tree`` that is not a
+    :class:`Tree`, or ``values`` that are not a mapping, raise
+    :class:`RadonError`.
     """
+    _require(tree, Tree, "the tree")
+    _require(values, Mapping, "the mapping")
     entries: list[Fraction | None] = [None] * tree._flag_count
     key_at: dict[int, object] = {}  # the key that gave each position
     for flag, raw in values.items():
@@ -242,10 +251,11 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     ``Fraction(n, L)``, shared by the flags that have it. Past 64 bits,
     the sums stay in ``Fraction``s: with a distinct prime per vertex,
     ``Fraction(n, L)`` would take a gcd of numbers of L's size per flag.
-    ``h`` must be a :class:`VertexFunction`, each of its values an int
-    (not a bool) or a ``Fraction``, and each key a vertex of the tree;
-    :class:`RadonError` names any other.
+    ``tree`` must be a :class:`Tree`, ``h`` a :class:`VertexFunction`,
+    each of its values an int (not a bool) or a ``Fraction``, and each key
+    a vertex of the tree; :class:`RadonError` names any other.
     """
+    _require(tree, Tree, "the tree")
     _require(h, VertexFunction, "the vertex function")
     values = h.values
     if not _RATIONAL_TYPES.issuperset(map(type, values.values())):
@@ -396,9 +406,11 @@ class DoubleCountIdentity(NamedTuple):
 def double_count_check(tree: Tree, h: VertexFunction, x: VertexId,
                        table: FlagTable | None = None) -> DoubleCountIdentity:
     """Evaluate the double-counting identity at ``x``; both sides are
-    computed independently (flag sums vs. the closed form). ``h`` must be
-    a :class:`VertexFunction` and ``table``, if given, a
-    :class:`FlagTable`; :class:`RadonError` names any other kind."""
+    computed independently (flag sums vs. the closed form). ``tree`` must
+    be a :class:`Tree`, ``h`` a :class:`VertexFunction` and ``table``, if
+    given, a :class:`FlagTable`; :class:`RadonError` names any other
+    kind."""
+    _require(tree, Tree, "the tree")
     _require(h, VertexFunction, "the vertex function")
     k = tree.valency(x)
     if k < 2:
@@ -422,8 +434,10 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     2·D_x·M, M the lcm of every k − 1 in the tree, and one ``Fraction`` is
     built per distinct pair of numerator and denominator, shared by the
     vertices that have it: over one scale, one per distinct value. A
-    ``table`` that is not a :class:`FlagTable` raises :class:`RadonError`.
+    ``tree`` that is not a :class:`Tree`, or a ``table`` that is not a
+    :class:`FlagTable`, raises :class:`RadonError`.
     """
+    _require(tree, Tree, "the tree")
     total = parse_rational(total)
     # construction bans valency 0 and 2, so without leaves every k >= 3
     if not tree.geodesically_complete:
@@ -563,8 +577,10 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     the skeleton, or a vertex table that is not a genuine transform of a
     nonnegative function all raise :class:`OracleInconsistencyError`. A reading is compared by value
     unless it is the very object already held, as the shared zero of two
-    joints without an atom is.
+    joints without an atom is. A ``tree`` that is not a :class:`Tree`
+    raises :class:`RadonError`.
     """
+    _require(tree, Tree, "the tree")
     if not tree.geodesically_complete:
         raise CompletenessError("reconstruction needs a tree without leaves")
     if candidate_skeleton is None:

@@ -7,7 +7,11 @@ kept verbatim from before the entering scan kept a lower bound per row:
 the scan here tests every row from row 0 after each pivot, the re-hang
 looks each potential up from the costs, and allocations are keyed by
 cell. The pivot rule is the same, so the library must return the same
-allocation, cell for cell, on every instance.
+allocation, cell for cell, on every instance. It is the tests' one copy
+of Bland's rule: ``test_simplex_reference`` compares the library with it
+on bench-sized trees, and ``test_transport`` on small instances, ties
+and single rows or columns, and compares the north-west corner start
+with its ``_northwest_corner``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
-"""Flag tables indexed by flag position, against the Flag-keyed code they
-replaced.
+"""Flag tables indexed by flag position, against the Flag-keyed kernels.
 
 A ``FlagTable`` holds one entry per flag of its tree, in
 ``enumerate_flags`` order, and the tree records where each vertex's flags
 start. The properties here check that numbering, the table's public reads
 (``values``, ``value``, ``len``, ``flag_table``) and its one-tree rule,
-and compare ``radon_forward``, ``radon_invert``, the double-counting check
-and ``reconstruct_measure`` with the Flag-keyed copies in
-``flag_dict_reference``: the same values in the same order, the same
-provenance and the same errors. Trees come from ``gen_tree`` (leafless
-and leafy) and from leafless trees of 100 to 400 vertices with shuffled
-vertex and edge ids.
+and compare ``radon_forward``, ``radon_invert`` and the double-counting
+check, on full tables and on tables with a random share of their entries
+dropped, with ``radon_reference``, whose kernels build and read every
+entry through a ``Flag`` key: the same values in the same order and the
+same errors. Reconstruction's flag rows, read as a Flag-keyed table, are
+the reference transform of its vertex part and invert to it, and an
+oracle that nudges every few answers is refused by the library and by
+the flag schedule of ``test_reconstruct_reference``. Trees come from
+``gen_tree`` (leafless and leafy) and from leafless trees of 100 to 400
+vertices with shuffled vertex and edge ids.
 """
 
 from fractions import Fraction as F
@@ -18,7 +21,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-import flag_dict_reference as reference
+import radon_reference as reference
 from common import (
     LEAFLESS,
     PRIMES,
@@ -32,6 +35,7 @@ from common import (
     vertex_prime_values,
 )
 from conftest import profile_settings
+from test_reconstruct_reference import flag_schedule_reconstruct, outcome
 from treeradon import (
     Flag,
     FlagTable,
@@ -47,6 +51,8 @@ from treeradon import (
     reconstruct_measure,
     vertex_function,
 )
+
+pytestmark = pytest.mark.deep
 
 VALUE_KINDS = st.sampled_from((small_values, vertex_prime_values))
 TABLE_KINDS = st.sampled_from((small_values, vertex_prime_values, flag_prime_table))
@@ -252,34 +258,7 @@ def test_flag_sums_match_flag_keyed_reference(drawn, kind, drop):
         except RadonError as exc:
             assert raised(double_count_check, tree, h, x, table) == str(exc)
         else:
-            assert double_count_check(tree, h, x, table).lhs == F(*expected)
-
-
-def nudging_oracle(tree, hidden, every, delta):
-    """An honest oracle that adds ``delta`` to the first atom of every
-    ``every``-th answer: a liar that both reconstructions, asking the same
-    geodesics in the same order, must meet with the same error."""
-    asked = []
-
-    def oracle(geodesic):
-        asked.append(geodesic)
-        sample = pushforward_projection(tree, geodesic, hidden)
-        if len(asked) % every or not sample.atoms:
-            return sample
-        (coord, mass), *rest = sample.atoms
-        return type(sample)(geodesic, ((coord, mass + delta), *rest))
-
-    return oracle
-
-
-def outcome(reconstruct, tree, oracle, skeleton=None):
-    """Every result field, or the message of the inconsistency raised."""
-    try:
-        result = reconstruct(tree, oracle, skeleton)
-    except OracleInconsistencyError as exc:
-        return str(exc)
-    return (result.measure, result.interior_atoms, result.interior_total,
-            result.vertex_part, result.edge_reads, result.flag_rows)
+            assert double_count_check(tree, h, x, table).lhs == expected
 
 
 @given(tree_and_measure(), st.booleans())
@@ -287,15 +266,48 @@ def outcome(reconstruct, tree, oracle, skeleton=None):
 def test_reconstruction_matches_flag_keyed_reference(data, sub):
     tree, hidden, rng = data
     skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8] if sub else None
-    oracle = radon_oracle(tree, hidden)
-    assert (outcome(reconstruct_measure, tree, oracle, skeleton)
-            == outcome(reference.reconstruct_measure, tree, oracle, skeleton))
+    try:
+        result = reconstruct_measure(tree, radon_oracle(tree, hidden), skeleton)
+    except OracleInconsistencyError:
+        assert sub
+        return
+    assert result.measure == hidden
+    rows = {row.flag: row.vertex_value for row in result.flag_rows}
+    assert list(rows) == enumerate_flags(tree)
+    for row in result.flag_rows:
+        assert row.raw_mass - row.interior_subtracted == row.vertex_value
+    table = flag_table(tree, rows)
+    assert reference.radon_forward(tree, result.vertex_part) == table
+    assert reference.radon_invert(tree, table, 1 - result.interior_total) == result.vertex_part
+
+
+def nudging_oracle(tree, hidden, every, delta):
+    """An honest oracle that adds ``delta`` to the first atom of every
+    ``every``-th answer, and the list of the answers it nudged."""
+    asked, nudged = [], []
+
+    def oracle(geodesic):
+        asked.append(geodesic)
+        sample = pushforward_projection(tree, geodesic, hidden)
+        if len(asked) % every:
+            return sample
+        nudged.append(geodesic)
+        (coord, mass), *rest = sample.atoms
+        return type(sample)(geodesic, ((coord, mass + delta), *rest))
+
+    return oracle, nudged
 
 
 @given(tree_and_measure(), st.integers(1, 4), st.sampled_from((F(1, 7), F(-1, 1000))))
 @profile_settings(40)
 def test_lying_oracle_meets_the_same_error(data, every, delta):
+    # a reconstruction that met a nudged answer rejects; one that met none
+    # (it asked fewer than ``every`` queries) is honest
     tree, hidden, _ = data
-    assert (outcome(reconstruct_measure, tree, nudging_oracle(tree, hidden, every, delta))
-            == outcome(reference.reconstruct_measure, tree,
-                       nudging_oracle(tree, hidden, every, delta)))
+    for reconstruct in (reconstruct_measure, flag_schedule_reconstruct):
+        oracle, nudged = nudging_oracle(tree, hidden, every, delta)
+        result = outcome(reconstruct, tree, oracle)
+        if nudged:
+            assert result is OracleInconsistencyError
+        else:
+            assert result[0] == hidden

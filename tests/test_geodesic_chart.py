@@ -32,6 +32,8 @@ from treeradon import (
 )
 from treeradon.geodesics import _flag_geodesic
 
+pytestmark = pytest.mark.deep
+
 
 def outcome(call, *args):
     """A call's value, or the GeodesicError class when it raises one."""

@@ -36,6 +36,8 @@ from treeradon import (
 )
 from treeradon.io import measure_to_dict
 
+pytestmark = pytest.mark.deep
+
 
 class One(Mapping):
     """A mapping of one key, which need not be hashable."""

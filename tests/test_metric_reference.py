@@ -17,6 +17,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from common import probe_points, random_caterpillar, random_point, random_tree, segment_cases
@@ -31,6 +32,8 @@ from treeradon import (
     path,
     pushforward_projection,
 )
+
+pytestmark = pytest.mark.deep
 
 
 @functools.lru_cache(maxsize=1024)

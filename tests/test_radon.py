@@ -16,6 +16,7 @@ from treeradon import (
     RadonSample,
     SuiteConfig,
     Tree,
+    TreePoint,
     VertexFunction,
     double_count_check,
     dirac,
@@ -133,8 +134,20 @@ class TestForwardInputs:
      "the vertex function is a str, not a VertexFunction"),
     (lambda tree, h: radon_forward(tree, {"a": 1}),
      "the vertex function is a dict, not a VertexFunction"),
+    (lambda tree, h: vertex_function(tree, "x"), "the mapping is a str, not a Mapping"),
+    (lambda tree, h: flag_table(tree, [1]), "the mapping is a list, not a Mapping"),
+    (lambda tree, h: vertex_function("t", {"a": 1}), "the tree is a str, not a Tree"),
+    (lambda tree, h: flag_table(None, {}), "the tree is a NoneType, not a Tree"),
+    (lambda tree, h: radon_forward("t", h), "the tree is a str, not a Tree"),
+    (lambda tree, h: radon_invert(None, radon_forward(tree, h), 1),
+     "the tree is a NoneType, not a Tree"),
+    (lambda tree, h: double_count_check("t", h, "a"), "the tree is a str, not a Tree"),
+    (lambda tree, h: reconstruct_measure(None, radon_oracle(tree, dirac(tree, TreePoint("a")))),
+     "the tree is a NoneType, not a Tree"),
 ], ids=["invert-str", "invert-none", "double-count-table", "double-count-h", "forward-str",
-        "forward-dict"])
+        "forward-dict", "vertex-function-str", "flag-table-list", "vertex-function-tree",
+        "flag-table-tree", "forward-tree", "invert-tree", "double-count-tree",
+        "reconstruct-tree"])
 def test_a_kernel_names_an_argument_of_the_wrong_kind(star3, call, message):
     # named by its type, not met by an AttributeError inside the kernel
     h = vertex_function(star3, {"c": 1, "a": F(2, 3)})

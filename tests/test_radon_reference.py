@@ -62,6 +62,8 @@ from treeradon import (
 )
 from treeradon import radon
 
+pytestmark = pytest.mark.deep
+
 
 def sparse_values(tree, rng):
     """At most 3 nonzero values, most often a pair that cancels inside one

@@ -1,14 +1,16 @@
-"""Reconstruction against the two schedules it replaced.
+"""Reconstruction against the flag schedule it replaced, and against the
+hidden measure.
 
-``reference_reconstruct`` is the earliest ``reconstruct_measure``, kept
-verbatim: one geodesic through every skeleton edge, then one through every
-flag, with the interior mass of each perpendicular summed atom by atom.
-``flag_schedule_reconstruct`` is the next one, kept verbatim: it queries
-``geodesic_through_flag`` for every flag no earlier answer has read, and
-reads every joint of each answer. The library keeps that flag order but
-routes each queried geodesic, past its flag, through flags no answer has
-read yet. On an honest oracle all three give the same result field for
-field.
+``flag_schedule_reconstruct`` is an earlier ``reconstruct_measure``, kept
+verbatim: it queries ``geodesic_through_flag`` for every flag no earlier
+answer has read, and reads every joint of each answer. The library keeps
+that flag order but routes each queried geodesic, past its flag, through
+flags no answer has read yet. On an honest oracle both give the same
+result field for field, and the library's measure, interior atoms and
+vertex part are the hidden measure's. On a sub-skeleton both agree or
+both reject, and the library rejects exactly when the hidden measure has
+an interior atom off the skeleton. ``test_flag_table.py`` asks both
+schedules to refuse an oracle that nudges every few answers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from hypothesis import given
 
 from common import hidden_measure, leafless_tree, tree_and_measure
 from conftest import profile_settings
-from geodesic_reference import geodesic_through_edge
 from treeradon import (
     CompletenessError,
     Flag,
@@ -37,7 +38,6 @@ from treeradon import (
     flag_table,
     geodesic_through_flag,
     make_measure,
-    perpendicular,
     pushforward_projection,
     radon_forward,
     radon_invert,
@@ -48,126 +48,10 @@ from radon_reference import _branch_sums
 from treeradon.radon import EdgeRead, FlagRow, VertexFunction
 from treeradon.tree import VertexId
 
+pytestmark = pytest.mark.deep
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def reference_reconstruct(tree, oracle, candidate_skeleton=None):
-    """Recover a finitely supported measure from its projection oracle.
-
-    Step 1 queries one deterministic geodesic through every skeleton edge
-    and reads interior atoms verbatim (interior level sets are single
-    points). Step 2 queries the geodesic through every flag, subtracts the
-    known interior mass inside each perpendicular, and inverts the
-    remaining vertex table with total 1 minus the interior mass.
-
-    Interior sightings are cross-checked across every queried geodesic;
-    disagreement, mass outside the skeleton, or a vertex table that is not
-    a genuine transform of a nonnegative function all raise
-    :class:`OracleInconsistencyError`.
-    """
-    if not tree.geodesically_complete:
-        raise CompletenessError("reconstruction needs a tree without leaves")
-    if candidate_skeleton is None:
-        skeleton = list(range(len(tree.edges)))
-    else:
-        skeleton = sorted(set(candidate_skeleton))
-        for eid in skeleton:
-            tree.edge(eid)
-
-    skeleton_set = set(skeleton)
-    interior: dict[tuple[int, Fraction], Fraction] = {}
-
-    def record_interior(point: TreePoint, mass: Fraction) -> None:
-        if point.edge not in skeleton_set:
-            raise OracleInconsistencyError(
-                f"interior mass on edge {point.edge} outside the candidate skeleton"
-            )
-        key = (point.edge, point.offset)
-        known = interior.get(key)
-        if known is None:
-            interior[key] = mass
-        elif known != mass:
-            raise OracleInconsistencyError(
-                f"masses disagree across geodesics through edge {point.edge}: "
-                f"{known} vs {mass} at offset {point.offset}"
-            )
-
-    def scan_interior(geodesic: Geodesic, sample: RadonSample) -> None:
-        for coord, mass in sample.atoms:
-            spot = geodesic.point_at(coord)
-            if not spot.is_vertex:
-                record_interior(spot, mass)
-
-    edge_reads = []
-    for eid in skeleton:
-        geodesic = geodesic_through_edge(tree, eid)
-        sample = oracle(geodesic)
-        scan_interior(geodesic, sample)
-        own = tuple(
-            (offset, mass)
-            for (edge, offset), mass in sorted(interior.items())
-            if edge == eid
-        )
-        edge_reads.append(EdgeRead(edge=eid, atoms=own))
-
-    flag_rows = []
-    table: dict[Flag, Fraction] = {}
-    for flag in enumerate_flags(tree):
-        geodesic = geodesic_through_flag(tree, flag)
-        sample = oracle(geodesic)
-        scan_interior(geodesic, sample)
-        raw = sample.mass_at(_ZERO)
-        perp = perpendicular(tree, flag)
-        inside = sum(
-            (mass for (edge, offset), mass in interior.items()
-             if perp.contains(TreePoint(edge=edge, offset=offset))),
-            _ZERO,
-        )
-        value = raw - inside
-        table[flag] = value
-        flag_rows.append(FlagRow(flag=flag, raw_mass=raw,
-                                 interior_subtracted=inside, vertex_value=value))
-
-    interior_total = sum(interior.values(), _ZERO)
-    vertex_part = radon_invert(tree, flag_table(tree, table), _ONE - interior_total)
-
-    for vertex, value in vertex_part.values.items():
-        if value < 0:
-            raise OracleInconsistencyError(
-                f"inverted vertex mass at {vertex!r} is negative ({value})"
-            )
-    if radon_forward(tree, vertex_part).values != table:
-        raise OracleInconsistencyError(
-            "flag table is not a transform of any vertex function with the "
-            "implied total; oracle data is inconsistent"
-        )
-
-    atoms = [(tree.vertex_point(v), m) for v, m in vertex_part.values.items()]
-    atoms.extend(
-        (TreePoint(edge=edge, offset=offset), mass)
-        for (edge, offset), mass in interior.items()
-    )
-    try:
-        measure = make_measure(tree, atoms)
-    except MeasureError as exc:
-        raise OracleInconsistencyError(f"reconstructed masses are not a probability: {exc}") from exc
-
-    interior_atoms = tuple(
-        sorted(
-            ((TreePoint(edge=edge, offset=offset), mass)
-             for (edge, offset), mass in interior.items()),
-            key=lambda item: (item[0].edge, item[0].offset),
-        )
-    )
-    return ReconstructionResult(
-        measure=measure,
-        interior_atoms=interior_atoms,
-        interior_total=interior_total,
-        vertex_part=vertex_part,
-        edge_reads=tuple(edge_reads),
-        flag_rows=tuple(flag_rows),
-    )
 
 
 def flag_schedule_reconstruct(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
@@ -318,9 +202,9 @@ def result_fields(result):
             result.vertex_part, result.edge_reads, result.flag_rows)
 
 
-def outcome(reconstruct, tree, hidden, skeleton):
+def outcome(reconstruct, tree, oracle, skeleton=None):
     try:
-        return result_fields(reconstruct(tree, radon_oracle(tree, hidden), skeleton))
+        return result_fields(reconstruct(tree, oracle, skeleton))
     except OracleInconsistencyError:
         return OracleInconsistencyError
 
@@ -331,16 +215,12 @@ def test_full_skeleton_matches_reference(data):
     tree, hidden, _ = data
     result = reconstruct_measure(tree, radon_oracle(tree, hidden))
     assert result.measure == hidden
-    assert result_fields(result) == outcome(reference_reconstruct, tree, hidden, None)
-
-
-@given(tree_and_measure())
-@profile_settings(60)
-def test_sub_skeleton_agrees_or_both_reject(data):
-    tree, hidden, rng = data
-    skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8]
-    assert (outcome(reconstruct_measure, tree, hidden, skeleton)
-            == outcome(reference_reconstruct, tree, hidden, skeleton))
+    interior = [(point, mass) for point, mass in hidden.atoms if not point.is_vertex]
+    assert result.interior_atoms == tuple(
+        sorted(interior, key=lambda atom: (atom[0].edge, atom[0].offset)))
+    assert result.interior_total == sum((mass for _, mass in interior), _ZERO)
+    assert result.vertex_part == VertexFunction(
+        {point.vertex: mass for point, mass in hidden.atoms if point.is_vertex})
 
 
 @given(tree_and_measure())
@@ -354,11 +234,26 @@ def test_full_skeleton_matches_flag_schedule(data):
 
 @given(tree_and_measure())
 @profile_settings(60)
+def test_sub_skeleton_agrees_or_both_reject(data):
+    # an honest oracle is refused exactly when the hidden measure has an
+    # interior atom off the skeleton, and recovered otherwise
+    tree, hidden, rng = data
+    skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8]
+    off = any(not point.is_vertex and point.edge not in skeleton for point, _ in hidden.atoms)
+    result = outcome(reconstruct_measure, tree, radon_oracle(tree, hidden), skeleton)
+    if off:
+        assert result is OracleInconsistencyError
+    else:
+        assert result[0] == hidden
+
+
+@given(tree_and_measure())
+@profile_settings(60)
 def test_sub_skeleton_agrees_with_flag_schedule_or_both_reject(data):
     tree, hidden, rng = data
     skeleton = [eid for eid in range(len(tree.edges)) if rng.random() < 0.8]
-    assert (outcome(reconstruct_measure, tree, hidden, skeleton)
-            == outcome(flag_schedule_reconstruct, tree, hidden, skeleton))
+    assert (outcome(reconstruct_measure, tree, radon_oracle(tree, hidden), skeleton)
+            == outcome(flag_schedule_reconstruct, tree, radon_oracle(tree, hidden), skeleton))
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ vertices built the way ``bench/gen.py`` builds them.
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 import simplex_reference as reference
@@ -21,6 +22,8 @@ from common import leafless_tree, solver_masses
 from conftest import DEEP, profile_settings
 from treeradon import TreePoint, make_measure
 from treeradon import transport
+
+pytestmark = pytest.mark.deep
 
 SIZE = 48 if DEEP else 32
 

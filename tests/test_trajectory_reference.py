@@ -16,6 +16,7 @@ import pickle
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from common import deep_caterpillar
@@ -23,6 +24,8 @@ from conftest import profile_settings
 from geodesic_reference import ParentTrajectory
 from treeradon import SuiteConfig, WassersteinGeodesic, gen_measure, gen_point, gen_tree
 from treeradon.geodesics import _travel
+
+pytestmark = pytest.mark.deep
 
 
 @given(

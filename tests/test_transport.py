@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simplex_reference as reference
 from common import (STAR3, distinct_points, fraction_calls, inside, leafless_tree, random_masses,
                     random_point, solver_masses, spy_on_bland)
 from conftest import DEEP, profile_settings
@@ -550,147 +551,16 @@ def test_equal_mass_case_matches_assignment_oracle(seed):
 
 
 # ---------------------------------------------------------------------- #
-# Reference solver: the transportation simplex over Fractions              #
+# The solver against the simplex it replaced                               #
 # ---------------------------------------------------------------------- #
 #
 # The library solver takes the masses as ints over one scale M and
-# returns its flows as ints over M. This is the rational solver it
-# replaced, kept as the reference for the pivot sequence: north-west
-# corner start, Bland's first negative reduced cost in row-major order,
-# lexicographically smallest leaving cell among the minimum-theta cells.
+# returns its flows as ints over M. ``simplex_reference`` keeps an
+# earlier solver verbatim: north-west corner start, Bland's first
+# negative reduced cost in row-major order, lexicographically smallest
+# leaving cell among the minimum-theta cells, with Fraction masses.
 # Equal allocations (the library's flows over M against the reference's
 # Fractions), not just equal costs, pin the plan files byte for byte.
-
-def _reference_northwest_corner(supply, demand):
-    """Initial basic feasible solution with exactly n+m-1 basis cells."""
-    n, m = len(supply), len(demand)
-    s = list(supply)
-    d = list(demand)
-    alloc: dict = {}
-    basis = []
-    i = j = 0
-    while True:
-        q = min(s[i], d[j])
-        alloc[(i, j)] = q
-        basis.append((i, j))
-        s[i] -= q
-        d[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        if s[i] == 0 and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            i += 1
-    return alloc, set(basis)
-
-
-def _reference_potentials(n, m, cost, basis):
-    """Dual potentials u, v with u_i + v_j = c_ij on the basis tree."""
-    cols_of_row = [[] for _ in range(n)]
-    rows_of_col = [[] for _ in range(m)]
-    for (i, j) in basis:
-        cols_of_row[i].append(j)
-        rows_of_col[j].append(i)
-    u = [None] * n
-    v = [None] * m
-    u[0] = F(0)
-    frontier = [("r", 0)]
-    while frontier:
-        kind, idx = frontier.pop()
-        if kind == "r":
-            for j in cols_of_row[idx]:
-                if v[j] is None:
-                    v[j] = cost[idx][j] - u[idx]
-                    frontier.append(("c", j))
-        else:
-            for i in rows_of_col[idx]:
-                if u[i] is None:
-                    u[i] = cost[i][idx] - v[idx]
-                    frontier.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise SolverError("basis does not span the bipartite graph")
-    return u, v
-
-
-def _reference_pivot_cycle(entering, basis, n, m):
-    """The unique alternating cycle closed by the entering cell.
-
-    Returns the cycle cells starting at the entering cell; signs alternate
-    +, -, +, ... along the returned order.
-    """
-    i0, j0 = entering
-    cols_of_row = {}
-    rows_of_col = {}
-    for (i, j) in basis:
-        cols_of_row.setdefault(i, []).append(j)
-        rows_of_col.setdefault(j, []).append(i)
-    start = ("r", i0)
-    goal = ("c", j0)
-    parent = {start: None}
-    frontier = [start]
-    while frontier and goal not in parent:
-        nxt = []
-        for node in frontier:
-            kind, idx = node
-            neighbors = (
-                (("c", j) for j in cols_of_row.get(idx, ()))
-                if kind == "r"
-                else (("r", i) for i in rows_of_col.get(idx, ()))
-            )
-            for nb in neighbors:
-                if nb not in parent:
-                    parent[nb] = node
-                    nxt.append(nb)
-        frontier = nxt
-    if goal not in parent:
-        raise SolverError("entering cell closes no cycle; basis is broken")
-    nodes = [goal]
-    while nodes[-1] != start:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()
-    cells_on_path = []
-    for a, b in zip(nodes, nodes[1:]):
-        (ka, ia), (kb, ib) = a, b
-        cells_on_path.append((ia, ib) if ka == "r" else (ib, ia))
-    return [entering] + list(reversed(cells_on_path))
-
-
-def reference_simplex(supply, demand, cost):
-    """Exact min-cost allocation for equal total supply and demand.
-
-    Bland's rule: the entering cell is the first (row-major) with negative
-    reduced cost; the leaving cell is the lexicographically smallest among
-    the minimum-allocation cells on the minus side of the pivot cycle.
-    """
-    n, m = len(supply), len(demand)
-    alloc, basis = _reference_northwest_corner(supply, demand)
-    max_pivots = 1000 + 100 * n * m
-    for _ in range(max_pivots):
-        u, v = _reference_potentials(n, m, cost, basis)
-        entering = None
-        for i in range(n):
-            for j in range(m):
-                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
-            return {cell: q for cell, q in alloc.items() if q > 0}
-        cycle = _reference_pivot_cycle(entering, basis, n, m)
-        minus = cycle[1::2]
-        theta = min(alloc[c] for c in minus)
-        leaving = min(c for c in minus if alloc[c] == theta)
-        for idx, cell in enumerate(cycle):
-            delta = theta if idx % 2 == 0 else -theta
-            alloc[cell] = alloc.get(cell, F(0)) + delta
-        basis.remove(leaving)
-        basis.add(entering)
-        del alloc[leaving]
-    raise SolverError("pivot limit exceeded")
-
 
 def _solver_instance(tree, src, dst, src_mass, dst_mass):
     mu = make_measure(tree, zip(src, src_mass))
@@ -702,12 +572,12 @@ def _solver_instance(tree, src, dst, src_mass, dst_mass):
 
 def _assert_flows_are_the_reference_allocation(supply, demand, cost):
     """The solver's int flows, over the masses' scale M, against the
-    Fraction ``reference_simplex`` given the masses over M. Every
-    instance's masses sum to 1, so M is the supply's sum."""
+    reference's Fractions given the masses over M. Every instance's masses
+    sum to 1, so M is the supply's sum."""
     scale = sum(supply)
     flows = transport._transportation_simplex(supply, demand, cost)
     assert all(type(f) is int for f in flows.values())
-    assert {cell: F(f, scale) for cell, f in flows.items()} == reference_simplex(
+    assert {cell: F(f, scale) for cell, f in flows.items()} == reference._transportation_simplex(
         [F(s, scale) for s in supply], [F(d, scale) for d in demand], cost)
 
 
@@ -861,6 +731,7 @@ def test_a_first_solve_past_its_cap_hands_over_to_bland(monkeypatch):
 SIDES = (48, 100) if DEEP else (16, 32)
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("equal", [True, False], ids=["masses_1_over_n", "random_masses"])
 def test_first_solve_returns_blands_allocation_on_a_bench_tree(side, equal):
@@ -877,7 +748,7 @@ def test_first_solve_returns_blands_allocation_on_a_bench_tree(side, equal):
 def _assert_basis_is_the_reference_corner(supply, demand, cost):
     n, m = len(supply), len(demand)
     children, parent, pot, flow = transport._northwest_basis(supply, demand, cost)
-    alloc, basis = _reference_northwest_corner(supply, demand)
+    alloc = reference._northwest_corner(supply, demand)
     # each non-root node's parent link is one basis cell, with its flow
     assert {(c, parent[c] - n) if c < n else (parent[c], c - n): flow[c]
             for c in range(1, n + m)} == alloc
@@ -890,7 +761,7 @@ def _assert_basis_is_the_reference_corner(supply, demand, cost):
         for _ in range(n + m - 1):
             c = parent[c]
         assert c == 0
-    assert all(pot[i] + pot[n + j] == cost[i][j] for i, j in basis)
+    assert all(pot[i] + pot[n + j] == cost[i][j] for i, j in alloc)
     return children, parent, flow
 
 

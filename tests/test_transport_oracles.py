@@ -44,6 +44,8 @@ from treeradon import (
 )
 from treeradon import transport
 
+pytestmark = pytest.mark.deep
+
 ATOMS = st.integers(16, 40 if DEEP else 24)
 
 
