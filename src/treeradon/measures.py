@@ -54,17 +54,14 @@ class Measure:
         """``(scale, numerators)``: the lcm of the masses' denominators, and
         each mass times it as an int, in atom order. An int mass (a
         hand-built Dirac's ``1``) counts as its own numerator over 1; any
-        mass that is neither an int nor a ``Fraction`` raises
-        :class:`MeasureError` naming its atom."""
-        try:
-            scale = lcm(*(mass.denominator for _, mass in self.atoms))
-            return scale, tuple(mass.numerator * (scale // mass.denominator)
-                                for _, mass in self.atoms)
-        except (AttributeError, TypeError):
-            for point, mass in self.atoms:
-                if not isinstance(mass, (int, Fraction)):
-                    raise MeasureError(f"mass {mass!r} at {point!r} is not a rational") from None
-            raise
+        other mass, a bool included, raises :class:`MeasureError` naming
+        its atom."""
+        for point, mass in self.atoms:
+            if isinstance(mass, bool) or not isinstance(mass, (int, Fraction)):
+                raise MeasureError(f"mass {mass!r} at {point!r} is not a rational")
+        scale = lcm(*(mass.denominator for _, mass in self.atoms))
+        return scale, tuple(mass.numerator * (scale // mass.denominator)
+                            for _, mass in self.atoms)
 
     @property
     def total_mass(self) -> Fraction:

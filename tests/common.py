@@ -25,7 +25,6 @@ from treeradon import (
     path,
     vertex_function,
 )
-from treeradon import transport
 
 # ---------------------------------------------------------------------- #
 # Fixture trees                                                             #
@@ -381,37 +380,35 @@ def solver_masses(supply, demand):
     return scale, over(supply), over(demand)
 
 
+def count_calls(monkeypatch, owner, *names):
+    """The argument tuples of every call to ``owner``'s attributes
+    ``names`` from now to the end of the test, one list in call order; each
+    call runs the attribute it replaces, unchanged. A method's tuple starts
+    with its instance."""
+    calls = []
+    for name in names:
+        original = getattr(owner, name)
+
+        def call(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+    return calls
+
+
 @contextmanager
 def fraction_calls(*names):
-    """The names of the ``Fraction`` methods among ``names`` called while
-    the block runs, in call order; a context manager, as hypothesis refuses
-    function-scoped fixtures such as ``monkeypatch``."""
-    calls = []
-    originals = {name: getattr(F, name) for name in names}
-    for name, method in originals.items():
-        setattr(F, name, lambda *args, _name=name, _method=method:
-                calls.append(_name) or _method(*args))
-    try:
-        yield calls
-    finally:
-        for name, method in originals.items():
-            setattr(F, name, method)
+    """``count_calls`` on the ``Fraction`` methods ``names`` while the
+    block runs; a context manager, as hypothesis refuses function-scoped
+    fixtures such as ``monkeypatch``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        yield count_calls(monkeypatch, F, *names)
 
 
-def spy_on_bland(monkeypatch):
-    """Count the solver's ``_hang`` calls, one per pivot, and record how
-    many came before each call of ``_bland_simplex``: returns the two
-    lists ``(calls, before_bland)``."""
-    hang, bland, calls, before_bland = transport._hang, transport._bland_simplex, [], []
-
-    def counted(*args):
-        calls.append(None)
-        return hang(*args)
-
-    def spied(*args):
-        before_bland.append(len(calls))
-        return bland(*args)
-
-    monkeypatch.setattr(transport, "_hang", counted)
-    monkeypatch.setattr(transport, "_bland_simplex", spied)
-    return calls, before_bland
+def pivots_per_solve(pivots):
+    """The number of pivots of each solve, in order, from the argument
+    tuples of ``transport._pivot``, which runs once per pivot: its second
+    argument numbers a solve's pivots from 0."""
+    ks = [k for _, k, *_ in pivots]
+    return [k + 1 for k, after in zip(ks, ks[1:] + [0]) if after == 0]

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from common import STAR3, TRIPOD, distinct_points, random_masses, spy_on_bland
+from common import STAR3, TRIPOD, count_calls, distinct_points, pivots_per_solve, random_masses
 from treeradon import (
     SolverError,
     SuiteConfig,
@@ -22,6 +22,7 @@ from treeradon import (
     io,
     make_measure,
     optimal_plan,
+    transport,
     vertex_function,
 )
 from treeradon.cli import _build_parser, _suite_config, main
@@ -281,18 +282,18 @@ def test_seeded_equal_mass_32x32_plan_file_is_byte_identical(tmp_path, capsys):
                          ids=["write_seeded_16x16-162", "write_seeded_equal_mass_inputs-781"])
 def test_seeded_plans_take_the_same_number_of_pivots(tmp_path, monkeypatch, write, first,
                                                      pivots):
-    # equal plan files do not prove an equal pivot sequence; the solver
-    # re-hangs its basis tree exactly once per pivot, so count those calls.
-    # Both inputs have ties, so the first solve's pivots are followed by
-    # Bland's, counted apart: Bland's count is the one pinned before the
-    # first solve existed.
+    # equal plan files do not prove an equal pivot sequence, so count the
+    # calls of transport._pivot, one per pivot. Both inputs have ties, so
+    # the first solve's pivots are followed by Bland's, counted apart:
+    # Bland's count is the one pinned before the first solve existed.
     tree_file, mu_file, nu_file = write(tmp_path)
     tree = io.load_tree(tree_file)
     mu, nu = io.load_measure(tree, mu_file), io.load_measure(tree, nu_file)
-    calls, before_bland = spy_on_bland(monkeypatch)
+    pivoted = count_calls(monkeypatch, transport, "_pivot")
+    blands = count_calls(monkeypatch, transport, "_bland_simplex")
     optimal_plan(tree, mu, nu)
-    assert before_bland == [first]
-    assert len(calls) - first == pivots
+    assert len(blands) == 1
+    assert pivots_per_solve(pivoted) == [first, pivots]
 
 
 # Digests of the interpolate files written at the commit before Wasserstein

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from common import hidden_measure, leafless_tree, small_values
+from common import count_calls, hidden_measure, leafless_tree, small_values
 from conftest import profile_settings
 from treeradon import (
     DiracExtensionCheck,
@@ -250,14 +250,7 @@ def test_records_are_not_json(tmp_path, record, place):
 def test_library_files_never_use_the_pure_python_encoder(tmp_path, monkeypatch):
     # json.dumps with an indent builds its pure-Python encoder through
     # json.encoder._make_iterencode; the library's own shapes never need it
-    calls = []
-    make = json.encoder._make_iterencode
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return make(*args, **kwargs)
-
-    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    calls = count_calls(monkeypatch, json.encoder, "_make_iterencode")
     json.dumps({"a": 1}, indent=2)
     assert len(calls) == 1, "the counter does not see the pure-Python encoder"
 

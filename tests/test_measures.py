@@ -11,7 +11,8 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from common import fraction_calls, hidden_measure, leafless_tree, tree_and_measure, twin
+from common import (count_calls, fraction_calls, hidden_measure, leafless_tree, tree_and_measure,
+                    twin)
 from conftest import profile_settings
 from treeradon import (
     Geodesic,
@@ -224,16 +225,8 @@ def test_library_made_atoms_are_canonical(seed):
 
 @pytest.fixture
 def canonical_calls(monkeypatch):
-    """Every point passed to ``Tree.canonical_point``, in call order."""
-    calls = []
-    canonical = Tree.canonical_point
-
-    def counted(self, point):
-        calls.append(point)
-        return canonical(self, point)
-
-    monkeypatch.setattr(Tree, "canonical_point", counted)
-    return calls
+    """Every call of ``Tree.canonical_point``, in call order."""
+    return count_calls(monkeypatch, Tree, "canonical_point")
 
 
 def test_a_wasserstein_geodesic_checks_its_couplings_once(canonical_calls):
@@ -481,7 +474,7 @@ def test_cached_integer_masses_keep_equality_hashing_and_pickling(tripod):
 
 
 @pytest.mark.parametrize("entry", ["pushforward_projection", "optimal_plan", "w2_squared"])
-@pytest.mark.parametrize("mass", ["1/2", 0.5], ids=["string", "float"])
+@pytest.mark.parametrize("mass", ["1/2", 0.5, True], ids=["string", "float", "bool"])
 def test_a_mass_that_is_not_a_rational_is_named(star3, entry, mass):
     a, b = star3.vertex_point("a"), star3.vertex_point("b")
     mu = Measure(((a, F(1, 2)), (b, mass)))

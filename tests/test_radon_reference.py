@@ -40,6 +40,7 @@ from common import (
     LEAFLESS,
     PRIMES,
     assert_identical,
+    count_calls,
     flag_prime_table,
     fraction_calls,
     raised,
@@ -201,17 +202,6 @@ def test_int_flag_sums_match_the_entries(drawn, inputs, cancel):
     assert raised(double_count_check, other, h, tree.vertices[0], table) == message
 
 
-class Counted:
-    """Wraps a callable and counts its calls."""
-
-    def __init__(self, fn):
-        self.fn, self.calls = fn, 0
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self.fn(*args)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_int_regime_flag_sums_read_no_entry(monkeypatch, seed):
     """On a forward table in the int regime, inversion and double counting
@@ -222,21 +212,19 @@ def test_int_regime_flag_sums_read_no_entry(monkeypatch, seed):
     tree = shuffled_leafless_tree(rng, rng.randint(100, 400))
     h = small_values(tree, rng)
     table = radon_forward(tree, h)
-    numerators, denominators = Counted(radon._numerator), Counted(radon._denominator)
-    built = Counted(F)
-    monkeypatch.setattr(radon, "_numerator", numerators)
-    monkeypatch.setattr(radon, "_denominator", denominators)
-    monkeypatch.setattr(radon, "Fraction", built)
+    numerators = count_calls(monkeypatch, radon, "_numerator")
+    denominators = count_calls(monkeypatch, radon, "_denominator")
+    built = count_calls(monkeypatch, radon, "Fraction")
     inverse = radon_invert(tree, table, h.total)
     assert inverse == h
-    assert built.calls <= len(set(inverse.values.values()))
+    assert len(built) <= len(set(inverse.values.values()))
     assert one_entry_per_value(list(inverse.values.values()))
     for x in tree.vertices[:16]:
         double_count_check(tree, h, x, table)
-    assert (numerators.calls, denominators.calls) == (0, 0)
+    assert (len(numerators), len(denominators)) == (0, 0)
     assert radon_invert(tree, FlagTable(tree, table.entries), h.total) == h
     flags = len(table.entries)
-    assert (numerators.calls, denominators.calls) == (flags, flags)
+    assert (len(numerators), len(denominators)) == (flags, flags)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -248,18 +236,17 @@ def test_forward_entries_are_built_on_first_read(monkeypatch, seed):
     rng = random.Random(seed)
     tree = shuffled_leafless_tree(rng, rng.randint(100, 400))
     h = small_values(tree, rng)
-    built = Counted(F)
-    monkeypatch.setattr(radon, "Fraction", built)
+    built = count_calls(monkeypatch, radon, "Fraction")
     table = radon_forward(tree, h)
-    assert built.calls == 0
+    assert built == []
     inverse = radon_invert(tree, table, h.total)
     for x in tree.vertices[:16]:
         double_count_check(tree, h, x, table)
     assert "entries" not in vars(table)
-    built.calls = 0
+    built.clear()
     entries = table.entries
-    assert built.calls == len(set(table._ints[0]))
-    assert table.entries is entries and built.calls == len(set(table._ints[0]))
+    assert len(built) == len(set(table._ints[0]))
+    assert table.entries is entries and len(built) == len(set(table._ints[0]))
     assert one_entry_per_value(entries)
     assert inverse == h
     assert_identical(table.values, reference.radon_forward(tree, h).values)

@@ -30,7 +30,7 @@ MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 EXPLICIT = ["0/0", "1/0", "007/010", " 3 / 4 ", "3/4", "\t12\n", "1_000", "1_000/3", "3/",
             "/3", "3/4/5", "", " ", "+3", "-3/4", "٣/４", "inf", "Infinity", " INF ", "1e3", "1.5",
             "1" * (MAX_DIGITS + 1), "1" * (MAX_DIGITS + 1) + "/3", "3/" + "1" * (MAX_DIGITS + 1),
-            "1" * MAX_DIGITS + "/7"]
+            "1" * MAX_DIGITS + "/7", "+inf", "infinity", " +InF\t"]
 
 
 def outcome(parse, text):

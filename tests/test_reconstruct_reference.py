@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from common import hidden_measure, leafless_tree, tree_and_measure
+from common import count_calls, hidden_measure, leafless_tree, tree_and_measure
 from conftest import profile_settings
 from treeradon import (
     CompletenessError,
@@ -370,10 +370,7 @@ def test_no_flag_position_is_computed_per_joint(monkeypatch):
     # the only positions computed are the interior correction's: one per
     # other edge at each interior atom's foot
     tree, hidden = fixed_40_vertex_case()
-    calls = []
-    position = Tree._flag_position
-    monkeypatch.setattr(Tree, "_flag_position",
-                        lambda self, *args: calls.append(args) or position(self, *args))
+    calls = count_calls(monkeypatch, Tree, "_flag_position")
     assert reconstruct_measure(tree, radon_oracle(tree, hidden)).measure == hidden
     expected = []
     for point, _ in hidden.atoms:
@@ -381,7 +378,7 @@ def test_no_flag_position_is_computed_per_joint(monkeypatch):
             foot = tree._foot_vertex(point)
             expected += [(foot, point.edge, eid) for eid in tree.incident_edges(foot)
                          if eid != point.edge]
-    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+    assert sorted((args[1:] for args in calls), key=repr) == sorted(expected, key=repr)
 
 
 def zero_joint_reread(tree, hidden):

@@ -8,22 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplex_reference as reference
-from common import (STAR3, distinct_points, fraction_calls, inside, leafless_tree, random_masses,
-                    random_point, solver_masses, spy_on_bland)
+from common import (STAR3, count_calls, distinct_points, fraction_calls, inside, leafless_tree,
+                    pivots_per_solve, random_masses, random_point, solver_masses)
 from conftest import DEEP, profile_settings
 from treeradon import (
     CompletenessError,
-    Geodesic,
     Measure,
     MeasureError,
     SolverError,
     SuiteConfig,
     TransportPlan,
-    Tree,
     TreePoint,
     WassersteinGeodesic,
     build_tree,
-    check_cat0_triangle,
     check_nonextendable,
     dilate,
     dirac,
@@ -36,9 +33,7 @@ from treeradon import (
     interpolate,
     is_cyclically_monotone,
     make_measure,
-    midpoint,
     optimal_plan,
-    path,
     w2_squared,
     w2_squared_enumerated,
 )
@@ -164,67 +159,6 @@ class TestInterpolate:
             interpolate(tripod, plan((o, y, True), (x, half_z, F(1, 2))), F(1, 2))
 
 
-def test_no_geodesic_is_built_up_to_time_one(monkeypatch):
-    """interpolate, dilate, midpoint and check_cat0_triangle locate each
-    point from the tree's depths: for t <= 1 no Geodesic is set up."""
-    built = []
-    set_up = Geodesic._set_up
-
-    def counted(self, *args):
-        built.append(args)
-        set_up(self, *args)
-
-    monkeypatch.setattr(Geodesic, "_set_up", counted)
-    cfg = SuiteConfig(max_vertices=14, max_atoms=5, max_denominator=9)
-    rng = random.Random(30)
-    for mode in ("finite", "complete") * 8:
-        tree = gen_tree(cfg, mode, rng)
-        mu, nu = gen_measure(cfg, tree, rng), gen_measure(cfg, tree, rng)
-        x, y, z = (gen_point(tree, rng, cfg.max_denominator) for _ in range(3))
-        plan = optimal_plan(tree, mu, nu)
-        for t in (0, F(1, 3), F(1, 2), 1):
-            interpolate(tree, plan, t)
-            dilate(tree, x, mu, t)
-            check_cat0_triangle(tree, x, y, z, t)
-        midpoint(tree, x, z)
-    assert built == []
-    path(tree, x, z)  # the spy sees the geodesic that path builds
-    assert len(built) == 1
-
-
-def test_no_geodesic_is_built_past_time_one(monkeypatch):
-    """Travel past time 1 reads the last edge of the tree's walk: extension
-    from a Dirac, the default continuation of check_nonextendable and
-    _travel itself set up no Geodesic."""
-    built = []
-    set_up = Geodesic._set_up
-
-    def counted(self, *args):
-        built.append(args)
-        set_up(self, *args)
-
-    monkeypatch.setattr(Geodesic, "_set_up", counted)
-    cfg = SuiteConfig(max_vertices=14, max_atoms=5, max_denominator=9)
-    rng = random.Random(34)
-    for mode in ("finite", "complete") * 8:
-        tree = gen_tree(cfg, mode, rng)
-        mu = gen_measure(cfg, tree, rng)
-        x, y = gen_point(tree, rng, cfg.max_denominator), gen_point(tree, rng, cfg.max_denominator)
-        for t in (F(5, 4), 2, F(7, 3)):
-            _travel(tree, x, y, t)
-            _travel(tree, x, x, t)
-        if not mu.is_dirac:
-            check_nonextendable(tree, mu, mu.support[-1])
-        if tree.geodesically_complete:
-            family = WassersteinGeodesic.from_dirac(tree, x, mu, horizon=3)
-            for t in (F(3, 2), 2, 3):
-                family.at(t)
-                extend_from_dirac(tree, x, mu, t)
-    assert built == []
-    path(tree, x, y)  # the spy sees the geodesic that path builds
-    assert len(built) == 1
-
-
 def test_travel_at_time_one_is_the_target():
     """``_travel`` walks past time 1 only, so at time 1 it stays at the
     target, as ``check_nonextendable`` with ε = 0 asks it to."""
@@ -256,29 +190,6 @@ def test_evaluation_compares_its_time_once(count):
         half = family.at(F(1, 2))
     assert len(calls) <= 3
     assert half == make_measure(star, [(star.point(eid, 1), F(1, count)) for eid in range(count)])
-
-
-def test_travel_past_time_one_climbs_once(monkeypatch):
-    """Past time 1, ``_travel`` takes the distance from the vertex where the
-    tree's walk met, so it finds no lowest common ancestor of its own; a
-    distance between the same points does."""
-    climbs = []
-    lca = Tree._lca
-
-    def counted(self, a, b):
-        climbs.append((a, b))
-        return lca(self, a, b)
-
-    monkeypatch.setattr(Tree, "_lca", counted)
-    rng = random.Random(29)
-    tree = leafless_tree(rng, 30)
-    pairs = [(random_point(tree, rng), random_point(tree, rng)) for _ in range(50)]
-    for p, q in pairs:
-        _travel(tree, p, q, F(5, 2))
-    assert climbs == []
-    for p, q in pairs:
-        tree._distance(p, q)
-    assert len(climbs) == sum(p.edge is None or p.edge != q.edge for p, q in pairs) > 40
 
 
 class TestDilate:
@@ -711,20 +622,22 @@ def test_a_unique_optimum_skips_bland_and_a_tie_runs_it_once(monkeypatch):
     spots = [star3.point(eid, F(k, 2)) for eid in range(3, 9) for k in (1, 2, 3)]
     tied = _solver_instance(star3, spots[:16], spots[2:], [F(1, 16)] * 16, [F(1, 16)] * 16)
     expected = [transport._bland_simplex(*unique), transport._bland_simplex(*tied)]
-    calls, before_bland = spy_on_bland(monkeypatch)
+    pivots = count_calls(monkeypatch, transport, "_pivot")
+    blands = count_calls(monkeypatch, transport, "_bland_simplex")
     assert transport._transportation_simplex(*unique) == expected[0]
-    assert calls and before_bland == []
+    assert pivots and blands == []
     assert transport._transportation_simplex(*tied) == expected[1]
-    assert len(before_bland) == 1
+    assert len(blands) == 1
 
 
 def test_a_first_solve_past_its_cap_hands_over_to_bland(monkeypatch):
     instance = _unique_16x16()
     expected = transport._bland_simplex(*instance)
-    calls, before_bland = spy_on_bland(monkeypatch)
+    pivots = count_calls(monkeypatch, transport, "_pivot")
+    blands = count_calls(monkeypatch, transport, "_bland_simplex")
     monkeypatch.setattr(transport, "_first_solve_cap", lambda n, m: 5)
     assert transport._transportation_simplex(*instance) == expected
-    assert before_bland == [5]
+    assert len(blands) == 1 and pivots_per_solve(pivots)[0] == 5
 
 
 # 48×48 and 100×100 under TREERADON_SOLVER_PROFILE=solver-deep

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeradon.tree
-from common import fraction_calls, leafless_description, random_caterpillar, random_tree
+from common import count_calls, leafless_description, random_caterpillar, random_tree
 from conftest import profile_settings
 from treeradon import (
     Flag,
@@ -194,24 +194,12 @@ class TestBuildTree:
 # Construction: lengths parsed once, records against a hand-built walk      #
 # ---------------------------------------------------------------------- #
 
-def spy_on_parse_length(monkeypatch):
-    """The values ``build_tree`` hands ``parse_length``, in call order."""
-    calls = []
-
-    def spy(value):
-        calls.append(value)
-        return parse_length(value)
-
-    monkeypatch.setattr(treeradon.tree, "parse_length", spy)
-    return calls
-
-
 def test_each_distinct_length_string_is_parsed_once(monkeypatch):
     description = build_tree(leafless_description(random.Random(5), 80)).describe()
     strings = [entry["len"] for entry in description["edges"]]
-    calls = spy_on_parse_length(monkeypatch)
+    calls = count_calls(monkeypatch, treeradon.tree, "parse_length")
     tree = build_tree(description)
-    assert calls == list(dict.fromkeys(strings))
+    assert calls == [(string,) for string in dict.fromkeys(strings)]
     assert len(calls) < len(strings)
     shared = {}
     for string, rec in zip(strings, tree.edges):
@@ -226,10 +214,10 @@ def test_each_distinct_length_string_is_parsed_once(monkeypatch):
 def test_only_strings_share_a_parse(monkeypatch):
     # 1, "1" and Fraction(1) are equal as keys, and True equals 1, but only
     # an exact str is looked up: each other length is parsed where it stands
-    calls = spy_on_parse_length(monkeypatch)
+    calls = count_calls(monkeypatch, treeradon.tree, "parse_length")
     tree = build_tree({"vertices": ["o", "x", "y", "z"],
                        "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", F(1))]})
-    assert calls == ["1", 1, F(1)]
+    assert calls == [("1",), (1,), (F(1),)]
     assert [rec.length for rec in tree.edges] == [1, 1, 1]
     with pytest.raises(TreeStructureError) as caught:
         build_tree({"vertices": ["o", "x", "y", "z"],
@@ -323,16 +311,6 @@ def test_records_match_a_breadth_first_construction(seed, kind):
         assert v is record.id is vertex[v].id
         assert record.parent is None or record.parent in seen
         seen.add(v)
-
-
-def test_construction_adds_no_fraction():
-    """Depths are summed as int pairs, so building a 200-vertex leafless
-    tree makes no ``Fraction`` addition."""
-    description = leafless_description(random.Random(7), 200)
-    with fraction_calls("__add__", "__radd__") as calls:
-        tree = build_tree(description)
-    assert calls == []
-    assert max(record.hops for record in tree._vertex.values()) > 1
 
 
 class TestCompleteness:

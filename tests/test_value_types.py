@@ -280,9 +280,11 @@ DATACLASS_TWIN = {cls: make_dataclass(cls.__name__, fields, frozen=True)
                   for cls, fields in RECORD_FIELDS.items()}
 
 
-def _library_records():
+@pytest.fixture(scope="module")
+def records():
     """One record of each type on STAR3, as the library makes it (the cycle
-    violation is built by hand)."""
+    violation is built by hand). Built once per module inside the tests, so
+    a kernel that raises fails the tests that read it, by name."""
     tree = build_tree(STAR3)
     a, b, c = (tree.vertex_point(v) for v in "abc")
     inner = tree.point(1, F(1, 3))
@@ -302,8 +304,10 @@ def _library_records():
     ]
 
 
-RECORDS = _library_records()
-each_record = pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.fixture(params=list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+def record(request, records):
+    """The library's record of each type in turn."""
+    return records[list(RECORD_FIELDS).index(request.param)]
 
 
 def _field_values(record):
@@ -317,11 +321,10 @@ def _hash_or_error(value):
         return type(exc)
 
 
-def test_every_record_is_covered():
-    assert [type(record) for record in RECORDS] == list(RECORD_FIELDS)
+def test_every_record_is_covered(records):
+    assert [type(record) for record in records] == list(RECORD_FIELDS)
 
 
-@each_record
 def test_result_record_fields_and_construction(record):
     cls, values = type(record), _field_values(record)
     assert cls._fields == RECORD_FIELDS[cls]
@@ -330,7 +333,6 @@ def test_result_record_fields_and_construction(record):
     assert cls._make(values) == record and tuple(record) == values
 
 
-@each_record
 def test_result_record_equals_and_hashes_as_its_fields(record):
     values = _field_values(record)
     assert record == values and values == record
@@ -341,7 +343,6 @@ def test_result_records_of_two_types_with_equal_fields_are_equal():
     assert Cat0Comparison(0, 1, 1) == DoubleCountIdentity(0, 1, 1)
 
 
-@each_record
 def test_result_record_cannot_be_assigned(record):
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
@@ -349,7 +350,6 @@ def test_result_record_cannot_be_assigned(record):
         record.extra = 1
 
 
-@each_record
 def test_result_record_pickle_round_trip(record):
     back = pickle.loads(pickle.dumps(record))
     assert back == record and type(back) is type(record)
@@ -359,13 +359,12 @@ def test_result_record_pickle_round_trip(record):
         assert repr(back) == repr(record)
 
 
-@each_record
 def test_result_record_repr_is_the_dataclass_repr(record):
     assert repr(record) == repr(DATACLASS_TWIN[type(record)](*record))
 
 
-def test_result_record_properties():
-    cat0, identity, _, _, violation, witness, subtree, thales, dirac_check = RECORDS
+def test_result_record_properties(records):
+    cat0, identity, _, _, violation, witness, subtree, thales, dirac_check = records
     assert (cat0.holds, cat0.strict) == (cat0.lhs <= cat0.rhs, cat0.lhs < cat0.rhs)
     assert Cat0Comparison(F(0), F(1), F(1)).holds and not Cat0Comparison(F(0), F(1), F(1)).strict
     assert not Cat0Comparison(F(0), F(2), F(1)).holds

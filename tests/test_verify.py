@@ -252,7 +252,7 @@ def in_turn(*answers):
     return lambda *args: next(answers)
 
 
-def counting():
+def rising():
     """A stand-in for ``w2_squared`` whose every answer exceeds the last."""
     count = itertools.count()
     return lambda *args: F(next(count))
@@ -307,7 +307,7 @@ FORCED = {
         ({"pushforward_projection": returning(total_mass=F(0))}, "pushforward mass 0")],
     "measures.pushforward_idempotent": [
         ({"pushforward_projection": fresh_atoms}, "projection is not idempotent")],
-    "measures.pushforward_contracts": [({"w2_squared": counting()}, "pushforward expanded")],
+    "measures.pushforward_contracts": [({"w2_squared": rising()}, "pushforward expanded")],
     "transport.plan_marginals": [({"optimal_plan": returning(couplings=())}, "marginals drifted")],
     "transport.w2_triangle": [({"w2_triangle_holds": constant(False)}, "triangle fails")],
     "transport.geodesic_property": [({"w2_squared": constant(F(-1))}, "interpolation: W2^2")],
