@@ -7,6 +7,9 @@ signals that the exact transportation solver gave up (CLI exit code 1).
 Valid inputs can reach it, but only through Bland's rule, which runs on
 inputs whose optimum the first solve could not prove unique: a large,
 highly degenerate problem with ties can run past its pivot limit.
+
+``_require`` is the one check that a public function's argument is of the
+kind it needs, raising the given error class with both kinds named.
 """
 
 
@@ -60,3 +63,10 @@ class SolverError(RuntimeError):
     measures`` (``optimal_plan``'s check of the solver's flows, ints over
     the one mass scale it forms for the two measures, against each
     measure's masses over that scale)."""
+
+
+def _require(value, kind: type, role: str, error: type[DomainError]) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind``; asked once per call,
+    so a wrong kind is named, not met as a missing attribute."""
+    if not isinstance(value, kind):
+        raise error(f"{role} is a {type(value).__name__}, not a {kind.__name__}")

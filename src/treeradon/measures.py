@@ -15,7 +15,7 @@ from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import GeodesicError, MeasureError
+from .errors import GeodesicError, MeasureError, _require
 from .geodesics import Geodesic
 from .rationals import parse_rational
 from .tree import Tree, TreePoint, _new, point_sort_key
@@ -187,8 +187,9 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     the canonical points the measure holds, and are not checked. An atom
     the tree lacks fails the projection's lookup, which raises
     :class:`MeasureError` naming it, as does a mass that is neither an int
-    nor a ``Fraction``.
+    nor a ``Fraction``, and a ``measure`` that is not a :class:`Measure`.
     """
+    _require(measure, Measure, "the measure", MeasureError)
     if geodesic.tree is not tree:
         raise GeodesicError("geodesic belongs to a different tree")
     if not geodesic.is_maximal:

@@ -65,6 +65,7 @@ from .errors import (
     OracleInconsistencyError,
     PointLocationError,
     RadonError,
+    _require,
 )
 from .geodesics import Geodesic, _flag_geodesic, geodesic_through_flag
 from .measures import Measure, RadonSample, _measure, pushforward_projection
@@ -103,8 +104,8 @@ def vertex_function(tree: Tree, values: Mapping) -> VertexFunction:
     """Build a vertex function, validating keys against the tree; a
     ``tree`` that is not a :class:`Tree`, or ``values`` that are not a
     mapping, raise :class:`RadonError`."""
-    _require(tree, Tree, "the tree")
-    _require(values, Mapping, "the mapping")
+    _require(tree, Tree, "the tree", RadonError)
+    _require(values, Mapping, "the mapping", RadonError)
     cleaned: dict[VertexId, Fraction] = {}
     for vertex, raw in values.items():
         vertex = tree._record(vertex).id
@@ -203,8 +204,8 @@ def flag_table(tree: Tree, values: Mapping) -> FlagTable:
     :class:`Tree`, or ``values`` that are not a mapping, raise
     :class:`RadonError`.
     """
-    _require(tree, Tree, "the tree")
-    _require(values, Mapping, "the mapping")
+    _require(tree, Tree, "the tree", RadonError)
+    _require(values, Mapping, "the mapping", RadonError)
     entries: list[Fraction | None] = [None] * tree._flag_count
     key_at: dict[int, object] = {}  # the key that gave each position
     for flag, raw in values.items():
@@ -255,8 +256,8 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     each of its values an int (not a bool) or a ``Fraction``, and each key
     a vertex of the tree; :class:`RadonError` names any other.
     """
-    _require(tree, Tree, "the tree")
-    _require(h, VertexFunction, "the vertex function")
+    _require(tree, Tree, "the tree", RadonError)
+    _require(h, VertexFunction, "the vertex function", RadonError)
     values = h.values
     if not _RATIONAL_TYPES.issuperset(map(type, values.values())):
         for x, value in values.items():
@@ -325,13 +326,6 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
     return flags
 
 
-def _require(value, kind: type, role: str) -> None:
-    """Raise :class:`RadonError` unless ``value`` is a ``kind``; asked once
-    per kernel call, so a wrong kind is named, not a missing attribute."""
-    if not isinstance(value, kind):
-        raise RadonError(f"{role} is a {type(value).__name__}, not a {kind.__name__}")
-
-
 def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
                total: Fraction = _ZERO) -> Iterator[tuple[int, int, int]]:
     """Per vertex x of ``vertices``, in turn: its valency k and Σ Rh(x, ef)
@@ -350,7 +344,7 @@ def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
     denominator in it, and each vertex would pay for the denominators of
     all the others.
     """
-    _require(table, FlagTable, "the flag table")
+    _require(table, FlagTable, "the flag table", RadonError)
     if table.tree is not tree:
         raise RadonError("the flag table belongs to another tree")
     records = tree._vertex
@@ -410,8 +404,8 @@ def double_count_check(tree: Tree, h: VertexFunction, x: VertexId,
     be a :class:`Tree`, ``h`` a :class:`VertexFunction` and ``table``, if
     given, a :class:`FlagTable`; :class:`RadonError` names any other
     kind."""
-    _require(tree, Tree, "the tree")
-    _require(h, VertexFunction, "the vertex function")
+    _require(tree, Tree, "the tree", RadonError)
+    _require(h, VertexFunction, "the vertex function", RadonError)
     k = tree.valency(x)
     if k < 2:
         raise RadonError(f"vertex {x!r} has valency {k}; no flags exist there")
@@ -437,7 +431,7 @@ def radon_invert(tree: Tree, table: FlagTable, total) -> VertexFunction:
     ``tree`` that is not a :class:`Tree`, or a ``table`` that is not a
     :class:`FlagTable`, raises :class:`RadonError`.
     """
-    _require(tree, Tree, "the tree")
+    _require(tree, Tree, "the tree", RadonError)
     total = parse_rational(total)
     # construction bans valency 0 and 2, so without leaves every k >= 3
     if not tree.geodesically_complete:
@@ -580,7 +574,7 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     joints without an atom is. A ``tree`` that is not a :class:`Tree`
     raises :class:`RadonError`.
     """
-    _require(tree, Tree, "the tree")
+    _require(tree, Tree, "the tree", RadonError)
     if not tree.geodesically_complete:
         raise CompletenessError("reconstruction needs a tree without leaves")
     if candidate_skeleton is None:

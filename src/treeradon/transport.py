@@ -58,7 +58,7 @@ from functools import partial
 from operator import sub
 from typing import NamedTuple
 
-from .errors import CompletenessError, MeasureError, SolverError
+from .errors import CompletenessError, MeasureError, SolverError, _require
 from .geodesics import _travel
 from .measures import Measure, _foreign_atom, _measure, dirac
 from .rationals import parse_rational
@@ -399,8 +399,11 @@ def optimal_plan(tree: Tree, mu: Measure, nu: Measure) -> TransportPlan:
     cost matrix as one int. The plan's only ``Fraction``s are made last:
     one per coupling, its flow over M, and one for the cost. A mass that
     is neither an int nor a ``Fraction`` raises :class:`MeasureError`
-    naming its atom before any solving.
+    naming its atom before any solving, as does a ``mu`` or ``nu`` that is
+    not a :class:`Measure`, naming its kind.
     """
+    _require(mu, Measure, "the source measure", MeasureError)
+    _require(nu, Measure, "the target measure", MeasureError)
     (mu_scale, mu_masses), (nu_scale, nu_masses) = mu._integer_masses, nu._integer_masses
     mass_scale = math.lcm(mu_scale, nu_scale)
     supply = [f * (mass_scale // mu_scale) for f in mu_masses]
@@ -461,10 +464,12 @@ class WassersteinGeodesic:
     W²(μ_s, μ_t) = (t−s)²·W²(μ_0, μ_1) exactly. A horizon past 1 needs a
     leafless tree and a plan from a Dirac mass: a geodesic from a measure
     that is not a Dirac does not extend, and its continued atoms would
-    break the scaling.
+    break the scaling. A ``plan`` that is not a :class:`TransportPlan`
+    raises :class:`MeasureError` naming its kind.
     """
 
     def __init__(self, tree: Tree, plan: TransportPlan, horizon=_ONE):
+        _require(plan, TransportPlan, "the plan", MeasureError)
         horizon = parse_rational(horizon)
         if horizon <= 0:
             raise ValueError("horizon must be positive")

@@ -329,6 +329,19 @@ def probe_points(tree, geodesic, rng):
     return points
 
 
+FAR = 10**6
+
+
+def far_ends(geodesic):
+    """The geodesic's two ends, start side first, with a point ``FAR`` along
+    its ray standing in for an infinite end: a point short of ``FAR`` along
+    the rays lies on the geodesic exactly when it lies between the two."""
+    tree = geodesic.tree
+    start, end = geodesic.start, geodesic.end
+    return (tree.point(geodesic.edges[0], FAR) if start is None else start,
+            tree.point(geodesic.edges[-1], FAR) if end is None else end)
+
+
 def distinct_points(count, pick):
     """The first ``count`` distinct answers of ``pick()``, in draw order."""
     points, seen = [], set()

@@ -25,8 +25,11 @@ equivalent; the exit status is 0 when every verdict is the one the list
 expects. ``tests/test_mutant_list.py`` checks that every mutant still
 applies, so the list cannot rot silently.
 
-A verbatim test copy of a kernel is retired when this list kills the same
-mutants without its tests.
+A test copy of a kernel is retired when this list gives every mutant the
+same verdict without its tests. The floor is one reference per kernel: a
+copy that is the only killer of some mutant stays, or gives way to a
+shorter definitional test that kills the same mutant, so every kernel
+keeps a copy or a definitional test.
 """
 
 from __future__ import annotations
@@ -82,6 +85,18 @@ MUTANTS = (
     Mutant("rationals-plus-inf", "rationals.py",
            '{"inf", "+inf", "infinity"}', '{"inf", "infinity"}',
            "a ray written '+inf' no longer loads"),
+    Mutant("rationals-plus-sign", "rationals.py",
+           'num.startswith(("+", "-"))', 'num.startswith("-")',
+           "'+3' is named not a rational"),
+    Mutant("rationals-signed-denominator", "rationals.py",
+           "(not slash or den.isdecimal())", '(not slash or den.lstrip("+-").isdecimal())',
+           "'3/+4' is read as 3/4"),
+    Mutant("rationals-zero-denominator", "rationals.py",
+           "except (ValueError, ZeroDivisionError) as exc:", "except ValueError as exc:",
+           "'1/0' escapes as a ZeroDivisionError"),
+    Mutant("rationals-inf-case", "rationals.py",
+           "text.lower() in _INF_TOKENS", "text in _INF_TOKENS",
+           "a ray written 'INF' or 'Infinity' no longer loads"),
     # tree
     Mutant("tree-pair-start", "tree.py",
            "return i * (2 * k - i - 3) // 2 - 1", "return i * (2 * k - i - 3) // 2",
@@ -105,6 +120,20 @@ MUTANTS = (
     Mutant("tree-zero-length", "tree.py",
            "if ratio[0] <= 0:", "if ratio[0] < 0:",
            "an edge of length 0 is accepted"),
+    Mutant("tree-walk-one-edge-order", "tree.py",
+           "q.offset < p.offset", "q.offset > p.offset",
+           "a path inside one edge runs against its way"),
+    Mutant("tree-walk-self-edge", "tree.py",
+           "vertex[a].incident[0] if p.edge is None", "vertex[a].incident[-1] if p.edge is None",
+           "the path from a vertex to itself takes its largest incident edge"),
+    Mutant("tree-walk-lone-edge", "tree.py",
+           "(not edges or edges[0] != p.edge)", "(edges and edges[0] != p.edge)",
+           "a path between two edges at one vertex drops the first point's edge"),
+    Mutant("tree-ray-target-at-vertex", "tree.py",
+           "if edge is not None and not inside and target * d > n * scale:",
+           "if edge is not None and not inside and target * d >= n * scale:",
+           "a point along a path from a ray that lands on the ray's vertex is "
+           "offset 0 on the ray"),
     # geodesics
     Mutant("geodesics-chart-sign", "geodesics.py",
            "return base + offset if sign > 0 else base - offset",
@@ -121,6 +150,33 @@ MUTANTS = (
     Mutant("geodesics-flag-walk", "geodesics.py",
            "neg_edges[::-1] + pos_edges", "neg_edges + pos_edges",
            "a flag geodesic's negative side is listed outward-in"),
+    Mutant("geodesics-origin-from-u", "geodesics.py",
+           "k, r = (i, -o) if", "k, r = (i, o) if",
+           "an origin inside an edge run from its u end is placed past u"),
+    Mutant("geodesics-origin-from-v", "geodesics.py",
+           "else (i + 1, o)", "else (i + 1, -o)",
+           "an origin inside an edge run toward its u end is placed before u"),
+    Mutant("geodesics-raw-backward", "geodesics.py",
+           "raw[t] = raw[t + 1] - records[t].length", "raw[t] = raw[t + 1] + records[t].length",
+           "walk vertices before the origin get coordinates past it"),
+    Mutant("geodesics-start-anchor", "geodesics.py",
+           "anchors[walk[0]] = start, self._start_raw", "anchors[walk[0]] = end, self._end_raw",
+           "what climbs to the start's edge projects to the end"),
+    Mutant("geodesics-apex-deepest", "geodesics.py",
+           "self._apex = min(anchors,", "self._apex = max(anchors,",
+           "the projection's climb stops at the deepest anchor's level"),
+    Mutant("geodesics-last-joint", "geodesics.py",
+           "if t < len(self.joints) and self._joint_raw[t] == raw:",
+           "if t + 1 < len(self.joints) and self._joint_raw[t] == raw:",
+           "point_at the last joint names it as an edge end, not as a vertex"),
+    Mutant("geodesics-project-past-end", "geodesics.py",
+           "return self.end, self._end_raw", "return point, raw",
+           "a point of the last edge past a finite end projects to itself"),
+    Mutant("geodesics-travel-leaf", "geodesics.py",
+           "        if nxt is not None:\n            eid = nxt",
+           "        if nxt is None:\n            return tree.vertex_point(vertex)\n"
+           "        if nxt is not None:\n            eid = nxt",
+           "travel past time 1 stops at a leaf instead of turning back"),
     Mutant("geodesics-cat0-range", "geodesics.py",
            "if not 0 <= t <= 1:\n        raise PointLocationError(f\"interpolation",
            "if not 0 <= t <= 2:\n        raise PointLocationError(f\"interpolation",

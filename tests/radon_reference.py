@@ -7,7 +7,7 @@ the library functions of those names, kept verbatim from before
 as integers at one scale per vertex, and before ``radon_forward`` took at
 most one subtraction per flag. The library no longer has ``_branch_sums``:
 reconstruction takes its interior subtraction from ``radon_forward``. The
-old reconstruction schedule in ``test_reconstruct_reference`` still calls
+old reconstruction schedule in ``reconstruct_reference`` still calls
 the copy here. Every sum here is a chain of ``Fraction``
 additions and subtractions, so the library can be checked against it
 value for value, key order and errors included.

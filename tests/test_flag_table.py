@@ -11,7 +11,7 @@ entry through a ``Flag`` key: the same values in the same order and the
 same errors. Reconstruction's flag rows, read as a Flag-keyed table, are
 the reference transform of its vertex part and invert to it, and an
 oracle that nudges every few answers is refused by the library and by
-the flag schedule of ``test_reconstruct_reference``. Trees come from
+the flag schedule of ``reconstruct_reference``. Trees come from
 ``gen_tree`` (leafless and leafy) and from leafless trees of 100 to 400
 vertices with shuffled vertex and edge ids.
 """
@@ -35,7 +35,7 @@ from common import (
     vertex_prime_values,
 )
 from conftest import profile_settings
-from test_reconstruct_reference import flag_schedule_reconstruct, outcome
+from reconstruct_reference import flag_schedule_reconstruct, outcome
 from treeradon import (
     Flag,
     FlagTable,

@@ -1,14 +1,18 @@
-"""The per-edge coordinate chart against the code it replaced.
+"""The per-edge coordinate chart against its definition.
 
-Each ``Geodesic`` reads raw coordinates through one chart ``(base, sign)``
-per edge, measured from its origin. ``ParentCoordinates`` is the earlier
-code, with its single-edge direction and its ``abs()`` about a joint, and
-measures raws from the first joint (or the start); on every geodesic the
-library's raws must be the reference's less the reference's origin raw,
-and the two must agree on ``point_at``, ``coordinate_of``, the projection
-anchors and ``project``. Path segments and flag geodesics are built from
-their own walks, so each must also equal, slot by slot, the geodesic the
-validating constructor builds on the same edges, ends and origin.
+Each ``Geodesic`` reads coordinates through one chart ``(base, sign)`` per
+edge, measured from its origin. The metric alone fixes what the charts
+must give: the coordinate of a point of the geodesic is its distance from
+the start side less the origin's, so the origin sits at 0 and coordinates
+grow from the start toward the end at unit speed; ``point_at`` and
+``coordinate_of`` are inverse, canonical and defined exactly between the
+finite ends; and the nearest point is the gate, the point of the geodesic
+through which every path to it passes. ``assert_chart_definition`` checks
+these with ``Tree.distance`` and the public methods only, with
+``far_ends`` standing in for infinite ends. Path segments and flag
+geodesics are built from their own walks, so each must also equal, slot
+by slot, the geodesic the validating constructor builds on the same edges,
+ends and origin.
 """
 
 import random
@@ -18,11 +22,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from common import (
-    inside, probe_points, random_caterpillar, random_point, random_tree, segment_cases,
+    far_ends, inside, probe_points, random_caterpillar, random_point, random_tree, segment_cases,
 )
 from conftest import profile_settings
-from geodesic_reference import ParentCoordinates, geodesic_through_edge
+from geodesic_reference import geodesic_through_edge
 from treeradon import (
+    DomainError,
     Geodesic,
     GeodesicError,
     geodesic_through_flag,
@@ -43,42 +48,60 @@ def outcome(call, *args):
         return GeodesicError
 
 
-def probe_coordinates(ref):
-    """Coordinates at and between the joints and finite ends, and past
-    each end: before the start, past the end, or far along a ray."""
-    raws = sorted(set(ref._joint_raw) | {r for r in (ref._start_raw, ref._end_raw)
-                                         if r is not None})
-    raws += [(a + b) / 2 for a, b in zip(raws, raws[1:])]
-    raws += [raws[0] - F(1, 3), raws[-1] + F(7, 2)]
-    return [raw - ref._origin_raw for raw in raws]
+def between(tree, a, b, x):
+    """Whether ``x`` lies on the path from ``a`` to ``b``."""
+    return tree.distance(a, x) + tree.distance(x, b) == tree.distance(a, b)
 
 
-def assert_matches_parent(geodesic, points):
+def is_canonical(tree, point):
+    try:
+        return tree.canonical_point(point) == point
+    except DomainError:
+        return False
+
+
+def probe_coordinates(geodesic, coordinate):
+    """Coordinates at and between the origin, the joints and the finite
+    ends, and past each end: before the start, past the end, or far along
+    a ray."""
     tree = geodesic.tree
-    ref = ParentCoordinates(geodesic)
-    origin = ref._origin_raw
+    known = {coordinate(tree.vertex_point(j)) for j in geodesic.joints} | {F(0)}
+    known |= {coordinate(end) for end in (geodesic.start, geodesic.end) if end is not None}
+    known = sorted(known)
+    return (known + [(a + b) / 2 for a, b in zip(known, known[1:])]
+            + [known[0] - F(1, 3), known[-1] + F(7, 2)])
 
-    def shifted(raw):
-        return None if raw is None else raw - origin
 
-    assert (geodesic._joint_raw, geodesic._start_raw, geodesic._end_raw) \
-        == ([shifted(r) for r in ref._joint_raw], shifted(ref._start_raw), shifted(ref._end_raw))
-    for i, eid in enumerate(geodesic.edges):
-        length = tree.edge(eid).length
-        for offset in ((F(0), F(1), F(5, 2)) if length is None else (F(0), length / 3, length)):
-            assert geodesic._edge_raw(offset, i) == shifted(ref._edge_raw(offset, i))
-    coordinates = probe_coordinates(ref)
-    for c in coordinates:
-        assert outcome(geodesic.point_at, c) == outcome(ref.point_at, c)
-    on_line = [ref.point_at(c) for c in coordinates if outcome(ref.point_at, c) is not GeodesicError]
+def assert_chart_definition(geodesic, points):
+    tree, origin = geodesic.tree, geodesic.origin
+    a, b = far_ends(geodesic)
+
+    def coordinate(x):
+        return tree.distance(a, x) - tree.distance(a, origin)
+
+    lo = None if geodesic.start is None else coordinate(geodesic.start)
+    hi = None if geodesic.end is None else coordinate(geodesic.end)
+    assert outcome(geodesic.point_at, 0) == origin and outcome(geodesic.coordinate_of, origin) == 0
+    on_line = []
+    for c in probe_coordinates(geodesic, coordinate):
+        if (lo is not None and c < lo) or (hi is not None and c > hi):
+            assert outcome(geodesic.point_at, c) is GeodesicError, c
+            continue
+        y = outcome(geodesic.point_at, c)
+        assert y is not GeodesicError and is_canonical(tree, y), (c, y)
+        assert between(tree, a, b, y) and coordinate(y) == c, (c, y)
+        on_line.append(y)
     for x in points + on_line:
-        assert outcome(geodesic.coordinate_of, x) == outcome(ref.coordinate_of, x)
-        assert geodesic.project(x) == ref.project(x)
-        near, raw = ref._project(tree.canonical_point(x))
-        assert geodesic._project(tree.canonical_point(x)) == (near, shifted(raw))
-    anchors, apex = ref._anchor_table()
-    assert (geodesic._anchors, geodesic._apex) \
-        == ({v: (near, shifted(raw)) for v, (near, raw) in anchors.items()}, apex)
+        if between(tree, a, b, x):
+            assert outcome(geodesic.coordinate_of, x) == coordinate(x), x
+        else:
+            assert outcome(geodesic.coordinate_of, x) is GeodesicError, x
+        near = geodesic.project(x)
+        assert is_canonical(tree, near) and between(tree, a, b, near), (x, near)
+        # the gate: the paths from x to both ends pass the nearest point
+        d = tree.distance(x, near)
+        assert tree.distance(x, a) == d + tree.distance(near, a), (x, near)
+        assert tree.distance(x, b) == d + tree.distance(near, b), (x, near)
 
 
 def hand_built(tree, rng, base):
@@ -149,28 +172,32 @@ def assert_matches_constructor(geodesic):
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.booleans(), st.booleans())
 @profile_settings(40)
-def test_chart_matches_parent_coordinates(seed, n, leaves, caterpillar):
+def test_chart_matches_its_definition(seed, n, leaves, caterpillar):
     rng = random.Random(seed)
     tree = random_caterpillar(rng, n, leaves) if caterpillar else random_tree(rng, max(n, 2), leaves)
     for geodesic in chart_cases(tree, rng):
         assert_matches_constructor(geodesic)
         points = probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(3)]
-        assert_matches_parent(geodesic, points)
+        assert_chart_definition(geodesic, points)
 
 
 def test_one_flipped_chart_sign_is_caught():
+    # a segment of length 0 has no point off its one coordinate, so a flip
+    # of its chart changes no answer and is not asked for
     rng = random.Random(7)
     for tree in (random_tree(rng, 12, leaves=False), random_caterpillar(rng, 6, leaves=True)):
         for geodesic in chart_cases(tree, rng):
+            if geodesic.length == 0:
+                continue
             points = probe_points(tree, geodesic, rng)
-            assert_matches_parent(geodesic, points)
+            assert_chart_definition(geodesic, points)
             for k, (base, sign) in enumerate(geodesic._chart):
                 flipped = Geodesic(tree, geodesic.edges, geodesic.start, geodesic.end,
                                    geodesic.origin)
                 flipped._chart = list(geodesic._chart)
                 flipped._chart[k] = (base, -sign)
                 with pytest.raises(AssertionError):
-                    assert_matches_parent(flipped, points)
+                    assert_chart_definition(flipped, points)
 
 
 # Where a public ``origin=`` can sit on a maximal geodesic; None is the
@@ -193,20 +220,13 @@ def placed_origins(tree, rng, geodesic, placement):
     return [None]
 
 
-def reference_pushforward(tree, ref, measure):
-    """The projection's sample as the earlier code took it: each atom's raw
-    coordinate less the origin's, masses merged from zero."""
-    merged = {}
-    for point, mass in measure.atoms:
-        coord = ref._project(tree.canonical_point(point))[1] - ref._origin_raw
-        merged[coord] = merged.get(coord, F(0)) + mass
-    return tuple(sorted(merged.items()))
-
-
 @pytest.mark.parametrize("placement", PLACEMENTS)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
 @profile_settings(25)
 def test_every_origin_placement_matches_parent(placement, seed, n):
+    # the parent is the maximal geodesic with its default origin; moving
+    # the origin to a point at the parent's coordinate s lowers every
+    # coordinate by s and moves no point, nearest point or projected atom
     rng = random.Random(seed)
     tree = random_tree(rng, n, leaves=True)
     bases = [geodesic_through_edge(tree, eid)
@@ -215,19 +235,23 @@ def test_every_origin_placement_matches_parent(placement, seed, n):
              for origin in placed_origins(tree, rng, base, placement)]
     assume(cases)
     base, origin = rng.choice(cases)
+    parent = Geodesic(tree, base.edges, base.start, base.end)
     geodesic = Geodesic(tree, base.edges, base.start, base.end, origin=origin)
-    ref = ParentCoordinates(geodesic)
-    for c in probe_coordinates(ref):
-        assert outcome(geodesic.point_at, c) == outcome(ref.point_at, c)
-    for x in probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(4)]:
-        assert outcome(geodesic.coordinate_of, x) == outcome(ref.coordinate_of, x)
-        assert geodesic.project(x) == ref.project(x)
+    shift = parent.coordinate_of(geodesic.origin)
+    points = probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(4)]
+    assert_chart_definition(geodesic, points)
+    for c in probe_coordinates(parent, parent.coordinate_of):
+        assert outcome(geodesic.point_at, c - shift) == outcome(parent.point_at, c)
+    for x in points:
+        got, want = outcome(geodesic.coordinate_of, x), outcome(parent.coordinate_of, x)
+        assert got == (want if want is GeodesicError else want - shift)
+        assert geodesic.project(x) == parent.project(x)
     weights = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
     mu = make_measure(tree, [(random_point(tree, rng), F(w, sum(weights))) for w in weights])
-    sample = pushforward_projection(tree, geodesic, mu)
-    expected = reference_pushforward(tree, ref, mu)
-    assert sample.atoms == expected
-    assert sample.to_measure(tree) == make_measure(tree, ((ref.point_at(c), m) for c, m in expected))
+    sample, expected = (pushforward_projection(tree, geodesic, mu),
+                        pushforward_projection(tree, parent, mu))
+    assert sample.atoms == tuple((c - shift, m) for c, m in expected.atoms)
+    assert sample.to_measure(tree) == expected.to_measure(tree)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
@@ -236,10 +260,10 @@ def test_origin_off_the_geodesic_is_rejected(seed, n, leaves):
     rng = random.Random(seed)
     tree = random_tree(rng, max(n, 2), leaves)
     for geodesic in chart_cases(tree, rng):
-        ref = ParentCoordinates(geodesic)
+        a, b = far_ends(geodesic)
         for x in probe_points(tree, geodesic, rng) + [random_point(tree, rng) for _ in range(3)]:
             args = (tree, geodesic.edges, geodesic.start, geodesic.end)
-            if ref._raw_of(tree.canonical_point(x)) is None:
+            if not between(tree, a, b, x):
                 with pytest.raises(GeodesicError, match="origin must lie on the geodesic"):
                     Geodesic(*args, origin=x)
             else:

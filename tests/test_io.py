@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,7 +9,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from common import count_calls, hidden_measure, leafless_tree, small_values
 from conftest import profile_settings
 from treeradon import (
     DiracExtensionCheck,
@@ -23,7 +21,6 @@ from treeradon import (
     make_measure,
     optimal_plan,
     radon_forward,
-    run_suite,
     vertex_function,
 )
 from treeradon import io
@@ -245,32 +242,3 @@ def test_records_are_not_json(tmp_path, record, place):
                                         "serializable$"):
         io.save_json(place(record), tmp_path / "out.json")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_library_files_never_use_the_pure_python_encoder(tmp_path, monkeypatch):
-    # json.dumps with an indent builds its pure-Python encoder through
-    # json.encoder._make_iterencode; the library's own shapes never need it
-    calls = count_calls(monkeypatch, json.encoder, "_make_iterencode")
-    json.dumps({"a": 1}, indent=2)
-    assert len(calls) == 1, "the counter does not see the pure-Python encoder"
-
-    rng = random.Random(7)
-    tree = leafless_tree(rng, 200)
-    mu, nu = hidden_measure(tree, rng, 6), hidden_measure(tree, rng, 5)
-    h = small_values(tree, rng)
-    report = run_suite(SuiteConfig(trials=1))
-    assert report.ok
-    files = {
-        "tree": lambda path: io.save_tree(tree, path),
-        "measure": lambda path: io.save_measure(tree, mu, path),
-        "h": lambda path: io.save_vertex_function(h, path),
-        "table": lambda path: io.save_flag_table(radon_forward(tree, h), path),
-        "plan": lambda path: io.save_plan(tree, optimal_plan(tree, mu, nu), path),
-        "report": lambda path: io.save_json(report.to_dict(), path),
-    }
-    made = {}
-    for name, save in files.items():
-        calls.clear()
-        save(tmp_path / f"{name}.json")
-        made[name] = len(calls)
-    assert made == dict.fromkeys(files, 0)

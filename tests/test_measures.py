@@ -490,6 +490,27 @@ def test_a_mass_that_is_not_a_rational_is_named(star3, entry, mass):
         calls[entry]()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("optimal_plan", "the source measure is a str, not a Measure"),
+    ("w2_squared", "the target measure is a NoneType, not a Measure"),
+    ("interpolate", "the plan is a str, not a TransportPlan"),
+    ("pushforward_projection", "the measure is a str, not a Measure"),
+], ids=["optimal_plan", "w2_squared", "interpolate", "pushforward_projection"])
+def test_an_argument_of_the_wrong_kind_is_named(star3, entry, message):
+    # named by its type in a MeasureError, not met as a missing attribute
+    mu = dirac(star3, star3.vertex_point("a"))
+    geodesic = geodesic_through_flag(star3, star3.flag("c", 0, 1))
+    calls = {
+        "optimal_plan": lambda: optimal_plan(star3, "x", mu),
+        "w2_squared": lambda: w2_squared(star3, mu, None),
+        "interpolate": lambda: interpolate(star3, "plan", 0),
+        "pushforward_projection": lambda: pushforward_projection(star3, geodesic, "x"),
+    }
+    with pytest.raises(MeasureError) as info:
+        calls[entry]()
+    assert str(info.value) == message
+
+
 def test_an_int_mass_is_accepted(star3):
     """A hand-built Dirac's ``1`` counts as 1/1 everywhere, and a lone int
     mass passes through a projection as itself."""

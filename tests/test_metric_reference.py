@@ -2,27 +2,29 @@
 
 ``Tree.distance``, ``path``, ``midpoint`` and ``Geodesic.project`` derive
 from the parent links a tree records once, at construction. The reference
-helpers below are the earlier implementations, kept verbatim apart from
-caching: a single-source search from each anchor vertex, the minimum over
-anchor pairs for distances and paths, and for projections both the minimum
-over junctions and finite ends and the tree median of the point and the
-geodesic's finite span. Both projection references tell whether a point
-lies on the geodesic with ``ParentCoordinates``, not with the projection
-under test.
+helpers below are the earlier implementations: a single-source search
+from each anchor vertex, the minimum over anchor pairs for distances and
+paths, and for projections both the minimum over junctions and finite
+ends and the tree median of the point and the geodesic's finite span.
+They are kept verbatim apart from caching and from what they read of the
+library: no metric and no coordinate. Whether a point lies on the
+geodesic, and where the median sits, both come from the searches'
+distances, with ``far_ends`` standing in for infinite ends.
 """
 
 import functools
 import pickle
 import random
-from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from common import probe_points, random_caterpillar, random_point, random_tree, segment_cases
+from common import (
+    far_ends, probe_points, random_caterpillar, random_point, random_tree, segment_cases,
+)
 from conftest import profile_settings
-from geodesic_reference import ParentCoordinates, geodesic_through_edge
+from geodesic_reference import geodesic_through_edge
 from treeradon import (
     Geodesic,
     Measure,
@@ -130,11 +132,20 @@ def reference_path(tree, p, q):
     return Geodesic(tree, edges, start, end), chain_vertices[lo:hi]
 
 
+def reference_on_geodesic(geodesic, point):
+    """Whether a canonical point lies between the geodesic's ends (or
+    points far along its rays), by the searches' distances."""
+    tree = geodesic.tree
+    a, b = far_ends(geodesic)
+    return (reference_distance(tree, a, point) + reference_distance(tree, point, b)
+            == reference_distance(tree, a, b))
+
+
 def reference_project(geodesic, point):
     """The nearest of the geodesic's junctions and finite ends."""
     tree = geodesic.tree
     point = tree.canonical_point(point)
-    if ParentCoordinates(geodesic)._raw_of(point) is not None:
+    if reference_on_geodesic(geodesic, point):
         return point
     candidates = [tree.vertex_point(j) for j in geodesic.joints]
     candidates += [end for end in (geodesic.start, geodesic.end) if end is not None]
@@ -144,22 +155,21 @@ def reference_project(geodesic, point):
 def reference_project_median(geodesic, point):
     """The tree median of the point and the ends a, b of the geodesic's
     finite span (an infinite end is replaced by the last junction before
-    its ray), at coordinate ``c_a + (d(a,x) + (c_b − c_a) − d(x,b))/2``."""
+    its ray), at distance ``(d(a,x) + d(a,b) − d(x,b))/2`` from a."""
     tree = geodesic.tree
     point = tree.canonical_point(point)
-    ref = ParentCoordinates(geodesic)
-    if ref._raw_of(point) is not None:
+    if reference_on_geodesic(geodesic, point):
         return point
     a = geodesic.start if geodesic.start is not None else TreePoint(vertex=geodesic.joints[0])
     b = geodesic.end if geodesic.end is not None else TreePoint(vertex=geodesic.joints[-1])
-    raw_a, raw_b = ref._raw_of(a), ref._raw_of(b)
-    d_a, d_b = tree.distance(a, point), tree.distance(point, b)
-    raw = raw_a + (d_a + (raw_b - raw_a) - d_b) / 2
-    if raw == raw_a:
+    d_ab = reference_distance(tree, a, b)
+    along = (reference_distance(tree, a, point) + d_ab - reference_distance(tree, point, b)) / 2
+    if along == 0:
         return a
-    if raw == raw_b:
+    if along == d_ab:
         return b
-    return TreePoint(vertex=geodesic.joints[bisect_left(ref._joint_raw, raw)])
+    return next(TreePoint(vertex=j) for j in geodesic.joints
+                if reference_distance(tree, a, TreePoint(vertex=j)) == along)
 
 
 def random_geodesics(tree, rng):

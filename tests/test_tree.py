@@ -9,8 +9,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import treeradon.tree
-from common import count_calls, leafless_description, random_caterpillar, random_tree
+from common import leafless_description, random_caterpillar, random_tree
 from conftest import profile_settings
 from treeradon import (
     Flag,
@@ -32,7 +31,6 @@ from treeradon import (
     radon_oracle,
     reconstruct_measure,
 )
-from treeradon.rationals import parse_length
 from treeradon.tree import EdgeRecord, VertexRecord
 
 
@@ -193,37 +191,6 @@ class TestBuildTree:
 # ---------------------------------------------------------------------- #
 # Construction: lengths parsed once, records against a hand-built walk      #
 # ---------------------------------------------------------------------- #
-
-def test_each_distinct_length_string_is_parsed_once(monkeypatch):
-    description = build_tree(leafless_description(random.Random(5), 80)).describe()
-    strings = [entry["len"] for entry in description["edges"]]
-    calls = count_calls(monkeypatch, treeradon.tree, "parse_length")
-    tree = build_tree(description)
-    assert calls == [(string,) for string in dict.fromkeys(strings)]
-    assert len(calls) < len(strings)
-    shared = {}
-    for string, rec in zip(strings, tree.edges):
-        assert shared.setdefault(string, rec.length) is rec.length
-    # the same records as a tree whose lengths were each parsed alone
-    alone = Tree(tree.vertices, [(rec.u, rec.v, parse_length(string))
-                                 for rec, string in zip(tree.edges, strings)])
-    assert alone.edges == tree.edges
-    assert alone._vertex == tree._vertex
-
-
-def test_only_strings_share_a_parse(monkeypatch):
-    # 1, "1" and Fraction(1) are equal as keys, and True equals 1, but only
-    # an exact str is looked up: each other length is parsed where it stands
-    calls = count_calls(monkeypatch, treeradon.tree, "parse_length")
-    tree = build_tree({"vertices": ["o", "x", "y", "z"],
-                       "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", F(1))]})
-    assert calls == [("1",), (1,), (F(1),)]
-    assert [rec.length for rec in tree.edges] == [1, 1, 1]
-    with pytest.raises(TreeStructureError) as caught:
-        build_tree({"vertices": ["o", "x", "y", "z"],
-                    "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", True)]})
-    assert str(caught.value) == "bad edge length True: booleans are not rationals"
-
 
 def records_by_hand(description):
     """The records a tree of ``description`` holds, built apart from

@@ -6,18 +6,23 @@ when it was written. A workload runs its own value checks and, where it has
 one, its positive control: a call the counter must see. No bound is raised
 to pass a change; a change that lowers the work lowers the bound."""
 
+import json
 import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
-from common import (count_calls, leafless_description, leafless_tree, random_point,
-                    shuffled_leafless_tree)
+import treeradon.tree
+from common import (count_calls, hidden_measure, leafless_description, leafless_tree,
+                    random_point, shuffled_leafless_tree, small_values)
 from treeradon import (
     Geodesic,
     SuiteConfig,
     Tree,
+    TreeStructureError,
     WassersteinGeodesic,
     build_tree,
     check_cat0_triangle,
@@ -32,10 +37,14 @@ from treeradon import (
     midpoint,
     optimal_plan,
     path,
+    radon_forward,
     radon_oracle,
     reconstruct_measure,
+    run_suite,
 )
+from treeradon import io
 from treeradon.geodesics import _travel
+from treeradon.rationals import parse_length
 
 SMALL = SuiteConfig(max_vertices=14, max_atoms=5, max_denominator=9)
 
@@ -127,6 +136,71 @@ def construction_adds_no_fraction(added):
     return spent
 
 
+def each_distinct_length_string_is_parsed_once(parsed):
+    """Tree construction parses each distinct length string once, and the
+    edges that share a string share its Fraction: a leafless tree of 80
+    vertices (seed 5) has 177 length strings, 44 of them distinct."""
+    description = build_tree(leafless_description(random.Random(5), 80)).describe()
+    strings = [entry["len"] for entry in description["edges"]]
+    start = len(parsed)
+    tree = build_tree(description)
+    spent = len(parsed) - start
+    assert parsed[start:] == [(string,) for string in dict.fromkeys(strings)]
+    assert spent < len(strings)
+    shared = {}
+    for string, rec in zip(strings, tree.edges):
+        assert shared.setdefault(string, rec.length) is rec.length
+    # the same records as a tree whose lengths were each parsed alone
+    alone = Tree(tree.vertices, [(rec.u, rec.v, parse_length(string))
+                                 for rec, string in zip(tree.edges, strings)])
+    assert alone.edges == tree.edges
+    assert alone._vertex == tree._vertex
+    return spent
+
+
+def only_strings_share_a_parse(parsed):
+    """1, "1" and Fraction(1) are equal as keys, and True equals 1, but only
+    an exact str is looked up: each other length is parsed where it
+    stands, on a tripod of three unit edges."""
+    tree = build_tree({"vertices": ["o", "x", "y", "z"],
+                       "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", F(1))]})
+    assert parsed == [("1",), (1,), (F(1),)]
+    assert [rec.length for rec in tree.edges] == [1, 1, 1]
+    spent = len(parsed)
+    with pytest.raises(TreeStructureError) as caught:
+        build_tree({"vertices": ["o", "x", "y", "z"],
+                    "edges": [("o", "x", "1"), ("o", "y", 1), ("o", "z", True)]})
+    assert str(caught.value) == "bad edge length True: booleans are not rationals"
+    return spent
+
+
+def library_files_never_use_the_pure_python_encoder(encoders):
+    """json.dumps with an indent builds its pure-Python encoder through
+    json.encoder._make_iterencode; the library's own shapes never need it:
+    six files written from a leafless tree of 200 vertices (seed 7)."""
+    json.dumps({"a": 1}, indent=2)
+    assert len(encoders) == 1, "the counter does not see the pure-Python encoder"
+    rng = random.Random(7)
+    tree = leafless_tree(rng, 200)
+    mu, nu = hidden_measure(tree, rng, 6), hidden_measure(tree, rng, 5)
+    h = small_values(tree, rng)
+    report = run_suite(SuiteConfig(trials=1))
+    assert report.ok
+    files = {
+        "tree": lambda path: io.save_tree(tree, path),
+        "measure": lambda path: io.save_measure(tree, mu, path),
+        "h": lambda path: io.save_vertex_function(h, path),
+        "table": lambda path: io.save_flag_table(radon_forward(tree, h), path),
+        "plan": lambda path: io.save_plan(tree, optimal_plan(tree, mu, nu), path),
+        "report": lambda path: io.save_json(report.to_dict(), path),
+    }
+    start = len(encoders)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, save in files.items():
+            save(Path(tmp, f"{name}.json"))
+    return len(encoders) - start
+
+
 class Budget(NamedTuple):
     workload: Callable
     counted: tuple
@@ -141,6 +215,11 @@ BUDGETS = [
     Budget(travel_past_time_one_climbs_once, (Tree, "_lca"),                0,     0),
     Budget(reconstruction_validates_no_edge, (Tree, "edge"),                0,     0),
     Budget(construction_adds_no_fraction,    (F, "__add__", "__radd__"),    0,     0),
+    Budget(each_distinct_length_string_is_parsed_once,
+           (treeradon.tree, "parse_length"),                                44,    44),
+    Budget(only_strings_share_a_parse,       (treeradon.tree, "parse_length"), 3,  3),
+    Budget(library_files_never_use_the_pure_python_encoder,
+           (json.encoder, "_make_iterencode"),                              0,     0),
 ]
 
 
