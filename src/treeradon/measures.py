@@ -187,8 +187,11 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
     the canonical points the measure holds, and are not checked. An atom
     the tree lacks fails the projection's lookup, which raises
     :class:`MeasureError` naming it, as does a mass that is neither an int
-    nor a ``Fraction``, and a ``measure`` that is not a :class:`Measure`.
+    nor a ``Fraction``, and a ``measure`` that is not a :class:`Measure`; a
+    ``geodesic`` that is not a :class:`Geodesic` raises
+    :class:`GeodesicError`.
     """
+    _require(geodesic, Geodesic, "the geodesic", GeodesicError)
     _require(measure, Measure, "the measure", MeasureError)
     if geodesic.tree is not tree:
         raise GeodesicError("geodesic belongs to a different tree")
@@ -211,7 +214,9 @@ def pushforward_projection(tree: Tree, geodesic: Geodesic, measure: Measure) -> 
 
 
 def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:
-    """The exact integral of squared distance to ``base``."""
+    """The exact integral of squared distance to ``base``; a ``measure``
+    that is not a :class:`Measure` raises :class:`MeasureError`."""
+    _require(measure, Measure, "the measure", MeasureError)
     total = _ZERO
     for point, mass in measure.atoms:
         d = tree.distance(base, point)
@@ -222,7 +227,9 @@ def second_moment(tree: Tree, measure: Measure, base: TreePoint) -> Fraction:
 def supported_on(measure: Measure, geodesic: Geodesic) -> bool:
     """True iff every atom lies on the geodesic (atoms are not checked).
     An atom the geodesic's tree lacks fails the projection's lookup, which
-    raises :class:`MeasureError` naming it."""
+    raises :class:`MeasureError` naming it, as does a ``measure`` that is
+    not a :class:`Measure`."""
+    _require(measure, Measure, "the measure", MeasureError)
     for point, _ in measure.atoms:
         try:
             if geodesic._raw_of(point) is None:

@@ -43,20 +43,27 @@ and records the one it passes through at each joint, so reading an answer
 computes no flag position. One loop over the flags reads every answer;
 interior atoms are read directly (interior level sets are singletons), the
 interior mass inside each perpendicular comes from the forward transform
-of the atoms' foot vertices, and the vertex part is inverted. The
-per-query records, the oracle's ``RadonSample`` and reconstruction's
-``FlagRow`` and ``EdgeRead``, are ``typing.NamedTuple``s built in C.
+of the atoms' foot vertices, and the vertex part is inverted. That tail
+runs in ints over one scale S, the lcm of the readings' and interior
+masses' denominators, at any size: the subtraction, the inversion (on a
+table that holds the ints) and the re-check of the forward transform,
+whose ints are cross-multiplied with the table's. On an honest oracle S
+divides the hidden measure's own scale, not a product of per-vertex
+primes as the forward transform's may be, so ints beat ``Fraction``s past
+64 bits too and the tail has no 64-bit switch. The per-query records, the
+oracle's ``RadonSample`` and reconstruction's ``FlagRow`` and
+``EdgeRead``, are ``typing.NamedTuple``s built in C.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, lcm
-from operator import attrgetter, floordiv, mul
+from operator import attrgetter, floordiv, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -73,7 +80,6 @@ from .rationals import parse_rational
 from .tree import Flag, Tree, TreePoint, VertexId, _new, _pair_start
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 # the value types radon_forward takes (bool, an int subclass, aside)
@@ -320,10 +326,23 @@ def radon_forward(tree: Tree, h: VertexFunction) -> FlagTable:
                   for (ri, bi), (rj, bj) in combinations(ends, 2)]
     if not ints:
         return FlagTable(tree, tuple(table))
-    # no __init__: the entries wait for their first read (FlagTable.__getattr__)
-    flags = object.__new__(FlagTable)
-    vars(flags).update(tree=tree, _ints=(tuple(table), scale))
-    return flags
+    return _int_table(tree, tuple(table), scale)
+
+
+def _int_table(tree: Tree, numerators: tuple[int, ...], scale: int) -> FlagTable:
+    """A table of ``tree`` that holds its entries as ``numerators`` over
+    ``scale``; with no ``__init__``, the entries wait for their first read
+    (``FlagTable.__getattr__``)."""
+    table = object.__new__(FlagTable)
+    vars(table).update(tree=tree, _ints=(numerators, scale))
+    return table
+
+
+def _over(values: Sequence[Fraction], scale: int) -> list[int]:
+    """Each of ``values`` as an int over ``scale``, which its denominator
+    divides."""
+    return list(map(mul, map(_numerator, values),
+                    map(floordiv, repeat(scale), map(_denominator, values))))
 
 
 def _flag_sums(tree: Tree, table: FlagTable, vertices: Iterable[VertexId],
@@ -563,7 +582,14 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
     transform of the interior atoms placed on their foot vertices, less
     each atom at the flags of its foot that contain its own edge. It is
     subtracted, and the remaining vertex table is inverted with total 1
-    minus the interior mass.
+    minus the interior mass. All three steps, and the check that the
+    table is the forward transform of the inverted function, run in ints
+    over one scale S, the lcm of the readings' and interior masses'
+    denominators: the table handed to :func:`radon_invert` holds ints
+    over S, so no flag entry is read there, and the forward transform's
+    ints are compared with it cross-multiplied by the two scales. Each
+    ``FlagRow`` keeps its raw mass as read, and its other two values share
+    one ``Fraction`` per distinct int.
 
     Interior sightings and flag readings are cross-checked across every
     queried geodesic; an answer that is not a ``RadonSample``,
@@ -638,43 +664,54 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
                     f"flag {flags[read]!r} reads {known} on one geodesic and {mass} on another"
                 )
 
-    # Interior mass inside each perpendicular is the forward transform of
-    # the atoms put on their foot vertices, less each atom's mass at every
-    # flag of its foot that contains the atom's own edge: that branch holds
-    # the atom. A zero inside costs no subtraction.
-    interior_total = sum(interior.values(), _ZERO)
-    on_foot: dict[VertexId, Fraction] = {}
-    footed = [(tree._foot_vertex(point), point.edge, mass) for point, mass in interior.items()]
-    for foot, _, mass in footed:
-        known = on_foot.get(foot)
-        on_foot[foot] = mass if known is None else known + mass
-    inside = list(radon_forward(tree, VertexFunction(on_foot)).entries)
+    # From here on, ints over one scale S, the lcm of the readings' and the
+    # interior masses' denominators. Interior mass inside each perpendicular
+    # is the forward transform of the atoms put on their foot vertices, less
+    # each atom's mass at every flag of its foot that contains the atom's
+    # own edge: that branch holds the atom. The transform is taken of the
+    # atoms' ints over S, so its table holds ints over S itself.
+    scale = lcm(*set(map(_denominator, raw)), *set(map(_denominator, interior.values())))
+    footed = [(tree._foot_vertex(point), point.edge, mass.numerator * (scale // mass.denominator))
+              for point, mass in interior.items()]
+    on_foot: dict[VertexId, int] = {}
+    for foot, _, n in footed:
+        on_foot[foot] = on_foot.get(foot, 0) + n
+    held = list(radon_forward(tree, VertexFunction(on_foot))._ints[0])
     position = tree._flag_position
-    for foot, edge, mass in footed:
+    for foot, edge, n in footed:
         for eid in tree._vertex[foot].incident:
             if eid != edge:
-                inside[position(foot, edge, eid)] -= mass
+                held[position(foot, edge, eid)] -= n
+    inside = sum(n for _, _, n in footed)
+    interior_total = Fraction(inside, scale)
 
-    flag_rows = []
-    values = []
-    for flag, raw_mass, held in zip(flags, raw, inside):
-        value = raw_mass - held if held else raw_mass
-        values.append(value)
-        flag_rows.append(_new(FlagRow, (flag, raw_mass, held, value)))
-    table = FlagTable(tree, tuple(values))
-
-    vertex_part = radon_invert(tree, table, _ONE - interior_total)
+    ints = list(map(sub, _over(raw, scale), held))
+    vertex_part = radon_invert(tree, _int_table(tree, tuple(ints), scale),
+                               Fraction(scale - inside, scale))
 
     for vertex, value in vertex_part.values.items():
         if value < 0:
             raise OracleInconsistencyError(
                 f"inverted vertex mass at {vertex!r} is negative ({value})"
             )
-    if radon_forward(tree, vertex_part) != table:
+    # the forward transform's ints are over its own scale (past its 64-bit
+    # switch, over the lcm of its entries' denominators): cross-scaled, each
+    # equals the table's over S exactly when the rationals are equal
+    check = radon_forward(tree, vertex_part)
+    if check._ints is None:
+        over = lcm(*set(map(_denominator, check.entries)))
+        forward = _over(check.entries, over)
+    else:
+        forward, over = check._ints
+    if list(map(mul, forward, repeat(scale))) != list(map(mul, ints, repeat(over))):
         raise OracleInconsistencyError(
             "flag table is not a transform of any vertex function with the "
             "implied total; oracle data is inconsistent"
         )
+    # one Fraction per distinct int; the raw masses are the readings' own
+    shared = {n: Fraction(n, scale) for n in {*held, *ints}}
+    flag_rows = tuple(map(_new, repeat(FlagRow), zip(flags, raw, map(shared.__getitem__, held),
+                                                     map(shared.__getitem__, ints))))
 
     # canonical points (the tree's own vertex ids) with Fraction masses
     atoms = [(TreePoint(v), m) for v, m in vertex_part.values.items()]
@@ -694,5 +731,5 @@ def reconstruct_measure(tree: Tree, oracle: Callable[[Geodesic], RadonSample],
         interior_total=interior_total,
         vertex_part=vertex_part,
         edge_reads=tuple(_new(EdgeRead, (eid, tuple(seen))) for eid, seen in reads.items()),
-        flag_rows=tuple(flag_rows),
+        flag_rows=flag_rows,
     )

@@ -537,8 +537,10 @@ def is_cyclically_monotone(tree: Tree, plan: TransportPlan, max_cycle_len: int =
     supports larger than 8. The table of squared distances
     (``_squared_distances``) is taken once, so cycles are summed and
     compared as ints; a witness carries its costs back as Fractions over
-    the table's scale.
+    the table's scale. A ``plan`` that is not a :class:`TransportPlan`
+    raises :class:`MeasureError`.
     """
+    _require(plan, TransportPlan, "the plan", MeasureError)
     pairs = [(p, q) for p, q, _ in plan.couplings]
     n = len(pairs)
     if exhaustive:
@@ -599,8 +601,10 @@ def check_nonextendable(tree: Tree, mu0: Measure, y: TreePoint, epsilon=_ONE,
     ``y″``. Swapping targets in that two-cycle is strictly cheaper than the
     continued transport whenever ε > 0. By default ``y″`` follows the deterministic smallest-edge-id
     continuation (reversing at leaves); a caller may propose any ``y″``
-    reachable at constant speed instead.
+    reachable at constant speed instead. A ``mu0`` that is not a
+    :class:`Measure` raises :class:`MeasureError`.
     """
+    _require(mu0, Measure, "the measure", MeasureError)
     y = tree.canonical_point(y)
     if mu0.is_dirac:
         raise MeasureError("the measure is a Dirac mass; its geodesics do extend")

@@ -260,21 +260,31 @@ MUTANTS = (
     Mutant("radon-duplicate-coordinate", "radon.py",
            "if len(seen) == count:", "if len(seen) < count:",
            "an answer listing a coordinate twice is accepted"),
+    Mutant("radon-interior-unscaled", "radon.py",
+           "mass.numerator * (scale // mass.denominator)", "mass.numerator",
+           "the interior atoms' ints, and so the held ints, are not rescaled to S"),
     Mutant("radon-own-edge-fold", "radon.py",
-           "inside[position(foot, edge, eid)] -= mass", "inside[position(foot, edge, eid)] += mass",
+           "held[position(foot, edge, eid)] -= n", "held[position(foot, edge, eid)] += n",
            "an interior atom counts inside the flags of its own edge"),
     Mutant("radon-held-added", "radon.py",
-           "value = raw_mass - held if held else raw_mass",
-           "value = raw_mass + held if held else raw_mass",
+           "ints = list(map(sub, _over(raw, scale), held))",
+           "ints = list(map(int.__add__, _over(raw, scale), held))",
            "interior mass is added to a flag's reading, not subtracted"),
     Mutant("radon-negative-mass", "radon.py",
            "        if value < 0:\n            raise OracleInconsistencyError(",
            "        if value < -1:\n            raise OracleInconsistencyError(",
            "a negative vertex mass above -1 is accepted"),
     Mutant("radon-forward-check", "radon.py",
-           "if radon_forward(tree, vertex_part) != table:",
-           "if radon_forward(tree, vertex_part) is None:",
+           "if list(map(mul, forward, repeat(scale))) != list(map(mul, ints, repeat(over))):",
+           "if forward is None:",
            "a table that is no transform is inverted anyway"),
+    Mutant("radon-check-uncrossed", "radon.py",
+           "if list(map(mul, forward, repeat(scale))) != list(map(mul, ints, repeat(over))):",
+           "if list(forward) != ints:",
+           "the re-check compares numerators over two scales without cross-scaling"),
+    Mutant("radon-row-held-key", "radon.py",
+           "map(shared.__getitem__, ints)", "map(shared.__getitem__, held)",
+           "a flag row's vertex value is the Fraction shared under its held int's key"),
     # transport
     Mutant("transport-theta-max", "transport.py",
            "theta, _, _, cut = min(minus)", "theta, _, _, cut = max(minus)",

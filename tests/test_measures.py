@@ -34,6 +34,7 @@ from treeradon import (
     gen_tree,
     geodesic_through_flag,
     interpolate,
+    is_cyclically_monotone,
     make_measure,
     optimal_plan,
     path,
@@ -495,18 +496,33 @@ def test_a_mass_that_is_not_a_rational_is_named(star3, entry, mass):
     ("w2_squared", "the target measure is a NoneType, not a Measure"),
     ("interpolate", "the plan is a str, not a TransportPlan"),
     ("pushforward_projection", "the measure is a str, not a Measure"),
-], ids=["optimal_plan", "w2_squared", "interpolate", "pushforward_projection"])
+    ("second_moment", "the measure is a str, not a Measure"),
+    ("supported_on", "the measure is a str, not a Measure"),
+    ("check_nonextendable", "the measure is a str, not a Measure"),
+    ("is_cyclically_monotone", "the plan is a str, not a TransportPlan"),
+    ("pushforward_projection_geodesic", "the geodesic is a str, not a Geodesic"),
+], ids=["optimal_plan", "w2_squared", "interpolate", "pushforward_projection", "second_moment",
+        "supported_on", "check_nonextendable", "is_cyclically_monotone",
+        "pushforward_projection_geodesic"])
 def test_an_argument_of_the_wrong_kind_is_named(star3, entry, message):
-    # named by its type in a MeasureError, not met as a missing attribute
-    mu = dirac(star3, star3.vertex_point("a"))
+    # named by its type in a MeasureError (a GeodesicError for the
+    # geodesic), not met as a missing attribute
+    a = star3.vertex_point("a")
+    mu = dirac(star3, a)
     geodesic = geodesic_through_flag(star3, star3.flag("c", 0, 1))
     calls = {
         "optimal_plan": lambda: optimal_plan(star3, "x", mu),
         "w2_squared": lambda: w2_squared(star3, mu, None),
         "interpolate": lambda: interpolate(star3, "plan", 0),
         "pushforward_projection": lambda: pushforward_projection(star3, geodesic, "x"),
+        "second_moment": lambda: second_moment(star3, "x", a),
+        "supported_on": lambda: supported_on("x", geodesic),
+        "check_nonextendable": lambda: check_nonextendable(star3, "x", a),
+        "is_cyclically_monotone": lambda: is_cyclically_monotone(star3, "plan"),
+        "pushforward_projection_geodesic": lambda: pushforward_projection(star3, "g", mu),
     }
-    with pytest.raises(MeasureError) as info:
+    error = GeodesicError if entry.endswith("geodesic") else MeasureError
+    with pytest.raises(error) as info:
         calls[entry]()
     assert str(info.value) == message
 

@@ -17,9 +17,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from common import count_calls, hidden_measure, leafless_tree, tree_and_measure
+from common import PRIMES, count_calls, hidden_measure, leafless_tree, tree_and_measure
 from conftest import profile_settings
 from reconstruct_reference import flag_schedule_reconstruct, outcome, result_fields
 from treeradon import (
@@ -28,6 +28,7 @@ from treeradon import (
     Tree,
     TreePoint,
     enumerate_flags,
+    make_measure,
     pushforward_projection,
     radon_oracle,
     reconstruct_measure,
@@ -64,6 +65,29 @@ def test_full_skeleton_matches_flag_schedule(data):
     result = reconstruct_measure(tree, radon_oracle(tree, hidden))
     expected = flag_schedule_reconstruct(tree, radon_oracle(tree, hidden))
     assert result_fields(result) == result_fields(expected)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+@profile_settings(20)
+def test_int_tail_matches_flag_schedule_on_both_sides_of_64_bits(seed, vertices, primes):
+    # reconstruction subtracts, inverts and re-checks in ints over one
+    # scale S; with a distinct prime denominator for five of six masses, S
+    # is past 64 bits, and where the sixth, whose denominator is all five,
+    # falls on a vertex, the re-check's forward transform keeps Fractions
+    rng = random.Random(seed)
+    tree = leafless_tree(rng, vertices)
+    hidden = hidden_measure(tree, rng, 6)
+    if primes:
+        masses = [Fraction(1, p) for p in rng.sample(PRIMES[-2000:], 5)]
+        masses.append(1 - sum(masses))
+        rng.shuffle(masses)
+        hidden = make_measure(tree, [(point, mass) for (point, _), mass in zip(hidden.atoms, masses)])
+    assert (hidden._integer_masses[0] >> 64 > 0) is primes
+    result = reconstruct_measure(tree, radon_oracle(tree, hidden))
+    expected = flag_schedule_reconstruct(tree, radon_oracle(tree, hidden))
+    assert result.measure == expected.measure == hidden
+    assert result.vertex_part == expected.vertex_part
+    assert result.flag_rows == expected.flag_rows
 
 
 @given(tree_and_measure())

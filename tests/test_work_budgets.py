@@ -19,6 +19,7 @@ import treeradon.tree
 from common import (count_calls, hidden_measure, leafless_description, leafless_tree,
                     random_point, shuffled_leafless_tree, small_values)
 from treeradon import (
+    FlagTable,
     Geodesic,
     SuiteConfig,
     Tree,
@@ -38,11 +39,12 @@ from treeradon import (
     optimal_plan,
     path,
     radon_forward,
+    radon_invert,
     radon_oracle,
     reconstruct_measure,
     run_suite,
 )
-from treeradon import io
+from treeradon import io, radon
 from treeradon.geodesics import _travel
 from treeradon.rationals import parse_length
 
@@ -123,6 +125,34 @@ def reconstruction_validates_no_edge(validated):
     start = len(validated)
     assert reconstruct_measure(tree, radon_oracle(tree, hidden)).measure == hidden
     return len(validated) - start
+
+
+def reconstruction_inversion_reads_no_flag_entry(read):
+    """Reconstruction hands ``radon_invert`` a table of ints over one scale,
+    so the inversion reads no flag entry's numerator or denominator: a
+    6-atom measure on a 40-vertex tree (seed 11); only the calls made inside
+    the inversion are charged. The same values as a table of entries are
+    read once each per flag."""
+    rng = random.Random(11)
+    tree = shuffled_leafless_tree(rng, 40)
+    hidden = make_measure(tree, [(gen_point(tree, rng, 12), F(1, 6)) for _ in range(6)])
+    inside = []
+
+    def invert(*args, _original=radon.radon_invert):
+        start = len(read)
+        inverted = _original(*args)
+        inside.append(len(read) - start)
+        return inverted
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(radon, "radon_invert", invert)
+        result = reconstruct_measure(tree, radon_oracle(tree, hidden))
+    assert result.measure == hidden and len(inside) == 1
+    entries = FlagTable(tree, [row.vertex_value for row in result.flag_rows])
+    start = len(read)
+    assert radon_invert(tree, entries, 1 - result.interior_total) == result.vertex_part
+    assert len(read) - start == 2 * tree._flag_count
+    return inside[0]
 
 
 def construction_adds_no_fraction(added):
@@ -214,6 +244,8 @@ BUDGETS = [
     Budget(no_geodesic_past_time_one,        (Geodesic, "_set_up"),         0,     0),
     Budget(travel_past_time_one_climbs_once, (Tree, "_lca"),                0,     0),
     Budget(reconstruction_validates_no_edge, (Tree, "edge"),                0,     0),
+    Budget(reconstruction_inversion_reads_no_flag_entry,
+           (radon, "_numerator", "_denominator"),                           0,     0),
     Budget(construction_adds_no_fraction,    (F, "__add__", "__radd__"),    0,     0),
     Budget(each_distinct_length_string_is_parsed_once,
            (treeradon.tree, "parse_length"),                                44,    44),
