@@ -147,8 +147,9 @@ class FlagTable:
     tree: Tree
     entries: tuple[Fraction | None, ...]
     # (numerators, L): every entry as an int over one scale L. Only
-    # radon_forward sets it; init=False, so a table built or replaced from
-    # entries, ``dataclasses.replace`` included, never keeps stale ints.
+    # _int_table sets it, for radon_forward and reconstruction's own table;
+    # init=False, so a table built or replaced from entries,
+    # ``dataclasses.replace`` included, never keeps stale ints.
     _ints: tuple[tuple[int, ...], int] | None = field(init=False, compare=False, repr=False,
                                                       default=None)
 
